@@ -253,8 +253,8 @@ func runFig8SensitivityHTTP(tb testing.TB, hb *persist.HTTPBackend, popt persist
 	return time.Since(start), pc.Counters()
 }
 
-// buildRestbench compiles the CLI once for the separate-process shard
-// measurements and returns the binary path.
+// buildRestbench compiles the CLI once for the separate-process elastic
+// pool measurements and returns the binary path.
 func buildRestbench(tb testing.TB) string {
 	tb.Helper()
 	bin := filepath.Join(tb.TempDir(), "restbench")
@@ -278,7 +278,7 @@ func runRestbenchStdout(tb testing.TB, bin string, args ...string) []byte {
 }
 
 // serveCacheDir exposes dir over the cache wire protocol on a loopback
-// listener and returns the URL shard processes attach to.
+// listener and returns the URL pool workers attach to.
 func serveCacheDir(tb testing.TB, dir string) string {
 	tb.Helper()
 	b, err := persist.NewDirBackend(dir, false)
@@ -293,10 +293,9 @@ func serveCacheDir(tb testing.TB, dir string) string {
 }
 
 // poolMeasurement names the single metric every multi-process arm in this
-// file — the 1/2/4 shard arms and the elastic pool arms alike — is scored
-// with, so speedup ratios always compare like with like. With enough cores
-// for the widest arm plus the cache server, every process truly runs in
-// parallel and wall clock is the honest number. On smaller machines (CI
+// file is scored with, so speedup ratios always compare like with like.
+// With enough cores for the widest arm plus the cache server, every process
+// truly runs in parallel and wall clock is the honest number. On smaller machines (CI
 // boxes are often 1-2 cores) the wall of N concurrent CPU-bound processes
 // only measures the kernel slicing one core, so every arm — including the
 // single-process baseline — is instead scored by its CPU makespan: the
@@ -304,8 +303,7 @@ func serveCacheDir(tb testing.TB, dir string) string {
 // models the wall clock of the deployment the fan-out targets (one machine
 // per worker, where lease-wait stalls park a core instead of burning it).
 // Either way all processes launch concurrently and every arm is measured
-// identically; earlier revisions mixed a concurrent wall for the baseline
-// with a per-shard maximum for the fan-out arms, which skewed the ratio.
+// identically.
 func poolMeasurement() string {
 	if runtime.NumCPU() >= 5 {
 		return "wall-concurrent"
@@ -359,21 +357,6 @@ func runProcPool(tb testing.TB, n int, mk func(k int, out, errs *bytes.Buffer) *
 		return time.Since(start), stderrs
 	}
 	return cpuMax, stderrs
-}
-
-// runShardProcesses measures an n-shard cold distributed sweep: n
-// single-worker restbench shard processes sharing one cache server, separate
-// OS processes and wire protocol included.
-func runShardProcesses(tb testing.TB, bin, url string, n int) time.Duration {
-	tb.Helper()
-	d, _ := runProcPool(tb, n, func(k int, out, errs *bytes.Buffer) *exec.Cmd {
-		cmd := exec.Command(bin, "-fig8sens",
-			"-scale", strconv.Itoa(benchScale), "-j", "1",
-			"-shard", fmt.Sprintf("%d/%d", k+1, n), "-cache-url", url)
-		cmd.Stdout, cmd.Stderr = out, errs
-		return cmd
-	}, nil)
-	return d
 }
 
 // benchStaleAge is the lease staleness horizon elastic bench workers run
@@ -494,18 +477,17 @@ func simColdRate(tb testing.TB, e sim.Engine) float64 {
 // TestBenchJSON measures the Figure 8 sensitivity sweep four ways — in-memory
 // trace cache on/off (interleaved best of three rounds, to shed host noise), then
 // persistent cache cold and warm — plus the interpreter A/B and the
-// distributed plane (separate-process shard scaling, HTTP-vs-directory warm
-// tax), and writes the results to the -bench-json path. The floors enforced
-// so the committed artifact can never record a regression silently: the warm
-// persistent-cache sweep must come in at least 60% under the cold one, the
-// decoded-block engine must deliver at least 3x the reference interpreter's
-// cold throughput, the hardening middleware (retry + breaker) must cost
-// under 5% on the warm path versus the bare backend, two shard processes
-// must finish a cold distributed sweep at least 1.6x faster than one
-// (concurrently when the machine has the cores, else modeled as the slowest
-// shard run back-to-back — one machine per shard), and the HTTP backend's
-// warm path must stay within 5% plus a fixed wire budget of the local
-// directory's. Skipped unless the flag is set.
+// distributed plane (separate-process elastic pool scaling, HTTP-vs-directory
+// warm tax), and writes the results to the -bench-json path. The floors
+// enforced so the committed artifact can never record a regression silently:
+// the warm persistent-cache sweep must come in at least 60% under the cold
+// one, the decoded-block engine must deliver at least 3x the reference
+// interpreter's cold throughput, the hardening middleware (retry + breaker)
+// must cost under 5% on the warm path versus the bare backend, a 3-worker
+// elastic pool with one worker killed halfway must finish at least 2.2x
+// faster than one worker (scored under poolMeasurement), and the HTTP
+// backend's warm path must stay within 50% plus a fixed wire budget of the
+// local directory's. Skipped unless the flag is set.
 func TestBenchJSON(t *testing.T) {
 	if *benchJSONPath == "" {
 		t.Skip("set -bench-json=FILE to record the sweep measurements")
@@ -571,32 +553,18 @@ func TestBenchJSON(t *testing.T) {
 			hardeningOverhead, bareWarm, hardenedWarm)
 	}
 
-	// The distributed plane, scaling leg: N separate shard processes (one
-	// sweep worker each, so parallelism comes purely from the process
-	// fan-out) share one cold cache server; the measured cost should drop
-	// roughly with the process count. Floor: >= 1.6x at two shards. Every
-	// arm is scored under the one metric poolMeasurement() names (recorded
-	// as shard_measurement in the artifact).
+	// The distributed plane, scaling leg: a 3-worker work-stealing pool over
+	// a fresh store (one sweep worker per process, so parallelism comes
+	// purely from the process fan-out), with worker 0 killed once half the
+	// grid's unit markers are published — the survivors must steal its
+	// lease, finish its share, and drain the grid without recomputing
+	// anything already published. Scored against a single elastic worker
+	// under the one metric poolMeasurement() names (recorded as
+	// elastic_measurement in the artifact). The ideal with a clean halfway
+	// kill is ~2.4x (each worker does 1/6 of the work before the kill, the
+	// survivors split the remaining half), so the 2.2x floor leaves room for
+	// the stolen unit's replay and scheduler noise.
 	bin := buildRestbench(t)
-	shardWall := map[int]time.Duration{}
-	for _, n := range []int{1, 2, 4} {
-		shardWall[n] = runShardProcesses(t, bin, serveCacheDir(t, t.TempDir()), n)
-	}
-	shardSpeedup2 := float64(shardWall[1]) / float64(shardWall[2])
-	shardSpeedup4 := float64(shardWall[1]) / float64(shardWall[4])
-	if shardSpeedup2 < 1.6 {
-		t.Errorf("2-shard cold sweep only %.2fx the 1-shard cost (1=%s 2=%s, %s), want >= 1.6x",
-			shardSpeedup2, shardWall[1], shardWall[2], poolMeasurement())
-	}
-
-	// The elastic plane: a 3-worker work-stealing pool over a fresh store,
-	// with worker 0 killed once half the grid's unit markers are published —
-	// the survivors must steal its lease, finish its share, and drain the
-	// grid without recomputing anything already published. Scored against a
-	// single elastic worker under the same metric. The ideal with a clean
-	// halfway kill is ~2.4x (each worker does 1/6 of the work before the
-	// kill, the survivors split the remaining half), so the 2.2x floor
-	// leaves room for the stolen unit's replay and scheduler noise.
 	units := harness.UnitCount(workload.All(), harness.Fig8SensitivityConfigs(), benchScale, 0)
 	solo1Dir := t.TempDir()
 	elastic1, _ := runElasticPool(t, bin, serveCacheDir(t, solo1Dir), solo1Dir, 1, 0)
@@ -625,11 +593,11 @@ func TestBenchJSON(t *testing.T) {
 	if v := verifySums[0]; v.cells != 0 || v.done != 0 {
 		t.Errorf("drained elastic grid was recomputed by a late worker: %+v", v)
 	}
-	// And the merge of the pool's artifacts must be byte-identical to a
-	// plain single-process sweep's report.
+	// And a plain run over the pool's store must be byte-identical to a
+	// single-process sweep's report.
 	soloOut := runRestbenchStdout(t, bin, "-fig8sens", "-scale", strconv.Itoa(benchScale))
 	mergeOut := runRestbenchStdout(t, bin, "-fig8sens", "-scale", strconv.Itoa(benchScale),
-		"-cache-url", elasticURL, "-merge")
+		"-cache-url", elasticURL)
 	if !bytes.Equal(soloOut, mergeOut) {
 		t.Errorf("elastic merge is not byte-identical to the single-process report (%d vs %d bytes)",
 			len(mergeOut), len(soloOut))
@@ -714,12 +682,7 @@ func TestBenchJSON(t *testing.T) {
 		TelemetryBareNs  int64   `json:"telemetry_bare_ns"`
 		TelemetryOnNs    int64   `json:"telemetry_export_ns"`
 		TelemetryPct     float64 `json:"telemetry_overhead_pct"`
-		ShardCold1Ns     int64   `json:"shard_cold_1proc_ns"`
-		ShardCold2Ns     int64   `json:"shard_cold_2proc_ns"`
-		ShardCold4Ns     int64   `json:"shard_cold_4proc_ns"`
-		ShardSpeedup2    float64 `json:"shard_2proc_speedup"`
-		ShardSpeedup4    float64 `json:"shard_4proc_speedup"`
-		ShardMeasurement string  `json:"shard_measurement"`
+		ElasticMeasure   string  `json:"elastic_measurement"`
 		ElasticUnits     int     `json:"elastic_units"`
 		Elastic1Ns       int64   `json:"elastic_cold_1worker_ns"`
 		Elastic3KillNs   int64   `json:"elastic_cold_3worker_killed_ns"`
@@ -755,12 +718,7 @@ func TestBenchJSON(t *testing.T) {
 		TelemetryBareNs:  teleBare.Nanoseconds(),
 		TelemetryOnNs:    teleExport.Nanoseconds(),
 		TelemetryPct:     telemetryOverhead,
-		ShardCold1Ns:     shardWall[1].Nanoseconds(),
-		ShardCold2Ns:     shardWall[2].Nanoseconds(),
-		ShardCold4Ns:     shardWall[4].Nanoseconds(),
-		ShardSpeedup2:    shardSpeedup2,
-		ShardSpeedup4:    shardSpeedup4,
-		ShardMeasurement: poolMeasurement(),
+		ElasticMeasure:   poolMeasurement(),
 		ElasticUnits:     units,
 		Elastic1Ns:       elastic1.Nanoseconds(),
 		Elastic3KillNs:   elastic3.Nanoseconds(),
@@ -780,10 +738,9 @@ func TestBenchJSON(t *testing.T) {
 	if err := os.WriteFile(*benchJSONPath, append(raw, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("mem cache on %s / off %s (%.1f%%); disk cold %s / warm %s (%.1f%%); hardening %+.1f%%; telemetry %+.1f%%; sim blocks %.2fx ref; shards 1/2/4 %s/%s/%s (%.2fx/%.2fx, %s); elastic 1w %s / 3w-killed %s (%.2fx, %d stolen); http warm %s (%+.1f%%, %d read hits) -> %s",
+	t.Logf("mem cache on %s / off %s (%.1f%%); disk cold %s / warm %s (%.1f%%); hardening %+.1f%%; telemetry %+.1f%%; sim blocks %.2fx ref; elastic 1w %s / 3w-killed %s (%.2fx, %d stolen, %s); http warm %s (%+.1f%%, %d read hits) -> %s",
 		on, off, reduction, cold, warm, warmReduction, hardeningOverhead, telemetryOverhead, speedup,
-		shardWall[1], shardWall[2], shardWall[4], shardSpeedup2, shardSpeedup4, poolMeasurement(),
-		elastic1, elastic3, elasticSpeedup, stolen, httpWarm, httpOverhead, httpWire.ReadHits, *benchJSONPath)
+		elastic1, elastic3, elasticSpeedup, stolen, poolMeasurement(), httpWarm, httpOverhead, httpWire.ReadHits, *benchJSONPath)
 }
 
 // runFig8SensitivityTelemetry times one Figure 8 sensitivity sweep with or

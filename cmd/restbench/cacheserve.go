@@ -1,8 +1,9 @@
-// The -cache-serve surface: a standalone artifact-cache server. Sharded
-// restbench processes on other machines (or just other PIDs) point
-// -cache-url at it and share one store: captured traces, memoized cell
-// results and the cross-process capture locks all live behind the wire
-// protocol that internal/persist's CacheServer and HTTPBackend speak.
+// The -cache-serve surface: a standalone artifact-cache server. Elastic pool
+// workers (-shard auto) and plain runs on other machines (or just other PIDs)
+// point -cache-url at it and share one store: captured traces, memoized cell
+// results, unit completion markers, and the cross-process capture locks and
+// unit leases all live behind the wire protocol that internal/persist's
+// CacheServer and HTTPBackend speak.
 //
 // The server is deliberately dumb — it serves whatever persist.Backend it
 // wraps (here a DirBackend) and keeps the advisory lock leases; all cache
@@ -17,37 +18,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"syscall"
 
 	"rest/internal/persist"
 )
-
-// validateCacheServeFlags enforces -cache-serve's contract: it turns the
-// process into a cache server for other restbench invocations, so the only
-// flag that may accompany it is -cache-dir (the directory to serve, and it
-// is required). explicit holds the flag names the user actually set.
-func validateCacheServeFlags(explicit map[string]bool) error {
-	if !explicit["cache-serve"] {
-		return nil
-	}
-	if !explicit["cache-dir"] {
-		return fmt.Errorf("restbench: -cache-serve needs -cache-dir DIR (the artifact store to serve)")
-	}
-	var bad []string
-	for name := range explicit {
-		if name != "cache-serve" && name != "cache-dir" {
-			bad = append(bad, "-"+name)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	return fmt.Errorf("restbench: -cache-serve runs a cache server for other restbench processes and takes only -cache-dir; drop %s",
-		strings.Join(bad, ", "))
-}
 
 // runCacheServe binds addr and serves the artifact store under dir until
 // SIGINT/SIGTERM. The resolved address (usable even for ":0" specs) and an

@@ -76,9 +76,10 @@
 //	                 30s with -cache-url unless set explicitly)
 //
 // Distributed sweeps (details in EXPERIMENTS.md): one process serves a
-// cache directory, N shard processes each compute a deterministic slice of
-// every grid into it, and a merge run assembles reports byte-identical to a
-// single-process sweep.
+// cache directory, any number of -shard auto workers drain every grid into
+// it, and any plain run over the same store renders reports byte-identical
+// to a single-process sweep — every published cell is a result-store hit,
+// anything missing just recomputes.
 //
 //	-cache-serve ADDR  serve the -cache-dir artifact store to other
 //	                 restbench processes over HTTP until SIGINT/SIGTERM;
@@ -88,22 +89,15 @@
 //	                 stack (-cache-retries/-cache-timeout/-cache-chaos,
 //	                 circuit breaker, fail-open locks) applies to the
 //	                 network exactly as it does to disk
-//	-shard I/N       run slice I of N (1-based) of every sweep grid and
-//	                 publish the artifacts to the shared store; stdout
-//	                 stays empty — the -merge run renders the reports
-//	-shard auto      join an elastic work-stealing pool instead of taking
-//	                 a fixed slice: claim functional-identity units under
-//	                 renewed leases on the shared store, publish the
-//	                 artifacts, steal expired leases from killed or
-//	                 stalled workers, and exit when the grid drains. Any
-//	                 number of workers may join or die mid-sweep; -merge
-//	                 still assembles byte-identical reports
+//	-shard auto      join an elastic work-stealing pool: claim
+//	                 functional-identity units under renewed leases on the
+//	                 shared store, publish the artifacts, steal expired
+//	                 leases from killed or stalled workers, and exit when
+//	                 the grid drains; stdout stays empty. Any number of
+//	                 workers may join or die mid-sweep
 //	-cache-stale-age D  age past which an abandoned cache lock or lease
 //	                 (a crashed worker) is considered dead and stolen
 //	                 (default 10m; CI drills shrink it)
-//	-merge           assemble full reports from the shard artifacts in the
-//	                 shared store (a plain full-grid run: complete stores
-//	                 replay everything, missing cells just recompute)
 //
 // Observability controls (all off by default; none of them perturbs stdout,
 // so reports stay byte-identical with or without them):
@@ -143,9 +137,9 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"rest/internal/fault"
@@ -174,24 +168,22 @@ type cacheFlagState struct {
 	TimeoutSet  bool // -cache-timeout given explicitly
 	StaleAge    time.Duration
 	StaleAgeSet bool   // -cache-stale-age given explicitly
-	Shard       string // -shard spec (empty = full grid; "auto" = elastic pool)
-	Merge       bool   // -merge (assemble the full grid from the shared store)
+	Shard       string // -shard spec: empty, or "auto" for the elastic pool
 }
 
 // cacheSetup is the validated, resolved persistent-cache configuration:
-// the effective store mode, the parsed chaos spec, and the grid slice this
-// process owns.
+// the effective store mode, the parsed chaos spec, and whether this process
+// is an elastic pool worker.
 type cacheSetup struct {
 	Mode    string // "rw", "ro" or "off"
 	Chaos   *persist.ChaosSpec
-	Shard   harness.Shard
-	Elastic bool // -shard auto: work-stealing pool instead of a fixed slice
+	Elastic bool // -shard auto
 }
 
 // validateCacheFlags rejects contradictory persistent-cache spellings with
 // one actionable line each, resolves the effective mode ("rw", "ro" or
 // "off"; "rw" is the default when a store is configured), and parses the
-// chaos spec and shard slice if given.
+// chaos spec if given.
 func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 	var none cacheSetup
 	if s.Dir != "" && s.URL != "" {
@@ -250,38 +242,34 @@ func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 		}
 	}
 	if s.Shard != "" {
-		if s.Merge {
-			return none, errors.New("restbench: -shard runs one slice, -merge assembles the full grid; pass one, not both")
+		if s.Shard != "auto" {
+			return none, fmt.Errorf("restbench: -shard %q: the only spelling is -shard auto (join the elastic pool)", s.Shard)
 		}
 		if !store || mode != "rw" {
-			return none, errors.New("restbench: -shard publishes its artifacts to the shared store; pass -cache-dir DIR or -cache-url URL in read-write mode")
+			return none, errors.New("restbench: -shard auto publishes its artifacts to the shared store; pass -cache-dir DIR or -cache-url URL in read-write mode")
 		}
-		if s.Shard == "auto" {
-			setup.Elastic = true
-		} else {
-			var err error
-			if setup.Shard, err = harness.ParseShard(s.Shard); err != nil {
-				return none, fmt.Errorf("restbench: -shard: %v", err)
-			}
-		}
-	}
-	if s.Merge && (!store || mode == "off") {
-		return none, errors.New("restbench: -merge assembles reports from the shared store; pass -cache-dir DIR or -cache-url URL")
+		setup.Elastic = true
 	}
 	return setup, nil
 }
 
-// validateWatchFlags enforces -watch's contract: it attaches to another
-// restbench process, so combining it with any flag that configures a local
-// run is a spelling mistake worth one actionable line. explicit holds the
-// flag names the user actually set (flag.Visit).
-func validateWatchFlags(explicit map[string]bool) error {
-	if !explicit["watch"] {
+// validateModeFlags enforces the contract of a flag that turns restbench
+// into something other than a local sweep (-watch, -cache-serve): with mode
+// set, every flag in need must be set too and nothing else may be, or the
+// spelling fails with one actionable line. role says what the mode does.
+// explicit holds the flag names the user actually set (flag.Visit).
+func validateModeFlags(explicit map[string]bool, mode, role string, need ...string) error {
+	if !explicit[mode] {
 		return nil
+	}
+	for _, name := range need {
+		if !explicit[name] {
+			return fmt.Errorf("restbench: -%s needs -%s", mode, name)
+		}
 	}
 	var bad []string
 	for name := range explicit {
-		if name != "watch" {
+		if name != mode && !slices.Contains(need, name) {
 			bad = append(bad, "-"+name)
 		}
 	}
@@ -289,8 +277,7 @@ func validateWatchFlags(explicit map[string]bool) error {
 		return nil
 	}
 	sort.Strings(bad)
-	return fmt.Errorf("restbench: -watch attaches to another restbench process and takes no other flags; drop %s",
-		strings.Join(bad, ", "))
+	return fmt.Errorf("restbench: -%s %s; drop %s", mode, role, strings.Join(bad, ", "))
 }
 
 func main() {
@@ -321,8 +308,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (empty = no persistent cache)")
 	cacheURL := flag.String("cache-url", "", "shared artifact cache server URL (see -cache-serve; mutually exclusive with -cache-dir)")
 	cacheServe := flag.String("cache-serve", "", "serve the -cache-dir artifact store to other restbench processes on this address and exit on SIGINT/SIGTERM")
-	shardSpec := flag.String("shard", "", "run slice i/n of every sweep grid (1-based, e.g. 2/4), or \"auto\" to join an elastic work-stealing pool; requires a read-write shared store, suppresses stdout reports")
-	merge := flag.Bool("merge", false, "assemble full reports from shard artifacts in the shared store (a plain full-grid run; cells recompute only if missing)")
+	shardSpec := flag.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", persist.DefaultMaxBytes, "byte cap on the persistent cache (LRU eviction past it)")
 	cacheRW := flag.Bool("cache-rw", false, "persistent cache in read-write mode (default when -cache-dir is set)")
 	cacheRO := flag.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
@@ -363,7 +349,8 @@ func main() {
 		fmt.Printf("%s: %d valid OTLP document(s)\n", *checkOTLP, n)
 		return
 	}
-	if err := validateWatchFlags(explicit); err != nil {
+	if err := validateModeFlags(explicit, "watch",
+		"attaches to another restbench process and takes no other flags"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -374,7 +361,8 @@ func main() {
 		}
 		return
 	}
-	if err := validateCacheServeFlags(explicit); err != nil {
+	if err := validateModeFlags(explicit, "cache-serve",
+		"runs a cache server for other restbench processes and takes only -cache-dir", "cache-dir"); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -404,20 +392,16 @@ func main() {
 		StaleAge:    *cacheStaleAge,
 		StaleAgeSet: explicit["cache-stale-age"],
 		Shard:       *shardSpec,
-		Merge:       *merge,
 	})
 	if cerr != nil {
 		fmt.Fprintln(os.Stderr, cerr)
 		os.Exit(2)
 	}
 	cacheMode, chaosSpec := setup.Mode, setup.Chaos
-	// A sharded (or elastic) process computes its share and publishes
-	// artifacts; the reports it could render would be partial, so stdout
-	// stays empty and a later -merge run assembles the real ones from the
-	// shared store.
-	shardMode := setup.Shard.Enabled()
-	elasticMode := setup.Elastic
-	workerMode := shardMode || elasticMode
+	// An elastic worker computes its share and publishes artifacts; the
+	// reports it could render would be partial, so stdout stays empty and
+	// any plain run over the shared store renders the real ones.
+	workerMode := setup.Elastic
 	engine, eerr := sim.ParseEngine(*engineName)
 	if eerr != nil {
 		fmt.Fprintln(os.Stderr, "restbench: "+eerr.Error())
@@ -450,7 +434,6 @@ func main() {
 		CellTimeout:     *cellTimeout,
 		CellInstrBudget: *cellBudget,
 		Engine:          engine,
-		Shard:           setup.Shard,
 		Elastic:         setup.Elastic,
 	}
 	// One cache for the whole invocation: grids that share functional
@@ -513,7 +496,6 @@ func main() {
 	// /otlp/stream, the progress meter's cache field); its span stream is
 	// only attached to sweeps when an HTTP surface actually exists.
 	tel := harness.NewTelemetryExporter("restbench", tcache)
-	tel.Shard = setup.Shard
 	serving := *pprofAddr != "" || *serveAddr != ""
 	live := tel.Live
 	if *pprofAddr != "" {
@@ -545,65 +527,31 @@ func main() {
 	sweepOpt := func(name string, cells int) (harness.ParallelOptions, func(*harness.Matrix)) {
 		o := opt
 		o.Metrics = *metricsOut != ""
-		// In shard mode the meter, the live gauges and the stderr note all
-		// describe the work this shard actually owns — a count only the sweep
-		// planner knows (the partition unit is the functional identity, not
-		// the cell), so they are wired up from its OnPlan report instead of
-		// the full grid size.
 		var meter *obs.Progress
-		startMeter := func(cells int) {
-			if *progress {
-				meter = obs.NewProgress(os.Stderr, name, cells)
-				meter.SetStats(tel.ProgressStats)
-			}
-			tel.AddSweep(name, cells)
+		if *progress {
+			meter = obs.NewProgress(os.Stderr, name, cells)
+			meter.SetStats(tel.ProgressStats)
 		}
-		if shardMode {
-			o.OnPlan = func(owned, total int) {
-				note := ""
-				if owned == 0 {
-					note = " (empty shard)"
-				}
-				fmt.Fprintf(os.Stderr, "%s: shard %s owns %d of %d cells%s\n",
-					name, setup.Shard, owned, total, note)
-				startMeter(owned)
-			}
-		} else {
-			startMeter(cells)
-		}
-		if elasticMode {
-			// The elastic summary is the worker's only account of the pool
-			// dynamics: how many units it claimed (and how many of those were
-			// steals from dead peers), how many it published, and how many it
-			// abandoned to a livelier thief. CI greps the "elastic pool:"
-			// prefix.
-			o.OnElastic = func(st harness.ElasticStats) {
-				fmt.Fprintf(os.Stderr,
-					"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
-					name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
-			}
+		tel.AddSweep(name, cells)
+		// The elastic summary is a pool worker's only account of the pool
+		// dynamics: how many units it claimed (and how many of those were
+		// steals from dead peers), how many it published, and how many it
+		// abandoned to a livelier thief. CI greps the "elastic pool:" prefix.
+		o.OnElastic = func(st harness.ElasticStats) {
+			fmt.Fprintf(os.Stderr,
+				"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
+				name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
 		}
 		var telOn func(harness.CellEvent)
 		if serving {
 			telOn = tel.OnCell(name)
 		}
-		// Merge provenance: count how much of the grid the shared store
-		// served so the stderr summary can say whether the shards' work was
-		// actually reused. Atomics — cells finish on concurrent workers.
-		var fromStore, computed atomic.Uint64
-		if *traceOut != "" || *progress || serving || *merge {
+		if *traceOut != "" || *progress || serving {
 			o.OnCell = func(ev harness.CellEvent) {
 				ok := ev.Err == nil && !ev.Skipped
 				meter.Observe(ok)
 				if telOn != nil {
 					telOn(ev)
-				}
-				if *merge && ok {
-					if ev.Source == "result-store" || ev.Source == "disk-replay" {
-						fromStore.Add(1)
-					} else {
-						computed.Add(1)
-					}
 				}
 				verdict := "ok"
 				switch {
@@ -619,13 +567,8 @@ func main() {
 					})
 			}
 		}
-		total := cells
 		return o, func(m *harness.Matrix) {
 			meter.Finish()
-			if *merge {
-				fmt.Fprintf(os.Stderr, "%s: merge served %d of %d cells from the shared cache (%d recomputed)\n",
-					name, fromStore.Load(), total, computed.Load())
-			}
 			if m == nil || !o.Metrics {
 				return
 			}
@@ -661,19 +604,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%s: elapsed %s (j=%d)\n",
 			name, time.Since(start).Round(time.Millisecond), opt.EffectiveWorkers())
 	}
-	// report prints one finished report to stdout — except in shard mode,
-	// where this process's view of the grid is partial by construction, so
-	// stdout stays empty and the -merge run renders the real reports.
+	// report prints one finished report to stdout — except on an elastic
+	// worker, whose view of the grid is partial by construction, so stdout
+	// stays empty and a plain run over the store renders the real reports.
 	report := func(s string) {
 		if !workerMode {
 			fmt.Println(s)
 		}
 	}
-	// Tables, -stats and -faults are not sweep grids: a shard or elastic
-	// worker owns no slice of them, so they run (and print) only in full or
-	// -merge invocations.
+	// Tables, -stats and -faults are not sweep grids: an elastic worker
+	// claims no units of them, so they run (and print) only in plain
+	// invocations.
 	if workerMode && (*all || *table1 || *table2 || *table3 || *stats || *faults) {
-		fmt.Fprintln(os.Stderr, "shard mode computes sweep-grid slices only; tables, -stats and -faults are left to the -merge run")
+		fmt.Fprintln(os.Stderr, "-shard auto computes sweep grids only; tables, -stats and -faults are left to a plain run over the store")
 	}
 
 	if (*all || *table2) && !workerMode {

@@ -13,12 +13,11 @@ import (
 func TestValidateCacheFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, tt := range []struct {
-		name      string
-		s         cacheFlagState
-		mode      string
-		wantChaos bool
-		wantShard   string // Shard.String() of the parsed slice ("" = full grid)
-		wantElastic bool   // -shard auto resolved to the work-stealing pool
+		name        string
+		s           cacheFlagState
+		mode        string
+		wantChaos   bool
+		wantElastic bool // -shard auto resolved to the work-stealing pool
 		wantErr     string
 	}{
 		{name: "no cache flags", s: cacheFlagState{TraceCache: true}, mode: "rw"},
@@ -153,36 +152,14 @@ func TestValidateCacheFlags(t *testing.T) {
 			wantErr: "rides on the trace cache",
 		},
 		{
-			name:      "shard over a dir store",
-			s:         cacheFlagState{Dir: dir, Shard: "2/4", TraceCache: true},
-			mode:      "rw",
-			wantShard: "2/4",
-		},
-		{
-			name:      "shard over a url store",
-			s:         cacheFlagState{URL: "http://localhost:9", Shard: "1/2", TraceCache: true},
-			mode:      "rw",
-			wantShard: "1/2",
-		},
-		{
-			name:    "shard without a store",
-			s:       cacheFlagState{Shard: "1/2", TraceCache: true},
-			wantErr: "read-write mode",
-		},
-		{
-			name:    "shard over a read-only store",
-			s:       cacheFlagState{Dir: dir, RO: true, Shard: "1/2", TraceCache: true},
-			wantErr: "read-write mode",
-		},
-		{
-			name:    "shard with merge",
-			s:       cacheFlagState{Dir: dir, Shard: "1/2", Merge: true, TraceCache: true},
-			wantErr: "pass one, not both",
+			name:    "static shard slice",
+			s:       cacheFlagState{Dir: dir, Shard: "1/2", TraceCache: true},
+			wantErr: "-shard auto",
 		},
 		{
 			name:    "malformed shard spec",
-			s:       cacheFlagState{Dir: dir, Shard: "0/2", TraceCache: true},
-			wantErr: "-shard",
+			s:       cacheFlagState{Dir: dir, Shard: "Auto", TraceCache: true},
+			wantErr: "-shard auto",
 		},
 		{
 			name:        "shard auto over a url store",
@@ -207,9 +184,9 @@ func TestValidateCacheFlags(t *testing.T) {
 			wantErr: "read-write mode",
 		},
 		{
-			name:    "shard auto with merge",
-			s:       cacheFlagState{Dir: dir, Shard: "auto", Merge: true, TraceCache: true},
-			wantErr: "pass one, not both",
+			name:    "shard auto with cache off",
+			s:       cacheFlagState{Dir: dir, Off: true, Shard: "auto", TraceCache: true},
+			wantErr: "read-write mode",
 		},
 		{
 			name:    "stale age without a store",
@@ -235,17 +212,6 @@ func TestValidateCacheFlags(t *testing.T) {
 			mode:        "rw",
 			wantElastic: true,
 		},
-		{name: "merge over a dir store", s: cacheFlagState{Dir: dir, Merge: true, TraceCache: true}, mode: "rw"},
-		{
-			name: "merge over a read-only url store",
-			s:    cacheFlagState{URL: "http://localhost:9", RO: true, Merge: true, TraceCache: true},
-			mode: "ro",
-		},
-		{
-			name:    "merge without a store",
-			s:       cacheFlagState{Merge: true, TraceCache: true},
-			wantErr: "-merge assembles",
-		},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			setup, err := validateCacheFlags(tt.s)
@@ -269,9 +235,6 @@ func TestValidateCacheFlags(t *testing.T) {
 			}
 			if (setup.Chaos != nil) != tt.wantChaos {
 				t.Fatalf("chaos spec: want present=%t got %v", tt.wantChaos, setup.Chaos)
-			}
-			if setup.Shard.String() != tt.wantShard {
-				t.Fatalf("shard: want %q got %q", tt.wantShard, setup.Shard)
 			}
 			if setup.Elastic != tt.wantElastic {
 				t.Fatalf("elastic: want %t got %t", tt.wantElastic, setup.Elastic)
@@ -308,7 +271,7 @@ func TestValidateCacheServeFlags(t *testing.T) {
 		},
 	}
 	for _, tt := range cases {
-		err := validateCacheServeFlags(tt.explicit)
+		err := validateModeFlags(tt.explicit, "cache-serve", "serves", "cache-dir")
 		if tt.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tt.name, err)
@@ -343,7 +306,7 @@ func TestValidateWatchFlags(t *testing.T) {
 		},
 	}
 	for _, tt := range cases {
-		err := validateWatchFlags(tt.explicit)
+		err := validateModeFlags(tt.explicit, "watch", "attaches")
 		if tt.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tt.name, err)

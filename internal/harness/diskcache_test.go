@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rest/internal/attack"
 	"rest/internal/cache"
@@ -245,6 +246,76 @@ func TestDiskCacheCorruptionRecovery(t *testing.T) {
 	}
 	if hc := healedPC.Counters(); hc.ResultHits == 0 || hc.Corruptions != 0 {
 		t.Errorf("cache did not heal: %+v", hc)
+	}
+}
+
+// TestKilledLeaderRecovery pins crash consistency: a process killed
+// mid-sweep leaves partial artifacts and an abandoned capture lock; a rerun
+// over the same store completes from the partial artifacts (served cells are
+// result hits), recomputes only what is missing, and takes over the
+// abandoned lock once it is stale — the store ends up with exactly the full
+// artifact set, no duplicates. The rerun's metric export carries the
+// lock-plane counters.
+func TestKilledLeaderRecovery(t *testing.T) {
+	t.Parallel()
+	mb := persist.NewMemBackend()
+	opt := persist.Options{StaleLockAge: 50 * time.Millisecond, LockWait: 2 * time.Second}
+
+	pc1, err := persist.OpenBackend(mb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc1 := NewTraceCache()
+	tc1.AttachDisk(pc1)
+	first, _ := sensRender(t, tc1, 1)
+	full := mb.Len("result")
+
+	// The "kill": the dead process was mid-capture on its first cell, so that
+	// cell's result and trace artifacts never landed and the capture lock it
+	// held was abandoned. Every other artifact survives.
+	wls := subset(t, "lbm")
+	cfgs := Fig8SensitivityConfigs()
+	k0 := cellTraceKey(wls[0].Name, cfgs[0], 1, 0)
+	if err := mb.Delete("result", resultIdentity(k0, cfgs[0]).String()); err != nil {
+		t.Fatal(err)
+	}
+	fid := funcIdentity(k0)
+	if err := mb.Delete("trace", fid.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mb.TryLock(fid.String()); err != nil {
+		t.Fatal(err) // deliberately never released: the dead process's lock
+	}
+	time.Sleep(60 * time.Millisecond) // let the abandoned lock go stale
+
+	pc2, err := persist.OpenBackend(mb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc2 := NewTraceCache()
+	tc2.AttachDisk(pc2)
+	rerun, _ := sensRender(t, tc2, 1)
+	if rerun != first {
+		t.Fatalf("rerun after kill rendered differently")
+	}
+	c := pc2.Counters()
+	if c.ResultHits == 0 {
+		t.Fatalf("rerun ignored the surviving artifacts: %+v", c)
+	}
+	if c.Stores == 0 {
+		t.Fatalf("rerun recomputed nothing despite missing artifacts: %+v", c)
+	}
+	if got := mb.Len("result"); got != full {
+		t.Fatalf("store not restored to the full artifact set: %d vs %d", got, full)
+	}
+	if _, err := mb.LockAge(fid.String()); err == nil {
+		t.Fatalf("abandoned capture lock still held after takeover")
+	}
+	reg := newTestRegistry(t, tc2)
+	for _, name := range []string{"persist.lock.contended", "persist.lock.waits", "persist.lock.wait_ns"} {
+		if _, ok := reg[name]; !ok {
+			t.Errorf("recordDiskObs missing %s", name)
+		}
 	}
 }
 

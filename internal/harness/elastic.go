@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -11,20 +10,20 @@ import (
 	"sync"
 	"time"
 
+	"rest/internal/obs"
 	"rest/internal/persist"
 	"rest/internal/workload"
 )
 
 // The elastic sweep pool: work-stealing over the shared artifact store.
 //
-// Static sharding (shard.go) partitions the grid up front, so one slow or
-// killed shard strands its slice and caps the pool at the slowest worker.
-// The elastic scheduler replaces the partition with claims: every worker
-// sees the same unit list (functional identities in first-appearance order,
-// exactly the static partition's unit), and claims units one lease at a
-// time on the store's lock plane. A completed unit is recorded by a tiny
-// completion marker in the store's meta namespace; the grid is drained when
-// every unit has one. Recovery is built from the same two primitives —
+// Every worker sees the same unit list (functional identities in
+// first-appearance grid order) and claims units one lease at a time on the
+// store's lock plane; which worker runs what is decided by the pool as it
+// goes, so any number of workers may join late or die mid-sweep. A
+// completed unit is recorded by a tiny completion marker in the store's meta
+// namespace; the grid is drained when every unit has one. Recovery is built
+// from the same two primitives —
 //
 //   - a worker that dies stops renewing its leases, they age stale, and any
 //     idle worker steals the units and recomputes only what the dead worker
@@ -42,10 +41,14 @@ import (
 // unit), an unlistable meta namespace retries at the next wake — so chaos
 // degrades the pool to recompute, never to a wrong byte or a hang.
 //
-// The unit of stealing is the functional identity, not the cell, for the
-// same reason it is the static shard's partition unit: all cells of a unit
-// share one captured trace, and splitting them across workers would
-// serialize every worker on the store's single-flight capture locks.
+// The unit of stealing is the functional identity, not the cell: all cells
+// of a unit share one captured trace, so one worker captures it and replays
+// the unit's other cells from process memory. Splitting a unit across
+// workers would make each of them need the same capture and serialize them
+// on the store's single-flight capture locks.
+//
+// This file holds only the scheduling — claims, markers, lease renewal and
+// the epoch wake; cells run on the sweep's per-cell runner (parallel.go).
 
 // ElasticStats summarizes one worker's participation in an elastic pool.
 type ElasticStats struct {
@@ -66,25 +69,19 @@ type elasticUnit struct {
 	cells []int
 }
 
-// elasticUnits enumerates the grid's units in first-appearance order — the
-// same numbering Shard.ownership deals from, so the elastic pool and the
-// static partition agree on what a unit is.
-func elasticUnits(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) []elasticUnit {
+// elasticUnits enumerates the grid's units in first-appearance order.
+func elasticUnits(cells []gridCell, scale int64, budget uint64) []elasticUnit {
 	index := make(map[traceKey]int)
 	var units []elasticUnit
-	i := 0
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			k := cellTraceKey(wl.Name, cfg, scale, budget)
-			u, seen := index[k]
-			if !seen {
-				u = len(units)
-				index[k] = u
-				units = append(units, elasticUnit{key: k})
-			}
-			units[u].cells = append(units[u].cells, i)
-			i++
+	for i, c := range cells {
+		k := cellTraceKey(c.wl.Name, c.cfg, scale, budget)
+		u, seen := index[k]
+		if !seen {
+			u = len(units)
+			index[k] = u
+			units = append(units, elasticUnit{key: k})
 		}
+		units[u].cells = append(units[u].cells, i)
 	}
 	return units
 }
@@ -92,21 +89,26 @@ func elasticUnits(wls []workload.Workload, cfgs []BinaryConfig, scale int64, bud
 // UnitCount reports how many steal units a grid partitions into. Exposed
 // for benchmarks and tooling that watch a pool drain marker by marker.
 func UnitCount(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) int {
-	return len(elasticUnits(wls, cfgs, scale, budget))
+	return len(elasticUnits(gridCells(wls, cfgs), scale, budget))
 }
 
 // ElasticMarkerPrefix namespaces completion markers within the store's meta
 // objects (beside the manifest, exempt from the byte cap and eviction).
 const ElasticMarkerPrefix = "elastic-"
 
-// elasticGridID digests the unit list so claim and marker names are scoped
+// elasticGridID digests the units — each one's functional identity and the
+// timing configurations of its cells — so claim and marker names are scoped
 // to one exact grid: two different sweeps sharing a store can both run
-// elastically without touching each other's units.
-func elasticGridID(units []elasticUnit, scale int64) string {
+// elastically without touching each other's units, even when they share
+// every functional identity and differ only in timing rows.
+func elasticGridID(units []elasticUnit, cells []gridCell, scale int64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "elastic|v1|scale=%d|units=%d\n", scale, len(units))
+	fmt.Fprintf(h, "elastic|v2|scale=%d|units=%d\n", scale, len(units))
 	for _, u := range units {
 		io.WriteString(h, funcIdentity(u.key).String())
+		for _, gi := range u.cells {
+			io.WriteString(h, "|"+timingIdentity(cells[gi].cfg))
+		}
 		h.Write([]byte{'\n'})
 	}
 	return hex.EncodeToString(h.Sum(nil))[:12]
@@ -135,12 +137,12 @@ type unitResult struct {
 	cellsRun  int
 }
 
-// runMatrixElastic is RunMatrixParallel's work-stealing path (opt.Elastic).
-// The returned Matrix holds the cells this worker computed — a pool
-// worker's view is partial by construction, like a static shard's — and the
-// full report is assembled by a warm merge run over the shared store.
-func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []BinaryConfig, scale int64, opt ParallelOptions) (*Matrix, error) {
-	tc := opt.TraceCache
+// runElastic is RunMatrixParallel's work-stealing path (opt.Elastic). The
+// returned Matrix holds the cells this worker computed — a pool worker's
+// view is partial by construction — and the full report is any plain run
+// over the shared store.
+func (s *sweep) runElastic() (*Matrix, error) {
+	tc := s.opt.TraceCache
 	var store *persist.Cache
 	if tc != nil {
 		store = tc.diskStore()
@@ -148,59 +150,13 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 	if store == nil {
 		return nil, errors.New("harness: an elastic sweep needs a trace cache with an attached shared store")
 	}
-	units := elasticUnits(wls, cfgs, scale, opt.CellInstrBudget)
-	grid := elasticGridID(units, scale)
-	gridTotal := len(wls) * len(cfgs)
+	units := elasticUnits(s.cells, s.scale, s.opt.CellInstrBudget)
+	grid := elasticGridID(units, s.cells, s.scale)
 
-	type gridCell struct {
-		wl  workload.Workload
-		cfg BinaryConfig
-	}
-	cells := make([]gridCell, 0, gridTotal)
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			cells = append(cells, gridCell{wl, cfg})
-		}
-	}
-
-	now := opt.Now
-	if now == nil {
-		now = time.Now
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := opt.EffectiveWorkers()
+	workers := s.opt.EffectiveWorkers()
 	workerIDs := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		workerIDs <- w
-	}
-
-	// Outcome slots are indexed by grid position; distinct units never share
-	// a cell, so writers cannot collide, and everything is read only after
-	// the final wg.Wait.
-	outcomes := make([]cellOutcome, gridTotal)
-	computed := make([]bool, gridTotal)
-
-	emit := func(worker, gi int, start, end time.Time, o cellOutcome) {
-		if opt.OnCell == nil {
-			return
-		}
-		ev := CellEvent{
-			Worker: worker, Index: gi, Total: gridTotal,
-			Workload: cells[gi].wl.Name, Config: cells[gi].cfg.Name,
-			Start: start, End: end,
-			Err: o.err, Skipped: o.skipped,
-		}
-		if o.res != nil {
-			ev.Cycles = o.res.Cycles
-			ev.Source = o.res.Source
-			ev.Obs = o.res.Obs
-			if o.res.Stats != nil {
-				ev.Instrs = o.res.Stats.Instructions
-			}
-		}
-		opt.OnCell(ev)
 	}
 
 	workerTag := fmt.Sprintf("pid-%d", os.Getpid())
@@ -212,16 +168,10 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 		u := units[ui]
 		tc.planUnit(u.key, len(u.cells))
 		res := unitResult{unit: ui}
-		cancelled := false
 		var uwg sync.WaitGroup
 		for _, gi := range u.cells {
-			lost := false
 			select {
 			case <-claim.Lost():
-				lost = true
-			default:
-			}
-			if lost {
 				// The lease was stolen: the thief owns this unit now. Forfeit
 				// the remaining planned uses and leave the cells uncomputed —
 				// whatever we already published is idempotent, and the marker
@@ -229,57 +179,25 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 				res.leaseLost = true
 				tc.forfeit(u.key)
 				continue
+			default:
 			}
-			if cctx.Err() != nil {
-				cancelled = true
-				tc.forfeit(u.key)
-				outcomes[gi] = cellOutcome{skipped: true}
-				computed[gi] = true
-				at := now()
-				emit(0, gi, at, at, outcomes[gi])
+			if s.ctx.Err() != nil {
+				s.skip(0, gi)
 				continue
 			}
 			w := <-workerIDs
-			uwg.Add(1)
 			res.cellsRun++
-			go func(worker, gi int) {
+			uwg.Add(1)
+			go func() {
 				defer func() {
-					workerIDs <- worker
+					workerIDs <- w
 					uwg.Done()
 				}()
-				lim := CellLimits{
-					MaxInstructions: opt.CellInstrBudget,
-					Timeout:         opt.CellTimeout,
-					Metrics:         opt.Metrics,
-					NeedWorld:       opt.NeedWorld,
-					Engine:          opt.Engine,
-				}
-				if dl, ok := cctx.Deadline(); ok {
-					rem := time.Until(dl)
-					if rem <= 0 {
-						tc.forfeit(u.key)
-						outcomes[gi] = cellOutcome{skipped: true}
-						computed[gi] = true
-						at := now()
-						emit(worker, gi, at, at, outcomes[gi])
-						return
-					}
-					if lim.Timeout == 0 || rem < lim.Timeout {
-						lim.Timeout = rem
-					}
-				}
-				start := now()
-				r, err := runCell(cells[gi].wl, cells[gi].cfg, scale, lim, tc)
-				outcomes[gi] = cellOutcome{res: r, err: err}
-				computed[gi] = true
-				emit(worker, gi, start, now(), outcomes[gi])
-				if err != nil && opt.FailFast {
-					cancel()
-				}
-			}(w, gi)
+				s.run(w, gi)
+			}()
 		}
 		uwg.Wait()
-		if !res.leaseLost && !cancelled && cctx.Err() == nil {
+		if !res.leaseLost && s.ctx.Err() == nil {
 			// One synchronous renewal right before publishing: a worker whose
 			// lease was stolen since the last background renewal must not
 			// mark the unit done (the thief is recomputing it). Any other
@@ -371,7 +289,7 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 	}
 
 	scan()
-	for doneCount < len(units) && cctx.Err() == nil {
+	for doneCount < len(units) && s.ctx.Err() == nil {
 		progress := false
 		for ui := range units {
 			if slotsFree == 0 {
@@ -419,71 +337,28 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 		case <-wake:
 			stats.DrainWaits++
 			scan()
-		case <-cctx.Done():
+		case <-s.ctx.Done():
 		}
 	}
 	wg.Wait()
 	drainFinished()
 
-	// Assemble this worker's computed cells in grid order (the same partial
-	// view a static shard returns; merge reassembles the full report).
-	m := &Matrix{
-		Cycles:  make(map[string]map[string]uint64),
-		Results: make(map[string]map[string]*RunResult),
+	m, err := s.assemble(func(r *obs.Registry) {
+		// Pool participation counters. They describe scheduling (who claimed
+		// what when), so like the disk counters they sit outside the
+		// byte-identical-reports contract.
+		r.Counter("harness.elastic.units").Add(uint64(stats.Units))
+		r.Counter("harness.elastic.claimed").Add(uint64(stats.Claimed))
+		r.Counter("harness.elastic.steals").Add(uint64(stats.Steals))
+		r.Counter("harness.elastic.done").Add(uint64(stats.Done))
+		r.Counter("harness.elastic.skipped").Add(uint64(stats.Skipped))
+		r.Counter("harness.elastic.lease_lost").Add(uint64(stats.LeaseLost))
+		r.Counter("harness.elastic.drain_waits").Add(uint64(stats.DrainWaits))
+		r.Counter("harness.elastic.cells").Add(uint64(stats.CellsRun))
+		r.Counter("harness.elastic.cells_total").Add(uint64(len(s.cells)))
+	})
+	if s.opt.OnElastic != nil {
+		s.opt.OnElastic(stats)
 	}
-	for _, c := range cfgs {
-		m.Configs = append(m.Configs, c.Name)
-	}
-	merr := &MatrixError{}
-	for gi, c := range cells {
-		if !computed[gi] {
-			continue
-		}
-		if _, ok := m.Cycles[c.wl.Name]; !ok {
-			m.Workloads = append(m.Workloads, c.wl.Name)
-			m.Cycles[c.wl.Name] = make(map[string]uint64)
-			m.Results[c.wl.Name] = make(map[string]*RunResult)
-		}
-		switch o := outcomes[gi]; {
-		case o.skipped:
-			merr.Skipped++
-			m.AddHole(c.wl.Name, c.cfg.Name, "skipped (sweep cancelled)")
-		case o.err != nil:
-			merr.Cells = append(merr.Cells, &CellError{
-				Workload: c.wl.Name, Config: c.cfg.Name, Err: o.err,
-			})
-			m.AddHole(c.wl.Name, c.cfg.Name, holeReason(o.err))
-		default:
-			m.Cycles[c.wl.Name][c.cfg.Name] = o.res.Cycles
-			m.Results[c.wl.Name][c.cfg.Name] = o.res
-		}
-	}
-	if opt.Metrics {
-		if err := m.aggregateObs(); err != nil {
-			merr.Cells = append(merr.Cells, &CellError{Err: err})
-		}
-		tc.recordObs(m.Obs)
-		if m.Obs != nil {
-			// Pool participation counters. Unlike the static shard counters
-			// these describe scheduling (who claimed what when), so like the
-			// disk counters they sit outside the byte-identical-reports
-			// contract — which only ever applies to full-grid runs anyway.
-			m.Obs.Counter("harness.elastic.units").Add(uint64(stats.Units))
-			m.Obs.Counter("harness.elastic.claimed").Add(uint64(stats.Claimed))
-			m.Obs.Counter("harness.elastic.steals").Add(uint64(stats.Steals))
-			m.Obs.Counter("harness.elastic.done").Add(uint64(stats.Done))
-			m.Obs.Counter("harness.elastic.skipped").Add(uint64(stats.Skipped))
-			m.Obs.Counter("harness.elastic.lease_lost").Add(uint64(stats.LeaseLost))
-			m.Obs.Counter("harness.elastic.drain_waits").Add(uint64(stats.DrainWaits))
-			m.Obs.Counter("harness.elastic.cells").Add(uint64(stats.CellsRun))
-			m.Obs.Counter("harness.elastic.cells_total").Add(uint64(gridTotal))
-		}
-	}
-	if opt.OnElastic != nil {
-		opt.OnElastic(stats)
-	}
-	if len(merr.Cells) > 0 || merr.Skipped > 0 {
-		return m, merr
-	}
-	return m, nil
+	return m, err
 }

@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +15,53 @@ import (
 
 // The elastic-pool contract: any number of -shard auto workers drain the
 // grid exactly once between them (every unit ends with one completion
-// marker), a merge over the shared store is byte-identical to a
-// single-process sweep, killed workers are recovered by stale-lease steal
-// with zero recomputation of already-published units, and a worker that
-// loses a lease mid-unit abandons it without publishing a duplicate marker.
+// marker), a merge — a plain full-grid run over the shared store — is
+// byte-identical to a single-process sweep, killed workers are recovered by
+// stale-lease steal with zero recomputation of already-published units, and
+// a worker that loses a lease mid-unit abandons it without publishing a
+// duplicate marker. Every simulated worker process gets a fresh TraceCache
+// and Cache; they share one store through the real HTTP server/client pair.
+
+// cacheServer starts the real CacheServer over a shared MemBackend and
+// returns its URL: the store every simulated worker process shares.
+func cacheServer(t *testing.T) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	persist.NewCacheServer(persist.NewMemBackend()).Register(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// httpTC builds a fresh TraceCache + persist.Cache over the HTTP backend —
+// one simulated worker process's worth of cache state.
+func httpTC(t *testing.T, url string, opt persist.Options) (*TraceCache, *persist.Cache) {
+	t.Helper()
+	hb, err := persist.NewHTTPBackend(url, persist.HTTPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := persist.OpenBackend(hb, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	tc := NewTraceCache()
+	tc.AttachDisk(pc)
+	return tc, pc
+}
+
+// sensRender runs the full sensitivity sweep and returns the rendered report
+// plus the matrix.
+func sensRender(t *testing.T, tc *TraceCache, workers int) (string, *Matrix) {
+	t.Helper()
+	m, err := RunMatrixParallel(context.Background(), subset(t, "lbm"), Fig8SensitivityConfigs(), 1,
+		ParallelOptions{Workers: workers, TraceCache: tc})
+	if err != nil {
+		t.Fatalf("sweep (workers=%d): %v", workers, err)
+	}
+	return m.RenderOverheadTable("sensitivity") + m.CSV(), m
+}
 
 // elasticRender runs one elastic worker over the sensitivity grid and
 // returns its stats plus the partial matrix.
@@ -54,8 +99,8 @@ func TestElasticNeedsStore(t *testing.T) {
 // merge run over the store is byte-identical to the no-cache baseline.
 func TestElasticSoloDrain(t *testing.T) {
 	t.Parallel()
-	baseline, _ := sensRender(t, NewTraceCache(), 1, Shard{})
-	url := shardCacheServer(t)
+	baseline, _ := sensRender(t, NewTraceCache(), 1)
+	url := cacheServer(t)
 
 	tc, pc := httpTC(t, url, persist.Options{})
 	stats, m := elasticRender(t, tc, 2)
@@ -84,7 +129,7 @@ func TestElasticSoloDrain(t *testing.T) {
 	}
 
 	tcM, _ := httpTC(t, url, persist.Options{})
-	merged, _ := sensRender(t, tcM, 4, Shard{})
+	merged, _ := sensRender(t, tcM, 4)
 	if merged != baseline {
 		t.Fatalf("elastic merge differs from single-process baseline")
 	}
@@ -96,8 +141,8 @@ func TestElasticSoloDrain(t *testing.T) {
 // exactly once, and the merge is byte-identical to the baseline.
 func TestElasticPoolMergeByteIdentity(t *testing.T) {
 	t.Parallel()
-	baseline, _ := sensRender(t, NewTraceCache(), 1, Shard{})
-	url := shardCacheServer(t)
+	baseline, _ := sensRender(t, NewTraceCache(), 1)
+	url := cacheServer(t)
 
 	const pool = 3
 	stats := make([]ElasticStats, pool)
@@ -131,12 +176,52 @@ func TestElasticPoolMergeByteIdentity(t *testing.T) {
 	}
 
 	tcM, pcM := httpTC(t, url, persist.Options{})
-	merged, _ := sensRender(t, tcM, 4, Shard{})
+	merged, _ := sensRender(t, tcM, 4)
 	if merged != baseline {
 		t.Fatalf("pool merge differs from single-process baseline")
 	}
 	if c := pcM.Counters(); c.ResultHits == 0 {
 		t.Fatalf("merge recomputed everything: %+v", c)
+	}
+}
+
+// TestElasticMergeFig3 runs the pool differential for the Figure 3 report:
+// two workers drain the Fig3 grid through one store, and a merge renders
+// the single-process report from the result tier.
+func TestElasticMergeFig3(t *testing.T) {
+	t.Parallel()
+	wls := subset(t, "lbm")
+	base, err := RunFig3Parallel(context.Background(), wls, 1, ParallelOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	url := cacheServer(t)
+	var wg sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		tc, _ := httpTC(t, url, persist.Options{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunFig3Parallel(context.Background(), wls, 1,
+				ParallelOptions{Workers: 1, TraceCache: tc, Elastic: true}); err != nil {
+				t.Errorf("worker %d: %v", k, err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	tc, pc := httpTC(t, url, persist.Options{})
+	merged, err := RunFig3Parallel(context.Background(), wls, 1,
+		ParallelOptions{Workers: 4, TraceCache: tc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Render() != base.Render() {
+		t.Fatalf("merged Fig3 report differs from single-process baseline")
+	}
+	if c := pc.Counters(); c.ResultHits == 0 {
+		t.Fatalf("Fig3 merge was not served from the shared store: %+v", c)
 	}
 }
 
@@ -146,7 +231,7 @@ func TestElasticPoolMergeByteIdentity(t *testing.T) {
 // runs zero cells — the initial marker scan already accounts for the grid.
 func TestElasticSecondRunRecomputesNothing(t *testing.T) {
 	t.Parallel()
-	url := shardCacheServer(t)
+	url := cacheServer(t)
 	tc1, _ := httpTC(t, url, persist.Options{})
 	elasticRender(t, tc1, 2)
 
@@ -169,12 +254,11 @@ func TestElasticSecondRunRecomputesNothing(t *testing.T) {
 // the survivor.
 func TestElasticKilledWorkerSteal(t *testing.T) {
 	t.Parallel()
-	url := shardCacheServer(t)
+	url := cacheServer(t)
 
-	wls := subset(t, "lbm")
-	cfgs := Fig8SensitivityConfigs()
-	units := elasticUnits(wls, cfgs, 1, 0)
-	grid := elasticGridID(units, 1)
+	cells := gridCells(subset(t, "lbm"), Fig8SensitivityConfigs())
+	units := elasticUnits(cells, 1, 0)
+	grid := elasticGridID(units, cells, 1)
 
 	// The dead worker: holds unit 0's claim, renews nothing, publishes
 	// nothing.
@@ -207,12 +291,13 @@ func TestElasticKilledWorkerSteal(t *testing.T) {
 // clocks or sleeps decide the outcome.
 func TestElasticLeaseLostAbandons(t *testing.T) {
 	t.Parallel()
-	url := shardCacheServer(t)
+	url := cacheServer(t)
 
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
-	units := elasticUnits(wls, cfgs, 1, 0)
-	grid := elasticGridID(units, 1)
+	cells := gridCells(wls, cfgs)
+	units := elasticUnits(cells, 1, 0)
+	grid := elasticGridID(units, cells, 1)
 
 	thief, err := persist.NewHTTPBackend(url, persist.HTTPOptions{RenewEvery: -1})
 	if err != nil {
@@ -289,9 +374,9 @@ func TestElasticLeaseLostAbandons(t *testing.T) {
 	if len(m.Workloads) == 0 {
 		t.Fatalf("victim's partial matrix is empty")
 	}
-	baseline, _ := sensRender(t, NewTraceCache(), 1, Shard{})
+	baseline, _ := sensRender(t, NewTraceCache(), 1)
 	tcM, _ := httpTC(t, url, persist.Options{})
-	merged, _ := sensRender(t, tcM, 4, Shard{})
+	merged, _ := sensRender(t, tcM, 4)
 	if merged != baseline {
 		t.Fatalf("merge after the race differs from the baseline")
 	}
@@ -303,8 +388,8 @@ func TestElasticLeaseLostAbandons(t *testing.T) {
 // stays byte-identical.
 func TestElasticChaosDrains(t *testing.T) {
 	t.Parallel()
-	baseline, _ := sensRender(t, NewTraceCache(), 1, Shard{})
-	url := shardCacheServer(t)
+	baseline, _ := sensRender(t, NewTraceCache(), 1)
+	url := cacheServer(t)
 
 	spec, err := persist.ParseChaosSpec("seed=11,err=0.15,torn=0.05")
 	if err != nil {
@@ -317,7 +402,7 @@ func TestElasticChaosDrains(t *testing.T) {
 	}
 
 	tcM, _ := httpTC(t, url, persist.Options{})
-	merged, _ := sensRender(t, tcM, 4, Shard{})
+	merged, _ := sensRender(t, tcM, 4)
 	if merged != baseline {
 		t.Fatalf("chaos-elastic merge differs from the baseline")
 	}
@@ -327,7 +412,7 @@ func TestElasticChaosDrains(t *testing.T) {
 // run exports the harness.elastic.* scheduling counters.
 func TestElasticObsCounters(t *testing.T) {
 	t.Parallel()
-	url := shardCacheServer(t)
+	url := cacheServer(t)
 	tc, _ := httpTC(t, url, persist.Options{})
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
@@ -364,7 +449,8 @@ func TestElasticUnitNumbering(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
-	units := elasticUnits(wls, cfgs, 1, 0)
+	cells := gridCells(wls, cfgs)
+	units := elasticUnits(cells, 1, 0)
 	if len(units) == 0 || len(units) >= len(wls)*len(cfgs) {
 		t.Fatalf("degenerate unit partition: %d units over %d cells", len(units), len(wls)*len(cfgs))
 	}
@@ -391,11 +477,54 @@ func TestElasticUnitNumbering(t *testing.T) {
 	if UnitCount(wls, cfgs, 1, 0) != len(units) {
 		t.Fatalf("UnitCount disagrees with the enumeration")
 	}
-	if elasticGridID(units, 1) == elasticGridID(units[:len(units)-1], 1) {
+	if elasticGridID(units, cells, 1) == elasticGridID(units[:len(units)-1], cells, 1) {
 		t.Fatalf("grid ID insensitive to the unit list")
 	}
-	if elasticGridID(units, 1) != elasticGridID(units, 1) {
+	if elasticGridID(units, cells, 1) != elasticGridID(units, cells, 1) {
 		t.Fatalf("grid ID not deterministic")
+	}
+}
+
+// TestElasticGridIDCoversTimingRows pins the grid scope against grids that
+// differ only in timing rows: the first two sensitivity configs and the
+// full sensitivity grid share every functional identity. Draining the small
+// grid must not mark the full grid's units done — the full pool claims every
+// unit, runs every cell, and serves only the small grid's two published
+// cells from the result store.
+func TestElasticGridIDCoversTimingRows(t *testing.T) {
+	t.Parallel()
+	url := cacheServer(t)
+	wls := subset(t, "lbm")
+	small, full := Fig8SensitivityConfigs()[:2], Fig8SensitivityConfigs()
+	if UnitCount(wls, small, 1, 0) != UnitCount(wls, full, 1, 0) {
+		t.Fatalf("premise: the two grids must share their units")
+	}
+	pool := func(cfgs []BinaryConfig) (ElasticStats, map[string]int) {
+		tc, _ := httpTC(t, url, persist.Options{})
+		var stats ElasticStats
+		var mu sync.Mutex
+		sources := map[string]int{}
+		if _, err := RunMatrixParallel(context.Background(), wls, cfgs, 1, ParallelOptions{
+			Workers: 2, TraceCache: tc, Elastic: true,
+			OnElastic: func(s ElasticStats) { stats = s },
+			OnCell: func(ev CellEvent) {
+				mu.Lock()
+				sources[ev.Source]++
+				mu.Unlock()
+			},
+		}); err != nil {
+			t.Fatalf("elastic sweep over %d configs: %v", len(cfgs), err)
+		}
+		return stats, sources
+	}
+	pool(small)
+	stats, sources := pool(full)
+	if cells := len(wls) * len(full); stats.Claimed != stats.Units || stats.CellsRun != cells {
+		t.Fatalf("full pool after the small one: %+v, want all %d units claimed and %d cells run",
+			stats, stats.Units, cells)
+	}
+	if sources["result-store"] != len(small) {
+		t.Fatalf("full pool sources %v, want %d result-store hits", sources, len(small))
 	}
 }
 
@@ -404,7 +533,7 @@ func TestElasticUnitNumbering(t *testing.T) {
 // loop waiting for markers that will never land.
 func TestElasticCancellation(t *testing.T) {
 	t.Parallel()
-	url := shardCacheServer(t)
+	url := cacheServer(t)
 	tc, _ := httpTC(t, url, persist.Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -38,10 +38,6 @@ type TelemetryExporter struct {
 	TraceCache *TraceCache
 	// Now is the export clock (nil = time.Now), injected in tests.
 	Now func() time.Time
-	// Shard, when enabled, stamps every snapshot with the process's slice of
-	// a distributed sweep, so an attached -watch dashboard can tell which
-	// shard it is looking at.
-	Shard Shard
 
 	mu     sync.Mutex
 	totals map[string]int // per-sweep planned cell counts, for the live gauges
@@ -140,10 +136,6 @@ func (x *TelemetryExporter) Snapshot() []obs.Metric {
 	if x.TraceCache != nil {
 		x.TraceCache.recordObs(reg)
 		x.TraceCache.recordDiskObs(reg)
-	}
-	if x.Shard.Enabled() {
-		reg.Gauge("harness.shard.index").Set(uint64(x.Shard.Index))
-		reg.Gauge("harness.shard.count").Set(uint64(x.Shard.Count))
 	}
 	// The live per-completion aggregate (cells merged as they finish; only
 	// populated when the sweep collects per-cell registries). Cell

@@ -73,29 +73,14 @@ type ParallelOptions struct {
 	// CellEvent timestamps are deterministic; the simulation itself never
 	// reads it.
 	Now func() time.Time
-	// Shard restricts the sweep to the grid cells one shard of a distributed
-	// run owns (the zero value runs the full grid). The returned Matrix
-	// contains only the owned cells; reassembling the full grid is a warm
-	// re-run of the unsharded sweep over the shared persistent cache (every
-	// computed cell is a result-store hit, anything a killed shard left
-	// behind is recomputed), which is what keeps merged reports byte-identical
-	// to a single-process run at any shard count.
-	Shard Shard
-	// OnPlan, when non-nil, is called once before any cell runs with the
-	// number of grid cells this process will execute and the full grid size.
-	// Only the planner knows the owned count exactly — the shard partition
-	// unit is the functional identity, not the cell (see Shard) — so this is
-	// where progress meters and "shard i/n owns X of Y cells" notes get
-	// their totals. Called from the sweep goroutine before workers start.
-	// Elastic sweeps never call it: what this process will run is decided by
-	// the pool, one claim at a time (OnElastic reports the tally instead).
-	OnPlan func(owned, total int)
-	// Elastic switches the sweep from the static Shard partition to the
-	// work-stealing pool (elastic.go): units are claimed via leases on the
-	// shared store's lock plane, completions are recorded as markers, and
-	// the sweep exits when the whole grid has drained — across every worker,
-	// not just this one. Requires a TraceCache with an attached persistent
-	// store; mutually exclusive with Shard.
+	// Elastic makes this process one worker of a work-stealing pool
+	// (elastic.go) instead of running the whole grid: units are claimed via
+	// leases on the shared store's lock plane, completions are recorded as
+	// markers, and the sweep exits when the whole grid has drained — across
+	// every worker, not just this one. The returned Matrix holds only the
+	// cells this worker computed; the full report is any plain run over the
+	// same store, where every published cell is a result-store hit. Requires
+	// a TraceCache with an attached persistent store.
 	Elastic bool
 	// OnElastic, when non-nil, receives this worker's pool participation
 	// tally once the elastic sweep drains. Ignored unless Elastic is set.
@@ -233,11 +218,172 @@ func (e *MatrixError) Unwrap() []error {
 	return out
 }
 
-// cellOutcome is one worker's report for one grid cell.
+// cellOutcome is one worker's report for one grid cell. The zero value is a
+// cell this process never ran (an elastic pool dealt it to another worker).
 type cellOutcome struct {
 	res     *RunResult
 	err     error
 	skipped bool
+}
+
+// gridCell is one workload × config coordinate of a sweep grid.
+type gridCell struct {
+	wl  workload.Workload
+	cfg BinaryConfig
+}
+
+// gridCells lays the grid out workload-major: the order of every report,
+// outcome slot and elastic unit number.
+func gridCells(wls []workload.Workload, cfgs []BinaryConfig) []gridCell {
+	cells := make([]gridCell, 0, len(wls)*len(cfgs))
+	for _, wl := range wls {
+		for _, cfg := range cfgs {
+			cells = append(cells, gridCell{wl, cfg})
+		}
+	}
+	return cells
+}
+
+// sweep is one RunMatrixParallel call: the grid, one outcome slot per cell,
+// and the per-cell runner that both schedulers — the full-grid worker pool
+// and the elastic pool — drive. Each slot is written by the one goroutine
+// running its cell and read only after every worker has finished.
+type sweep struct {
+	opt      ParallelOptions
+	scale    int64
+	cfgs     []BinaryConfig
+	cells    []gridCell
+	outcomes []cellOutcome
+	ctx      context.Context
+	cancel   context.CancelFunc
+	now      func() time.Time
+}
+
+// run executes grid cell i on worker slot worker: the per-cell watchdog (the
+// explicit cell timeout, tightened by whatever remains of the caller
+// context's deadline), panic containment via runCell, the CellEvent, and
+// fail-fast cancellation.
+func (s *sweep) run(worker, i int) {
+	if s.ctx.Err() != nil {
+		s.skip(worker, i)
+		return
+	}
+	lim := CellLimits{
+		MaxInstructions: s.opt.CellInstrBudget,
+		Timeout:         s.opt.CellTimeout,
+		Metrics:         s.opt.Metrics,
+		NeedWorld:       s.opt.NeedWorld,
+		Engine:          s.opt.Engine,
+	}
+	if dl, ok := s.ctx.Deadline(); ok {
+		rem := time.Until(dl)
+		if rem <= 0 {
+			s.skip(worker, i)
+			return
+		}
+		if lim.Timeout == 0 || rem < lim.Timeout {
+			lim.Timeout = rem
+		}
+	}
+	start := s.now()
+	r, err := runCell(s.cells[i].wl, s.cells[i].cfg, s.scale, lim, s.opt.TraceCache)
+	s.outcomes[i] = cellOutcome{res: r, err: err}
+	s.emit(worker, i, start, s.now())
+	if err != nil && s.opt.FailFast {
+		s.cancel()
+	}
+}
+
+// skip records cell i as never started because the sweep was cancelled, and
+// releases its planned trace-cache use so the cache's refcounts still drain
+// to zero.
+func (s *sweep) skip(worker, i int) {
+	s.outcomes[i].skipped = true
+	if tc := s.opt.TraceCache; tc != nil {
+		tc.forfeit(cellTraceKey(s.cells[i].wl.Name, s.cells[i].cfg, s.scale, s.opt.CellInstrBudget))
+	}
+	at := s.now()
+	s.emit(worker, i, at, at)
+}
+
+// emit reports cell i's outcome to opt.OnCell.
+func (s *sweep) emit(worker, i int, start, end time.Time) {
+	if s.opt.OnCell == nil {
+		return
+	}
+	o := s.outcomes[i]
+	ev := CellEvent{
+		Worker: worker, Index: i, Total: len(s.cells),
+		Workload: s.cells[i].wl.Name, Config: s.cells[i].cfg.Name,
+		Start: start, End: end,
+		Err: o.err, Skipped: o.skipped,
+	}
+	if o.res != nil {
+		ev.Cycles = o.res.Cycles
+		ev.Source = o.res.Source
+		ev.Obs = o.res.Obs
+		if o.res.Stats != nil {
+			ev.Instrs = o.res.Stats.Instructions
+		}
+	}
+	s.opt.OnCell(ev)
+}
+
+// assemble builds the Matrix from the cells that ran, in grid order, so the
+// Matrix (and any aggregated error) is identical no matter which worker
+// finished first. record, when non-nil, adds the scheduler's own counters to
+// the metrics aggregate.
+func (s *sweep) assemble(record func(*obs.Registry)) (*Matrix, error) {
+	m := &Matrix{
+		Cycles:  make(map[string]map[string]uint64),
+		Results: make(map[string]map[string]*RunResult),
+	}
+	for _, c := range s.cfgs {
+		m.Configs = append(m.Configs, c.Name)
+	}
+	merr := &MatrixError{}
+	for i, c := range s.cells {
+		o := s.outcomes[i]
+		if o.res == nil && o.err == nil && !o.skipped {
+			continue
+		}
+		if _, ok := m.Cycles[c.wl.Name]; !ok {
+			m.Workloads = append(m.Workloads, c.wl.Name)
+			m.Cycles[c.wl.Name] = make(map[string]uint64)
+			m.Results[c.wl.Name] = make(map[string]*RunResult)
+		}
+		switch {
+		case o.skipped:
+			merr.Skipped++
+			m.AddHole(c.wl.Name, c.cfg.Name, "skipped (sweep cancelled)")
+		case o.err != nil:
+			merr.Cells = append(merr.Cells, &CellError{
+				Workload: c.wl.Name, Config: c.cfg.Name, Err: o.err,
+			})
+			m.AddHole(c.wl.Name, c.cfg.Name, holeReason(o.err))
+		default:
+			m.Cycles[c.wl.Name][c.cfg.Name] = o.res.Cycles
+			m.Results[c.wl.Name][c.cfg.Name] = o.res
+		}
+	}
+	if s.opt.Metrics {
+		// Grid-order merge of the per-cell registries; merge errors are
+		// impossible by construction (every cell registers identical
+		// histogram bounds) but surfaced rather than swallowed.
+		if err := m.aggregateObs(); err != nil {
+			merr.Cells = append(merr.Cells, &CellError{Err: err})
+		}
+		if s.opt.TraceCache != nil {
+			s.opt.TraceCache.recordObs(m.Obs)
+		}
+		if record != nil {
+			record(m.Obs)
+		}
+	}
+	if len(merr.Cells) > 0 || merr.Skipped > 0 {
+		return m, merr
+	}
+	return m, nil
 }
 
 // RunMatrixParallel sweeps the workloads × configs grid on a worker pool.
@@ -258,176 +404,41 @@ type cellOutcome struct {
 // cell becomes an annotated hole in the partial Matrix (Matrix.Holes) and
 // one entry of the grid-ordered MatrixError.
 func RunMatrixParallel(ctx context.Context, wls []workload.Workload, cfgs []BinaryConfig, scale int64, opt ParallelOptions) (*Matrix, error) {
+	s := &sweep{opt: opt, scale: scale, cfgs: cfgs, cells: gridCells(wls, cfgs), now: opt.Now}
+	if s.now == nil {
+		s.now = time.Now
+	}
+	s.outcomes = make([]cellOutcome, len(s.cells))
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	defer s.cancel()
 	if opt.Elastic {
-		return runMatrixElastic(ctx, wls, cfgs, scale, opt)
-	}
-	type cell struct {
-		wl  workload.Workload
-		cfg BinaryConfig
-	}
-	gridTotal := len(wls) * len(cfgs)
-	owned := opt.Shard.ownership(wls, cfgs, scale, opt.CellInstrBudget)
-	cells := make([]cell, 0, gridTotal)
-	idx := 0
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			if owned[idx] {
-				cells = append(cells, cell{wl, cfg})
-			}
-			idx++
-		}
-	}
-	if opt.OnPlan != nil {
-		opt.OnPlan(len(cells), gridTotal)
+		return s.runElastic()
 	}
 	if opt.TraceCache != nil {
 		// Register the grid before any cell runs, so capture/replay/bypass
-		// roles are a function of the grid alone, not of scheduling. A shard
-		// plans only its own cells (see PlanShard).
-		opt.TraceCache.PlanShard(wls, cfgs, scale, opt.CellInstrBudget, opt.Shard)
+		// roles are a function of the grid alone, not of scheduling.
+		opt.TraceCache.Plan(wls, cfgs, scale, opt.CellInstrBudget)
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	now := opt.Now
-	if now == nil {
-		now = time.Now
-	}
-	outcomes := make([]cellOutcome, len(cells))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	workers := opt.EffectiveWorkers()
-	if workers > len(cells) && len(cells) > 0 {
-		workers = len(cells)
-	}
-	emit := func(worker, i int, start, end time.Time, o cellOutcome) {
-		if opt.OnCell == nil {
-			return
-		}
-		ev := CellEvent{
-			Worker: worker, Index: i, Total: len(cells),
-			Workload: cells[i].wl.Name, Config: cells[i].cfg.Name,
-			Start: start, End: end,
-			Err: o.err, Skipped: o.skipped,
-		}
-		if o.res != nil {
-			ev.Cycles = o.res.Cycles
-			ev.Source = o.res.Source
-			ev.Obs = o.res.Obs
-			if o.res.Stats != nil {
-				ev.Instrs = o.res.Stats.Instructions
-			}
-		}
-		opt.OnCell(ev)
+	if workers > len(s.cells) && len(s.cells) > 0 {
+		workers = len(s.cells)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			skip := func(i int) {
-				outcomes[i].skipped = true
-				if opt.TraceCache != nil {
-					// Release the skipped cell's planned use so the cache's
-					// refcounts still drain to zero.
-					opt.TraceCache.forfeit(cellTraceKey(
-						cells[i].wl.Name, cells[i].cfg, scale, opt.CellInstrBudget))
-				}
-				at := now()
-				emit(worker, i, at, at, outcomes[i])
-			}
 			for i := range jobs {
-				// Each worker writes only its own slot; no locking needed.
-				if cctx.Err() != nil {
-					skip(i)
-					continue
-				}
-				// Per-cell watchdog: the explicit cell timeout, tightened by
-				// whatever remains of the caller context's deadline.
-				lim := CellLimits{
-					MaxInstructions: opt.CellInstrBudget,
-					Timeout:         opt.CellTimeout,
-					Metrics:         opt.Metrics,
-					NeedWorld:       opt.NeedWorld,
-					Engine:          opt.Engine,
-				}
-				if dl, ok := cctx.Deadline(); ok {
-					rem := time.Until(dl)
-					if rem <= 0 {
-						skip(i)
-						continue
-					}
-					if lim.Timeout == 0 || rem < lim.Timeout {
-						lim.Timeout = rem
-					}
-				}
-				start := now()
-				r, err := runCell(cells[i].wl, cells[i].cfg, scale, lim, opt.TraceCache)
-				outcomes[i] = cellOutcome{res: r, err: err}
-				emit(worker, i, start, now(), outcomes[i])
-				if err != nil && opt.FailFast {
-					cancel()
-				}
+				s.run(worker, i)
 			}
 		}(w)
 	}
-	for i := range cells {
+	for i := range s.cells {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-
-	// Assemble in grid order so the Matrix (and any aggregated error) is
-	// identical no matter which worker finished first.
-	m := &Matrix{
-		Cycles:  make(map[string]map[string]uint64),
-		Results: make(map[string]map[string]*RunResult),
-	}
-	for _, c := range cfgs {
-		m.Configs = append(m.Configs, c.Name)
-	}
-	merr := &MatrixError{}
-	for i, c := range cells {
-		if _, ok := m.Cycles[c.wl.Name]; !ok {
-			m.Workloads = append(m.Workloads, c.wl.Name)
-			m.Cycles[c.wl.Name] = make(map[string]uint64)
-			m.Results[c.wl.Name] = make(map[string]*RunResult)
-		}
-		switch o := outcomes[i]; {
-		case o.skipped:
-			merr.Skipped++
-			m.AddHole(c.wl.Name, c.cfg.Name, "skipped (sweep cancelled)")
-		case o.err != nil:
-			merr.Cells = append(merr.Cells, &CellError{
-				Workload: c.wl.Name, Config: c.cfg.Name, Err: o.err,
-			})
-			m.AddHole(c.wl.Name, c.cfg.Name, holeReason(o.err))
-		default:
-			m.Cycles[c.wl.Name][c.cfg.Name] = o.res.Cycles
-			m.Results[c.wl.Name][c.cfg.Name] = o.res
-		}
-	}
-	if opt.Metrics {
-		// Grid-order merge of the per-cell registries; merge errors are
-		// impossible by construction (every cell registers identical
-		// histogram bounds) but surfaced rather than swallowed.
-		if err := m.aggregateObs(); err != nil {
-			merr.Cells = append(merr.Cells, &CellError{Err: err})
-		}
-		if opt.TraceCache != nil {
-			opt.TraceCache.recordObs(m.Obs)
-		}
-		if opt.Shard.Enabled() && m.Obs != nil {
-			// Shard identity and coverage, so a distributed sweep's metric
-			// stream says which slice of which grid this process ran.
-			m.Obs.Counter("harness.shard.index").Add(uint64(opt.Shard.Index))
-			m.Obs.Counter("harness.shard.count").Add(uint64(opt.Shard.Count))
-			m.Obs.Counter("harness.shard.cells").Add(uint64(len(cells)))
-			m.Obs.Counter("harness.shard.cells_total").Add(uint64(gridTotal))
-		}
-	}
-	if len(merr.Cells) > 0 || merr.Skipped > 0 {
-		return m, merr
-	}
-	return m, nil
+	return s.assemble(nil)
 }

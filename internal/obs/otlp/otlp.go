@@ -55,11 +55,6 @@ const (
 var semanticPrefixes = []struct{ from, to string }{
 	{"harness.trace_cache.", "rest.cache.trace."},
 	{"harness.diskcache.", "rest.cache.disk."},
-	// The generic harness. row below would map these identically; the
-	// explicit row documents that rest.sweep.elastic.* is a stable,
-	// collector-facing namespace (steal/lease/drain counters), not an
-	// accident of the fallback.
-	{"harness.elastic.", "rest.sweep.elastic."},
 	{"harness.", "rest.sweep."},
 	{"persist.httpbackend.", "rest.persist.http."},
 	{"persist.", "rest.persist."},

@@ -37,7 +37,6 @@ func TestSemanticNames(t *testing.T) {
 		"harness.trace_cache.hits":     "rest.cache.trace.hits",
 		"harness.diskcache.trace_hits": "rest.cache.disk.trace_hits",
 		"harness.live.cells_done":      "rest.sweep.live.cells_done",
-		"harness.shard.index":          "rest.sweep.shard.index",
 		"harness.elastic.steals":       "rest.sweep.elastic.steals",
 		"harness.elastic.lease_lost":   "rest.sweep.elastic.lease_lost",
 		"persist.breaker.trips":        "rest.persist.breaker.trips",

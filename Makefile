@@ -1,7 +1,11 @@
 # Developer / CI entry points. The repo is stdlib-only; everything below is
 # plain `go` tool invocations.
 #
+#   make vet         go vet, plus the gofmt gate (no file may need formatting)
 #   make test        tier-1 gate: build everything, run the full test suite
+#   make bench-check vet and test the benchmark module under bench/ (its own
+#                    Go module, so ./... skips it): unit tests plus the
+#                    scale-1 smoke of all four workloads (~30 s)
 #   make race        the parallel sweep engine under the race detector
 #   make fuzz-short  brief run of every native fuzz target (seed corpus +
 #                    FUZZTIME of new inputs each)
@@ -22,7 +26,7 @@
 #   make watch-demo  live-telemetry demo: a background sweep with -serve
 #                    plus `restbench -watch` attached to it
 #   make clean-cache remove the default local persistent cache directory
-#   make verify      what CI runs: vet + test + race
+#   make verify      what CI runs: vet + test + bench-check + race
 
 GO         ?= go
 FUZZTIME   ?= 10s
@@ -30,16 +34,24 @@ SEED       ?= 42
 BENCH_JSON ?= BENCH_10.json
 CACHE_DIR  ?= .restcache
 
-.PHONY: build vet test race fuzz-short faults bench bench-smoke bench-json chaos-short watch-demo clean-cache verify
+.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke bench-json chaos-short watch-demo clean-cache verify
 
 build:
 	$(GO) build ./...
 
+# gofmt -l prints every file that needs formatting; the gate fails on any.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 test: build
 	$(GO) test ./...
+
+# bench/ is a Go module of its own (restperf, the repository's benchmark), so
+# the ./... patterns above never compile it. It calls the persist, trace and
+# world APIs directly, so it is checked on every change.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The harness package's differential suites run close to go test's default
 # 10-minute per-package deadline under the race detector (they already
@@ -97,4 +109,4 @@ watch-demo: build
 clean-cache:
 	rm -rf $(CACHE_DIR)
 
-verify: vet test race
+verify: vet test bench-check race

@@ -523,3 +523,54 @@ func TestDiskCacheDetectedCellsNotStored(t *testing.T) {
 		t.Errorf("detected cell is loadable")
 	}
 }
+
+// TestTraceLimitSameOnBothCapturePaths pins the per-trace limit to one entry
+// count on both capture paths: a disk-only capture, which streams into the
+// store's TraceWriter, and a shared capture, which records into a Recorder
+// that is then stored. Each stores a trace that exactly fits the limit and
+// nothing for a limit one entry shorter, so the store receives the same
+// traces whichever path captured them.
+func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	wls := subset(t, "lbm")
+	cfg := BinaryConfig{Name: "plain", Pass: prog.Plain()}
+	twin := BinaryConfig{Name: "plain-inorder", Pass: prog.Plain(), InOrder: true}
+	fid := funcIdentity(cellTraceKey(wls[0].Name, cfg, 1, 0))
+
+	tc, pc := diskTC(t, t.TempDir(), persist.Options{})
+	if _, err := RunMatrixParallel(ctx, wls, []BinaryConfig{cfg}, 1, ParallelOptions{Workers: 1, TraceCache: tc}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := pc.LoadTrace(fid)
+	if err != nil {
+		t.Fatalf("unlimited capture stored no trace: %v", err)
+	}
+	n := uint64(rec.Len())
+	rec.Release()
+
+	for _, shared := range []bool{false, true} {
+		cfgs := []BinaryConfig{cfg}
+		if shared {
+			cfgs = append(cfgs, twin)
+		}
+		for _, limit := range []uint64{n, n - 1} {
+			tc, pc := diskTC(t, t.TempDir(), persist.Options{})
+			tc.SetTraceLimit(limit * trace.EntryBytes)
+			m, err := RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{Workers: 1, TraceCache: tc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Results[wls[0].Name][cfg.Name].Source; got != "capture" {
+				t.Fatalf("shared=%t: the first cell ran as %q, want a capture", shared, got)
+			}
+			got, _, err := pc.LoadTrace(fid)
+			if stored := err == nil; stored != (limit == n) {
+				t.Errorf("shared=%t, limit %d entries for a %d-entry trace: stored=%t (%v)", shared, limit, n, stored, err)
+			}
+			if got != nil {
+				got.Release()
+			}
+		}
+	}
+}

@@ -80,7 +80,10 @@ type RunResult struct {
 	Cycles   uint64
 	Stats    *cpu.Stats
 	Outcome  world.Outcome
-	World    *world.World
+	// World is the cell's simulation world, set only when the cell ran with
+	// CellLimits.NeedWorld. Every other cell drops it on return, so a
+	// finished sweep holds stats, not worlds.
+	World *world.World
 	// Obs is the cell's private metric registry (nil unless the cell ran
 	// with CellLimits.Metrics). The sweep merges cell registries in grid
 	// order into Matrix.Obs.
@@ -107,9 +110,10 @@ type CellLimits struct {
 	// default: a nil registry keeps every probe on its nil fast path.
 	Metrics bool
 	// NeedWorld declares that the caller reads RunResult.World after the
-	// cell completes (the micro-stats tables do, for hierarchy counters).
-	// Such a cell can never be served from the persistent result store —
-	// a file carries stats, not a live world — so it replays or streams.
+	// cell completes (the micro-stats tables do, for hierarchy counters);
+	// only such a cell returns its world. It can never be served from the
+	// persistent result store — a file carries stats, not a live world — so
+	// it replays or streams.
 	NeedWorld bool
 	// Engine selects the functional simulator's execution engine for the
 	// cell (sim.EngineAuto = the decoded-block default, sim.EngineRef = the
@@ -144,9 +148,9 @@ func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimi
 // captureState carries a leader cell's publishing obligation through
 // runStreamed: however the run ends — publish, error or panic — the entry
 // resolves exactly once, so waiters can never block forever. A nil ent is a
-// disk-only capture (an identity unshared within this process): nothing is
-// published, the recorder is recycled locally, and only the persistent
-// store — when disk is set — receives the trace under fid.
+// disk-only capture (an identity unshared within this process, disk always
+// set): nothing is published and no Recorder is built; the trace streams
+// into the persistent store's TraceWriter under fid.
 type captureState struct {
 	tc   *TraceCache
 	ent  *traceEntry
@@ -196,27 +200,33 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	}
 	var stats *cpu.Stats
 	var out world.Outcome
-	if cap != nil {
+	switch {
+	case cap == nil:
+		stats, out = w.RunTimed()
+	case cap.ent == nil:
+		// Disk-only capture: nothing in this process replays the trace, so
+		// it streams straight into the store's encoder and is never held.
+		tw := cap.disk.NewTraceWriter(cap.fid, captureTokenWidth(cfg.Pass), int(cap.tc.perTraceLimit/trace.EntryBytes))
+		defer tw.Abort()
+		stats, out = w.RunTimedCapture(tw)
+		if out.Err == nil && !out.Detected() {
+			// A failed store is advisory (the run succeeded).
+			_ = tw.Commit(out.Checksum)
+		}
+	default:
 		rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), cap.tc.perTraceLimit)
 		stats, out = w.RunTimedCapture(rec)
-		clean := out.Err == nil && !out.Detected()
-		if clean && cap.disk != nil && !rec.Overflowed() {
-			// Persist before publishing: until publish the recorder is
-			// exclusively ours, so the write can't race a waiter recycling
-			// the blocks. A failed store is advisory (the run succeeded).
-			_ = cap.disk.StoreTrace(cap.fid, rec, out.Checksum)
-		}
-		switch {
-		case clean && cap.ent != nil:
-			// Only fully clean runs publish: the trace is then provably
-			// complete, which is what makes cross-timing replay exact.
+		// Only fully clean runs publish: the trace is then provably
+		// complete, which is what makes cross-timing replay exact.
+		if out.Err == nil && !out.Detected() {
+			if cap.disk != nil && !rec.Overflowed() {
+				// Persist before publishing: until publish the recorder is
+				// exclusively ours, so the write can't race a waiter
+				// recycling the blocks. A failed store is advisory.
+				_ = cap.disk.StoreTrace(cap.fid, rec, out.Checksum)
+			}
 			cap.tc.publish(cap.ent, rec, out, funcObs)
-		case cap.ent == nil:
-			// Disk-only capture: no siblings wait on it; recycle now.
-			rec.Release()
 		}
-	} else {
-		stats, out = w.RunTimed()
 	}
 	if funcObs != nil {
 		if merr := reg.Merge(funcObs); merr != nil {
@@ -235,11 +245,15 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	if cap != nil {
 		source = "capture"
 	}
-	return &RunResult{
+	res := &RunResult{
 		Workload: wl.Name, Config: cfg.Name,
-		Cycles: stats.Cycles, Stats: stats, Outcome: out, World: w,
+		Cycles: stats.Cycles, Stats: stats, Outcome: out,
 		Obs: reg, Source: source,
-	}, nil
+	}
+	if lim.NeedWorld {
+		res.World = w
+	}
+	return res, nil
 }
 
 // runReplay executes one cell by replaying a sibling's captured trace
@@ -285,11 +299,15 @@ func runReplay(wl workload.Workload, cfg BinaryConfig, lim CellLimits, ent *trac
 	if out.Detected() {
 		return nil, fmt.Errorf("harness: %s/%s: spurious detection: %s", wl.Name, cfg.Name, out)
 	}
-	return &RunResult{
+	res := &RunResult{
 		Workload: wl.Name, Config: cfg.Name,
-		Cycles: stats.Cycles, Stats: stats, Outcome: out, World: w,
+		Cycles: stats.Cycles, Stats: stats, Outcome: out,
 		Obs: reg, Source: "replay",
-	}, nil
+	}
+	if lim.NeedWorld {
+		res.World = w
+	}
+	return res, nil
 }
 
 // Matrix holds a full sweep: cycles[workload][config].

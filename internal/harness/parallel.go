@@ -46,8 +46,9 @@ type ParallelOptions struct {
 	// counters added). The aggregate is byte-identical at any worker count.
 	Metrics bool
 	// NeedWorld declares that the caller reads RunResult.World from the
-	// assembled matrix (the micro-stats tables do). It keeps those cells off
-	// the persistent result store, which carries stats but no live world.
+	// assembled matrix (the micro-stats tables do); without it every cell's
+	// World is nil. It keeps those cells off the persistent result store,
+	// which carries stats but no live world.
 	NeedWorld bool
 	// Engine selects every cell's functional-simulator engine (see
 	// CellLimits.Engine). The default sim.EngineAuto resolves to the

@@ -64,9 +64,11 @@ type TraceCache struct {
 }
 
 // DefaultTraceLimitBytes bounds one captured trace's column storage (64 MiB
-// holds about 2.1M entries at 31 bytes each); a capture that would exceed it
-// is rejected and its waiters stream instead, trading speed for bounded
-// memory.
+// holds 2,097,152 entries at trace.EntryBytes = 32 bytes each); a capture
+// that would exceed it is rejected and its waiters stream instead, trading
+// speed for bounded memory. A disk-only capture, which streams into the
+// store without a Recorder, is held to the same entry count, so the store
+// receives exactly the traces a recorded capture would give it.
 const DefaultTraceLimitBytes = 64 << 20
 
 // NewTraceCache returns an empty cache with the default per-trace limit.

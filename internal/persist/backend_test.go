@@ -574,9 +574,9 @@ func (f *failingThen) Put(kind, name string, data []byte) error {
 	}
 	return f.inner.Put(kind, name, data)
 }
-func (f *failingThen) Delete(kind, name string) error         { return f.inner.Delete(kind, name) }
-func (f *failingThen) List(kind string) ([]Stat, error)       { return f.inner.List(kind) }
-func (f *failingThen) TryLock(name string) (func(), error)    { return f.inner.TryLock(name) }
+func (f *failingThen) Delete(kind, name string) error      { return f.inner.Delete(kind, name) }
+func (f *failingThen) List(kind string) ([]Stat, error)    { return f.inner.List(kind) }
+func (f *failingThen) TryLock(name string) (func(), error) { return f.inner.TryLock(name) }
 func (f *failingThen) LockAge(name string) (time.Duration, error) {
 	return f.inner.LockAge(name)
 }

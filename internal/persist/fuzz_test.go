@@ -23,11 +23,11 @@ func fuzzSeeds() [][]byte {
 	encode := func(n int, tokenWidth uint64, compress bool) []byte {
 		rec := testTrace(n, tokenWidth)
 		defer rec.Release()
-		var buf bytes.Buffer
-		if err := encodeTrace(&buf, rec, SumID("fuzz-seed"), 42, compress); err != nil {
+		data, err := writerBytes(rec, SumID("fuzz-seed"), 42, compress)
+		if err != nil {
 			panic(err)
 		}
-		return buf.Bytes()
+		return data
 	}
 	validRaw := encode(64, 8, false)
 	validZ := encode(64, 8, true)
@@ -77,8 +77,7 @@ func FuzzTraceDecode(f *testing.F) {
 		// A successful decode must re-encode: the recorder is structurally
 		// sound, not just non-crashing.
 		defer rec.Release()
-		var buf bytes.Buffer
-		if err := encodeTrace(&buf, rec, SumID("fuzz-reencode"), 0, false); err != nil {
+		if _, err := writerBytes(rec, SumID("fuzz-reencode"), 0, false); err != nil {
 			t.Fatalf("decoded recorder does not re-encode: %v", err)
 		}
 	})

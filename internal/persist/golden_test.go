@@ -25,7 +25,7 @@ func goldenTrace() *trace.Recorder {
 func goldenID() ID { return SumID("golden-v1") }
 
 // TestGoldenV1TraceFile pins the committed version-1 artifact three ways:
-// today's encoder still produces those exact bytes, today's decoder still
+// TraceWriter still produces those exact bytes, today's decoder still
 // reads them back to the original recording, and a version bump turns the
 // same file into a clean *VersionError rejection (the recompute path), never
 // a crash or a misread. This is the compatibility contract a cache on disk
@@ -34,15 +34,15 @@ func TestGoldenV1TraceFile(t *testing.T) {
 	path := filepath.Join("testdata", "golden_v1.trc")
 	rec := goldenTrace()
 	defer rec.Release()
-	var buf bytes.Buffer
-	if err := encodeTrace(&buf, rec, goldenID(), goldenChecksum, false); err != nil {
+	encoded, err := writerBytes(rec, goldenID(), goldenChecksum, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, encoded, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,8 +50,8 @@ func TestGoldenV1TraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden file missing (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal(committed, buf.Bytes()) {
-		t.Fatalf("encoder no longer reproduces the committed v1 bytes (%d vs %d bytes) — if the format changed, bump FormatVersion and regenerate with -update", len(buf.Bytes()), len(committed))
+	if !bytes.Equal(committed, encoded) {
+		t.Fatalf("encoder no longer reproduces the committed v1 bytes (%d vs %d bytes) — if the format changed, bump FormatVersion and regenerate with -update", len(encoded), len(committed))
 	}
 
 	id := goldenID()

@@ -193,7 +193,7 @@ func (r *retryBackend) Delete(kind, name string) error {
 }
 
 func (r *retryBackend) List(kind string) (out []Stat, err error) {
-	err = r.do(func() error { out, err = r.inner.List(kind) ; return err })
+	err = r.do(func() error { out, err = r.inner.List(kind); return err })
 	return out, err
 }
 

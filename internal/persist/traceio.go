@@ -28,7 +28,9 @@
 // never panics on arbitrary input — every malformed shape maps to a typed
 // error (FuzzTraceDecode pins that) — and appends into the same pooled
 // block storage live captures use, so replay from disk stays free of
-// per-entry allocation.
+// per-entry allocation. Encoding streams: TraceWriter packs and compresses
+// each block as soon as it fills, so a capture bound only for the store never
+// holds its whole trace in memory.
 package persist
 
 import (
@@ -93,24 +95,17 @@ var flateReaderPool = sync.Pool{
 // StoreTrace writes a captured recording into the trace store under its
 // functional identity digest, atomically, and admits it to the manifest,
 // evicting older entries if the byte cap demands. checksum is the captured
-// run's outcome checksum, replayed verbatim.
+// run's outcome checksum, replayed verbatim. It encodes through the same
+// TraceWriter a streamed capture uses.
 func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
-	if c.opt.ReadOnly {
-		return ErrReadOnly
-	}
 	if rec.Overflowed() {
 		return errors.New("persist: refusing to store an overflowed (partial) trace")
 	}
-	var buf bytes.Buffer
-	buf.Grow(traceHeaderLen + rec.Len()*packedEntryLen/2)
-	if err := encodeTrace(&buf, rec, id, checksum, !c.opt.NoCompress); err != nil {
-		return fmt.Errorf("persist: %w", err)
+	w := c.NewTraceWriter(id, rec.TokenWidth(), 0)
+	for i := 0; i < rec.Len(); i++ {
+		w.Append(rec.At(i))
 	}
-	if err := c.b.Put(kindTrace, id.String(), buf.Bytes()); err != nil {
-		c.unavailableSeen(err)
-		return err
-	}
-	return c.admit(kindTrace, id, int64(buf.Len()))
+	return w.Commit(checksum)
 }
 
 // LoadTrace reads the trace stored under id into a fresh Recorder, returning
@@ -157,66 +152,177 @@ func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
 	return rec, checksum, nil
 }
 
-// encodeTrace writes the version-1 trace format.
-func encodeTrace(w io.Writer, rec *trace.Recorder, id ID, checksum uint64, compress bool) error {
-	var hdr [traceHeaderLen]byte
+// errTraceLimit is Commit's answer for a trace that outgrew the writer's
+// entry limit.
+var errTraceLimit = errors.New("persist: trace exceeds the per-trace limit; not stored")
+
+// errWriterClosed is Commit's answer once the writer has committed or
+// aborted.
+var errWriterClosed = errors.New("persist: trace writer already committed or aborted")
+
+// TraceWriter is the version-1 trace encoder. It encodes a trace as it
+// streams past, so a capture bound only for the store never holds the trace
+// itself: each block is packed and compressed as soon as it fills, and the
+// writer keeps only the block being packed plus the encoded blocks so far.
+// It implements trace.Sink, so a capture tees straight into it. Append the
+// entries in stream order, then Commit to store the trace or Abort to drop
+// it. Both return the writer's pooled buffers, and Abort after Commit does
+// nothing, so a deferred Abort covers every exit. Not safe for concurrent
+// use.
+type TraceWriter struct {
+	c          *Cache
+	id         ID
+	tokenWidth uint64
+	limit      int // most entries the trace may hold (0 = unlimited)
+	n          int // entries appended
+	fill       int // entries packed into the current block
+
+	raw  *[]byte       // pooled: the current block, packed
+	body *bytes.Buffer // pooled: the encoded blocks so far
+	fw   *flate.Writer // pooled; nil when blocks are stored raw
+
+	err error // sticky: why Commit will store nothing
+}
+
+// bodyBufPool recycles the writers' encoded-block accumulators, so a warm
+// writer allocates little beyond the exact-size file it hands the backend.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// NewTraceWriter starts a trace for the store under id, recorded with the
+// capture's token width (0 for traces from non-REST worlds). A trace longer
+// than maxEntries (0 = unlimited) overflows: the writer drops what it has
+// encoded, ignores later entries, and Commit stores nothing. That is the
+// rule a trace.Recorder's byte limit applies, so a streamed capture is stored
+// exactly when a recorded one would be. On a read-only cache the writer
+// encodes nothing and Commit returns ErrReadOnly.
+func (c *Cache) NewTraceWriter(id ID, tokenWidth uint64, maxEntries int) *TraceWriter {
+	w := &TraceWriter{c: c, id: id, tokenWidth: tokenWidth, limit: maxEntries}
+	if c.opt.ReadOnly {
+		w.err = ErrReadOnly
+		return w
+	}
+	w.raw = blockBufPool.Get().(*[]byte)
+	w.body = bodyBufPool.Get().(*bytes.Buffer)
+	if !c.opt.NoCompress {
+		w.fw = flateWriterPool.Get().(*flate.Writer)
+	}
+	return w
+}
+
+// TokenWidth implements trace.Sink.
+func (w *TraceWriter) TokenWidth() uint64 { return w.tokenWidth }
+
+// Append encodes the next entry of the trace. It implements trace.Sink.
+func (w *TraceWriter) Append(e trace.Entry) {
+	if w.err != nil {
+		return
+	}
+	if w.limit != 0 && w.n >= w.limit {
+		w.close(errTraceLimit)
+		return
+	}
+	packEntry((*w.raw)[w.fill*packedEntryLen:(w.fill+1)*packedEntryLen], e)
+	w.fill++
+	w.n++
+	if w.fill == diskBlockEntries {
+		w.flushBlock()
+	}
+}
+
+// flushBlock appends the packed entries of the current block to the body as
+// one encoded block: its header, then the payload, compressed unless the
+// cache stores blocks raw.
+func (w *TraceWriter) flushBlock() {
+	start := w.body.Len()
+	var bh [blockHeaderLen]byte
+	w.body.Write(bh[:]) // filled in once the stored payload is known
+	payload := (*w.raw)[:w.fill*packedEntryLen]
+	if w.fw == nil {
+		w.body.Write(payload)
+	} else {
+		w.fw.Reset(w.body)
+		_, err := w.fw.Write(payload)
+		if err == nil {
+			err = w.fw.Close()
+		}
+		if err != nil {
+			w.close(fmt.Errorf("persist: compress trace block: %w", err))
+			return
+		}
+	}
+	blk := w.body.Bytes()[start:]
+	stored := blk[blockHeaderLen:]
+	binary.LittleEndian.PutUint32(blk[0:4], uint32(w.fill))
+	binary.LittleEndian.PutUint32(blk[4:8], uint32(len(stored)))
+	binary.LittleEndian.PutUint32(blk[8:12], crc32.ChecksumIEEE(stored))
+	w.fill = 0
+}
+
+// Commit finishes the trace and stores it under the writer's id, atomically,
+// admitting it to the manifest and evicting older entries if the byte cap
+// demands. checksum is the captured run's outcome checksum, replayed
+// verbatim. It stores nothing, and says why, when the cache is read-only,
+// the trace overflowed its limit, or the writer already committed or
+// aborted.
+func (w *TraceWriter) Commit(checksum uint64) error {
+	if w.err == nil && w.fill > 0 {
+		w.flushBlock()
+	}
+	if w.err != nil {
+		err := w.err
+		w.close(errWriterClosed)
+		return err
+	}
+	// The file goes to the backend in a fresh buffer, never the pooled body:
+	// a timed-out Put may still be reading it after Commit returns.
+	data := make([]byte, traceHeaderLen+w.body.Len())
+	hdr := data[:traceHeaderLen]
 	copy(hdr[0:8], traceMagic)
 	binary.LittleEndian.PutUint32(hdr[8:12], FormatVersion)
 	var flags uint32
-	if compress {
+	if w.fw != nil {
 		flags |= flagCompressed
 	}
 	binary.LittleEndian.PutUint32(hdr[12:16], flags)
-	binary.LittleEndian.PutUint64(hdr[16:24], rec.TokenWidth())
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(rec.Len()))
+	binary.LittleEndian.PutUint64(hdr[16:24], w.tokenWidth)
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(w.n))
 	binary.LittleEndian.PutUint64(hdr[32:40], checksum)
-	copy(hdr[40:72], id[:])
+	copy(hdr[40:72], w.id[:])
 	binary.LittleEndian.PutUint32(hdr[76:80], crc32.ChecksumIEEE(hdr[:76]))
-	if _, err := w.Write(hdr[:]); err != nil {
+	copy(data[traceHeaderLen:], w.body.Bytes())
+	w.close(errWriterClosed)
+
+	c := w.c
+	if err := c.b.Put(kindTrace, w.id.String(), data); err != nil {
+		c.unavailableSeen(err)
 		return err
 	}
+	return c.admit(kindTrace, w.id, int64(len(data)))
+}
 
-	rawp := blockBufPool.Get().(*[]byte)
-	defer blockBufPool.Put(rawp)
-	raw := *rawp
-	var fw *flate.Writer
-	if compress {
-		fw = flateWriterPool.Get().(*flate.Writer)
-		defer flateWriterPool.Put(fw)
+// Abort drops the trace without storing anything and returns the writer's
+// pooled buffers. It does nothing after Commit or a previous Abort.
+func (w *TraceWriter) Abort() { w.close(errWriterClosed) }
+
+// close records why the writer can store nothing more (the first reason
+// sticks) and returns its pooled buffers.
+func (w *TraceWriter) close(reason error) {
+	if w.err == nil {
+		w.err = reason
 	}
-	var compressed bytes.Buffer
-	for base := 0; base < rec.Len(); base += diskBlockEntries {
-		n := rec.Len() - base
-		if n > diskBlockEntries {
-			n = diskBlockEntries
-		}
-		for i := 0; i < n; i++ {
-			packEntry(raw[i*packedEntryLen:(i+1)*packedEntryLen], rec.At(base+i))
-		}
-		payload := raw[:n*packedEntryLen]
-		if compress {
-			compressed.Reset()
-			fw.Reset(&compressed)
-			if _, err := fw.Write(payload); err != nil {
-				return err
-			}
-			if err := fw.Close(); err != nil {
-				return err
-			}
-			payload = compressed.Bytes()
-		}
-		var bh [blockHeaderLen]byte
-		binary.LittleEndian.PutUint32(bh[0:4], uint32(n))
-		binary.LittleEndian.PutUint32(bh[4:8], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(bh[8:12], crc32.ChecksumIEEE(payload))
-		if _, err := w.Write(bh[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+	if w.raw != nil {
+		blockBufPool.Put(w.raw)
+		w.raw = nil
 	}
-	return nil
+	if w.body != nil {
+		w.body.Reset()
+		bodyBufPool.Put(w.body)
+		w.body = nil
+	}
+	if w.fw != nil {
+		flateWriterPool.Put(w.fw)
+		w.fw = nil
+	}
 }
 
 // corrupt builds a *CorruptError with the path left for the caller to fill.

@@ -30,10 +30,11 @@ import (
 // (same 64-byte geometry as core.LineBytes/cache.LineBytes).
 const lineBytes = 64
 
-// entryBytes is the Recorder's storage cost per entry: a packed recEntry
+// EntryBytes is the Recorder's storage cost per entry: a packed recEntry
 // (three uint64 words plus seven bytes, padded to alignment). Seq is not
-// stored — it equals the entry's index.
-const entryBytes = 32
+// stored — it equals the entry's index. A byte limit of L holds L/EntryBytes
+// entries.
+const EntryBytes = 32
 
 const (
 	flagTaken  = 1 << 0
@@ -57,7 +58,7 @@ const (
 // struct store and replays with a single struct load, where split columns
 // cost ten scattered accesses per entry.
 type recEntry struct {
-	pc, addr, target                    uint64
+	pc, addr, target                     uint64
 	op, kind, dst, src1, src2, sz, flags uint8
 }
 
@@ -78,7 +79,7 @@ var blockPool = sync.Pool{New: func() any { return new(recBlock) }}
 type Recorder struct {
 	tokenWidth uint64
 	limit      uint64
-	limitN     int // limit in entries (limit/entryBytes); 0 = unlimited
+	limitN     int // limit in entries (limit/EntryBytes); 0 = unlimited
 	overflowed bool
 
 	n      int
@@ -113,7 +114,7 @@ type effOp struct {
 // on tokenWidth-byte chunks (0 for traces from non-REST worlds) and that
 // refuses to grow past limitBytes of column storage (0 = unlimited).
 func NewRecorder(tokenWidth uint64, limitBytes uint64) *Recorder {
-	return &Recorder{tokenWidth: tokenWidth, limit: limitBytes, limitN: int(limitBytes / entryBytes)}
+	return &Recorder{tokenWidth: tokenWidth, limit: limitBytes, limitN: int(limitBytes / EntryBytes)}
 }
 
 // TokenWidth reports the token width the trace was recorded under (0 when
@@ -124,7 +125,7 @@ func (r *Recorder) TokenWidth() uint64 { return r.tokenWidth }
 func (r *Recorder) Len() int { return r.n }
 
 // Bytes reports the column storage the recorded entries occupy.
-func (r *Recorder) Bytes() uint64 { return uint64(r.n) * entryBytes }
+func (r *Recorder) Bytes() uint64 { return uint64(r.n) * EntryBytes }
 
 // Overflowed reports whether a byte limit stopped the capture; an overflowed
 // Recorder has dropped its contents and ignores further Appends.
@@ -224,32 +225,41 @@ func (r *Recorder) At(i int) Entry {
 	}
 }
 
-// tee mirrors a streaming Reader into a Recorder.
-type tee struct {
-	r   Reader
-	rec *Recorder
+// Sink receives a trace in stream order as it is captured. A Recorder keeps
+// it in memory for replay; the persistent store's trace writer encodes it for
+// disk without holding it. TokenWidth is the width the trace's ARM/DISARM
+// entries operate on (0 for traces from non-REST worlds).
+type Sink interface {
+	Append(Entry)
+	TokenWidth() uint64
 }
 
-// Tee returns a Reader that yields src's entries unchanged while recording
-// each one into rec. When rec carries no token shadow (tokenWidth 0) the
+// tee mirrors a streaming Reader into a Sink.
+type tee struct {
+	r    Reader
+	sink Sink
+}
+
+// Tee returns a Reader that yields src's entries unchanged while appending
+// each one to sink. When sink carries no token shadow (TokenWidth 0) the
 // returned Reader also implements BatchReader: with no ARM/DISARM effects to
 // keep in lockstep, letting the consumer buffer entries ahead of the machine
 // is unobservable, and the batch path saves an interface dispatch per entry
 // during capture. REST captures stay entry-at-a-time — there the live
 // TokenTracker is the detector's source, and the pipeline may only run one
 // batch behind it (see the package comment).
-func Tee(src Reader, rec *Recorder) Reader {
-	if rec.tokenWidth == 0 {
-		return &batchTee{tee{r: src, rec: rec}}
+func Tee(src Reader, sink Sink) Reader {
+	if sink.TokenWidth() == 0 {
+		return &batchTee{tee{r: src, sink: sink}}
 	}
-	return &tee{r: src, rec: rec}
+	return &tee{r: src, sink: sink}
 }
 
 // Next implements Reader.
 func (t *tee) Next() (Entry, bool) {
 	e, ok := t.r.Next()
 	if ok {
-		t.rec.Append(e)
+		t.sink.Append(e)
 	}
 	return e, ok
 }
@@ -265,7 +275,7 @@ func (t *batchTee) ReadBatch(buf []Entry) int {
 		if !ok {
 			break
 		}
-		t.rec.Append(e)
+		t.sink.Append(e)
 		buf[n] = e
 		n++
 	}

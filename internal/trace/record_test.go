@@ -33,8 +33,8 @@ func TestRecorderRoundtrip(t *testing.T) {
 	if rec.Len() != len(es) {
 		t.Fatalf("Len = %d, want %d", rec.Len(), len(es))
 	}
-	if rec.Bytes() != uint64(len(es))*entryBytes {
-		t.Errorf("Bytes = %d, want %d", rec.Bytes(), len(es)*entryBytes)
+	if rec.Bytes() != uint64(len(es))*EntryBytes {
+		t.Errorf("Bytes = %d, want %d", rec.Bytes(), len(es)*EntryBytes)
 	}
 	for i, want := range es {
 		if got := rec.At(i); !reflect.DeepEqual(got, want) {
@@ -61,8 +61,45 @@ func TestTeePassthrough(t *testing.T) {
 	}
 }
 
+// sliceSink is a Sink that only collects what it is handed.
+type sliceSink struct {
+	width uint64
+	got   []Entry
+}
+
+func (s *sliceSink) Append(e Entry)     { s.got = append(s.got, e) }
+func (s *sliceSink) TokenWidth() uint64 { return s.width }
+
+// TestTeeModeFollowsSinkTokenWidth pins Tee's choice for any Sink: batch
+// reads when the sink tracks no token shadow, entry-at-a-time for REST
+// traces, and in both modes every entry reaches the consumer and the sink
+// unchanged and in order.
+func TestTeeModeFollowsSinkTokenWidth(t *testing.T) {
+	es := sampleEntries()
+	for _, width := range []uint64{0, 8} {
+		sink := &sliceSink{width: width}
+		r := Tee(NewSliceReader(es), sink)
+		br, batch := r.(BatchReader)
+		if batch != (width == 0) {
+			t.Fatalf("token width %d: Tee batch mode = %t", width, batch)
+		}
+		var got []Entry
+		if batch {
+			buf := make([]Entry, 4)
+			for n := br.ReadBatch(buf); n > 0; n = br.ReadBatch(buf) {
+				got = append(got, buf[:n]...)
+			}
+		} else {
+			got = Collect(r)
+		}
+		if !reflect.DeepEqual(got, es) || !reflect.DeepEqual(sink.got, es) {
+			t.Errorf("token width %d: consumer got %d entries, sink %d; want %d unchanged", width, len(got), len(sink.got), len(es))
+		}
+	}
+}
+
 func TestRecorderOverflow(t *testing.T) {
-	rec := NewRecorder(0, 3*entryBytes)
+	rec := NewRecorder(0, 3*EntryBytes)
 	es := sampleEntries()
 	rec.AppendFrom(NewSliceReader(es))
 	if !rec.Overflowed() {
@@ -86,7 +123,7 @@ func TestRecorderOverflow(t *testing.T) {
 
 func TestRecorderLimitExact(t *testing.T) {
 	// A limit that exactly fits N entries must not trip on entry N.
-	rec := NewRecorder(0, 3*entryBytes)
+	rec := NewRecorder(0, 3*EntryBytes)
 	es := sampleEntries()[:3]
 	rec.AppendFrom(NewSliceReader(es))
 	if rec.Overflowed() {

@@ -310,11 +310,12 @@ func (w *World) RunTimed() (*cpu.Stats, Outcome) {
 	return w.runTimed(w.Machine)
 }
 
-// RunTimedCapture is RunTimed with the streamed trace teed into rec, so a
-// later ReplayTimed on a world built by BuildReplay can reproduce this run's
-// timing without the functional machine.
-func (w *World) RunTimedCapture(rec *trace.Recorder) (*cpu.Stats, Outcome) {
-	return w.runTimed(trace.Tee(w.Machine, rec))
+// RunTimedCapture is RunTimed with the streamed trace teed into sink: a
+// trace.Recorder, so a later ReplayTimed on a world built by BuildReplay can
+// reproduce this run's timing without the functional machine, or the
+// persistent store's trace writer, which encodes the trace as it streams.
+func (w *World) RunTimedCapture(sink trace.Sink) (*cpu.Stats, Outcome) {
+	return w.runTimed(trace.Tee(w.Machine, sink))
 }
 
 func (w *World) runTimed(r trace.Reader) (*cpu.Stats, Outcome) {

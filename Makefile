@@ -66,6 +66,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecode  -fuzztime=$(FUZZTIME) ./internal/asm
 	$(GO) test -run='^$$' -fuzz=FuzzTokenDetector -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode   -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzRecorderRoundtrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode     -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzBlockInvalidate -fuzztime=$(FUZZTIME) ./internal/sim
 

@@ -153,32 +153,20 @@ func (tc *TraceCache) loadDiskTrace(disk *persist.Cache, k traceKey) (*trace.Rec
 }
 
 // replayLocal replays a disk-loaded capture for a cell outside the planned
-// sharing (a bypass-role cell): the capture lives in a private entry and its
-// pooled blocks are recycled as soon as the replay ends.
+// sharing (a bypass-role cell): the capture lives in a private entry.
 func replayLocal(wl workload.Workload, cfg BinaryConfig, lim CellLimits, rec *trace.Recorder, out world.Outcome) (*RunResult, error) {
 	ent := &traceEntry{ok: true, rec: rec, outcome: out}
 	res, err := runReplay(wl, cfg, lim, ent)
-	rec.Release()
 	if res != nil {
 		res.Source = "disk-replay"
 	}
 	return res, err
 }
 
-// retain takes one extra reference on a capture entry so a disk write or a
-// leader's own replay can outlive the waiters.
-func (tc *TraceCache) retain(ent *traceEntry) {
-	tc.mu.Lock()
-	ent.refs++
-	tc.mu.Unlock()
-}
-
 // runLeadFromDisk serves a planned leader from the trace store: the loaded
 // capture is published for the waiting siblings exactly as a live capture
 // would be, then replayed for the leader's own cell.
 func (tc *TraceCache) runLeadFromDisk(wl workload.Workload, cfg BinaryConfig, lim CellLimits, ent *traceEntry, rec *trace.Recorder, out world.Outcome) (*RunResult, error) {
-	tc.retain(ent)
-	defer tc.release(ent)
 	tc.publish(ent, rec, out, nil)
 	res, err := runReplay(wl, cfg, lim, ent)
 	if res != nil {

@@ -546,7 +546,7 @@ func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unlimited capture stored no trace: %v", err)
 	}
-	n := uint64(rec.Len())
+	n := rec.Len()
 	rec.Release()
 
 	for _, shared := range []bool{false, true} {
@@ -554,9 +554,9 @@ func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 		if shared {
 			cfgs = append(cfgs, twin)
 		}
-		for _, limit := range []uint64{n, n - 1} {
+		for _, limit := range []int{n, n - 1} {
 			tc, pc := diskTC(t, t.TempDir(), persist.Options{})
-			tc.SetTraceLimit(limit * trace.EntryBytes)
+			tc.SetTraceLimit(limit)
 			m, err := RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{Workers: 1, TraceCache: tc})
 			if err != nil {
 				t.Fatal(err)

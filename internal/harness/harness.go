@@ -206,7 +206,7 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	case cap.ent == nil:
 		// Disk-only capture: nothing in this process replays the trace, so
 		// it streams straight into the store's encoder and is never held.
-		tw := cap.disk.NewTraceWriter(cap.fid, captureTokenWidth(cfg.Pass), int(cap.tc.perTraceLimit/trace.EntryBytes))
+		tw := cap.disk.NewTraceWriter(cap.fid, captureTokenWidth(cfg.Pass), cap.tc.perTraceLimit)
 		defer tw.Abort()
 		stats, out = w.RunTimedCapture(tw)
 		if out.Err == nil && !out.Detected() {
@@ -220,9 +220,7 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 		// complete, which is what makes cross-timing replay exact.
 		if out.Err == nil && !out.Detected() {
 			if cap.disk != nil && !rec.Overflowed() {
-				// Persist before publishing: until publish the recorder is
-				// exclusively ours, so the write can't race a waiter
-				// recycling the blocks. A failed store is advisory.
+				// A failed store is advisory (the run succeeded).
 				_ = cap.disk.StoreTrace(cap.fid, rec, out.Checksum)
 			}
 			cap.tc.publish(cap.ent, rec, out, funcObs)

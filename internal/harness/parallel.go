@@ -296,8 +296,8 @@ func (s *sweep) run(worker, i int) {
 }
 
 // skip records cell i as never started because the sweep was cancelled, and
-// releases its planned trace-cache use so the cache's refcounts still drain
-// to zero.
+// releases its planned trace-cache use so the cache's planned use counts
+// still drain to zero.
 func (s *sweep) skip(worker, i int) {
 	s.outcomes[i].skipped = true
 	if tc := s.opt.TraceCache; tc != nil {

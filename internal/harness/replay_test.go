@@ -252,7 +252,7 @@ func TestSweepDeterminismWithTraceCache(t *testing.T) {
 	}
 }
 
-// TestTraceCacheSkippedCellsDrain pins the refcount contract under
+// TestTraceCacheSkippedCellsDrain pins the planned-use contract under
 // cancellation: a cancelled sweep forfeits its skipped cells, so the cache
 // drains back to empty instead of pinning captured traces forever.
 func TestTraceCacheSkippedCellsDrain(t *testing.T) {

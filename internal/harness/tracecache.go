@@ -43,12 +43,14 @@ import (
 //
 // Captures are single-flight: one leader per identity runs while its waiters
 // block on the entry's done channel; a leader that fails (or whose trace
-// tripped the per-trace byte limit) releases its waiters into ordinary
-// streamed runs. Entries are refcounted by the plan and dropped at last use,
-// so a sweep's peak trace memory is bounded by its live shared identities.
+// tripped the per-trace entry limit) releases its waiters into ordinary
+// streamed runs. The plan counts each identity's remaining uses and the last
+// one drops the cache's entry, so a capture becomes garbage when its last
+// planned cell finishes and a sweep's peak trace memory is bounded by its
+// live shared identities.
 type TraceCache struct {
 	mu            sync.Mutex
-	perTraceLimit uint64
+	perTraceLimit int
 	plan          map[traceKey]int
 	entries       map[traceKey]*traceEntry
 
@@ -63,28 +65,29 @@ type TraceCache struct {
 	bytes                uint64
 }
 
-// DefaultTraceLimitBytes bounds one captured trace's column storage (64 MiB
-// holds 2,097,152 entries at trace.EntryBytes = 32 bytes each); a capture
-// that would exceed it is rejected and its waiters stream instead, trading
-// speed for bounded memory. A disk-only capture, which streams into the
-// store without a Recorder, is held to the same entry count, so the store
-// receives exactly the traces a recorded capture would give it.
-const DefaultTraceLimitBytes = 64 << 20
+// DefaultTraceLimit bounds one captured trace, in entries; a capture that
+// would exceed it is rejected and its waiters stream instead, trading speed
+// for bounded memory. A disk-only capture, which streams into the store
+// without a Recorder, is held to the same count, so the store receives
+// exactly the traces a recorded capture would give it. At scale 5, lbm and
+// soplex capture just over it (2,203,651 and 2,110,389 entries), so the
+// value decides which of their cells replay there.
+const DefaultTraceLimit = 2_097_152
 
 // NewTraceCache returns an empty cache with the default per-trace limit.
 func NewTraceCache() *TraceCache {
 	return &TraceCache{
-		perTraceLimit: DefaultTraceLimitBytes,
+		perTraceLimit: DefaultTraceLimit,
 		plan:          make(map[traceKey]int),
 		entries:       make(map[traceKey]*traceEntry),
 	}
 }
 
-// SetTraceLimit overrides the per-trace byte limit (0 = unlimited).
-func (tc *TraceCache) SetTraceLimit(bytes uint64) {
+// SetTraceLimit overrides the per-trace entry limit (0 = unlimited).
+func (tc *TraceCache) SetTraceLimit(entries int) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	tc.perTraceLimit = bytes
+	tc.perTraceLimit = entries
 }
 
 // traceKey is a cell's functional identity. Timing knobs (CPU, Hier,
@@ -136,13 +139,6 @@ type traceEntry struct {
 	rec     *trace.Recorder
 	outcome world.Outcome
 	funcObs *obs.Registry // nil when the capture ran without metrics
-
-	// refs counts waiters whose replay (or fallback) is still running;
-	// detached is set once the plan has no further uses. Both guarded by
-	// TraceCache.mu; together they decide when the capture's blocks can be
-	// recycled (see releaseLocked).
-	refs     int
-	detached bool
 }
 
 // cacheRole is a cell's relationship to the cache.
@@ -209,7 +205,6 @@ func (tc *TraceCache) acquire(k traceKey) (*traceEntry, cacheRole) {
 		tc.misses++
 		return ent, roleLead
 	}
-	ent.refs++
 	tc.consumeLocked(k, remaining)
 	return ent, roleWait
 }
@@ -220,35 +215,10 @@ func (tc *TraceCache) acquire(k traceKey) (*traceEntry, cacheRole) {
 func (tc *TraceCache) consumeLocked(k traceKey, remaining int) {
 	if remaining <= 1 {
 		delete(tc.plan, k)
-		if ent := tc.entries[k]; ent != nil {
-			ent.detached = true
-			tc.releaseLocked(ent)
-		}
 		delete(tc.entries, k)
 		return
 	}
 	tc.plan[k] = remaining - 1
-}
-
-// release drops one waiter's use of ent once its replay (or fallback run)
-// has finished with the capture.
-func (tc *TraceCache) release(ent *traceEntry) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	ent.refs--
-	tc.releaseLocked(ent)
-}
-
-// releaseLocked recycles the capture's trace blocks once nothing can touch
-// them again: the plan holds no further uses (detached), no waiter's replay
-// is in flight (refs == 0), and the capture has resolved (closed — a leader
-// still running would otherwise publish into a released recorder). Purely a
-// memory optimization; counters and results are unaffected.
-func (tc *TraceCache) releaseLocked(ent *traceEntry) {
-	if ent.detached && ent.refs == 0 && ent.closed && ent.rec != nil {
-		ent.rec.Release()
-		ent.rec = nil
-	}
 }
 
 // forfeit releases one planned use of k without running it (a skipped sweep
@@ -281,8 +251,6 @@ func (tc *TraceCache) publish(ent *traceEntry, rec *trace.Recorder, out world.Ou
 		tc.bytes += rec.Bytes()
 	}
 	close(ent.done)
-	// All waiters may already have forfeited (skipped cells): recycle now.
-	tc.releaseLocked(ent)
 }
 
 // fail resolves a leader's capture as unusable (cell error, detection or
@@ -346,8 +314,9 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 	disk := tc.diskFor(lim)
 
 	// Tier 1: a memoized clean outcome for this exact cell skips even the
-	// replay. The planned use is forfeited so siblings' refcounts stay
-	// exact. Cells that need a live world can't be served from a file.
+	// replay. The planned use is forfeited so the identity's planned use
+	// count stays exact. Cells that need a live world can't be served from
+	// a file.
 	if disk != nil && !lim.NeedWorld {
 		if cr, err := disk.LoadResult(resultIdentity(k, cfg)); err == nil {
 			tc.forfeit(k)
@@ -381,7 +350,6 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 		res, err := runStreamed(wl, cfg, scale, lim, cap)
 		return tc.finishCell(disk, k, cfg, res, err)
 	case roleWait:
-		defer tc.release(ent)
 		<-ent.done
 		if !ent.ok || (lim.Metrics && ent.funcObs == nil) {
 			// Failed/rejected capture, or a metrics cell waiting on a

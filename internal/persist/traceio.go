@@ -26,11 +26,11 @@
 // so a bit flip anywhere in a block is caught without trusting the flate
 // stream; the header CRC covers every field that governs parsing. Decoding
 // never panics on arbitrary input — every malformed shape maps to a typed
-// error (FuzzTraceDecode pins that) — and appends into the same pooled
-// block storage live captures use, so replay from disk stays free of
-// per-entry allocation. Encoding streams: TraceWriter packs and compresses
-// each block as soon as it fills, so a capture bound only for the store never
-// holds its whole trace in memory.
+// error (FuzzTraceDecode pins that) — and appends into a trace.Recorder
+// exactly as a live capture does, so a loaded trace replays like a captured
+// one. Encoding streams: TraceWriter packs and compresses each block as soon
+// as it fills, so a capture bound only for the store never holds its whole
+// trace in memory.
 package persist
 
 import (
@@ -95,15 +95,20 @@ var flateReaderPool = sync.Pool{
 // StoreTrace writes a captured recording into the trace store under its
 // functional identity digest, atomically, and admits it to the manifest,
 // evicting older entries if the byte cap demands. checksum is the captured
-// run's outcome checksum, replayed verbatim. It encodes through the same
-// TraceWriter a streamed capture uses.
+// run's outcome checksum, replayed verbatim. It reads the recording once,
+// in order, through a Replayer, and encodes through the same TraceWriter a
+// streamed capture uses.
 func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 	if rec.Overflowed() {
 		return errors.New("persist: refusing to store an overflowed (partial) trace")
 	}
 	w := c.NewTraceWriter(id, rec.TokenWidth(), 0)
-	for i := 0; i < rec.Len(); i++ {
-		w.Append(rec.At(i))
+	rp := rec.Replayer()
+	var buf [256]trace.Entry
+	for n := rp.ReadBatch(buf[:]); n > 0; n = rp.ReadBatch(buf[:]) {
+		for i := range buf[:n] {
+			w.Append(buf[i])
+		}
 	}
 	return w.Commit(checksum)
 }
@@ -113,9 +118,7 @@ func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 // damaged one is *CorruptError (and is deleted in read-write mode); a file
 // from another format generation is *VersionError (deleted likewise — it can
 // never be read again); a backend that could not answer is *UnavailableError
-// or ErrBreakerOpen. Every one of them means "recompute" to the caller. The
-// returned Recorder owns pooled blocks; release it via
-// trace.Recorder.Release at last use exactly like a live capture.
+// or ErrBreakerOpen. Every one of them means "recompute" to the caller.
 func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
 	path := c.path(kindTrace, id)
 	raw, err := c.b.Get(kindTrace, id.String())
@@ -192,7 +195,7 @@ var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // capture's token width (0 for traces from non-REST worlds). A trace longer
 // than maxEntries (0 = unlimited) overflows: the writer drops what it has
 // encoded, ignores later entries, and Commit stores nothing. That is the
-// rule a trace.Recorder's byte limit applies, so a streamed capture is stored
+// rule a trace.Recorder's entry limit applies, so a streamed capture is stored
 // exactly when a recorded one would be. On a read-only cache the writer
 // encodes nothing and Commit returns ErrReadOnly.
 func (c *Cache) NewTraceWriter(id ID, tokenWidth uint64, maxEntries int) *TraceWriter {
@@ -333,10 +336,9 @@ func corrupt(format string, args ...any) error {
 // decodeTrace reads the version-1 trace format into a fresh Recorder. wantID
 // non-nil additionally binds the file to its content address (a renamed or
 // cross-copied file is corruption, not a silently wrong replay). On any
-// error the partially built Recorder is released and nil returned. It reads
-// arbitrary untrusted bytes without panicking; FuzzTraceDecode enforces
-// that.
-func decodeTrace(r io.Reader, wantID *ID) (rec *trace.Recorder, checksum uint64, err error) {
+// error it returns a nil Recorder. It reads arbitrary untrusted bytes without
+// panicking; FuzzTraceDecode enforces that.
+func decodeTrace(r io.Reader, wantID *ID) (*trace.Recorder, uint64, error) {
 	var hdr [traceHeaderLen]byte
 	if _, rerr := io.ReadFull(r, hdr[:]); rerr != nil {
 		return nil, 0, corrupt("short header: %v", rerr)
@@ -356,7 +358,7 @@ func decodeTrace(r io.Reader, wantID *ID) (rec *trace.Recorder, checksum uint64,
 	}
 	tokenWidth := binary.LittleEndian.Uint64(hdr[16:24])
 	count := binary.LittleEndian.Uint64(hdr[24:32])
-	checksum = binary.LittleEndian.Uint64(hdr[32:40])
+	checksum := binary.LittleEndian.Uint64(hdr[32:40])
 	if wantID != nil && !bytes.Equal(hdr[40:72], wantID[:]) {
 		return nil, 0, corrupt("identity digest does not match the file's address")
 	}
@@ -366,15 +368,7 @@ func decodeTrace(r io.Reader, wantID *ID) (rec *trace.Recorder, checksum uint64,
 	storedp := blockBufPool.Get().(*[]byte)
 	defer blockBufPool.Put(storedp)
 
-	// Build into a local, not the named return: the error returns below
-	// write nil into rec, and the cleanup must still release the blocks the
-	// partial decode pulled from the pool.
 	out := trace.NewRecorder(tokenWidth, 0)
-	defer func() {
-		if err != nil {
-			out.Release()
-		}
-	}()
 	var got uint64
 	for got < count {
 		var bh [blockHeaderLen]byte

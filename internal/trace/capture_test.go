@@ -1,0 +1,118 @@
+package trace_test
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"rest/internal/core"
+	"rest/internal/prog"
+	"rest/internal/trace"
+	"rest/internal/workload"
+	"rest/internal/world"
+)
+
+// builds are the two captures per workload the compactness gate covers: the
+// plain build, and secure-full, whose ARM/DISARM micro-ops and allocator
+// runtime make the most varied traces.
+var builds = []struct {
+	name string
+	pass prog.PassConfig
+	mode core.Mode
+	// width is the token shadow the capture tracks (0 for non-REST builds).
+	width uint64
+}{
+	{"plain", prog.Plain(), core.Secure, 0},
+	{"secure-full", prog.RESTFull(64), core.Secure, 64},
+}
+
+// sinks tees one capture into several sinks.
+type sinks []trace.Sink
+
+func (s sinks) Append(e trace.Entry) {
+	for _, k := range s {
+		k.Append(e)
+	}
+}
+func (s sinks) TokenWidth() uint64 { return s[0].TokenWidth() }
+
+// entries is a Sink that keeps every entry.
+type entries struct {
+	width uint64
+	es    []trace.Entry
+}
+
+func (s *entries) Append(e trace.Entry) { s.es = append(s.es, e) }
+func (s *entries) TokenWidth() uint64   { return s.width }
+
+// capture runs wl at scale 1 under the build, recording its trace into rec
+// and any further sinks.
+func capture(tb testing.TB, wl workload.Workload, pass prog.PassConfig, mode core.Mode, rec *trace.Recorder, more ...trace.Sink) {
+	tb.Helper()
+	w, err := world.Build(world.Spec{Pass: pass, Mode: mode, Width: core.Width(pass.TokenWidth)}, wl.Build(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, out := w.RunTimedCapture(append(sinks{rec}, more...))
+	if out.Err != nil || out.Detected() {
+		tb.Fatalf("%s: capture failed: %s", wl.Name, out)
+	}
+}
+
+// TestRecorderCompactness is the encoding's deterministic size gate: every
+// workload's plain and secure-full capture at scale 1 occupies at most 2
+// bytes per entry, site table included, and replays bit-exactly to the
+// stream the machine produced.
+func TestRecorderCompactness(t *testing.T) {
+	t.Parallel()
+	for _, wl := range workload.All() {
+		for _, b := range builds {
+			wl, b := wl, b
+			t.Run(wl.Name+"/"+b.name, func(t *testing.T) {
+				t.Parallel()
+				rec := trace.NewRecorder(b.width, 0)
+				live := &entries{width: b.width}
+				capture(t, wl, b.pass, b.mode, rec, live)
+				n := uint64(rec.Len())
+				t.Logf("%d entries, %d bytes: %.3f B/entry", n, rec.Bytes(), float64(rec.Bytes())/float64(n))
+				if n == 0 || rec.Bytes() > 2*n {
+					t.Errorf("%d bytes for %d entries, want at most 2 per entry", rec.Bytes(), n)
+				}
+				if !slices.Equal(trace.Collect(rec.Replayer()), live.es) {
+					t.Errorf("replay diverges from the captured stream")
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkReplayerReadBatch prices replay decoding on a real trace (lbm,
+// secure-full, scale 1), drained in the timing model's 256-entry batches.
+// ns/entry is the decode cost; allocs/entry stays at zero because a
+// Replayer allocates only when created and while its token shadow grows,
+// never per entry.
+func BenchmarkReplayerReadBatch(b *testing.B) {
+	wl, err := workload.ByName("lbm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := builds[1]
+	rec := trace.NewRecorder(cfg.width, 0)
+	capture(b, wl, cfg.pass, cfg.mode, rec)
+	var buf [256]trace.Entry
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	drained := 0
+	for i := 0; i < b.N; i++ {
+		rp := rec.Replayer()
+		for n := rp.ReadBatch(buf[:]); n > 0; n = rp.ReadBatch(buf[:]) {
+			drained += n
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(drained), "ns/entry")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(drained), "allocs/entry")
+}

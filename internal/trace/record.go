@@ -1,14 +1,17 @@
 package trace
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sync"
+	"unsafe"
 
 	"rest/internal/isa"
 )
 
-// Capture/replay: a Recorder packs a dynamic trace into struct-of-arrays
-// storage while it streams past, and a Replayer feeds it back through the
-// timing model without re-running the functional simulator.
+// Capture/replay: a Recorder encodes a dynamic trace compactly while it
+// streams past, and a Replayer feeds it back through the timing model
+// without re-running the functional simulator.
 //
 // Replay must be bit-exact, which is subtle in one place: the L1-D fill-time
 // content detector consults the architectural token state (which chunks of a
@@ -30,60 +33,95 @@ import (
 // (same 64-byte geometry as core.LineBytes/cache.LineBytes).
 const lineBytes = 64
 
-// EntryBytes is the Recorder's storage cost per entry: a packed recEntry
-// (three uint64 words plus seven bytes, padded to alignment). Seq is not
-// stored — it equals the entry's index. A byte limit of L holds L/EntryBytes
-// entries.
-const EntryBytes = 32
-
+// Storage: a predictive byte encoding of about one byte per entry.
+//
+// Every entry belongs to a static site, its (PC, Op, Kind, Dst, Src1, Src2,
+// Size) tuple, which the Recorder keeps once in a per-trace site table. An
+// entry is then one header byte
+//
+//	bit 0     Taken
+//	bit 1     Faults
+//	bit 2     same site: the one that last followed the previous entry's site
+//	bits 3-4  how Addr is coded
+//	bits 5-6  how Target is coded
+//
+// followed by a uvarint site index when bit 2 is clear, then a zigzag varint
+// delta for Addr and then for Target where their codes call for one. A value
+// is coded as zero, as its site's prediction (Addr: the site's last address
+// plus its last stride; Target: the site's last target), or as a delta from
+// that prediction. Seq is not stored: it is the entry's index.
+//
+// The prediction state starts afresh every blockEntries entries, so each
+// block decodes on its own given the site table: reaching entry i costs at
+// most one block of decoding, and ReadBatch decodes runs clamped to block
+// edges straight into the caller's buffer.
 const (
-	flagTaken  = 1 << 0
-	flagFaults = 1 << 1
-)
-
-// Recorder storage is a list of fixed-size column blocks rather than flat
-// slices: appends never copy what is already recorded (flat columns re-copy
-// the whole multi-megabyte trace every time append outgrows its backing
-// array, which dominated capture cost), and indexing is a shift and a mask.
-// The block is sized so the offset is provably in range after masking, which
-// also lets the compiler drop bounds checks on the hot replay path.
-const (
-	blockShift   = 16
+	blockShift   = 14
 	blockEntries = 1 << blockShift
 	blockMask    = blockEntries - 1
 )
 
-// recEntry is the packed stored form of one Entry (32 bytes; Seq is implied
-// by position, Taken/Faults fold into flags). A block appends with a single
-// struct store and replays with a single struct load, where split columns
-// cost ten scattered accesses per entry.
-type recEntry struct {
-	pc, addr, target                     uint64
-	op, kind, dst, src1, src2, sz, flags uint8
+// Header byte layout (see above).
+const (
+	hdrTaken       = 1 << 0
+	hdrFaults      = 1 << 1
+	hdrSameSite    = 1 << 2
+	hdrAddrShift   = 3
+	hdrTargetShift = 5
+	codeZero       = 0 // the value is 0
+	codePredicted  = 1 // the value equals its site's prediction
+	codeDelta      = 2 // a zigzag varint of value - prediction follows
+	codeMask       = 3
+)
+
+// site is one static instruction: every field of an Entry that repeats each
+// time the instruction executes.
+type site struct {
+	pc                    uint64
+	op                    isa.Op
+	kind                  Kind
+	dst, src1, src2, size uint8
 }
 
-type recBlock [blockEntries]recEntry
+// siteBytes is one site-table row's storage.
+const siteBytes = int(unsafe.Sizeof(site{}))
 
-// blockPool recycles the 2 MiB blocks across captures: a sweep that captures
-// dozens of traces otherwise pays fresh-page zeroing for every one. Blocks
-// come back dirty, which is safe — every entry slot at index < Len() is
-// written before it can be read, and slots past Len() are never read.
-var blockPool = sync.Pool{New: func() any { return new(recBlock) }}
+// predictor is one site's prediction state within a block.
+type predictor struct {
+	addr, stride, target uint64
+	next                 uint32 // 1 + the site that last followed this one; 0 = none yet
+}
 
-// Recorder captures a dynamic trace in compact struct-of-arrays form. Append
-// it entries directly, drain a Reader into it with AppendFrom, or splice it
-// into a streaming run with Tee. A byte limit (SetLimit) turns runaway
-// captures into an explicit Overflowed state instead of unbounded memory.
-// The zero value records with no token shadow and no limit; use NewRecorder
-// to configure both.
+// model is the prediction state of one pass over a block: the encoder's
+// while capturing, and each reader's while decoding.
+type model struct {
+	pred []predictor // by site index
+	prev uint32      // 1 + the previous entry's site; 0 at a block start
+}
+
+// reset starts a block: nothing is predicted yet.
+func (m *model) reset() {
+	clear(m.pred)
+	m.prev = 0
+}
+
+// Recorder captures a dynamic trace in compact encoded form. Append it
+// entries directly, drain a Reader into it with AppendFrom, or splice it into
+// a streaming run with Tee. An entry limit turns runaway captures into an
+// explicit Overflowed state instead of unbounded memory. The zero value
+// records with no token shadow and no limit; use NewRecorder to configure
+// both.
 type Recorder struct {
 	tokenWidth uint64
-	limit      uint64
-	limitN     int // limit in entries (limit/EntryBytes); 0 = unlimited
+	limit      int // most entries recorded (0 = unlimited)
 	overflowed bool
 
 	n      int
-	blocks []*recBlock
+	blocks [][]byte // sealed blocks of blockEntries encoded entries each
+	tail   []byte   // the block being appended; its buffer is reused once sealed
+	sites  []site
+	siteOf map[site]uint32
+	enc    model
 
 	// Effect index, built during capture for REST traces (tokenWidth != 0):
 	// the positions of the batches whose non-faulting ARM/DISARM entries
@@ -94,6 +132,9 @@ type Recorder struct {
 	curBatch   int        // start index of the batch currently being appended
 	effBatches []effBatch // ascending by pos; ranges into effOps
 	effOps     []effOp
+
+	atMu sync.Mutex
+	at   atCache
 }
 
 // effBatch marks one effect-carrying batch: pos is the batch's start index in
@@ -112,9 +153,9 @@ type effOp struct {
 
 // NewRecorder returns a Recorder for a trace whose ARM/DISARM entries operate
 // on tokenWidth-byte chunks (0 for traces from non-REST worlds) and that
-// refuses to grow past limitBytes of column storage (0 = unlimited).
-func NewRecorder(tokenWidth uint64, limitBytes uint64) *Recorder {
-	return &Recorder{tokenWidth: tokenWidth, limit: limitBytes, limitN: int(limitBytes / EntryBytes)}
+// refuses to record more than maxEntries entries (0 = unlimited).
+func NewRecorder(tokenWidth uint64, maxEntries int) *Recorder {
+	return &Recorder{tokenWidth: tokenWidth, limit: maxEntries}
 }
 
 // TokenWidth reports the token width the trace was recorded under (0 when
@@ -124,11 +165,18 @@ func (r *Recorder) TokenWidth() uint64 { return r.tokenWidth }
 // Len reports how many entries are recorded.
 func (r *Recorder) Len() int { return r.n }
 
-// Bytes reports the column storage the recorded entries occupy.
-func (r *Recorder) Bytes() uint64 { return uint64(r.n) * EntryBytes }
+// Bytes reports the storage the recorded entries occupy: their encoding plus
+// the site table it refers to.
+func (r *Recorder) Bytes() uint64 {
+	b := len(r.tail) + len(r.sites)*siteBytes
+	for _, blk := range r.blocks {
+		b += len(blk)
+	}
+	return uint64(b)
+}
 
-// Overflowed reports whether a byte limit stopped the capture; an overflowed
-// Recorder has dropped its contents and ignores further Appends.
+// Overflowed reports whether the entry limit stopped the capture; an
+// overflowed Recorder has dropped its contents and ignores further Appends.
 func (r *Recorder) Overflowed() bool { return r.overflowed }
 
 // Append records one entry. Entries must arrive in stream order; Seq is not
@@ -137,19 +185,12 @@ func (r *Recorder) Append(e Entry) {
 	if r.overflowed {
 		return
 	}
-	if r.limitN != 0 && r.n >= r.limitN {
+	if r.limit != 0 && r.n >= r.limit {
 		// Drop everything: a partial trace must never be replayed, and
-		// keeping the blocks would defeat the point of the limit.
+		// keeping the storage would defeat the point of the limit.
 		r.Release()
 		r.overflowed = true
 		return
-	}
-	var fl uint8
-	if e.Taken {
-		fl |= flagTaken
-	}
-	if e.Faults {
-		fl |= flagFaults
 	}
 	if e.Kind == KindUser {
 		r.curBatch = r.n
@@ -162,33 +203,106 @@ func (r *Recorder) Append(e Entry) {
 		}
 		r.effOps = append(r.effOps, effOp{addr: e.Addr, arm: e.Op == isa.OpArm})
 	}
-	off := r.n & blockMask
-	if off == 0 {
-		r.blocks = append(r.blocks, blockPool.Get().(*recBlock))
+	if r.n&blockMask == 0 {
+		r.enc.reset()
 	}
-	r.blocks[r.n>>blockShift][off] = recEntry{
-		pc: e.PC, addr: e.Addr, target: e.Target,
-		op: uint8(e.Op), kind: uint8(e.Kind),
-		dst: e.Dst, src1: e.Src1, src2: e.Src2, sz: e.Size, flags: fl,
-	}
+	r.encode(&e)
 	r.n++
+	if r.n&blockMask == 0 {
+		// Seal the full block into exact-size storage.
+		r.blocks = append(r.blocks, append([]byte(nil), r.tail...))
+		r.tail = r.tail[:0]
+	}
 }
 
-// Release returns the Recorder's blocks to the shared pool and empties it.
-// The caller must guarantee no Replayer over this Recorder is still in use:
-// released blocks are recycled and overwritten by later captures. Releasing
-// is optional — an unreleased Recorder is ordinary garbage — but a sweep
-// that captures many traces avoids refaulting fresh pages by releasing each
-// one at its last use.
-func (r *Recorder) Release() {
-	for _, b := range r.blocks {
-		blockPool.Put(b)
+// encode appends e's encoding to the open block.
+func (r *Recorder) encode(e *Entry) {
+	s := site{pc: e.PC, op: e.Op, kind: e.Kind, dst: e.Dst, src1: e.Src1, src2: e.Src2, size: e.Size}
+	m := &r.enc
+	var h byte
+	if e.Taken {
+		h |= hdrTaken
 	}
-	r.blocks = nil
+	if e.Faults {
+		h |= hdrFaults
+	}
+	var idx uint32
+	if m.prev != 0 {
+		if nx := m.pred[m.prev-1].next; nx != 0 && r.sites[nx-1] == s {
+			idx = nx - 1
+			h |= hdrSameSite
+		}
+	}
+	if h&hdrSameSite == 0 {
+		idx = r.siteIndex(s)
+		if m.prev != 0 {
+			m.pred[m.prev-1].next = idx + 1
+		}
+	}
+	p := &m.pred[idx]
+	ac, ad := codeOf(e.Addr, p.addr+p.stride)
+	tc, td := codeOf(e.Target, p.target)
+	h |= ac<<hdrAddrShift | tc<<hdrTargetShift
+	b := append(r.tail, h)
+	if h&hdrSameSite == 0 {
+		b = binary.AppendUvarint(b, uint64(idx))
+	}
+	if ac == codeDelta {
+		b = binary.AppendVarint(b, int64(ad))
+	}
+	if tc == codeDelta {
+		b = binary.AppendVarint(b, int64(td))
+	}
+	r.tail = b
+	p.stride = e.Addr - p.addr
+	p.addr = e.Addr
+	p.target = e.Target
+	m.prev = idx + 1
+}
+
+// codeOf picks how v is coded against its prediction, and the delta to
+// store when neither zero nor the prediction matches.
+func codeOf(v, pred uint64) (code byte, delta uint64) {
+	switch v {
+	case 0:
+		return codeZero, 0
+	case pred:
+		return codePredicted, 0
+	}
+	return codeDelta, v - pred
+}
+
+// siteIndex returns s's index in the site table, adding it if new.
+func (r *Recorder) siteIndex(s site) uint32 {
+	if i, ok := r.siteOf[s]; ok {
+		return i
+	}
+	if r.siteOf == nil {
+		r.siteOf = make(map[site]uint32)
+	}
+	i := uint32(len(r.sites))
+	r.sites = append(r.sites, s)
+	r.siteOf[s] = i
+	r.enc.pred = append(r.enc.pred, predictor{})
+	return i
+}
+
+// Release empties the Recorder, dropping its storage. No Replayer over it may
+// be in use. Releasing is optional: an unreferenced Recorder is ordinary
+// garbage.
+func (r *Recorder) Release() {
 	r.n = 0
+	r.blocks = nil
+	r.tail = nil
+	r.sites = nil
+	r.siteOf = nil
+	r.enc = model{}
 	r.curBatch = 0
 	r.effBatches = nil
 	r.effOps = nil
+	r.atMu.Lock()
+	r.at = atCache{}
+	r.atMu.Unlock()
 }
 
 // AppendFrom drains src into the Recorder and reports how many entries it
@@ -206,23 +320,149 @@ func (r *Recorder) AppendFrom(src Reader) int {
 	}
 }
 
-// At reconstructs entry i.
-func (r *Recorder) At(i int) Entry {
-	s := &r.blocks[i>>blockShift][i&blockMask]
-	return Entry{
-		Seq:    uint64(i),
-		PC:     s.pc,
-		Op:     isa.Op(s.op),
-		Kind:   Kind(s.kind),
-		Dst:    s.dst,
-		Src1:   s.src1,
-		Src2:   s.src2,
-		Addr:   s.addr,
-		Size:   s.sz,
-		Taken:  s.flags&flagTaken != 0,
-		Faults: s.flags&flagFaults != 0,
-		Target: s.target,
+// block returns the encoded bytes of block k.
+func (r *Recorder) block(k int) []byte {
+	if k < len(r.blocks) {
+		return r.blocks[k]
 	}
+	return r.tail
+}
+
+// cursor is a decoding position in a Recorder: the next entry's index, its
+// byte offset within its block, and the block's prediction state so far.
+type cursor struct {
+	model
+	pos, off int
+}
+
+// decode reconstructs the len(out) entries from c.pos on into out and
+// advances c past them. They must all lie in one block.
+func (r *Recorder) decode(c *cursor, out []Entry) {
+	if c.pos&blockMask == 0 {
+		c.reset()
+		c.off = 0
+	}
+	b := r.block(c.pos >> blockShift)
+	sites := r.sites
+	pred := c.pred
+	off, prev, seq := c.off, c.prev, uint64(c.pos)
+	for i := range out {
+		h := b[off]
+		off++
+		var idx uint32
+		if h&hdrSameSite != 0 {
+			idx = pred[prev-1].next - 1
+		} else {
+			v := uint64(b[off])
+			if v < 0x80 {
+				off++
+			} else {
+				var k int
+				v, k = binary.Uvarint(b[off:])
+				off += k
+			}
+			idx = uint32(v)
+			if int(idx) >= len(pred) {
+				// The site was recorded after this cursor was sized.
+				c.pred = append(c.pred, make([]predictor, len(sites)-len(c.pred))...)
+				pred = c.pred
+			}
+			if prev != 0 {
+				pred[prev-1].next = idx + 1
+			}
+		}
+		s := &sites[idx]
+		p := &pred[idx]
+		var addr, target uint64
+		switch (h >> hdrAddrShift) & codeMask {
+		case codePredicted:
+			addr = p.addr + p.stride
+		case codeDelta:
+			d, k := binary.Varint(b[off:])
+			off += k
+			addr = p.addr + p.stride + uint64(d)
+		}
+		switch (h >> hdrTargetShift) & codeMask {
+		case codePredicted:
+			target = p.target
+		case codeDelta:
+			d, k := binary.Varint(b[off:])
+			off += k
+			target = p.target + uint64(d)
+		}
+		p.stride = addr - p.addr
+		p.addr = addr
+		p.target = target
+		prev = idx + 1
+		// Field by field: a composite literal is built on the stack with
+		// narrow stores and copied out with wide loads, which stalls on
+		// store forwarding.
+		e := &out[i]
+		e.Seq = seq
+		e.PC = s.pc
+		e.Op = s.op
+		e.Kind = s.kind
+		e.Dst = s.dst
+		e.Src1 = s.src1
+		e.Src2 = s.src2
+		e.Addr = addr
+		e.Size = s.size
+		e.Taken = h&hdrTaken != 0
+		e.Faults = h&hdrFaults != 0
+		e.Target = target
+		seq++
+	}
+	c.off, c.prev = off, prev
+	c.pos += len(out)
+}
+
+// atRun is how many entries At decodes at a time. It divides blockEntries,
+// so an aligned run never crosses a block edge.
+const atRun = 64
+
+// atCache is At's state between calls: a cursor, and the aligned run of
+// entries it decoded last, buf[:n] holding entries start to start+n-1.
+type atCache struct {
+	cur      cursor
+	buf      [atRun]Entry
+	start, n int
+}
+
+// At reconstructs entry i. It serves entries from the aligned run of atRun
+// entries it decoded last, and decodes the next run from a cursor it keeps
+// between calls: a call costs a lock and a copy, plus one run of decoding
+// when i leaves the run, plus up to one block (blockEntries entries) of
+// decoding when it jumps back or to another block. Walking the trace in
+// ascending order is therefore O(1) per entry. Concurrent callers are safe;
+// they share the one cursor under the lock, so interleaved walks re-decode
+// from their block starts. Sequential readers should prefer a Replayer,
+// which decodes in bulk without locking.
+func (r *Recorder) At(i int) Entry {
+	if i < 0 || i >= r.n {
+		panic(fmt.Sprintf("trace: At(%d) out of range [0,%d)", i, r.n))
+	}
+	r.atMu.Lock()
+	a := &r.at
+	if i < a.start || i >= a.start+a.n {
+		r.fillRun(a, i)
+	}
+	e := a.buf[i-a.start]
+	r.atMu.Unlock()
+	return e
+}
+
+// fillRun decodes the aligned run holding entry i into a.buf.
+func (r *Recorder) fillRun(a *atCache, i int) {
+	c := &a.cur
+	start := i &^ (atRun - 1)
+	if start < c.pos || start>>blockShift != c.pos>>blockShift {
+		c.pos = start &^ blockMask
+	}
+	for c.pos < start {
+		r.decode(c, a.buf[:min(start-c.pos, atRun)])
+	}
+	a.start, a.n = start, min(atRun, r.n-start)
+	r.decode(c, a.buf[:a.n])
 }
 
 // Sink receives a trace in stream order as it is captured. A Recorder keeps
@@ -288,11 +528,12 @@ func (t *batchTee) ReadBatch(buf []Entry) int {
 // point of the original run (see the package comment above for why the
 // batch-lookahead shadow is exact). Like every Reader it is single-use;
 // create one per replay with Recorder.Replayer. Concurrent Replayers over
-// one shared Recorder are safe — the columns are never written after
-// capture — but an individual Replayer is not goroutine-safe.
+// one shared Recorder are safe — each decodes with its own cursor, and the
+// encoding is never written after capture — but an individual Replayer is
+// not goroutine-safe.
 type Replayer struct {
 	rec     *Recorder
-	pos     int
+	cur     cursor
 	applied int // start of the next effect-carrying batch (or rec.n)
 	effIdx  int // next effBatch to apply
 	chunks  int
@@ -307,6 +548,7 @@ func (r *Recorder) Replayer() *Replayer {
 		panic("trace: Replayer on overflowed Recorder")
 	}
 	rp := &Replayer{rec: r, applied: r.n}
+	rp.cur.pred = make([]predictor, len(r.sites))
 	if r.tokenWidth != 0 {
 		rp.chunks = lineBytes / int(r.tokenWidth)
 		rp.armed = make(map[uint64]struct{})
@@ -322,25 +564,25 @@ func (r *Recorder) Replayer() *Replayer {
 // ARM/DISARM effects to the token shadow, reproducing the functional
 // machine's one-batch lookahead over the timing model.
 func (rp *Replayer) Next() (Entry, bool) {
-	if rp.pos >= rp.rec.n {
+	if rp.cur.pos >= rp.rec.n {
 		return Entry{}, false
 	}
-	if rp.pos >= rp.applied {
+	if rp.cur.pos >= rp.applied {
 		rp.syncBatch()
 	}
-	e := rp.rec.At(rp.pos)
-	rp.pos++
-	return e, true
+	var e [1]Entry
+	rp.rec.decode(&rp.cur, e[:])
+	return e[0], true
 }
 
-// syncBatch applies the token effects of the indexed batch at rp.pos (the
-// invariant "reads never cross rp.applied" guarantees rp.pos is exactly that
-// batch's start), then advances rp.applied to the next effect-carrying
-// batch's start. Skipping effect-free batches is exact — applying nothing is
-// the same whenever it happens — and it is what lets ReadBatch hand out long
-// straight runs between ARM/DISARM points. The effect index is built at
-// capture time, so replay touches only the effects themselves, never the
-// trace in between.
+// syncBatch applies the token effects of the indexed batch at the cursor
+// (the invariant "reads never cross rp.applied" guarantees the cursor is
+// exactly at that batch's start), then advances rp.applied to the next
+// effect-carrying batch's start. Skipping effect-free batches is exact —
+// applying nothing is the same whenever it happens — and it is what lets
+// ReadBatch hand out long straight runs between ARM/DISARM points. The effect
+// index is built at capture time, so replay touches only the effects
+// themselves, never the trace in between.
 func (rp *Replayer) syncBatch() {
 	r := rp.rec
 	if rp.armed == nil || rp.effIdx >= len(r.effBatches) {
@@ -378,49 +620,22 @@ func (rp *Replayer) syncBatch() {
 func (rp *Replayer) ReadBatch(buf []Entry) int {
 	r := rp.rec
 	n := 0
-	for n < len(buf) && rp.pos < r.n {
-		if rp.pos >= rp.applied {
-			// rp.pos sits on an effect-carrying batch: it may only be
-			// yielded at the start of a ReadBatch call (see above), so an
+	for n < len(buf) && rp.cur.pos < r.n {
+		pos := rp.cur.pos
+		if pos >= rp.applied {
+			// pos sits on an effect-carrying batch: it may only be yielded
+			// at the start of a ReadBatch call (see above), so an
 			// in-progress call stops here.
 			if n > 0 {
 				break
 			}
 			rp.syncBatch()
 		}
-		// Copy the straight run bounded by the shadow sync point, the
-		// current block's edge and the buffer, with the block pointer and
-		// sequence arithmetic hoisted out of the entry loop.
-		end := rp.applied
-		if end > r.n {
-			end = r.n
-		}
-		if lim := rp.pos + (len(buf) - n); lim < end {
-			end = lim
-		}
-		if edge := (rp.pos | blockMask) + 1; edge < end {
-			end = edge
-		}
-		b := r.blocks[rp.pos>>blockShift]
-		for i := rp.pos & blockMask; rp.pos < end; i++ {
-			s := &b[i]
-			buf[n] = Entry{
-				Seq:    uint64(rp.pos),
-				PC:     s.pc,
-				Op:     isa.Op(s.op),
-				Kind:   Kind(s.kind),
-				Dst:    s.dst,
-				Src1:   s.src1,
-				Src2:   s.src2,
-				Addr:   s.addr,
-				Size:   s.sz,
-				Taken:  s.flags&flagTaken != 0,
-				Faults: s.flags&flagFaults != 0,
-				Target: s.target,
-			}
-			rp.pos++
-			n++
-		}
+		// Decode the straight run bounded by the shadow sync point, the
+		// trace's end, the buffer and the block's edge.
+		end := min(rp.applied, r.n, pos+len(buf)-n, (pos|blockMask)+1)
+		r.decode(&rp.cur, buf[n:n+end-pos])
+		n += end - pos
 	}
 	return n
 }

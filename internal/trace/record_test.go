@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"rest/internal/isa"
@@ -33,8 +35,14 @@ func TestRecorderRoundtrip(t *testing.T) {
 	if rec.Len() != len(es) {
 		t.Fatalf("Len = %d, want %d", rec.Len(), len(es))
 	}
-	if rec.Bytes() != uint64(len(es))*EntryBytes {
-		t.Errorf("Bytes = %d, want %d", rec.Bytes(), len(es)*EntryBytes)
+	// Every entry is a new site, so each codes its site index explicitly:
+	// a header byte and a one-byte index. Addr and Target deltas from a
+	// fresh site's zero prediction add three varint bytes apiece to entries
+	// 1, 2, 3, 5, 6 and 7 (0xbeef0, 0x2000, 0xbeef8, 0xc0c0, 0xc100 and
+	// 0x3000 all zigzag to values between 2^14 and 2^21). The nine
+	// site-table rows take 16 bytes each.
+	if want := uint64(9*2 + 6*3 + 9*16); rec.Bytes() != want {
+		t.Errorf("Bytes = %d, want %d", rec.Bytes(), want)
 	}
 	for i, want := range es {
 		if got := rec.At(i); !reflect.DeepEqual(got, want) {
@@ -99,7 +107,7 @@ func TestTeeModeFollowsSinkTokenWidth(t *testing.T) {
 }
 
 func TestRecorderOverflow(t *testing.T) {
-	rec := NewRecorder(0, 3*EntryBytes)
+	rec := NewRecorder(0, 3)
 	es := sampleEntries()
 	rec.AppendFrom(NewSliceReader(es))
 	if !rec.Overflowed() {
@@ -123,7 +131,7 @@ func TestRecorderOverflow(t *testing.T) {
 
 func TestRecorderLimitExact(t *testing.T) {
 	// A limit that exactly fits N entries must not trip on entry N.
-	rec := NewRecorder(0, 3*EntryBytes)
+	rec := NewRecorder(0, 3)
 	es := sampleEntries()[:3]
 	rec.AppendFrom(NewSliceReader(es))
 	if rec.Overflowed() {
@@ -209,22 +217,43 @@ func TestReplayerNoShadow(t *testing.T) {
 	}
 }
 
-// TestConcurrentReplayers pins the shared-Recorder contract: the columns are
-// read-only after capture, so independent Replayers may stream concurrently
-// (run under -race to make this meaningful).
+// TestConcurrentReplayers pins the shared-Recorder contract: the encoding is
+// read-only after capture, so independent Replayers may stream concurrently,
+// next to At callers sharing the Recorder's cursor (run under -race to make
+// this meaningful). The trace spans three blocks, so every reader crosses
+// block edges.
 func TestConcurrentReplayers(t *testing.T) {
+	want := synthEntries(synthProgram, 2*blockEntries+77, 8)
 	rec := NewRecorder(8, 0)
-	rec.AppendFrom(NewSliceReader(sampleEntries()))
-	done := make(chan []Entry, 4)
-	for i := 0; i < 4; i++ {
-		go func() { done <- Collect(rec.Replayer()) }()
+	rec.AppendFrom(NewSliceReader(want))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if got := Collect(rec.Replayer()); !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent replay diverged from the recorded trace")
+			}
+		}()
+		go func(seed int64) {
+			defer wg.Done()
+			// Two callers walk ascending runs, two jump at random.
+			rng := rand.New(rand.NewSource(seed))
+			i := rng.Intn(len(want))
+			for k := 0; k < 300; k++ {
+				if seed%2 == 0 {
+					i = rng.Intn(len(want))
+				} else {
+					i = (i + 1) % len(want)
+				}
+				if got := rec.At(i); got != want[i] {
+					t.Errorf("concurrent At(%d) = %+v, want %+v", i, got, want[i])
+					return
+				}
+			}
+		}(int64(g))
 	}
-	want := sampleEntries()
-	for i := 0; i < 4; i++ {
-		if got := <-done; !reflect.DeepEqual(got, want) {
-			t.Errorf("concurrent replay diverged: %+v", got)
-		}
-	}
+	wg.Wait()
 }
 
 // BenchmarkReplayerNext pins the hot loop's allocation contract: replaying an

@@ -525,11 +525,11 @@ func TestDiskCacheDetectedCellsNotStored(t *testing.T) {
 }
 
 // TestTraceLimitSameOnBothCapturePaths pins the per-trace limit to one entry
-// count on both capture paths: a disk-only capture, which streams into the
-// store's TraceWriter, and a shared capture, which records into a Recorder
-// that is then stored. Each stores a trace that exactly fits the limit and
-// nothing for a limit one entry shorter, so the store receives the same
-// traces whichever path captured them.
+// count for both kinds of capture that reach the store: a disk-only capture,
+// which nothing in the process replays, and a shared capture, which is also
+// published for a sibling cell. Both record into a Recorder under the limit;
+// each stores a trace that exactly fits it and nothing for a limit one entry
+// shorter, so the store receives the same traces whichever captured them.
 func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()

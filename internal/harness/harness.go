@@ -145,12 +145,12 @@ func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimi
 	return tc.run(wl, cfg, scale, lim)
 }
 
-// captureState carries a leader cell's publishing obligation through
-// runStreamed: however the run ends — publish, error or panic — the entry
-// resolves exactly once, so waiters can never block forever. A nil ent is a
-// disk-only capture (an identity unshared within this process, disk always
-// set): nothing is published and no Recorder is built; the trace streams
-// into the persistent store's TraceWriter under fid.
+// captureState is what a capturing cell owes once its trace is recorded.
+// A non-nil ent is a shared capture: the entry is published for the waiting
+// siblings, and however the run ends — publish, error or panic — it
+// resolves exactly once, so waiters can never block forever. A non-nil disk
+// stores the trace under fid. A capture may owe either or both; a disk-only
+// capture (ent nil) is an identity unshared within this process.
 type captureState struct {
 	tc   *TraceCache
 	ent  *traceEntry
@@ -159,8 +159,10 @@ type captureState struct {
 }
 
 // runStreamed executes one cell against the live functional simulator. A
-// non-nil cap additionally records the dynamic trace and publishes it (with
-// the cell's outcome and functional metrics) for sibling cells to replay.
+// non-nil cap additionally records the dynamic trace into a Recorder, under
+// the cache's per-trace limit, and hands it on as cap says: published (with
+// the cell's outcome and functional metrics) for sibling cells to replay,
+// stored for other processes, or both.
 func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, cap *captureState) (*RunResult, error) {
 	var deadline time.Time
 	if lim.Timeout > 0 {
@@ -200,30 +202,21 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	}
 	var stats *cpu.Stats
 	var out world.Outcome
-	switch {
-	case cap == nil:
+	if cap == nil {
 		stats, out = w.RunTimed()
-	case cap.ent == nil:
-		// Disk-only capture: nothing in this process replays the trace, so
-		// it streams straight into the store's encoder and is never held.
-		tw := cap.disk.NewTraceWriter(cap.fid, captureTokenWidth(cfg.Pass), cap.tc.perTraceLimit)
-		defer tw.Abort()
-		stats, out = w.RunTimedCapture(tw)
-		if out.Err == nil && !out.Detected() {
-			// A failed store is advisory (the run succeeded).
-			_ = tw.Commit(out.Checksum)
-		}
-	default:
+	} else {
 		rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), cap.tc.perTraceLimit)
 		stats, out = w.RunTimedCapture(rec)
-		// Only fully clean runs publish: the trace is then provably
+		// Only fully clean runs publish or store: the trace is then provably
 		// complete, which is what makes cross-timing replay exact.
 		if out.Err == nil && !out.Detected() {
 			if cap.disk != nil && !rec.Overflowed() {
 				// A failed store is advisory (the run succeeded).
 				_ = cap.disk.StoreTrace(cap.fid, rec, out.Checksum)
 			}
-			cap.tc.publish(cap.ent, rec, out, funcObs)
+			if cap.ent != nil {
+				cap.tc.publish(cap.ent, rec, out, funcObs)
+			}
 		}
 	}
 	if funcObs != nil {

@@ -66,10 +66,8 @@ type TraceCache struct {
 }
 
 // DefaultTraceLimit bounds one captured trace, in entries; a capture that
-// would exceed it is rejected and its waiters stream instead, trading speed
-// for bounded memory. A disk-only capture, which streams into the store
-// without a Recorder, is held to the same count, so the store receives
-// exactly the traces a recorded capture would give it. At scale 5, lbm and
+// would exceed it is rejected (its waiters stream instead, and the store
+// receives nothing), trading speed for bounded memory. At scale 5, lbm and
 // soplex capture just over it (2,203,651 and 2,110,389 entries), so the
 // value decides which of their cells replay there.
 const DefaultTraceLimit = 2_097_152

@@ -6,52 +6,62 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 )
 
-// fuzzSeeds builds the interesting starting shapes: valid files in both
-// block encodings, an empty trace, a version-skewed header, and classic
-// mutations (truncation, bit flip, hostile lengths). The committed corpus
-// under testdata/fuzz/FuzzTraceDecode mirrors these (see
-// TestWriteFuzzCorpus).
+// framedTrace wraps a serialized trace, well-formed or not, in a version-2
+// header whose CRCs hold, so only the payload's own validation can object.
+func framedTrace(payload []byte, entries uint64) []byte {
+	return traceFile(8, entries, 42, ID{}, payload)
+}
+
+// oneSitePayload is a serialized trace with a one-row site table and a
+// single block holding blk.
+func oneSitePayload(blk ...byte) []byte {
+	p := binary.AppendUvarint(nil, 1)
+	p = append(p, make([]byte, 14)...) // site 0: all-zero row
+	p = binary.AppendUvarint(p, uint64(len(blk)))
+	return append(p, blk...)
+}
+
+// fuzzSeeds builds the interesting starting shapes: valid files at token
+// widths 0 and 8, an empty trace, a truncated file, a flipped byte, files
+// whose CRCs hold around a hostile entry count, site count or site index or
+// a same-site entry with no recorded successor, and a file of the previous
+// format generation. The committed corpus under
+// testdata/fuzz/FuzzTraceDecode mirrors these (see TestWriteFuzzCorpus).
 func fuzzSeeds() [][]byte {
-	var seeds [][]byte
-	encode := func(n int, tokenWidth uint64, compress bool) []byte {
+	encode := func(n int, tokenWidth uint64) []byte {
 		rec := testTrace(n, tokenWidth)
 		defer rec.Release()
-		data, err := writerBytes(rec, SumID("fuzz-seed"), 42, compress)
+		data, err := storedBytes(rec, SumID("fuzz-seed"), 42)
 		if err != nil {
 			panic(err)
 		}
 		return data
 	}
-	validRaw := encode(64, 8, false)
-	validZ := encode(64, 8, true)
-	seeds = append(seeds, validRaw, validZ, encode(0, 0, false))
-
-	seeds = append(seeds, validRaw[:len(validRaw)/2]) // truncated mid-block
-	seeds = append(seeds, validRaw[:traceHeaderLen])  // header only, entries promised
-
-	flip := bytes.Clone(validZ)
+	valid0, valid8 := encode(64, 0), encode(64, 8)
+	flip := bytes.Clone(valid8)
 	flip[len(flip)-3] ^= 0x10
-	seeds = append(seeds, flip)
-
-	skew := bytes.Clone(validRaw)
-	binary.LittleEndian.PutUint32(skew[8:12], FormatVersion+9)
-	binary.LittleEndian.PutUint32(skew[76:80], crc32.ChecksumIEEE(skew[:76]))
-	seeds = append(seeds, skew)
-
-	hostile := bytes.Clone(validRaw)
-	binary.LittleEndian.PutUint64(hostile[24:32], 1<<60) // absurd entry count
-	binary.LittleEndian.PutUint32(hostile[76:80], crc32.ChecksumIEEE(hostile[:76]))
-	seeds = append(seeds, hostile)
-
-	seeds = append(seeds, []byte{}, []byte(traceMagic))
-	return seeds
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.trc"))
+	if err != nil {
+		panic(err)
+	}
+	return [][]byte{
+		valid0,
+		valid8,
+		encode(0, 0),
+		valid8[:len(valid8)/2], // truncated mid-payload
+		flip,
+		framedTrace(valid0[traceHeaderLen:], 1<<60),      // entry count far past the payload
+		framedTrace(binary.AppendUvarint(nil, 1<<40), 1), // site count far past the payload
+		framedTrace(oneSitePayload(0x00, 0x07), 1),       // site index 7 of a one-site table
+		framedTrace(oneSitePayload(0x00, 0x00, 0x04), 2), // same site (bit 2), no successor recorded
+		v1,
+	}
 }
 
 // FuzzTraceDecode is the robustness contract in executable form: decodeTrace
@@ -62,7 +72,7 @@ func FuzzTraceDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, _, err := decodeTrace(bytes.NewReader(data), nil)
+		rec, _, err := decodeTrace(data, nil)
 		if err != nil {
 			if rec != nil {
 				t.Fatal("non-nil recorder alongside an error")
@@ -74,11 +84,20 @@ func FuzzTraceDecode(f *testing.F) {
 			}
 			return
 		}
-		// A successful decode must re-encode: the recorder is structurally
-		// sound, not just non-crashing.
+		// A successful decode must store and load again: the recorder is
+		// structurally sound, not just non-crashing.
 		defer rec.Release()
-		if _, err := writerBytes(rec, SumID("fuzz-reencode"), 0, false); err != nil {
-			t.Fatalf("decoded recorder does not re-encode: %v", err)
+		again, err := storedBytes(rec, SumID("fuzz-reencode"), 0)
+		if err != nil {
+			t.Fatalf("decoded recorder does not store: %v", err)
+		}
+		back, _, err := decodeTrace(again, nil)
+		if err != nil {
+			t.Fatalf("re-stored recorder does not decode: %v", err)
+		}
+		defer back.Release()
+		if back.Len() != rec.Len() {
+			t.Fatalf("re-stored recorder holds %d entries, want %d", back.Len(), rec.Len())
 		}
 	})
 }

@@ -7,41 +7,28 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"rest/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 const goldenChecksum = 0x5ec0de5ec0de
 
-// goldenTrace is the fixed recording behind testdata/golden_v1.trc. It is
-// stored uncompressed so the committed bytes depend only on this format, not
-// on any compressor's output across Go releases.
-func goldenTrace() *trace.Recorder {
-	return testTrace(300, 8)
-}
-
-func goldenID() ID { return SumID("golden-v1") }
-
-// TestGoldenV1TraceFile pins the committed version-1 artifact three ways:
-// TraceWriter still produces those exact bytes, today's decoder still
-// reads them back to the original recording, and a version bump turns the
-// same file into a clean *VersionError rejection (the recompute path), never
-// a crash or a misread. This is the compatibility contract a cache on disk
+// TestGoldenV2TraceFile pins the committed version-2 artifact three ways:
+// StoreTrace still produces those exact bytes, today's decoder still reads
+// them back to the original recording, and a version bump turns the same
+// file into a clean *VersionError rejection (the recompute path), never a
+// crash or a misread. This is the compatibility contract a cache on disk
 // survives across releases by.
-func TestGoldenV1TraceFile(t *testing.T) {
-	path := filepath.Join("testdata", "golden_v1.trc")
-	rec := goldenTrace()
+func TestGoldenV2TraceFile(t *testing.T) {
+	path := filepath.Join("testdata", "golden_v2.trc")
+	rec := testTrace(300, 8) // the fixed recording behind the file
 	defer rec.Release()
-	encoded, err := writerBytes(rec, goldenID(), goldenChecksum, false)
+	id := SumID("golden-v2")
+	encoded, err := storedBytes(rec, id, goldenChecksum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, encoded, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -51,13 +38,12 @@ func TestGoldenV1TraceFile(t *testing.T) {
 		t.Fatalf("golden file missing (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(committed, encoded) {
-		t.Fatalf("encoder no longer reproduces the committed v1 bytes (%d vs %d bytes) — if the format changed, bump FormatVersion and regenerate with -update", len(encoded), len(committed))
+		t.Fatalf("encoder no longer reproduces the committed v2 bytes (%d vs %d bytes) — if the format changed, bump FormatVersion and add a golden file for the new generation", len(encoded), len(committed))
 	}
 
-	id := goldenID()
-	got, checksum, err := decodeTrace(bytes.NewReader(committed), &id)
+	got, checksum, err := decodeTrace(committed, &id)
 	if err != nil {
-		t.Fatalf("decoder no longer reads the committed v1 file: %v", err)
+		t.Fatalf("decoder no longer reads the committed v2 file: %v", err)
 	}
 	defer got.Release()
 	if checksum != goldenChecksum {
@@ -68,23 +54,41 @@ func TestGoldenV1TraceFile(t *testing.T) {
 	// The same bytes stamped with a future format generation must be
 	// refused up front.
 	var verr *VersionError
-	if _, _, err := decodeTrace(bytes.NewReader(patchVersion(t, committed, FormatVersion+1)), &id); !errors.As(err, &verr) {
+	if _, _, err := decodeTrace(patchVersion(t, committed, FormatVersion+1), &id); !errors.As(err, &verr) {
 		t.Fatalf("version-bumped golden file: want *VersionError, got %v", err)
 	}
+}
 
-	// End to end through a cache directory: a version-skewed file behaves
-	// exactly like a miss after its one rejection.
-	dir := t.TempDir()
-	c, err := Open(dir, Options{NoCompress: true})
+// TestGoldenV1TraceFile keeps the previous generation's committed artifact
+// (31-byte packed entries) as a fixture of what a store written by an older
+// binary holds. This build refuses it as *VersionError, and a cache that
+// finds it deletes it on the first load, answers ErrMiss after that and
+// counts one corruption: the entry is recomputed once, never misread.
+func TestGoldenV1TraceFile(t *testing.T) {
+	committed, err := os.ReadFile(filepath.Join("testdata", "golden_v1.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := SumID("golden-v1")
+	var verr *VersionError
+	if _, _, err := decodeTrace(committed, &id); !errors.As(err, &verr) || verr.Got != 1 {
+		t.Fatalf("v1 file: want *VersionError for version 1, got %v", err)
+	}
+
+	c, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := os.WriteFile(c.path(kindTrace, id), patchVersion(t, committed, FormatVersion+1), 0o644); err != nil {
+	path := c.path(kindTrace, id)
+	if err := os.WriteFile(path, committed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.LoadTrace(id); !errors.As(err, &verr) {
-		t.Fatalf("cache load of skewed file: %v", err)
+		t.Fatalf("cache load of the v1 file: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("v1 file not deleted on its first load")
 	}
 	if _, _, err := c.LoadTrace(id); !errors.Is(err, ErrMiss) {
 		t.Fatalf("second load after rejection: %v", err)

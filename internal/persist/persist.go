@@ -47,7 +47,7 @@ import (
 // encoded byte layout changes — or whenever the simulator changes in a way
 // that alters captured traces or timing results — and every existing cache
 // entry is cleanly rejected (recomputed and rewritten), never misread.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // ID is a content address: the SHA-256 digest of a canonical identity
 // string. Files are named by its hex form.
@@ -106,9 +106,6 @@ type Options struct {
 	// evictions, no manifest rewrites, no lock files, and corrupt files are
 	// reported but left in place. The directory must already exist.
 	ReadOnly bool
-	// NoCompress stores trace blocks raw instead of flate-compressed
-	// (reads always follow the file's own header flag).
-	NoCompress bool
 	// LockWait bounds how long WaitUnlocked blocks on another process's
 	// capture lock before giving up (default 60s).
 	LockWait time.Duration
@@ -393,12 +390,21 @@ func (c *Cache) discard(kind string, id ID) {
 
 // admit publishes a freshly stored object into the index, evicting
 // least-recently-used entries until the byte cap holds again, and flushes
-// the manifest. Caller must not hold mu.
+// the manifest. An object larger than the whole cap is deleted instead, and
+// evicts nothing. Caller must not hold mu.
 func (c *Cache) admit(kind string, id ID, size int64) error {
 	c.mu.Lock()
 	key := kind + "/" + id.String()
 	if old, ok := c.entries[key]; ok {
+		// The store replaced the old object.
 		c.total -= old.Bytes
+		delete(c.entries, key)
+	}
+	if c.opt.MaxBytes > 0 && size > c.opt.MaxBytes {
+		c.c.Rejected++
+		c.mu.Unlock()
+		c.b.Delete(kind, id.String())
+		return nil
 	}
 	e := &entry{ID: id.String(), Kind: kind, Bytes: size, LastUse: time.Now().UnixNano()}
 	c.entries[key] = e
@@ -427,20 +433,6 @@ func (c *Cache) admit(kind string, id ID, size int64) error {
 			c.c.Evictions++
 			victimKinds = append(victimKinds, v.Kind)
 			victimIDs = append(victimIDs, v.ID)
-		}
-		if c.total > c.opt.MaxBytes {
-			// The new entry alone exceeds the whole cap: storing it was
-			// pointless, undo it.
-			c.total -= e.Bytes
-			delete(c.entries, key)
-			c.c.Stores--
-			c.c.Rejected++
-			c.mu.Unlock()
-			for i := range victimIDs {
-				c.b.Delete(victimKinds[i], victimIDs[i])
-			}
-			c.b.Delete(kind, id.String())
-			return nil
 		}
 	}
 	err := c.flushManifestLocked()

@@ -19,9 +19,10 @@ import (
 	"rest/internal/trace"
 )
 
-// testTrace builds a deterministic recorder exercising every packed field:
+// testTrace builds a deterministic recorder exercising every entry field:
 // memory ops with addresses and sizes, taken and fallthrough branches with
-// targets, faulting entries, the full register byte range.
+// targets, faulting entries, the full register byte range. Every entry is
+// at a new PC, so none of it is predictable.
 func testTrace(n int, tokenWidth uint64) *trace.Recorder {
 	rec := trace.NewRecorder(tokenWidth, 0)
 	for i := 0; i < n; i++ {
@@ -48,6 +49,42 @@ func testTrace(n int, tokenWidth uint64) *trace.Recorder {
 	return rec
 }
 
+// loopTrace is a capture-shaped trace: a short loop body re-executed with a
+// striding load, which encodes as compactly as real sweep traces do (about
+// a byte per entry).
+func loopTrace(n int, tokenWidth uint64) *trace.Recorder {
+	ops := []isa.Op{isa.OpLoad, isa.OpAdd, isa.OpStore, isa.OpAdd, isa.OpBeq}
+	rec := trace.NewRecorder(tokenWidth, 0)
+	for i := 0; i < n; i++ {
+		k := i % len(ops)
+		e := trace.Entry{PC: 0x400000 + uint64(k)*4, Op: ops[k], Dst: uint8(k + 1), Src1: uint8(k), Src2: 2}
+		switch ops[k] {
+		case isa.OpLoad, isa.OpStore:
+			e.Addr, e.Size = 0x10000+uint64(i/len(ops))*8, 8
+		case isa.OpBeq:
+			e.Taken, e.Target = true, 0x400000
+		}
+		rec.Append(e)
+	}
+	return rec
+}
+
+// shapedTrace builds a trace the encoding compresses (loopTrace: predicted
+// entries, about a byte each) or one it cannot (testTrace: every entry a
+// new site, carried by its own site-table row and explicit values).
+func shapedTrace(compress bool, n int, tokenWidth uint64) *trace.Recorder {
+	if compress {
+		return loopTrace(n, tokenWidth)
+	}
+	return testTrace(n, tokenWidth)
+}
+
+// traceShapes are the two shapedTrace kinds the codec tests run over.
+var traceShapes = []struct {
+	name     string
+	compress bool
+}{{"compressed", true}, {"raw", false}}
+
 func assertTraceEqual(t *testing.T, want, got *trace.Recorder) {
 	t.Helper()
 	if want.Len() != got.Len() {
@@ -63,22 +100,23 @@ func assertTraceEqual(t *testing.T, want, got *trace.Recorder) {
 	}
 }
 
+// traceBlockEntries is the trace encoding's block size: traces one entry
+// either side of a multiple of it end in a full or a one-entry block.
+const traceBlockEntries = 16384
+
+// TestTraceCodecRoundTrip stores a multi-block trace of each shape and
+// loads it back: the same entries and checksum, counted as one store and
+// one hit.
 func TestTraceCodecRoundTrip(t *testing.T) {
-	for _, tt := range []struct {
-		name string
-		opt  Options
-	}{
-		{"compressed", Options{}},
-		{"raw", Options{NoCompress: true}},
-	} {
+	for _, tt := range traceShapes {
 		t.Run(tt.name, func(t *testing.T) {
-			c, err := Open(t.TempDir(), tt.opt)
+			c, err := Open(t.TempDir(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			// Spans multiple blocks (> diskBlockEntries entries).
-			rec := testTrace(diskBlockEntries+1234, 8)
+			rec := shapedTrace(tt.compress, traceBlockEntries+1234, 8)
+			defer rec.Release()
 			id := SumID("round-trip/" + tt.name)
 			if err := c.StoreTrace(id, rec, 0xfeedface); err != nil {
 				t.Fatal(err)
@@ -102,23 +140,18 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 
 // TestTraceDecodeEveryByteFlip flips one bit in every byte position of a
 // stored trace file and demands a typed error each time: the format has no
-// byte whose silent mutation can survive validation, in either block
-// encoding.
+// byte whose silent mutation can survive validation, whether its entries
+// are predicted or carried explicitly.
 func TestTraceDecodeEveryByteFlip(t *testing.T) {
-	for _, tt := range []struct {
-		name string
-		opt  Options
-	}{
-		{"compressed", Options{}},
-		{"raw", Options{NoCompress: true}},
-	} {
+	for _, tt := range traceShapes {
 		t.Run(tt.name, func(t *testing.T) {
-			c, err := Open(t.TempDir(), tt.opt)
+			c, err := Open(t.TempDir(), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			rec := testTrace(100, 8)
+			rec := shapedTrace(tt.compress, 100, 8)
+			defer rec.Release()
 			id := SumID("flip/" + tt.name)
 			if err := c.StoreTrace(id, rec, 7); err != nil {
 				t.Fatal(err)
@@ -130,7 +163,7 @@ func TestTraceDecodeEveryByteFlip(t *testing.T) {
 			for i := range raw {
 				mut := bytes.Clone(raw)
 				mut[i] ^= 0x40
-				got, _, derr := decodeTrace(bytes.NewReader(mut), &id)
+				got, _, derr := decodeTrace(mut, &id)
 				if derr == nil {
 					got.Release()
 					t.Fatalf("flip at byte %d/%d decoded successfully", i, len(raw))
@@ -148,7 +181,7 @@ func TestTraceDecodeEveryByteFlip(t *testing.T) {
 // TestTraceDecodeTruncation truncates a stored trace at every prefix length
 // and demands a typed error, never a short replay.
 func TestTraceDecodeTruncation(t *testing.T) {
-	c, err := Open(t.TempDir(), Options{NoCompress: true})
+	c, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +196,7 @@ func TestTraceDecodeTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(raw); n++ {
-		got, _, derr := decodeTrace(bytes.NewReader(raw[:n]), &id)
+		got, _, derr := decodeTrace(raw[:n], &id)
 		if derr == nil {
 			got.Release()
 			t.Fatalf("truncation to %d/%d bytes decoded successfully", n, len(raw))
@@ -281,10 +314,10 @@ func TestStoreResultRefusesDetections(t *testing.T) {
 
 // TestLRUEviction fills a capped cache and checks the oldest-used entries
 // fall out first, that a hit refreshes recency, and that an entry larger
-// than the whole cap is rejected outright.
+// than the whole cap is rejected outright, evicting nothing.
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, Options{MaxBytes: 3 * int64(resultFileLen), NoCompress: true})
+	c, err := Open(dir, Options{MaxBytes: 3 * int64(resultFileLen)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,21 +359,35 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("counters: %+v", cc)
 	}
 
-	// An entry alone exceeding the cap is rejected, not admitted.
-	big, err := Open(t.TempDir(), Options{MaxBytes: 10, NoCompress: true})
+	// An entry alone exceeding the cap is rejected outright: it evicts
+	// nothing, and leaves nothing of its own on disk.
+	big, err := Open(t.TempDir(), Options{MaxBytes: 3 * int64(resultFileLen)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer big.Close()
-	if err := big.StoreResult(SumID("too-big"), &CellResult{Stats: testStats()}); err != nil {
+	kept := []ID{SumID("kept-0"), SumID("kept-1")}
+	for _, id := range kept {
+		if err := big.StoreResult(id, &CellResult{Stats: testStats()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tooBig := testTrace(1000, 8)
+	defer tooBig.Release()
+	if err := big.StoreTrace(SumID("too-big"), tooBig, 1); err != nil {
 		t.Fatal(err)
 	}
 	bc := big.Counters()
-	if bc.Rejected != 1 || bc.Entries != 0 || bc.Bytes != 0 {
+	if bc.Rejected != 1 || bc.Evictions != 0 || bc.Entries != 2 || bc.Bytes != uint64(2*resultFileLen) {
 		t.Fatalf("oversized store counters: %+v", bc)
 	}
-	if _, err := os.Stat(big.path(kindResult, SumID("too-big"))); !os.IsNotExist(err) {
+	if _, err := os.Stat(big.path(kindTrace, SumID("too-big"))); !os.IsNotExist(err) {
 		t.Fatal("oversized entry left on disk")
+	}
+	for _, id := range kept {
+		if _, err := big.LoadResult(id); err != nil {
+			t.Fatalf("an oversized store evicted a resident entry: %v", err)
+		}
 	}
 }
 
@@ -349,7 +396,7 @@ func TestLRUEviction(t *testing.T) {
 // a fresh Open recovers the full store from the files alone.
 func TestManifestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, Options{NoCompress: true})
+	c, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +423,7 @@ func TestManifestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(dir, Options{NoCompress: true})
+	re, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +452,7 @@ func TestManifestCrashRecovery(t *testing.T) {
 	// Losing the manifest entirely costs nothing but recency either.
 	re.Close()
 	os.Remove(filepath.Join(dir, manifestName))
-	re2, err := Open(dir, Options{NoCompress: true})
+	re2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,12 +468,12 @@ func TestManifestCrashRecovery(t *testing.T) {
 // file.
 func TestConcurrentCachesSingleFlight(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir, Options{NoCompress: true})
+	a, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Open(dir, Options{NoCompress: true})
+	b, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +538,7 @@ func TestConcurrentCachesSingleFlight(t *testing.T) {
 	if m.Version != FormatVersion {
 		t.Fatalf("manifest version %d", m.Version)
 	}
-	fresh, err := Open(dir, Options{NoCompress: true})
+	fresh, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +558,7 @@ func TestConcurrentCachesSingleFlight(t *testing.T) {
 
 func TestReadOnlySemantics(t *testing.T) {
 	dir := t.TempDir()
-	rw, err := Open(dir, Options{NoCompress: true})
+	rw, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +630,7 @@ func patchVersion(t *testing.T, raw []byte, v uint32) []byte {
 // misread.
 func TestVersionSkewRejected(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(dir, Options{NoCompress: true})
+	c, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

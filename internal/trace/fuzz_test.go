@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -104,9 +105,11 @@ var synthProgram = []byte{
 // FuzzRecorderRoundtrip is the codec's correctness contract: any entry
 // sequence, expanded from (program, count, width) by synthEntries, comes back
 // bit-exact through At in ascending and random order, through Next, and
-// through ReadBatch with random batch sizes; and a batch-reading Replayer's
+// through ReadBatch with random batch sizes; a batch-reading Replayer's
 // token shadow matches one driven entry at a time at every entry it hands
-// out. count reaches past blockEntries, so decoding crosses blocks. The
+// out; and the serialized form round-trips, DecodeRecorder giving back a
+// Recorder with the same entries and storage that serializes to the same
+// bytes. count reaches past blockEntries, so decoding crosses blocks. The
 // committed corpus under testdata/fuzz/FuzzRecorderRoundtrip seeds it.
 func FuzzRecorderRoundtrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte, count uint16, width uint8) {
@@ -154,6 +157,31 @@ func FuzzRecorderRoundtrip(f *testing.F) {
 		}
 		if pos != len(es) {
 			t.Fatalf("ReadBatch yielded %d entries, want %d", pos, len(es))
+		}
+
+		enc := rec.AppendEncoding(nil)
+		dec, err := DecodeRecorder(w, uint64(len(es)), enc)
+		if err != nil {
+			t.Fatalf("DecodeRecorder: %v", err)
+		}
+		if dec.Bytes() != rec.Bytes() {
+			t.Fatalf("decoded Recorder holds %d bytes, the original %d", dec.Bytes(), rec.Bytes())
+		}
+		if again := dec.AppendEncoding(nil); !bytes.Equal(again, enc) {
+			t.Fatalf("decoded Recorder serializes to %d different bytes, the original to %d", len(again), len(enc))
+		}
+		rp := dec.Replayer()
+		pos = 0
+		for n := rp.ReadBatch(buf); n > 0; n = rp.ReadBatch(buf) {
+			for _, e := range buf[:n] {
+				if e != es[pos] {
+					t.Fatalf("decoded entry %d = %+v, want %+v", pos, e, es[pos])
+				}
+				pos++
+			}
+		}
+		if pos != len(es) {
+			t.Fatalf("decoded Recorder yielded %d entries, want %d", pos, len(es))
 		}
 	})
 }

@@ -54,7 +54,8 @@ const lineBytes = 64
 // The prediction state starts afresh every blockEntries entries, so each
 // block decodes on its own given the site table: reaching entry i costs at
 // most one block of decoding, and ReadBatch decodes runs clamped to block
-// edges straight into the caller's buffer.
+// edges straight into the caller's buffer. The same bytes are the trace's
+// serialized form (see encoding.go).
 const (
 	blockShift   = 14
 	blockEntries = 1 << blockShift
@@ -465,9 +466,8 @@ func (r *Recorder) fillRun(a *atCache, i int) {
 	r.decode(c, a.buf[:a.n])
 }
 
-// Sink receives a trace in stream order as it is captured. A Recorder keeps
-// it in memory for replay; the persistent store's trace writer encodes it for
-// disk without holding it. TokenWidth is the width the trace's ARM/DISARM
+// Sink receives a trace in stream order as it is captured; a Recorder is
+// the one that keeps it. TokenWidth is the width the trace's ARM/DISARM
 // entries operate on (0 for traces from non-REST worlds).
 type Sink interface {
 	Append(Entry)

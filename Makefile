@@ -14,10 +14,10 @@
 #   make bench-smoke every benchmark in every package, one iteration each —
 #                    proves the bench suite still compiles and runs
 #   make bench-json  measure the sweep-cache A/Bs (in-memory capture/replay,
-#                    persistent cold vs warm) and record them as
-#                    $(BENCH_JSON) (the perf trajectory artifact; one file
-#                    per PR, never clobbered: override BENCH_JSON to regen
-#                    an older point)
+#                    persistent result store cold vs warm) and record them
+#                    as $(BENCH_JSON), by default .bench_build/BENCH.json,
+#                    which git ignores; the committed BENCH_<n>.json history
+#                    points are rewritten only when BENCH_JSON names one
 #   make chaos-short the storage-chaos differential wall: the sensitivity
 #                    sweep under seeded fault injection at 0/10/50/100%
 #                    per-op rates, cold -j1 and warm -j4, byte-identical to
@@ -31,7 +31,7 @@
 GO         ?= go
 FUZZTIME   ?= 10s
 SEED       ?= 42
-BENCH_JSON ?= BENCH_10.json
+BENCH_JSON ?= .bench_build/BENCH.json
 CACHE_DIR  ?= .restcache
 
 .PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke bench-json chaos-short watch-demo clean-cache verify
@@ -82,11 +82,13 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # The Figure 8 sensitivity sweep A/Bs — in-memory cache on vs off (best of
-# two rounds each) and persistent cache cold vs warm — plus the interpreter
-# A/B (decoded-block engine vs reference, with its >= 3x floor), recorded as
-# a machine-readable point of the perf trajectory. Writes $(BENCH_JSON), a
-# per-PR file, so older committed points are never clobbered.
+# two rounds each) and persistent result store cold vs warm — plus the
+# interpreter A/B (decoded-block engine vs reference, with its >= 3x floor),
+# recorded as a machine-readable point of the perf trajectory. Writes
+# $(BENCH_JSON); the default lies outside the committed history points, so
+# a plain `make bench-json` never clobbers one.
 bench-json:
+	mkdir -p $(dir $(BENCH_JSON))
 	$(GO) test -run TestBenchJSON -timeout 30m -bench-json=$(BENCH_JSON) .
 
 # The storage fault plane's CI gate: deterministic chaos injection (fixed

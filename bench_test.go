@@ -192,7 +192,7 @@ func BenchmarkFig8CaptureReplay(b *testing.B) {
 
 // runFig8SensitivityDisk times one Figure 8 sensitivity sweep against a
 // persistent cache directory (a fresh TraceCache each call, so every hit is
-// the disk tiers' doing, not in-process memory) and returns the wall clock
+// the result store's doing, not in-process memory) and returns the wall clock
 // with the store's counters.
 func runFig8SensitivityDisk(tb testing.TB, dir string, popt persist.Options) (time.Duration, persist.Counters) {
 	tb.Helper()
@@ -445,9 +445,9 @@ func parseElasticSummary(tb testing.TB, stderr string) elasticSummary {
 }
 
 // benchJSONPath gates TestBenchJSON: `make bench-json` passes
-// -bench-json=BENCH_<n>.json (one artifact per PR; see the Makefile's
-// BENCH_JSON variable) to record the sweep A/Bs as committed machine-readable
-// artifacts.
+// -bench-json=$(BENCH_JSON) (by default .bench_build/BENCH.json; the
+// committed BENCH_<n>.json history points are written only when named
+// explicitly) to record the sweep A/Bs as a machine-readable artifact.
 var benchJSONPath = flag.String("bench-json", "", "write the sweep A/B measurements to this JSON file")
 
 // simColdRate measures cold functional throughput (fresh world per round,
@@ -611,8 +611,8 @@ func TestBenchJSON(t *testing.T) {
 	// read-through memory cache, and later sweeps measure the warm path the
 	// cache exists for. Before that cache, this leg ran at ~380% of the
 	// directory sweep; the gate now holds it to 50% plus a small absolute
-	// epsilon for the requests that still must cross the wire (manifest and
-	// marker meta reads are never cached).
+	// epsilon for the requests that still must cross the wire (marker meta
+	// reads are never cached).
 	httpURL := serveCacheDir(t, dir)
 	hb, err := persist.NewHTTPBackend(httpURL, persist.HTTPOptions{})
 	if err != nil {
@@ -672,7 +672,6 @@ func TestBenchJSON(t *testing.T) {
 		DiskReductionPct float64 `json:"disk_warm_reduction_pct"`
 		DiskStores       uint64  `json:"disk_cold_stores"`
 		DiskResultHits   uint64  `json:"disk_warm_result_hits"`
-		DiskTraceHits    uint64  `json:"disk_warm_trace_hits"`
 		WarmBareNs       int64   `json:"disk_warm_bare_ns"`
 		WarmHardenedNs   int64   `json:"disk_warm_hardened_ns"`
 		HardeningPct     float64 `json:"hardening_overhead_pct"`
@@ -708,7 +707,6 @@ func TestBenchJSON(t *testing.T) {
 		DiskReductionPct: warmReduction,
 		DiskStores:       coldC.Stores,
 		DiskResultHits:   warmC.ResultHits,
-		DiskTraceHits:    warmC.TraceHits,
 		WarmBareNs:       bareWarm.Nanoseconds(),
 		WarmHardenedNs:   hardenedWarm.Nanoseconds(),
 		HardeningPct:     hardeningOverhead,

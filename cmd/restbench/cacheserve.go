@@ -1,15 +1,14 @@
-// The -cache-serve surface: a standalone artifact-cache server. Elastic pool
+// The -cache-serve surface: a standalone result-store server. Elastic pool
 // workers (-shard auto) and plain runs on other machines (or just other PIDs)
-// point -cache-url at it and share one store: captured traces, memoized cell
-// results, unit completion markers, and the cross-process capture locks and
-// unit leases all live behind the wire protocol that internal/persist's
-// CacheServer and HTTPBackend speak.
+// point -cache-url at it and share one store: memoized cell results, unit
+// completion markers and unit leases all live behind the wire protocol that
+// internal/persist's CacheServer and HTTPBackend speak.
 //
 // The server is deliberately dumb — it serves whatever persist.Backend it
 // wraps (here a DirBackend) and keeps the advisory lock leases; all cache
-// policy (admission, eviction, integrity, retry) stays in the clients, so a
-// server restart loses nothing but in-flight leases, and even those degrade
-// to the lock files' mtime-based recovery.
+// policy (integrity, retry) stays in the clients, so a server restart loses
+// nothing but in-flight leases, and even those degrade to the lock files'
+// mtime-based recovery.
 package main
 
 import (

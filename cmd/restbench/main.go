@@ -48,20 +48,18 @@
 //	                 (on by default; reports are byte-identical either way —
 //	                 the replay differential tests pin that). Cache hit/miss
 //	                 counts print to stderr after the sweeps.
-//	-cache-dir DIR   persistent artifact cache: captured traces and clean
-//	                 cell results are stored under DIR and reused by later
-//	                 invocations, making repeated sweeps incremental.
-//	                 Reports are byte-identical cold, warm or with the cache
-//	                 off; a corrupt or version-skewed file silently degrades
-//	                 to recompute-and-rewrite. Store activity prints to
-//	                 stderr after the sweeps.
-//	-cache-max-bytes N  byte cap on the cache directory; least-recently-used
-//	                 entries are evicted past it (default 2 GiB)
-//	-cache-rw        read-write cache mode (the default when -cache-dir is
-//	                 set)
+//	-cache-dir DIR   persistent result store: every clean sweep cell's
+//	                 stats are stored under DIR (161 bytes each) and reused
+//	                 by later invocations, making repeated sweeps
+//	                 incremental; -stats cells need a live world, so they
+//	                 always recompute. Reports are byte-identical cold, warm
+//	                 or without a store; a corrupt or version-skewed file
+//	                 silently degrades to recompute-and-rewrite. Store
+//	                 activity prints to stderr after the sweeps. A traces/
+//	                 directory or manifest.json left by older builds is
+//	                 never read and is safe to delete
 //	-cache-ro        read-only mode: reuse what is stored, write nothing
 //	                 (the directory must already exist)
-//	-cache-off       ignore -cache-dir for this invocation
 //	-cache-chaos SPEC  inject seeded storage faults around the cache backend
 //	                 (drills and tests; reports stay byte-identical because
 //	                 every fault degrades to recompute). SPEC is comma-
@@ -95,8 +93,8 @@
 //	                 leases from killed or stalled workers, and exit when
 //	                 the grid drains; stdout stays empty. Any number of
 //	                 workers may join or die mid-sweep
-//	-cache-stale-age D  age past which an abandoned cache lock or lease
-//	                 (a crashed worker) is considered dead and stolen
+//	-cache-stale-age D  age past which an abandoned elastic claim or lease
+//	                 (a crashed worker's) is considered dead and stolen
 //	                 (default 10m; CI drills shrink it)
 //
 // Observability controls (all off by default; none of them perturbs stdout,
@@ -157,9 +155,7 @@ import (
 type cacheFlagState struct {
 	Dir         string
 	URL         string // -cache-url (HTTP backend; mutually exclusive with Dir)
-	MaxBytes    int64
-	MaxBytesSet bool // -cache-max-bytes given explicitly
-	RW, RO, Off bool
+	RO          bool   // -cache-ro
 	TraceCache  bool   // -trace-cache (the in-memory tier the disk rides on)
 	Chaos       string // -cache-chaos spec (empty = no chaos)
 	Retries     int
@@ -175,46 +171,26 @@ type cacheFlagState struct {
 // the effective store mode, the parsed chaos spec, and whether this process
 // is an elastic pool worker.
 type cacheSetup struct {
-	Mode    string // "rw", "ro" or "off"
+	Mode    string // "rw" or "ro"
 	Chaos   *persist.ChaosSpec
 	Elastic bool // -shard auto
 }
 
 // validateCacheFlags rejects contradictory persistent-cache spellings with
-// one actionable line each, resolves the effective mode ("rw", "ro" or
-// "off"; "rw" is the default when a store is configured), and parses the
-// chaos spec if given.
+// one actionable line each, resolves the effective mode ("rw", the default,
+// or "ro"), and parses the chaos spec if given.
 func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 	var none cacheSetup
 	if s.Dir != "" && s.URL != "" {
 		return none, errors.New("restbench: -cache-dir and -cache-url are mutually exclusive; pass one store, not both")
 	}
 	store := s.Dir != "" || s.URL != ""
-	n := 0
-	for _, b := range []bool{s.RW, s.RO, s.Off} {
-		if b {
-			n++
-		}
-	}
-	if n > 1 {
-		return none, errors.New("restbench: -cache-rw, -cache-ro and -cache-off are mutually exclusive; pass at most one")
-	}
 	mode := "rw"
-	switch {
-	case s.RO:
+	if s.RO {
 		mode = "ro"
-	case s.Off:
-		mode = "off"
 	}
-	hardening := s.Chaos != "" || s.RetriesSet || s.TimeoutSet || s.StaleAgeSet
-	if !store && (n > 0 || s.MaxBytesSet || hardening) {
-		return none, errors.New("restbench: -cache-rw/-cache-ro/-cache-off/-cache-max-bytes/-cache-chaos/-cache-retries/-cache-timeout/-cache-stale-age configure the persistent cache; pass -cache-dir DIR or -cache-url URL to enable it")
-	}
-	if s.MaxBytesSet && s.MaxBytes <= 0 {
-		return none, fmt.Errorf("restbench: -cache-max-bytes must be positive, got %d", s.MaxBytes)
-	}
-	if mode == "off" && hardening {
-		return none, errors.New("restbench: -cache-chaos/-cache-retries/-cache-timeout/-cache-stale-age have no effect with -cache-off; drop one or the other")
+	if !store && (s.RO || s.Chaos != "" || s.RetriesSet || s.TimeoutSet || s.StaleAgeSet) {
+		return none, errors.New("restbench: -cache-ro/-cache-chaos/-cache-retries/-cache-timeout/-cache-stale-age configure the persistent cache; pass -cache-dir DIR or -cache-url URL to enable it")
 	}
 	if s.RetriesSet && s.Retries < 0 {
 		return none, fmt.Errorf("restbench: -cache-retries must be >= 0, got %d", s.Retries)
@@ -232,8 +208,8 @@ func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 			return none, fmt.Errorf("restbench: -cache-chaos: %v", err)
 		}
 	}
-	if store && mode != "off" && !s.TraceCache {
-		return none, errors.New("restbench: the persistent cache rides on the trace cache; drop -trace-cache=false or pass -cache-off")
+	if store && !s.TraceCache {
+		return none, errors.New("restbench: the persistent cache rides on the trace cache; drop -trace-cache=false")
 	}
 	if mode == "ro" && s.Dir != "" {
 		fi, statErr := os.Stat(s.Dir)
@@ -305,18 +281,15 @@ func main() {
 	keepGoing := flag.Bool("keep-going", false, "report failed cells as holes and exit 0")
 	engineName := flag.String("engine", "auto", "functional simulator engine: blocks (default), ref, auto")
 	traceCache := flag.Bool("trace-cache", true, "capture/replay dynamic traces across timing-only config variants")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact cache directory (empty = no persistent cache)")
+	cacheDir := flag.String("cache-dir", "", "persistent result store directory (empty = no persistent cache)")
 	cacheURL := flag.String("cache-url", "", "shared artifact cache server URL (see -cache-serve; mutually exclusive with -cache-dir)")
 	cacheServe := flag.String("cache-serve", "", "serve the -cache-dir artifact store to other restbench processes on this address and exit on SIGINT/SIGTERM")
 	shardSpec := flag.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", persist.DefaultMaxBytes, "byte cap on the persistent cache (LRU eviction past it)")
-	cacheRW := flag.Bool("cache-rw", false, "persistent cache in read-write mode (default when -cache-dir is set)")
 	cacheRO := flag.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
-	cacheOff := flag.Bool("cache-off", false, "ignore -cache-dir for this invocation")
 	cacheChaos := flag.String("cache-chaos", "", "inject storage faults: comma-separated spec, e.g. seed=7,rate=0.5 or err=0.1,torn=0.05,delay=5ms (drill/testing)")
 	cacheRetries := flag.Int("cache-retries", persist.DefaultRetries, "transient cache backend failures retried per op (0 = no retries)")
 	cacheTimeout := flag.Duration("cache-timeout", 0, "per-op wall-clock bound on cache backend operations (0 = none)")
-	cacheStaleAge := flag.Duration("cache-stale-age", 0, "age past which an abandoned cache lock or lease is considered dead and stolen (0 = default, 10m)")
+	cacheStaleAge := flag.Duration("cache-stale-age", 0, "age past which an abandoned elastic claim or lease is considered dead and stolen (0 = default, 10m)")
 	seed := flag.Int64("seed", 42, "seed for the -faults campaign")
 	only := flag.String("only", "", "substring filter for -faults scenarios")
 	metricsOut := flag.String("metrics", "", "write sweep metrics to this file (CSV, or JSON if it ends in .json)")
@@ -378,11 +351,7 @@ func main() {
 	setup, cerr := validateCacheFlags(cacheFlagState{
 		Dir:         *cacheDir,
 		URL:         *cacheURL,
-		MaxBytes:    *cacheMaxBytes,
-		MaxBytesSet: explicit["cache-max-bytes"],
-		RW:          *cacheRW,
 		RO:          *cacheRO,
-		Off:         *cacheOff,
 		TraceCache:  *traceCache,
 		Chaos:       *cacheChaos,
 		Retries:     *cacheRetries,
@@ -397,7 +366,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, cerr)
 		os.Exit(2)
 	}
-	cacheMode, chaosSpec := setup.Mode, setup.Chaos
+	chaosSpec := setup.Chaos
 	// An elastic worker computes its share and publishes artifacts; the
 	// reports it could render would be partial, so stdout stays empty and
 	// any plain run over the shared store renders the real ones.
@@ -444,14 +413,13 @@ func main() {
 		tcache = harness.NewTraceCache()
 		opt.TraceCache = tcache
 	}
-	// The persistent tier extends those captures — and memoized clean cell
-	// results — across invocations (and, over -cache-url, across processes
+	// The persistent tier extends the sweeps across invocations with
+	// memoized clean cell results (and, over -cache-url, across processes
 	// and machines sharing one -cache-serve store).
 	var pcache *persist.Cache
-	if (*cacheDir != "" || *cacheURL != "") && cacheMode != "off" {
+	if *cacheDir != "" || *cacheURL != "" {
 		popt := persist.Options{
-			MaxBytes:     *cacheMaxBytes,
-			ReadOnly:     cacheMode == "ro",
+			ReadOnly:     setup.Mode == "ro",
 			Chaos:        chaosSpec,
 			Retries:      *cacheRetries,
 			OpTimeout:    *cacheTimeout,
@@ -755,14 +723,15 @@ func main() {
 	}
 	if tcache != nil {
 		hits, misses, bypass := tcache.Counters()
-		fmt.Fprintf(os.Stderr, "trace cache: %d replayed, %d captured, %d bypassed\n", hits, misses, bypass)
+		var dc *persist.Counters
+		if pcache != nil {
+			c := pcache.Counters()
+			dc = &c
+		}
+		fmt.Fprint(os.Stderr, cacheSummary(hits, misses, bypass, dc))
 	}
 	if pcache != nil {
 		c := pcache.Counters()
-		fmt.Fprintf(os.Stderr,
-			"disk cache: trace store %d hits / %d misses, result store %d hits / %d misses, %d stored, %d evicted, %d corrupt, %d bytes resident\n",
-			c.TraceHits, c.TraceMisses, c.ResultHits, c.ResultMisses,
-			c.Stores, c.Evictions, c.Corruptions, c.Bytes)
 		if s := pcache.StackCounters(); c.Unavailable > 0 || s.Retries > 0 || s.BreakerTrips > 0 ||
 			s.Timeouts > 0 || s.ChaosErrs+s.ChaosTorn+s.ChaosCorrupt+s.ChaosNoSpace > 0 {
 			fmt.Fprintf(os.Stderr,
@@ -771,26 +740,31 @@ func main() {
 				s.BreakerTrips, s.BreakerRejects, s.BreakerRecoveries,
 				s.ChaosErrs, s.ChaosTorn, s.ChaosCorrupt, s.ChaosNoSpace)
 		}
-		// The cross-process coordination plane only speaks up when another
-		// process was actually there: contended capture locks, and time
-		// spent waiting out other leaders.
-		if c.LockContended > 0 || c.LockWaits > 0 {
-			fmt.Fprintf(os.Stderr, "disk cache: lock plane %d contended acquires, %d waits (%s waiting)\n",
-				c.LockContended, c.LockWaits, time.Duration(c.LockWaitNs).Round(time.Millisecond))
-		}
 		if hc, ok := pcache.HTTPCounters(); ok {
 			fmt.Fprintf(os.Stderr,
 				"http cache: %d gets (%d coalesced, %s saved) / %d puts / %d lists, %d lock ops (%d renews), %d transport errors, %d B in / %d B out\n",
 				hc.Gets, hc.Coalesced, time.Duration(hc.CoalescedWaitNs).Round(time.Millisecond),
 				hc.Puts, hc.Lists, hc.LockOps, hc.Renews, hc.TransportErrs, hc.BytesIn, hc.BytesOut)
 		}
-		if err := pcache.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "disk cache: %v\n", err)
-		}
 	}
 	if degraded {
 		fmt.Fprintln(os.Stderr, "some sweep cells failed; reports contain annotated holes (-keep-going)")
 	}
+}
+
+// cacheSummary renders the stderr lines that account for the caches: the
+// in-memory trace cache's counters and, when a store is attached (disk
+// non-nil), the persistent store's. bench/restperf/parse.go reads both with
+// regular expressions, so their wording is an interface that
+// TestCacheSummaryMatchesRestperf pins.
+func cacheSummary(replayed, captured, bypassed uint64, disk *persist.Counters) string {
+	s := fmt.Sprintf("trace cache: %d replayed, %d captured, %d bypassed\n", replayed, captured, bypassed)
+	if disk != nil {
+		s += fmt.Sprintf("disk cache: trace store %d hits / %d misses, result store %d hits / %d misses, %d stored, %d corrupt, %d bytes written\n",
+			disk.TraceHits, disk.TraceMisses, disk.ResultHits, disk.ResultMisses,
+			disk.Stores, disk.Corruptions, disk.Bytes)
+	}
+	return s
 }
 
 // writeMetrics renders the collected sweep reports to path: an indented JSON

@@ -238,10 +238,9 @@ func (w *watchState) render(now time.Time) string {
 	fmt.Fprintf(&b, "  [%s] %d/%d cells (%d%%), %d holes, eta %s\n",
 		bar, done, total, pct, holes, eta)
 
-	fmt.Fprintf(&b, "  caches: trace %s  disk-result %s  disk-trace %s  blocks %s\n",
+	fmt.Fprintf(&b, "  caches: trace %s  disk-result %s  blocks %s\n",
 		rate(v["rest.cache.trace.hits"], v["rest.cache.trace.misses"]),
 		rate(v["rest.cache.disk.result_hits"], v["rest.cache.disk.result_misses"]),
-		rate(v["rest.cache.disk.trace_hits"], v["rest.cache.disk.trace_misses"]),
 		rate(v["rest.sim.blockcache.hits"], v["rest.sim.blockcache.misses"]))
 
 	if n := v["rest.persist.retry.attempts"]; n > 0 {

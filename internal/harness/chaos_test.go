@@ -58,7 +58,6 @@ func TestDiskCacheChaosDifferentialWall(t *testing.T) {
 			RetryBase:       100 * time.Microsecond,
 			OpTimeout:       2 * time.Second,
 			BreakerCooldown: 25 * time.Millisecond,
-			LockWait:        time.Second,
 		}
 		dir := t.TempDir()
 
@@ -131,13 +130,11 @@ func TestDiskCacheChaosDifferentialWall(t *testing.T) {
 	}
 }
 
-// TestDiskCacheTornWriteCrashConsistency pins crash recovery end to end.
-// Phase one simulates a writer dying mid-publish on every store: each
-// artifact lands as a bare prefix under its final name. The next open must
-// adopt, detect and evict every partial entry while the sweep recomputes to
-// a byte-identical report, and the run after that must serve clean hits.
-// Phase two tears the manifest itself mid-update and proves the open after
-// it rebuilds the index from the store with no loss.
+// TestDiskCacheTornWriteCrashConsistency pins crash recovery end to end: a
+// writer dying mid-publish on every store leaves each result as a bare
+// prefix under its final name. The next sweep must detect and delete every
+// partial entry while it recomputes to a byte-identical report, and the run
+// after that must serve clean hits.
 func TestDiskCacheTornWriteCrashConsistency(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -154,20 +151,16 @@ func TestDiskCacheTornWriteCrashConsistency(t *testing.T) {
 	if torn != baseline {
 		t.Errorf("torn-write sweep changed the report:\nbase: %s\ntorn: %s", baseline, torn)
 	}
-	remnants := 0
-	for _, sub := range []string{"traces", "results"} {
-		files, err := filepath.Glob(filepath.Join(dir, sub, "*"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		remnants += len(files)
+	remnants, err := filepath.Glob(filepath.Join(dir, "results", "*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if remnants == 0 {
+	if len(remnants) == 0 {
 		t.Fatalf("torn writes left no partial entries to recover from")
 	}
 
-	// Recovery: a clean open adopts the remnants, the sweep rejects each on
-	// validation and recomputes, and the rewrites heal the store.
+	// Recovery: the sweep rejects each remnant on validation and
+	// recomputes, and the rewrites heal the store.
 	healTC, healPC := diskTC(t, dir, persist.Options{})
 	heal, _ := chaosRender(t, healTC, 2)
 	if heal != baseline {
@@ -184,25 +177,6 @@ func TestDiskCacheTornWriteCrashConsistency(t *testing.T) {
 	}
 	if c := warmPC.Counters(); c.ResultHits == 0 || c.Corruptions != 0 {
 		t.Errorf("store did not heal: %+v", c)
-	}
-
-	// Phase two: tear the manifest itself (the heal sweep wrote a real one)
-	// and prove the next open rebuilds the index from the files.
-	mpath := filepath.Join(dir, "manifest.json")
-	raw, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatalf("heal sweep left no manifest: %v", err)
-	}
-	if err := os.WriteFile(mpath, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rebuiltTC, rebuiltPC := diskTC(t, dir, persist.Options{})
-	rebuilt, _ := chaosRender(t, rebuiltTC, 2)
-	if rebuilt != baseline {
-		t.Errorf("post-torn-manifest sweep changed the report")
-	}
-	if c := rebuiltPC.Counters(); c.ResultHits == 0 {
-		t.Errorf("torn manifest lost the store's entries: %+v", c)
 	}
 }
 

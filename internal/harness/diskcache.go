@@ -4,38 +4,34 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"rest/internal/cache"
-	"rest/internal/cpu"
 	"rest/internal/obs"
 	"rest/internal/persist"
-	"rest/internal/trace"
 	"rest/internal/workload"
 	"rest/internal/world"
 )
 
-// The persistent tier of the trace cache. PR 4's in-memory cache dies with
-// the process: every restbench invocation re-captures and re-times the whole
-// grid. AttachDisk extends it across processes with the two persist tiers:
+// The persistent tier of the trace cache. The in-memory cache dies with the
+// process: every restbench invocation would re-time the whole grid.
+// AttachDisk extends it across processes with the result store: a cell
+// whose full identity (functional identity × timing config, with the
+// format version in the file header) was ever completed cleanly returns its
+// memoized cpu.Stats without building a world at all, so a second run of an
+// unchanged sweep is almost pure I/O. Every clean cell computed here is
+// stored for the next process.
 //
-//   - result store first: a cell whose full identity (functional identity ×
-//     normalized timing config × format version) was ever completed cleanly
-//     returns its memoized cpu.Stats without building a world at all, so a
-//     second run of an unchanged sweep is almost pure I/O;
-//   - trace store second: a cell whose functional identity was ever captured
-//     replays the stored trace through its own timing model instead of
-//     re-executing the functional simulator — the cross-process analogue of
-//     the in-memory capture/replay sharing, including for identities the
-//     plan says are unshared (which the in-memory tier bypasses).
+// Traces are not persisted. Replaying a stored trace lost to re-executing
+// the cell on the block engine in every measured pair, so an unshared cell
+// just streams; captures live only in memory, for siblings within one
+// sweep.
 //
-// The determinism contract is unchanged: replay is bit-exact (the replay
-// differential tests), the result codec round-trips cpu.Stats bit-exactly
-// (IPC as IEEE-754 bits), and every disk failure — miss, corruption, version
-// skew, lock timeout — degrades to recompute (and, in read-write mode,
-// rewrite), so cold-cache, warm-cache and cache-off sweeps render
-// byte-identical reports. The disk tiers stand aside for cells that need
-// surfaces a file cannot carry: metric registries (CellLimits.Metrics) and
-// live worlds (CellLimits.NeedWorld, the micro-stats path) — those cells
-// run through the in-memory tier exactly as before.
+// The determinism contract is unchanged: the result codec round-trips
+// cpu.Stats bit-exactly (IPC as IEEE-754 bits), and every disk failure —
+// miss, corruption, version skew, an unavailable backend — degrades to
+// recompute (and, in read-write mode, rewrite), so cold-cache, warm-cache
+// and cache-off sweeps render byte-identical reports. The store stands
+// aside for cells that need surfaces a file cannot carry: metric registries
+// (CellLimits.Metrics) never touch it, and live worlds (CellLimits.NeedWorld,
+// the micro-stats path) never read it.
 
 // AttachDisk backs the trace cache with a persistent store. Read-only or
 // read-write behaviour follows how the persist cache was opened. Call before
@@ -59,10 +55,10 @@ func (tc *TraceCache) DiskCounters() persist.Counters {
 	return pc.Counters()
 }
 
-// diskFor resolves the disk tier for one cell. Cells that need per-cell
-// metric registries or a live world bypass the disk: neither is stored in a
-// file, and serving half a cell from disk would make warm and cold metric
-// reports diverge.
+// diskFor resolves the result store for one cell. Cells that need per-cell
+// metric registries bypass it: a registry is not stored in a file, and
+// serving half a cell from disk would make warm and cold metric reports
+// diverge.
 func (tc *TraceCache) diskFor(lim CellLimits) *persist.Cache {
 	if lim.Metrics {
 		return nil
@@ -70,17 +66,6 @@ func (tc *TraceCache) diskFor(lim CellLimits) *persist.Cache {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	return tc.disk
-}
-
-// funcIdentity digests a cell's functional identity — the same fields as the
-// in-memory traceKey, spelled canonically — into the trace store's content
-// address. The format version is part of every file header rather than the
-// digest, so a version bump invalidates without moving entries around.
-func funcIdentity(k traceKey) persist.ID {
-	return persist.SumID(fmt.Sprintf(
-		"trace|wl=%s|scale=%d|flavour=%s|stack=%t|checks=%t|tw=%d|rz=%d|mode=%d|intercept=%d|budget=%d",
-		k.workload, k.scale, k.pass.Flavour, k.pass.StackProtection, k.pass.AccessChecks,
-		k.pass.TokenWidth, k.pass.RedzoneBytes, k.mode, k.intercept, k.budget))
 }
 
 // timingIdentity digests a cell's timing-only knobs: the core choice and the
@@ -111,7 +96,7 @@ func resultIdentity(k traceKey, cfg BinaryConfig) persist.ID {
 }
 
 // resultFromStore reconstructs a RunResult from a memoized cell outcome.
-// World and Obs are nil by design: cells that need either never consult the
+// World and Obs are nil by design: cells that need either never read the
 // result store (see diskFor and CellLimits.NeedWorld).
 func resultFromStore(wl workload.Workload, cfg BinaryConfig, cr *persist.CellResult) *RunResult {
 	stats := cr.Stats
@@ -138,75 +123,6 @@ func storeResult(disk *persist.Cache, rid persist.ID, res *RunResult) {
 	})
 }
 
-// loadDiskTrace pulls a stored capture for k into a fresh Recorder. Any
-// failure — miss, corruption (counted and discarded by persist), version
-// skew — comes back as ok=false and the caller recomputes.
-func (tc *TraceCache) loadDiskTrace(disk *persist.Cache, k traceKey) (*trace.Recorder, world.Outcome, bool) {
-	if disk == nil {
-		return nil, world.Outcome{}, false
-	}
-	rec, checksum, err := disk.LoadTrace(funcIdentity(k))
-	if err != nil {
-		return nil, world.Outcome{}, false
-	}
-	return rec, world.Outcome{Checksum: checksum}, true
-}
-
-// replayLocal replays a disk-loaded capture for a cell outside the planned
-// sharing (a bypass-role cell): the capture lives in a private entry.
-func replayLocal(wl workload.Workload, cfg BinaryConfig, lim CellLimits, rec *trace.Recorder, out world.Outcome) (*RunResult, error) {
-	ent := &traceEntry{ok: true, rec: rec, outcome: out}
-	res, err := runReplay(wl, cfg, lim, ent)
-	if res != nil {
-		res.Source = "disk-replay"
-	}
-	return res, err
-}
-
-// runLeadFromDisk serves a planned leader from the trace store: the loaded
-// capture is published for the waiting siblings exactly as a live capture
-// would be, then replayed for the leader's own cell.
-func (tc *TraceCache) runLeadFromDisk(wl workload.Workload, cfg BinaryConfig, lim CellLimits, ent *traceEntry, rec *trace.Recorder, out world.Outcome) (*RunResult, error) {
-	tc.publish(ent, rec, out, nil)
-	res, err := runReplay(wl, cfg, lim, ent)
-	if res != nil {
-		res.Source = "disk-replay"
-	}
-	return res, err
-}
-
-// captureToDisk decides whether a capturing cell should persist its trace,
-// and single-flights the capture across processes via the store's lock
-// files. It returns the captureState to stream with, and an unlock hook to
-// defer (a no-op when no lock is held). If another process finishes the
-// same capture while we wait, the loaded trace is returned instead and the
-// caller replays it.
-func (tc *TraceCache) captureToDisk(disk *persist.Cache, k traceKey, cap *captureState) (st *captureState, loaded *trace.Recorder, out world.Outcome, unlock func()) {
-	unlock = func() {}
-	if disk == nil || disk.ReadOnly() {
-		if cap.ent == nil {
-			return nil, nil, world.Outcome{}, unlock // nothing to capture for
-		}
-		return cap, nil, world.Outcome{}, unlock
-	}
-	fid := funcIdentity(k)
-	release, leader := disk.TryLock(fid)
-	if !leader {
-		// Another process is capturing this identity right now: wait it out
-		// and reuse its work. On timeout (or a failed leader) capture
-		// ourselves — last writer wins atomically, nothing corrupts.
-		disk.WaitUnlocked(fid)
-		if rec, o, ok := tc.loadDiskTrace(disk, k); ok {
-			return nil, rec, o, unlock
-		}
-		if release, leader = disk.TryLock(fid); !leader {
-			release = func() {}
-		}
-	}
-	cap.disk, cap.fid = disk, fid
-	return cap, nil, world.Outcome{}, release
-}
-
 // recordDiskObs exports the persistent store's counters into a sweep
 // registry as harness.diskcache.* metrics. Like the in-memory counters they
 // are the store's lifetime totals; unlike them they describe operational
@@ -222,21 +138,16 @@ func (tc *TraceCache) recordDiskObs(r *obs.Registry) {
 		return
 	}
 	c := pc.Counters()
-	r.Counter("harness.diskcache.trace_hits").Add(c.TraceHits)
-	r.Counter("harness.diskcache.trace_misses").Add(c.TraceMisses)
 	r.Counter("harness.diskcache.result_hits").Add(c.ResultHits)
 	r.Counter("harness.diskcache.result_misses").Add(c.ResultMisses)
 	r.Counter("harness.diskcache.stores").Add(c.Stores)
-	r.Counter("harness.diskcache.evictions").Add(c.Evictions)
 	r.Counter("harness.diskcache.corruptions").Add(c.Corruptions)
 	r.Counter("harness.diskcache.unavailable").Add(c.Unavailable)
 	r.Counter("harness.diskcache.bytes").Add(c.Bytes)
 
-	// The cross-process lock plane: how often this process raced another for
-	// a capture lock and how long it spent waiting out other leaders.
+	// The cross-process lock plane: how often this process lost an elastic
+	// unit claim to a live holder.
 	r.Counter("persist.lock.contended").Add(c.LockContended)
-	r.Counter("persist.lock.waits").Add(c.LockWaits)
-	r.Counter("persist.lock.wait_ns").Add(c.LockWaitNs)
 
 	// Wire traffic when the store is a remote cache server (absent for a
 	// local directory, so local metric dumps carry no dead rows).
@@ -274,8 +185,3 @@ func (tc *TraceCache) recordDiskObs(r *obs.Registry) {
 	r.Counter("persist.chaos.latency").Add(s.ChaosLatency)
 	r.Counter("persist.chaos.lockstalls").Add(s.ChaosLockStalls)
 }
-
-// Keep the compile-time dependency on cpu explicit: the result tier's whole
-// contract is that a stored cpu.Stats round-trips bit-exactly.
-var _ = cpu.Stats{}
-var _ cache.TokenSource = (*trace.Replayer)(nil)

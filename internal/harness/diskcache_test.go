@@ -1,13 +1,14 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rest/internal/attack"
 	"rest/internal/cache"
@@ -21,11 +22,10 @@ import (
 	"rest/internal/world"
 )
 
-// The persistent-cache differential: a sweep served from disk — whether from
-// the trace store (replay) or the result store (pure memoization) — must be
-// indistinguishable from a cold or cache-off sweep: identical cpu.Stats,
-// byte-identical reports, at any worker count. Corruption anywhere degrades
-// to recompute, never to a wrong answer or a crash.
+// The persistent-cache differential: a sweep served from the result store
+// must be indistinguishable from a cold or cache-off sweep: identical
+// cpu.Stats, byte-identical reports, at any worker count. Corruption
+// anywhere degrades to recompute, never to a wrong answer or a crash.
 
 // openDisk opens a persist cache for tests, failing the test on error.
 func openDisk(t *testing.T, dir string, opt persist.Options) *persist.Cache {
@@ -47,10 +47,10 @@ func diskTC(t *testing.T, dir string, opt persist.Options) (*TraceCache, *persis
 	return tc, pc
 }
 
-// TestDiskCacheCellDifferential proves bit-exactness of both disk tiers,
-// cell by cell, across the full Figure 7 + Figure 8 config matrix: a cell
-// replayed from the on-disk trace store and a cell served from the result
-// store both equal the streamed reference exactly.
+// TestDiskCacheCellDifferential proves bit-exactness of the result store,
+// cell by cell, across the full Figure 7 + Figure 8 config matrix: a cold
+// cell stores its result and no trace, and a cell served from the result
+// store equals the streamed reference exactly.
 func TestDiskCacheCellDifferential(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm", "xalanc")
@@ -69,7 +69,8 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 					t.Fatalf("streamed run: %v", err)
 				}
 
-				// Cold: an unshared (bypass-role) cell captures to disk.
+				// Cold: an unshared (bypass-role) cell streams and stores
+				// its result, and nothing else.
 				tcCold, pcCold := diskTC(t, dir, persist.Options{})
 				tcCold.Plan(one, pair, 1, 0)
 				cold, err := RunCached(wl, cfg, 1, CellLimits{}, tcCold)
@@ -77,24 +78,11 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 					t.Fatalf("cold run: %v", err)
 				}
 				assertCellEqual(t, streamed, cold)
-				if c := pcCold.Counters(); c.Stores == 0 {
-					t.Fatalf("cold run stored nothing: %+v", c)
+				if c := pcCold.Counters(); c.Stores != 1 || c.Bytes != resultFileBytes {
+					t.Fatalf("cold run did not store exactly one result: %+v", c)
 				}
-
-				// Warm, trace tier: NeedWorld keeps the result store out, so
-				// the cell must replay the stored capture.
-				tcTrace, pcTrace := diskTC(t, dir, persist.Options{})
-				tcTrace.Plan(one, pair, 1, 0)
-				viaTrace, err := RunCached(wl, cfg, 1, CellLimits{NeedWorld: true}, tcTrace)
-				if err != nil {
-					t.Fatalf("warm trace-tier run: %v", err)
-				}
-				assertCellEqual(t, streamed, viaTrace)
-				if viaTrace.World == nil {
-					t.Errorf("NeedWorld cell came back without a world")
-				}
-				if c := pcTrace.Counters(); c.TraceHits != 1 {
-					t.Errorf("trace tier not exercised: %+v", c)
+				if traces, _ := filepath.Glob(filepath.Join(dir, "traces", "*")); len(traces) != 0 {
+					t.Fatalf("cold run stored traces: %v", traces)
 				}
 
 				// Warm, result tier: the cell's stats come straight off disk.
@@ -128,7 +116,11 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 // TestDiskCacheSweepDifferential pins the report contract: the sensitivity
 // sweep renders byte-identical tables and CSVs cold, warm and with the
 // persistent cache off, at -j 1 and -j 4, and every warm cell's stats equal
-// the cache-off cell's exactly.
+// the cache-off cell's exactly. Two more inputs pin what a store holds:
+// after cold sensitivity and Figure 7 sweeps it holds results and nothing
+// else, and a store in the older layout (results plus a manifest.json and
+// stored traces) serves every cell from its results and leaves the rest
+// untouched.
 func TestDiskCacheSweepDifferential(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm", "sjeng", "xalanc")
@@ -160,7 +152,53 @@ func TestDiskCacheSweepDifferential(t *testing.T) {
 	if c := warmPC.Counters(); c.ResultHits == 0 {
 		t.Errorf("warm sweep never hit the result store: %+v", c)
 	}
-	for name, r := range map[string]rendering{"warm-j4": warm, "warm-j1": warmJ1, "off": off} {
+
+	// (a) Results only: cold sensitivity and Figure 7 sweeps — shared and
+	// unshared identities — leave the backend holding one result per
+	// distinct cell, no trace object and no meta object.
+	mb := persist.NewMemBackend()
+	memPC, err := persist.OpenBackend(mb, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memTC := NewTraceCache()
+	memTC.AttachDisk(memPC)
+	cells := map[persist.ID]bool{}
+	for _, grid := range [][]BinaryConfig{cfgs, Fig7Configs()} {
+		if _, err := RunMatrixParallel(ctx, wls, grid, 1, ParallelOptions{Workers: 2, TraceCache: memTC}); err != nil {
+			t.Fatal(err)
+		}
+		for _, wl := range wls {
+			for _, cfg := range grid {
+				cells[resultIdentity(cellTraceKey(wl.Name, cfg, 1, 0), cfg)] = true
+			}
+		}
+	}
+	if got := mb.Len("result"); got != len(cells) {
+		t.Errorf("store holds %d results after %d distinct cold cells", got, len(cells))
+	}
+	if tr, meta := mb.Len("trace"), mb.Len("meta"); tr != 0 || meta != 0 {
+		t.Errorf("cold sweeps left %d trace and %d meta objects; want results only", tr, meta)
+	}
+
+	// (b) A store in the older layout: the cold results, a manifest.json
+	// indexing them and a stored trace for one of the grid's functional
+	// identities. Every cell is served from its result, the report is
+	// byte-identical, and neither extra file is read or touched.
+	legacy := legacyLayout(t, dir, wls[0], cfgs[0])
+	oldTC, oldPC := diskTC(t, dir, persist.Options{})
+	old := render(oldTC, 4)
+	if c := oldPC.Counters(); c.ResultHits != uint64(len(wls)*len(cfgs)) || c.ResultMisses != 0 ||
+		c.TraceHits+c.TraceMisses+c.Stores != 0 {
+		t.Errorf("older-layout store not served from results alone: %+v", c)
+	}
+	for path, want := range legacy {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed or vanished (%v)", path, err)
+		}
+	}
+
+	for name, r := range map[string]rendering{"warm-j4": warm, "warm-j1": warmJ1, "off": off, "older-layout": old} {
 		if r.table != cold.table || r.csv != cold.csv {
 			t.Errorf("%s report diverges from cold:\ncold: %s\n%s:  %s", name, cold.table, name, r.table)
 		}
@@ -176,6 +214,59 @@ func TestDiskCacheSweepDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// resultFileBytes is the size of one result file, what the store writes per
+// clean cell.
+const resultFileBytes = 161
+
+// legacyLayout adds to the result store in dir what an older build also
+// kept there: a manifest.json indexing the results, and a stored trace of
+// cfg's functional identity for wl. It returns each added file's bytes by
+// path.
+func legacyLayout(t *testing.T, dir string, wl workload.Workload, cfg BinaryConfig) map[string][]byte {
+	t.Helper()
+	results, err := filepath.Glob(filepath.Join(dir, "results", "*.res"))
+	if err != nil || len(results) == 0 {
+		t.Fatalf("no results to index (%v)", err)
+	}
+	var b strings.Builder
+	b.WriteString("{\n \"version\": 2,\n \"entries\": [")
+	for i, r := range results {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		fmt.Fprintf(&b, "\n  {\"id\": %q, \"kind\": \"result\", \"bytes\": %d, \"last_use\": %d}",
+			strings.TrimSuffix(filepath.Base(r), ".res"), resultFileBytes, 1700000000000000000+i)
+	}
+	b.WriteString("\n ]\n}\n")
+	manifest := filepath.Join(dir, "manifest.json")
+	if err := os.WriteFile(manifest, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := world.Build(world.Spec{Pass: cfg.Pass, Mode: cfg.Mode, Width: core.Width(cfg.Pass.TokenWidth)}, wl.Build(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), 0)
+	_, out := w.RunTimedCapture(rec)
+	defer rec.Release()
+	pc := openDisk(t, dir, persist.Options{})
+	fid := funcIdentity(cellTraceKey(wl.Name, cfg, 1, 0))
+	if err := pc.StoreTrace(fid, rec, out.Checksum); err != nil {
+		t.Fatal(err)
+	}
+
+	added := map[string][]byte{}
+	for _, path := range []string{manifest, filepath.Join(dir, "traces", fid.String()+".trc")} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added[path] = raw
+	}
+	return added
 }
 
 // TestDiskCacheCorruptionRecovery damages every file of a warm cache — one
@@ -201,24 +292,22 @@ func TestDiskCacheCorruptionRecovery(t *testing.T) {
 	coldTC, _ := diskTC(t, dir, persist.Options{})
 	cold := sweep(coldTC)
 
-	// Flip one bit in every stored artifact.
+	// Flip one bit in every stored result.
+	files, err := filepath.Glob(filepath.Join(dir, "results", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	damaged := 0
-	for _, sub := range []string{"traces", "results"} {
-		files, err := filepath.Glob(filepath.Join(dir, sub, "*"))
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range files {
-			raw, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw[len(raw)/2] ^= 0x40
-			if err := os.WriteFile(f, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			damaged++
+		raw[len(raw)/2] ^= 0x40
+		if err := os.WriteFile(f, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		damaged++
 	}
 	if damaged == 0 {
 		t.Fatalf("cold sweep left nothing on disk to damage")
@@ -250,16 +339,15 @@ func TestDiskCacheCorruptionRecovery(t *testing.T) {
 }
 
 // TestKilledLeaderRecovery pins crash consistency: a process killed
-// mid-sweep leaves partial artifacts and an abandoned capture lock; a rerun
-// over the same store completes from the partial artifacts (served cells are
-// result hits), recomputes only what is missing, and takes over the
-// abandoned lock once it is stale — the store ends up with exactly the full
-// artifact set, no duplicates. The rerun's metric export carries the
-// lock-plane counters.
+// mid-sweep leaves partial artifacts; a rerun over the same store completes
+// from the partial artifacts (served cells are result hits) and recomputes
+// only what is missing — the store ends up with exactly the full artifact
+// set, no duplicates. The rerun's metric export carries the lock-plane
+// counter.
 func TestKilledLeaderRecovery(t *testing.T) {
 	t.Parallel()
 	mb := persist.NewMemBackend()
-	opt := persist.Options{StaleLockAge: 50 * time.Millisecond, LockWait: 2 * time.Second}
+	opt := persist.Options{}
 
 	pc1, err := persist.OpenBackend(mb, opt)
 	if err != nil {
@@ -270,23 +358,14 @@ func TestKilledLeaderRecovery(t *testing.T) {
 	first, _ := sensRender(t, tc1, 1)
 	full := mb.Len("result")
 
-	// The "kill": the dead process was mid-capture on its first cell, so that
-	// cell's result and trace artifacts never landed and the capture lock it
-	// held was abandoned. Every other artifact survives.
+	// The "kill": the dead process was mid-run on its first cell, so that
+	// cell's result never landed. Every other artifact survives.
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
 	k0 := cellTraceKey(wls[0].Name, cfgs[0], 1, 0)
 	if err := mb.Delete("result", resultIdentity(k0, cfgs[0]).String()); err != nil {
 		t.Fatal(err)
 	}
-	fid := funcIdentity(k0)
-	if err := mb.Delete("trace", fid.String()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mb.TryLock(fid.String()); err != nil {
-		t.Fatal(err) // deliberately never released: the dead process's lock
-	}
-	time.Sleep(60 * time.Millisecond) // let the abandoned lock go stale
 
 	pc2, err := persist.OpenBackend(mb, opt)
 	if err != nil {
@@ -308,14 +387,8 @@ func TestKilledLeaderRecovery(t *testing.T) {
 	if got := mb.Len("result"); got != full {
 		t.Fatalf("store not restored to the full artifact set: %d vs %d", got, full)
 	}
-	if _, err := mb.LockAge(fid.String()); err == nil {
-		t.Fatalf("abandoned capture lock still held after takeover")
-	}
-	reg := newTestRegistry(t, tc2)
-	for _, name := range []string{"persist.lock.contended", "persist.lock.waits", "persist.lock.wait_ns"} {
-		if _, ok := reg[name]; !ok {
-			t.Errorf("recordDiskObs missing %s", name)
-		}
+	if _, ok := newTestRegistry(t, tc2)["persist.lock.contended"]; !ok {
+		t.Errorf("recordDiskObs missing persist.lock.contended")
 	}
 }
 
@@ -333,8 +406,8 @@ func newTestRegistry(t *testing.T, tc *TraceCache) map[string]uint64 {
 
 // TestDiskCacheMicroStats runs the §VI-B micro-stats path — whose cells read
 // their live worlds and therefore must bypass the result store — cold and
-// warm, asserting identical renderings with the warm run served by the trace
-// store.
+// warm, asserting identical renderings and that the warm run, over a store
+// the cold run filled, read nothing from it.
 func TestDiskCacheMicroStats(t *testing.T) {
 	t.Parallel()
 	wl, err := workload.ByName("lbm")
@@ -357,8 +430,8 @@ func TestDiskCacheMicroStats(t *testing.T) {
 	if cold.Render() != warm.Render() {
 		t.Errorf("micro stats diverge:\ncold: %s\nwarm: %s", cold.Render(), warm.Render())
 	}
-	if c := warmPC.Counters(); c.TraceHits == 0 || c.ResultHits != 0 {
-		t.Errorf("micro-stats cells should replay traces, never load results: %+v", c)
+	if c := warmPC.Counters(); c.ResultHits+c.ResultMisses+c.TraceHits+c.TraceMisses != 0 {
+		t.Errorf("NeedWorld cells read the store: %+v", c)
 	}
 }
 
@@ -525,52 +598,41 @@ func TestDiskCacheDetectedCellsNotStored(t *testing.T) {
 }
 
 // TestTraceLimitSameOnBothCapturePaths pins the per-trace limit to one entry
-// count for both kinds of capture that reach the store: a disk-only capture,
-// which nothing in the process replays, and a shared capture, which is also
-// published for a sibling cell. Both record into a Recorder under the limit;
-// each stores a trace that exactly fits it and nothing for a limit one entry
-// shorter, so the store receives the same traces whichever captured them.
+// count on the capture path that remains, the shared capture published for a
+// sibling cell: a limit the trace exactly fits lets the sibling replay, and
+// a limit one entry shorter rejects the capture, so the sibling streams.
 func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 	wls := subset(t, "lbm")
 	cfg := BinaryConfig{Name: "plain", Pass: prog.Plain()}
 	twin := BinaryConfig{Name: "plain-inorder", Pass: prog.Plain(), InOrder: true}
-	fid := funcIdentity(cellTraceKey(wls[0].Name, cfg, 1, 0))
 
-	tc, pc := diskTC(t, t.TempDir(), persist.Options{})
-	if _, err := RunMatrixParallel(ctx, wls, []BinaryConfig{cfg}, 1, ParallelOptions{Workers: 1, TraceCache: tc}); err != nil {
+	w, err := world.Build(world.Spec{Pass: cfg.Pass}, wls[0].Build(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := pc.LoadTrace(fid)
-	if err != nil {
-		t.Fatalf("unlimited capture stored no trace: %v", err)
-	}
+	rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), 0)
+	w.RunTimedCapture(rec)
 	n := rec.Len()
 	rec.Release()
 
-	for _, shared := range []bool{false, true} {
-		cfgs := []BinaryConfig{cfg}
-		if shared {
-			cfgs = append(cfgs, twin)
+	for _, limit := range []int{n, n - 1} {
+		tc := NewTraceCache()
+		tc.SetTraceLimit(limit)
+		m, err := RunMatrixParallel(ctx, wls, []BinaryConfig{cfg, twin}, 1, ParallelOptions{Workers: 1, TraceCache: tc})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, limit := range []int{n, n - 1} {
-			tc, pc := diskTC(t, t.TempDir(), persist.Options{})
-			tc.SetTraceLimit(limit)
-			m, err := RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{Workers: 1, TraceCache: tc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := m.Results[wls[0].Name][cfg.Name].Source; got != "capture" {
-				t.Fatalf("shared=%t: the first cell ran as %q, want a capture", shared, got)
-			}
-			got, _, err := pc.LoadTrace(fid)
-			if stored := err == nil; stored != (limit == n) {
-				t.Errorf("shared=%t, limit %d entries for a %d-entry trace: stored=%t (%v)", shared, limit, n, stored, err)
-			}
-			if got != nil {
-				got.Release()
-			}
+		if got := m.Results[wls[0].Name][cfg.Name].Source; got != "capture" {
+			t.Fatalf("limit %d: the first cell ran as %q, want a capture", limit, got)
+		}
+		want := "stream"
+		if limit == n {
+			want = "replay"
+		}
+		if got := m.Results[wls[0].Name][twin.Name].Source; got != want {
+			t.Errorf("limit %d entries for a %d-entry trace: the sibling ran as %q, want %q", limit, n, got, want)
 		}
 	}
 }

@@ -43,9 +43,9 @@ import (
 //
 // The unit of stealing is the functional identity, not the cell: all cells
 // of a unit share one captured trace, so one worker captures it and replays
-// the unit's other cells from process memory. Splitting a unit across
-// workers would make each of them need the same capture and serialize them
-// on the store's single-flight capture locks.
+// the unit's other cells from process memory. Traces never leave the
+// process, so splitting a unit across workers would make each of them
+// re-execute the same functional run.
 //
 // This file holds only the scheduling — claims, markers, lease renewal and
 // the epoch wake; cells run on the sweep's per-cell runner (parallel.go).
@@ -93,8 +93,18 @@ func UnitCount(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget
 }
 
 // ElasticMarkerPrefix namespaces completion markers within the store's meta
-// objects (beside the manifest, exempt from the byte cap and eviction).
+// objects.
 const ElasticMarkerPrefix = "elastic-"
+
+// funcIdentity digests a cell's functional identity — the same fields as the
+// in-memory traceKey, spelled canonically — into the address of its elastic
+// unit.
+func funcIdentity(k traceKey) persist.ID {
+	return persist.SumID(fmt.Sprintf(
+		"trace|wl=%s|scale=%d|flavour=%s|stack=%t|checks=%t|tw=%d|rz=%d|mode=%d|intercept=%d|budget=%d",
+		k.workload, k.scale, k.pass.Flavour, k.pass.StackProtection, k.pass.AccessChecks,
+		k.pass.TokenWidth, k.pass.RedzoneBytes, k.mode, k.intercept, k.budget))
+}
 
 // elasticGridID digests the units — each one's functional identity and the
 // timing configurations of its cells — so claim and marker names are scoped

@@ -77,8 +77,8 @@ func TestCellEventInjectedClock(t *testing.T) {
 }
 
 // Source tags must follow the result's actual provenance through the cache
-// tiers: live stream/capture/replay in memory, result-store and disk-replay
-// across processes.
+// tiers: live stream/capture/replay in memory, result-store across
+// processes.
 func TestCellEventSourceTags(t *testing.T) {
 	t.Parallel()
 
@@ -103,7 +103,7 @@ func TestCellEventSourceTags(t *testing.T) {
 	}
 
 	// Warm persistent cache: a second sweep over the same grid must serve
-	// from the result store (and the trace store for planned leaders).
+	// from the result store.
 	dir := t.TempDir()
 	coldTC, _ := diskTC(t, dir, persist.Options{})
 	collectEvents(t, sensGrid(), ParallelOptions{Workers: 2, TraceCache: coldTC})

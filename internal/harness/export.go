@@ -154,7 +154,7 @@ func (x *TelemetryExporter) ProgressStats() obs.ProgressStats {
 	hits, misses, _ := x.TraceCache.Counters()
 	dc := x.TraceCache.DiskCounters()
 	return obs.ProgressStats{
-		CacheHits:    hits + dc.ResultHits + dc.TraceHits,
+		CacheHits:    hits + dc.ResultHits,
 		CacheLookups: hits + misses + dc.ResultHits + dc.ResultMisses,
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"rest/internal/core"
 	"rest/internal/cpu"
 	"rest/internal/obs"
-	"rest/internal/persist"
 	"rest/internal/prog"
 	"rest/internal/sim"
 	"rest/internal/trace"
@@ -89,7 +88,7 @@ type RunResult struct {
 	// order into Matrix.Obs.
 	Obs *obs.Registry
 	// Source tags which execution path produced the result: "stream",
-	// "capture", "replay", "disk-replay" or "result-store" (see
+	// "capture", "replay" or "result-store" (see
 	// CellEvent.Source). Observability metadata only — every path returns
 	// identical Stats/Outcome by the differential tests' contract.
 	Source string
@@ -113,7 +112,7 @@ type CellLimits struct {
 	// cell completes (the micro-stats tables do, for hierarchy counters);
 	// only such a cell returns its world. It can never be served from the
 	// persistent result store — a file carries stats, not a live world — so
-	// it replays or streams.
+	// it always runs.
 	NeedWorld bool
 	// Engine selects the functional simulator's execution engine for the
 	// cell (sim.EngineAuto = the decoded-block default, sim.EngineRef = the
@@ -145,24 +144,19 @@ func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimi
 	return tc.run(wl, cfg, scale, lim)
 }
 
-// captureState is what a capturing cell owes once its trace is recorded.
-// A non-nil ent is a shared capture: the entry is published for the waiting
-// siblings, and however the run ends — publish, error or panic — it
-// resolves exactly once, so waiters can never block forever. A non-nil disk
-// stores the trace under fid. A capture may owe either or both; a disk-only
-// capture (ent nil) is an identity unshared within this process.
+// captureState is what a capturing cell owes once its trace is recorded:
+// the entry is published for the waiting siblings, and however the run ends
+// — publish, error or panic — it resolves exactly once, so waiters can
+// never block forever.
 type captureState struct {
-	tc   *TraceCache
-	ent  *traceEntry
-	disk *persist.Cache
-	fid  persist.ID
+	tc  *TraceCache
+	ent *traceEntry
 }
 
 // runStreamed executes one cell against the live functional simulator. A
 // non-nil cap additionally records the dynamic trace into a Recorder, under
-// the cache's per-trace limit, and hands it on as cap says: published (with
-// the cell's outcome and functional metrics) for sibling cells to replay,
-// stored for other processes, or both.
+// the cache's per-trace limit, and publishes it (with the cell's outcome and
+// functional metrics) for sibling cells to replay.
 func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, cap *captureState) (*RunResult, error) {
 	var deadline time.Time
 	if lim.Timeout > 0 {
@@ -178,7 +172,7 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 			funcObs = obs.NewRegistry()
 		}
 	}
-	if cap != nil && cap.ent != nil {
+	if cap != nil {
 		// Resolve the capture no matter how this function exits (including
 		// a panic unwinding to the sweep engine's containment).
 		defer cap.tc.fail(cap.ent)
@@ -207,16 +201,10 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	} else {
 		rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), cap.tc.perTraceLimit)
 		stats, out = w.RunTimedCapture(rec)
-		// Only fully clean runs publish or store: the trace is then provably
+		// Only fully clean runs publish: the trace is then provably
 		// complete, which is what makes cross-timing replay exact.
 		if out.Err == nil && !out.Detected() {
-			if cap.disk != nil && !rec.Overflowed() {
-				// A failed store is advisory (the run succeeded).
-				_ = cap.disk.StoreTrace(cap.fid, rec, out.Checksum)
-			}
-			if cap.ent != nil {
-				cap.tc.publish(cap.ent, rec, out, funcObs)
-			}
+			cap.tc.publish(cap.ent, rec, out, funcObs)
 		}
 	}
 	if funcObs != nil {

@@ -109,8 +109,8 @@ type CellEvent struct {
 	Instrs, Cycles uint64
 	// Source tags where a successful cell's result came from: "stream"
 	// (live execution), "capture" (live execution recording a shared
-	// trace), "replay" (in-memory trace cache), "disk-replay" (persistent
-	// trace store) or "result-store" (memoized cell outcome). Empty for
+	// trace), "replay" (in-memory trace cache) or "result-store" (memoized
+	// cell outcome). Empty for
 	// failed or skipped cells. Like the timestamps, it reflects wall-clock
 	// scheduling and cache warmth, not the determinism contract.
 	Source string

@@ -54,9 +54,9 @@ type TraceCache struct {
 	plan          map[traceKey]int
 	entries       map[traceKey]*traceEntry
 
-	// disk is the optional persistent tier (see diskcache.go): a
-	// cross-process trace + result store this in-memory cache consults
-	// before executing and feeds after capturing. Nil = process-local only.
+	// disk is the optional persistent result store (see diskcache.go): a
+	// cross-process store this in-memory cache consults before executing
+	// and feeds after each clean cell. Nil = process-local only.
 	disk *persist.Cache
 
 	hits, misses, bypass uint64
@@ -167,8 +167,7 @@ func (tc *TraceCache) Plan(wls []workload.Workload, cfgs []BinaryConfig, scale i
 // elastic scheduler plans per-unit at claim time — it cannot plan the grid
 // up front like Plan, because which units this process runs is decided by
 // the pool, one claim at a time. Cross-process deduplication does not need
-// the in-memory plan at all; it rides the persistent store's single-flight
-// capture locks instead.
+// the in-memory plan at all; the pool's unit claims carry it.
 func (tc *TraceCache) planUnit(k traceKey, n int) {
 	tc.mu.Lock()
 	tc.plan[k] += n
@@ -303,18 +302,16 @@ func (tc *TraceCache) Counters() (hits, misses, bypass uint64) {
 }
 
 // run executes one cell through the cache (RunCached's non-nil path). The
-// disk tiers, when attached and applicable to this cell (see diskFor),
-// interpose around the in-memory plan: the result store can satisfy the
-// cell outright, the trace store can substitute for a live capture, and
-// every clean outcome feeds both stores for future processes.
+// result store, when attached and applicable to this cell (see diskFor),
+// interposes around the in-memory plan: it can satisfy the cell outright,
+// and every clean outcome feeds it for future processes.
 func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
 	k := cellTraceKey(wl.Name, cfg, scale, lim.MaxInstructions)
 	disk := tc.diskFor(lim)
 
-	// Tier 1: a memoized clean outcome for this exact cell skips even the
-	// replay. The planned use is forfeited so the identity's planned use
-	// count stays exact. Cells that need a live world can't be served from
-	// a file.
+	// A memoized clean outcome for this exact cell skips the run. The
+	// planned use is forfeited so the identity's planned use count stays
+	// exact. Cells that need a live world can't be served from a file.
 	if disk != nil && !lim.NeedWorld {
 		if cr, err := disk.LoadResult(resultIdentity(k, cfg)); err == nil {
 			tc.forfeit(k)
@@ -322,68 +319,26 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 		}
 	}
 
+	var res *RunResult
+	var err error
 	ent, role := tc.acquire(k)
 	switch role {
 	case roleLead:
-		// Resolve the entry however this cell exits. publish/fail are
-		// idempotent, so on clean paths this is a no-op; its real job is a
-		// panic unwinding through the disk tiers into the sweep engine's
-		// containment, which must not strand the waiting siblings.
-		defer tc.fail(ent)
-		// Tier 2: a stored capture for this functional identity replaces
-		// the live run; it is published for the waiting siblings exactly as
-		// a live capture would be.
-		if rec, out, ok := tc.loadDiskTrace(disk, k); ok {
-			res, err := tc.runLeadFromDisk(wl, cfg, lim, ent, rec, out)
-			return tc.finishCell(disk, k, cfg, res, err)
-		}
-		cap, rec, out, unlock := tc.captureToDisk(disk, k, &captureState{tc: tc, ent: ent})
-		defer unlock()
-		if rec != nil {
-			// Another process finished this capture while we waited on its
-			// lock: reuse it instead of re-executing.
-			res, err := tc.runLeadFromDisk(wl, cfg, lim, ent, rec, out)
-			return tc.finishCell(disk, k, cfg, res, err)
-		}
-		res, err := runStreamed(wl, cfg, scale, lim, cap)
-		return tc.finishCell(disk, k, cfg, res, err)
+		res, err = runStreamed(wl, cfg, scale, lim, &captureState{tc: tc, ent: ent})
 	case roleWait:
 		<-ent.done
 		if !ent.ok || (lim.Metrics && ent.funcObs == nil) {
 			// Failed/rejected capture, or a metrics cell waiting on a
 			// metric-less capture: run it the ordinary way.
 			tc.noteFallback()
-			res, err := runStreamed(wl, cfg, scale, lim, nil)
-			return tc.finishCell(disk, k, cfg, res, err)
+			res, err = runStreamed(wl, cfg, scale, lim, nil)
+		} else {
+			tc.noteHit()
+			res, err = runReplay(wl, cfg, lim, ent)
 		}
-		tc.noteHit()
-		res, err := runReplay(wl, cfg, lim, ent)
-		return tc.finishCell(disk, k, cfg, res, err)
 	default:
-		if disk != nil {
-			// Unshared in this process, but perhaps not across processes:
-			// replay a stored capture if one exists, otherwise capture to
-			// disk while streaming (a private capture, published to no one).
-			if rec, out, ok := tc.loadDiskTrace(disk, k); ok {
-				res, err := replayLocal(wl, cfg, lim, rec, out)
-				return tc.finishCell(disk, k, cfg, res, err)
-			}
-			cap, rec, out, unlock := tc.captureToDisk(disk, k, &captureState{tc: tc})
-			defer unlock()
-			if rec != nil {
-				res, err := replayLocal(wl, cfg, lim, rec, out)
-				return tc.finishCell(disk, k, cfg, res, err)
-			}
-			res, err := runStreamed(wl, cfg, scale, lim, cap)
-			return tc.finishCell(disk, k, cfg, res, err)
-		}
-		return runStreamed(wl, cfg, scale, lim, nil)
+		res, err = runStreamed(wl, cfg, scale, lim, nil)
 	}
-}
-
-// finishCell memoizes a clean cell outcome in the result store on its way
-// out. Pass-through for errors, detections and detached disks.
-func (tc *TraceCache) finishCell(disk *persist.Cache, k traceKey, cfg BinaryConfig, res *RunResult, err error) (*RunResult, error) {
 	if err == nil && disk != nil {
 		storeResult(disk, resultIdentity(k, cfg), res)
 	}

@@ -321,7 +321,7 @@ type CellSpan struct {
 	// Reason carries a hole's one-line annotation (empty otherwise).
 	Reason string
 	// Source tags where the result came from ("stream", "capture",
-	// "replay", "disk-replay", "result-store"; empty for failures).
+	// "replay", "result-store"; empty for failures).
 	Source string
 	Instrs uint64
 	Cycles uint64

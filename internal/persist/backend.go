@@ -28,11 +28,11 @@ import (
 )
 
 // Object kinds a Backend stores. Trace and result objects are named by the
-// hex form of their content address; meta objects (the manifest) by fixed
-// file names.
+// hex form of their content address; meta objects (the elastic pool's
+// completion markers) by caller-chosen names.
 const (
 	// kindTrace and kindResult are declared in persist.go; kindMeta holds
-	// the manifest and any future non-content-addressed index objects.
+	// every non-content-addressed object.
 	kindMeta = "meta"
 )
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -105,6 +107,70 @@ func TestDirBackendConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	backendConformance(t, b)
+}
+
+// TestDirBackendLayout pins the directory store's crash and layout
+// behaviour: a read-write open sweeps the temp files of writers that died
+// mid-put (and only those), a new store has no traces/ directory until a
+// trace is stored, and a store whose root vanished is never recreated.
+func TestDirBackendLayout(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	b, err := NewDirBackend(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "traces")); !os.IsNotExist(err) {
+		t.Fatalf("a new store made traces/: %v", err)
+	}
+	if err := b.Put(kindResult, "kept", []byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(kindTrace, "kept", []byte("t")); err != nil {
+		t.Fatalf("first trace put: %v", err)
+	}
+
+	strays := []string{
+		filepath.Join(dir, "traces", "deadbeef.trc.tmp.12345"),
+		filepath.Join(dir, "results", "deadbeef.res.tmp.12345"),
+		filepath.Join(dir, "elastic-x.tmp.12345"),
+	}
+	for _, stray := range strays {
+		if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewDirBackend(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range strays {
+		if _, err := os.Stat(stray); err != nil {
+			t.Fatalf("a read-only open removed %s: %v", stray, err)
+		}
+	}
+	if _, err := NewDirBackend(dir, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range strays {
+		if _, err := os.Stat(stray); !os.IsNotExist(err) {
+			t.Fatalf("stray temp %s survived a read-write open", stray)
+		}
+	}
+	for _, kind := range []string{kindResult, kindTrace} {
+		if _, err := b.Get(kind, "kept"); err != nil {
+			t.Fatalf("the sweep removed a published %s: %v", kind, err)
+		}
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(kindResult, "late", []byte("r")); err == nil {
+		t.Fatalf("a put into a vanished store succeeded")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a put recreated the vanished store root: %v", err)
+	}
 }
 
 func TestMemBackendConformance(t *testing.T) {
@@ -426,6 +492,35 @@ func TestTimeoutBackend(t *testing.T) {
 	}
 }
 
+// TestBreakerTripsThroughNoSpaceWrites pins the breaker against a store
+// whose reads all fail while its writes answer ErrNoSpace: the refused
+// writes neither count as failures nor reset the run, so the failing reads
+// trip it at the threshold.
+func TestBreakerTripsThroughNoSpaceWrites(t *testing.T) {
+	t.Parallel()
+	st := &StackStats{}
+	ch := NewChaos(NewMemBackend(), &ChaosSpec{Err: 1, NoSpace: 1}, st)
+	bb := newBreakerBackend(ch, 3, time.Minute, st)
+	for i := 0; i < 2; i++ {
+		if _, err := bb.Get(kindResult, "o"); !IsUnavailable(err) {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if err := bb.Put(kindResult, "o", []byte("x")); !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if st.BreakerTrips.Load() != 0 {
+		t.Fatalf("tripped below the threshold: %+v", st.Snapshot())
+	}
+	if _, err := bb.Get(kindResult, "o"); !IsUnavailable(err) {
+		t.Fatalf("third read: %v", err)
+	}
+	if st.BreakerTrips.Load() != 1 {
+		t.Fatalf("three failed reads between refused writes did not trip: %+v", st.Snapshot())
+	}
+
+}
+
 // TestBreakerLifecycle drives the circuit breaker through its full state
 // machine with an injected clock: consecutive failures trip it, an open
 // breaker fast-fails without touching the backend, the cooldown admits one
@@ -606,7 +701,7 @@ func TestCacheOverMemBackend(t *testing.T) {
 	if mb.Len(kindResult) != 1 {
 		t.Fatalf("backend holds %d results", mb.Len(kindResult))
 	}
-	// A second Cache over the same backend adopts the entry via List.
+	// A second Cache over the same backend serves the entry.
 	c2, err := OpenBackend(mb, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -616,31 +711,37 @@ func TestCacheOverMemBackend(t *testing.T) {
 	}
 }
 
-// TestCacheLockFailOpen pins the no-stranded-waiter guarantee: when the lock
-// plane itself is unavailable, TryLock elects the caller leader and
-// WaitUnlocked returns immediately — a broken backend can only ever cost a
-// duplicate capture, never a stall.
+// TestCacheLockFailOpen pins the no-stranded-claimant guarantee: when the
+// lock plane itself is unavailable, TryClaim grants the claim at once and
+// counts the degraded op — a broken backend can only ever cost a duplicate
+// unit, never a stall.
 func TestCacheLockFailOpen(t *testing.T) {
 	t.Parallel()
 	c, err := OpenBackend(NewMemBackend(), Options{
 		Chaos:     &ChaosSpec{Err: 1},
 		Retries:   -1,
-		LockWait:  10 * time.Second, // would be a visible stall if waited
 		RetrySeed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := SumID("lock-fail-open")
 	start := time.Now()
-	release, ok := c.TryLock(id)
-	if !ok {
-		t.Fatalf("unavailable lock plane must fail open to leader")
+	for i := 0; i < 2; i++ {
+		// A second claim on the same name is granted too: nothing holds it.
+		cl, ok := c.TryClaim("lock-fail-open")
+		if !ok {
+			t.Fatalf("claim %d: unavailable lock plane must fail open to claimant", i)
+		}
+		if cl.Stolen {
+			t.Fatalf("claim %d: a fail-open claim reported a steal", i)
+		}
+		cl.Release()
 	}
-	release()
-	c.WaitUnlocked(id)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lock ops stalled %v under a dead lock plane", elapsed)
+		t.Fatalf("claims stalled %v under a dead lock plane", elapsed)
+	}
+	if cc := c.Counters(); cc.Unavailable != 2 || cc.LockContended != 0 {
+		t.Fatalf("counters: %+v", cc)
 	}
 }
 
@@ -663,10 +764,10 @@ func TestCacheChaosFullRate(t *testing.T) {
 	if _, err := c.LoadResult(id); err == nil {
 		t.Fatalf("load under total chaos should fail")
 	}
-	if rel, ok := c.TryLock(id); !ok {
-		t.Fatalf("lock must fail open")
+	if cl, ok := c.TryClaim("chaos-full"); !ok {
+		t.Fatalf("claim must fail open")
 	} else {
-		rel()
+		cl.Release()
 	}
 	s := c.StackCounters()
 	if s.ChaosErrs == 0 && s.ChaosNoSpace == 0 {

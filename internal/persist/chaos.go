@@ -6,7 +6,7 @@
 //   - err: the op fails with a transient *UnavailableError
 //   - torn: a Put publishes only a prefix of the payload, then fails — the
 //     crashed-mid-write shape an atomic rename normally forbids, which is
-//     exactly what the codec CRCs and manifest recovery must catch
+//     exactly what the codec CRCs must catch
 //   - corrupt: a Get's payload comes back with one bit flipped (the backend
 //     "succeeded"; validation above must notice)
 //   - nospace: a Put fails with ErrNoSpace
@@ -209,7 +209,7 @@ func (c *Chaos) Put(kind, name string, data []byte) error {
 		// The crash-mid-write shape: a prefix of the payload lands under the
 		// final name (as if a non-atomic writer died after some sectors), and
 		// the writer itself sees a failure. Validation above must reject the
-		// prefix; recovery must evict it.
+		// prefix, and the rejecting load deletes it.
 		c.st.ChaosTorn.Add(1)
 		if n := len(data); n > 1 {
 			c.inner.Put(kind, name, data[:1+c.intn(n-1)])

@@ -6,17 +6,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
 
-// DirBackend is the local-directory Backend: the PR-5 on-disk layout
-// (traces/<id>.trc, results/<id>.res, locks/<name>.lock, manifest.json at
-// the root) behind the storage protocol. Puts are atomic — temp + fsync +
-// rename + directory fsync — so a crash can publish at worst nothing, and
-// every os-level failure is classified into the typed taxonomy before it
-// leaves this file: a missing object is ErrNotFound, a full disk is
-// ErrNoSpace, anything else transient is *UnavailableError.
+// DirBackend is the local-directory Backend: results/<id>.res,
+// locks/<name>.lock and meta objects at the root behind the storage
+// protocol (traces/<id>.trc appears only if a trace is stored). Puts are
+// atomic — temp + fsync + rename + directory fsync — so a crash can publish
+// at worst nothing, and every os-level failure is classified into the typed
+// taxonomy before it leaves this file: a missing object is ErrNotFound, a
+// full disk is ErrNoSpace, anything else transient is *UnavailableError.
 type DirBackend struct {
 	dir      string
 	readOnly bool
@@ -32,7 +33,7 @@ func NewDirBackend(dir string, readOnly bool) (*DirBackend, error) {
 		}
 		return &DirBackend{dir: dir, readOnly: true}, nil
 	}
-	for _, sub := range []string{"", "traces", "results", "locks"} {
+	for _, sub := range []string{"", "results", "locks"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("persist: %w", err)
 		}
@@ -94,8 +95,8 @@ func classify(op, kind, name string, err error) error {
 }
 
 // sweepTemps removes leftovers of writers that crashed mid-put: temp files
-// are always named <final>.tmp.<pid>, and a rename that never happened means
-// the object was never published.
+// are always named <final>.tmp.<pid>.<seq>, and a rename that never
+// happened means the object was never published.
 func (b *DirBackend) sweepTemps() {
 	for _, sub := range []string{".", "traces", "results"} {
 		names, err := os.ReadDir(filepath.Join(b.dir, sub))
@@ -103,12 +104,17 @@ func (b *DirBackend) sweepTemps() {
 			continue
 		}
 		for _, de := range names {
-			if strings.Contains(de.Name(), ".tmp.") || de.Name() == manifestName+".tmp" {
+			if strings.Contains(de.Name(), ".tmp.") {
 				os.Remove(filepath.Join(b.dir, sub, de.Name()))
 			}
 		}
 	}
 }
+
+// putSeq numbers this process's puts, so two concurrent puts of one object
+// (two handles on one store, or two sweeps sharing a cache) never write
+// through the same temp file.
+var putSeq atomic.Uint64
 
 // Get reads one object whole.
 func (b *DirBackend) Get(kind, name string) ([]byte, error) {
@@ -119,13 +125,19 @@ func (b *DirBackend) Get(kind, name string) ([]byte, error) {
 	return raw, nil
 }
 
-// Put atomically publishes one object: write a pid-suffixed temp, fsync it,
+// Put atomically publishes one object: write a uniquely named temp, fsync it,
 // rename over the final name, fsync the directory. A failure at any step
 // removes the temp so nothing partial is ever visible under the final name.
+// A kind's missing subdirectory (traces/, which a new store lacks) is made
+// on its first put; a vanished store root is never recreated.
 func (b *DirBackend) Put(kind, name string, data []byte) error {
 	final := b.path(kind, name)
-	tmp := fmt.Sprintf("%s.tmp.%d", final, os.Getpid())
-	if err := writeFileSync(tmp, data); err != nil {
+	tmp := fmt.Sprintf("%s.tmp.%d.%d", final, os.Getpid(), putSeq.Add(1))
+	err := writeFileSync(tmp, data)
+	if errors.Is(err, os.ErrNotExist) && os.Mkdir(filepath.Dir(final), 0o755) == nil {
+		err = writeFileSync(tmp, data)
+	}
+	if err != nil {
 		return classify("put", kind, name, err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
@@ -158,7 +170,7 @@ func (b *DirBackend) List(kind string) ([]Stat, error) {
 		if !ok || strings.Contains(de.Name(), ".tmp.") || de.IsDir() {
 			continue
 		}
-		if ext == "" && (de.Name() == manifestName+".tmp" || strings.HasSuffix(de.Name(), ".lock")) {
+		if ext == "" && strings.HasSuffix(de.Name(), ".lock") {
 			continue
 		}
 		info, err := de.Info()

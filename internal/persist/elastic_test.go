@@ -122,8 +122,8 @@ func TestCacheServerEpochLongPoll(t *testing.T) {
 
 // TestHTTPBackendReadCache pins the warm-path memory tier: immutable kinds
 // (traces, results) are served from memory on re-read, callers get private
-// copies, the meta namespace is never cached (markers and the manifest are
-// mutable), and the byte bound evicts LRU-first.
+// copies, the meta namespace is never cached (markers are mutable), and the
+// byte bound evicts LRU-first.
 func TestHTTPBackendReadCache(t *testing.T) {
 	t.Parallel()
 	url := newCacheServer(t, NewMemBackend())

@@ -80,7 +80,11 @@ func TestGoldenV1TraceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The older binary's store layout, traces/ included.
 	path := c.path(kindTrace, id)
+	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, committed, 0o644); err != nil {
 		t.Fatal(err)
 	}

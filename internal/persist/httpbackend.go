@@ -86,7 +86,7 @@ type rcEntry struct {
 }
 
 // cacheableKind reports whether an object kind's bodies are safe to serve
-// from memory. Meta objects (manifests, completion markers) mutate in place
+// from memory. Meta objects (completion markers) mutate in place
 // and must always cross the wire.
 func cacheableKind(kind string) bool {
 	return kind == kindTrace || kind == kindResult

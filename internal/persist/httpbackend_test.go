@@ -427,33 +427,35 @@ func TestCacheOverHTTPBackend(t *testing.T) {
 	}
 }
 
-// TestCacheLockFailOpenOverDeadServer pins the distributed no-stranded-waiter
-// guarantee: with the cache server gone, TryLock elects the caller leader and
-// WaitUnlocked returns without waiting out LockWait.
+// TestCacheLockFailOpenOverDeadServer pins the distributed
+// no-stranded-claimant guarantee: with the cache server gone, TryClaim
+// grants the claim at once — a claim with no lease behind it, which can
+// never report loss — and counts the degraded op.
 func TestCacheLockFailOpenOverDeadServer(t *testing.T) {
 	t.Parallel()
 	mux := http.NewServeMux()
 	NewCacheServer(NewMemBackend()).Register(mux)
 	ts := httptest.NewServer(mux)
 	hb := newHTTPBackend(t, ts.URL)
-	c, err := OpenBackend(hb, Options{
-		Retries:  -1,
-		LockWait: 10 * time.Second, // a visible stall if anything waited
-	})
+	c, err := OpenBackend(hb, Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()
-	id := SumID("dead-server-lock")
 	start := time.Now()
-	release, ok := c.TryLock(id)
+	cl, ok := c.TryClaim("dead-server-claim")
 	if !ok {
-		t.Fatalf("dead lock plane must fail open to leader")
+		t.Fatalf("dead lock plane must fail open to claimant")
 	}
-	release()
-	c.WaitUnlocked(id)
+	if cl.Lost() != nil || cl.Renew() != nil {
+		t.Fatalf("a fail-open claim must carry no lease")
+	}
+	cl.Release()
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("lock ops stalled %v against a dead server", elapsed)
+		t.Fatalf("claim stalled %v against a dead server", elapsed)
+	}
+	if cc := c.Counters(); cc.Unavailable == 0 {
+		t.Fatalf("degraded claim not counted: %+v", cc)
 	}
 }
 
@@ -483,10 +485,10 @@ func TestHTTPBackendChaos(t *testing.T) {
 		if _, err := c.LoadResult(id); err == nil {
 			t.Fatalf("load under total chaos should fail")
 		}
-		if rel, ok := c.TryLock(id); !ok {
-			t.Fatalf("lock must fail open")
+		if cl, ok := c.TryClaim("chaos-over-http"); !ok {
+			t.Fatalf("claim must fail open")
 		} else {
-			rel()
+			cl.Release()
 		}
 		s := c.StackCounters()
 		if s.ChaosErrs == 0 && s.ChaosNoSpace == 0 {

@@ -227,8 +227,8 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if kind == kindMeta {
-		// Meta objects carry scheduling state (manifests, completion
-		// markers); trace/result bodies do not, and skipping them keeps
+		// Meta objects carry scheduling state (completion markers);
+		// trace/result bodies do not, and skipping them keeps
 		// bulk artifact traffic from waking parked pollers.
 		s.bumpEpoch()
 	}

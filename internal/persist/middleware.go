@@ -334,7 +334,10 @@ func (b *breakerBackend) admit() (probe bool, err error) {
 }
 
 // settle records an op's outcome. Only transient unavailability counts as
-// failure: ErrNotFound, ErrNoSpace and nil all prove the backend reachable.
+// failure: ErrNotFound, ErrNoSpace and nil all prove the backend reachable,
+// so any of them closes a half-open breaker. A closed breaker's failure run
+// is reset by nil and ErrNotFound only: a full store refusing every write
+// says nothing about its reads, which must not keep failing for free.
 func (b *breakerBackend) settle(probe bool, err error) {
 	failed := retryable(err)
 	b.mu.Lock()
@@ -354,6 +357,9 @@ func (b *breakerBackend) settle(probe bool, err error) {
 	}
 	if b.state != breakerClosed {
 		return // an op admitted before the trip; its outcome is stale
+	}
+	if errors.Is(err, ErrNoSpace) {
+		return
 	}
 	if !failed {
 		b.fails = 0

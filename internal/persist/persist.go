@@ -1,19 +1,20 @@
-// Package persist is the content-addressed artifact cache behind the
+// Package persist is the content-addressed result store behind the
 // harness's trace cache: it makes repeated sweeps incremental across
-// processes. It holds two tiers —
+// processes. A store holds one small file per clean sweep cell —
+// results/<id>.res, the memoized cpu.Stats and outcome checksum keyed by the
+// cell's full identity (functional digest × timing config digest) — so a
+// repeated cell skips its simulation entirely. A result file is 161 bytes.
 //
-//   - the trace store (traces/<id>.trc): captured dynamic traces in a
-//     versioned binary format (see traceio.go), keyed by a cell's functional
-//     identity digest, so a later run replays a prior run's capture instead
-//     of re-executing the functional simulator;
-//   - the result store (results/<id>.res): memoized cpu.Stats and outcome
-//     checksums keyed by the full identity (functional digest × timing
-//     config digest), so a repeated cell skips even the replay.
+// The trace codec (traceio.go: StoreTrace, LoadTrace) remains for the
+// benchmark module, which times it; the harness neither writes nor reads
+// traces. A store filled by an older build may still hold traces/*.trc and a
+// manifest.json: nothing reads either, and both are safe to delete.
 //
 // Storage is pluggable: the cache sits on the Backend protocol (backend.go)
 // — the local directory store by default, an in-memory fake in tests, and a
 // chaos-wrapped stack when fault injection is on — hardened by retry,
-// timeout and circuit-breaker middleware (middleware.go).
+// timeout and circuit-breaker middleware (middleware.go). The backend's lock
+// plane carries only the elastic sweep pool's unit claims (TryClaim).
 //
 // Robustness contract: nothing in this package is ever allowed to turn a
 // sweep into a hard failure. Every load returns a typed error — ErrMiss for
@@ -21,17 +22,14 @@
 // read-write mode), *VersionError for a format from another era,
 // *UnavailableError (or ErrBreakerOpen) for a backend that could not answer
 // — and the harness answers all of them the same way: recompute, and
-// rewrite the entry. The manifest is crash-safe (write temp + fsync +
-// rename; a corrupt or missing manifest is rebuilt by scanning the store),
-// stores are atomic, the byte cap is enforced by least-recently-used
-// eviction, and cross-process capture duplication is suppressed by advisory
-// lock files that always fail open. Only the stdlib is used.
+// rewrite the entry. Stores are atomic and content-addressed, so any number
+// of processes may share one store, and claims on a lock plane that cannot
+// answer fail open. Only the stdlib is used.
 package persist
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -92,25 +90,14 @@ func (e *VersionError) Error() string {
 		e.Path, e.Got, FormatVersion)
 }
 
-// DefaultMaxBytes is the byte cap restbench applies to a persistent cache
-// unless -cache-max-bytes overrides it: 2 GiB comfortably holds the full
-// experiment grid at the default scales while still bounding disk use.
-const DefaultMaxBytes = 2 << 30
-
 // Options configures Open / OpenBackend.
 type Options struct {
-	// MaxBytes caps the store's payload bytes; storing past it evicts
-	// least-recently-used entries first. 0 = unlimited.
-	MaxBytes int64
-	// ReadOnly opens the cache without ever writing: no stores, no
-	// evictions, no manifest rewrites, no lock files, and corrupt files are
-	// reported but left in place. The directory must already exist.
+	// ReadOnly opens the cache without ever writing: no stores, no claims,
+	// and corrupt files are reported but left in place. The directory must
+	// already exist.
 	ReadOnly bool
-	// LockWait bounds how long WaitUnlocked blocks on another process's
-	// capture lock before giving up (default 60s).
-	LockWait time.Duration
-	// StaleLockAge is the age past which an abandoned lock file (a crashed
-	// leader) is stolen (default 10m).
+	// StaleLockAge is the age past which an abandoned elastic claim (a
+	// crashed worker's) is stolen (default 10m).
 	StaleLockAge time.Duration
 
 	// Chaos, when non-nil, wraps the backend with the seeded fault injector
@@ -137,106 +124,61 @@ type Options struct {
 	BreakerCooldown time.Duration
 }
 
-// Counters is a point-in-time snapshot of the cache's activity, exported to
+// Counters is a point-in-time snapshot of one handle's activity, exported to
 // the harness.diskcache.* metric namespace and restbench's stderr summary.
 type Counters struct {
 	TraceHits, TraceMisses   uint64
 	ResultHits, ResultMisses uint64
 	Stores                   uint64
-	Evictions                uint64
 	Corruptions              uint64
-	Rejected                 uint64 // single entries larger than the whole cap
-	LockWaits                uint64
-	LockWaitNs               uint64 // wall-clock time spent in WaitUnlocked
-	LockContended            uint64 // TryLock races lost to another holder
+	LockContended            uint64 // TryClaim races lost to a live holder
 	Unavailable              uint64 // ops degraded by backend unavailability
-	Bytes                    uint64 // resident payload bytes
-	Entries                  uint64 // resident entry count
+	Bytes                    uint64 // payload bytes this handle stored
 }
 
 const (
 	kindTrace  = "trace"
 	kindResult = "result"
-
-	manifestName = "manifest.json"
-	manifestLock = "manifest"
 )
 
-// entry is one resident cache file's manifest record.
-type entry struct {
-	ID      string `json:"id"`
-	Kind    string `json:"kind"`
-	Bytes   int64  `json:"bytes"`
-	LastUse int64  `json:"last_use"` // unix nanoseconds; LRU eviction order
-}
-
-func (e *entry) key() string { return e.Kind + "/" + e.ID }
-
-// manifest is the on-disk index. It is advisory: the backend's objects are
-// the truth, and Open reconciles the two (objects missing from the manifest
-// are adopted, manifest rows whose object vanished are dropped), so a lost
-// or corrupt manifest costs only LRU recency, never correctness.
-type manifest struct {
-	Version int      `json:"version"`
-	Entries []*entry `json:"entries"`
-}
-
 // Cache is one process's handle on a cache store. Safe for concurrent use;
-// several processes may share one directory (stores are atomic, manifest
-// rewrites merge with the on-disk state under an advisory lock).
+// several processes may share one store (stores are atomic and
+// content-addressed, so two writers of one entry write the same bytes).
 type Cache struct {
 	b     Backend      // the hardened stack every op goes through
-	dirb  *DirBackend  // non-nil when the raw backend is the local directory
 	httpb *HTTPBackend // non-nil when the raw backend is a remote cache server
 	dir   string       // the directory path ("" for non-directory backends)
 	opt   Options
 	stack *StackStats
 
-	mu      sync.Mutex
-	entries map[string]*entry
-	total   int64
-	dirty   bool // in-memory recency not yet flushed
-	c       Counters
+	mu sync.Mutex
+	c  Counters
 }
 
 // Open attaches to (and in read-write mode creates) a cache directory,
-// hardened by the default middleware stack. A missing or corrupt manifest is
-// rebuilt from the files present; stale temporary files from crashed writers
-// are swept in read-write mode.
+// hardened by the default middleware stack. Stale temporary files from
+// crashed writers are swept in read-write mode.
 func Open(dir string, opt Options) (*Cache, error) {
 	db, err := NewDirBackend(dir, opt.ReadOnly)
 	if err != nil {
 		return nil, err
 	}
-	return openBackend(db, db, opt)
+	return OpenBackend(db, opt)
 }
 
 // OpenBackend attaches to an arbitrary Backend, hardened by the configured
 // middleware stack. The backend must already be usable (OpenBackend creates
 // no directories).
-func OpenBackend(b Backend, opt Options) (*Cache, error) {
-	db, _ := b.(*DirBackend)
-	return openBackend(b, db, opt)
-}
-
-func openBackend(raw Backend, db *DirBackend, opt Options) (*Cache, error) {
-	if opt.LockWait <= 0 {
-		opt.LockWait = 60 * time.Second
-	}
+func OpenBackend(raw Backend, opt Options) (*Cache, error) {
 	if opt.StaleLockAge <= 0 {
 		opt.StaleLockAge = 10 * time.Minute
 	}
 	st := &StackStats{}
-	c := &Cache{
-		b: hardenStack(raw, opt, st), dirb: db, opt: opt, stack: st,
-		entries: make(map[string]*entry),
-	}
-	if db != nil {
+	c := &Cache{b: hardenStack(raw, opt, st), opt: opt, stack: st}
+	if db, ok := raw.(*DirBackend); ok {
 		c.dir = db.dir
 	}
 	c.httpb, _ = raw.(*HTTPBackend)
-	c.loadManifest()
-	c.reconcile()
 	return c, nil
 }
 
@@ -251,10 +193,7 @@ func (c *Cache) Dir() string { return c.dir }
 func (c *Cache) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.c
-	out.Bytes = uint64(c.total)
-	out.Entries = uint64(len(c.entries))
-	return out
+	return c.c
 }
 
 // StackCounters returns a snapshot of the hardening stack's activity (retry,
@@ -270,16 +209,9 @@ func (c *Cache) HTTPCounters() (HTTPCounters, bool) {
 	return c.httpb.Counters(), true
 }
 
-// Close flushes the manifest (recency updates included). The cache remains
-// usable after Close; it exists so a process's LRU observations survive it.
-func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.opt.ReadOnly || !c.dirty {
-		return nil
-	}
-	return c.flushManifestLocked()
-}
+// Close ends the handle's use. Every store is durable when it returns, so
+// there is nothing left to flush, and the cache remains usable after Close.
+func (c *Cache) Close() error { return nil }
 
 // unavailableSeen counts one degraded op when err is transient backend
 // unavailability (and not a plain miss).
@@ -288,59 +220,6 @@ func (c *Cache) unavailableSeen(err error) {
 		c.mu.Lock()
 		c.c.Unavailable++
 		c.mu.Unlock()
-	}
-}
-
-// loadManifest reads the manifest if it is present and sane; any failure
-// just leaves the index empty for reconcile to rebuild.
-func (c *Cache) loadManifest() {
-	raw, err := c.b.Get(kindMeta, manifestName)
-	if err != nil {
-		c.unavailableSeen(err)
-		return
-	}
-	var m manifest
-	if json.Unmarshal(raw, &m) != nil || m.Version != FormatVersion {
-		return
-	}
-	for _, e := range m.Entries {
-		if e != nil && e.ID != "" && (e.Kind == kindTrace || e.Kind == kindResult) {
-			c.entries[e.key()] = e
-		}
-	}
-}
-
-// reconcile makes the backend's objects the source of truth: rows whose
-// object is gone are dropped, objects the manifest never heard of are
-// adopted with their stat size and mtime recency.
-func (c *Cache) reconcile() {
-	seen := make(map[string]bool)
-	for _, kind := range []string{kindTrace, kindResult} {
-		stats, err := c.b.List(kind)
-		if err != nil {
-			c.unavailableSeen(err)
-			continue
-		}
-		for _, st := range stats {
-			key := kind + "/" + st.Name
-			seen[key] = true
-			if e, ok := c.entries[key]; ok {
-				e.Bytes = st.Bytes
-				continue
-			}
-			c.entries[key] = &entry{
-				ID: st.Name, Kind: kind,
-				Bytes: st.Bytes, LastUse: st.ModTime.UnixNano(),
-			}
-		}
-	}
-	c.total = 0
-	for key, e := range c.entries {
-		if !seen[key] {
-			delete(c.entries, key)
-			continue
-		}
-		c.total += e.Bytes
 	}
 }
 
@@ -355,15 +234,18 @@ func (c *Cache) path(kind string, id ID) string {
 	}
 }
 
-// touch bumps an entry's recency in memory; the update reaches disk with
-// the next flush (a crash in between costs recency only).
-func (c *Cache) touch(kind string, id ID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[kind+"/"+id.String()]; ok {
-		e.LastUse = time.Now().UnixNano()
-		c.dirty = true
+// put publishes one encoded entry and counts it. A failed put is returned
+// for the caller to ignore: the run it memoizes already succeeded.
+func (c *Cache) put(kind string, id ID, data []byte) error {
+	if err := c.b.Put(kind, id.String(), data); err != nil {
+		c.unavailableSeen(err)
+		return err
 	}
+	c.mu.Lock()
+	c.c.Stores++
+	c.c.Bytes += uint64(len(data))
+	c.mu.Unlock()
+	return nil
 }
 
 // discard handles a failed load: the corruption is counted and, in
@@ -372,239 +254,23 @@ func (c *Cache) touch(kind string, id ID) {
 func (c *Cache) discard(kind string, id ID) {
 	c.mu.Lock()
 	c.c.Corruptions++
+	c.mu.Unlock()
 	if c.opt.ReadOnly {
-		c.mu.Unlock()
 		return
 	}
-	key := kind + "/" + id.String()
-	if e, ok := c.entries[key]; ok {
-		c.total -= e.Bytes
-		delete(c.entries, key)
-		c.dirty = true
-	}
-	c.mu.Unlock()
 	if err := c.b.Delete(kind, id.String()); err != nil {
 		c.unavailableSeen(err)
-	}
-}
-
-// admit publishes a freshly stored object into the index, evicting
-// least-recently-used entries until the byte cap holds again, and flushes
-// the manifest. An object larger than the whole cap is deleted instead, and
-// evicts nothing. Caller must not hold mu.
-func (c *Cache) admit(kind string, id ID, size int64) error {
-	c.mu.Lock()
-	key := kind + "/" + id.String()
-	if old, ok := c.entries[key]; ok {
-		// The store replaced the old object.
-		c.total -= old.Bytes
-		delete(c.entries, key)
-	}
-	if c.opt.MaxBytes > 0 && size > c.opt.MaxBytes {
-		c.c.Rejected++
-		c.mu.Unlock()
-		c.b.Delete(kind, id.String())
-		return nil
-	}
-	e := &entry{ID: id.String(), Kind: kind, Bytes: size, LastUse: time.Now().UnixNano()}
-	c.entries[key] = e
-	c.total += size
-	c.c.Stores++
-	var victimKinds, victimIDs []string
-	if c.opt.MaxBytes > 0 {
-		var victims []*entry
-		for _, v := range c.entries {
-			if v != e {
-				victims = append(victims, v)
-			}
-		}
-		// Oldest use first; ties broken by key so eviction order is stable.
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].LastUse != victims[j].LastUse {
-				return victims[i].LastUse < victims[j].LastUse
-			}
-			return victims[i].key() < victims[j].key()
-		})
-		for c.total > c.opt.MaxBytes && len(victims) > 0 {
-			v := victims[0]
-			victims = victims[1:]
-			c.total -= v.Bytes
-			delete(c.entries, v.key())
-			c.c.Evictions++
-			victimKinds = append(victimKinds, v.Kind)
-			victimIDs = append(victimIDs, v.ID)
-		}
-	}
-	err := c.flushManifestLocked()
-	c.mu.Unlock()
-	for i := range victimIDs {
-		if derr := c.b.Delete(victimKinds[i], victimIDs[i]); derr != nil {
-			c.unavailableSeen(derr)
-		}
-	}
-	return err
-}
-
-// flushManifestLocked writes the index crash-safely, merging with whatever
-// another process published since we last read it: union by key, newest
-// recency wins, rows for vanished objects drop. The merge runs under the
-// manifest lock so two flushing processes serialize instead of clobbering
-// each other. Caller holds mu.
-func (c *Cache) flushManifestLocked() error {
-	unlock := c.lockManifest()
-	defer unlock()
-
-	merged := make(map[string]*entry, len(c.entries))
-	for k, e := range c.entries {
-		cp := *e
-		merged[k] = &cp
-	}
-	if raw, err := c.b.Get(kindMeta, manifestName); err == nil {
-		var disk manifest
-		if json.Unmarshal(raw, &disk) == nil && disk.Version == FormatVersion {
-			// Adopt rows for objects we have not seen, but only those whose
-			// object actually exists (one List per kind, not a stat per row).
-			exists := make(map[string]bool)
-			for _, kind := range []string{kindTrace, kindResult} {
-				if stats, lerr := c.b.List(kind); lerr == nil {
-					for _, st := range stats {
-						exists[kind+"/"+st.Name] = true
-					}
-				}
-			}
-			for _, e := range disk.Entries {
-				if e == nil {
-					continue
-				}
-				if have, ok := merged[e.key()]; ok {
-					if e.LastUse > have.LastUse {
-						have.LastUse = e.LastUse
-					}
-					continue
-				}
-				if exists[e.key()] {
-					merged[e.key()] = e
-				}
-			}
-		}
-	}
-	m := manifest{Version: FormatVersion}
-	for _, e := range merged {
-		m.Entries = append(m.Entries, e)
-	}
-	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].key() < m.Entries[j].key() })
-	raw, err := json.MarshalIndent(&m, "", " ")
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := c.b.Put(kindMeta, manifestName, append(raw, '\n')); err != nil {
-		// Caller holds mu: bump the counter directly (unavailableSeen locks).
-		if IsUnavailable(err) {
-			c.c.Unavailable++
-		}
-		return err
-	}
-	c.dirty = false
-	return nil
-}
-
-// lockManifest serializes manifest rewrites across processes. Contention is
-// rare and short (one JSON rewrite), so waiting is a tight bounded poll;
-// locks older than StaleLockAge are stolen, and a lock plane that cannot
-// answer fails open (the manifest put is still atomic — we only risk losing
-// a merge, which self-heals at the next reconcile). Caller holds mu.
-func (c *Cache) lockManifest() (unlock func()) {
-	deadline := time.Now().Add(c.opt.LockWait)
-	for {
-		release, err := c.b.TryLock(manifestLock)
-		if err == nil {
-			return release
-		}
-		if !errors.Is(err, ErrLockHeld) {
-			if IsUnavailable(err) {
-				c.c.Unavailable++
-			}
-			return func() {}
-		}
-		if age, aerr := c.b.LockAge(manifestLock); aerr == nil && age > c.opt.StaleLockAge {
-			c.b.BreakLock(manifestLock)
-			continue
-		}
-		if time.Now().After(deadline) {
-			return func() {}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TryLock attempts the single-flight capture lock for an identity; ok
-// reports whether this process is now the leader (call release when the
-// capture is stored or abandoned). A read-only cache never creates lock
-// files and reports every caller a leader, since there is nothing to store.
-// Locks left by crashed leaders are stolen once StaleLockAge old, and a lock
-// plane that cannot answer fails open: the caller proceeds as leader, at
-// worst duplicating a capture, never stalling one.
-func (c *Cache) TryLock(id ID) (release func(), ok bool) {
-	if c.opt.ReadOnly {
-		return func() {}, true
-	}
-	rel, err := c.b.TryLock(id.String())
-	if err == nil {
-		return rel, true
-	}
-	if !errors.Is(err, ErrLockHeld) {
-		c.unavailableSeen(err)
-		return func() {}, true
-	}
-	if age, aerr := c.b.LockAge(id.String()); aerr == nil && age > c.opt.StaleLockAge {
-		c.b.BreakLock(id.String())
-		if rel, err := c.b.TryLock(id.String()); err == nil {
-			return rel, true
-		}
-	}
-	c.mu.Lock()
-	c.c.LockContended++
-	c.mu.Unlock()
-	return nil, false
-}
-
-// WaitUnlocked blocks until another process's capture lock for id is
-// released, stolen, or LockWait elapses. The caller retries its load either
-// way; a timeout merely means a duplicate capture, never a wrong result. A
-// lock plane that cannot answer ends the wait immediately (fail open).
-func (c *Cache) WaitUnlocked(id ID) {
-	start := time.Now()
-	c.mu.Lock()
-	c.c.LockWaits++
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.c.LockWaitNs += uint64(time.Since(start))
-		c.mu.Unlock()
-	}()
-	deadline := time.Now().Add(c.opt.LockWait)
-	for time.Now().Before(deadline) {
-		age, err := c.b.LockAge(id.String())
-		if err != nil {
-			c.unavailableSeen(err)
-			return
-		}
-		if age > c.opt.StaleLockAge {
-			c.b.BreakLock(id.String())
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // --- Elastic scheduling surface ---
 //
 // The work-stealing sweep pool (internal/harness's elastic scheduler) needs
-// three small primitives beyond the artifact tiers: claims (unit locks whose
+// three small primitives beyond the result store: claims (unit locks whose
 // loss is observable), markers (tiny meta objects recording completed
 // units), and a change wait (so idle workers park instead of poll-spinning).
-// All three ride the existing planes — locks, the meta namespace, and the
-// HTTP server's epoch counter — with the same fail-open posture: a plane
+// All three ride the backend's other planes — locks, the meta namespace, and
+// the HTTP server's epoch counter — with the same fail-open posture: a plane
 // that cannot answer degrades to duplicate work, never to a stall or a
 // wrong byte.
 
@@ -687,9 +353,8 @@ func (c *Cache) TryClaim(name string) (*Claim, bool) {
 	return nil, false
 }
 
-// PutMarker publishes a small coordination object in the meta namespace.
-// Markers live beside the manifest: outside the artifact tiers, exempt from
-// the byte cap and eviction, named by the caller (content-addressed names
+// PutMarker publishes a small coordination object in the meta namespace,
+// outside the result store and named by the caller (content-addressed names
 // make publication idempotent — two workers writing the same marker write
 // the same bytes).
 func (c *Cache) PutMarker(name string, data []byte) error {

@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -307,199 +306,32 @@ func TestStoreResultRefusesDetections(t *testing.T) {
 	if err := c.StoreResult(SumID("bad"), &CellResult{Stats: bad}); err == nil {
 		t.Fatal("stored a detected cell result")
 	}
-	if cc := c.Counters(); cc.Stores != 0 || cc.Entries != 0 {
+	if cc := c.Counters(); cc.Stores != 0 || cc.Bytes != 0 {
 		t.Fatalf("counters after refused store: %+v", cc)
 	}
 }
 
-// TestLRUEviction fills a capped cache and checks the oldest-used entries
-// fall out first, that a hit refreshes recency, and that an entry larger
-// than the whole cap is rejected outright, evicting nothing.
-func TestLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, Options{MaxBytes: 3 * int64(resultFileLen)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ids := make([]ID, 4)
-	for i := range ids {
-		ids[i] = SumID(fmt.Sprintf("lru-%d", i))
-	}
-	// Recency is time.Now-based; consecutive stores get strictly ordered
-	// UnixNano stamps on any clock with ns resolution, but force distinct
-	// stamps explicitly to keep the test hermetic.
-	for i := 0; i < 3; i++ {
-		if err := c.StoreResult(ids[i], &CellResult{Stats: testStats()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.mu.Lock()
-	for i := 0; i < 3; i++ {
-		c.entries[kindResult+"/"+ids[i].String()].LastUse = int64(1000 + i)
-	}
-	c.mu.Unlock()
-	// Touch ids[0]: it becomes the most recent, so ids[1] is now oldest.
-	if _, err := c.LoadResult(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StoreResult(ids[3], &CellResult{Stats: testStats()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(c.path(kindResult, ids[1])); !os.IsNotExist(err) {
-		t.Fatal("ids[1] (least recently used) was not evicted")
-	}
-	for _, keep := range []int{0, 2, 3} {
-		if _, err := os.Stat(c.path(kindResult, ids[keep])); err != nil {
-			t.Fatalf("ids[%d] should have survived: %v", keep, err)
-		}
-	}
-	cc := c.Counters()
-	if cc.Evictions != 1 || cc.Entries != 3 || cc.Bytes != uint64(3*resultFileLen) {
-		t.Fatalf("counters: %+v", cc)
-	}
-
-	// An entry alone exceeding the cap is rejected outright: it evicts
-	// nothing, and leaves nothing of its own on disk.
-	big, err := Open(t.TempDir(), Options{MaxBytes: 3 * int64(resultFileLen)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer big.Close()
-	kept := []ID{SumID("kept-0"), SumID("kept-1")}
-	for _, id := range kept {
-		if err := big.StoreResult(id, &CellResult{Stats: testStats()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tooBig := testTrace(1000, 8)
-	defer tooBig.Release()
-	if err := big.StoreTrace(SumID("too-big"), tooBig, 1); err != nil {
-		t.Fatal(err)
-	}
-	bc := big.Counters()
-	if bc.Rejected != 1 || bc.Evictions != 0 || bc.Entries != 2 || bc.Bytes != uint64(2*resultFileLen) {
-		t.Fatalf("oversized store counters: %+v", bc)
-	}
-	if _, err := os.Stat(big.path(kindTrace, SumID("too-big"))); !os.IsNotExist(err) {
-		t.Fatal("oversized entry left on disk")
-	}
-	for _, id := range kept {
-		if _, err := big.LoadResult(id); err != nil {
-			t.Fatalf("an oversized store evicted a resident entry: %v", err)
-		}
-	}
-}
-
-// TestManifestCrashRecovery simulates a writer that died mid-store (stray
-// temp files, a half-written manifest, a manifest gone entirely) and checks
-// a fresh Open recovers the full store from the files alone.
-func TestManifestCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tid, rid := SumID("crash-trace"), SumID("crash-result")
-	if err := c.StoreTrace(tid, testTrace(10, 0), 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.StoreResult(rid, &CellResult{Stats: testStats()}); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-
-	// The crash: stray temp files and a torn manifest replacement.
-	for _, stray := range []string{
-		filepath.Join(dir, "traces", "deadbeef.trc.tmp.12345"),
-		filepath.Join(dir, "results", "deadbeef.res.tmp.12345"),
-		filepath.Join(dir, manifestName+".tmp"),
-	} {
-		if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, stray := range []string{
-		filepath.Join(dir, "traces", "deadbeef.trc.tmp.12345"),
-		filepath.Join(dir, "results", "deadbeef.res.tmp.12345"),
-		filepath.Join(dir, manifestName+".tmp"),
-	} {
-		if _, err := os.Stat(stray); !os.IsNotExist(err) {
-			t.Fatalf("stray temp %s survived reopen", stray)
-		}
-	}
-	if cc := re.Counters(); cc.Entries != 2 {
-		t.Fatalf("reconcile adopted %d entries, want 2 (%+v)", cc.Entries, cc)
-	}
-	if rec, checksum, err := re.LoadTrace(tid); err != nil || checksum != 3 {
-		t.Fatalf("trace lost after crash: %v (checksum %d)", err, checksum)
-	} else {
-		rec.Release()
-	}
-	if _, err := re.LoadResult(rid); err != nil {
-		t.Fatalf("result lost after crash: %v", err)
-	}
-
-	// Losing the manifest entirely costs nothing but recency either.
-	re.Close()
-	os.Remove(filepath.Join(dir, manifestName))
-	re2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	if cc := re2.Counters(); cc.Entries != 2 {
-		t.Fatalf("manifest-less reconcile adopted %d entries, want 2", cc.Entries)
-	}
-}
-
 // TestConcurrentCachesSingleFlight drives two Cache handles on one directory
-// (the two-process case) through contended capture locks and simultaneous
-// stores, then checks the manifest survived as valid JSON covering every
-// file.
+// (the two-process case) through simultaneous stores and loads of the same
+// identities, then checks a fresh handle loads every entry intact: atomic,
+// content-addressed stores make concurrent writers of one entry harmless.
 func TestConcurrentCachesSingleFlight(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
 	b, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
 
-	// The capture lock is exclusive across handles and reusable after
-	// release.
-	id := SumID("flight")
-	relA, ok := a.TryLock(id)
-	if !ok {
-		t.Fatal("first TryLock should lead")
-	}
-	if _, ok := b.TryLock(id); ok {
-		t.Fatal("second handle stole a held lock")
-	}
-	relA()
-	relB, ok := b.TryLock(id)
-	if !ok {
-		t.Fatal("released lock not reacquirable")
-	}
-	relB()
-
-	// Hammer both handles with concurrent stores and loads of interleaved
-	// identities; single-flight each identity via TryLock exactly as the
-	// harness does.
 	const n = 24
+	result := func(i int) *CellResult {
+		st := testStats()
+		st.Cycles += uint64(i)
+		return &CellResult{Stats: st, Checksum: uint64(i)}
+	}
 	var wg sync.WaitGroup
 	for w, c := range []*Cache{a, b} {
 		wg.Add(1)
@@ -507,52 +339,34 @@ func TestConcurrentCachesSingleFlight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				kid := SumID(fmt.Sprintf("conc-%d", i))
-				if release, lead := c.TryLock(kid); lead {
-					if err := c.StoreTrace(kid, testTrace(5+i, 0), uint64(i)); err != nil {
-						t.Errorf("worker %d store %d: %v", w, i, err)
-					}
-					release()
-				} else {
-					c.WaitUnlocked(kid)
+				if err := c.StoreResult(kid, result(i)); err != nil {
+					t.Errorf("worker %d store %d: %v", w, i, err)
 				}
-				if rec, _, err := c.LoadTrace(kid); err == nil {
-					rec.Release()
-				} else if !errors.Is(err, ErrMiss) {
+				if _, err := c.LoadResult(kid); err != nil {
 					t.Errorf("worker %d load %d: %v", w, i, err)
 				}
 			}
 		}(w, c)
 	}
 	wg.Wait()
-	a.Close()
-	b.Close()
+	for _, c := range []*Cache{a, b} {
+		if cc := c.Counters(); cc.Stores != n || cc.Bytes != n*resultFileLen || cc.Corruptions != 0 {
+			t.Fatalf("counters: %+v", cc)
+		}
+	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("manifest corrupted by concurrent flushes: %v", err)
-	}
-	if m.Version != FormatVersion {
-		t.Fatalf("manifest version %d", m.Version)
-	}
 	fresh, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	for i := 0; i < n; i++ {
-		kid := SumID(fmt.Sprintf("conc-%d", i))
-		rec, checksum, err := fresh.LoadTrace(kid)
+		got, err := fresh.LoadResult(SumID(fmt.Sprintf("conc-%d", i)))
 		if err != nil {
 			t.Fatalf("identity %d missing after concurrent run: %v", i, err)
 		}
-		if checksum != uint64(i) || rec.Len() != 5+i {
-			t.Fatalf("identity %d: checksum %d len %d", i, checksum, rec.Len())
+		if !reflect.DeepEqual(got, result(i)) {
+			t.Fatalf("identity %d: %+v", i, got)
 		}
-		rec.Release()
 	}
 }
 

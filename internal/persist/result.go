@@ -78,7 +78,7 @@ func unpackStats(b []byte) cpu.Stats {
 }
 
 // StoreResult memoizes one clean cell outcome under its full identity
-// digest, atomically, and admits it to the manifest.
+// digest, atomically.
 func (c *Cache) StoreResult(id ID, r *CellResult) error {
 	if c.opt.ReadOnly {
 		return ErrReadOnly
@@ -95,12 +95,7 @@ func (c *Cache) StoreResult(id ID, r *CellResult) error {
 	buf[off] = 0 // LSQViolation, always false for a clean cell
 	binary.LittleEndian.PutUint64(buf[off+1:off+9], r.Checksum)
 	binary.LittleEndian.PutUint32(buf[off+9:off+13], crc32.ChecksumIEEE(buf[:off+9]))
-
-	if err := c.b.Put(kindResult, id.String(), buf); err != nil {
-		c.unavailableSeen(err)
-		return err
-	}
-	return c.admit(kindResult, id, int64(len(buf)))
+	return c.put(kindResult, id, buf)
 }
 
 // LoadResult reads the memoized outcome stored under id. Misses return
@@ -137,7 +132,6 @@ func (c *Cache) LoadResult(id ID) (*CellResult, error) {
 		c.mu.Unlock()
 		return nil, derr
 	}
-	c.touch(kindResult, id)
 	c.mu.Lock()
 	c.c.ResultHits++
 	c.mu.Unlock()

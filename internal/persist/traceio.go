@@ -1,5 +1,11 @@
 // The trace store's binary format (version 2).
 //
+// Sweeps do not store traces: replaying one from disk costs more than
+// re-executing its cell on the block engine, so the harness persists
+// results only. The codec stays for the benchmark module (bench/restperf),
+// which times StoreTrace and LoadTrace as the persist layer's trace
+// throughput.
+//
 // A trace file is an 80-byte header followed by the trace's serialized form,
 // which is the trace package's to define (trace.Recorder.AppendEncoding):
 // the site table, then each block of 16384 entries with its byte length, in
@@ -44,11 +50,10 @@ const (
 	traceHeaderLen = 80
 )
 
-// StoreTrace writes a captured recording into the trace store under its
-// functional identity digest, atomically, and admits it to the manifest,
-// evicting older entries if the byte cap demands. checksum is the captured
-// run's outcome checksum, replayed verbatim. The file is built in one
-// buffer sized to it: the header, then the Recorder's own serialized form.
+// StoreTrace writes a captured recording into the trace store under id,
+// atomically. checksum is the captured run's outcome checksum, replayed
+// verbatim. The file is built in one buffer sized to it: the header, then
+// the Recorder's own serialized form.
 func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 	if c.opt.ReadOnly {
 		return ErrReadOnly
@@ -66,11 +71,7 @@ func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 	copy(hdr[40:72], id[:])
 	binary.LittleEndian.PutUint32(hdr[72:76], crc32.ChecksumIEEE(data[traceHeaderLen:]))
 	binary.LittleEndian.PutUint32(hdr[76:80], crc32.ChecksumIEEE(hdr[:76]))
-	if err := c.b.Put(kindTrace, id.String(), data); err != nil {
-		c.unavailableSeen(err)
-		return err
-	}
-	return c.admit(kindTrace, id, int64(len(data)))
+	return c.put(kindTrace, id, data)
 }
 
 // LoadTrace reads the trace stored under id into a fresh Recorder, returning
@@ -108,7 +109,6 @@ func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
 		c.mu.Unlock()
 		return nil, 0, derr
 	}
-	c.touch(kindTrace, id)
 	c.mu.Lock()
 	c.c.TraceHits++
 	c.mu.Unlock()

@@ -107,7 +107,7 @@ func TestTraceWriterMatchesReference(t *testing.T) {
 // TestTraceStoreAllocationBound is a deterministic memory gate on the store
 // path: with the GC off, storing a trace may allocate at most its file size
 // plus 64 KiB. StoreTrace builds the file in one buffer; the slack covers
-// the backend's write and the manifest rewrite. The bound is in bytes
+// the backend's write. The bound is in bytes
 // allocated per store, not time, so host noise cannot move it.
 func TestTraceStoreAllocationBound(t *testing.T) {
 	if testing.Short() {
@@ -131,7 +131,7 @@ func TestTraceStoreAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		file := uint64(c.entries[kindTrace+"/"+id.String()].Bytes)
+		file := c.Counters().Bytes // the handle's only store
 		alloc := after.TotalAlloc - before.TotalAlloc
 		bound := file + 64<<10
 		t.Logf("%d entries: file %d B (%.2f B/entry), allocated %d B (%.3fx the file), bound %d B",

@@ -13,11 +13,6 @@
 #   make bench       regenerate every figure/table as benchmarks
 #   make bench-smoke every benchmark in every package, one iteration each —
 #                    proves the bench suite still compiles and runs
-#   make bench-json  measure the sweep-cache A/Bs (in-memory capture/replay,
-#                    persistent result store cold vs warm) and record them
-#                    as $(BENCH_JSON), by default .bench_build/BENCH.json,
-#                    which git ignores; the committed BENCH_<n>.json history
-#                    points are rewritten only when BENCH_JSON names one
 #   make chaos-short the storage-chaos differential wall: the sensitivity
 #                    sweep under seeded fault injection at 0/10/50/100%
 #                    per-op rates, cold -j1 and warm -j4, byte-identical to
@@ -31,10 +26,9 @@
 GO         ?= go
 FUZZTIME   ?= 10s
 SEED       ?= 42
-BENCH_JSON ?= .bench_build/BENCH.json
 CACHE_DIR  ?= .restcache
 
-.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke bench-json chaos-short watch-demo clean-cache verify
+.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke chaos-short watch-demo clean-cache verify
 
 build:
 	$(GO) build ./...
@@ -80,16 +74,6 @@ bench:
 # keeps the bench suite from bit-rotting between real benchmarking sessions.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# The Figure 8 sensitivity sweep A/Bs — in-memory cache on vs off (best of
-# two rounds each) and persistent result store cold vs warm — plus the
-# interpreter A/B (decoded-block engine vs reference, with its >= 3x floor),
-# recorded as a machine-readable point of the perf trajectory. Writes
-# $(BENCH_JSON); the default lies outside the committed history points, so
-# a plain `make bench-json` never clobbers one.
-bench-json:
-	mkdir -p $(dir $(BENCH_JSON))
-	$(GO) test -run TestBenchJSON -timeout 30m -bench-json=$(BENCH_JSON) .
 
 # The storage fault plane's CI gate: deterministic chaos injection (fixed
 # seeds) over the sweep grid must leave every report byte-identical to

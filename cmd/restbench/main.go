@@ -67,11 +67,11 @@
 //	                 err/torn/corrupt/nospace/lockstall all =F), err=F,
 //	                 torn=F, corrupt=F, nospace=F, latency=F, lockstall=F,
 //	                 delay=DUR. Example: seed=7,rate=0.5
-//	-cache-retries N transient backend failures retried per op with
-//	                 exponential backoff (default 2; 0 disables)
-//	-cache-timeout D per-op wall-clock bound on cache backend operations;
-//	                 a blown budget degrades to recompute (default: none;
-//	                 30s with -cache-url unless set explicitly)
+//
+// Every store op runs under one hardening layer: up to 2 retries of a
+// transient failure with exponential backoff, a circuit breaker, and, over
+// -cache-url, a 30s bound on each attempt; whatever still fails degrades to
+// recompute.
 //
 // Distributed sweeps (details in EXPERIMENTS.md): one process serves a
 // cache directory, any number of -shard auto workers drain every grid into
@@ -83,10 +83,9 @@
 //	                 restbench processes over HTTP until SIGINT/SIGTERM;
 //	                 takes only -cache-dir
 //	-cache-url URL   use a -cache-serve server as the persistent cache
-//	                 instead of a local directory; the full hardening
-//	                 stack (-cache-retries/-cache-timeout/-cache-chaos,
-//	                 circuit breaker, fail-open locks) applies to the
-//	                 network exactly as it does to disk
+//	                 instead of a local directory; the hardening layer,
+//	                 -cache-chaos and fail-open locks apply to the network
+//	                 exactly as they do to disk
 //	-shard auto      join an elastic work-stealing pool: claim
 //	                 functional-identity units under renewed leases on the
 //	                 shared store, publish the artifacts, steal expired
@@ -158,10 +157,6 @@ type cacheFlagState struct {
 	RO          bool   // -cache-ro
 	TraceCache  bool   // -trace-cache (the in-memory tier the disk rides on)
 	Chaos       string // -cache-chaos spec (empty = no chaos)
-	Retries     int
-	RetriesSet  bool // -cache-retries given explicitly
-	Timeout     time.Duration
-	TimeoutSet  bool // -cache-timeout given explicitly
 	StaleAge    time.Duration
 	StaleAgeSet bool   // -cache-stale-age given explicitly
 	Shard       string // -shard spec: empty, or "auto" for the elastic pool
@@ -189,14 +184,8 @@ func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 	if s.RO {
 		mode = "ro"
 	}
-	if !store && (s.RO || s.Chaos != "" || s.RetriesSet || s.TimeoutSet || s.StaleAgeSet) {
-		return none, errors.New("restbench: -cache-ro/-cache-chaos/-cache-retries/-cache-timeout/-cache-stale-age configure the persistent cache; pass -cache-dir DIR or -cache-url URL to enable it")
-	}
-	if s.RetriesSet && s.Retries < 0 {
-		return none, fmt.Errorf("restbench: -cache-retries must be >= 0, got %d", s.Retries)
-	}
-	if s.TimeoutSet && s.Timeout <= 0 {
-		return none, fmt.Errorf("restbench: -cache-timeout must be positive, got %v", s.Timeout)
+	if !store && (s.RO || s.Chaos != "" || s.StaleAgeSet) {
+		return none, errors.New("restbench: -cache-ro/-cache-chaos/-cache-stale-age configure the persistent cache; pass -cache-dir DIR or -cache-url URL to enable it")
 	}
 	if s.StaleAgeSet && s.StaleAge <= 0 {
 		return none, fmt.Errorf("restbench: -cache-stale-age must be positive, got %v", s.StaleAge)
@@ -287,8 +276,6 @@ func main() {
 	shardSpec := flag.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
 	cacheRO := flag.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
 	cacheChaos := flag.String("cache-chaos", "", "inject storage faults: comma-separated spec, e.g. seed=7,rate=0.5 or err=0.1,torn=0.05,delay=5ms (drill/testing)")
-	cacheRetries := flag.Int("cache-retries", persist.DefaultRetries, "transient cache backend failures retried per op (0 = no retries)")
-	cacheTimeout := flag.Duration("cache-timeout", 0, "per-op wall-clock bound on cache backend operations (0 = none)")
 	cacheStaleAge := flag.Duration("cache-stale-age", 0, "age past which an abandoned elastic claim or lease is considered dead and stolen (0 = default, 10m)")
 	seed := flag.Int64("seed", 42, "seed for the -faults campaign")
 	only := flag.String("only", "", "substring filter for -faults scenarios")
@@ -354,10 +341,6 @@ func main() {
 		RO:          *cacheRO,
 		TraceCache:  *traceCache,
 		Chaos:       *cacheChaos,
-		Retries:     *cacheRetries,
-		RetriesSet:  explicit["cache-retries"],
-		Timeout:     *cacheTimeout,
-		TimeoutSet:  explicit["cache-timeout"],
 		StaleAge:    *cacheStaleAge,
 		StaleAgeSet: explicit["cache-stale-age"],
 		Shard:       *shardSpec,
@@ -421,20 +404,13 @@ func main() {
 		popt := persist.Options{
 			ReadOnly:     setup.Mode == "ro",
 			Chaos:        chaosSpec,
-			Retries:      *cacheRetries,
-			OpTimeout:    *cacheTimeout,
 			StaleLockAge: *cacheStaleAge,
-		}
-		if *cacheRetries == 0 {
-			popt.Retries = -1 // flag 0 means "no retries", not "library default"
 		}
 		var err error
 		if *cacheURL != "" {
-			// A remote store adds network stalls the local default never
-			// sees: bound every op unless the user chose their own budget.
-			if !explicit["cache-timeout"] {
-				popt.OpTimeout = 30 * time.Second
-			}
+			// A remote store adds network stalls the local disk never
+			// sees: bound every attempt.
+			popt.OpTimeout = 30 * time.Second
 			// A short -cache-stale-age (fast recovery from killed
 			// workers) only works if live holders renew their leases
 			// well inside that window; tie the renew period to it.
@@ -742,9 +718,8 @@ func main() {
 		}
 		if hc, ok := pcache.HTTPCounters(); ok {
 			fmt.Fprintf(os.Stderr,
-				"http cache: %d gets (%d coalesced, %s saved) / %d puts / %d lists, %d lock ops (%d renews), %d transport errors, %d B in / %d B out\n",
-				hc.Gets, hc.Coalesced, time.Duration(hc.CoalescedWaitNs).Round(time.Millisecond),
-				hc.Puts, hc.Lists, hc.LockOps, hc.Renews, hc.TransportErrs, hc.BytesIn, hc.BytesOut)
+				"http cache: %d gets / %d puts / %d lists, %d lock ops (%d renews), %d transport errors, %d B in / %d B out\n",
+				hc.Gets, hc.Puts, hc.Lists, hc.LockOps, hc.Renews, hc.TransportErrs, hc.BytesIn, hc.BytesOut)
 		}
 	}
 	if degraded {

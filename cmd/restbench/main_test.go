@@ -69,40 +69,11 @@ func TestValidateCacheFlags(t *testing.T) {
 			s:       cacheFlagState{Dir: dir, Chaos: "bogus=1", TraceCache: true},
 			wantErr: "unknown",
 		},
-		{
-			name:    "retries without a dir",
-			s:       cacheFlagState{Retries: 5, RetriesSet: true, TraceCache: true},
-			wantErr: "pass -cache-dir DIR",
-		},
-		{
-			name:    "negative retries",
-			s:       cacheFlagState{Dir: dir, Retries: -1, RetriesSet: true, TraceCache: true},
-			wantErr: "must be >= 0",
-		},
-		{
-			name:    "timeout without a dir",
-			s:       cacheFlagState{Timeout: time.Second, TimeoutSet: true, TraceCache: true},
-			wantErr: "pass -cache-dir DIR",
-		},
-		{
-			name:    "non-positive timeout",
-			s:       cacheFlagState{Dir: dir, Timeout: -time.Second, TimeoutSet: true, TraceCache: true},
-			wantErr: "must be positive",
-		},
-		{
-			name: "retries and timeout with a dir",
-			s: cacheFlagState{
-				Dir: dir, Retries: 3, RetriesSet: true,
-				Timeout: time.Second, TimeoutSet: true, TraceCache: true,
-			},
-			mode: "rw",
-		},
 		{name: "url alone defaults to rw", s: cacheFlagState{URL: "http://localhost:9", TraceCache: true}, mode: "rw"},
 		{
 			name: "url carries the hardening stack",
 			s: cacheFlagState{
-				URL: "http://localhost:9", Chaos: "seed=3,rate=0.2",
-				Retries: 4, RetriesSet: true, TraceCache: true,
+				URL: "http://localhost:9", Chaos: "seed=3,rate=0.2", TraceCache: true,
 			},
 			mode:      "rw",
 			wantChaos: true,

@@ -28,10 +28,11 @@ import (
 // cpu.Stats bit-exactly (IPC as IEEE-754 bits), and every disk failure —
 // miss, corruption, version skew, an unavailable backend — degrades to
 // recompute (and, in read-write mode, rewrite), so cold-cache, warm-cache
-// and cache-off sweeps render byte-identical reports. The store stands
-// aside for cells that need surfaces a file cannot carry: metric registries
-// (CellLimits.Metrics) never touch it, and live worlds (CellLimits.NeedWorld,
-// the micro-stats path) never read it.
+// and cache-off sweeps render byte-identical reports. Cells that need
+// surfaces a file cannot carry — a metric registry (CellLimits.Metrics) or a
+// live world (CellLimits.NeedWorld, the micro-stats path) — never read the
+// store, since a served cell has neither and warm and cold reports would
+// diverge; they still store their clean results for the cells that can.
 
 // AttachDisk backs the trace cache with a persistent store. Read-only or
 // read-write behaviour follows how the persist cache was opened. Call before
@@ -53,19 +54,6 @@ func (tc *TraceCache) DiskCounters() persist.Counters {
 		return persist.Counters{}
 	}
 	return pc.Counters()
-}
-
-// diskFor resolves the result store for one cell. Cells that need per-cell
-// metric registries bypass it: a registry is not stored in a file, and
-// serving half a cell from disk would make warm and cold metric reports
-// diverge.
-func (tc *TraceCache) diskFor(lim CellLimits) *persist.Cache {
-	if lim.Metrics {
-		return nil
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.disk
 }
 
 // timingIdentity digests a cell's timing-only knobs: the core choice and the
@@ -97,7 +85,7 @@ func resultIdentity(k traceKey, cfg BinaryConfig) persist.ID {
 
 // resultFromStore reconstructs a RunResult from a memoized cell outcome.
 // World and Obs are nil by design: cells that need either never read the
-// result store (see diskFor and CellLimits.NeedWorld).
+// result store.
 func resultFromStore(wl workload.Workload, cfg BinaryConfig, cr *persist.CellResult) *RunResult {
 	stats := cr.Stats
 	return &RunResult{
@@ -127,9 +115,7 @@ func storeResult(disk *persist.Cache, rid persist.ID, res *RunResult) {
 // registry as harness.diskcache.* metrics. Like the in-memory counters they
 // are the store's lifetime totals; unlike them they describe operational
 // state (what happened to be on disk), so they are deliberately excluded
-// from the byte-identical-reports contract — which is also why cells with
-// metrics enabled never consult the disk (the counters then stay constant
-// for the whole metrics run).
+// from the byte-identical-reports contract.
 func (tc *TraceCache) recordDiskObs(r *obs.Registry) {
 	tc.mu.Lock()
 	pc := tc.disk
@@ -158,17 +144,12 @@ func (tc *TraceCache) recordDiskObs(r *obs.Registry) {
 		r.Counter("persist.httpbackend.lists").Add(hc.Lists)
 		r.Counter("persist.httpbackend.lock_ops").Add(hc.LockOps)
 		r.Counter("persist.httpbackend.renews").Add(hc.Renews)
-		r.Counter("persist.httpbackend.coalesced").Add(hc.Coalesced)
-		r.Counter("persist.httpbackend.coalesced_wait_ns").Add(hc.CoalescedWaitNs)
 		r.Counter("persist.httpbackend.transport_errs").Add(hc.TransportErrs)
 		r.Counter("persist.httpbackend.bytes_in").Add(hc.BytesIn)
 		r.Counter("persist.httpbackend.bytes_out").Add(hc.BytesOut)
-		r.Counter("persist.httpbackend.read_hits").Add(hc.ReadHits)
-		r.Counter("persist.httpbackend.read_misses").Add(hc.ReadMisses)
-		r.Counter("persist.httpbackend.read_saved_bytes").Add(hc.ReadSavedBytes)
 	}
 
-	// The hardening stack's own activity (same operational-state caveat).
+	// The hardening layer's own activity (same operational-state caveat).
 	s := pc.StackCounters()
 	r.Counter("persist.retry.attempts").Add(s.RetryAttempts)
 	r.Counter("persist.retry.retries").Add(s.Retries)

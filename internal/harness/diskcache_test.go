@@ -436,8 +436,9 @@ func TestDiskCacheMicroStats(t *testing.T) {
 }
 
 // TestDiskCacheMetricsBypass pins the metrics determinism story: cells with
-// metric registries never touch the disk (functional registries are not
-// persisted), so a metrics sweep renders identical metrics cold and warm.
+// metric registries never read the store (registries are not persisted), so
+// a metrics sweep renders identical metrics cold and warm, yet they store
+// their clean results for later plain runs.
 func TestDiskCacheMetricsBypass(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm")
@@ -454,13 +455,19 @@ func TestDiskCacheMetricsBypass(t *testing.T) {
 		return m.Metrics("fig8sens").CSV()
 	}
 
+	// Metrics cells never read the store, so the warm run recomputes too;
+	// every clean cell still stores its result, on both runs.
+	cells := uint64(len(wls) * len(cfgs))
 	coldTC, coldPC := diskTC(t, dir, persist.Options{})
 	cold := metricsCSV(coldTC)
-	if c := coldPC.Counters(); c.Stores != 0 || c.TraceMisses != 0 || c.ResultMisses != 0 {
-		t.Errorf("metrics cells touched the disk cache: %+v", c)
+	if c := coldPC.Counters(); c.Stores != cells || c.ResultHits != 0 || c.ResultMisses != 0 {
+		t.Errorf("cold metrics run: %+v, want %d stores and no result lookup", c, cells)
 	}
-	warmTC, _ := diskTC(t, dir, persist.Options{})
+	warmTC, warmPC := diskTC(t, dir, persist.Options{})
 	warm := metricsCSV(warmTC)
+	if c := warmPC.Counters(); c.Stores != cells || c.ResultHits != 0 || c.ResultMisses != 0 {
+		t.Errorf("warm metrics run: %+v, want %d stores and no result lookup", c, cells)
+	}
 	if cold != warm {
 		t.Errorf("metrics diverge cold vs warm:\ncold: %s\nwarm: %s", cold, warm)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"rest/internal/obs"
 	"rest/internal/persist"
-	"rest/internal/workload"
 )
 
 // The elastic sweep pool: work-stealing over the shared artifact store.
@@ -86,15 +85,9 @@ func elasticUnits(cells []gridCell, scale int64, budget uint64) []elasticUnit {
 	return units
 }
 
-// UnitCount reports how many steal units a grid partitions into. Exposed
-// for benchmarks and tooling that watch a pool drain marker by marker.
-func UnitCount(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) int {
-	return len(elasticUnits(gridCells(wls, cfgs), scale, budget))
-}
-
-// ElasticMarkerPrefix namespaces completion markers within the store's meta
+// elasticMarkerPrefix namespaces completion markers within the store's meta
 // objects.
-const ElasticMarkerPrefix = "elastic-"
+const elasticMarkerPrefix = "elastic-"
 
 // funcIdentity digests a cell's functional identity — the same fields as the
 // in-memory traceKey, spelled canonically — into the address of its elastic
@@ -125,7 +118,7 @@ func elasticGridID(units []elasticUnit, cells []gridCell, scale int64) string {
 }
 
 func elasticMarkerName(grid string, u int) string {
-	return fmt.Sprintf("%s%s-u%03d", ElasticMarkerPrefix, grid, u)
+	return fmt.Sprintf("%s%s-u%03d", elasticMarkerPrefix, grid, u)
 }
 
 func elasticClaimName(grid string, u int) string {
@@ -257,7 +250,7 @@ func (s *sweep) runElastic() (*Matrix, error) {
 	slotsFree := workers
 
 	scan := func() {
-		names, err := store.ListMarkers(ElasticMarkerPrefix + grid + "-")
+		names, err := store.ListMarkers(elasticMarkerPrefix + grid + "-")
 		if err != nil {
 			return // transient: the next wake rescans
 		}

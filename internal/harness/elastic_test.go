@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rest/internal/persist"
+	"rest/internal/workload"
 )
 
 // The elastic-pool contract: any number of -shard auto workers drain the
@@ -49,6 +50,11 @@ func httpTC(t *testing.T, url string, opt persist.Options) (*TraceCache, *persis
 	tc := NewTraceCache()
 	tc.AttachDisk(pc)
 	return tc, pc
+}
+
+// unitCount is the number of steal units a scale-1 grid partitions into.
+func unitCount(wls []workload.Workload, cfgs []BinaryConfig) int {
+	return len(elasticUnits(gridCells(wls, cfgs), 1, 0))
 }
 
 // sensRender runs the full sensitivity sweep and returns the rendered report
@@ -106,7 +112,7 @@ func TestElasticSoloDrain(t *testing.T) {
 	stats, m := elasticRender(t, tc, 2)
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
-	units := UnitCount(wls, cfgs, 1, 0)
+	units := unitCount(wls, cfgs)
 	if stats.Units != units || stats.Done != units || stats.Claimed != units {
 		t.Fatalf("solo pool did not drain cleanly: %+v (units %d)", stats, units)
 	}
@@ -123,7 +129,7 @@ func TestElasticSoloDrain(t *testing.T) {
 	if cells != len(wls)*len(cfgs) {
 		t.Fatalf("solo matrix holds %d cells, want the full grid", cells)
 	}
-	markers, err := pc.ListMarkers(ElasticMarkerPrefix)
+	markers, err := pc.ListMarkers(elasticMarkerPrefix)
 	if err != nil || len(markers) != units {
 		t.Fatalf("markers after drain: %v, %v (want %d)", markers, err, units)
 	}
@@ -157,7 +163,7 @@ func TestElasticPoolMergeByteIdentity(t *testing.T) {
 	}
 	wg.Wait()
 
-	units := UnitCount(subset(t, "lbm"), Fig8SensitivityConfigs(), 1, 0)
+	units := unitCount(subset(t, "lbm"), Fig8SensitivityConfigs())
 	done, claimed := 0, 0
 	for _, s := range stats {
 		done += s.Done
@@ -180,8 +186,13 @@ func TestElasticPoolMergeByteIdentity(t *testing.T) {
 	if merged != baseline {
 		t.Fatalf("pool merge differs from single-process baseline")
 	}
-	if c := pcM.Counters(); c.ResultHits == 0 {
-		t.Fatalf("merge recomputed everything: %+v", c)
+	// The merge is pure reads: every cell a result hit, one wire GET each.
+	cells := uint64(len(subset(t, "lbm")) * len(Fig8SensitivityConfigs()))
+	if c := pcM.Counters(); c.ResultHits != cells || c.ResultMisses != 0 || c.Stores != 0 {
+		t.Fatalf("merge over the drained pool: %+v, want %d result hits and nothing else", c, cells)
+	}
+	if hc, _ := pcM.HTTPCounters(); hc.Gets != cells || hc.Puts != 0 {
+		t.Fatalf("merge wire traffic: %+v, want %d gets and no put", hc, cells)
 	}
 }
 
@@ -409,7 +420,9 @@ func TestElasticChaosDrains(t *testing.T) {
 }
 
 // TestElasticObsCounters pins the pool's observability surface: a metrics
-// run exports the harness.elastic.* scheduling counters.
+// run exports the harness.elastic.* scheduling counters, and its cells
+// still publish their results, so a plain sweep over its store is all
+// result hits.
 func TestElasticObsCounters(t *testing.T) {
 	t.Parallel()
 	url := cacheServer(t)
@@ -421,7 +434,7 @@ func TestElasticObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units := uint64(UnitCount(wls, cfgs, 1, 0))
+	units := uint64(unitCount(wls, cfgs))
 	want := map[string]uint64{
 		"harness.elastic.units":       units,
 		"harness.elastic.claimed":     units,
@@ -439,6 +452,12 @@ func TestElasticObsCounters(t *testing.T) {
 		if g, ok := got[name]; !ok || g != v {
 			t.Errorf("%s = %d (present=%t), want %d", name, g, ok, v)
 		}
+	}
+
+	tcM, pcM := httpTC(t, url, persist.Options{})
+	sensRender(t, tcM, 2)
+	if c, cells := pcM.Counters(), uint64(len(wls)*len(cfgs)); c.ResultHits != cells || c.ResultMisses != 0 {
+		t.Errorf("plain sweep over the metrics pool's store: %+v, want %d result hits", c, cells)
 	}
 }
 
@@ -474,9 +493,6 @@ func TestElasticUnitNumbering(t *testing.T) {
 	if len(seen) != len(wls)*len(cfgs) {
 		t.Fatalf("units cover %d of %d cells", len(seen), len(wls)*len(cfgs))
 	}
-	if UnitCount(wls, cfgs, 1, 0) != len(units) {
-		t.Fatalf("UnitCount disagrees with the enumeration")
-	}
 	if elasticGridID(units, cells, 1) == elasticGridID(units[:len(units)-1], cells, 1) {
 		t.Fatalf("grid ID insensitive to the unit list")
 	}
@@ -496,7 +512,7 @@ func TestElasticGridIDCoversTimingRows(t *testing.T) {
 	url := cacheServer(t)
 	wls := subset(t, "lbm")
 	small, full := Fig8SensitivityConfigs()[:2], Fig8SensitivityConfigs()
-	if UnitCount(wls, small, 1, 0) != UnitCount(wls, full, 1, 0) {
+	if unitCount(wls, small) != unitCount(wls, full) {
 		t.Fatalf("premise: the two grids must share their units")
 	}
 	pool := func(cfgs []BinaryConfig) (ElasticStats, map[string]int) {

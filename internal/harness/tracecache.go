@@ -302,17 +302,18 @@ func (tc *TraceCache) Counters() (hits, misses, bypass uint64) {
 }
 
 // run executes one cell through the cache (RunCached's non-nil path). The
-// result store, when attached and applicable to this cell (see diskFor),
-// interposes around the in-memory plan: it can satisfy the cell outright,
-// and every clean outcome feeds it for future processes.
+// result store, when attached, interposes around the in-memory plan: it can
+// satisfy the cell outright, and every clean outcome feeds it for future
+// processes.
 func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
 	k := cellTraceKey(wl.Name, cfg, scale, lim.MaxInstructions)
-	disk := tc.diskFor(lim)
+	disk := tc.diskStore()
 
 	// A memoized clean outcome for this exact cell skips the run. The
 	// planned use is forfeited so the identity's planned use count stays
-	// exact. Cells that need a live world can't be served from a file.
-	if disk != nil && !lim.NeedWorld {
+	// exact. Cells that need a registry or a live world can't be served
+	// from a file.
+	if disk != nil && !lim.Metrics && !lim.NeedWorld {
 		if cr, err := disk.LoadResult(resultIdentity(k, cfg)); err == nil {
 			tc.forfeit(k)
 			return resultFromStore(wl, cfg, cr), nil

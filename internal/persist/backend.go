@@ -2,11 +2,10 @@
 //
 // Backend is the byte-level contract the content-addressed cache sits on:
 // get/put/delete/list by content hash plus advisory named locks. The local
-// directory store (DirBackend), the in-memory test fake (MemBackend) and the
-// deterministic fault injector (Chaos) all implement it, and the hardening
-// middlewares (WithRetry, WithTimeout, WithBreaker) wrap any of them — so a
-// future remote backend (an HTTP peer sharing one cache across machines)
-// plugs in under the exact same robustness guarantees.
+// directory store (DirBackend), the cache-server client (HTTPBackend), the
+// in-memory test fake (MemBackend) and the deterministic fault injector
+// (Chaos) all implement it, and the one hardening layer (middleware.go)
+// wraps any of them, so every store gets the same robustness guarantees.
 //
 // The error taxonomy is the whole point. Every backend failure maps to one
 // of four typed shapes, and the Cache above answers each the same way —
@@ -41,23 +40,22 @@ const (
 var ErrNotFound = errors.New("persist: object not found")
 
 // ErrNoSpace reports a backend out of storage space. It is final for the
-// write that hit it: the hardening stack never retries it, and the Cache
+// write that hit it: the hardening layer never retries it, and the Cache
 // treats the store as advisory (the artifact is simply not persisted).
 var ErrNoSpace = errors.New("persist: backend out of space")
 
 // ErrLockHeld reports a TryLock that lost the race: another holder owns the
-// named lock. Callers either wait (bounded) or proceed lock-free; the lock
-// is advisory and only suppresses duplicate work.
+// named lock. The lock is advisory and only suppresses duplicate work.
 var ErrLockHeld = errors.New("persist: lock already held")
 
 // ErrBreakerOpen reports an operation rejected without reaching the backend
-// because its circuit breaker is open (too many consecutive failures; see
-// WithBreaker). It unwraps as an *UnavailableError would be treated: the
-// caller degrades to recompute.
+// because the hardening layer's circuit breaker is open (too many
+// consecutive failures). IsUnavailable treats it as an *UnavailableError:
+// the caller degrades to recompute.
 var ErrBreakerOpen = errors.New("persist: circuit breaker open")
 
 // UnavailableError is a transient backend fault: an I/O error, a timed-out
-// operation, an injected chaos fault. The retry middleware retries these
+// operation, an injected chaos fault. The hardening layer retries these
 // (and only these); whatever survives the retries degrades to recompute.
 type UnavailableError struct {
 	Op   string // "get", "put", "delete", "list", "lock"
@@ -109,9 +107,11 @@ type Backend interface {
 	// List enumerates the resident objects of one kind.
 	List(kind string) ([]Stat, error)
 	// TryLock acquires the advisory named lock. On success the release
-	// function drops it; ErrLockHeld reports another holder. Locks are
-	// crash-surviving markers, not leases: holders that die leave them
-	// behind, which is what LockAge + BreakLock exist to recover from.
+	// function drops it, but only while this grant still holds it: a lock
+	// broken and granted again survives the old holder's late release.
+	// ErrLockHeld reports another holder. Locks are crash-surviving
+	// markers, not leases: holders that die leave them behind, which is
+	// what LockAge + BreakLock exist to recover from.
 	TryLock(name string) (release func(), err error)
 	// LockAge reports how long the named lock has been held (ErrNotFound
 	// when nobody holds it) so callers can steal abandoned ones.

@@ -98,6 +98,31 @@ func backendConformance(t *testing.T, b Backend) {
 		rel3()
 	}
 	rel2() // releasing a broken lock must not blow up
+
+	// A late release of a lock that was broken and granted again leaves the
+	// new holder holding it: the release belongs to the old grant only.
+	old, err := b.TryLock("m")
+	if err != nil {
+		t.Fatalf("TryLock(m): %v", err)
+	}
+	if err := b.BreakLock("m"); err != nil {
+		t.Fatalf("BreakLock(m): %v", err)
+	}
+	cur, err := b.TryLock("m")
+	if err != nil {
+		t.Fatalf("TryLock(m) after break: %v", err)
+	}
+	old()
+	if _, err := b.TryLock("m"); !errors.Is(err, ErrLockHeld) {
+		t.Fatalf("a late release freed the new holder's lock: TryLock = %v", err)
+	}
+	if _, err := b.LockAge("m"); err != nil {
+		t.Fatalf("LockAge after a late release: %v", err)
+	}
+	cur()
+	if _, err := b.LockAge("m"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the new holder's release did not free the lock: %v", err)
+	}
 }
 
 func TestDirBackendConformance(t *testing.T) {
@@ -407,7 +432,7 @@ func TestRetryBackend(t *testing.T) {
 		t.Parallel()
 		st := &StackStats{}
 		fb := &flakyBackend{Backend: NewMemBackend(), failures: 2}
-		rb := newRetryBackend(fb, 2, time.Microsecond, 1, st)
+		rb := newHardened(fb, Options{Retries: 2, RetryBase: time.Microsecond, BreakerThreshold: -1}, st)
 		if err := rb.Put(kindTrace, "o", []byte("x")); err != nil {
 			t.Fatalf("put should recover after retries: %v", err)
 		}
@@ -423,7 +448,7 @@ func TestRetryBackend(t *testing.T) {
 		t.Parallel()
 		st := &StackStats{}
 		fb := &flakyBackend{Backend: NewMemBackend(), failures: 10}
-		rb := newRetryBackend(fb, 2, time.Microsecond, 1, st)
+		rb := newHardened(fb, Options{Retries: 2, RetryBase: time.Microsecond, BreakerThreshold: -1}, st)
 		if err := rb.Put(kindTrace, "o", []byte("x")); !IsUnavailable(err) {
 			t.Fatalf("want unavailable after exhausted budget, got %v", err)
 		}
@@ -440,7 +465,7 @@ func TestRetryBackend(t *testing.T) {
 		st := &StackStats{}
 		mb := NewMemBackend()
 		mb.SetCapacity(1)
-		rb := newRetryBackend(mb, 5, time.Microsecond, 1, st)
+		rb := newHardened(mb, Options{Retries: 5, RetryBase: time.Microsecond, BreakerThreshold: -1}, st)
 		if _, err := rb.Get(kindTrace, "absent"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("want ErrNotFound, got %v", err)
 		}
@@ -470,7 +495,7 @@ func TestTimeoutBackend(t *testing.T) {
 	t.Parallel()
 	st := &StackStats{}
 	sb := &slowBackend{Backend: NewMemBackend(), gate: make(chan struct{})}
-	tb := newTimeoutBackend(sb, 5*time.Millisecond, st)
+	tb := newHardened(sb, Options{OpTimeout: 5 * time.Millisecond, Retries: -1, BreakerThreshold: -1}, st)
 	start := time.Now()
 	_, err := tb.Get(kindTrace, "o")
 	if !IsUnavailable(err) {
@@ -492,6 +517,48 @@ func TestTimeoutBackend(t *testing.T) {
 	}
 }
 
+// sleepyBackend answers every Get and List late, after the caller's
+// per-attempt budget has long fired.
+type sleepyBackend struct {
+	Backend
+	d time.Duration
+}
+
+func (s *sleepyBackend) Get(kind, name string) ([]byte, error) {
+	time.Sleep(s.d)
+	return []byte("late"), nil
+}
+
+func (s *sleepyBackend) List(kind string) ([]Stat, error) {
+	time.Sleep(s.d)
+	return []Stat{{Name: "late"}}, nil
+}
+
+// TestTimeoutAbandonedAttemptRace pins that an attempt abandoned by the
+// timeout writes nothing its caller can see. The late Get and List finish
+// after their callers returned; under -race, a goroutine that assigned the
+// op's results would race the return that already set them.
+func TestTimeoutAbandonedAttemptRace(t *testing.T) {
+	t.Parallel()
+	st := &StackStats{}
+	sb := &sleepyBackend{Backend: NewMemBackend(), d: 20 * time.Millisecond}
+	tb := newHardened(sb, Options{OpTimeout: 2 * time.Millisecond, Retries: -1, BreakerThreshold: -1}, st)
+	for i := 0; i < 3; i++ {
+		if data, err := tb.Get(kindResult, "o"); !IsUnavailable(err) || data != nil {
+			t.Fatalf("get %d: %q, %v; want a timed-out miss", i, data, err)
+		}
+		if stats, err := tb.List(kindResult); !IsUnavailable(err) || stats != nil {
+			t.Fatalf("list %d: %v, %v; want a timed-out miss", i, stats, err)
+		}
+	}
+	// An abandoned attempt's end is invisible from outside by design, so
+	// wait it out by time: the late writes must land while this test runs.
+	time.Sleep(3 * sb.d)
+	if st.Timeouts.Load() != 6 {
+		t.Fatalf("Timeouts = %d, want 6", st.Timeouts.Load())
+	}
+}
+
 // TestBreakerTripsThroughNoSpaceWrites pins the breaker against a store
 // whose reads all fail while its writes answer ErrNoSpace: the refused
 // writes neither count as failures nor reset the run, so the failing reads
@@ -500,7 +567,7 @@ func TestBreakerTripsThroughNoSpaceWrites(t *testing.T) {
 	t.Parallel()
 	st := &StackStats{}
 	ch := NewChaos(NewMemBackend(), &ChaosSpec{Err: 1, NoSpace: 1}, st)
-	bb := newBreakerBackend(ch, 3, time.Minute, st)
+	bb := newHardened(ch, Options{Retries: -1, BreakerThreshold: 3, BreakerCooldown: time.Minute}, st)
 	for i := 0; i < 2; i++ {
 		if _, err := bb.Get(kindResult, "o"); !IsUnavailable(err) {
 			t.Fatalf("read %d: %v", i, err)
@@ -530,7 +597,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	t.Parallel()
 	st := &StackStats{}
 	fb := &flakyBackend{Backend: NewMemBackend(), failures: 1000}
-	bb := newBreakerBackend(fb, 3, time.Minute, st)
+	bb := newHardened(fb, Options{Retries: -1, BreakerThreshold: 3, BreakerCooldown: time.Minute}, st)
 	now := time.Unix(1000, 0)
 	bb.now = func() time.Time { return now }
 
@@ -598,7 +665,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	t.Parallel()
 	st := &StackStats{}
 	gate := &slowBackend{Backend: NewMemBackend(), gate: make(chan struct{})}
-	bb := newBreakerBackend(&failingThen{inner: gate}, 1, time.Minute, st)
+	bb := newHardened(&failingThen{inner: gate}, Options{Retries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute}, st)
 	now := time.Unix(1000, 0)
 	bb.now = func() time.Time { return now }
 
@@ -718,9 +785,8 @@ func TestCacheOverMemBackend(t *testing.T) {
 func TestCacheLockFailOpen(t *testing.T) {
 	t.Parallel()
 	c, err := OpenBackend(NewMemBackend(), Options{
-		Chaos:     &ChaosSpec{Err: 1},
-		Retries:   -1,
-		RetrySeed: 1,
+		Chaos:   &ChaosSpec{Err: 1},
+		Retries: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

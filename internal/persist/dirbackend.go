@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strings"
@@ -183,19 +184,33 @@ func (b *DirBackend) List(kind string) ([]Stat, error) {
 }
 
 // TryLock acquires the named lock via an O_EXCL lock file carrying the
-// holder's pid. The mtime doubles as the lock's age for stale-steal.
+// holder's pid and a random grant token. The mtime doubles as the lock's age
+// for stale-steal. The release removes the file only while it still carries
+// this grant's token, so a holder whose lock was broken and granted again
+// cannot free the new holder's lock.
 func (b *DirBackend) TryLock(name string) (func(), error) {
 	path := b.lockPath(name)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err == nil {
-		fmt.Fprintf(f, "%d\n", os.Getpid())
-		f.Close()
-		return func() { os.Remove(path) }, nil
+	if err != nil {
+		if errors.Is(err, os.ErrExist) {
+			return nil, ErrLockHeld
+		}
+		return nil, classify("lock", "", name, err)
 	}
-	if errors.Is(err, os.ErrExist) {
-		return nil, ErrLockHeld
+	grant := fmt.Sprintf("%d %016x\n", os.Getpid(), rand.Uint64())
+	_, err = f.WriteString(grant)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil, classify("lock", "", name, err)
+	if err != nil {
+		os.Remove(path)
+		return nil, classify("lock", "", name, err)
+	}
+	return func() {
+		if held, err := os.ReadFile(path); err == nil && string(held) == grant {
+			os.Remove(path)
+		}
+	}, nil
 }
 
 // LockAge reports how long the named lock has been held.

@@ -1,15 +1,12 @@
 // The elastic scheduling surface's proof obligations: the server's epoch
 // plane must bump on scheduling-relevant state (markers, lock grants, lock
 // releases) and only that, the long-poll must park and wake rather than
-// spin, the read-through cache must serve immutable kinds from memory
-// without ever going stale or leaking a mutable slice, leases must make
-// stale-takeover observable to the dispossessed holder, and the Cache-level
-// claim/marker/wait primitives must compose those planes with the package's
-// fail-open posture.
+// spin, leases must make stale-takeover observable to the dispossessed
+// holder, and the Cache-level claim/marker/wait primitives must compose
+// those planes with the package's fail-open posture.
 package persist
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -117,132 +114,6 @@ func TestCacheServerEpochLongPoll(t *testing.T) {
 	}
 	if e2 > cur+1 {
 		t.Fatalf("idle wait invented progress: %d", e2)
-	}
-}
-
-// TestHTTPBackendReadCache pins the warm-path memory tier: immutable kinds
-// (traces, results) are served from memory on re-read, callers get private
-// copies, the meta namespace is never cached (markers are mutable), and the
-// byte bound evicts LRU-first.
-func TestHTTPBackendReadCache(t *testing.T) {
-	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
-	hb := newHTTPBackend(t, url)
-
-	body := []byte("trace-bytes")
-	if err := hb.Put(kindTrace, "a", body); err != nil {
-		t.Fatal(err)
-	}
-	got1, err := hb.Get(kindTrace, "a")
-	if err != nil || !bytes.Equal(got1, body) {
-		t.Fatalf("cold get: %q, %v", got1, err)
-	}
-	wireGets := hb.Counters().Gets
-	got2, err := hb.Get(kindTrace, "a")
-	if err != nil || !bytes.Equal(got2, body) {
-		t.Fatalf("warm get: %q, %v", got2, err)
-	}
-	c := hb.Counters()
-	if c.Gets != wireGets {
-		t.Fatalf("warm get went to the wire: %d -> %d wire gets", wireGets, c.Gets)
-	}
-	if c.ReadHits != 1 || c.ReadMisses != 1 || c.ReadSavedBytes != uint64(len(body)) {
-		t.Fatalf("read cache counters: hits=%d misses=%d saved=%d", c.ReadHits, c.ReadMisses, c.ReadSavedBytes)
-	}
-
-	// A caller mutating its slice must not poison later reads.
-	got2[0] = 'X'
-	got3, err := hb.Get(kindTrace, "a")
-	if err != nil || !bytes.Equal(got3, body) {
-		t.Fatalf("cached bytes poisoned by a caller mutation: %q, %v", got3, err)
-	}
-
-	// A local overwrite invalidates the cached body: the Backend contract
-	// allows same-name replacement even though the artifact tiers are
-	// content-addressed in practice.
-	if err := hb.Put(kindTrace, "a", []byte("replaced")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := hb.Get(kindTrace, "a"); err != nil || string(got) != "replaced" {
-		t.Fatalf("read cache served stale bytes after an overwrite: %q, %v", got, err)
-	}
-	// Meta objects are mutable coordination state: never served from memory.
-	if err := hb.Put(kindMeta, "m", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hb.Get(kindMeta, "m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := hb.Put(kindMeta, "m", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := hb.Get(kindMeta, "m"); err != nil || string(got) != "v2" {
-		t.Fatalf("meta read served stale cached bytes: %q, %v", got, err)
-	}
-
-	// Disabled outright with a negative bound: every get is a wire get.
-	off, err := NewHTTPBackend(url, HTTPOptions{RenewEvery: -1, ReadCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := off.Get(kindTrace, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := off.Get(kindTrace, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if c := off.Counters(); c.Gets != 2 || c.ReadHits != 0 {
-		t.Fatalf("disabled cache still caching: wire=%d hits=%d", c.Gets, c.ReadHits)
-	}
-}
-
-// TestHTTPBackendReadCacheEviction pins the byte bound: the LRU entry goes
-// first, and an object larger than the whole bound is never admitted.
-func TestHTTPBackendReadCacheEviction(t *testing.T) {
-	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
-	hb, err := NewHTTPBackend(url, HTTPOptions{RenewEvery: -1, ReadCacheBytes: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("x"), 40)
-	for _, name := range []string{"a", "b", "c"} {
-		if err := hb.Put(kindTrace, name, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hb.Get(kindTrace, name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// a/b/c at 40B each against a 100B bound: "a" must have been evicted.
-	wire := hb.Counters().Gets
-	if _, err := hb.Get(kindTrace, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Counters().Gets != wire {
-		t.Fatalf("most-recent entry evicted")
-	}
-	if _, err := hb.Get(kindTrace, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Counters().Gets != wire+1 {
-		t.Fatalf("LRU entry not evicted")
-	}
-
-	// Oversized: passes through without ever being admitted.
-	big := bytes.Repeat([]byte("y"), 200)
-	if err := hb.Put(kindTrace, "big", big); err != nil {
-		t.Fatal(err)
-	}
-	wire = hb.Counters().Gets
-	if _, err := hb.Get(kindTrace, "big"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hb.Get(kindTrace, "big"); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Counters().Gets != wire+2 {
-		t.Fatalf("oversized object was cached")
 	}
 }
 

@@ -2,9 +2,9 @@
 // indistinguishable from a local Backend (the shared conformance suite), the
 // typed error taxonomy must survive the wire in both directions, network-only
 // fault classes (torn responses, mid-request disconnects, dead servers) must
-// surface as transient unavailability so the hardening stack and fail-open
-// lock semantics keep working, and the two network-only mechanisms — single-
-// flight get coalescing and lock leases with liveness renewal — must behave.
+// surface as transient unavailability so the hardening layer and fail-open
+// lock semantics keep working, and the one network-only mechanism — lock
+// leases with liveness renewal — must behave.
 package persist
 
 import (
@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -177,104 +176,6 @@ func TestHTTPBackendMidRequestDisconnect(t *testing.T) {
 	}
 	if got := hb.Counters(); got.TransportErrs < 2 {
 		t.Fatalf("disconnects not counted: %+v", got)
-	}
-}
-
-// gatedCountBackend counts Gets and holds each one until the gate opens, so
-// the coalescing test can pile followers onto a known-in-flight leader.
-type gatedCountBackend struct {
-	Backend
-	gate chan struct{}
-	mu   sync.Mutex
-	gets int
-}
-
-func (g *gatedCountBackend) Get(kind, name string) ([]byte, error) {
-	g.mu.Lock()
-	g.gets++
-	g.mu.Unlock()
-	<-g.gate
-	return g.Backend.Get(kind, name)
-}
-
-// TestHTTPBackendSingleFlight pins the wire-level get coalescing: N
-// concurrent Gets for one object make exactly one server request, every
-// caller sees the same bytes in a private slice, and the followers' wait
-// time is accounted.
-func TestHTTPBackendSingleFlight(t *testing.T) {
-	t.Parallel()
-	inner := NewMemBackend()
-	payload := []byte("shared-artifact-bytes")
-	if err := inner.Put(kindTrace, "obj", payload); err != nil {
-		t.Fatal(err)
-	}
-	gc := &gatedCountBackend{Backend: inner, gate: make(chan struct{})}
-	// The read-through memory cache would serve repeat gets without a wire
-	// request; this test is about the wire, so it runs with the cache off.
-	hb, err := NewHTTPBackend(newCacheServer(t, gc), HTTPOptions{RenewEvery: -1, ReadCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const followers = 4
-	results := make(chan []byte, followers+1)
-	errs := make(chan error, followers+1)
-	get := func() {
-		got, err := hb.Get(kindTrace, "obj")
-		results <- got
-		errs <- err
-	}
-	go get() // the leader; blocks on the server-side gate
-	waitFor(t, "leader in flight", func() bool {
-		hb.mu.Lock()
-		defer hb.mu.Unlock()
-		return len(hb.inflight) == 1
-	})
-	for i := 0; i < followers; i++ {
-		go get()
-	}
-	waitFor(t, "followers latched", func() bool {
-		return hb.Counters().Coalesced == followers
-	})
-	close(gc.gate)
-
-	var got [][]byte
-	for i := 0; i < followers+1; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("coalesced get: %v", err)
-		}
-		got = append(got, <-results)
-	}
-	for i, g := range got {
-		if !bytes.Equal(g, payload) {
-			t.Fatalf("caller %d got %q", i, g)
-		}
-	}
-	// Slices are private: scribbling on one must not alias another.
-	got[0][0] ^= 0xff
-	for i := 1; i < len(got); i++ {
-		if !bytes.Equal(got[i], payload) {
-			t.Fatalf("caller %d shares caller 0's slice", i)
-		}
-	}
-
-	gc.mu.Lock()
-	serverGets := gc.gets
-	gc.mu.Unlock()
-	if serverGets != 1 {
-		t.Fatalf("server saw %d gets, want 1", serverGets)
-	}
-	c := hb.Counters()
-	if c.Gets != 1 || c.Coalesced != followers || c.CoalescedWaitNs == 0 {
-		t.Fatalf("coalescing counters: %+v", c)
-	}
-
-	// The flight is gone afterwards: the next Get goes to the wire.
-	if _, err := hb.Get(kindTrace, "obj"); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Counters().Gets != 2 {
-		t.Fatalf("post-flight get did not hit the wire")
 	}
 }
 
@@ -460,8 +361,8 @@ func TestCacheLockFailOpenOverDeadServer(t *testing.T) {
 }
 
 // TestHTTPBackendChaos runs the chaos injector on both sides of the wire.
-// Client-side: the PR 7 injector wraps HTTPBackend under the middleware
-// stack exactly as it wraps a directory. Server-side: a CacheServer over a
+// Client-side: the injector wraps HTTPBackend under the hardening layer
+// exactly as it wraps a directory. Server-side: a CacheServer over a
 // chaotic backend turns injected faults into 5xx responses that come back
 // typed. Neither panics; locks fail open; degraded ops are counted.
 func TestHTTPBackendChaos(t *testing.T) {

@@ -51,9 +51,10 @@ import (
 	"time"
 )
 
-// maxObjectBytes bounds one uploaded object; far above any real artifact
-// (traces cap at 64 MiB) but small enough that a confused client cannot
-// exhaust the server's memory with one request.
+// maxObjectBytes bounds one uploaded object; far above any real object (a
+// result is 161 bytes, a completion marker smaller still) but small enough
+// that a confused client cannot exhaust the server's memory with one
+// request.
 const maxObjectBytes = 256 << 20
 
 // CacheServer serves a Backend over HTTP. Safe for concurrent use; one

@@ -14,9 +14,17 @@ type MemBackend struct {
 	mu    sync.Mutex
 	objs  map[string][]byte    // kind+"/"+name -> payload (copied both ways)
 	mods  map[string]time.Time // kind+"/"+name -> last publish time
-	locks map[string]time.Time // lock name -> acquire time
+	locks map[string]memLock   // lock name -> current grant
+	grant uint64               // grants handed out so far
 	cap   int64                // total payload byte cap; 0 = unlimited
 	used  int64
+}
+
+// memLock is one granted lock: its acquire time and its grant number, which
+// a release must still match to take effect.
+type memLock struct {
+	at    time.Time
+	grant uint64
 }
 
 // NewMemBackend returns an empty in-memory backend.
@@ -24,7 +32,7 @@ func NewMemBackend() *MemBackend {
 	return &MemBackend{
 		objs:  make(map[string][]byte),
 		mods:  make(map[string]time.Time),
-		locks: make(map[string]time.Time),
+		locks: make(map[string]memLock),
 	}
 }
 
@@ -107,17 +115,22 @@ func (b *MemBackend) List(kind string) ([]Stat, error) {
 	return out, nil
 }
 
-// TryLock acquires the advisory named lock.
+// TryLock acquires the advisory named lock. Its release frees the lock only
+// while this grant still holds it.
 func (b *MemBackend) TryLock(name string) (func(), error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, held := b.locks[name]; held {
 		return nil, ErrLockHeld
 	}
-	b.locks[name] = time.Now()
+	b.grant++
+	grant := b.grant
+	b.locks[name] = memLock{at: time.Now(), grant: grant}
 	return func() {
 		b.mu.Lock()
-		delete(b.locks, name)
+		if b.locks[name].grant == grant {
+			delete(b.locks, name)
+		}
 		b.mu.Unlock()
 	}, nil
 }
@@ -126,11 +139,11 @@ func (b *MemBackend) TryLock(name string) (func(), error) {
 func (b *MemBackend) LockAge(name string) (time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	at, held := b.locks[name]
+	l, held := b.locks[name]
 	if !held {
 		return 0, ErrNotFound
 	}
-	return time.Since(at), nil
+	return time.Since(l.at), nil
 }
 
 // BreakLock force-releases the named lock.

@@ -11,10 +11,12 @@
 // manifest.json: nothing reads either, and both are safe to delete.
 //
 // Storage is pluggable: the cache sits on the Backend protocol (backend.go)
-// — the local directory store by default, an in-memory fake in tests, and a
-// chaos-wrapped stack when fault injection is on — hardened by retry,
-// timeout and circuit-breaker middleware (middleware.go). The backend's lock
-// plane carries only the elastic sweep pool's unit claims (TryClaim).
+// — the local directory store by default, a cache server over HTTP
+// (httpbackend.go), an in-memory fake in tests — with the chaos injector
+// under it when fault injection is on, and one hardening layer over it
+// (middleware.go) that gives every object op bounded retries, a per-attempt
+// timeout and a circuit breaker. The backend's lock plane carries only the
+// elastic sweep pool's unit claims (TryClaim).
 //
 // Robustness contract: nothing in this package is ever allowed to turn a
 // sweep into a hard failure. Every load returns a typed error — ErrMiss for
@@ -101,20 +103,18 @@ type Options struct {
 	StaleLockAge time.Duration
 
 	// Chaos, when non-nil, wraps the backend with the seeded fault injector
-	// (chaos.go). Test and drill use only.
+	// (chaos.go), under the hardening layer. Test and drill use only.
 	Chaos *ChaosSpec
 	// Retries is the bounded retry budget per backend op beyond the first
 	// attempt: 0 = DefaultRetries, negative = retries disabled.
 	Retries int
 	// RetryBase is the first backoff step; re-attempt n sleeps base·2ⁿ plus
-	// up to base of seeded jitter. 0 = DefaultRetryBase.
+	// up to base of random jitter. 0 = DefaultRetryBase.
 	RetryBase time.Duration
-	// RetrySeed seeds the backoff jitter (0 = 1), so hardened-path tests
-	// are reproducible.
-	RetrySeed uint64
-	// OpTimeout bounds each backend object op's wall-clock time; a blown
-	// budget degrades to a miss. 0 = no per-op timeout (the default: the
-	// local disk backend has no hang modes worth a goroutine per op).
+	// OpTimeout bounds each attempt of a backend object op in wall-clock
+	// time; a blown budget counts as a transient failure. 0 = no timeout
+	// (the default: the local disk backend has no hang modes worth a
+	// goroutine per op).
 	OpTimeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips the
 	// circuit breaker: 0 = DefaultBreakerThreshold, negative = no breaker.
@@ -145,7 +145,7 @@ const (
 // several processes may share one store (stores are atomic and
 // content-addressed, so two writers of one entry write the same bytes).
 type Cache struct {
-	b     Backend      // the hardened stack every op goes through
+	b     Backend      // the hardening layer every op goes through
 	httpb *HTTPBackend // non-nil when the raw backend is a remote cache server
 	dir   string       // the directory path ("" for non-directory backends)
 	opt   Options
@@ -155,9 +155,9 @@ type Cache struct {
 	c  Counters
 }
 
-// Open attaches to (and in read-write mode creates) a cache directory,
-// hardened by the default middleware stack. Stale temporary files from
-// crashed writers are swept in read-write mode.
+// Open attaches to (and in read-write mode creates) a cache directory under
+// the hardening layer. Stale temporary files from crashed writers are swept
+// in read-write mode.
 func Open(dir string, opt Options) (*Cache, error) {
 	db, err := NewDirBackend(dir, opt.ReadOnly)
 	if err != nil {
@@ -166,15 +166,19 @@ func Open(dir string, opt Options) (*Cache, error) {
 	return OpenBackend(db, opt)
 }
 
-// OpenBackend attaches to an arbitrary Backend, hardened by the configured
-// middleware stack. The backend must already be usable (OpenBackend creates
+// OpenBackend attaches to an arbitrary Backend under the configured
+// hardening layer. The backend must already be usable (OpenBackend creates
 // no directories).
 func OpenBackend(raw Backend, opt Options) (*Cache, error) {
 	if opt.StaleLockAge <= 0 {
 		opt.StaleLockAge = 10 * time.Minute
 	}
 	st := &StackStats{}
-	c := &Cache{b: hardenStack(raw, opt, st), opt: opt, stack: st}
+	b := raw
+	if opt.Chaos != nil {
+		b = NewChaos(raw, opt.Chaos, st)
+	}
+	c := &Cache{b: newHardened(b, opt, st), opt: opt, stack: st}
 	if db, ok := raw.(*DirBackend); ok {
 		c.dir = db.dir
 	}
@@ -196,7 +200,7 @@ func (c *Cache) Counters() Counters {
 	return c.c
 }
 
-// StackCounters returns a snapshot of the hardening stack's activity (retry,
+// StackCounters returns a snapshot of the hardening layer's activity (retry,
 // timeout, breaker and chaos counters).
 func (c *Cache) StackCounters() StackCounters { return c.stack.Snapshot() }
 
@@ -322,35 +326,42 @@ func (c *Cache) TryClaim(name string) (*Claim, bool) {
 	if c.opt.ReadOnly {
 		return noop, true
 	}
-	if c.httpb != nil {
-		if l, err := c.httpb.TryLease(name); err == nil {
-			return &Claim{lost: l.Lost(), renew: l.Renew, release: l.Release}, true
-		} else if !errors.Is(err, ErrLockHeld) {
-			c.unavailableSeen(err)
-			return noop, true
-		}
-	} else {
-		if rel, err := c.b.TryLock(name); err == nil {
-			return &Claim{release: rel}, true
-		} else if !errors.Is(err, ErrLockHeld) {
-			c.unavailableSeen(err)
-			return noop, true
-		}
+	cl, err := c.acquire(name)
+	if err == nil {
+		return cl, true
+	}
+	if !errors.Is(err, ErrLockHeld) {
+		c.unavailableSeen(err)
+		return noop, true
 	}
 	if age, aerr := c.b.LockAge(name); aerr == nil && age > c.opt.StaleLockAge {
 		c.b.BreakLock(name)
-		if c.httpb != nil {
-			if l, err := c.httpb.TryLease(name); err == nil {
-				return &Claim{Stolen: true, lost: l.Lost(), renew: l.Renew, release: l.Release}, true
-			}
-		} else if rel, err := c.b.TryLock(name); err == nil {
-			return &Claim{Stolen: true, release: rel}, true
+		if cl, err := c.acquire(name); err == nil {
+			cl.Stolen = true
+			return cl, true
 		}
 	}
 	c.mu.Lock()
 	c.c.LockContended++
 	c.mu.Unlock()
 	return nil, false
+}
+
+// acquire takes one grant on the lock plane: a lease whose loss is
+// observable over a cache server, a plain lock otherwise.
+func (c *Cache) acquire(name string) (*Claim, error) {
+	if c.httpb != nil {
+		l, err := c.httpb.TryLease(name)
+		if err != nil {
+			return nil, err
+		}
+		return &Claim{lost: l.Lost(), renew: l.Renew, release: l.Release}, nil
+	}
+	rel, err := c.b.TryLock(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Claim{release: rel}, nil
 }
 
 // PutMarker publishes a small coordination object in the meta namespace,

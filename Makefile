@@ -20,6 +20,11 @@
 #                    recovery checks)
 #   make watch-demo  live-telemetry demo: a background sweep with -serve
 #                    plus `restbench -watch` attached to it
+#   make results     regenerate every committed file under results/ (the
+#                    scale-5 run takes a few minutes)
+#   make results-check
+#                    rerun the scale-1 golden, results/restbench_all_scale1.txt,
+#                    and fail if a single byte differs (~10 s)
 #   make clean-cache remove the default local persistent cache directory
 #   make verify      what CI runs: vet + test + bench-check + race
 
@@ -28,7 +33,7 @@ FUZZTIME   ?= 10s
 SEED       ?= 42
 CACHE_DIR  ?= .restcache
 
-.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke chaos-short watch-demo clean-cache verify
+.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke chaos-short watch-demo results results-check clean-cache verify
 
 build:
 	$(GO) build ./...
@@ -90,6 +95,21 @@ watch-demo: build
 	./restbench -fig8sens -scale 4 -j 4 -serve $(WATCH_ADDR) >/dev/null 2>&1 & \
 	sleep 1 && ./restbench -watch $(WATCH_ADDR); \
 	wait
+
+# The committed result files EXPERIMENTS.md quotes. Reports are
+# byte-deterministic across -j, so each file is a pure function of the code.
+results:
+	$(GO) run ./cmd/restbench -all -scale 5 > results/restbench_all_scale5.txt
+	$(GO) run ./cmd/restbench -all -scale 1 -csv > results/restbench_all_scale1.txt
+	$(GO) run ./cmd/restattack > results/restattack.txt
+	$(GO) run ./cmd/restbench -fig7 -chart -scale 2 > results/fig7_chart.txt
+
+# The drift gate: a change that moves any reported number must regenerate
+# the results (make results) in the same commit.
+results-check:
+	$(GO) run ./cmd/restbench -all -scale 1 -csv > results/.scale1.check
+	cmp results/.scale1.check results/restbench_all_scale1.txt
+	rm -f results/.scale1.check
 
 # Remove the conventional local persistent cache directory (what you pass to
 # restbench -cache-dir when you want a project-local store).

@@ -150,7 +150,7 @@ func runFig8Sensitivity(tb testing.TB, cached bool) (time.Duration, uint64, uint
 		opt.TraceCache = tc
 	}
 	start := time.Now()
-	if _, err := harness.RunFig8Sensitivity(context.Background(), workload.All(), benchScale, opt); err != nil {
+	if _, err := harness.RunMatrixParallel(context.Background(), workload.All(), harness.Fig8SensitivityConfigs(), benchScale, opt); err != nil {
 		tb.Fatal(err)
 	}
 	wall := time.Since(start)
@@ -195,7 +195,7 @@ func runFig8SensitivityDisk(tb testing.TB, dir string, popt persist.Options) (ti
 	tc.AttachDisk(pc)
 	opt := harness.ParallelOptions{Workers: runtime.GOMAXPROCS(0), TraceCache: tc}
 	start := time.Now()
-	if _, err := harness.RunFig8Sensitivity(context.Background(), workload.All(), benchScale, opt); err != nil {
+	if _, err := harness.RunMatrixParallel(context.Background(), workload.All(), harness.Fig8SensitivityConfigs(), benchScale, opt); err != nil {
 		tb.Fatal(err)
 	}
 	return time.Since(start), pc.Counters()
@@ -238,10 +238,10 @@ func runFig8SensitivityTelemetry(tb testing.TB, export bool) time.Duration {
 			}
 			close(drained)
 		}()
-		opt.OnCell = tel.OnCell("fig8sens")
+		opt.OnCell = harness.ObserveCells("fig8sens", nil, nil, tel)
 	}
 	start := time.Now()
-	if _, err := harness.RunFig8Sensitivity(context.Background(), workload.All(), benchScale, opt); err != nil {
+	if _, err := harness.RunMatrixParallel(context.Background(), workload.All(), harness.Fig8SensitivityConfigs(), benchScale, opt); err != nil {
 		tb.Fatal(err)
 	}
 	wall := time.Since(start)

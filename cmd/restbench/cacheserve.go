@@ -13,7 +13,7 @@ package main
 
 import (
 	"fmt"
-	"net"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -26,30 +26,25 @@ import (
 // SIGINT/SIGTERM. The resolved address (usable even for ":0" specs) and an
 // attach hint print to stderr; stdout stays empty, matching every other
 // restbench mode's "reports only" contract.
-func runCacheServe(addr, dir string) error {
+func runCacheServe(addr, dir string, stderr io.Writer) error {
 	b, err := persist.NewDirBackend(dir, false)
 	if err != nil {
 		return fmt.Errorf("restbench: -cache-serve: %w", err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("restbench: -cache-serve %s: %w", addr, err)
-	}
 	mux := http.NewServeMux()
 	persist.NewCacheServer(b).Register(mux)
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "cache-serve: %v\n", err)
-		}
-	}()
-	resolved := ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "serving artifact cache %s on http://%s/cache/v1/ (attach with: restbench -cache-url http://%s ...)\n",
-		dir, resolved, resolved)
+	ln, err := listen("cache-serve", addr, mux, stderr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	fmt.Fprintf(stderr, "serving artifact cache %s on http://%s/cache/v1/ (attach with: restbench -cache-url http://%s ...)\n",
+		dir, ln.Addr(), ln.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	sig := <-stop
-	fmt.Fprintf(os.Stderr, "cache-serve: %s, shutting down\n", sig)
-	ln.Close()
+	fmt.Fprintf(stderr, "cache-serve: %s, shutting down\n", sig)
 	return nil
 }

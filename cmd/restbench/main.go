@@ -34,6 +34,11 @@
 //	                 when cells fail; without it any failed cell exits 1
 //	-seed N          seed for the -faults campaign (same seed, same report)
 //
+// Every invocation captures each unique dynamic trace once and replays it
+// for the sweep cells that differ only in timing knobs; reports are
+// byte-identical to re-executing every cell (the replay differential tests
+// pin that). Cache hit/miss counts print to stderr after the sweeps.
+//
 // Performance controls:
 //
 //	-engine E        functional simulator engine: "blocks" (decoded
@@ -43,11 +48,6 @@
 //	                 are byte-identical across engines — the engine
 //	                 differential tests pin that — so the flag only moves
 //	                 wall-clock time
-//	-trace-cache     capture each unique dynamic trace once and replay it
-//	                 for sweep cells that differ only in timing knobs
-//	                 (on by default; reports are byte-identical either way —
-//	                 the replay differential tests pin that). Cache hit/miss
-//	                 counts print to stderr after the sweeps.
 //	-cache-dir DIR   persistent result store: every clean sweep cell's
 //	                 stats are stored under DIR (161 bytes each) and reused
 //	                 by later invocations, making repeated sweeps
@@ -80,8 +80,8 @@
 // anything missing just recomputes.
 //
 //	-cache-serve ADDR  serve the -cache-dir artifact store to other
-//	                 restbench processes over HTTP until SIGINT/SIGTERM;
-//	                 takes only -cache-dir
+//	                 restbench processes over HTTP until SIGINT/SIGTERM (a
+//	                 mode: it takes only -cache-dir)
 //	-cache-url URL   use a -cache-serve server as the persistent cache
 //	                 instead of a local directory; the hardening layer,
 //	                 -cache-chaos and fail-open locks apply to the network
@@ -99,26 +99,26 @@
 // Observability controls (all off by default; none of them perturbs stdout,
 // so reports stay byte-identical with or without them):
 //
-//	-metrics FILE    write the sweeps' aggregated metric registries (CSV, or
-//	                 JSON when FILE ends in .json); holes are annotated rows
+//	-metrics FILE    write the sweeps' aggregated metric registries as CSV;
+//	                 holes are annotated rows
 //	-trace FILE      write a Chrome/Catapult JSON timeline of the sweeps'
 //	                 cells (one track per worker; open in chrome://tracing
 //	                 or https://ui.perfetto.dev)
 //	-progress        live cells-done/holes/ETA meter on stderr (with cache
 //	                 hit rate once any cache tier is consulted)
-//	-pprof ADDR      serve net/http/pprof and expvar on ADDR; /debug/vars
-//	                 carries build identity, live sweep progress and the
-//	                 latest metric snapshot under the "rest" key, and the
-//	                 OTLP endpoints below are mounted on the same server
 //	-serve ADDR      serve OTLP-compatible telemetry on ADDR:
 //	                 GET /otlp/metrics is a live snapshot document,
 //	                 GET /otlp/stream a NDJSON (or ?sse=1) feed of per-cell
 //	                 spans plus periodic metric snapshots. Subscribers are
 //	                 buffered and dropped-from, never blocked on, so a
-//	                 stalled collector cannot slow the sweep
+//	                 stalled collector cannot slow the sweep. The same
+//	                 server mounts net/http/pprof under /debug/pprof/
+//
+// Modes (each takes no other flag, except -cache-serve's -cache-dir, and a
+// stray one fails the spelling in one line):
+//
 //	-watch ADDR      attach a live terminal dashboard to another restbench
-//	                 process's -serve (or -pprof) address; takes no other
-//	                 flags
+//	                 process's -serve address
 //	-check-otlp FILE validate a captured OTLP dump (single document, NDJSON
 //	                 or SSE framing) and exit; used by CI
 //	-version         print module version + VCS revision and exit
@@ -126,13 +126,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -155,7 +152,6 @@ type cacheFlagState struct {
 	Dir         string
 	URL         string // -cache-url (HTTP backend; mutually exclusive with Dir)
 	RO          bool   // -cache-ro
-	TraceCache  bool   // -trace-cache (the in-memory tier the disk rides on)
 	Chaos       string // -cache-chaos spec (empty = no chaos)
 	StaleAge    time.Duration
 	StaleAgeSet bool   // -cache-stale-age given explicitly
@@ -197,9 +193,6 @@ func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 			return none, fmt.Errorf("restbench: -cache-chaos: %v", err)
 		}
 	}
-	if store && !s.TraceCache {
-		return none, errors.New("restbench: the persistent cache rides on the trace cache; drop -trace-cache=false")
-	}
 	if mode == "ro" && s.Dir != "" {
 		fi, statErr := os.Stat(s.Dir)
 		if statErr != nil || !fi.IsDir() {
@@ -219,10 +212,11 @@ func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 }
 
 // validateModeFlags enforces the contract of a flag that turns restbench
-// into something other than a local sweep (-watch, -cache-serve): with mode
-// set, every flag in need must be set too and nothing else may be, or the
-// spelling fails with one actionable line. role says what the mode does.
-// explicit holds the flag names the user actually set (flag.Visit).
+// into something other than a local sweep (one row of run's mode table):
+// with mode set, every flag in need must be set too and nothing else may
+// be, or the spelling fails with one actionable line. role says what the
+// mode does. explicit holds the flag names the user actually set
+// (flag.Visit).
 func validateModeFlags(explicit map[string]bool, mode, role string, need ...string) error {
 	if !explicit[mode] {
 		return nil
@@ -245,157 +239,380 @@ func validateModeFlags(explicit map[string]bool, mode, role string, need ...stri
 	return fmt.Errorf("restbench: -%s %s; drop %s", mode, role, strings.Join(bad, ", "))
 }
 
-func main() {
-	fig3 := flag.Bool("fig3", false, "regenerate Figure 3")
-	fig7 := flag.Bool("fig7", false, "regenerate Figure 7")
-	fig8 := flag.Bool("fig8", false, "regenerate Figure 8")
-	fig8sens := flag.Bool("fig8sens", false, "run the Figure 8 timing-sensitivity sweep")
-	table1 := flag.Bool("table1", false, "run the Table I conformance matrix")
-	table2 := flag.Bool("table2", false, "print Table II")
-	table3 := flag.Bool("table3", false, "print Table III")
-	stats := flag.Bool("stats", false, "print §VI-B microarchitectural statistics")
-	faults := flag.Bool("faults", false, "run the §V fault-injection campaign")
-	all := flag.Bool("all", false, "run everything")
-	scale := flag.Int64("scale", 5, "workload scale factor")
-	statsWL := flag.String("stats-workload", "xalanc", "workload for -stats")
-	csv := flag.Bool("csv", false, "also print raw cycle matrices as CSV")
-	jsonOut := flag.Bool("json", false, "also print machine-readable JSON reports")
-	chart := flag.Bool("chart", false, "render Figure 7/8 as ASCII bar charts")
-	variants := flag.Bool("variants", false, "expand per-input variants (Figure 7's full x-axis)")
-	jobs := flag.Int("j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	failFast := flag.Bool("failfast", false, "cancel a sweep's remaining cells on the first error")
-	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog (0 = none)")
-	cellBudget := flag.Uint64("cell-budget", 0, "per-cell simulated-instruction budget (0 = sim default)")
-	keepGoing := flag.Bool("keep-going", false, "report failed cells as holes and exit 0")
-	engineName := flag.String("engine", "auto", "functional simulator engine: blocks (default), ref, auto")
-	traceCache := flag.Bool("trace-cache", true, "capture/replay dynamic traces across timing-only config variants")
-	cacheDir := flag.String("cache-dir", "", "persistent result store directory (empty = no persistent cache)")
-	cacheURL := flag.String("cache-url", "", "shared artifact cache server URL (see -cache-serve; mutually exclusive with -cache-dir)")
-	cacheServe := flag.String("cache-serve", "", "serve the -cache-dir artifact store to other restbench processes on this address and exit on SIGINT/SIGTERM")
-	shardSpec := flag.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
-	cacheRO := flag.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
-	cacheChaos := flag.String("cache-chaos", "", "inject storage faults: comma-separated spec, e.g. seed=7,rate=0.5 or err=0.1,torn=0.05,delay=5ms (drill/testing)")
-	cacheStaleAge := flag.Duration("cache-stale-age", 0, "age past which an abandoned elastic claim or lease is considered dead and stolen (0 = default, 10m)")
-	seed := flag.Int64("seed", 42, "seed for the -faults campaign")
-	only := flag.String("only", "", "substring filter for -faults scenarios")
-	metricsOut := flag.String("metrics", "", "write sweep metrics to this file (CSV, or JSON if it ends in .json)")
-	traceOut := flag.String("trace", "", "write a Chrome/Catapult JSON trace of the sweeps to this file")
-	progress := flag.Bool("progress", false, "live cells-done/holes/ETA meter on stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof + expvar on this address (e.g. localhost:6060)")
-	serveAddr := flag.String("serve", "", "serve OTLP telemetry (/otlp/metrics, /otlp/stream) on this address (e.g. localhost:7788)")
-	watchAddr := flag.String("watch", "", "attach a live dashboard to another restbench's -serve/-pprof address and exit with it")
-	checkOTLP := flag.String("check-otlp", "", "validate an OTLP dump file (document, NDJSON or SSE) and exit")
-	version := flag.Bool("version", false, "print build/version information and exit")
-	flag.Parse()
+// session is one local invocation: the options its reports read, the sweep
+// options every grid shares, and the surfaces its sweeps feed.
+type session struct {
+	ctx            context.Context
+	stdout, stderr io.Writer
+	opt            harness.ParallelOptions
 
-	if *version {
-		fmt.Println(obs.ReadBuild())
-		return
+	scale                           int64
+	statsWL, only                   string
+	seed                            int64
+	csv, chart, variants, keepGoing bool
+	progress                        bool
+
+	// tel backs the progress meter's cache field; stream is tel under
+	// -serve and nil otherwise, so no span is encoded without a server.
+	tel, stream *harness.TelemetryExporter
+	tracer      *obs.Trace
+	metrics     []*harness.MetricsReport
+	// degraded flips when a sweep came back partial under -keep-going; the
+	// holes are already annotated in the printed reports, so the process
+	// still exits 0 — the campaign completed, just not every cell.
+	degraded bool
+}
+
+// out writes one finished report to stdout, except on an elastic pool
+// worker: its view of every grid is partial by construction, so a plain run
+// over the shared store renders the real reports.
+func (s *session) out(text string) {
+	if !s.opt.Elastic {
+		fmt.Fprintln(s.stdout, text)
+	}
+}
+
+// elapsed reports a sweep's wall clock on stderr, so that stdout stays
+// byte-identical across -j values (the determinism guarantee).
+func (s *session) elapsed(name string, start time.Time) {
+	fmt.Fprintf(s.stderr, "%s: elapsed %s (j=%d)\n",
+		name, time.Since(start).Round(time.Millisecond), s.opt.EffectiveWorkers())
+}
+
+// sweep runs one named grid of cells through grid with every requested
+// surface attached to its cell-event stream, then harvests its metrics
+// report and prints its elapsed line. A failed sweep is fatal, except that
+// under -keep-going a partial result (a *harness.MatrixError) becomes a
+// stderr notice and the returned matrix carries the holes.
+func (s *session) sweep(name string, cells int, grid func(harness.ParallelOptions) (*harness.Matrix, error)) (*harness.Matrix, error) {
+	start := time.Now()
+	o := s.opt
+	var meter *obs.Progress
+	if s.progress {
+		meter = obs.NewProgress(s.stderr, name, cells)
+		meter.SetStats(s.tel.ProgressStats)
+	}
+	s.tel.AddSweep(cells)
+	o.OnCell = harness.ObserveCells(name, meter, s.tracer, s.stream)
+	// The elastic summary is a pool worker's only account of the pool
+	// dynamics: how many units it claimed (and how many of those were
+	// steals from dead peers), how many it published, and how many it
+	// abandoned to a livelier thief. CI greps the "elastic pool:" prefix.
+	o.OnElastic = func(st harness.ElasticStats) {
+		fmt.Fprintf(s.stderr,
+			"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
+			name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
+	}
+	m, err := grid(o)
+	if err != nil {
+		var merr *harness.MatrixError
+		if !s.keepGoing || !errors.As(err, &merr) {
+			return nil, err
+		}
+		s.degraded = true
+		fmt.Fprintf(s.stderr, "%s: %d cells failed, %d skipped; continuing with holes\n",
+			name, len(merr.Cells), merr.Skipped)
+	}
+	meter.Finish()
+	if m != nil {
+		if rep := m.Metrics(name); rep != nil {
+			s.metrics = append(s.metrics, rep)
+		}
+	}
+	s.elapsed(name, start)
+	return m, nil
+}
+
+// report is one row of the report table: the flag that selects it, whether
+// it is a sweep grid an elastic worker drains into the shared store, and
+// how it runs. Every other row (tables, the §VI-B cells, which need live
+// worlds, and the §V campaign) claims no units, so it runs only in a plain
+// invocation.
+type report struct {
+	flag, usage string
+	grid        bool
+	run         func(*session) error
+}
+
+// reports lists every report in -all's print order.
+var reports = []report{
+	{"table2", "print Table II", false, func(s *session) error {
+		s.out(harness.RenderTableII())
+		return nil
+	}},
+	{"table1", "run the Table I conformance matrix", false, func(s *session) error {
+		out, ok := harness.RunTableI()
+		s.out(out)
+		if !ok {
+			return errors.New("Table I conformance FAILED")
+		}
+		return nil
+	}},
+	{"fig3", "regenerate Figure 3", true, func(s *session) error {
+		var r *harness.Fig3Result
+		_, err := s.sweep("fig3", len(workload.All())*(len(harness.Fig3Components)+1),
+			func(o harness.ParallelOptions) (m *harness.Matrix, err error) {
+				if r, err = harness.RunFig3Parallel(s.ctx, workload.All(), s.scale, o); r != nil {
+					m = r.Matrix
+				}
+				return m, err
+			})
+		if err != nil {
+			return err
+		}
+		s.out(r.Render())
+		return nil
+	}},
+	{"fig7", "regenerate Figure 7", true, func(s *session) error {
+		wls := workload.All()
+		if s.variants {
+			wls = workload.AllVariants()
+		}
+		cfgs := harness.Fig7Configs()
+		m, err := s.sweep("fig7", len(wls)*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
+			return harness.RunMatrixParallel(s.ctx, wls, cfgs, s.scale, o)
+		})
+		if err != nil {
+			return err
+		}
+		s.out(m.RenderOverheadTable(
+			fmt.Sprintf("Figure 7: runtime overheads over plain binaries (scale %d)", s.scale)))
+		s.out("headline: " + m.Summary())
+		s.out("")
+		if s.chart {
+			s.out(m.RenderBarChart("Figure 7 (bars)", 180))
+		}
+		if s.csv {
+			s.out(m.CSV())
+		}
+		return nil
+	}},
+	{"fig8", "regenerate Figure 8", true, func(s *session) error {
+		cfgs := append(harness.Fig8Configs(), harness.BinaryConfig{Name: "plain", Pass: prog.Plain()})
+		m, err := s.sweep("fig8", len(workload.All())*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
+			return harness.RunMatrixParallel(s.ctx, workload.All(), cfgs, s.scale, o)
+		})
+		if err != nil {
+			return err
+		}
+		s.out(m.RenderOverheadTable(
+			fmt.Sprintf("Figure 8: token-width overheads, secure mode (scale %d)", s.scale)))
+		if s.csv {
+			s.out(m.CSV())
+		}
+		return nil
+	}},
+	{"fig8sens", "run the Figure 8 timing-sensitivity sweep", true, func(s *session) error {
+		cfgs := harness.Fig8SensitivityConfigs()
+		m, err := s.sweep("fig8sens", len(workload.All())*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
+			return harness.RunMatrixParallel(s.ctx, workload.All(), cfgs, s.scale, o)
+		})
+		if err != nil {
+			return err
+		}
+		s.out(m.RenderOverheadTable(
+			fmt.Sprintf("Figure 8 sensitivity: overheads under timing variants (scale %d)", s.scale)))
+		if s.csv {
+			s.out(m.CSV())
+		}
+		return nil
+	}},
+	{"stats", "print §VI-B microarchitectural statistics", false, func(s *session) error {
+		wl, err := workload.ByName(s.statsWL)
+		if err != nil {
+			return err
+		}
+		var ms *harness.MicroStats
+		_, err = s.sweep("micro", 2, func(o harness.ParallelOptions) (m *harness.Matrix, err error) {
+			if ms, err = harness.RunMicroStatsParallel(s.ctx, wl, s.scale, o); ms != nil {
+				m = ms.Matrix
+			}
+			return m, err
+		})
+		// Without a complete pair of cells there are no statistics to
+		// print; under -keep-going the sweep has already said so.
+		if err != nil || ms == nil {
+			return err
+		}
+		s.out(ms.Render())
+		return nil
+	}},
+	{"faults", "run the §V fault-injection campaign", false, func(s *session) error {
+		start := time.Now()
+		c, err := fault.RunCampaign(fault.Options{Seed: s.seed, Only: s.only, Engine: s.opt.Engine})
+		if err != nil {
+			return err
+		}
+		s.elapsed("faults", start)
+		if s.opt.Metrics {
+			reg := obs.NewRegistry()
+			c.FlushObs(reg)
+			s.metrics = append(s.metrics, &harness.MetricsReport{Sweep: "faults", Aggregate: reg.Snapshot()})
+		}
+		s.out(c.Render())
+		if s.csv {
+			s.out(c.CSV())
+		}
+		if n := c.Failures(); n > 0 {
+			return fmt.Errorf("fault campaign: %d scenarios deviated from the paper's predicted verdicts", n)
+		}
+		return nil
+	}},
+	{"table3", "print Table III", false, func(s *session) error {
+		s.out(harness.RenderTableIII())
+		return nil
+	}},
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is restbench with its arguments, output streams and exit status
+// explicit: 0 on success, 1 when the work fails, 2 when the spelling does.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("restbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	s := &session{ctx: context.Background(), stdout: stdout, stderr: stderr}
+	picked := make(map[string]*bool, len(reports))
+	for _, r := range reports {
+		picked[r.flag] = fs.Bool(r.flag, false, r.usage)
+	}
+	all := fs.Bool("all", false, "run everything")
+	fs.Int64Var(&s.scale, "scale", 5, "workload scale factor")
+	fs.StringVar(&s.statsWL, "stats-workload", "xalanc", "workload for -stats")
+	fs.BoolVar(&s.csv, "csv", false, "also print raw cycle matrices as CSV")
+	fs.BoolVar(&s.chart, "chart", false, "render Figure 7/8 as ASCII bar charts")
+	fs.BoolVar(&s.variants, "variants", false, "expand per-input variants (Figure 7's full x-axis)")
+	fs.IntVar(&s.opt.Workers, "j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
+	fs.BoolVar(&s.opt.FailFast, "failfast", false, "cancel a sweep's remaining cells on the first error")
+	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
+	fs.DurationVar(&s.opt.CellTimeout, "cell-timeout", 0, "per-cell wall-clock watchdog (0 = none)")
+	fs.Uint64Var(&s.opt.CellInstrBudget, "cell-budget", 0, "per-cell simulated-instruction budget (0 = sim default)")
+	fs.BoolVar(&s.keepGoing, "keep-going", false, "report failed cells as holes and exit 0")
+	engineName := fs.String("engine", "auto", "functional simulator engine: blocks (default), ref, auto")
+	cacheDir := fs.String("cache-dir", "", "persistent result store directory (empty = no persistent cache)")
+	cacheURL := fs.String("cache-url", "", "shared artifact cache server URL (see -cache-serve; mutually exclusive with -cache-dir)")
+	cacheServe := fs.String("cache-serve", "", "serve the -cache-dir artifact store to other restbench processes on this address and exit on SIGINT/SIGTERM")
+	shardSpec := fs.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
+	cacheRO := fs.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
+	cacheChaos := fs.String("cache-chaos", "", "inject storage faults: comma-separated spec, e.g. seed=7,rate=0.5 or err=0.1,torn=0.05,delay=5ms (drill/testing)")
+	cacheStaleAge := fs.Duration("cache-stale-age", 0, "age past which an abandoned elastic claim or lease is considered dead and stolen (0 = default, 10m)")
+	fs.Int64Var(&s.seed, "seed", 42, "seed for the -faults campaign")
+	fs.StringVar(&s.only, "only", "", "substring filter for -faults scenarios")
+	metricsOut := fs.String("metrics", "", "write sweep metrics to this file as CSV")
+	traceOut := fs.String("trace", "", "write a Chrome/Catapult JSON trace of the sweeps to this file")
+	fs.BoolVar(&s.progress, "progress", false, "live cells-done/holes/ETA meter on stderr")
+	serveAddr := fs.String("serve", "", "serve OTLP telemetry (/otlp/metrics, /otlp/stream) and net/http/pprof (/debug/pprof/) on this address (e.g. localhost:7788)")
+	watchAddr := fs.String("watch", "", "attach a live dashboard to another restbench's -serve address and exit with it")
+	checkOTLP := fs.String("check-otlp", "", "validate an OTLP dump file (document, NDJSON or SSE) and exit")
+	version := fs.Bool("version", false, "print build/version information and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if *checkOTLP != "" {
-		raw, err := os.ReadFile(*checkOTLP)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "restbench: -check-otlp: "+err.Error())
-			os.Exit(1)
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+
+	// The mode table. A mode turns restbench into something other than a
+	// local sweep and takes only the flags in need, so a stray flag fails
+	// the spelling here in one line instead of being silently dropped.
+	for _, m := range []struct {
+		flag, role string
+		need       []string
+		on         bool
+		run        func() error
+	}{
+		{"version", "prints the build and takes no other flags", nil, *version, func() error {
+			_, err := fmt.Fprintln(stdout, obs.ReadBuild())
+			return err
+		}},
+		{"check-otlp", "validates an OTLP dump and takes no other flags", nil, *checkOTLP != "", func() error {
+			raw, err := os.ReadFile(*checkOTLP)
+			if err != nil {
+				return errors.New("restbench: -check-otlp: " + err.Error())
+			}
+			n, err := otlp.ValidateDump(raw)
+			if err != nil {
+				return fmt.Errorf("restbench: -check-otlp %s: %v", *checkOTLP, err)
+			}
+			_, err = fmt.Fprintf(stdout, "%s: %d valid OTLP document(s)\n", *checkOTLP, n)
+			return err
+		}},
+		{"watch", "attaches to another restbench process and takes no other flags", nil, *watchAddr != "", func() error {
+			return runWatch(*watchAddr, stdout)
+		}},
+		{"cache-serve", "runs a cache server for other restbench processes and takes only -cache-dir", []string{"cache-dir"},
+			*cacheServe != "", func() error { return runCacheServe(*cacheServe, *cacheDir, stderr) }},
+	} {
+		if err := validateModeFlags(explicit, m.flag, m.role, m.need...); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		n, err := otlp.ValidateDump(raw)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "restbench: -check-otlp %s: %v\n", *checkOTLP, err)
-			os.Exit(1)
+		if m.on {
+			if err := m.run(); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			return 0
 		}
-		fmt.Printf("%s: %d valid OTLP document(s)\n", *checkOTLP, n)
-		return
 	}
-	if err := validateModeFlags(explicit, "watch",
-		"attaches to another restbench process and takes no other flags"); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *watchAddr != "" {
-		if err := runWatch(*watchAddr, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := validateModeFlags(explicit, "cache-serve",
-		"runs a cache server for other restbench processes and takes only -cache-dir", "cache-dir"); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *cacheServe != "" {
-		if err := runCacheServe(*cacheServe, *cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	// Validate the cache flag combinations up front, before any sweep: a
-	// contradictory spelling fails in one line here, not minutes into a run.
-	setup, cerr := validateCacheFlags(cacheFlagState{
+
+	// Validate every remaining spelling up front, before a store is opened
+	// or a server bound: a contradictory one fails in one line here, not
+	// minutes into a run.
+	setup, err := validateCacheFlags(cacheFlagState{
 		Dir:         *cacheDir,
 		URL:         *cacheURL,
 		RO:          *cacheRO,
-		TraceCache:  *traceCache,
 		Chaos:       *cacheChaos,
 		StaleAge:    *cacheStaleAge,
 		StaleAgeSet: explicit["cache-stale-age"],
 		Shard:       *shardSpec,
 	})
-	if cerr != nil {
-		fmt.Fprintln(os.Stderr, cerr)
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	chaosSpec := setup.Chaos
-	// An elastic worker computes its share and publishes artifacts; the
-	// reports it could render would be partial, so stdout stays empty and
-	// any plain run over the shared store renders the real ones.
-	workerMode := setup.Elastic
-	engine, eerr := sim.ParseEngine(*engineName)
-	if eerr != nil {
-		fmt.Fprintln(os.Stderr, "restbench: "+eerr.Error())
-		os.Exit(2)
+	if s.opt.Engine, err = sim.ParseEngine(*engineName); err != nil {
+		fmt.Fprintln(stderr, "restbench: "+err.Error())
+		return 2
 	}
-	if !(*fig3 || *fig7 || *fig8 || *fig8sens || *table1 || *table2 || *table3 || *stats || *faults || *all) {
-		flag.Usage()
-		os.Exit(2)
+	var selected []report
+	for _, r := range reports {
+		if *all || *picked[r.flag] {
+			selected = append(selected, r)
+		}
 	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if len(selected) == 0 {
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	// A typo'd -only fails here, before any sweep runs, with the list of
 	// valid scenario names — not after minutes of unrelated figures.
-	if *faults || *all {
-		if err := fault.ValidateOnly(*only); err != nil {
-			fail(err)
+	if *all || *picked["faults"] {
+		if err := fault.ValidateOnly(s.only); err != nil {
+			return fail(err)
 		}
 	}
-	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		s.ctx, cancel = context.WithTimeout(s.ctx, *timeout)
 		defer cancel()
 	}
-	opt := harness.ParallelOptions{
-		Workers:         *jobs,
-		FailFast:        *failFast,
-		CellTimeout:     *cellTimeout,
-		CellInstrBudget: *cellBudget,
-		Engine:          engine,
-		Elastic:         setup.Elastic,
-	}
+	s.opt.Elastic = setup.Elastic
+	s.opt.Metrics = *metricsOut != ""
 	// One cache for the whole invocation: grids that share functional
 	// identities across sweeps (e.g. -fig8 and -fig8sens both time the
 	// secure-full build) reuse each other's captures.
-	var tcache *harness.TraceCache
-	if *traceCache {
-		tcache = harness.NewTraceCache()
-		opt.TraceCache = tcache
-	}
+	tcache := harness.NewTraceCache()
+	s.opt.TraceCache = tcache
 	// The persistent tier extends the sweeps across invocations with
 	// memoized clean cell results (and, over -cache-url, across processes
 	// and machines sharing one -cache-serve store).
@@ -403,10 +620,9 @@ func main() {
 	if *cacheDir != "" || *cacheURL != "" {
 		popt := persist.Options{
 			ReadOnly:     setup.Mode == "ro",
-			Chaos:        chaosSpec,
+			Chaos:        setup.Chaos,
 			StaleLockAge: *cacheStaleAge,
 		}
-		var err error
 		if *cacheURL != "" {
 			// A remote store adds network stalls the local disk never
 			// sees: bound every attempt.
@@ -426,305 +642,84 @@ func main() {
 			pcache, err = persist.Open(*cacheDir, popt)
 		}
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		tcache.AttachDisk(pcache)
-		if chaosSpec != nil {
-			fmt.Fprintf(os.Stderr, "disk cache: chaos injection active (%s)\n", chaosSpec)
+		if setup.Chaos != nil {
+			fmt.Fprintf(stderr, "disk cache: chaos injection active (%s)\n", setup.Chaos)
 		}
 	}
 
-	// The observability plane. All of it writes to files or stderr, never
-	// stdout, so enabling any of these flags cannot perturb the reports. One
-	// TelemetryExporter backs every surface (expvar, /otlp/metrics,
-	// /otlp/stream, the progress meter's cache field); its span stream is
-	// only attached to sweeps when an HTTP surface actually exists.
-	tel := harness.NewTelemetryExporter("restbench", tcache)
-	serving := *pprofAddr != "" || *serveAddr != ""
-	live := tel.Live
-	if *pprofAddr != "" {
-		expvar.Publish("rest", expvar.Func(live.Vars))
-		tel.Source().Register(http.DefaultServeMux)
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "serving http://%s/debug/pprof/, /debug/vars and /otlp/{metrics,stream}\n", *pprofAddr)
-	}
+	// The observability plane. All of it writes to files, stderr or its
+	// own HTTP connections, never stdout, so enabling any of these flags
+	// cannot perturb the reports. One TelemetryExporter backs every live
+	// surface (/otlp/metrics, /otlp/stream, the progress meter's cache
+	// field); its span stream is attached to sweeps only under -serve.
+	s.tel = harness.NewTelemetryExporter("restbench", tcache)
 	if *serveAddr != "" {
-		resolved, err := startTelemetryServer(*serveAddr, tel)
+		ln, err := startTelemetryServer(*serveAddr, s.tel, stderr)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "serving http://%s/otlp/metrics and /otlp/stream (attach with: restbench -watch %s)\n",
-			resolved, resolved)
+		defer ln.Close()
+		s.stream = s.tel
+		fmt.Fprintf(stderr, "serving http://%s/otlp/metrics, /otlp/stream and /debug/pprof/ (attach with: restbench -watch %s)\n",
+			ln.Addr(), ln.Addr())
 	}
-	var tracer *obs.Trace
 	if *traceOut != "" {
-		tracer = obs.NewTrace()
+		s.tracer = obs.NewTrace()
 	}
-	var reports []*harness.MetricsReport
-	// sweepOpt clones the sweep options for one named sweep, attaching the
-	// requested observability surfaces to its cell-event stream; the returned
-	// finish hook harvests the sweep's metrics report once its matrix exists.
-	sweepOpt := func(name string, cells int) (harness.ParallelOptions, func(*harness.Matrix)) {
-		o := opt
-		o.Metrics = *metricsOut != ""
-		var meter *obs.Progress
-		if *progress {
-			meter = obs.NewProgress(os.Stderr, name, cells)
-			meter.SetStats(tel.ProgressStats)
-		}
-		tel.AddSweep(name, cells)
-		// The elastic summary is a pool worker's only account of the pool
-		// dynamics: how many units it claimed (and how many of those were
-		// steals from dead peers), how many it published, and how many it
-		// abandoned to a livelier thief. CI greps the "elastic pool:" prefix.
-		o.OnElastic = func(st harness.ElasticStats) {
-			fmt.Fprintf(os.Stderr,
-				"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
-				name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
-		}
-		var telOn func(harness.CellEvent)
-		if serving {
-			telOn = tel.OnCell(name)
-		}
-		if *traceOut != "" || *progress || serving {
-			o.OnCell = func(ev harness.CellEvent) {
-				ok := ev.Err == nil && !ev.Skipped
-				meter.Observe(ok)
-				if telOn != nil {
-					telOn(ev)
-				}
-				verdict := "ok"
-				switch {
-				case ev.Skipped:
-					verdict = "skipped"
-				case ev.Err != nil:
-					verdict = "hole"
-				}
-				tracer.Slice(ev.Worker, ev.Workload+"/"+ev.Config, name, ev.Start, ev.End,
-					map[string]any{
-						"workload": ev.Workload, "config": ev.Config,
-						"verdict": verdict, "instrs": ev.Instrs, "cycles": ev.Cycles,
-					})
-			}
-		}
-		return o, func(m *harness.Matrix) {
-			meter.Finish()
-			if m == nil || !o.Metrics {
-				return
-			}
-			if rep := m.Metrics(name); rep != nil {
-				reports = append(reports, rep)
-				live.SetMetrics(m.Obs.Snapshot())
-			}
+	if s.opt.Elastic {
+		n := len(selected)
+		if selected = slices.DeleteFunc(selected, func(r report) bool { return !r.grid }); len(selected) < n {
+			fmt.Fprintln(stderr, "-shard auto computes sweep grids only; tables, -stats and -faults are left to a plain run over the store")
 		}
 	}
-	// degraded flips when a sweep came back partial under -keep-going; the
-	// holes are already annotated in the printed reports, so the process
-	// still exits 0 — the campaign completed, just not every cell.
-	degraded := false
-	// sweepErr decides what a failed sweep means: under -keep-going a
-	// *MatrixError (partial result available) is downgraded to a stderr
-	// notice, anything else still aborts.
-	sweepErr := func(name string, err error) {
-		if err == nil {
-			return
+	for _, r := range selected {
+		if err := r.run(s); err != nil {
+			return fail(err)
 		}
-		var merr *harness.MatrixError
-		if *keepGoing && errors.As(err, &merr) {
-			degraded = true
-			fmt.Fprintf(os.Stderr, "%s: %d cells failed, %d skipped; continuing with holes\n",
-				name, len(merr.Cells), merr.Skipped)
-			return
-		}
-		fail(err)
-	}
-	// elapsed reports each sweep's wall clock on stderr so that stdout stays
-	// byte-identical across -j values (the determinism guarantee).
-	elapsed := func(name string, start time.Time) {
-		fmt.Fprintf(os.Stderr, "%s: elapsed %s (j=%d)\n",
-			name, time.Since(start).Round(time.Millisecond), opt.EffectiveWorkers())
-	}
-	// report prints one finished report to stdout — except on an elastic
-	// worker, whose view of the grid is partial by construction, so stdout
-	// stays empty and a plain run over the store renders the real reports.
-	report := func(s string) {
-		if !workerMode {
-			fmt.Println(s)
-		}
-	}
-	// Tables, -stats and -faults are not sweep grids: an elastic worker
-	// claims no units of them, so they run (and print) only in plain
-	// invocations.
-	if workerMode && (*all || *table1 || *table2 || *table3 || *stats || *faults) {
-		fmt.Fprintln(os.Stderr, "-shard auto computes sweep grids only; tables, -stats and -faults are left to a plain run over the store")
 	}
 
-	if (*all || *table2) && !workerMode {
-		fmt.Println(harness.RenderTableII())
-	}
-	if (*all || *table1) && !workerMode {
-		out, ok := harness.RunTableI()
-		fmt.Println(out)
-		if !ok {
-			fail(fmt.Errorf("Table I conformance FAILED"))
-		}
-	}
-	if *all || *fig3 {
-		start := time.Now()
-		o, finish := sweepOpt("fig3", len(workload.All())*(len(harness.Fig3Components)+1))
-		r, err := harness.RunFig3Parallel(ctx, workload.All(), *scale, o)
-		sweepErr("fig3", err)
-		finish(r.Matrix)
-		elapsed("fig3", start)
-		report(r.Render())
-	}
-	if *all || *fig7 {
-		wls := workload.All()
-		if *variants {
-			wls = workload.AllVariants()
-		}
-		start := time.Now()
-		o, finish := sweepOpt("fig7", len(wls)*len(harness.Fig7Configs()))
-		m, err := harness.RunMatrixParallel(ctx, wls, harness.Fig7Configs(), *scale, o)
-		sweepErr("fig7", err)
-		finish(m)
-		elapsed("fig7", start)
-		report(m.RenderOverheadTable(
-			fmt.Sprintf("Figure 7: runtime overheads over plain binaries (scale %d)", *scale)))
-		report("headline: " + m.Summary())
-		report("")
-		if *chart {
-			report(m.RenderBarChart("Figure 7 (bars)", 180))
-		}
-		if *csv {
-			report(m.CSV())
-		}
-		if *jsonOut {
-			raw, err := m.JSON("figure7", *scale)
-			if err != nil {
-				fail(err)
-			}
-			report(string(raw))
-		}
-	}
-	if *all || *fig8 {
-		cfgs := append(harness.Fig8Configs(),
-			harness.BinaryConfig{Name: "plain", Pass: prog.Plain()})
-		start := time.Now()
-		o, finish := sweepOpt("fig8", len(workload.All())*len(cfgs))
-		m, err := harness.RunMatrixParallel(ctx, workload.All(), cfgs, *scale, o)
-		sweepErr("fig8", err)
-		finish(m)
-		elapsed("fig8", start)
-		report(m.RenderOverheadTable(
-			fmt.Sprintf("Figure 8: token-width overheads, secure mode (scale %d)", *scale)))
-		if *csv {
-			report(m.CSV())
-		}
-	}
-	if *all || *fig8sens {
-		start := time.Now()
-		o, finish := sweepOpt("fig8sens", len(workload.All())*len(harness.Fig8SensitivityConfigs()))
-		m, err := harness.RunFig8Sensitivity(ctx, workload.All(), *scale, o)
-		sweepErr("fig8sens", err)
-		finish(m)
-		elapsed("fig8sens", start)
-		report(m.RenderOverheadTable(
-			fmt.Sprintf("Figure 8 sensitivity: overheads under timing variants (scale %d)", *scale)))
-		if *csv {
-			report(m.CSV())
-		}
-	}
-	if (*all || *stats) && !workerMode {
-		wl, err := workload.ByName(*statsWL)
-		if err != nil {
-			fail(err)
-		}
-		o, finish := sweepOpt("micro", 2)
-		s, err := harness.RunMicroStatsParallel(ctx, wl, *scale, o)
-		if err != nil {
-			fail(err)
-		}
-		finish(s.Matrix)
-		fmt.Println(s.Render())
-	}
-	if (*all || *faults) && !workerMode {
-		start := time.Now()
-		c, err := fault.RunCampaign(fault.Options{Seed: *seed, Only: *only, Engine: engine})
-		if err != nil {
-			fail(err)
-		}
-		elapsed("faults", start)
-		if *metricsOut != "" {
-			reg := obs.NewRegistry()
-			c.FlushObs(reg)
-			reports = append(reports, &harness.MetricsReport{
-				Sweep: "faults", Aggregate: reg.Snapshot(),
-			})
-		}
-		fmt.Println(c.Render())
-		if *csv {
-			fmt.Println(c.CSV())
-		}
-		if n := c.Failures(); n > 0 {
-			fail(fmt.Errorf("fault campaign: %d scenarios deviated from the paper's predicted verdicts", n))
-		}
-	}
-	if (*all || *table3) && !workerMode {
-		fmt.Println(harness.RenderTableIII())
-	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reports); err != nil {
-			fail(err)
+		if err := writeMetrics(*metricsOut, s.metrics); err != nil {
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %d report(s) to %s\n", len(reports), *metricsOut)
+		fmt.Fprintf(stderr, "metrics: wrote %d report(s) to %s\n", len(s.metrics), *metricsOut)
 	}
-	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fail(err)
+	if s.tracer != nil {
+		if err := writeTrace(*traceOut, s.tracer); err != nil {
+			return fail(err)
 		}
-		if _, err := tracer.WriteTo(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
+		fmt.Fprintf(stderr, "trace: wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
 	}
-	if tcache != nil {
-		hits, misses, bypass := tcache.Counters()
-		var dc *persist.Counters
-		if pcache != nil {
-			c := pcache.Counters()
-			dc = &c
-		}
-		fmt.Fprint(os.Stderr, cacheSummary(hits, misses, bypass, dc))
-	}
+	hits, misses, bypass := tcache.Counters()
+	var dc *persist.Counters
 	if pcache != nil {
 		c := pcache.Counters()
-		if s := pcache.StackCounters(); c.Unavailable > 0 || s.Retries > 0 || s.BreakerTrips > 0 ||
-			s.Timeouts > 0 || s.ChaosErrs+s.ChaosTorn+s.ChaosCorrupt+s.ChaosNoSpace > 0 {
-			fmt.Fprintf(os.Stderr,
+		dc = &c
+	}
+	fmt.Fprint(stderr, cacheSummary(hits, misses, bypass, dc))
+	if pcache != nil {
+		c := pcache.Counters()
+		if st := pcache.StackCounters(); c.Unavailable > 0 || st.Retries > 0 || st.BreakerTrips > 0 ||
+			st.Timeouts > 0 || st.ChaosErrs+st.ChaosTorn+st.ChaosCorrupt+st.ChaosNoSpace > 0 {
+			fmt.Fprintf(stderr,
 				"disk cache: %d ops degraded to recompute, %d retries (%d gave up), %d timeouts, breaker %d trips / %d fast-fails / %d recoveries, chaos injected %d errs / %d torn / %d corrupt / %d nospace\n",
-				c.Unavailable, s.Retries, s.RetryGiveups, s.Timeouts,
-				s.BreakerTrips, s.BreakerRejects, s.BreakerRecoveries,
-				s.ChaosErrs, s.ChaosTorn, s.ChaosCorrupt, s.ChaosNoSpace)
+				c.Unavailable, st.Retries, st.RetryGiveups, st.Timeouts,
+				st.BreakerTrips, st.BreakerRejects, st.BreakerRecoveries,
+				st.ChaosErrs, st.ChaosTorn, st.ChaosCorrupt, st.ChaosNoSpace)
 		}
 		if hc, ok := pcache.HTTPCounters(); ok {
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(stderr,
 				"http cache: %d gets / %d puts / %d lists, %d lock ops (%d renews), %d transport errors, %d B in / %d B out\n",
 				hc.Gets, hc.Puts, hc.Lists, hc.LockOps, hc.Renews, hc.TransportErrs, hc.BytesIn, hc.BytesOut)
 		}
 	}
-	if degraded {
-		fmt.Fprintln(os.Stderr, "some sweep cells failed; reports contain annotated holes (-keep-going)")
+	if s.degraded {
+		fmt.Fprintln(stderr, "some sweep cells failed; reports contain annotated holes (-keep-going)")
 	}
+	return 0
 }
 
 // cacheSummary renders the stderr lines that account for the caches: the
@@ -742,30 +737,29 @@ func cacheSummary(replayed, captured, bypassed uint64, disk *persist.Counters) s
 	return s
 }
 
-// writeMetrics renders the collected sweep reports to path: an indented JSON
-// array when the path ends in .json, otherwise CSV with one shared header.
+// writeMetrics renders the collected sweep reports to path as CSV under one
+// shared header; every row already carries its sweep name in column one.
 func writeMetrics(path string, reports []*harness.MetricsReport) error {
-	var out []byte
-	if strings.HasSuffix(path, ".json") {
-		raw, err := json.MarshalIndent(reports, "", "  ")
-		if err != nil {
-			return err
+	var b strings.Builder
+	for i, r := range reports {
+		csv := r.CSV()
+		if i > 0 {
+			csv = csv[strings.IndexByte(csv, '\n')+1:]
 		}
-		out = append(raw, '\n')
-	} else {
-		var b strings.Builder
-		for i, r := range reports {
-			csv := r.CSV()
-			if i > 0 {
-				// One header for the whole file; every row already carries
-				// its sweep name in column one.
-				if idx := strings.IndexByte(csv, '\n'); idx >= 0 {
-					csv = csv[idx+1:]
-				}
-			}
-			b.WriteString(csv)
-		}
-		out = []byte(b.String())
+		b.WriteString(csv)
 	}
-	return os.WriteFile(path, out, 0o644)
+	return os.WriteFile(path, []byte(b.String()), 0o644)
+}
+
+// writeTrace writes the sweeps' Catapult timeline to path.
+func writeTrace(path string, tr *obs.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := tr.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"rest/internal/obs"
+	"rest/internal/obs/otlp"
 	"rest/internal/persist"
 )
 
@@ -23,123 +28,112 @@ func TestValidateCacheFlags(t *testing.T) {
 		wantElastic bool // -shard auto resolved to the work-stealing pool
 		wantErr     string
 	}{
-		{name: "no cache flags", s: cacheFlagState{TraceCache: true}, mode: "rw"},
-		{name: "dir alone defaults to rw", s: cacheFlagState{Dir: dir, TraceCache: true}, mode: "rw"},
-		{name: "explicit ro", s: cacheFlagState{Dir: dir, RO: true, TraceCache: true}, mode: "ro"},
-		{name: "no store without the trace cache is fine", s: cacheFlagState{}, mode: "rw"},
+		{name: "no cache flags", s: cacheFlagState{}, mode: "rw"},
+		{name: "dir alone defaults to rw", s: cacheFlagState{Dir: dir}, mode: "rw"},
+		{name: "explicit ro", s: cacheFlagState{Dir: dir, RO: true}, mode: "ro"},
 		{
 			name:    "mode flag without a dir",
-			s:       cacheFlagState{RO: true, TraceCache: true},
+			s:       cacheFlagState{RO: true},
 			wantErr: "pass -cache-dir DIR",
 		},
 		{
-			name:    "cache without the trace cache",
-			s:       cacheFlagState{Dir: dir, TraceCache: false},
-			wantErr: "rides on the trace cache",
-		},
-		{
 			name:    "read-only over a missing dir",
-			s:       cacheFlagState{Dir: dir + "/missing", RO: true, TraceCache: true},
+			s:       cacheFlagState{Dir: dir + "/missing", RO: true},
 			wantErr: "does not exist",
 		},
 		{
 			name:      "chaos spec parses",
-			s:         cacheFlagState{Dir: dir, Chaos: "seed=7,rate=0.5", TraceCache: true},
+			s:         cacheFlagState{Dir: dir, Chaos: "seed=7,rate=0.5"},
 			mode:      "rw",
 			wantChaos: true,
 		},
 		{
 			name:      "chaos with read-only mode",
-			s:         cacheFlagState{Dir: dir, RO: true, Chaos: "err=0.1", TraceCache: true},
+			s:         cacheFlagState{Dir: dir, RO: true, Chaos: "err=0.1"},
 			mode:      "ro",
 			wantChaos: true,
 		},
 		{
 			name:    "chaos without a dir",
-			s:       cacheFlagState{Chaos: "rate=1", TraceCache: true},
+			s:       cacheFlagState{Chaos: "rate=1"},
 			wantErr: "pass -cache-dir DIR",
 		},
 		{
 			name:    "malformed chaos spec",
-			s:       cacheFlagState{Dir: dir, Chaos: "rate=2.0", TraceCache: true},
+			s:       cacheFlagState{Dir: dir, Chaos: "rate=2.0"},
 			wantErr: "probability in [0,1]",
 		},
 		{
 			name:    "unknown chaos key",
-			s:       cacheFlagState{Dir: dir, Chaos: "bogus=1", TraceCache: true},
+			s:       cacheFlagState{Dir: dir, Chaos: "bogus=1"},
 			wantErr: "unknown",
 		},
-		{name: "url alone defaults to rw", s: cacheFlagState{URL: "http://localhost:9", TraceCache: true}, mode: "rw"},
+		{name: "url alone defaults to rw", s: cacheFlagState{URL: "http://localhost:9"}, mode: "rw"},
 		{
 			name: "url carries the hardening stack",
 			s: cacheFlagState{
-				URL: "http://localhost:9", Chaos: "seed=3,rate=0.2", TraceCache: true,
+				URL: "http://localhost:9", Chaos: "seed=3,rate=0.2",
 			},
 			mode:      "rw",
 			wantChaos: true,
 		},
 		{
 			name: "url in read-only mode skips the dir check",
-			s:    cacheFlagState{URL: "http://localhost:9", RO: true, TraceCache: true},
+			s:    cacheFlagState{URL: "http://localhost:9", RO: true},
 			mode: "ro",
 		},
 		{
 			name:    "dir and url together",
-			s:       cacheFlagState{Dir: dir, URL: "http://localhost:9", TraceCache: true},
+			s:       cacheFlagState{Dir: dir, URL: "http://localhost:9"},
 			wantErr: "not both",
 		},
 		{
-			name:    "url without the trace cache",
-			s:       cacheFlagState{URL: "http://localhost:9", TraceCache: false},
-			wantErr: "rides on the trace cache",
-		},
-		{
 			name:    "static shard slice",
-			s:       cacheFlagState{Dir: dir, Shard: "1/2", TraceCache: true},
+			s:       cacheFlagState{Dir: dir, Shard: "1/2"},
 			wantErr: "-shard auto",
 		},
 		{
 			name:    "malformed shard spec",
-			s:       cacheFlagState{Dir: dir, Shard: "Auto", TraceCache: true},
+			s:       cacheFlagState{Dir: dir, Shard: "Auto"},
 			wantErr: "-shard auto",
 		},
 		{
 			name:        "shard auto over a url store",
-			s:           cacheFlagState{URL: "http://localhost:9", Shard: "auto", TraceCache: true},
+			s:           cacheFlagState{URL: "http://localhost:9", Shard: "auto"},
 			mode:        "rw",
 			wantElastic: true,
 		},
 		{
 			name:        "shard auto over a dir store",
-			s:           cacheFlagState{Dir: dir, Shard: "auto", TraceCache: true},
+			s:           cacheFlagState{Dir: dir, Shard: "auto"},
 			mode:        "rw",
 			wantElastic: true,
 		},
 		{
 			name:    "shard auto without a store",
-			s:       cacheFlagState{Shard: "auto", TraceCache: true},
+			s:       cacheFlagState{Shard: "auto"},
 			wantErr: "read-write mode",
 		},
 		{
 			name:    "shard auto over a read-only store",
-			s:       cacheFlagState{Dir: dir, RO: true, Shard: "auto", TraceCache: true},
+			s:       cacheFlagState{Dir: dir, RO: true, Shard: "auto"},
 			wantErr: "read-write mode",
 		},
 		{
 			name:    "stale age without a store",
-			s:       cacheFlagState{StaleAge: time.Second, StaleAgeSet: true, TraceCache: true},
+			s:       cacheFlagState{StaleAge: time.Second, StaleAgeSet: true},
 			wantErr: "pass -cache-dir DIR",
 		},
 		{
 			name:    "non-positive stale age",
-			s:       cacheFlagState{Dir: dir, StaleAge: -time.Second, StaleAgeSet: true, TraceCache: true},
+			s:       cacheFlagState{Dir: dir, StaleAge: -time.Second, StaleAgeSet: true},
 			wantErr: "must be positive",
 		},
 		{
 			name: "stale age with an elastic worker",
 			s: cacheFlagState{
 				URL: "http://localhost:9", Shard: "auto",
-				StaleAge: 5 * time.Second, StaleAgeSet: true, TraceCache: true,
+				StaleAge: 5 * time.Second, StaleAgeSet: true,
 			},
 			mode:        "rw",
 			wantElastic: true,
@@ -248,6 +242,83 @@ func TestValidateWatchFlags(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
 			t.Errorf("%s: got %v, want error containing %q", tt.name, err, tt.wantErr)
 		}
+	}
+}
+
+// TestModeDispatch drives run's mode table. -version and -check-otlp, like
+// -watch and -cache-serve, take no report flag: given one, in either order,
+// they exit 2 with one stderr line naming the strays and print nothing to
+// stdout. Alone, each still does its job and exits 0.
+func TestModeDispatch(t *testing.T) {
+	t.Parallel()
+	dump := filepath.Join(t.TempDir(), "metrics.json")
+	doc := otlp.Line(otlp.EncodeMetrics(nil, otlp.ServiceResource("restbench"), time.Unix(0, 0), time.Unix(1, 0)))
+	if err := os.WriteFile(dump, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		args   []string
+		code   int
+		stdout string // substring of the expected stdout ("" = empty)
+		stderr string // the expected single stderr line ("" = empty)
+	}{
+		{args: []string{"-version", "-fig7"}, code: 2,
+			stderr: "restbench: -version prints the build and takes no other flags; drop -fig7"},
+		{args: []string{"-fig7", "-scale", "1", "-version"}, code: 2,
+			stderr: "restbench: -version prints the build and takes no other flags; drop -fig7, -scale"},
+		{args: []string{"-check-otlp", dump, "-fig7"}, code: 2,
+			stderr: "restbench: -check-otlp validates an OTLP dump and takes no other flags; drop -fig7"},
+		{args: []string{"-fig7", "-check-otlp", dump}, code: 2,
+			stderr: "restbench: -check-otlp validates an OTLP dump and takes no other flags; drop -fig7"},
+		{args: []string{"-version", "-check-otlp", dump}, code: 2,
+			stderr: "restbench: -version prints the build and takes no other flags; drop -check-otlp"},
+		{args: []string{"-version"}, stdout: obs.ReadBuild().String()},
+		{args: []string{"-check-otlp", dump}, stdout: ": 1 valid OTLP document(s)"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tt.args, &stdout, &stderr)
+		if code != tt.code {
+			t.Errorf("%q: exit %d, want %d (stderr %q)", tt.args, code, tt.code, stderr.String())
+		}
+		if got := strings.TrimSuffix(stderr.String(), "\n"); got != tt.stderr {
+			t.Errorf("%q: stderr %q, want %q", tt.args, got, tt.stderr)
+		}
+		if tt.stdout == "" && stdout.Len() > 0 || !strings.Contains(stdout.String(), tt.stdout) {
+			t.Errorf("%q: stdout %q, want %q", tt.args, stdout.String(), tt.stdout)
+		}
+	}
+}
+
+// TestStatsKeepGoing drives the report path with a per-cell budget too
+// small for either §VI-B cell. Under -keep-going, as for every grid, the
+// failed sweep is a stderr notice: no statistics print, the later reports
+// still run and the exit is 0. Without it the failure exits 1 before them.
+func TestStatsKeepGoing(t *testing.T) {
+	t.Parallel()
+	args := []string{"-stats", "-table3", "-scale", "1", "-cell-budget", "1000", "-j", "2"}
+	var stdout, stderr bytes.Buffer
+	if code := run(append(args, "-keep-going"), &stdout, &stderr); code != 0 {
+		t.Fatalf("-keep-going: exit %d, want 0\n%s", code, stderr.String())
+	}
+	for _, line := range []string{
+		"micro: 2 cells failed, 0 skipped; continuing with holes",
+		"some sweep cells failed; reports contain annotated holes (-keep-going)",
+	} {
+		if !strings.Contains(stderr.String(), line+"\n") {
+			t.Errorf("-keep-going: stderr lacks %q:\n%s", line, stderr.String())
+		}
+	}
+	if out := stdout.String(); strings.Contains(out, "§VI-B") || !strings.Contains(out, "Table III") {
+		t.Errorf("-keep-going: want Table III and no §VI-B block, got:\n%s", out)
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Errorf("without -keep-going: exit %d, want 1", code)
+	}
+	if strings.Contains(stdout.String(), "Table III") {
+		t.Errorf("without -keep-going: the run went on past the failed sweep:\n%s", stdout.String())
 	}
 }
 

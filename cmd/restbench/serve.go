@@ -1,33 +1,46 @@
-// The -serve surface: restbench's OTLP-compatible telemetry endpoints.
-// Everything here is read-only with respect to the sweep and writes only to
-// the HTTP connection (plus one stderr banner), so serving telemetry cannot
-// perturb the reports — the telemetry differential tests pin that.
+// The -serve surface: restbench's OTLP-compatible telemetry endpoints and
+// net/http/pprof, on one server. Everything here is read-only with respect
+// to the sweep and writes only to the HTTP connection (plus one stderr
+// banner), so serving telemetry cannot perturb the reports — the telemetry
+// differential tests pin that.
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"os"
+	"net/http/pprof"
 
 	"rest/internal/harness"
 )
 
-// startTelemetryServer binds addr and serves the exporter's OTLP endpoints
-// on a dedicated mux (plus /debug/vars via the caller's expvar publication
-// when -pprof shares the process). It returns the resolved address, so
-// callers can print a usable URL even for ":0" specs.
-func startTelemetryServer(addr string, tel *harness.TelemetryExporter) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("restbench: -serve %s: %w", addr, err)
-	}
+// startTelemetryServer serves the exporter's /otlp/* endpoints and
+// /debug/pprof/ on addr until the returned listener is closed.
+func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (net.Listener, error) {
 	mux := http.NewServeMux()
 	tel.Source().Register(mux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return listen("serve", addr, mux, stderr)
+}
+
+// listen binds addr for the -name flag and serves mux on it until the
+// returned listener is closed. The listener's Addr is the resolved address,
+// usable in a printed URL even for ":0" specs.
+func listen(name, addr string, mux *http.ServeMux, stderr io.Writer) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("restbench: -%s %s: %w", name, addr, err)
+	}
 	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+		if err := http.Serve(ln, mux); !errors.Is(err, net.ErrClosed) {
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
 		}
 	}()
-	return ln.Addr().String(), nil
+	return ln, nil
 }

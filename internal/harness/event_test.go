@@ -148,20 +148,15 @@ func TestTelemetryExporterOnSweep(t *testing.T) {
 	wls := subset(t, "lbm", "xalanc")
 	cfgs := sensGrid()
 	cells := len(wls) * len(cfgs)
-	tel.AddSweep("fig7", cells)
+	tel.AddSweep(cells)
 	_, err := RunMatrixParallel(context.Background(), wls, cfgs, 1, ParallelOptions{
 		Workers:    2,
 		TraceCache: tc,
 		Metrics:    true,
-		OnCell:     tel.OnCell("fig7"),
+		OnCell:     ObserveCells("fig7", nil, nil, tel),
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
-	}
-
-	total, done, holes := tel.Live.Progress()
-	if total != cells || done != cells || holes != 0 {
-		t.Errorf("live progress = %d/%d (%d holes), want %d/%d (0)", done, total, holes, cells, cells)
 	}
 
 	// Every streamed line is a valid OTLP document; one span per cell.
@@ -185,8 +180,12 @@ func TestTelemetryExporterOnSweep(t *testing.T) {
 	// The snapshot merges progress gauges, cache counters and the live
 	// per-cell aggregate, and encodes to a valid document.
 	snap := tel.Snapshot()
-	if m := findMetric(t, snap, "harness.live.cells_done"); m.Value != uint64(cells) {
-		t.Errorf("cells_done gauge = %d, want %d", m.Value, cells)
+	for name, want := range map[string]int{
+		"harness.live.cells_total": cells, "harness.live.cells_done": cells, "harness.live.cells_holes": 0,
+	} {
+		if m := findMetric(t, snap, name); m.Value != uint64(want) {
+			t.Errorf("%s gauge = %d, want %d", name, m.Value, want)
+		}
 	}
 	findMetric(t, snap, "harness.trace_cache.hits")
 	findMetric(t, snap, "sim.user_instructions")
@@ -217,16 +216,51 @@ func TestCellEventSpanVerdicts(t *testing.T) {
 		t.Errorf("hole span: %+v", hole)
 	}
 
-	// A nil exporter disables the stream without branching at call sites.
+	// With no surface attached there is no callback to call, and a nil
+	// exporter disables the stream without branching at call sites.
 	var nx *TelemetryExporter
-	if nx.OnCell("fig7") != nil {
-		t.Error("nil exporter returned a callback")
+	if ObserveCells("fig7", nil, nil, nx) != nil {
+		t.Error("an observer with no surface returned a callback")
 	}
-	nx.AddSweep("fig7", 3)
+	nx.AddSweep(3)
 	if s := nx.Snapshot(); s != nil {
 		t.Errorf("nil exporter snapshot: %v", s)
 	}
 	if st := nx.ProgressStats(); st != (obs.ProgressStats{}) {
 		t.Errorf("nil exporter stats: %+v", st)
+	}
+}
+
+// What /otlp/metrics serves reflects every finished cell mid-sweep, not
+// only the sweep's end: a cell's registry counts as soon as its event is
+// observed, a second cell accumulates onto it, and a hole counts in the
+// holes gauge.
+func TestTelemetryExporterMergesMidSweep(t *testing.T) {
+	t.Parallel()
+	tel := NewTelemetryExporter("restbench-test", nil)
+	tel.AddSweep(4)
+	observe := ObserveCells("fig7", nil, nil, tel)
+	value := func(name string) uint64 { return findMetric(t, tel.Snapshot(), name).Value }
+	cell := func(cycles uint64) CellEvent {
+		reg := obs.NewRegistry()
+		reg.Counter("cpu.cycles").Add(cycles)
+		return CellEvent{Workload: "lbm", Config: "plain", Obs: reg}
+	}
+
+	observe(cell(100))
+	if got := value("cpu.cycles"); got != 100 {
+		t.Fatalf("after one cell, cpu.cycles = %d, want 100", got)
+	}
+	observe(cell(50))
+	if got := value("cpu.cycles"); got != 150 {
+		t.Fatalf("after two cells, cpu.cycles = %d, want 150", got)
+	}
+	observe(CellEvent{Workload: "lbm", Config: "asan", Err: context.DeadlineExceeded})
+	for name, want := range map[string]uint64{
+		"harness.live.cells_total": 4, "harness.live.cells_done": 3, "harness.live.cells_holes": 1, "cpu.cycles": 150,
+	} {
+		if got := value(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }

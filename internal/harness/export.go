@@ -10,11 +10,11 @@ import (
 
 // TelemetryExporter is the streaming telemetry plane glued onto a sweep:
 // it turns the engine's CellEvent stream into OTLP span lines on a
-// subscriber Bus, keeps the obs.Live progress/metric state current, and
-// answers live snapshot queries for the /otlp/metrics endpoint and the
-// expvar "rest" key. restbench (-serve/-pprof), the telemetry differential
-// tests and the exporter-overhead benchmark all share this one glue type,
-// so what ships is what is measured.
+// subscriber Bus, keeps the live progress counts and merged cell registry
+// current, and answers live snapshot queries for the /otlp/metrics
+// endpoint. restbench (-serve), the telemetry differential tests and the
+// exporter-overhead benchmark all share this one glue type, so what ships
+// is what is measured.
 //
 // Everything here is read-only with respect to the sweep: the exporter
 // hangs off ParallelOptions.OnCell (wall-clock facts, outside the
@@ -23,73 +23,93 @@ import (
 // number of attached collectors — including stalled ones, because the Bus
 // drops rather than blocks.
 type TelemetryExporter struct {
-	// Live carries progress counts and the merged live registry (also the
-	// expvar payload). Created by NewTelemetryExporter.
-	Live *obs.Live
 	// Bus fans exported lines out to stream subscribers.
 	Bus *otlp.Bus
 	// Service names the OTLP resource.
 	Service string
 	// Start anchors every exported data point's start timestamp.
 	Start time.Time
-	// TraceCache/Disk, when attached, contribute live cache counters to
-	// every snapshot (the same harness.trace_cache.* / harness.diskcache.*
-	// / persist.* names the end-of-sweep aggregate records).
+	// TraceCache, when attached, contributes its own and its store's live
+	// counters to every snapshot (the same harness.trace_cache.* /
+	// harness.diskcache.* / persist.* names the end-of-sweep aggregate
+	// records).
 	TraceCache *TraceCache
-	// Now is the export clock (nil = time.Now), injected in tests.
-	Now func() time.Time
 
-	mu     sync.Mutex
-	totals map[string]int // per-sweep planned cell counts, for the live gauges
+	// The live state, written from worker goroutines and read by HTTP
+	// handlers. Finished cells' registries merge into agg as they complete;
+	// merge is commutative, so the snapshot depends only on which cells
+	// have finished, never on the order they did.
+	mu                 sync.Mutex
+	total, done, holes int
+	agg                *obs.Registry
 }
 
 // NewTelemetryExporter builds an exporter for one restbench invocation.
 func NewTelemetryExporter(service string, tc *TraceCache) *TelemetryExporter {
 	return &TelemetryExporter{
-		Live:       &obs.Live{},
 		Bus:        otlp.NewBus(),
 		Service:    service,
 		Start:      time.Now(),
 		TraceCache: tc,
+		agg:        obs.NewRegistry(),
 	}
 }
 
-func (x *TelemetryExporter) now() time.Time {
-	if x.Now != nil {
-		return x.Now()
-	}
-	return time.Now()
-}
-
-// AddSweep registers one upcoming sweep's grid size (mirrors
-// Live.AddTotal, which it also calls). Nil-safe.
-func (x *TelemetryExporter) AddSweep(name string, cells int) {
+// AddSweep registers one upcoming sweep's cell count with the live
+// cells_total gauge. Nil-safe.
+func (x *TelemetryExporter) AddSweep(cells int) {
 	if x == nil {
 		return
 	}
-	x.Live.AddTotal(cells)
 	x.mu.Lock()
-	if x.totals == nil {
-		x.totals = make(map[string]int)
-	}
-	x.totals[name] += cells
+	x.total += cells
 	x.mu.Unlock()
 }
 
-// OnCell returns the event callback for one named sweep: each finished
-// cell updates the Live state and is published as one OTLP span line.
-// The returned func is safe for concurrent use (the Bus and Live carry the
-// locks). Nil-safe: a nil exporter returns nil, disabling the stream.
-func (x *TelemetryExporter) OnCell(sweep string) func(CellEvent) {
-	if x == nil {
+// observe folds one finished cell into the live state and publishes its
+// span. reg is the cell's private registry (nil without Metrics), which
+// finished cells never mutate again.
+func (x *TelemetryExporter) observe(s otlp.CellSpan, reg *obs.Registry, res otlp.Resource) {
+	x.mu.Lock()
+	x.done++
+	if s.Verdict != "ok" {
+		x.holes++
+	}
+	// A bound mismatch is impossible by construction (every cell registers
+	// through the same probe constructors); the live view is advisory, so
+	// a failed merge degrades to a stale snapshot rather than an abort.
+	_ = x.agg.Merge(reg)
+	x.mu.Unlock()
+	x.Bus.Publish(otlp.Line(otlp.EncodeSpans([]otlp.CellSpan{s}, res)))
+}
+
+// ObserveCells returns the CellEvent callback for one named sweep. It
+// flattens each event into its span once and feeds every attached surface
+// from it: the progress meter, the Catapult trace slice (category = sweep,
+// args workload/config/verdict/instrs/cycles, which bench/restperf reads)
+// and the exporter's live state and OTLP span stream. Each surface is
+// optional; with none attached it returns nil, so an unobserved sweep pays
+// nothing. The returned func is safe for concurrent use.
+func ObserveCells(sweep string, meter *obs.Progress, tr *obs.Trace, x *TelemetryExporter) func(CellEvent) {
+	if meter == nil && tr == nil && x == nil {
 		return nil
 	}
-	res := otlp.ServiceResource(x.Service)
+	var res otlp.Resource
+	if x != nil {
+		res = otlp.ServiceResource(x.Service)
+	}
 	return func(ev CellEvent) {
-		ok := ev.Err == nil && !ev.Skipped
-		x.Live.ObserveCell(ok)
-		x.Live.MergeObs(ev.Obs)
-		x.Bus.Publish(otlp.Line(otlp.EncodeSpans([]otlp.CellSpan{CellEventSpan(sweep, ev)}, res)))
+		s := CellEventSpan(sweep, ev)
+		meter.Observe(s.Verdict == "ok")
+		if tr != nil {
+			tr.Slice(ev.Worker, ev.Workload+"/"+ev.Config, sweep, ev.Start, ev.End, map[string]any{
+				"workload": ev.Workload, "config": ev.Config,
+				"verdict": s.Verdict, "instrs": ev.Instrs, "cycles": ev.Cycles,
+			})
+		}
+		if x != nil {
+			x.observe(s, ev.Obs, res)
+		}
 	}
 }
 
@@ -118,18 +138,23 @@ func CellEventSpan(sweep string, ev CellEvent) otlp.CellSpan {
 	return s
 }
 
-// Snapshot assembles the live metric view every export surface serves: the
-// merged per-cell registries (when the sweep collects them), the live
-// progress gauges, and the cache planes' current counters. Nil-safe.
+// Snapshot assembles the live metric view /otlp/metrics and the stream
+// serve: the live progress gauges, the stream's own counters, the cache
+// planes' current counters, and the finished cells' merged registries (when
+// the sweep collects them). Nil-safe.
 func (x *TelemetryExporter) Snapshot() []obs.Metric {
 	if x == nil {
 		return nil
 	}
 	reg := obs.NewRegistry()
-	total, done, holes := x.Live.Progress()
-	reg.Gauge("harness.live.cells_total").Set(uint64(total))
-	reg.Gauge("harness.live.cells_done").Set(uint64(done))
-	reg.Gauge("harness.live.cells_holes").Set(uint64(holes))
+	x.mu.Lock()
+	reg.Gauge("harness.live.cells_total").Set(uint64(x.total))
+	reg.Gauge("harness.live.cells_done").Set(uint64(x.done))
+	reg.Gauge("harness.live.cells_holes").Set(uint64(x.holes))
+	// Cell registries never carry harness.*/persist.* series, so this merge
+	// can never double-count the counters recorded around it.
+	_ = reg.Merge(x.agg)
+	x.mu.Unlock()
 	published, dropped := x.Bus.Counters()
 	reg.Counter("harness.live.stream_published").Add(published)
 	reg.Counter("harness.live.stream_dropped").Add(dropped)
@@ -137,11 +162,6 @@ func (x *TelemetryExporter) Snapshot() []obs.Metric {
 		x.TraceCache.recordObs(reg)
 		x.TraceCache.recordDiskObs(reg)
 	}
-	// The live per-completion aggregate (cells merged as they finish; only
-	// populated when the sweep collects per-cell registries). Cell
-	// registries never carry harness.*/persist.* series, so this merge can
-	// never double-count the counters recorded above.
-	x.Live.MergeInto(reg)
 	return reg.Snapshot()
 }
 
@@ -166,6 +186,5 @@ func (x *TelemetryExporter) Source() *otlp.Source {
 		Snapshot: x.Snapshot,
 		Bus:      x.Bus,
 		Start:    x.Start,
-		Now:      x.Now,
 	}
 }

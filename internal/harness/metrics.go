@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -15,29 +14,29 @@ import (
 // order.
 type MetricsReport struct {
 	// Sweep names the experiment ("fig7", "fig8", "fig3", ...).
-	Sweep string `json:"sweep"`
+	Sweep string
 	// Aggregate is the sweep-level registry snapshot (cells merged in grid
 	// order plus the harness.* counters).
-	Aggregate []obs.Metric `json:"aggregate"`
+	Aggregate []obs.Metric
 	// Cells carries each completed cell's own snapshot in grid order.
-	Cells []CellMetrics `json:"cells"`
+	Cells []CellMetrics
 	// Holes annotates cells with no metrics, with the reason, so a missing
 	// cell can never pass for an all-zero one.
-	Holes []MetricsHole `json:"holes,omitempty"`
+	Holes []MetricsHole
 }
 
 // CellMetrics is one completed cell's metric snapshot.
 type CellMetrics struct {
-	Workload string       `json:"workload"`
-	Config   string       `json:"config"`
-	Metrics  []obs.Metric `json:"metrics"`
+	Workload string
+	Config   string
+	Metrics  []obs.Metric
 }
 
 // MetricsHole annotates one metric-less cell.
 type MetricsHole struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-	Reason   string `json:"reason"`
+	Workload string
+	Config   string
+	Reason   string
 }
 
 // Metrics builds the sweep's MetricsReport. It returns nil when the sweep ran
@@ -80,13 +79,4 @@ func (r *MetricsReport) CSV() string {
 		fmt.Fprintf(&b, "%s,%s,%s,hole,hole,reason,%q\n", r.Sweep, h.Workload, h.Config, h.Reason)
 	}
 	return b.String()
-}
-
-// JSON renders the report as indented JSON (trailing newline included).
-func (r *MetricsReport) JSON() (string, error) {
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(raw) + "\n", nil
 }

@@ -1,78 +1,6 @@
 package harness
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// JSONReport is the machine-readable form of an experiment matrix. Holes
-// lists the cells with no result (failed/timed out/skipped) with their
-// reasons; consumers must treat a missing cycles entry as a gap, never as a
-// zero, and the means only cover the complete rows.
-type JSONReport struct {
-	Title      string                        `json:"title"`
-	Scale      int64                         `json:"scale"`
-	Cycles     map[string]map[string]uint64  `json:"cycles"`
-	OverheadPc map[string]map[string]float64 `json:"overhead_percent"`
-	WtdMeanPc  map[string]float64            `json:"weighted_mean_percent"`
-	GeoMeanPc  map[string]float64            `json:"geo_mean_percent"`
-	Holes      map[string]map[string]string  `json:"holes,omitempty"`
-}
-
-// JSON renders the matrix as a machine-readable report.
-func (m *Matrix) JSON(title string, scale int64) ([]byte, error) {
-	rep := JSONReport{
-		Title:      title,
-		Scale:      scale,
-		Cycles:     m.Cycles,
-		OverheadPc: make(map[string]map[string]float64),
-		WtdMeanPc:  make(map[string]float64),
-		GeoMeanPc:  make(map[string]float64),
-		Holes:      m.Holes,
-	}
-	for _, wl := range m.Workloads {
-		rep.OverheadPc[wl] = make(map[string]float64)
-		for _, c := range m.Configs {
-			if c == "plain" || !m.complete(wl, c) {
-				continue
-			}
-			rep.OverheadPc[wl][c] = m.Overhead(wl, c)
-		}
-	}
-	for _, c := range m.Configs {
-		if c == "plain" {
-			continue
-		}
-		rep.WtdMeanPc[c] = m.WtdAriMeanOverhead(c)
-		rep.GeoMeanPc[c] = m.GeoMeanOverhead(c)
-	}
-	return json.MarshalIndent(rep, "", "  ")
-}
-
-// JSON renders the Figure 3 breakdown as machine-readable output. A
-// workload without a computable breakdown is emitted with a "hole" reason
-// and no component figures.
-func (r *Fig3Result) JSON() ([]byte, error) {
-	type row struct {
-		Benchmark  string             `json:"benchmark"`
-		Components map[string]float64 `json:"components_percent,omitempty"`
-		Total      float64            `json:"total_percent"`
-		Hole       string             `json:"hole,omitempty"`
-	}
-	rows := make([]row, 0, len(r.Workloads))
-	for _, wl := range r.Workloads {
-		if reason, ok := r.Holes[wl]; ok {
-			rows = append(rows, row{Benchmark: wl, Hole: reason})
-			continue
-		}
-		comp := make(map[string]float64, len(Fig3Components))
-		for i, c := range Fig3Components {
-			comp[c] = r.Breakdown[wl][i]
-		}
-		rows = append(rows, row{Benchmark: wl, Components: comp, Total: r.Total[wl]})
-	}
-	return json.MarshalIndent(rows, "", "  ")
-}
+import "fmt"
 
 // Summary returns a one-line headline for a Figure 7 matrix, in the shape
 // the paper's abstract quotes ("the overhead of heap and stack safety is 2%

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"context"
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,62 +9,6 @@ import (
 	"rest/internal/prog"
 	"rest/internal/world"
 )
-
-func TestMatrixJSON(t *testing.T) {
-	wls := subset(t, "lbm")
-	m, err := RunMatrix(wls, Fig7Configs(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := m.JSON("fig7", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep JSONReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if rep.Title != "fig7" || rep.Scale != 1 {
-		t.Errorf("header = %+v", rep)
-	}
-	if rep.Cycles["lbm"]["plain"] == 0 {
-		t.Error("missing baseline cycles")
-	}
-	if _, ok := rep.OverheadPc["lbm"]["secure-full"]; !ok {
-		t.Error("missing overhead cell")
-	}
-	if _, ok := rep.OverheadPc["lbm"]["plain"]; ok {
-		t.Error("baseline has an overhead entry")
-	}
-	if _, ok := rep.WtdMeanPc["asan"]; !ok {
-		t.Error("missing weighted mean")
-	}
-	if m.Summary() == "" {
-		t.Error("empty summary")
-	}
-}
-
-func TestFig3JSON(t *testing.T) {
-	r, err := RunFig3(context.Background(), subset(t, "lbm"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]interface{}
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0]["benchmark"] != "lbm" {
-		t.Errorf("rows = %v", rows)
-	}
-	comp := rows[0]["components_percent"].(map[string]interface{})
-	if len(comp) != 4 {
-		t.Errorf("components = %v", comp)
-	}
-}
 
 func TestRenderBarChart(t *testing.T) {
 	wls := subset(t, "lbm")
@@ -79,6 +22,30 @@ func TestRenderBarChart(t *testing.T) {
 	}
 	if !strings.Contains(chart, "#") {
 		t.Error("chart has no bars")
+	}
+}
+
+// TestMatrixSummary checks the numbers a Figure 7 matrix reports and the
+// headline built from them: the baseline has cycles, an instrumented
+// config has an overhead cell, and the headline quotes the weighted means.
+func TestMatrixSummary(t *testing.T) {
+	m, err := RunMatrix(subset(t, "lbm"), Fig7Configs(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cycles["lbm"]["plain"] == 0 {
+		t.Error("missing baseline cycles")
+	}
+	if !m.complete("lbm", "secure-full") {
+		t.Error("missing overhead cell")
+	}
+	if m.WtdAriMeanOverhead("asan") <= 0 {
+		t.Errorf("asan weighted mean = %.2f%%, want an overhead", m.WtdAriMeanOverhead("asan"))
+	}
+	want := fmt.Sprintf("REST secure full %.1f%% vs ASan %.1f%% ",
+		m.WtdAriMeanOverhead("secure-full"), m.WtdAriMeanOverhead("asan"))
+	if sum := m.Summary(); !strings.HasPrefix(sum, want) {
+		t.Errorf("headline = %q, want prefix %q", sum, want)
 	}
 }
 

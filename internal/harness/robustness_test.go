@@ -243,14 +243,6 @@ func TestHoleRenderers(t *testing.T) {
 		t.Errorf("bar chart does not mark the hole:\n%s", chart)
 	}
 
-	js, jerr := m.JSON("t", 1)
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-	if !strings.Contains(string(js), `"holes"`) {
-		t.Errorf("JSON report omits the holes block:\n%s", js)
-	}
-
 	// Means must cover complete rows only: with the crasher row broken, the
 	// weighted mean must equal the healthy row's overhead exactly.
 	want := m.Overhead("lbm", "secure-heap")
@@ -281,12 +273,5 @@ func TestFig3PartialBreakdown(t *testing.T) {
 	render := r.Render()
 	if !strings.Contains(render, "hole") {
 		t.Errorf("Fig3 render does not mark the hole:\n%s", render)
-	}
-	js, jerr := r.JSON()
-	if jerr != nil {
-		t.Fatal(jerr)
-	}
-	if !strings.Contains(string(js), `"hole"`) {
-		t.Errorf("Fig3 JSON omits the hole:\n%s", js)
 	}
 }

@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"context"
-
 	"rest/internal/cache"
 	"rest/internal/core"
 	"rest/internal/cpu"
 	"rest/internal/prog"
-	"rest/internal/workload"
 )
 
 // The Figure 8 timing-sensitivity sweep: the paper's headline overheads are
@@ -26,7 +23,8 @@ import (
 // hidden by the window, so the memory axes (L1/L2 latency, L2 capacity,
 // DRAM timing, redirect penalty) are where its overhead sensitivity lives.
 // Config names carry the variant suffix; the unsuffixed plain remains the
-// overhead baseline.
+// overhead baseline, so the variant columns read as the absolute sensitivity
+// of each (build × timing) point, the way Figure 8 reports its bars.
 func Fig8SensitivityConfigs() []BinaryConfig {
 	ports1 := cpu.DefaultConfig()
 	ports1.LoadPorts, ports1.StorePorts = 1, 1
@@ -76,12 +74,4 @@ func Fig8SensitivityConfigs() []BinaryConfig {
 		)
 	}
 	return out
-}
-
-// RunFig8Sensitivity sweeps the sensitivity grid on the parallel engine
-// (cmd/restbench -fig8sens). Overheads render against the unsuffixed plain
-// baseline, so the variant columns read as absolute sensitivity of the whole
-// (build × timing) point, matching how Figure 8 reports its bars.
-func RunFig8Sensitivity(ctx context.Context, wls []workload.Workload, scale int64, opt ParallelOptions) (*Matrix, error) {
-	return RunMatrixParallel(ctx, wls, Fig8SensitivityConfigs(), scale, opt)
 }

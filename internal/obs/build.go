@@ -6,9 +6,9 @@ import (
 )
 
 // Build identifies the binary: module version plus the VCS state baked in
-// by the Go toolchain. restbench -version prints it and the expvar endpoint
-// exposes it, so a long sweep's profile or metrics dump can always be tied
-// back to the exact commit that produced it.
+// by the Go toolchain. restbench -version prints it and every OTLP resource
+// carries it as service.version, so a long sweep's profile or metrics dump
+// can always be tied back to the exact commit that produced it.
 type Build struct {
 	Module    string `json:"module"`
 	Version   string `json:"version"`

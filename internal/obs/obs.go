@@ -1,7 +1,7 @@
 // Package obs is the observability plane of the simulator stack: a
 // dependency-free registry of counters, gauges and fixed-bucket histograms,
 // plus the export surfaces restbench wires them to (Catapult trace files,
-// live progress meters, expvar snapshots, build info).
+// live progress meters, build info).
 //
 // Design constraints, in order:
 //

@@ -121,27 +121,3 @@ func TestProgressMeter(t *testing.T) {
 	np.Observe(true)
 	np.Finish()
 }
-
-func TestLiveVars(t *testing.T) {
-	l := &Live{}
-	l.AddTotal(10)
-	l.ObserveCell(true)
-	l.ObserveCell(false)
-	r := NewRegistry()
-	r.Counter("sim.user_instructions").Add(42)
-	l.SetMetrics(r.Snapshot())
-	vars, ok := l.Vars().(map[string]any)
-	if !ok {
-		t.Fatalf("Vars() is not a map: %T", l.Vars())
-	}
-	if vars["cells_total"] != 10 || vars["cells_done"] != 2 || vars["cells_holes"] != 1 {
-		t.Errorf("progress vars wrong: %v", vars)
-	}
-	if _, ok := vars["build"].(Build); !ok {
-		t.Errorf("build identity missing: %v", vars["build"])
-	}
-	ms, ok := vars["metrics"].([]Metric)
-	if !ok || len(ms) != 1 || ms[0].Value != 42 {
-		t.Errorf("metrics snapshot wrong: %v", vars["metrics"])
-	}
-}

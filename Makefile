@@ -18,8 +18,8 @@
 #                    per-op rates, cold -j1 and warm -j4, byte-identical to
 #                    cache-off (plus the torn-write and vanished-dir
 #                    recovery checks)
-#   make watch-demo  live-telemetry demo: a background sweep with -serve
-#                    plus `restbench -watch` attached to it
+#   make watch-demo  live-telemetry demo: a background restnet sweep with
+#                    -serve plus `restnet -watch` attached to it
 #   make results     regenerate every committed file under results/ (the
 #                    scale-5 run takes a few minutes)
 #   make results-check
@@ -87,13 +87,14 @@ chaos-short:
 	$(GO) test -run 'TestDiskCacheChaos|TestDiskCacheTornWrite|TestDiskCacheVanishedDir' -v ./internal/harness
 
 # Live-telemetry demo: run a sensitivity sweep with the OTLP exporter served
-# on a local port, and attach the terminal dashboard to it. The sweep exits
-# on its own; the watcher follows the stream until it closes.
+# on a local port, and attach the terminal dashboard to it (both need the
+# network stack, so both are restnet). The sweep exits on its own; the
+# watcher follows the stream until it closes.
 WATCH_ADDR ?= 127.0.0.1:7788
 watch-demo: build
-	$(GO) build -o ./restbench ./cmd/restbench
-	./restbench -fig8sens -scale 4 -j 4 -serve $(WATCH_ADDR) >/dev/null 2>&1 & \
-	sleep 1 && ./restbench -watch $(WATCH_ADDR); \
+	$(GO) build -o ./restnet ./cmd/restnet
+	./restnet -fig8sens -scale 4 -j 4 -serve $(WATCH_ADDR) >/dev/null 2>&1 & \
+	sleep 1 && ./restnet -watch $(WATCH_ADDR); \
 	wait
 
 # The committed result files EXPERIMENTS.md quotes. Reports are

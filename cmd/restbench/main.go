@@ -69,23 +69,15 @@
 //	                 delay=DUR. Example: seed=7,rate=0.5
 //
 // Every store op runs under one hardening layer: up to 2 retries of a
-// transient failure with exponential backoff, a circuit breaker, and, over
-// -cache-url, a 30s bound on each attempt; whatever still fails degrades to
-// recompute.
+// transient failure with exponential backoff and a circuit breaker;
+// whatever still fails degrades to recompute.
 //
-// Distributed sweeps (details in EXPERIMENTS.md): one process serves a
-// cache directory, any number of -shard auto workers drain every grid into
-// it, and any plain run over the same store renders reports byte-identical
-// to a single-process sweep — every published cell is a result-store hit,
-// anything missing just recomputes.
+// Distributed sweeps (details in EXPERIMENTS.md): any number of -shard auto
+// workers drain every grid into one shared store, and any plain run over
+// the same store renders reports byte-identical to a single-process sweep —
+// every published cell is a result-store hit, anything missing just
+// recomputes.
 //
-//	-cache-serve ADDR  serve the -cache-dir artifact store to other
-//	                 restbench processes over HTTP until SIGINT/SIGTERM (a
-//	                 mode: it takes only -cache-dir)
-//	-cache-url URL   use a -cache-serve server as the persistent cache
-//	                 instead of a local directory; the hardening layer,
-//	                 -cache-chaos and fail-open locks apply to the network
-//	                 exactly as they do to disk
 //	-shard auto      join an elastic work-stealing pool: claim
 //	                 functional-identity units under renewed leases on the
 //	                 shared store, publish the artifacts, steal expired
@@ -106,660 +98,35 @@
 //	                 or https://ui.perfetto.dev)
 //	-progress        live cells-done/holes/ETA meter on stderr (with cache
 //	                 hit rate once any cache tier is consulted)
-//	-serve ADDR      serve OTLP-compatible telemetry on ADDR:
-//	                 GET /otlp/metrics is a live snapshot document,
-//	                 GET /otlp/stream a NDJSON (or ?sse=1) feed of per-cell
-//	                 spans plus periodic metric snapshots. Subscribers are
-//	                 buffered and dropped-from, never blocked on, so a
-//	                 stalled collector cannot slow the sweep. The same
-//	                 server mounts net/http/pprof under /debug/pprof/
 //
-// Modes (each takes no other flag, except -cache-serve's -cache-dir, and a
-// stray one fails the spelling in one line):
+// Modes (each takes no other flag, and a stray one fails the spelling in
+// one line):
 //
-//	-watch ADDR      attach a live terminal dashboard to another restbench
-//	                 process's -serve address
 //	-check-otlp FILE validate a captured OTLP dump (single document, NDJSON
 //	                 or SSE framing) and exit; used by CI
 //	-version         print module version + VCS revision and exit
+//
+// restbench links no network code. The four flags that need it live in
+// restnet, which is restbench plus -serve (live OTLP telemetry), -watch
+// (a dashboard attached to another process's -serve), -cache-serve (serve
+// a store to other processes) and -cache-url (use one); given any of them,
+// restbench exits 2 with one line naming restnet. The command line itself
+// is internal/cli, which both commands run, so their reports are the same
+// bytes.
 package main
 
 import (
-	"context"
-	"errors"
-	"flag"
-	"fmt"
 	"io"
 	"os"
-	"slices"
-	"sort"
-	"strings"
-	"time"
 
-	"rest/internal/fault"
-	"rest/internal/harness"
-	"rest/internal/obs"
-	"rest/internal/obs/otlp"
-	"rest/internal/persist"
-	"rest/internal/prog"
-	"rest/internal/sim"
-	"rest/internal/workload"
+	"rest/internal/cli"
 )
-
-// cacheFlagState is the persistent-cache flag spelling under validation,
-// separated from the flag package so tests can exercise every combination.
-type cacheFlagState struct {
-	Dir         string
-	URL         string // -cache-url (HTTP backend; mutually exclusive with Dir)
-	RO          bool   // -cache-ro
-	Chaos       string // -cache-chaos spec (empty = no chaos)
-	StaleAge    time.Duration
-	StaleAgeSet bool   // -cache-stale-age given explicitly
-	Shard       string // -shard spec: empty, or "auto" for the elastic pool
-}
-
-// cacheSetup is the validated, resolved persistent-cache configuration:
-// the effective store mode, the parsed chaos spec, and whether this process
-// is an elastic pool worker.
-type cacheSetup struct {
-	Mode    string // "rw" or "ro"
-	Chaos   *persist.ChaosSpec
-	Elastic bool // -shard auto
-}
-
-// validateCacheFlags rejects contradictory persistent-cache spellings with
-// one actionable line each, resolves the effective mode ("rw", the default,
-// or "ro"), and parses the chaos spec if given.
-func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
-	var none cacheSetup
-	if s.Dir != "" && s.URL != "" {
-		return none, errors.New("restbench: -cache-dir and -cache-url are mutually exclusive; pass one store, not both")
-	}
-	store := s.Dir != "" || s.URL != ""
-	mode := "rw"
-	if s.RO {
-		mode = "ro"
-	}
-	if !store && (s.RO || s.Chaos != "" || s.StaleAgeSet) {
-		return none, errors.New("restbench: -cache-ro/-cache-chaos/-cache-stale-age configure the persistent cache; pass -cache-dir DIR or -cache-url URL to enable it")
-	}
-	if s.StaleAgeSet && s.StaleAge <= 0 {
-		return none, fmt.Errorf("restbench: -cache-stale-age must be positive, got %v", s.StaleAge)
-	}
-	setup := cacheSetup{Mode: mode}
-	if s.Chaos != "" {
-		var err error
-		if setup.Chaos, err = persist.ParseChaosSpec(s.Chaos); err != nil {
-			return none, fmt.Errorf("restbench: -cache-chaos: %v", err)
-		}
-	}
-	if mode == "ro" && s.Dir != "" {
-		fi, statErr := os.Stat(s.Dir)
-		if statErr != nil || !fi.IsDir() {
-			return none, fmt.Errorf("restbench: -cache-ro: cache directory %q does not exist", s.Dir)
-		}
-	}
-	if s.Shard != "" {
-		if s.Shard != "auto" {
-			return none, fmt.Errorf("restbench: -shard %q: the only spelling is -shard auto (join the elastic pool)", s.Shard)
-		}
-		if !store || mode != "rw" {
-			return none, errors.New("restbench: -shard auto publishes its artifacts to the shared store; pass -cache-dir DIR or -cache-url URL in read-write mode")
-		}
-		setup.Elastic = true
-	}
-	return setup, nil
-}
-
-// validateModeFlags enforces the contract of a flag that turns restbench
-// into something other than a local sweep (one row of run's mode table):
-// with mode set, every flag in need must be set too and nothing else may
-// be, or the spelling fails with one actionable line. role says what the
-// mode does. explicit holds the flag names the user actually set
-// (flag.Visit).
-func validateModeFlags(explicit map[string]bool, mode, role string, need ...string) error {
-	if !explicit[mode] {
-		return nil
-	}
-	for _, name := range need {
-		if !explicit[name] {
-			return fmt.Errorf("restbench: -%s needs -%s", mode, name)
-		}
-	}
-	var bad []string
-	for name := range explicit {
-		if name != mode && !slices.Contains(need, name) {
-			bad = append(bad, "-"+name)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	return fmt.Errorf("restbench: -%s %s; drop %s", mode, role, strings.Join(bad, ", "))
-}
-
-// session is one local invocation: the options its reports read, the sweep
-// options every grid shares, and the surfaces its sweeps feed.
-type session struct {
-	ctx            context.Context
-	stdout, stderr io.Writer
-	opt            harness.ParallelOptions
-
-	scale                           int64
-	statsWL, only                   string
-	seed                            int64
-	csv, chart, variants, keepGoing bool
-	progress                        bool
-
-	// tel backs the progress meter's cache field; stream is tel under
-	// -serve and nil otherwise, so no span is encoded without a server.
-	tel, stream *harness.TelemetryExporter
-	tracer      *obs.Trace
-	metrics     []*harness.MetricsReport
-	// degraded flips when a sweep came back partial under -keep-going; the
-	// holes are already annotated in the printed reports, so the process
-	// still exits 0 — the campaign completed, just not every cell.
-	degraded bool
-}
-
-// out writes one finished report to stdout, except on an elastic pool
-// worker: its view of every grid is partial by construction, so a plain run
-// over the shared store renders the real reports.
-func (s *session) out(text string) {
-	if !s.opt.Elastic {
-		fmt.Fprintln(s.stdout, text)
-	}
-}
-
-// elapsed reports a sweep's wall clock on stderr, so that stdout stays
-// byte-identical across -j values (the determinism guarantee).
-func (s *session) elapsed(name string, start time.Time) {
-	fmt.Fprintf(s.stderr, "%s: elapsed %s (j=%d)\n",
-		name, time.Since(start).Round(time.Millisecond), s.opt.EffectiveWorkers())
-}
-
-// sweep runs one named grid of cells through grid with every requested
-// surface attached to its cell-event stream, then harvests its metrics
-// report and prints its elapsed line. A failed sweep is fatal, except that
-// under -keep-going a partial result (a *harness.MatrixError) becomes a
-// stderr notice and the returned matrix carries the holes.
-func (s *session) sweep(name string, cells int, grid func(harness.ParallelOptions) (*harness.Matrix, error)) (*harness.Matrix, error) {
-	start := time.Now()
-	o := s.opt
-	var meter *obs.Progress
-	if s.progress {
-		meter = obs.NewProgress(s.stderr, name, cells)
-		meter.SetStats(s.tel.ProgressStats)
-	}
-	s.tel.AddSweep(cells)
-	o.OnCell = harness.ObserveCells(name, meter, s.tracer, s.stream)
-	// The elastic summary is a pool worker's only account of the pool
-	// dynamics: how many units it claimed (and how many of those were
-	// steals from dead peers), how many it published, and how many it
-	// abandoned to a livelier thief. CI greps the "elastic pool:" prefix.
-	o.OnElastic = func(st harness.ElasticStats) {
-		fmt.Fprintf(s.stderr,
-			"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
-			name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
-	}
-	m, err := grid(o)
-	if err != nil {
-		var merr *harness.MatrixError
-		if !s.keepGoing || !errors.As(err, &merr) {
-			return nil, err
-		}
-		s.degraded = true
-		fmt.Fprintf(s.stderr, "%s: %d cells failed, %d skipped; continuing with holes\n",
-			name, len(merr.Cells), merr.Skipped)
-	}
-	meter.Finish()
-	if m != nil {
-		if rep := m.Metrics(name); rep != nil {
-			s.metrics = append(s.metrics, rep)
-		}
-	}
-	s.elapsed(name, start)
-	return m, nil
-}
-
-// report is one row of the report table: the flag that selects it, whether
-// it is a sweep grid an elastic worker drains into the shared store, and
-// how it runs. Every other row (tables, the §VI-B cells, which need live
-// worlds, and the §V campaign) claims no units, so it runs only in a plain
-// invocation.
-type report struct {
-	flag, usage string
-	grid        bool
-	run         func(*session) error
-}
-
-// reports lists every report in -all's print order.
-var reports = []report{
-	{"table2", "print Table II", false, func(s *session) error {
-		s.out(harness.RenderTableII())
-		return nil
-	}},
-	{"table1", "run the Table I conformance matrix", false, func(s *session) error {
-		out, ok := harness.RunTableI()
-		s.out(out)
-		if !ok {
-			return errors.New("Table I conformance FAILED")
-		}
-		return nil
-	}},
-	{"fig3", "regenerate Figure 3", true, func(s *session) error {
-		var r *harness.Fig3Result
-		_, err := s.sweep("fig3", len(workload.All())*(len(harness.Fig3Components)+1),
-			func(o harness.ParallelOptions) (m *harness.Matrix, err error) {
-				if r, err = harness.RunFig3Parallel(s.ctx, workload.All(), s.scale, o); r != nil {
-					m = r.Matrix
-				}
-				return m, err
-			})
-		if err != nil {
-			return err
-		}
-		s.out(r.Render())
-		return nil
-	}},
-	{"fig7", "regenerate Figure 7", true, func(s *session) error {
-		wls := workload.All()
-		if s.variants {
-			wls = workload.AllVariants()
-		}
-		cfgs := harness.Fig7Configs()
-		m, err := s.sweep("fig7", len(wls)*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
-			return harness.RunMatrixParallel(s.ctx, wls, cfgs, s.scale, o)
-		})
-		if err != nil {
-			return err
-		}
-		s.out(m.RenderOverheadTable(
-			fmt.Sprintf("Figure 7: runtime overheads over plain binaries (scale %d)", s.scale)))
-		s.out("headline: " + m.Summary())
-		s.out("")
-		if s.chart {
-			s.out(m.RenderBarChart("Figure 7 (bars)", 180))
-		}
-		if s.csv {
-			s.out(m.CSV())
-		}
-		return nil
-	}},
-	{"fig8", "regenerate Figure 8", true, func(s *session) error {
-		cfgs := append(harness.Fig8Configs(), harness.BinaryConfig{Name: "plain", Pass: prog.Plain()})
-		m, err := s.sweep("fig8", len(workload.All())*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
-			return harness.RunMatrixParallel(s.ctx, workload.All(), cfgs, s.scale, o)
-		})
-		if err != nil {
-			return err
-		}
-		s.out(m.RenderOverheadTable(
-			fmt.Sprintf("Figure 8: token-width overheads, secure mode (scale %d)", s.scale)))
-		if s.csv {
-			s.out(m.CSV())
-		}
-		return nil
-	}},
-	{"fig8sens", "run the Figure 8 timing-sensitivity sweep", true, func(s *session) error {
-		cfgs := harness.Fig8SensitivityConfigs()
-		m, err := s.sweep("fig8sens", len(workload.All())*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
-			return harness.RunMatrixParallel(s.ctx, workload.All(), cfgs, s.scale, o)
-		})
-		if err != nil {
-			return err
-		}
-		s.out(m.RenderOverheadTable(
-			fmt.Sprintf("Figure 8 sensitivity: overheads under timing variants (scale %d)", s.scale)))
-		if s.csv {
-			s.out(m.CSV())
-		}
-		return nil
-	}},
-	{"stats", "print §VI-B microarchitectural statistics", false, func(s *session) error {
-		wl, err := workload.ByName(s.statsWL)
-		if err != nil {
-			return err
-		}
-		var ms *harness.MicroStats
-		_, err = s.sweep("micro", 2, func(o harness.ParallelOptions) (m *harness.Matrix, err error) {
-			if ms, err = harness.RunMicroStatsParallel(s.ctx, wl, s.scale, o); ms != nil {
-				m = ms.Matrix
-			}
-			return m, err
-		})
-		// Without a complete pair of cells there are no statistics to
-		// print; under -keep-going the sweep has already said so.
-		if err != nil || ms == nil {
-			return err
-		}
-		s.out(ms.Render())
-		return nil
-	}},
-	{"faults", "run the §V fault-injection campaign", false, func(s *session) error {
-		start := time.Now()
-		c, err := fault.RunCampaign(fault.Options{Seed: s.seed, Only: s.only, Engine: s.opt.Engine})
-		if err != nil {
-			return err
-		}
-		s.elapsed("faults", start)
-		if s.opt.Metrics {
-			reg := obs.NewRegistry()
-			c.FlushObs(reg)
-			s.metrics = append(s.metrics, &harness.MetricsReport{Sweep: "faults", Aggregate: reg.Snapshot()})
-		}
-		s.out(c.Render())
-		if s.csv {
-			s.out(c.CSV())
-		}
-		if n := c.Failures(); n > 0 {
-			return fmt.Errorf("fault campaign: %d scenarios deviated from the paper's predicted verdicts", n)
-		}
-		return nil
-	}},
-	{"table3", "print Table III", false, func(s *session) error {
-		s.out(harness.RenderTableIII())
-		return nil
-	}},
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is restbench with its arguments, output streams and exit status
-// explicit: 0 on success, 1 when the work fails, 2 when the spelling does.
+// run is restbench: the shared command line with no network half.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("restbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	s := &session{ctx: context.Background(), stdout: stdout, stderr: stderr}
-	picked := make(map[string]*bool, len(reports))
-	for _, r := range reports {
-		picked[r.flag] = fs.Bool(r.flag, false, r.usage)
-	}
-	all := fs.Bool("all", false, "run everything")
-	fs.Int64Var(&s.scale, "scale", 5, "workload scale factor")
-	fs.StringVar(&s.statsWL, "stats-workload", "xalanc", "workload for -stats")
-	fs.BoolVar(&s.csv, "csv", false, "also print raw cycle matrices as CSV")
-	fs.BoolVar(&s.chart, "chart", false, "render Figure 7/8 as ASCII bar charts")
-	fs.BoolVar(&s.variants, "variants", false, "expand per-input variants (Figure 7's full x-axis)")
-	fs.IntVar(&s.opt.Workers, "j", 0, "parallel sweep workers (0 = GOMAXPROCS)")
-	fs.BoolVar(&s.opt.FailFast, "failfast", false, "cancel a sweep's remaining cells on the first error")
-	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the whole invocation (0 = none)")
-	fs.DurationVar(&s.opt.CellTimeout, "cell-timeout", 0, "per-cell wall-clock watchdog (0 = none)")
-	fs.Uint64Var(&s.opt.CellInstrBudget, "cell-budget", 0, "per-cell simulated-instruction budget (0 = sim default)")
-	fs.BoolVar(&s.keepGoing, "keep-going", false, "report failed cells as holes and exit 0")
-	engineName := fs.String("engine", "auto", "functional simulator engine: blocks (default), ref, auto")
-	cacheDir := fs.String("cache-dir", "", "persistent result store directory (empty = no persistent cache)")
-	cacheURL := fs.String("cache-url", "", "shared artifact cache server URL (see -cache-serve; mutually exclusive with -cache-dir)")
-	cacheServe := fs.String("cache-serve", "", "serve the -cache-dir artifact store to other restbench processes on this address and exit on SIGINT/SIGTERM")
-	shardSpec := fs.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
-	cacheRO := fs.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
-	cacheChaos := fs.String("cache-chaos", "", "inject storage faults: comma-separated spec, e.g. seed=7,rate=0.5 or err=0.1,torn=0.05,delay=5ms (drill/testing)")
-	cacheStaleAge := fs.Duration("cache-stale-age", 0, "age past which an abandoned elastic claim or lease is considered dead and stolen (0 = default, 10m)")
-	fs.Int64Var(&s.seed, "seed", 42, "seed for the -faults campaign")
-	fs.StringVar(&s.only, "only", "", "substring filter for -faults scenarios")
-	metricsOut := fs.String("metrics", "", "write sweep metrics to this file as CSV")
-	traceOut := fs.String("trace", "", "write a Chrome/Catapult JSON trace of the sweeps to this file")
-	fs.BoolVar(&s.progress, "progress", false, "live cells-done/holes/ETA meter on stderr")
-	serveAddr := fs.String("serve", "", "serve OTLP telemetry (/otlp/metrics, /otlp/stream) and net/http/pprof (/debug/pprof/) on this address (e.g. localhost:7788)")
-	watchAddr := fs.String("watch", "", "attach a live dashboard to another restbench's -serve address and exit with it")
-	checkOTLP := fs.String("check-otlp", "", "validate an OTLP dump file (document, NDJSON or SSE) and exit")
-	version := fs.Bool("version", false, "print build/version information and exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	// The mode table. A mode turns restbench into something other than a
-	// local sweep and takes only the flags in need, so a stray flag fails
-	// the spelling here in one line instead of being silently dropped.
-	for _, m := range []struct {
-		flag, role string
-		need       []string
-		on         bool
-		run        func() error
-	}{
-		{"version", "prints the build and takes no other flags", nil, *version, func() error {
-			_, err := fmt.Fprintln(stdout, obs.ReadBuild())
-			return err
-		}},
-		{"check-otlp", "validates an OTLP dump and takes no other flags", nil, *checkOTLP != "", func() error {
-			raw, err := os.ReadFile(*checkOTLP)
-			if err != nil {
-				return errors.New("restbench: -check-otlp: " + err.Error())
-			}
-			n, err := otlp.ValidateDump(raw)
-			if err != nil {
-				return fmt.Errorf("restbench: -check-otlp %s: %v", *checkOTLP, err)
-			}
-			_, err = fmt.Fprintf(stdout, "%s: %d valid OTLP document(s)\n", *checkOTLP, n)
-			return err
-		}},
-		{"watch", "attaches to another restbench process and takes no other flags", nil, *watchAddr != "", func() error {
-			return runWatch(*watchAddr, stdout)
-		}},
-		{"cache-serve", "runs a cache server for other restbench processes and takes only -cache-dir", []string{"cache-dir"},
-			*cacheServe != "", func() error { return runCacheServe(*cacheServe, *cacheDir, stderr) }},
-	} {
-		if err := validateModeFlags(explicit, m.flag, m.role, m.need...); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		if m.on {
-			if err := m.run(); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			return 0
-		}
-	}
-
-	// Validate every remaining spelling up front, before a store is opened
-	// or a server bound: a contradictory one fails in one line here, not
-	// minutes into a run.
-	setup, err := validateCacheFlags(cacheFlagState{
-		Dir:         *cacheDir,
-		URL:         *cacheURL,
-		RO:          *cacheRO,
-		Chaos:       *cacheChaos,
-		StaleAge:    *cacheStaleAge,
-		StaleAgeSet: explicit["cache-stale-age"],
-		Shard:       *shardSpec,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if s.opt.Engine, err = sim.ParseEngine(*engineName); err != nil {
-		fmt.Fprintln(stderr, "restbench: "+err.Error())
-		return 2
-	}
-	var selected []report
-	for _, r := range reports {
-		if *all || *picked[r.flag] {
-			selected = append(selected, r)
-		}
-	}
-	if len(selected) == 0 {
-		fs.Usage()
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	// A typo'd -only fails here, before any sweep runs, with the list of
-	// valid scenario names — not after minutes of unrelated figures.
-	if *all || *picked["faults"] {
-		if err := fault.ValidateOnly(s.only); err != nil {
-			return fail(err)
-		}
-	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		s.ctx, cancel = context.WithTimeout(s.ctx, *timeout)
-		defer cancel()
-	}
-	s.opt.Elastic = setup.Elastic
-	s.opt.Metrics = *metricsOut != ""
-	// One cache for the whole invocation: grids that share functional
-	// identities across sweeps (e.g. -fig8 and -fig8sens both time the
-	// secure-full build) reuse each other's captures.
-	tcache := harness.NewTraceCache()
-	s.opt.TraceCache = tcache
-	// The persistent tier extends the sweeps across invocations with
-	// memoized clean cell results (and, over -cache-url, across processes
-	// and machines sharing one -cache-serve store).
-	var pcache *persist.Cache
-	if *cacheDir != "" || *cacheURL != "" {
-		popt := persist.Options{
-			ReadOnly:     setup.Mode == "ro",
-			Chaos:        setup.Chaos,
-			StaleLockAge: *cacheStaleAge,
-		}
-		if *cacheURL != "" {
-			// A remote store adds network stalls the local disk never
-			// sees: bound every attempt.
-			popt.OpTimeout = 30 * time.Second
-			// A short -cache-stale-age (fast recovery from killed
-			// workers) only works if live holders renew their leases
-			// well inside that window; tie the renew period to it.
-			hopt := persist.HTTPOptions{}
-			if *cacheStaleAge > 0 && *cacheStaleAge/4 < persist.DefaultLockRenew {
-				hopt.RenewEvery = *cacheStaleAge / 4
-			}
-			var hb *persist.HTTPBackend
-			if hb, err = persist.NewHTTPBackend(*cacheURL, hopt); err == nil {
-				pcache, err = persist.OpenBackend(hb, popt)
-			}
-		} else {
-			pcache, err = persist.Open(*cacheDir, popt)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		tcache.AttachDisk(pcache)
-		if setup.Chaos != nil {
-			fmt.Fprintf(stderr, "disk cache: chaos injection active (%s)\n", setup.Chaos)
-		}
-	}
-
-	// The observability plane. All of it writes to files, stderr or its
-	// own HTTP connections, never stdout, so enabling any of these flags
-	// cannot perturb the reports. One TelemetryExporter backs every live
-	// surface (/otlp/metrics, /otlp/stream, the progress meter's cache
-	// field); its span stream is attached to sweeps only under -serve.
-	s.tel = harness.NewTelemetryExporter("restbench", tcache)
-	if *serveAddr != "" {
-		ln, err := startTelemetryServer(*serveAddr, s.tel, stderr)
-		if err != nil {
-			return fail(err)
-		}
-		defer ln.Close()
-		s.stream = s.tel
-		fmt.Fprintf(stderr, "serving http://%s/otlp/metrics, /otlp/stream and /debug/pprof/ (attach with: restbench -watch %s)\n",
-			ln.Addr(), ln.Addr())
-	}
-	if *traceOut != "" {
-		s.tracer = obs.NewTrace()
-	}
-	if s.opt.Elastic {
-		n := len(selected)
-		if selected = slices.DeleteFunc(selected, func(r report) bool { return !r.grid }); len(selected) < n {
-			fmt.Fprintln(stderr, "-shard auto computes sweep grids only; tables, -stats and -faults are left to a plain run over the store")
-		}
-	}
-	for _, r := range selected {
-		if err := r.run(s); err != nil {
-			return fail(err)
-		}
-	}
-
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, s.metrics); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "metrics: wrote %d report(s) to %s\n", len(s.metrics), *metricsOut)
-	}
-	if s.tracer != nil {
-		if err := writeTrace(*traceOut, s.tracer); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "trace: wrote %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-	}
-	hits, misses, bypass := tcache.Counters()
-	var dc *persist.Counters
-	if pcache != nil {
-		c := pcache.Counters()
-		dc = &c
-	}
-	fmt.Fprint(stderr, cacheSummary(hits, misses, bypass, dc))
-	if pcache != nil {
-		c := pcache.Counters()
-		if st := pcache.StackCounters(); c.Unavailable > 0 || st.Retries > 0 || st.BreakerTrips > 0 ||
-			st.Timeouts > 0 || st.ChaosErrs+st.ChaosTorn+st.ChaosCorrupt+st.ChaosNoSpace > 0 {
-			fmt.Fprintf(stderr,
-				"disk cache: %d ops degraded to recompute, %d retries (%d gave up), %d timeouts, breaker %d trips / %d fast-fails / %d recoveries, chaos injected %d errs / %d torn / %d corrupt / %d nospace\n",
-				c.Unavailable, st.Retries, st.RetryGiveups, st.Timeouts,
-				st.BreakerTrips, st.BreakerRejects, st.BreakerRecoveries,
-				st.ChaosErrs, st.ChaosTorn, st.ChaosCorrupt, st.ChaosNoSpace)
-		}
-		if hc, ok := pcache.HTTPCounters(); ok {
-			fmt.Fprintf(stderr,
-				"http cache: %d gets / %d puts / %d lists, %d lock ops (%d renews), %d transport errors, %d B in / %d B out\n",
-				hc.Gets, hc.Puts, hc.Lists, hc.LockOps, hc.Renews, hc.TransportErrs, hc.BytesIn, hc.BytesOut)
-		}
-	}
-	if s.degraded {
-		fmt.Fprintln(stderr, "some sweep cells failed; reports contain annotated holes (-keep-going)")
-	}
-	return 0
-}
-
-// cacheSummary renders the stderr lines that account for the caches: the
-// in-memory trace cache's counters and, when a store is attached (disk
-// non-nil), the persistent store's. bench/restperf/parse.go reads both with
-// regular expressions, so their wording is an interface that
-// TestCacheSummaryMatchesRestperf pins.
-func cacheSummary(replayed, captured, bypassed uint64, disk *persist.Counters) string {
-	s := fmt.Sprintf("trace cache: %d replayed, %d captured, %d bypassed\n", replayed, captured, bypassed)
-	if disk != nil {
-		s += fmt.Sprintf("disk cache: trace store %d hits / %d misses, result store %d hits / %d misses, %d stored, %d corrupt, %d bytes written\n",
-			disk.TraceHits, disk.TraceMisses, disk.ResultHits, disk.ResultMisses,
-			disk.Stores, disk.Corruptions, disk.Bytes)
-	}
-	return s
-}
-
-// writeMetrics renders the collected sweep reports to path as CSV under one
-// shared header; every row already carries its sweep name in column one.
-func writeMetrics(path string, reports []*harness.MetricsReport) error {
-	var b strings.Builder
-	for i, r := range reports {
-		csv := r.CSV()
-		if i > 0 {
-			csv = csv[strings.IndexByte(csv, '\n')+1:]
-		}
-		b.WriteString(csv)
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// writeTrace writes the sweeps' Catapult timeline to path.
-func writeTrace(path string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := tr.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.Run("restbench", args, stdout, stderr, nil)
 }

@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"rest/internal/cli"
 	"rest/internal/obs"
 	"rest/internal/obs/otlp"
 	"rest/internal/persist"
@@ -22,56 +24,56 @@ func TestValidateCacheFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, tt := range []struct {
 		name        string
-		s           cacheFlagState
+		s           cli.CacheFlags
 		mode        string
 		wantChaos   bool
 		wantElastic bool // -shard auto resolved to the work-stealing pool
 		wantErr     string
 	}{
-		{name: "no cache flags", s: cacheFlagState{}, mode: "rw"},
-		{name: "dir alone defaults to rw", s: cacheFlagState{Dir: dir}, mode: "rw"},
-		{name: "explicit ro", s: cacheFlagState{Dir: dir, RO: true}, mode: "ro"},
+		{name: "no cache flags", s: cli.CacheFlags{}, mode: "rw"},
+		{name: "dir alone defaults to rw", s: cli.CacheFlags{Dir: dir}, mode: "rw"},
+		{name: "explicit ro", s: cli.CacheFlags{Dir: dir, RO: true}, mode: "ro"},
 		{
 			name:    "mode flag without a dir",
-			s:       cacheFlagState{RO: true},
+			s:       cli.CacheFlags{RO: true},
 			wantErr: "pass -cache-dir DIR",
 		},
 		{
 			name:    "read-only over a missing dir",
-			s:       cacheFlagState{Dir: dir + "/missing", RO: true},
+			s:       cli.CacheFlags{Dir: dir + "/missing", RO: true},
 			wantErr: "does not exist",
 		},
 		{
 			name:      "chaos spec parses",
-			s:         cacheFlagState{Dir: dir, Chaos: "seed=7,rate=0.5"},
+			s:         cli.CacheFlags{Dir: dir, Chaos: "seed=7,rate=0.5"},
 			mode:      "rw",
 			wantChaos: true,
 		},
 		{
 			name:      "chaos with read-only mode",
-			s:         cacheFlagState{Dir: dir, RO: true, Chaos: "err=0.1"},
+			s:         cli.CacheFlags{Dir: dir, RO: true, Chaos: "err=0.1"},
 			mode:      "ro",
 			wantChaos: true,
 		},
 		{
 			name:    "chaos without a dir",
-			s:       cacheFlagState{Chaos: "rate=1"},
+			s:       cli.CacheFlags{Chaos: "rate=1"},
 			wantErr: "pass -cache-dir DIR",
 		},
 		{
 			name:    "malformed chaos spec",
-			s:       cacheFlagState{Dir: dir, Chaos: "rate=2.0"},
+			s:       cli.CacheFlags{Dir: dir, Chaos: "rate=2.0"},
 			wantErr: "probability in [0,1]",
 		},
 		{
 			name:    "unknown chaos key",
-			s:       cacheFlagState{Dir: dir, Chaos: "bogus=1"},
+			s:       cli.CacheFlags{Dir: dir, Chaos: "bogus=1"},
 			wantErr: "unknown",
 		},
-		{name: "url alone defaults to rw", s: cacheFlagState{URL: "http://localhost:9"}, mode: "rw"},
+		{name: "url alone defaults to rw", s: cli.CacheFlags{URL: "http://localhost:9"}, mode: "rw"},
 		{
 			name: "url carries the hardening stack",
-			s: cacheFlagState{
+			s: cli.CacheFlags{
 				URL: "http://localhost:9", Chaos: "seed=3,rate=0.2",
 			},
 			mode:      "rw",
@@ -79,59 +81,59 @@ func TestValidateCacheFlags(t *testing.T) {
 		},
 		{
 			name: "url in read-only mode skips the dir check",
-			s:    cacheFlagState{URL: "http://localhost:9", RO: true},
+			s:    cli.CacheFlags{URL: "http://localhost:9", RO: true},
 			mode: "ro",
 		},
 		{
 			name:    "dir and url together",
-			s:       cacheFlagState{Dir: dir, URL: "http://localhost:9"},
+			s:       cli.CacheFlags{Dir: dir, URL: "http://localhost:9"},
 			wantErr: "not both",
 		},
 		{
 			name:    "static shard slice",
-			s:       cacheFlagState{Dir: dir, Shard: "1/2"},
+			s:       cli.CacheFlags{Dir: dir, Shard: "1/2"},
 			wantErr: "-shard auto",
 		},
 		{
 			name:    "malformed shard spec",
-			s:       cacheFlagState{Dir: dir, Shard: "Auto"},
+			s:       cli.CacheFlags{Dir: dir, Shard: "Auto"},
 			wantErr: "-shard auto",
 		},
 		{
 			name:        "shard auto over a url store",
-			s:           cacheFlagState{URL: "http://localhost:9", Shard: "auto"},
+			s:           cli.CacheFlags{URL: "http://localhost:9", Shard: "auto"},
 			mode:        "rw",
 			wantElastic: true,
 		},
 		{
 			name:        "shard auto over a dir store",
-			s:           cacheFlagState{Dir: dir, Shard: "auto"},
+			s:           cli.CacheFlags{Dir: dir, Shard: "auto"},
 			mode:        "rw",
 			wantElastic: true,
 		},
 		{
 			name:    "shard auto without a store",
-			s:       cacheFlagState{Shard: "auto"},
+			s:       cli.CacheFlags{Shard: "auto"},
 			wantErr: "read-write mode",
 		},
 		{
 			name:    "shard auto over a read-only store",
-			s:       cacheFlagState{Dir: dir, RO: true, Shard: "auto"},
+			s:       cli.CacheFlags{Dir: dir, RO: true, Shard: "auto"},
 			wantErr: "read-write mode",
 		},
 		{
 			name:    "stale age without a store",
-			s:       cacheFlagState{StaleAge: time.Second, StaleAgeSet: true},
+			s:       cli.CacheFlags{StaleAge: time.Second, StaleAgeSet: true},
 			wantErr: "pass -cache-dir DIR",
 		},
 		{
 			name:    "non-positive stale age",
-			s:       cacheFlagState{Dir: dir, StaleAge: -time.Second, StaleAgeSet: true},
+			s:       cli.CacheFlags{Dir: dir, StaleAge: -time.Second, StaleAgeSet: true},
 			wantErr: "must be positive",
 		},
 		{
 			name: "stale age with an elastic worker",
-			s: cacheFlagState{
+			s: cli.CacheFlags{
 				URL: "http://localhost:9", Shard: "auto",
 				StaleAge: 5 * time.Second, StaleAgeSet: true,
 			},
@@ -140,7 +142,7 @@ func TestValidateCacheFlags(t *testing.T) {
 		},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			setup, err := validateCacheFlags(tt.s)
+			setup, err := cli.ValidateCacheFlags(tt.s)
 			if tt.wantErr != "" {
 				if err == nil {
 					t.Fatalf("want error containing %q, got %+v", tt.wantErr, setup)
@@ -197,7 +199,7 @@ func TestValidateCacheServeFlags(t *testing.T) {
 		},
 	}
 	for _, tt := range cases {
-		err := validateModeFlags(tt.explicit, "cache-serve", "serves", "cache-dir")
+		err := cli.ValidateModeFlags(tt.explicit, "cache-serve", "serves", "cache-dir")
 		if tt.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tt.name, err)
@@ -232,7 +234,7 @@ func TestValidateWatchFlags(t *testing.T) {
 		},
 	}
 	for _, tt := range cases {
-		err := validateModeFlags(tt.explicit, "watch", "attaches")
+		err := cli.ValidateModeFlags(tt.explicit, "watch", "attaches")
 		if tt.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tt.name, err)
@@ -320,6 +322,51 @@ func TestStatsKeepGoing(t *testing.T) {
 	if strings.Contains(stdout.String(), "Table III") {
 		t.Errorf("without -keep-going: the run went on past the failed sweep:\n%s", stdout.String())
 	}
+
+	// Under -metrics the failed sweep still files its report, as every
+	// grid does: one hole row per failed §VI-B cell.
+	metrics := filepath.Join(t.TempDir(), "m.csv")
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(append(args, "-keep-going", "-metrics", metrics), &stdout, &stderr); code != 0 {
+		t.Fatalf("-keep-going -metrics: exit %d, want 0\n%s", code, stderr.String())
+	}
+	if want := "metrics: wrote 1 report(s) to " + metrics + "\n"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("-metrics: stderr lacks %q:\n%s", want, stderr.String())
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var holes []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "micro,") && strings.Contains(line, ",hole,hole,reason,") {
+			holes = append(holes, strings.SplitN(line, ",hole,", 2)[0])
+		}
+	}
+	if want := []string{"micro,xalanc,secure-full", "micro,xalanc,debug-full"}; !slices.Equal(holes, want) {
+		t.Errorf("-metrics: micro hole rows %q, want %q\n%s", holes, want, raw)
+	}
+}
+
+// TestNetworkFlagsNameRestnet pins restbench's answer to the four flags that
+// need the network stack: each exits 2 with one stderr line naming restnet,
+// before a store is opened (the read-write -cache-dir is never created) and
+// with nothing on stdout.
+func TestNetworkFlagsNameRestnet(t *testing.T) {
+	t.Parallel()
+	for _, flag := range []string{"-serve", "-watch", "-cache-serve", "-cache-url"} {
+		dir := filepath.Join(t.TempDir(), "store")
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-fig3", "-scale", "1", "-cache-dir", dir, flag, "127.0.0.1:0"}, &stdout, &stderr)
+		want := "restbench: " + flag + " needs the network stack, which only restnet links; run restnet with the same flags\n"
+		if code != 2 || stderr.String() != want || stdout.Len() > 0 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2 and %q", flag, code, stdout.String(), stderr.String(), want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: the store was opened before the spelling failed (%v)", flag, err)
+		}
+	}
 }
 
 // The expressions bench/restperf/parse.go reads restbench's stderr with,
@@ -335,7 +382,7 @@ var (
 // benchmark's parser: each line matches its expression and yields the count
 // it was built from, and without a store only the trace-cache line prints.
 func TestCacheSummaryMatchesRestperf(t *testing.T) {
-	got := cacheSummary(17, 5, 3, &persist.Counters{ResultHits: 312, ResultMisses: 4, Stores: 4, Bytes: 644})
+	got := cli.CacheSummary(17, 5, 3, &persist.Counters{ResultHits: 312, ResultMisses: 4, Stores: 4, Bytes: 644})
 	lines := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("want two lines, got %q", got)
@@ -346,7 +393,7 @@ func TestCacheSummaryMatchesRestperf(t *testing.T) {
 	if m := restperfDiskCacheRe.FindStringSubmatch(lines[1]); m == nil || m[1] != "312" {
 		t.Errorf("disk cache line %q: restperf reads %v, want 312 result hits", lines[1], m)
 	}
-	if got := cacheSummary(0, 9, 9, nil); !restperfTraceCacheRe.MatchString(strings.TrimSuffix(got, "\n")) ||
+	if got := cli.CacheSummary(0, 9, 9, nil); !restperfTraceCacheRe.MatchString(strings.TrimSuffix(got, "\n")) ||
 		strings.Count(got, "\n") != 1 {
 		t.Errorf("store-less summary %q: want the trace cache line alone", got)
 	}

@@ -1,4 +1,4 @@
-// The -serve surface: restbench's OTLP-compatible telemetry endpoints and
+// The -serve surface: the OTLP-compatible telemetry endpoints and
 // net/http/pprof, on one server. Everything here is read-only with respect
 // to the sweep and writes only to the HTTP connection (plus one stderr
 // banner), so serving telemetry cannot perturb the reports — the telemetry
@@ -14,13 +14,15 @@ import (
 	"net/http/pprof"
 
 	"rest/internal/harness"
+	"rest/internal/obs/otlp/otlphttp"
 )
 
 // startTelemetryServer serves the exporter's /otlp/* endpoints and
 // /debug/pprof/ on addr until the returned listener is closed.
 func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (net.Listener, error) {
 	mux := http.NewServeMux()
-	tel.Source().Register(mux)
+	src := &otlphttp.Source{Service: tel.Service, Snapshot: tel.Snapshot, Bus: tel.Bus, Start: tel.Start}
+	src.Register(mux)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -35,12 +37,24 @@ func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io
 func listen(name, addr string, mux *http.ServeMux, stderr io.Writer) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("restbench: -%s %s: %w", name, addr, err)
+		return nil, fmt.Errorf("restnet: -%s %s: %w", name, addr, err)
 	}
 	go func() {
 		if err := http.Serve(ln, mux); !errors.Is(err, net.ErrClosed) {
 			fmt.Fprintf(stderr, "%s: %v\n", name, err)
 		}
 	}()
+	return ln, nil
+}
+
+// serve is -serve's half of cli.Net: the telemetry server plus a stderr
+// banner with the resolved address and the command that attaches to it.
+func serve(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (io.Closer, error) {
+	ln, err := startTelemetryServer(addr, tel, stderr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(stderr, "serving http://%s/otlp/metrics, /otlp/stream and /debug/pprof/ (attach with: restnet -watch %s)\n",
+		ln.Addr(), ln.Addr())
 	return ln, nil
 }

@@ -1,5 +1,5 @@
-// restbench -watch ADDR: a zero-touch terminal dashboard for a running
-// sweep. It attaches to another restbench process's /otlp/stream feed and
+// restnet -watch ADDR: a zero-touch terminal dashboard for a running
+// sweep. It attaches to another restnet process's /otlp/stream feed and
 // renders live progress entirely from the exported documents — per-worker
 // activity from the span stream, cache hit rates and fault-plane counters
 // from the metric snapshots — without the observed process knowing or
@@ -204,7 +204,7 @@ func (w *watchState) render(now time.Time) string {
 	done := v["rest.sweep.live.cells_done"]
 	holes := v["rest.sweep.live.cells_holes"]
 
-	title := "restbench watch"
+	title := "restnet watch"
 	if w.Service != "" {
 		title += " — " + w.Service
 		if w.Version != "" {
@@ -291,11 +291,11 @@ func runWatch(addr string, out io.Writer) error {
 	url := strings.TrimSuffix(addr, "/") + "/otlp/stream"
 	resp, err := http.Get(url)
 	if err != nil {
-		return fmt.Errorf("restbench: -watch: %w", err)
+		return fmt.Errorf("restnet: -watch: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("restbench: -watch %s: HTTP %s", url, resp.Status)
+		return fmt.Errorf("restnet: -watch %s: HTTP %s", url, resp.Status)
 	}
 
 	st := newWatchState()
@@ -317,7 +317,7 @@ func runWatch(addr string, out io.Writer) error {
 	}
 	fmt.Fprint(out, ansiHome+st.render(time.Now()))
 	if err := sc.Err(); err != nil && !streamClosed(err) {
-		return fmt.Errorf("restbench: -watch: stream read: %w", err)
+		return fmt.Errorf("restnet: -watch: stream read: %w", err)
 	}
 	fmt.Fprintln(out, "stream closed — sweep finished (or server exited)")
 	return nil

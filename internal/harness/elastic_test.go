@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rest/internal/persist"
+	"rest/internal/persist/httpstore"
 	"rest/internal/workload"
 )
 
@@ -23,12 +24,12 @@ import (
 // duplicate marker. Every simulated worker process gets a fresh TraceCache
 // and Cache; they share one store through the real HTTP server/client pair.
 
-// cacheServer starts the real CacheServer over a shared MemBackend and
+// cacheServer starts the real httpstore.Server over a shared MemBackend and
 // returns its URL: the store every simulated worker process shares.
 func cacheServer(t *testing.T) string {
 	t.Helper()
 	mux := http.NewServeMux()
-	persist.NewCacheServer(persist.NewMemBackend()).Register(mux)
+	httpstore.NewServer(persist.NewMemBackend()).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts.URL
@@ -38,7 +39,7 @@ func cacheServer(t *testing.T) string {
 // one simulated worker process's worth of cache state.
 func httpTC(t *testing.T, url string, opt persist.Options) (*TraceCache, *persist.Cache) {
 	t.Helper()
-	hb, err := persist.NewHTTPBackend(url, persist.HTTPOptions{})
+	hb, err := httpstore.NewBackend(url, httpstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestElasticKilledWorkerSteal(t *testing.T) {
 
 	// The dead worker: holds unit 0's claim, renews nothing, publishes
 	// nothing.
-	dead, err := persist.NewHTTPBackend(url, persist.HTTPOptions{RenewEvery: -1})
+	dead, err := httpstore.NewBackend(url, httpstore.Options{RenewEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +311,14 @@ func TestElasticLeaseLostAbandons(t *testing.T) {
 	units := elasticUnits(cells, 1, 0)
 	grid := elasticGridID(units, cells, 1)
 
-	thief, err := persist.NewHTTPBackend(url, persist.HTTPOptions{RenewEvery: -1})
+	thief, err := httpstore.NewBackend(url, httpstore.Options{RenewEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The victim: lease auto-renewal off, so the steal goes unnoticed until
 	// the pre-publish synchronous renewal — the exact race under test.
-	vb, err := persist.NewHTTPBackend(url, persist.HTTPOptions{RenewEvery: -1})
+	vb, err := httpstore.NewBackend(url, httpstore.Options{RenewEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

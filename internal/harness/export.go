@@ -12,9 +12,9 @@ import (
 // it turns the engine's CellEvent stream into OTLP span lines on a
 // subscriber Bus, keeps the live progress counts and merged cell registry
 // current, and answers live snapshot queries for the /otlp/metrics
-// endpoint. restbench (-serve), the telemetry differential tests and the
-// exporter-overhead benchmark all share this one glue type, so what ships
-// is what is measured.
+// endpoint (package otlphttp serves Snapshot and Bus). restnet (-serve),
+// the telemetry differential tests and the exporter-overhead benchmark all
+// share this one glue type, so what ships is what is measured.
 //
 // Everything here is read-only with respect to the sweep: the exporter
 // hangs off ParallelOptions.OnCell (wall-clock facts, outside the
@@ -44,7 +44,7 @@ type TelemetryExporter struct {
 	agg                *obs.Registry
 }
 
-// NewTelemetryExporter builds an exporter for one restbench invocation.
+// NewTelemetryExporter builds an exporter for one command invocation.
 func NewTelemetryExporter(service string, tc *TraceCache) *TelemetryExporter {
 	return &TelemetryExporter{
 		Bus:        otlp.NewBus(),
@@ -176,15 +176,5 @@ func (x *TelemetryExporter) ProgressStats() obs.ProgressStats {
 	return obs.ProgressStats{
 		CacheHits:    hits + dc.ResultHits,
 		CacheLookups: hits + misses + dc.ResultHits + dc.ResultMisses,
-	}
-}
-
-// Source builds the HTTP export surface backed by this exporter.
-func (x *TelemetryExporter) Source() *otlp.Source {
-	return &otlp.Source{
-		Service:  x.Service,
-		Snapshot: x.Snapshot,
-		Bus:      x.Bus,
-		Start:    x.Start,
 	}
 }

@@ -47,15 +47,6 @@ type Fig3Result struct {
 	Matrix *Matrix
 }
 
-// Metrics exports the sweep's observability report (nil unless the sweep ran
-// with ParallelOptions.Metrics).
-func (r *Fig3Result) Metrics() *MetricsReport {
-	if r.Matrix == nil {
-		return nil
-	}
-	return r.Matrix.Metrics("fig3")
-}
-
 // RunFig3 regenerates Figure 3's ASan overhead breakdown on the parallel
 // sweep engine at its default worker count. The context bounds the whole
 // figure (cmd/restbench -timeout reaches every report path through it).

@@ -208,7 +208,7 @@ func TestFig3AndMicroMetricsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := f3.Metrics()
+	rep := f3.Matrix.Metrics("fig3")
 	if rep == nil || rep.Sweep != "fig3" || len(rep.Cells) == 0 {
 		t.Fatalf("fig3 metrics report: %+v", rep)
 	}
@@ -216,7 +216,7 @@ func TestFig3AndMicroMetricsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mrep := ms.Metrics()
+	mrep := ms.Matrix.Metrics("micro")
 	if mrep == nil || mrep.Sweep != "micro" || len(mrep.Cells) != 2 {
 		t.Fatalf("micro metrics report: %+v", mrep)
 	}

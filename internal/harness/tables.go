@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -279,15 +280,6 @@ type MicroStats struct {
 	Matrix *Matrix
 }
 
-// Metrics exports the sweep's observability report (nil unless the sweep ran
-// with ParallelOptions.Metrics).
-func (s *MicroStats) Metrics() *MetricsReport {
-	if s.Matrix == nil {
-		return nil
-	}
-	return s.Matrix.Metrics("micro")
-}
-
 // RunMicroStats runs the secure and debug REST-full configurations for a
 // workload and extracts the §VI-B statistics. The context bounds both runs
 // (cmd/restbench -timeout reaches every report path through it).
@@ -297,6 +289,9 @@ func RunMicroStats(ctx context.Context, wl workload.Workload, scale int64) (*Mic
 
 // RunMicroStatsParallel is RunMicroStats on the parallel sweep engine (the
 // secure and debug runs are independent cells and proceed concurrently).
+// A sweep with failed cells returns, alongside its *MatrixError as
+// RunMatrixParallel does, a MicroStats that carries only the partial Matrix
+// (its holes annotated in the metrics report) and no statistics.
 func RunMicroStatsParallel(ctx context.Context, wl workload.Workload, scale int64, opt ParallelOptions) (*MicroStats, error) {
 	cfgs := []BinaryConfig{
 		{Name: "secure-full", Pass: prog.RESTFull(64), Mode: core.Secure},
@@ -306,6 +301,10 @@ func RunMicroStatsParallel(ctx context.Context, wl workload.Workload, scale int6
 	// persistent result store cannot supply.
 	opt.NeedWorld = true
 	m, err := RunMatrixParallel(ctx, []workload.Workload{wl}, cfgs, scale, opt)
+	var merr *MatrixError
+	if errors.As(err, &merr) {
+		return &MicroStats{Workload: wl.Name, Matrix: m}, err
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,12 @@
 //     per-cell spans derived from the sweep engine's CellEvent stream
 //     (start/end wall clock, worker, verdict, cache source, instruction and
 //     cycle counts as attributes).
-//   - The NDJSON/SSE stream served by Source: each line is one complete
-//     MetricsDoc or SpansDoc, distinguished by its top-level key.
+//   - The NDJSON/SSE stream (served by package otlphttp's Source): each
+//     line is one complete MetricsDoc or SpansDoc, distinguished by its
+//     top-level key.
+//
+// This package links no network code; the HTTP endpoints live in
+// otlphttp, which only network builds import.
 //
 // Internal registry names are translated to semantic-convention-style
 // names under the "rest." namespace by SemanticName; the mapping table is

@@ -1,4 +1,8 @@
-package otlp
+// Package otlphttp serves the OTLP telemetry of package otlp over HTTP:
+// a live metrics snapshot endpoint and a streaming feed. Only network
+// builds (cmd/restnet -serve) link it, so otlp's encoders, validators and
+// Bus stay free of the network stack.
+package otlphttp
 
 import (
 	"encoding/json"
@@ -7,6 +11,7 @@ import (
 	"time"
 
 	"rest/internal/obs"
+	"rest/internal/obs/otlp"
 )
 
 // Source is the HTTP export surface: a live metrics snapshot endpoint and a
@@ -23,14 +28,14 @@ import (
 // into the sweep, so attaching any number of collectors cannot perturb the
 // reports.
 type Source struct {
-	// Service names the resource ("restbench" in the CLI).
+	// Service names the resource (the command, "restnet" in the CLI).
 	Service string
 	// Snapshot returns the current live metric snapshot (registry names;
 	// the encoder translates them to semantic names).
 	Snapshot func() []obs.Metric
 	// Bus carries the exported span/metrics lines to stream subscribers.
 	// Optional: with a nil Bus the stream serves only periodic snapshots.
-	Bus *Bus
+	Bus *otlp.Bus
 	// Start anchors every data point's startTimeUnixNano.
 	Start time.Time
 	// Now is the export clock (nil = time.Now); injected in tests so
@@ -40,7 +45,7 @@ type Source struct {
 	// (0 = 1s). Clients may override per connection with ?interval=.
 	Interval time.Duration
 	// SubscriberBuffer bounds each stream subscriber's line buffer
-	// (0 = DefaultSubscriberBuffer).
+	// (0 = otlp.DefaultSubscriberBuffer).
 	SubscriberBuffer int
 }
 
@@ -51,15 +56,15 @@ func (s *Source) now() time.Time {
 	return time.Now()
 }
 
-func (s *Source) resource() Resource { return ServiceResource(s.Service) }
+func (s *Source) resource() otlp.Resource { return otlp.ServiceResource(s.Service) }
 
 // metricsDoc builds the current snapshot document.
-func (s *Source) metricsDoc() *MetricsDoc {
+func (s *Source) metricsDoc() *otlp.MetricsDoc {
 	var ms []obs.Metric
 	if s.Snapshot != nil {
 		ms = s.Snapshot()
 	}
-	return EncodeMetrics(ms, s.resource(), s.Start, s.now())
+	return otlp.EncodeMetrics(ms, s.resource(), s.Start, s.now())
 }
 
 // Register mounts the export endpoints on mux.
@@ -123,11 +128,11 @@ func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	// Snapshot first, so a freshly attached collector (or restbench -watch)
 	// has the full picture before the first delta arrives.
-	if err := writeLine(Line(s.metricsDoc())); err != nil {
+	if err := writeLine(otlp.Line(s.metricsDoc())); err != nil {
 		return
 	}
 
-	var sub *Subscriber
+	var sub *otlp.Subscriber
 	var lines <-chan []byte
 	if s.Bus != nil {
 		sub = s.Bus.Subscribe(s.SubscriberBuffer)
@@ -149,7 +154,7 @@ func (s *Source) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-ticker.C:
-			if err := writeLine(Line(s.metricsDoc())); err != nil {
+			if err := writeLine(otlp.Line(s.metricsDoc())); err != nil {
 				return
 			}
 		}

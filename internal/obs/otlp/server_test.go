@@ -1,4 +1,7 @@
-package otlp
+// The HTTP export surface's tests. Source lives in package otlphttp (only
+// network builds link it); its tests stay here, as an external test
+// package, next to the encoders and validators whose documents they check.
+package otlp_test
 
 import (
 	"bufio"
@@ -9,20 +12,22 @@ import (
 	"time"
 
 	"rest/internal/obs"
+	"rest/internal/obs/otlp"
+	"rest/internal/obs/otlp/otlphttp"
 )
 
-func testSource(bus *Bus) *Source {
-	return &Source{
+func testSource(bus *otlp.Bus) *otlphttp.Source {
+	return &otlphttp.Source{
 		Service:  "restbench-test",
-		Snapshot: func() []obs.Metric { return sampleRegistry().Snapshot() },
+		Snapshot: func() []obs.Metric { return otlp.SampleRegistry().Snapshot() },
 		Bus:      bus,
-		Start:    t0,
-		Now:      func() time.Time { return t1 },
+		Start:    otlp.T0,
+		Now:      func() time.Time { return otlp.T1 },
 		Interval: time.Hour, // keep periodic pushes out of the way
 	}
 }
 
-func newTestServer(t *testing.T, bus *Bus) *httptest.Server {
+func newTestServer(t *testing.T, bus *otlp.Bus) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	testSource(bus).Register(mux)
@@ -32,7 +37,7 @@ func newTestServer(t *testing.T, bus *Bus) *httptest.Server {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv := newTestServer(t, NewBus())
+	srv := newTestServer(t, otlp.NewBus())
 	resp, err := http.Get(srv.URL + "/otlp/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := bufio.NewReader(resp.Body).WriteTo(&body); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ValidateDump([]byte(body.String())); err != nil || n != 1 {
+	if n, err := otlp.ValidateDump([]byte(body.String())); err != nil || n != 1 {
 		t.Errorf("snapshot invalid: n=%d err=%v\n%s", n, err, body.String())
 	}
 	if !strings.Contains(body.String(), "rest.sim.cpu.cycles") {
@@ -92,7 +97,7 @@ func readLines(t *testing.T, out <-chan string, n int) []string {
 }
 
 func TestStreamNDJSON(t *testing.T) {
-	bus := NewBus()
+	bus := otlp.NewBus()
 	srv := newTestServer(t, bus)
 	resp, err := http.Get(srv.URL + "/otlp/stream")
 	if err != nil {
@@ -106,7 +111,7 @@ func TestStreamNDJSON(t *testing.T) {
 
 	// First line is always a metrics snapshot.
 	first := readLines(t, lines, 1)[0]
-	if err := ValidateMetrics([]byte(first)); err != nil {
+	if err := otlp.ValidateMetrics([]byte(first)); err != nil {
 		t.Fatalf("first stream line is not a metrics doc: %v", err)
 	}
 
@@ -119,13 +124,13 @@ func TestStreamNDJSON(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	span := Line(EncodeSpans([]CellSpan{{
+	span := otlp.Line(otlp.EncodeSpans([]otlp.CellSpan{{
 		Sweep: "fig7", Index: 3, Total: 9, Workload: "lbm", Config: "plain",
-		Start: t0, End: t1, Verdict: "ok", Source: "stream",
-	}}, ServiceResource("restbench-test")))
+		Start: otlp.T0, End: otlp.T1, Verdict: "ok", Source: "stream",
+	}}, otlp.ServiceResource("restbench-test")))
 	bus.Publish(span)
 	got := readLines(t, lines, 1)[0]
-	if err := ValidateSpans([]byte(got)); err != nil {
+	if err := otlp.ValidateSpans([]byte(got)); err != nil {
 		t.Fatalf("streamed span line invalid: %v\n%s", err, got)
 	}
 	if !strings.Contains(got, "rest.cell lbm/plain") {
@@ -134,7 +139,7 @@ func TestStreamNDJSON(t *testing.T) {
 }
 
 func TestStreamSSEFraming(t *testing.T) {
-	bus := NewBus()
+	bus := otlp.NewBus()
 	srv := newTestServer(t, bus)
 	resp, err := http.Get(srv.URL + "/otlp/stream?sse=1")
 	if err != nil {
@@ -148,16 +153,16 @@ func TestStreamSSEFraming(t *testing.T) {
 	if !strings.HasPrefix(first, "data: ") {
 		t.Fatalf("SSE line missing data: framing: %q", first)
 	}
-	if err := ValidateMetrics([]byte(strings.TrimPrefix(first, "data: "))); err != nil {
+	if err := otlp.ValidateMetrics([]byte(strings.TrimPrefix(first, "data: "))); err != nil {
 		t.Errorf("SSE payload invalid: %v", err)
 	}
-	if n, err := ValidateDump([]byte(first + "\n")); err != nil || n != 1 {
+	if n, err := otlp.ValidateDump([]byte(first + "\n")); err != nil || n != 1 {
 		t.Errorf("ValidateDump on SSE capture: n=%d err=%v", n, err)
 	}
 }
 
 func TestStreamSubscriberDetaches(t *testing.T) {
-	bus := NewBus()
+	bus := otlp.NewBus()
 	srv := newTestServer(t, bus)
 	resp, err := http.Get(srv.URL + "/otlp/stream")
 	if err != nil {

@@ -2,10 +2,13 @@
 //
 // Backend is the byte-level contract the content-addressed cache sits on:
 // get/put/delete/list by content hash plus advisory named locks. The local
-// directory store (DirBackend), the cache-server client (HTTPBackend), the
-// in-memory test fake (MemBackend) and the deterministic fault injector
-// (Chaos) all implement it, and the one hardening layer (middleware.go)
-// wraps any of them, so every store gets the same robustness guarantees.
+// directory store (DirBackend), the cache-server client (package
+// persist/httpstore), the in-memory test fake (MemBackend) and the
+// deterministic fault injector (Chaos) all implement it, and the one
+// hardening layer (middleware.go) wraps any of them, so every store gets the
+// same robustness guarantees. A raw backend may add the optional planes
+// below (Leaser, EpochWaiter, WireCounter); the Cache discovers them by type
+// assertion, so this package links no network code.
 //
 // The error taxonomy is the whole point. Every backend failure maps to one
 // of four typed shapes, and the Cache above answers each the same way —
@@ -26,13 +29,13 @@ import (
 	"time"
 )
 
-// Object kinds a Backend stores. Trace and result objects are named by the
-// hex form of their content address; meta objects (the elastic pool's
-// completion markers) by caller-chosen names.
+// Object kinds a Backend stores: the protocol's three namespaces. Trace and
+// result objects are named by the hex form of their content address; meta
+// objects (the elastic pool's completion markers) by caller-chosen names.
 const (
-	// kindTrace and kindResult are declared in persist.go; kindMeta holds
-	// every non-content-addressed object.
-	kindMeta = "meta"
+	KindTrace  = "trace"
+	KindResult = "result"
+	KindMeta   = "meta"
 )
 
 // ErrNotFound reports an object absent from a backend (the Cache translates
@@ -118,4 +121,54 @@ type Backend interface {
 	LockAge(name string) (time.Duration, error)
 	// BreakLock force-releases the named lock (stale-lock recovery).
 	BreakLock(name string) error
+}
+
+// ErrLeaseLost reports that a lease renewal was rejected: the holder was
+// presumed dead, its lock stolen and possibly re-granted. The only correct
+// response is to abandon the protected work.
+var ErrLeaseLost = errors.New("persist: lease lost to a stale-lock takeover")
+
+// Lease is one held lock lease whose loss is observable: when a renewal is
+// rejected (the holder's liveness clock aged out and another client stole
+// the lock), Lost() becomes readable and the holder must abandon the unit
+// it was protecting — publishing under a lost lease races the thief.
+type Lease interface {
+	// Lost is readable once the lease has been stolen. It never fires for a
+	// lease released normally.
+	Lost() <-chan struct{}
+	// Renew refreshes the lease's liveness clock once, synchronously:
+	// ErrLeaseLost once stolen, an *UnavailableError when its standing is
+	// unknown.
+	Renew() error
+	// Release gives the lease back; best-effort and idempotent.
+	Release()
+}
+
+// Leaser is a raw backend whose locks are leases: the Cache claims through
+// TryLease instead of TryLock, so a claim's loss is observable.
+type Leaser interface {
+	TryLease(name string) (Lease, error)
+}
+
+// EpochWaiter is a raw backend with a scheduling-change counter to park on:
+// EpochWait returns once the epoch exceeds after, or with the current epoch
+// once max elapses.
+type EpochWaiter interface {
+	EpochWait(after uint64, max time.Duration) (uint64, error)
+}
+
+// WireCounter is a raw backend that reaches its store over a wire and
+// counts the traffic (the persist.httpbackend.* metrics).
+type WireCounter interface {
+	Counters() HTTPCounters
+}
+
+// HTTPCounters is a point-in-time snapshot of a remote backend's wire
+// traffic.
+type HTTPCounters struct {
+	Gets, Puts, Deletes, Lists uint64 // wire requests by verb
+	LockOps                    uint64 // acquires + releases + breaks + age probes
+	Renews                     uint64 // lease renewal attempts
+	TransportErrs              uint64 // requests that died before a status arrived
+	BytesIn, BytesOut          uint64 // payload bytes received / sent
 }

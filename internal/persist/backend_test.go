@@ -18,37 +18,37 @@ func backendConformance(t *testing.T, b Backend) {
 	t.Helper()
 
 	// Absent objects are ErrNotFound, not an os error in disguise.
-	if _, err := b.Get(kindTrace, "absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := b.Get(KindTrace, "absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(absent): want ErrNotFound, got %v", err)
 	}
 
 	// Put/Get round-trips bytes exactly; a second Put replaces.
 	want := []byte("payload-one")
-	if err := b.Put(kindTrace, "obj", want); err != nil {
+	if err := b.Put(KindTrace, "obj", want); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, err := b.Get(kindTrace, "obj")
+	got, err := b.Get(KindTrace, "obj")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("Get: got %q, %v; want %q", got, err, want)
 	}
 	want2 := []byte("payload-two-longer")
-	if err := b.Put(kindTrace, "obj", want2); err != nil {
+	if err := b.Put(KindTrace, "obj", want2); err != nil {
 		t.Fatalf("Put(replace): %v", err)
 	}
-	if got, _ := b.Get(kindTrace, "obj"); !bytes.Equal(got, want2) {
+	if got, _ := b.Get(KindTrace, "obj"); !bytes.Equal(got, want2) {
 		t.Fatalf("Get after replace: got %q want %q", got, want2)
 	}
 
 	// Kinds are separate namespaces.
-	if _, err := b.Get(kindResult, "obj"); !errors.Is(err, ErrNotFound) {
+	if _, err := b.Get(KindResult, "obj"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("kinds share a namespace: %v", err)
 	}
-	if err := b.Put(kindResult, "obj", []byte("res")); err != nil {
+	if err := b.Put(KindResult, "obj", []byte("res")); err != nil {
 		t.Fatalf("Put(result): %v", err)
 	}
 
 	// List sees exactly the resident objects of one kind, with sizes.
-	stats, err := b.List(kindTrace)
+	stats, err := b.List(KindTrace)
 	if err != nil || len(stats) != 1 {
 		t.Fatalf("List(trace): %v, %v", stats, err)
 	}
@@ -57,13 +57,13 @@ func backendConformance(t *testing.T, b Backend) {
 	}
 
 	// Delete is effective and idempotent.
-	if err := b.Delete(kindTrace, "obj"); err != nil {
+	if err := b.Delete(KindTrace, "obj"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if err := b.Delete(kindTrace, "obj"); err != nil {
+	if err := b.Delete(KindTrace, "obj"); err != nil {
 		t.Fatalf("Delete(absent) should be a no-op: %v", err)
 	}
-	if _, err := b.Get(kindTrace, "obj"); !errors.Is(err, ErrNotFound) {
+	if _, err := b.Get(KindTrace, "obj"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get after delete: %v", err)
 	}
 
@@ -148,10 +148,10 @@ func TestDirBackendLayout(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "traces")); !os.IsNotExist(err) {
 		t.Fatalf("a new store made traces/: %v", err)
 	}
-	if err := b.Put(kindResult, "kept", []byte("r")); err != nil {
+	if err := b.Put(KindResult, "kept", []byte("r")); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(kindTrace, "kept", []byte("t")); err != nil {
+	if err := b.Put(KindTrace, "kept", []byte("t")); err != nil {
 		t.Fatalf("first trace put: %v", err)
 	}
 
@@ -181,7 +181,7 @@ func TestDirBackendLayout(t *testing.T) {
 			t.Fatalf("stray temp %s survived a read-write open", stray)
 		}
 	}
-	for _, kind := range []string{kindResult, kindTrace} {
+	for _, kind := range []string{KindResult, KindTrace} {
 		if _, err := b.Get(kind, "kept"); err != nil {
 			t.Fatalf("the sweep removed a published %s: %v", kind, err)
 		}
@@ -190,7 +190,7 @@ func TestDirBackendLayout(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(kindResult, "late", []byte("r")); err == nil {
+	if err := b.Put(KindResult, "late", []byte("r")); err == nil {
 		t.Fatalf("a put into a vanished store succeeded")
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
@@ -207,14 +207,14 @@ func TestMemBackendNoSpace(t *testing.T) {
 	t.Parallel()
 	b := NewMemBackend()
 	b.SetCapacity(10)
-	if err := b.Put(kindTrace, "a", []byte("12345")); err != nil {
+	if err := b.Put(KindTrace, "a", []byte("12345")); err != nil {
 		t.Fatalf("Put under cap: %v", err)
 	}
-	if err := b.Put(kindTrace, "b", []byte("123456")); !errors.Is(err, ErrNoSpace) {
+	if err := b.Put(KindTrace, "b", []byte("123456")); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("Put past cap: want ErrNoSpace, got %v", err)
 	}
 	// Replacing an object accounts for the bytes it frees.
-	if err := b.Put(kindTrace, "a", []byte("1234567890")); err != nil {
+	if err := b.Put(KindTrace, "a", []byte("1234567890")); err != nil {
 		t.Fatalf("Put(replace) within cap: %v", err)
 	}
 }
@@ -266,9 +266,9 @@ func TestChaosDeterminism(t *testing.T) {
 		ch := NewChaos(NewMemBackend(), spec, nil)
 		var outcomes []string
 		for i := 0; i < 64; i++ {
-			err := ch.Put(kindTrace, fmt.Sprintf("o%d", i), []byte("x"))
+			err := ch.Put(KindTrace, fmt.Sprintf("o%d", i), []byte("x"))
 			outcomes = append(outcomes, fmt.Sprintf("put%d:%v", i, err))
-			_, err = ch.Get(kindTrace, fmt.Sprintf("o%d", i))
+			_, err = ch.Get(KindTrace, fmt.Sprintf("o%d", i))
 			outcomes = append(outcomes, fmt.Sprintf("get%d:%v", i, err))
 		}
 		return outcomes
@@ -290,13 +290,13 @@ func TestChaosFaultClasses(t *testing.T) {
 		t.Parallel()
 		st := &StackStats{}
 		ch := NewChaos(NewMemBackend(), &ChaosSpec{Err: 1}, st)
-		if err := ch.Put(kindTrace, "o", []byte("x")); !IsUnavailable(err) {
+		if err := ch.Put(KindTrace, "o", []byte("x")); !IsUnavailable(err) {
 			t.Fatalf("want unavailable, got %v", err)
 		}
-		if _, err := ch.Get(kindTrace, "o"); !IsUnavailable(err) {
+		if _, err := ch.Get(KindTrace, "o"); !IsUnavailable(err) {
 			t.Fatalf("want unavailable, got %v", err)
 		}
-		if _, err := ch.List(kindTrace); !IsUnavailable(err) {
+		if _, err := ch.List(KindTrace); !IsUnavailable(err) {
 			t.Fatalf("want unavailable, got %v", err)
 		}
 		if st.ChaosErrs.Load() != 3 {
@@ -308,7 +308,7 @@ func TestChaosFaultClasses(t *testing.T) {
 		t.Parallel()
 		st := &StackStats{}
 		ch := NewChaos(NewMemBackend(), &ChaosSpec{NoSpace: 1}, st)
-		if err := ch.Put(kindTrace, "o", []byte("x")); !errors.Is(err, ErrNoSpace) {
+		if err := ch.Put(KindTrace, "o", []byte("x")); !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("want ErrNoSpace, got %v", err)
 		}
 		if st.ChaosNoSpace.Load() != 1 {
@@ -322,12 +322,12 @@ func TestChaosFaultClasses(t *testing.T) {
 		inner := NewMemBackend()
 		ch := NewChaos(inner, &ChaosSpec{Torn: 1}, st)
 		payload := []byte("a-long-enough-payload-to-tear")
-		if err := ch.Put(kindTrace, "o", payload); !IsUnavailable(err) {
+		if err := ch.Put(KindTrace, "o", payload); !IsUnavailable(err) {
 			t.Fatalf("torn put should fail unavailable, got %v", err)
 		}
 		// The inner backend holds a strict prefix: the torn file a crashed
 		// non-atomic writer would leave behind.
-		got, err := inner.Get(kindTrace, "o")
+		got, err := inner.Get(KindTrace, "o")
 		if err != nil {
 			t.Fatalf("torn put left nothing behind: %v", err)
 		}
@@ -344,11 +344,11 @@ func TestChaosFaultClasses(t *testing.T) {
 		st := &StackStats{}
 		inner := NewMemBackend()
 		payload := []byte("pristine-bytes")
-		if err := inner.Put(kindTrace, "o", payload); err != nil {
+		if err := inner.Put(KindTrace, "o", payload); err != nil {
 			t.Fatal(err)
 		}
 		ch := NewChaos(inner, &ChaosSpec{Corrupt: 1}, st)
-		got, err := ch.Get(kindTrace, "o")
+		got, err := ch.Get(KindTrace, "o")
 		if err != nil {
 			t.Fatalf("corrupt get should succeed: %v", err)
 		}
@@ -375,7 +375,7 @@ func TestChaosFaultClasses(t *testing.T) {
 		t.Parallel()
 		st := &StackStats{}
 		ch := NewChaos(NewMemBackend(), &ChaosSpec{Latency: 1, LockStall: 1, Delay: time.Microsecond}, st)
-		if err := ch.Put(kindTrace, "o", []byte("x")); err != nil {
+		if err := ch.Put(KindTrace, "o", []byte("x")); err != nil {
 			t.Fatalf("latency-only put should succeed: %v", err)
 		}
 		rel, err := ch.TryLock("l")
@@ -433,10 +433,10 @@ func TestRetryBackend(t *testing.T) {
 		st := &StackStats{}
 		fb := &flakyBackend{Backend: NewMemBackend(), failures: 2}
 		rb := newHardened(fb, Options{Retries: 2, RetryBase: time.Microsecond, BreakerThreshold: -1}, st)
-		if err := rb.Put(kindTrace, "o", []byte("x")); err != nil {
+		if err := rb.Put(KindTrace, "o", []byte("x")); err != nil {
 			t.Fatalf("put should recover after retries: %v", err)
 		}
-		if got, err := rb.Get(kindTrace, "o"); err != nil || !bytes.Equal(got, []byte("x")) {
+		if got, err := rb.Get(KindTrace, "o"); err != nil || !bytes.Equal(got, []byte("x")) {
 			t.Fatalf("get after recovery: %q, %v", got, err)
 		}
 		if st.Retries.Load() != 2 || st.RetryGiveups.Load() != 0 {
@@ -449,7 +449,7 @@ func TestRetryBackend(t *testing.T) {
 		st := &StackStats{}
 		fb := &flakyBackend{Backend: NewMemBackend(), failures: 10}
 		rb := newHardened(fb, Options{Retries: 2, RetryBase: time.Microsecond, BreakerThreshold: -1}, st)
-		if err := rb.Put(kindTrace, "o", []byte("x")); !IsUnavailable(err) {
+		if err := rb.Put(KindTrace, "o", []byte("x")); !IsUnavailable(err) {
 			t.Fatalf("want unavailable after exhausted budget, got %v", err)
 		}
 		if fb.calls != 3 { // 1 attempt + 2 retries
@@ -466,10 +466,10 @@ func TestRetryBackend(t *testing.T) {
 		mb := NewMemBackend()
 		mb.SetCapacity(1)
 		rb := newHardened(mb, Options{Retries: 5, RetryBase: time.Microsecond, BreakerThreshold: -1}, st)
-		if _, err := rb.Get(kindTrace, "absent"); !errors.Is(err, ErrNotFound) {
+		if _, err := rb.Get(KindTrace, "absent"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("want ErrNotFound, got %v", err)
 		}
-		if err := rb.Put(kindTrace, "big", []byte("too-big")); !errors.Is(err, ErrNoSpace) {
+		if err := rb.Put(KindTrace, "big", []byte("too-big")); !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("want ErrNoSpace, got %v", err)
 		}
 		if st.Retries.Load() != 0 {
@@ -497,7 +497,7 @@ func TestTimeoutBackend(t *testing.T) {
 	sb := &slowBackend{Backend: NewMemBackend(), gate: make(chan struct{})}
 	tb := newHardened(sb, Options{OpTimeout: 5 * time.Millisecond, Retries: -1, BreakerThreshold: -1}, st)
 	start := time.Now()
-	_, err := tb.Get(kindTrace, "o")
+	_, err := tb.Get(KindTrace, "o")
 	if !IsUnavailable(err) {
 		t.Fatalf("want unavailable on timeout, got %v", err)
 	}
@@ -509,10 +509,10 @@ func TestTimeoutBackend(t *testing.T) {
 	}
 	close(sb.gate) // release the background goroutine
 	// A fast op passes through untouched.
-	if err := tb.Put(kindTrace, "o", []byte("x")); err != nil {
+	if err := tb.Put(KindTrace, "o", []byte("x")); err != nil {
 		t.Fatalf("fast put: %v", err)
 	}
-	if got, err := tb.Get(kindTrace, "o"); err != nil || !bytes.Equal(got, []byte("x")) {
+	if got, err := tb.Get(KindTrace, "o"); err != nil || !bytes.Equal(got, []byte("x")) {
 		t.Fatalf("fast get: %q, %v", got, err)
 	}
 }
@@ -544,10 +544,10 @@ func TestTimeoutAbandonedAttemptRace(t *testing.T) {
 	sb := &sleepyBackend{Backend: NewMemBackend(), d: 20 * time.Millisecond}
 	tb := newHardened(sb, Options{OpTimeout: 2 * time.Millisecond, Retries: -1, BreakerThreshold: -1}, st)
 	for i := 0; i < 3; i++ {
-		if data, err := tb.Get(kindResult, "o"); !IsUnavailable(err) || data != nil {
+		if data, err := tb.Get(KindResult, "o"); !IsUnavailable(err) || data != nil {
 			t.Fatalf("get %d: %q, %v; want a timed-out miss", i, data, err)
 		}
-		if stats, err := tb.List(kindResult); !IsUnavailable(err) || stats != nil {
+		if stats, err := tb.List(KindResult); !IsUnavailable(err) || stats != nil {
 			t.Fatalf("list %d: %v, %v; want a timed-out miss", i, stats, err)
 		}
 	}
@@ -569,17 +569,17 @@ func TestBreakerTripsThroughNoSpaceWrites(t *testing.T) {
 	ch := NewChaos(NewMemBackend(), &ChaosSpec{Err: 1, NoSpace: 1}, st)
 	bb := newHardened(ch, Options{Retries: -1, BreakerThreshold: 3, BreakerCooldown: time.Minute}, st)
 	for i := 0; i < 2; i++ {
-		if _, err := bb.Get(kindResult, "o"); !IsUnavailable(err) {
+		if _, err := bb.Get(KindResult, "o"); !IsUnavailable(err) {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if err := bb.Put(kindResult, "o", []byte("x")); !errors.Is(err, ErrNoSpace) {
+		if err := bb.Put(KindResult, "o", []byte("x")); !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	if st.BreakerTrips.Load() != 0 {
 		t.Fatalf("tripped below the threshold: %+v", st.Snapshot())
 	}
-	if _, err := bb.Get(kindResult, "o"); !IsUnavailable(err) {
+	if _, err := bb.Get(KindResult, "o"); !IsUnavailable(err) {
 		t.Fatalf("third read: %v", err)
 	}
 	if st.BreakerTrips.Load() != 1 {
@@ -603,7 +603,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Three consecutive transient failures trip the breaker.
 	for i := 0; i < 3; i++ {
-		if _, err := bb.Get(kindTrace, "o"); !IsUnavailable(err) {
+		if _, err := bb.Get(KindTrace, "o"); !IsUnavailable(err) {
 			t.Fatalf("failure %d: %v", i, err)
 		}
 	}
@@ -614,7 +614,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	// Open: fast-fail with ErrBreakerOpen, backend untouched.
 	callsBefore := fb.calls
 	for i := 0; i < 5; i++ {
-		if _, err := bb.Get(kindTrace, "o"); !errors.Is(err, ErrBreakerOpen) {
+		if _, err := bb.Get(KindTrace, "o"); !errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("open breaker let an op through: %v", err)
 		}
 	}
@@ -628,13 +628,13 @@ func TestBreakerLifecycle(t *testing.T) {
 	// Cooldown elapses; the next op is the half-open probe. It fails (the
 	// backend is still down), so the breaker re-trips for a full cooldown.
 	now = now.Add(2 * time.Minute)
-	if _, err := bb.Get(kindTrace, "o"); !IsUnavailable(err) {
+	if _, err := bb.Get(KindTrace, "o"); !IsUnavailable(err) {
 		t.Fatalf("probe should reach the backend and fail: %v", err)
 	}
 	if st.BreakerProbes.Load() != 1 || st.BreakerTrips.Load() != 2 {
 		t.Fatalf("failed probe should re-trip: %+v", st.Snapshot())
 	}
-	if _, err := bb.Get(kindTrace, "o"); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := bb.Get(KindTrace, "o"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("breaker should be open again after failed probe: %v", err)
 	}
 
@@ -644,17 +644,17 @@ func TestBreakerLifecycle(t *testing.T) {
 	fb.failures = 0
 	fb.mu.Unlock()
 	now = now.Add(2 * time.Minute)
-	if _, err := bb.Get(kindTrace, "o"); !errors.Is(err, ErrNotFound) {
+	if _, err := bb.Get(KindTrace, "o"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("healed probe: want ErrNotFound, got %v", err)
 	}
 	if st.BreakerProbes.Load() != 2 || st.BreakerRecoveries.Load() != 1 {
 		t.Fatalf("recovery not recorded: %+v", st.Snapshot())
 	}
 	// Closed again: ordinary ops flow.
-	if err := bb.Put(kindTrace, "o", []byte("x")); err != nil {
+	if err := bb.Put(KindTrace, "o", []byte("x")); err != nil {
 		t.Fatalf("put after recovery: %v", err)
 	}
-	if got, err := bb.Get(kindTrace, "o"); err != nil || !bytes.Equal(got, []byte("x")) {
+	if got, err := bb.Get(KindTrace, "o"); err != nil || !bytes.Equal(got, []byte("x")) {
 		t.Fatalf("get after recovery: %q, %v", got, err)
 	}
 }
@@ -670,7 +670,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	bb.now = func() time.Time { return now }
 
 	// Trip it.
-	if _, err := bb.Get(kindTrace, "o"); !IsUnavailable(err) {
+	if _, err := bb.Get(KindTrace, "o"); !IsUnavailable(err) {
 		t.Fatalf("trip: %v", err)
 	}
 	now = now.Add(2 * time.Minute)
@@ -679,7 +679,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	// while it is in flight must fast-fail, not become a second probe.
 	probeDone := make(chan error, 1)
 	go func() {
-		_, err := bb.Get(kindTrace, "o")
+		_, err := bb.Get(KindTrace, "o")
 		probeDone <- err
 	}()
 	// Wait until the probe is inside the backend (registered as probing).
@@ -695,7 +695,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := bb.Get(kindTrace, "o"); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := bb.Get(KindTrace, "o"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("second half-open call should fast-fail: %v", err)
 	}
 	close(gate.gate)
@@ -765,8 +765,8 @@ func TestCacheOverMemBackend(t *testing.T) {
 	if _, err := c.LoadResult(SumID("other")); !errors.Is(err, ErrMiss) {
 		t.Fatalf("miss: %v", err)
 	}
-	if mb.Len(kindResult) != 1 {
-		t.Fatalf("backend holds %d results", mb.Len(kindResult))
+	if mb.Len(KindResult) != 1 {
+		t.Fatalf("backend holds %d results", mb.Len(KindResult))
 	}
 	// A second Cache over the same backend serves the entry.
 	c2, err := OpenBackend(mb, Options{})

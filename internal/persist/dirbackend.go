@@ -50,9 +50,9 @@ func (b *DirBackend) Dir() string { return b.dir }
 // kindDir maps an object kind to its subdirectory ("" = the root).
 func kindDir(kind string) string {
 	switch kind {
-	case kindTrace:
+	case KindTrace:
 		return "traces"
-	case kindResult:
+	case KindResult:
 		return "results"
 	default:
 		return ""
@@ -62,9 +62,9 @@ func kindDir(kind string) string {
 // kindExt maps an object kind to its file extension.
 func kindExt(kind string) string {
 	switch kind {
-	case kindTrace:
+	case KindTrace:
 		return traceExt
-	case kindResult:
+	case KindResult:
 		return resultExt
 	default:
 		return ""

@@ -1,9 +1,8 @@
-// The elastic scheduling surface's proof obligations: the server's epoch
-// plane must bump on scheduling-relevant state (markers, lock grants, lock
-// releases) and only that, the long-poll must park and wake rather than
-// spin, leases must make stale-takeover observable to the dispossessed
-// holder, and the Cache-level claim/marker/wait primitives must compose
-// those planes with the package's fail-open posture.
+// The elastic scheduling surface's proof obligations over the local
+// directory store: the Cache-level claim/marker/wait primitives must compose
+// the backend's planes with the package's fail-open posture. The planes only
+// a cache server has — the epoch long-poll and leases whose loss is
+// observable — are tested over the wire in httpbackend_test.go.
 package persist
 
 import (
@@ -12,160 +11,6 @@ import (
 	"testing"
 	"time"
 )
-
-// TestCacheServerEpoch pins what moves the epoch: meta puts, lock grants and
-// lock releases bump it; artifact traffic (trace/result puts, gets, lists)
-// does not — bulk transfers must not wake parked workers.
-func TestCacheServerEpoch(t *testing.T) {
-	t.Parallel()
-	hb := newHTTPBackend(t, newCacheServer(t, NewMemBackend()))
-
-	epoch := func() uint64 {
-		t.Helper()
-		e, err := hb.EpochWait(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	e0 := epoch()
-
-	if err := hb.Put(kindTrace, "t1", []byte("bulk")); err != nil {
-		t.Fatal(err)
-	}
-	if err := hb.Put(kindResult, "r1", []byte("bulk")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hb.Get(kindTrace, "t1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := epoch(); got != e0 {
-		t.Fatalf("artifact traffic moved the epoch: %d -> %d", e0, got)
-	}
-
-	if err := hb.Put(kindMeta, "marker-1", []byte("{}")); err != nil {
-		t.Fatal(err)
-	}
-	e1 := epoch()
-	if e1 <= e0 {
-		t.Fatalf("meta put did not bump the epoch: %d -> %d", e0, e1)
-	}
-	rel, err := hb.TryLock("claim-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := epoch()
-	if e2 <= e1 {
-		t.Fatalf("lock grant did not bump the epoch: %d -> %d", e1, e2)
-	}
-	rel()
-	if e3 := epoch(); e3 <= e2 {
-		t.Fatalf("lock release did not bump the epoch: %d -> %d", e2, e3)
-	}
-}
-
-// TestCacheServerEpochLongPoll pins the park-and-wake behavior: a waiter
-// behind the current epoch returns immediately, a waiter at the current
-// epoch parks until a scheduling event, and a bounded wait expires on its
-// own rather than hanging.
-func TestCacheServerEpochLongPoll(t *testing.T) {
-	t.Parallel()
-	hb := newHTTPBackend(t, newCacheServer(t, NewMemBackend()))
-
-	if err := hb.Put(kindMeta, "m0", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := hb.EpochWait(0, 0)
-	if err != nil || cur == 0 {
-		t.Fatalf("current epoch: %d, %v", cur, err)
-	}
-
-	// Behind: returns without waiting.
-	start := time.Now()
-	if e, err := hb.EpochWait(cur-1, 10*time.Second); err != nil || e < cur {
-		t.Fatalf("stale waiter: %d, %v", e, err)
-	} else if time.Since(start) > 5*time.Second {
-		t.Fatalf("stale waiter parked anyway")
-	}
-
-	// Current: parks, then wakes on the next meta put.
-	woke := make(chan uint64, 1)
-	go func() {
-		e, _ := hb.EpochWait(cur, 10*time.Second)
-		woke <- e
-	}()
-	time.Sleep(20 * time.Millisecond) // let the poll park
-	if err := hb.Put(kindMeta, "m1", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case e := <-woke:
-		if e <= cur {
-			t.Fatalf("woken waiter saw no progress: %d <= %d", e, cur)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("long-poll never woke after a meta put")
-	}
-
-	// Bounded: a short wait with no traffic expires with the same epoch.
-	e2, err := hb.EpochWait(cur+1, 30*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2 > cur+1 {
-		t.Fatalf("idle wait invented progress: %d", e2)
-	}
-}
-
-// TestHTTPBackendTryLease pins the dispossession story: a holder whose lease
-// is stolen (break + re-grant, the stale-takeover sequence) learns about it
-// from its next Renew — typed ErrLeaseLost, Lost() readable — and its late
-// Release cannot evict the thief.
-func TestHTTPBackendTryLease(t *testing.T) {
-	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
-	victim := newHTTPBackend(t, url)
-	thief := newHTTPBackend(t, url)
-
-	lease, err := victim.TryLease("unit-7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := thief.TryLease("unit-7"); !errors.Is(err, ErrLockHeld) {
-		t.Fatalf("second lease on a held lock: %v", err)
-	}
-	if err := lease.Renew(); err != nil {
-		t.Fatalf("renew while held: %v", err)
-	}
-	select {
-	case <-lease.Lost():
-		t.Fatal("Lost() readable while the lease is held")
-	default:
-	}
-
-	// The takeover: a peer judges the holder dead, breaks, re-acquires.
-	if err := thief.BreakLock("unit-7"); err != nil {
-		t.Fatal(err)
-	}
-	stolen, err := thief.TryLease("unit-7")
-	if err != nil {
-		t.Fatalf("re-acquire after break: %v", err)
-	}
-	if err := lease.Renew(); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("victim's renew after the steal: want ErrLeaseLost, got %v", err)
-	}
-	select {
-	case <-lease.Lost():
-	case <-time.After(time.Second):
-		t.Fatal("Lost() not readable after a failed renewal")
-	}
-	lease.Release()
-	lease.Release() // idempotent
-	if err := stolen.Renew(); err != nil {
-		t.Fatalf("victim's late release evicted the thief: %v", err)
-	}
-	stolen.Release()
-}
 
 // TestCacheTryClaimDir pins the claim plane over the local directory store:
 // fresh grants win, fresh holders contend, stale holders are stolen with
@@ -226,46 +71,16 @@ func TestCacheTryClaimDir(t *testing.T) {
 	}
 }
 
-// TestCacheTryClaimHTTPSteal pins the full elastic dispossession over the
-// wire: a stale holder is stolen through TryClaim (Stolen set) and then
-// observes the loss on its next synchronous Renew.
-func TestCacheTryClaimHTTPSteal(t *testing.T) {
-	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
-	open := func() *Cache {
-		hb := newHTTPBackend(t, url)
-		c, err := OpenBackend(hb, Options{StaleLockAge: 60 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
+// waitFor polls cond until true or the deadline, failing the test on timeout.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		t.Cleanup(func() { c.Close() })
-		return c
+		time.Sleep(time.Millisecond)
 	}
-	victim, thief := open(), open()
-
-	claim, ok := victim.TryClaim("claim-u9")
-	if !ok || claim.Stolen {
-		t.Fatalf("fresh claim: ok=%t", ok)
-	}
-	if _, ok := thief.TryClaim("claim-u9"); ok {
-		t.Fatal("fresh lease was dispossessed")
-	}
-	waitFor(t, "lease to stale out", func() bool {
-		st, ok := thief.TryClaim("claim-u9")
-		if ok && !st.Stolen {
-			t.Fatal("stale takeover not marked Stolen")
-		}
-		return ok
-	})
-	if err := claim.Renew(); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("victim's renew after the steal: want ErrLeaseLost, got %v", err)
-	}
-	select {
-	case <-claim.Lost():
-	case <-time.After(time.Second):
-		t.Fatal("claim loss not observable")
-	}
-	claim.Release()
 }
 
 // TestCacheMarkers pins the marker namespace: round-trip, typed miss,

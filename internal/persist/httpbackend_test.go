@@ -5,7 +5,12 @@
 // surface as transient unavailability so the hardening layer and fail-open
 // lock semantics keep working, and the one network-only mechanism — lock
 // leases with liveness renewal — must behave.
-package persist
+//
+// The client and server live in package httpstore, which only network builds
+// link. Their tests stay here, in an external test package (httpstore imports
+// persist, so persist's own test package cannot import httpstore), next to
+// the shared Backend conformance suite they run over the wire.
+package persist_test
 
 import (
 	"bytes"
@@ -17,13 +22,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rest/internal/persist"
+	"rest/internal/persist/httpstore"
 )
 
-// newCacheServer starts a CacheServer over b and returns its base URL.
-func newCacheServer(t *testing.T, b Backend) string {
+// newCacheServer starts an httpstore.Server over b and returns its base URL.
+func newCacheServer(t *testing.T, b persist.Backend) string {
 	t.Helper()
 	mux := http.NewServeMux()
-	NewCacheServer(b).Register(mux)
+	httpstore.NewServer(b).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts.URL
@@ -31,9 +39,9 @@ func newCacheServer(t *testing.T, b Backend) string {
 
 // newHTTPBackend dials url with lease auto-renewal disabled (tests that need
 // the renewer construct their own).
-func newHTTPBackend(t *testing.T, url string) *HTTPBackend {
+func newHTTPBackend(t *testing.T, url string) *httpstore.Backend {
 	t.Helper()
-	hb, err := NewHTTPBackend(url, HTTPOptions{RenewEvery: -1})
+	hb, err := httpstore.NewBackend(url, httpstore.Options{RenewEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,28 +49,10 @@ func newHTTPBackend(t *testing.T, url string) *HTTPBackend {
 }
 
 // TestHTTPBackendConformance runs the shared Backend contract over the wire:
-// a CacheServer on MemBackend must be indistinguishable from MemBackend.
+// an httpstore.Server on MemBackend must be indistinguishable from MemBackend.
 func TestHTTPBackendConformance(t *testing.T) {
 	t.Parallel()
-	backendConformance(t, newHTTPBackend(t, newCacheServer(t, NewMemBackend())))
-}
-
-// TestHTTPBackendURLValidation pins NewHTTPBackend's argument checking and
-// base-path normalization.
-func TestHTTPBackendURLValidation(t *testing.T) {
-	t.Parallel()
-	for _, bad := range []string{"", "127.0.0.1:7070", "ftp://host", "http://", "://x"} {
-		if _, err := NewHTTPBackend(bad, HTTPOptions{}); err == nil {
-			t.Errorf("NewHTTPBackend(%q) should fail", bad)
-		}
-	}
-	hb, err := NewHTTPBackend("http://127.0.0.1:7070///", HTTPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb.base != "http://127.0.0.1:7070" {
-		t.Fatalf("trailing slashes not trimmed: %q", hb.base)
-	}
+	persist.BackendConformance(t, newHTTPBackend(t, newCacheServer(t, persist.NewMemBackend())))
 }
 
 // TestHTTPBackendErrorTaxonomy pins the status↔error mapping in both
@@ -71,52 +61,52 @@ func TestHTTPBackendURLValidation(t *testing.T) {
 // the fail-open lock path act on), never to a panic or an untyped error.
 func TestHTTPBackendErrorTaxonomy(t *testing.T) {
 	t.Parallel()
-	mb := NewMemBackend()
+	mb := persist.NewMemBackend()
 	mb.SetCapacity(4)
 	hb := newHTTPBackend(t, newCacheServer(t, mb))
 
-	if err := hb.Put(kindTrace, "big", []byte("way-too-large")); !errors.Is(err, ErrNoSpace) {
+	if err := hb.Put(persist.KindTrace, "big", []byte("way-too-large")); !errors.Is(err, persist.ErrNoSpace) {
 		t.Fatalf("Put over capacity: want ErrNoSpace, got %v", err)
 	}
 	rel, err := hb.TryLock("held")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hb.TryLock("held"); !errors.Is(err, ErrLockHeld) {
+	if _, err := hb.TryLock("held"); !errors.Is(err, persist.ErrLockHeld) {
 		t.Fatalf("second TryLock: want ErrLockHeld, got %v", err)
 	}
 	rel()
 
 	// Unknown kinds are rejected by the server before touching the backend.
-	if _, err := hb.Get("bogus", "x"); !IsUnavailable(err) {
+	if _, err := hb.Get("bogus", "x"); !persist.IsUnavailable(err) {
 		t.Fatalf("Get(bogus kind): want unavailable, got %v", err)
 	}
 
 	// A dead server: every op is transient unavailability.
 	mux := http.NewServeMux()
-	NewCacheServer(NewMemBackend()).Register(mux)
+	httpstore.NewServer(persist.NewMemBackend()).Register(mux)
 	dead := httptest.NewServer(mux)
 	hbDead := newHTTPBackend(t, dead.URL)
 	dead.Close()
-	if _, err := hbDead.Get(kindTrace, "o"); !IsUnavailable(err) {
+	if _, err := hbDead.Get(persist.KindTrace, "o"); !persist.IsUnavailable(err) {
 		t.Fatalf("Get(dead server): %v", err)
 	}
-	if err := hbDead.Put(kindTrace, "o", []byte("x")); !IsUnavailable(err) {
+	if err := hbDead.Put(persist.KindTrace, "o", []byte("x")); !persist.IsUnavailable(err) {
 		t.Fatalf("Put(dead server): %v", err)
 	}
-	if err := hbDead.Delete(kindTrace, "o"); !IsUnavailable(err) {
+	if err := hbDead.Delete(persist.KindTrace, "o"); !persist.IsUnavailable(err) {
 		t.Fatalf("Delete(dead server): %v", err)
 	}
-	if _, err := hbDead.List(kindTrace); !IsUnavailable(err) {
+	if _, err := hbDead.List(persist.KindTrace); !persist.IsUnavailable(err) {
 		t.Fatalf("List(dead server): %v", err)
 	}
-	if _, err := hbDead.TryLock("l"); !IsUnavailable(err) {
+	if _, err := hbDead.TryLock("l"); !persist.IsUnavailable(err) {
 		t.Fatalf("TryLock(dead server): %v", err)
 	}
-	if _, err := hbDead.LockAge("l"); !IsUnavailable(err) {
+	if _, err := hbDead.LockAge("l"); !persist.IsUnavailable(err) {
 		t.Fatalf("LockAge(dead server): %v", err)
 	}
-	if err := hbDead.BreakLock("l"); !IsUnavailable(err) {
+	if err := hbDead.BreakLock("l"); !persist.IsUnavailable(err) {
 		t.Fatalf("BreakLock(dead server): %v", err)
 	}
 	if got := hbDead.Counters(); got.TransportErrs == 0 {
@@ -138,7 +128,7 @@ func TestHTTPBackendTornResponse(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	hb := newHTTPBackend(t, ts.URL)
-	if _, err := hb.Get(kindTrace, "o"); !IsUnavailable(err) {
+	if _, err := hb.Get(persist.KindTrace, "o"); !persist.IsUnavailable(err) {
 		t.Fatalf("torn response: want unavailable, got %v", err)
 	}
 	if got := hb.Counters(); got.TransportErrs == 0 {
@@ -170,24 +160,12 @@ func TestHTTPBackendMidRequestDisconnect(t *testing.T) {
 
 	for _, ah := range []bool{false, true} {
 		afterHeaders.Store(ah)
-		if _, err := hb.Get(kindTrace, "o"); !IsUnavailable(err) {
+		if _, err := hb.Get(persist.KindTrace, "o"); !persist.IsUnavailable(err) {
 			t.Fatalf("disconnect (afterHeaders=%v): want unavailable, got %v", ah, err)
 		}
 	}
 	if got := hb.Counters(); got.TransportErrs < 2 {
 		t.Fatalf("disconnects not counted: %+v", got)
-	}
-}
-
-// waitFor polls cond until true or the deadline, failing the test on timeout.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -198,8 +176,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the new holder.
 func TestHTTPBackendLockLease(t *testing.T) {
 	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
-	renewing, err := NewHTTPBackend(url, HTTPOptions{RenewEvery: 10 * time.Millisecond})
+	url := newCacheServer(t, persist.NewMemBackend())
+	renewing, err := httpstore.NewBackend(url, httpstore.Options{RenewEvery: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +200,7 @@ func TestHTTPBackendLockLease(t *testing.T) {
 		t.Fatalf("renewer never ran")
 	}
 	rel()
-	if _, err := silent.LockAge("alive"); !errors.Is(err, ErrNotFound) {
+	if _, err := silent.LockAge("alive"); !errors.Is(err, persist.ErrNotFound) {
 		t.Fatalf("lease survived release: %v", err)
 	}
 
@@ -255,7 +233,7 @@ func TestHTTPBackendLockLease(t *testing.T) {
 func TestCacheServerRestartLockRecovery(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	db, err := NewDirBackend(dir, false)
+	db, err := persist.NewDirBackend(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +241,12 @@ func TestCacheServerRestartLockRecovery(t *testing.T) {
 		t.Fatal(err) // deliberately never released: the crashed server's state
 	}
 
-	db2, err := NewDirBackend(dir, false)
+	db2, err := persist.NewDirBackend(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hb := newHTTPBackend(t, newCacheServer(t, db2))
-	if _, err := hb.TryLock("leftover"); !errors.Is(err, ErrLockHeld) {
+	if _, err := hb.TryLock("leftover"); !errors.Is(err, persist.ErrLockHeld) {
 		t.Fatalf("leftover lock invisible through fresh server: %v", err)
 	}
 	if age, err := hb.LockAge("leftover"); err != nil || age < 0 {
@@ -289,20 +267,20 @@ func TestCacheServerRestartLockRecovery(t *testing.T) {
 // worth of state, counters visible via HTTPCounters.
 func TestCacheOverHTTPBackend(t *testing.T) {
 	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
-	c, err := OpenBackend(newHTTPBackend(t, url), Options{})
+	url := newCacheServer(t, persist.NewMemBackend())
+	c, err := persist.OpenBackend(newHTTPBackend(t, url), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := SumID("http-result")
-	want := &CellResult{Checksum: 0xbeef}
+	id := persist.SumID("http-result")
+	want := &persist.CellResult{Checksum: 0xbeef}
 	if err := c.StoreResult(id, want); err != nil {
 		t.Fatalf("StoreResult: %v", err)
 	}
 	if got, err := c.LoadResult(id); err != nil || got.Checksum != want.Checksum {
 		t.Fatalf("LoadResult: %+v, %v", got, err)
 	}
-	if _, err := c.LoadResult(SumID("other")); !errors.Is(err, ErrMiss) {
+	if _, err := c.LoadResult(persist.SumID("other")); !errors.Is(err, persist.ErrMiss) {
 		t.Fatalf("miss: %v", err)
 	}
 	if hc, ok := c.HTTPCounters(); !ok || hc.Puts == 0 || hc.Gets == 0 {
@@ -310,7 +288,7 @@ func TestCacheOverHTTPBackend(t *testing.T) {
 	}
 
 	// A second Cache (a fresh process) adopts the entry via List.
-	c2, err := OpenBackend(newHTTPBackend(t, url), Options{})
+	c2, err := persist.OpenBackend(newHTTPBackend(t, url), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +297,7 @@ func TestCacheOverHTTPBackend(t *testing.T) {
 	}
 
 	// A directory-backed cache reports no HTTP counters.
-	cd, err := Open(t.TempDir(), Options{})
+	cd, err := persist.Open(t.TempDir(), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +313,10 @@ func TestCacheOverHTTPBackend(t *testing.T) {
 func TestCacheLockFailOpenOverDeadServer(t *testing.T) {
 	t.Parallel()
 	mux := http.NewServeMux()
-	NewCacheServer(NewMemBackend()).Register(mux)
+	httpstore.NewServer(persist.NewMemBackend()).Register(mux)
 	ts := httptest.NewServer(mux)
 	hb := newHTTPBackend(t, ts.URL)
-	c, err := OpenBackend(hb, Options{Retries: -1})
+	c, err := persist.OpenBackend(hb, persist.Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +339,8 @@ func TestCacheLockFailOpenOverDeadServer(t *testing.T) {
 }
 
 // TestHTTPBackendChaos runs the chaos injector on both sides of the wire.
-// Client-side: the injector wraps HTTPBackend under the hardening layer
-// exactly as it wraps a directory. Server-side: a CacheServer over a
+// Client-side: the injector wraps httpstore.Backend under the hardening layer
+// exactly as it wraps a directory. Server-side: an httpstore.Server over a
 // chaotic backend turns injected faults into 5xx responses that come back
 // typed. Neither panics; locks fail open; degraded ops are counted.
 func TestHTTPBackendChaos(t *testing.T) {
@@ -370,17 +348,17 @@ func TestHTTPBackendChaos(t *testing.T) {
 
 	t.Run("client-side", func(t *testing.T) {
 		t.Parallel()
-		hb := newHTTPBackend(t, newCacheServer(t, NewMemBackend()))
-		c, err := OpenBackend(hb, Options{
-			Chaos:            &ChaosSpec{Err: 1, Torn: 1, Corrupt: 1, NoSpace: 1, LockStall: 1, Delay: time.Microsecond},
+		hb := newHTTPBackend(t, newCacheServer(t, persist.NewMemBackend()))
+		c, err := persist.OpenBackend(hb, persist.Options{
+			Chaos:            &persist.ChaosSpec{Err: 1, Torn: 1, Corrupt: 1, NoSpace: 1, LockStall: 1, Delay: time.Microsecond},
 			Retries:          -1,
 			BreakerThreshold: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		id := SumID("chaos-over-http")
-		if err := c.StoreResult(id, &CellResult{Checksum: 1}); err == nil {
+		id := persist.SumID("chaos-over-http")
+		if err := c.StoreResult(id, &persist.CellResult{Checksum: 1}); err == nil {
 			t.Fatalf("store under total chaos should fail")
 		}
 		if _, err := c.LoadResult(id); err == nil {
@@ -399,18 +377,18 @@ func TestHTTPBackendChaos(t *testing.T) {
 
 	t.Run("server-side", func(t *testing.T) {
 		t.Parallel()
-		st := &StackStats{}
-		ch := NewChaos(NewMemBackend(), &ChaosSpec{Err: 0.5, NoSpace: 0.5, Seed: 11}, st)
+		st := &persist.StackStats{}
+		ch := persist.NewChaos(persist.NewMemBackend(), &persist.ChaosSpec{Err: 0.5, NoSpace: 0.5, Seed: 11}, st)
 		hb := newHTTPBackend(t, newCacheServer(t, ch))
 		var sawUnavailable, sawNoSpace, sawOK bool
 		for i := 0; i < 64; i++ {
-			err := hb.Put(kindTrace, fmt.Sprintf("o%d", i), []byte("payload"))
+			err := hb.Put(persist.KindTrace, fmt.Sprintf("o%d", i), []byte("payload"))
 			switch {
 			case err == nil:
 				sawOK = true
-			case errors.Is(err, ErrNoSpace):
+			case errors.Is(err, persist.ErrNoSpace):
 				sawNoSpace = true
-			case IsUnavailable(err):
+			case persist.IsUnavailable(err):
 				sawUnavailable = true
 			default:
 				t.Fatalf("untyped error escaped the wire: %v", err)
@@ -428,7 +406,7 @@ func TestHTTPBackendChaos(t *testing.T) {
 // malformed names are rejected with 400 before any backend call.
 func TestCacheServerValidation(t *testing.T) {
 	t.Parallel()
-	url := newCacheServer(t, NewMemBackend())
+	url := newCacheServer(t, persist.NewMemBackend())
 	for _, tc := range []struct {
 		method, path string
 	}{
@@ -462,4 +440,200 @@ func TestCacheServerValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("rest-cache")) {
 		t.Fatalf("health route: %d %q", resp.StatusCode, body)
 	}
+}
+
+// TestCacheServerEpoch pins what moves the epoch: meta puts, lock grants and
+// lock releases bump it; artifact traffic (trace/result puts, gets, lists)
+// does not — bulk transfers must not wake parked workers.
+func TestCacheServerEpoch(t *testing.T) {
+	t.Parallel()
+	hb := newHTTPBackend(t, newCacheServer(t, persist.NewMemBackend()))
+
+	epoch := func() uint64 {
+		t.Helper()
+		e, err := hb.EpochWait(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e0 := epoch()
+
+	if err := hb.Put(persist.KindTrace, "t1", []byte("bulk")); err != nil {
+		t.Fatal(err)
+	}
+	if err := hb.Put(persist.KindResult, "r1", []byte("bulk")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hb.Get(persist.KindTrace, "t1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := epoch(); got != e0 {
+		t.Fatalf("artifact traffic moved the epoch: %d -> %d", e0, got)
+	}
+
+	if err := hb.Put(persist.KindMeta, "marker-1", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	e1 := epoch()
+	if e1 <= e0 {
+		t.Fatalf("meta put did not bump the epoch: %d -> %d", e0, e1)
+	}
+	rel, err := hb.TryLock("claim-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := epoch()
+	if e2 <= e1 {
+		t.Fatalf("lock grant did not bump the epoch: %d -> %d", e1, e2)
+	}
+	rel()
+	if e3 := epoch(); e3 <= e2 {
+		t.Fatalf("lock release did not bump the epoch: %d -> %d", e2, e3)
+	}
+}
+
+// TestCacheServerEpochLongPoll pins the park-and-wake behavior: a waiter
+// behind the current epoch returns immediately, a waiter at the current
+// epoch parks until a scheduling event, and a bounded wait expires on its
+// own rather than hanging.
+func TestCacheServerEpochLongPoll(t *testing.T) {
+	t.Parallel()
+	hb := newHTTPBackend(t, newCacheServer(t, persist.NewMemBackend()))
+
+	if err := hb.Put(persist.KindMeta, "m0", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := hb.EpochWait(0, 0)
+	if err != nil || cur == 0 {
+		t.Fatalf("current epoch: %d, %v", cur, err)
+	}
+
+	// Behind: returns without waiting.
+	start := time.Now()
+	if e, err := hb.EpochWait(cur-1, 10*time.Second); err != nil || e < cur {
+		t.Fatalf("stale waiter: %d, %v", e, err)
+	} else if time.Since(start) > 5*time.Second {
+		t.Fatalf("stale waiter parked anyway")
+	}
+
+	// Current: parks, then wakes on the next meta put.
+	woke := make(chan uint64, 1)
+	go func() {
+		e, _ := hb.EpochWait(cur, 10*time.Second)
+		woke <- e
+	}()
+	time.Sleep(20 * time.Millisecond) // let the poll park
+	if err := hb.Put(persist.KindMeta, "m1", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case e := <-woke:
+		if e <= cur {
+			t.Fatalf("woken waiter saw no progress: %d <= %d", e, cur)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("long-poll never woke after a meta put")
+	}
+
+	// Bounded: a short wait with no traffic expires with the same epoch.
+	e2, err := hb.EpochWait(cur+1, 30*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2 > cur+1 {
+		t.Fatalf("idle wait invented progress: %d", e2)
+	}
+}
+
+// TestHTTPBackendTryLease pins the dispossession story: a holder whose lease
+// is stolen (break + re-grant, the stale-takeover sequence) learns about it
+// from its next Renew — typed ErrLeaseLost, Lost() readable — and its late
+// Release cannot evict the thief.
+func TestHTTPBackendTryLease(t *testing.T) {
+	t.Parallel()
+	url := newCacheServer(t, persist.NewMemBackend())
+	victim := newHTTPBackend(t, url)
+	thief := newHTTPBackend(t, url)
+
+	lease, err := victim.TryLease("unit-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := thief.TryLease("unit-7"); !errors.Is(err, persist.ErrLockHeld) {
+		t.Fatalf("second lease on a held lock: %v", err)
+	}
+	if err := lease.Renew(); err != nil {
+		t.Fatalf("renew while held: %v", err)
+	}
+	select {
+	case <-lease.Lost():
+		t.Fatal("Lost() readable while the lease is held")
+	default:
+	}
+
+	// The takeover: a peer judges the holder dead, breaks, re-acquires.
+	if err := thief.BreakLock("unit-7"); err != nil {
+		t.Fatal(err)
+	}
+	stolen, err := thief.TryLease("unit-7")
+	if err != nil {
+		t.Fatalf("re-acquire after break: %v", err)
+	}
+	if err := lease.Renew(); !errors.Is(err, persist.ErrLeaseLost) {
+		t.Fatalf("victim's renew after the steal: want ErrLeaseLost, got %v", err)
+	}
+	select {
+	case <-lease.Lost():
+	case <-time.After(time.Second):
+		t.Fatal("Lost() not readable after a failed renewal")
+	}
+	lease.Release()
+	lease.Release() // idempotent
+	if err := stolen.Renew(); err != nil {
+		t.Fatalf("victim's late release evicted the thief: %v", err)
+	}
+	stolen.Release()
+}
+
+// TestCacheTryClaimHTTPSteal pins the full elastic dispossession over the
+// wire: a stale holder is stolen through TryClaim (Stolen set) and then
+// observes the loss on its next synchronous Renew.
+func TestCacheTryClaimHTTPSteal(t *testing.T) {
+	t.Parallel()
+	url := newCacheServer(t, persist.NewMemBackend())
+	open := func() *persist.Cache {
+		hb := newHTTPBackend(t, url)
+		c, err := persist.OpenBackend(hb, persist.Options{StaleLockAge: 60 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	victim, thief := open(), open()
+
+	claim, ok := victim.TryClaim("claim-u9")
+	if !ok || claim.Stolen {
+		t.Fatalf("fresh claim: ok=%t", ok)
+	}
+	if _, ok := thief.TryClaim("claim-u9"); ok {
+		t.Fatal("fresh lease was dispossessed")
+	}
+	persist.WaitFor(t, "lease to stale out", func() bool {
+		st, ok := thief.TryClaim("claim-u9")
+		if ok && !st.Stolen {
+			t.Fatal("stale takeover not marked Stolen")
+		}
+		return ok
+	})
+	if err := claim.Renew(); !errors.Is(err, persist.ErrLeaseLost) {
+		t.Fatalf("victim's renew after the steal: want ErrLeaseLost, got %v", err)
+	}
+	select {
+	case <-claim.Lost():
+	case <-time.After(time.Second):
+		t.Fatal("claim loss not observable")
+	}
+	claim.Release()
 }

@@ -1,10 +1,15 @@
-// HTTPBackend speaks the CacheServer wire protocol and presents it as an
-// ordinary Backend, so a remote store slots under the hardening layer
-// exactly like a local directory: every transport or server failure
-// surfaces as *UnavailableError (the only class the layer retries),
-// 404/507/423 map straight back onto the typed taxonomy, and lock failures
-// stay fail-open at the Cache layer. Each object op is one wire request;
-// the client keeps no copy of what it reads.
+// Package httpstore is the persistent store over HTTP: a Server that
+// exposes any persist.Backend under /cache/v1/, and a Backend client that
+// speaks the same wire protocol. Only network builds (cmd/restnet) link it;
+// persist itself discovers the client's lease, epoch and wire-counter
+// planes through its optional interfaces.
+//
+// Backend presents a remote store as an ordinary persist.Backend, so it
+// slots under the hardening layer exactly like a local directory: every
+// transport or server failure surfaces as *persist.UnavailableError (the
+// only class the layer retries), 404/507/423 map straight back onto the
+// typed taxonomy, and lock failures stay fail-open at the Cache layer. Each
+// object op is one wire request; the client keeps no copy of what it reads.
 //
 // The one network-only concern here is lock leases. The server grants
 // leases that expire when the holder stops renewing; TryLease starts a
@@ -12,7 +17,7 @@
 // process simply stops renewing and the server-side age grows until another
 // client steals the lock — the same abandoned-holder recovery as local lock
 // files.
-package persist
+package httpstore
 
 import (
 	"bytes"
@@ -26,22 +31,24 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rest/internal/persist"
 )
 
 // DefaultLockRenew is how often a held lock lease is refreshed. It must sit
-// well under Options.StaleLockAge (default 10m) so a live holder is never
-// mistaken for a dead one.
+// well under persist.Options.StaleLockAge (default 10m) so a live holder is
+// never mistaken for a dead one.
 const DefaultLockRenew = 15 * time.Second
 
-// HTTPOptions tunes an HTTPBackend.
-type HTTPOptions struct {
+// Options tunes a Backend.
+type Options struct {
 	// RenewEvery overrides the lock lease renewal period. Zero means
 	// DefaultLockRenew; negative disables auto-renewal (tests).
 	RenewEvery time.Duration
 }
 
-// HTTPBackend is a Backend served by a remote CacheServer.
-type HTTPBackend struct {
+// Backend is a persist.Backend served by a remote Server.
+type Backend struct {
 	base  string // e.g. "http://127.0.0.1:7070", no trailing slash
 	hc    *http.Client
 	renew time.Duration
@@ -56,25 +63,24 @@ type httpStats struct {
 	transportErrs, bytesIn, bytesOut atomic.Uint64
 }
 
-// HTTPCounters is a point-in-time snapshot of an HTTPBackend's wire traffic.
-type HTTPCounters struct {
-	Gets, Puts, Deletes, Lists uint64 // wire requests by verb
-	LockOps                    uint64 // acquires + releases + breaks + age probes
-	Renews                     uint64 // lease renewal attempts
-	TransportErrs              uint64 // requests that died before a status arrived
-	BytesIn, BytesOut          uint64 // payload bytes received / sent
-}
+// A Backend carries every optional plane the Cache looks for.
+var _ interface {
+	persist.Backend
+	persist.Leaser
+	persist.EpochWaiter
+	persist.WireCounter
+} = (*Backend)(nil)
 
-// NewHTTPBackend connects to a CacheServer at baseURL (scheme://host[:port],
+// NewBackend connects to a Server at baseURL (scheme://host[:port],
 // any path prefix before /cache/v1/ is kept). It performs no I/O; the first
 // request discovers whether the server is reachable.
-func NewHTTPBackend(baseURL string, opt HTTPOptions) (*HTTPBackend, error) {
+func NewBackend(baseURL string, opt Options) (*Backend, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
-		return nil, fmt.Errorf("persist: bad cache URL %q: %w", baseURL, err)
+		return nil, fmt.Errorf("httpstore: bad cache URL %q: %w", baseURL, err)
 	}
 	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("persist: cache URL %q must be http(s)://host[:port]", baseURL)
+		return nil, fmt.Errorf("httpstore: cache URL %q must be http(s)://host[:port]", baseURL)
 	}
 	renew := opt.RenewEvery
 	if renew == 0 {
@@ -84,7 +90,7 @@ func NewHTTPBackend(baseURL string, opt HTTPOptions) (*HTTPBackend, error) {
 	for len(base) > 0 && base[len(base)-1] == '/' {
 		base = base[:len(base)-1]
 	}
-	return &HTTPBackend{
+	return &Backend{
 		base: base,
 		hc: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
@@ -95,8 +101,8 @@ func NewHTTPBackend(baseURL string, opt HTTPOptions) (*HTTPBackend, error) {
 }
 
 // Counters snapshots the wire traffic so far.
-func (b *HTTPBackend) Counters() HTTPCounters {
-	return HTTPCounters{
+func (b *Backend) Counters() persist.HTTPCounters {
+	return persist.HTTPCounters{
 		Gets:          b.st.gets.Load(),
 		Puts:          b.st.puts.Load(),
 		Deletes:       b.st.deletes.Load(),
@@ -113,7 +119,7 @@ func (b *HTTPBackend) Counters() HTTPCounters {
 // error when no well-formed response arrived (connection refused, reset
 // mid-body, or a body shorter than its declared Content-Length — the torn
 // response a dying server or proxy produces).
-func (b *HTTPBackend) do(method, path string, q url.Values, body []byte) (int, []byte, error) {
+func (b *Backend) do(method, path string, q url.Values, body []byte) (int, []byte, error) {
 	u := b.base + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -149,6 +155,11 @@ func (b *HTTPBackend) do(method, path string, q url.Values, body []byte) (int, [
 	return resp.StatusCode, data, nil
 }
 
+// unavailable wraps err as a *persist.UnavailableError.
+func unavailable(op, kind, name string, err error) error {
+	return &persist.UnavailableError{Op: op, Kind: kind, Name: name, Err: err}
+}
+
 // statusErr summarizes an unexpected status for the Unavailable cause chain.
 func statusErr(status int, body []byte) error {
 	msg := string(bytes.TrimSpace(body))
@@ -170,7 +181,7 @@ func lockPath(name string) string {
 }
 
 // Get fetches one object.
-func (b *HTTPBackend) Get(kind, name string) ([]byte, error) {
+func (b *Backend) Get(kind, name string) ([]byte, error) {
 	b.st.gets.Add(1)
 	status, data, err := b.do(http.MethodGet, objPath(kind, name), nil, nil)
 	if err != nil {
@@ -180,14 +191,14 @@ func (b *HTTPBackend) Get(kind, name string) ([]byte, error) {
 	case http.StatusOK:
 		return data, nil
 	case http.StatusNotFound:
-		return nil, ErrNotFound
+		return nil, persist.ErrNotFound
 	default:
 		return nil, unavailable("get", kind, name, statusErr(status, data))
 	}
 }
 
 // Put publishes one object.
-func (b *HTTPBackend) Put(kind, name string, data []byte) error {
+func (b *Backend) Put(kind, name string, data []byte) error {
 	b.st.puts.Add(1)
 	status, body, err := b.do(http.MethodPut, objPath(kind, name), nil, data)
 	if err != nil {
@@ -197,14 +208,14 @@ func (b *HTTPBackend) Put(kind, name string, data []byte) error {
 	case http.StatusNoContent:
 		return nil
 	case http.StatusInsufficientStorage:
-		return ErrNoSpace
+		return persist.ErrNoSpace
 	default:
 		return unavailable("put", kind, name, statusErr(status, body))
 	}
 }
 
 // Delete removes one object; absent objects are not an error.
-func (b *HTTPBackend) Delete(kind, name string) error {
+func (b *Backend) Delete(kind, name string) error {
 	b.st.deletes.Add(1)
 	status, body, err := b.do(http.MethodDelete, objPath(kind, name), nil, nil)
 	if err != nil {
@@ -219,7 +230,7 @@ func (b *HTTPBackend) Delete(kind, name string) error {
 }
 
 // List enumerates one kind.
-func (b *HTTPBackend) List(kind string) ([]Stat, error) {
+func (b *Backend) List(kind string) ([]persist.Stat, error) {
 	b.st.lists.Add(1)
 	status, data, err := b.do(http.MethodGet, "/cache/v1/list/"+url.PathEscape(kind), nil, nil)
 	if err != nil {
@@ -232,15 +243,15 @@ func (b *HTTPBackend) List(kind string) ([]Stat, error) {
 	if err := json.Unmarshal(data, &wire); err != nil {
 		return nil, unavailable("list", kind, "", fmt.Errorf("malformed listing: %w", err))
 	}
-	out := make([]Stat, 0, len(wire))
+	out := make([]persist.Stat, 0, len(wire))
 	for _, ws := range wire {
-		out = append(out, Stat{Name: ws.Name, Bytes: ws.Bytes, ModTime: time.Unix(0, ws.ModUnixNS)})
+		out = append(out, persist.Stat{Name: ws.Name, Bytes: ws.Bytes, ModTime: time.Unix(0, ws.ModUnixNS)})
 	}
 	return out, nil
 }
 
 // TryLock acquires a lease on name and returns its Release (see TryLease).
-func (b *HTTPBackend) TryLock(name string) (func(), error) {
+func (b *Backend) TryLock(name string) (func(), error) {
 	l, err := b.TryLease(name)
 	if err != nil {
 		return nil, err
@@ -248,17 +259,9 @@ func (b *HTTPBackend) TryLock(name string) (func(), error) {
 	return l.Release, nil
 }
 
-// ErrLeaseLost reports that a lease renewal was rejected: the holder was
-// presumed dead, its lock stolen and possibly re-granted. The only correct
-// response is to abandon the protected work.
-var ErrLeaseLost = errors.New("persist: lease lost to a stale-lock takeover")
-
-// Lease is one held lock lease whose loss is observable: when a renewal is
-// rejected (our liveness clock aged out and another client stole the lock),
-// Lost() becomes readable and the holder must abandon the unit it was
-// protecting — publishing under a lost lease races the thief.
-type Lease struct {
-	b    *HTTPBackend
+// lease is one held lock lease (persist.Lease) and its background renewer.
+type lease struct {
+	b    *Backend
 	name string
 	tok  string
 
@@ -271,8 +274,8 @@ type Lease struct {
 
 // newLease wires up the lease bookkeeping and, when auto-renewal is enabled,
 // its background renewer.
-func (b *HTTPBackend) newLease(name, tok string) *Lease {
-	l := &Lease{
+func (b *Backend) newLease(name, tok string) *lease {
+	l := &lease{
 		b: b, name: name, tok: tok,
 		stop:        make(chan struct{}),
 		renewerDone: make(chan struct{}),
@@ -288,7 +291,7 @@ func (b *HTTPBackend) newLease(name, tok string) *Lease {
 				case <-l.stop:
 					return
 				case <-t.C:
-					if err := l.Renew(); errors.Is(err, ErrLeaseLost) {
+					if err := l.Renew(); errors.Is(err, persist.ErrLeaseLost) {
 						return
 					}
 				}
@@ -302,13 +305,13 @@ func (b *HTTPBackend) newLease(name, tok string) *Lease {
 
 // Lost is readable once the lease has been stolen. It never fires for a
 // lease released normally.
-func (l *Lease) Lost() <-chan struct{} { return l.lost }
+func (l *lease) Lost() <-chan struct{} { return l.lost }
 
 // Renew refreshes the lease's liveness clock once, synchronously. It
-// returns ErrLeaseLost (and marks Lost) when the server no longer
+// returns persist.ErrLeaseLost (and marks Lost) when the server no longer
 // recognizes the token; transient failures return an Unavailable error and
 // leave the lease's standing unknown — the next renewal decides.
-func (l *Lease) Renew() error {
+func (l *lease) Renew() error {
 	l.b.st.renews.Add(1)
 	q := url.Values{"lease": {l.tok}}
 	status, data, err := l.b.do(http.MethodPost, lockPath(l.name), q, nil)
@@ -320,7 +323,7 @@ func (l *Lease) Renew() error {
 		return nil
 	case http.StatusConflict:
 		l.lostOnce.Do(func() { close(l.lost) })
-		return ErrLeaseLost
+		return persist.ErrLeaseLost
 	default:
 		return unavailable("renew", "", l.name, statusErr(status, data))
 	}
@@ -329,7 +332,7 @@ func (l *Lease) Renew() error {
 // Release stops the renewer and gives the lease back (best-effort and
 // idempotent: release after a steal or against a dead server must never
 // blow up — the lease ages out regardless).
-func (l *Lease) Release() {
+func (l *lease) Release() {
 	l.once.Do(func() {
 		close(l.stop)
 		<-l.renewerDone
@@ -343,7 +346,7 @@ func (l *Lease) Release() {
 // loss (the elastic scheduler) instead of just holding a lock. Release is
 // best-effort and idempotent: after a steal or against a dead server it
 // must never blow up — the lease ages out anyway.
-func (b *HTTPBackend) TryLease(name string) (*Lease, error) {
+func (b *Backend) TryLease(name string) (persist.Lease, error) {
 	b.st.lockOps.Add(1)
 	status, data, err := b.do(http.MethodPost, lockPath(name), nil, nil)
 	if err != nil {
@@ -357,7 +360,7 @@ func (b *HTTPBackend) TryLease(name string) (*Lease, error) {
 		}
 		return b.newLease(name, wl.Lease), nil
 	case http.StatusLocked:
-		return nil, ErrLockHeld
+		return nil, persist.ErrLockHeld
 	default:
 		return nil, unavailable("lock", "", name, statusErr(status, data))
 	}
@@ -366,7 +369,7 @@ func (b *HTTPBackend) TryLease(name string) (*Lease, error) {
 // EpochWait long-polls the server's scheduling-state change counter: it
 // returns as soon as the epoch exceeds after, or with the current epoch
 // once max elapses. A zero max asks without parking.
-func (b *HTTPBackend) EpochWait(after uint64, max time.Duration) (uint64, error) {
+func (b *Backend) EpochWait(after uint64, max time.Duration) (uint64, error) {
 	q := url.Values{
 		"after":   {strconv.FormatUint(after, 10)},
 		"wait_ms": {strconv.FormatInt(max.Milliseconds(), 10)},
@@ -386,7 +389,7 @@ func (b *HTTPBackend) EpochWait(after uint64, max time.Duration) (uint64, error)
 }
 
 // LockAge reports how long the current lease on name has gone unrenewed.
-func (b *HTTPBackend) LockAge(name string) (time.Duration, error) {
+func (b *Backend) LockAge(name string) (time.Duration, error) {
 	b.st.lockOps.Add(1)
 	status, data, err := b.do(http.MethodGet, lockPath(name), nil, nil)
 	if err != nil {
@@ -400,14 +403,14 @@ func (b *HTTPBackend) LockAge(name string) (time.Duration, error) {
 		}
 		return time.Duration(wa.AgeNS), nil
 	case http.StatusNotFound:
-		return 0, ErrNotFound
+		return 0, persist.ErrNotFound
 	default:
 		return 0, unavailable("lockage", "", name, statusErr(status, data))
 	}
 }
 
 // BreakLock force-releases name's lease (stale-holder recovery).
-func (b *HTTPBackend) BreakLock(name string) error {
+func (b *Backend) BreakLock(name string) error {
 	b.st.lockOps.Add(1)
 	status, data, err := b.do(http.MethodDelete, lockPath(name), nil, nil)
 	if err != nil {

@@ -1,4 +1,4 @@
-// The network face of the storage protocol: CacheServer exposes any Backend
+// The network face of the storage protocol: Server exposes any Backend
 // over a small JSON/octet-stream HTTP API, so several sweep processes — on
 // one machine or many — can share a single content-addressed artifact store.
 //
@@ -34,7 +34,7 @@
 // one cheap parked request per worker replaces a polling storm, and the
 // response still carries the current epoch so a missed bump can never
 // deadlock a client (it just re-polls with the newer value).
-package persist
+package httpstore
 
 import (
 	"crypto/rand"
@@ -49,6 +49,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rest/internal/persist"
 )
 
 // maxObjectBytes bounds one uploaded object; far above any real object (a
@@ -57,10 +59,10 @@ import (
 // request.
 const maxObjectBytes = 256 << 20
 
-// CacheServer serves a Backend over HTTP. Safe for concurrent use; one
+// Server serves a persist.Backend over HTTP. Safe for concurrent use; one
 // server instance owns the lease table for every lock it grants.
-type CacheServer struct {
-	b   Backend
+type Server struct {
+	b   persist.Backend
 	now func() time.Time // injectable for deterministic tests
 
 	mu        sync.Mutex
@@ -78,9 +80,9 @@ type serverLease struct {
 	release func()
 }
 
-// NewCacheServer wraps a Backend for HTTP serving.
-func NewCacheServer(b Backend) *CacheServer {
-	return &CacheServer{
+// NewServer wraps a persist.Backend for HTTP serving.
+func NewServer(b persist.Backend) *Server {
+	return &Server{
 		b: b, now: time.Now,
 		leases:    make(map[string]*serverLease),
 		epochWait: make(chan struct{}),
@@ -89,11 +91,11 @@ func NewCacheServer(b Backend) *CacheServer {
 
 // SetNow injects the clock lease liveness is measured against. Tests only:
 // call before serving requests, never while the server is live.
-func (s *CacheServer) SetNow(now func() time.Time) { s.now = now }
+func (s *Server) SetNow(now func() time.Time) { s.now = now }
 
 // bumpEpoch records a scheduling-state change and wakes every parked
 // epoch long-poll.
-func (s *CacheServer) bumpEpoch() {
+func (s *Server) bumpEpoch() {
 	s.mu.Lock()
 	s.epoch++
 	close(s.epochWait)
@@ -102,7 +104,7 @@ func (s *CacheServer) bumpEpoch() {
 }
 
 // Register mounts the /cache/v1/ routes on mux.
-func (s *CacheServer) Register(mux *http.ServeMux) {
+func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /cache/v1/{$}", s.handleRoot)
 	mux.HandleFunc("GET /cache/v1/obj/{kind}/{name}", s.handleGet)
 	mux.HandleFunc("PUT /cache/v1/obj/{kind}/{name}", s.handlePut)
@@ -114,7 +116,7 @@ func (s *CacheServer) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /cache/v1/epoch", s.handleEpoch)
 }
 
-// wireStat is Stat's JSON shape (ModTime as unix nanoseconds so the
+// wireStat is persist.Stat's JSON shape (ModTime as unix nanoseconds so the
 // round-trip is exact and locale-free).
 type wireStat struct {
 	Name      string `json:"name"`
@@ -138,18 +140,18 @@ type wireEpoch struct {
 // maps them straight back, so the taxonomy survives the wire.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrNotFound):
+	case errors.Is(err, persist.ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, ErrNoSpace):
+	case errors.Is(err, persist.ErrNoSpace):
 		return http.StatusInsufficientStorage
-	case errors.Is(err, ErrLockHeld):
+	case errors.Is(err, persist.ErrLockHeld):
 		return http.StatusLocked
 	default:
 		return http.StatusServiceUnavailable
 	}
 }
 
-func (s *CacheServer) fail(w http.ResponseWriter, err error) {
+func (s *Server) fail(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), statusFor(err))
 }
 
@@ -158,7 +160,7 @@ func (s *CacheServer) fail(w http.ResponseWriter, err error) {
 // are single path segments with no traversal tricks.
 func checkKind(w http.ResponseWriter, kind string) bool {
 	switch kind {
-	case kindTrace, kindResult, kindMeta:
+	case persist.KindTrace, persist.KindResult, persist.KindMeta:
 		return true
 	}
 	http.Error(w, fmt.Sprintf("unknown object kind %q", kind), http.StatusBadRequest)
@@ -185,11 +187,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Write(raw)
 }
 
-func (s *CacheServer) handleRoot(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"service": "rest-cache", "format_version": FormatVersion})
+func (s *Server) handleRoot(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, map[string]any{"service": "rest-cache", "format_version": persist.FormatVersion})
 }
 
-func (s *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	kind, name := r.PathValue("kind"), r.PathValue("name")
 	if !checkKind(w, kind) || !checkName(w, name) {
 		return
@@ -207,7 +209,7 @@ func (s *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	kind, name := r.PathValue("kind"), r.PathValue("name")
 	if !checkKind(w, kind) || !checkName(w, name) {
 		return
@@ -227,7 +229,7 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if kind == kindMeta {
+	if kind == persist.KindMeta {
 		// Meta objects carry scheduling state (completion markers);
 		// trace/result bodies do not, and skipping them keeps
 		// bulk artifact traffic from waking parked pollers.
@@ -236,7 +238,7 @@ func (s *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *CacheServer) handleObjDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleObjDelete(w http.ResponseWriter, r *http.Request) {
 	kind, name := r.PathValue("kind"), r.PathValue("name")
 	if !checkKind(w, kind) || !checkName(w, name) {
 		return
@@ -248,7 +250,7 @@ func (s *CacheServer) handleObjDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *CacheServer) handleList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	kind := r.PathValue("kind")
 	if !checkKind(w, kind) {
 		return
@@ -268,14 +270,14 @@ func (s *CacheServer) handleList(w http.ResponseWriter, r *http.Request) {
 
 // newToken mints an unguessable lease token. The sequence number alone makes
 // tokens unique; the random suffix keeps one client from forging another's.
-func (s *CacheServer) newToken() string {
+func (s *Server) newToken() string {
 	s.seq++
 	var b [8]byte
 	rand.Read(b[:]) // crypto/rand.Read never fails on supported platforms
 	return fmt.Sprintf("%d-%s", s.seq, hex.EncodeToString(b[:]))
 }
 
-func (s *CacheServer) handleLockAcquire(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLockAcquire(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !checkName(w, name) {
 		return
@@ -297,7 +299,7 @@ func (s *CacheServer) handleLockAcquire(w http.ResponseWriter, r *http.Request) 
 	s.mu.Lock()
 	if _, held := s.leases[name]; held {
 		s.mu.Unlock()
-		s.fail(w, ErrLockHeld)
+		s.fail(w, persist.ErrLockHeld)
 		return
 	}
 	s.mu.Unlock()
@@ -316,7 +318,7 @@ func (s *CacheServer) handleLockAcquire(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, wireLease{Lease: tok})
 }
 
-func (s *CacheServer) handleLockAge(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLockAge(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !checkName(w, name) {
 		return
@@ -342,7 +344,7 @@ func (s *CacheServer) handleLockAge(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, wireAge{AgeNS: int64(age)})
 }
 
-func (s *CacheServer) handleLockDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleLockDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !checkName(w, name) {
 		return
@@ -364,7 +366,7 @@ func (s *CacheServer) handleLockDelete(w http.ResponseWriter, r *http.Request) {
 	} else if lease == "" {
 		// Break with no lease on the books: clear any backend-level lock
 		// (a server-restart leftover).
-		if err := s.b.BreakLock(name); err != nil && !errors.Is(err, ErrNotFound) {
+		if err := s.b.BreakLock(name); err != nil && !errors.Is(err, persist.ErrNotFound) {
 			s.fail(w, err)
 			return
 		}
@@ -377,7 +379,7 @@ func (s *CacheServer) handleLockDelete(w http.ResponseWriter, r *http.Request) {
 // costs an extra round trip, never a missed wake.
 const maxEpochWait = 30 * time.Second
 
-func (s *CacheServer) handleEpoch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
 	waitMS, _ := strconv.ParseInt(q.Get("wait_ms"), 10, 64)

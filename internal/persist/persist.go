@@ -12,11 +12,12 @@
 //
 // Storage is pluggable: the cache sits on the Backend protocol (backend.go)
 // — the local directory store by default, a cache server over HTTP
-// (httpbackend.go), an in-memory fake in tests — with the chaos injector
-// under it when fault injection is on, and one hardening layer over it
-// (middleware.go) that gives every object op bounded retries, a per-attempt
-// timeout and a circuit breaker. The backend's lock plane carries only the
-// elastic sweep pool's unit claims (TryClaim).
+// (package persist/httpstore, which only network builds link), an
+// in-memory fake in tests — with the chaos injector under it when fault
+// injection is on, and one hardening layer over it (middleware.go) that
+// gives every object op bounded retries, a per-attempt timeout and a
+// circuit breaker. The backend's lock plane carries only the elastic sweep
+// pool's unit claims (TryClaim).
 //
 // Robustness contract: nothing in this package is ever allowed to turn a
 // sweep into a hard failure. Every load returns a typed error — ErrMiss for
@@ -136,20 +137,20 @@ type Counters struct {
 	Bytes                    uint64 // payload bytes this handle stored
 }
 
-const (
-	kindTrace  = "trace"
-	kindResult = "result"
-)
-
 // Cache is one process's handle on a cache store. Safe for concurrent use;
 // several processes may share one store (stores are atomic and
 // content-addressed, so two writers of one entry write the same bytes).
 type Cache struct {
-	b     Backend      // the hardening layer every op goes through
-	httpb *HTTPBackend // non-nil when the raw backend is a remote cache server
-	dir   string       // the directory path ("" for non-directory backends)
+	b     Backend // the hardening layer every op goes through
+	dir   string  // the directory path ("" for non-directory backends)
 	opt   Options
 	stack *StackStats
+
+	// The raw backend's optional planes (nil when it lacks them): a remote
+	// cache server has all three, a local directory none.
+	leases Leaser
+	epochs EpochWaiter
+	wire   WireCounter
 
 	mu sync.Mutex
 	c  Counters
@@ -182,7 +183,9 @@ func OpenBackend(raw Backend, opt Options) (*Cache, error) {
 	if db, ok := raw.(*DirBackend); ok {
 		c.dir = db.dir
 	}
-	c.httpb, _ = raw.(*HTTPBackend)
+	c.leases, _ = raw.(Leaser)
+	c.epochs, _ = raw.(EpochWaiter)
+	c.wire, _ = raw.(WireCounter)
 	return c, nil
 }
 
@@ -205,12 +208,12 @@ func (c *Cache) Counters() Counters {
 func (c *Cache) StackCounters() StackCounters { return c.stack.Snapshot() }
 
 // HTTPCounters returns the remote backend's wire counters; ok is false when
-// the cache is not backed by an HTTP cache server.
+// the raw backend counts no wire traffic (it is not a cache server).
 func (c *Cache) HTTPCounters() (HTTPCounters, bool) {
-	if c.httpb == nil {
+	if c.wire == nil {
 		return HTTPCounters{}, false
 	}
-	return c.httpb.Counters(), true
+	return c.wire.Counters(), true
 }
 
 // Close ends the handle's use. Every store is durable when it returns, so
@@ -231,7 +234,7 @@ func (c *Cache) unavailableSeen(err error) {
 // directory-backed caches (tests and tooling reach into the layout with it).
 func (c *Cache) path(kind string, id ID) string {
 	switch kind {
-	case kindTrace:
+	case KindTrace:
 		return filepath.Join(c.dir, "traces", id.String()+traceExt)
 	default:
 		return filepath.Join(c.dir, "results", id.String()+resultExt)
@@ -350,8 +353,8 @@ func (c *Cache) TryClaim(name string) (*Claim, bool) {
 // acquire takes one grant on the lock plane: a lease whose loss is
 // observable over a cache server, a plain lock otherwise.
 func (c *Cache) acquire(name string) (*Claim, error) {
-	if c.httpb != nil {
-		l, err := c.httpb.TryLease(name)
+	if c.leases != nil {
+		l, err := c.leases.TryLease(name)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +375,7 @@ func (c *Cache) PutMarker(name string, data []byte) error {
 	if c.opt.ReadOnly {
 		return ErrReadOnly
 	}
-	if err := c.b.Put(kindMeta, name, data); err != nil {
+	if err := c.b.Put(KindMeta, name, data); err != nil {
 		c.unavailableSeen(err)
 		return err
 	}
@@ -381,7 +384,7 @@ func (c *Cache) PutMarker(name string, data []byte) error {
 
 // GetMarker loads one marker; ErrMiss when absent.
 func (c *Cache) GetMarker(name string) ([]byte, error) {
-	raw, err := c.b.Get(kindMeta, name)
+	raw, err := c.b.Get(KindMeta, name)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
 			return nil, ErrMiss
@@ -396,7 +399,7 @@ func (c *Cache) GetMarker(name string) ([]byte, error) {
 // prefix. An unavailable backend returns the error (the caller's scan loop
 // retries); a healthy empty store returns an empty slice.
 func (c *Cache) ListMarkers(prefix string) ([]string, error) {
-	stats, err := c.b.List(kindMeta)
+	stats, err := c.b.List(KindMeta)
 	if err != nil {
 		c.unavailableSeen(err)
 		return nil, err
@@ -418,11 +421,12 @@ const dirPollCap = 100 * time.Millisecond
 
 // WaitChange parks until the store's scheduling state may have advanced
 // past epoch after, or max elapses, and returns the epoch to pass next
-// time. Backed by the HTTP server's long-poll when available; otherwise a
-// bounded sleep whose return value always forces the caller to rescan.
+// time. Backed by the backend's epoch long-poll when it has one (a cache
+// server); otherwise a bounded sleep whose return value always forces the
+// caller to rescan.
 func (c *Cache) WaitChange(after uint64, max time.Duration) uint64 {
-	if c.httpb != nil {
-		if e, err := c.httpb.EpochWait(after, max); err == nil {
+	if c.epochs != nil {
+		if e, err := c.epochs.EpochWait(after, max); err == nil {
 			return e
 		}
 	}

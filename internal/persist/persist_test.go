@@ -155,7 +155,7 @@ func TestTraceDecodeEveryByteFlip(t *testing.T) {
 			if err := c.StoreTrace(id, rec, 7); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(c.path(kindTrace, id))
+			raw, err := os.ReadFile(c.path(KindTrace, id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestTraceDecodeTruncation(t *testing.T) {
 	if err := c.StoreTrace(id, rec, 1); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(c.path(kindTrace, id))
+	raw, err := os.ReadFile(c.path(KindTrace, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestResultDecodeEveryByteFlip(t *testing.T) {
 	if err := c.StoreResult(id, &CellResult{Stats: testStats(), Checksum: 9}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(c.path(kindResult, id))
+	raw, err := os.ReadFile(c.path(KindResult, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestReadOnlySemantics(t *testing.T) {
 	rw.Close()
 
 	// Corrupt the stored file; read-only must report it but leave it alone.
-	path := rw.path(kindTrace, id)
+	path := rw.path(KindTrace, id)
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)-1] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
@@ -453,7 +453,7 @@ func TestVersionSkewRejected(t *testing.T) {
 	if err := c.StoreTrace(id, testTrace(20, 4), 5); err != nil {
 		t.Fatal(err)
 	}
-	path := c.path(kindTrace, id)
+	path := c.path(KindTrace, id)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestVersionSkewRejected(t *testing.T) {
 	if err := c.StoreResult(rid, &CellResult{Stats: testStats()}); err != nil {
 		t.Fatal(err)
 	}
-	rpath := c.path(kindResult, rid)
+	rpath := c.path(KindResult, rid)
 	rraw, _ := os.ReadFile(rpath)
 	mut := bytes.Clone(rraw)
 	binary.LittleEndian.PutUint32(mut[8:12], FormatVersion+3)

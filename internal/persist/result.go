@@ -95,7 +95,7 @@ func (c *Cache) StoreResult(id ID, r *CellResult) error {
 	buf[off] = 0 // LSQViolation, always false for a clean cell
 	binary.LittleEndian.PutUint64(buf[off+1:off+9], r.Checksum)
 	binary.LittleEndian.PutUint32(buf[off+9:off+13], crc32.ChecksumIEEE(buf[:off+9]))
-	return c.put(kindResult, id, buf)
+	return c.put(KindResult, id, buf)
 }
 
 // LoadResult reads the memoized outcome stored under id. Misses return
@@ -104,8 +104,8 @@ func (c *Cache) StoreResult(id ID, r *CellResult) error {
 // could not answer returns *UnavailableError or ErrBreakerOpen. Every one
 // of them means "recompute" to the caller.
 func (c *Cache) LoadResult(id ID) (*CellResult, error) {
-	path := c.path(kindResult, id)
-	raw, err := c.b.Get(kindResult, id.String())
+	path := c.path(KindResult, id)
+	raw, err := c.b.Get(KindResult, id.String())
 	if err != nil {
 		c.unavailableSeen(err)
 		c.mu.Lock()
@@ -126,7 +126,7 @@ func (c *Cache) LoadResult(id ID) (*CellResult, error) {
 		if errors.As(derr, &cerr) {
 			cerr.Path = path
 		}
-		c.discard(kindResult, id)
+		c.discard(KindResult, id)
 		c.mu.Lock()
 		c.c.ResultMisses++
 		c.mu.Unlock()

@@ -71,7 +71,7 @@ func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 	copy(hdr[40:72], id[:])
 	binary.LittleEndian.PutUint32(hdr[72:76], crc32.ChecksumIEEE(data[traceHeaderLen:]))
 	binary.LittleEndian.PutUint32(hdr[76:80], crc32.ChecksumIEEE(hdr[:76]))
-	return c.put(kindTrace, id, data)
+	return c.put(KindTrace, id, data)
 }
 
 // LoadTrace reads the trace stored under id into a fresh Recorder, returning
@@ -81,8 +81,8 @@ func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 // never be read again); a backend that could not answer is *UnavailableError
 // or ErrBreakerOpen. Every one of them means "recompute" to the caller.
 func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
-	path := c.path(kindTrace, id)
-	raw, err := c.b.Get(kindTrace, id.String())
+	path := c.path(KindTrace, id)
+	raw, err := c.b.Get(KindTrace, id.String())
 	if err != nil {
 		c.unavailableSeen(err)
 		c.mu.Lock()
@@ -103,7 +103,7 @@ func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
 		if errors.As(derr, &cerr) {
 			cerr.Path = path
 		}
-		c.discard(kindTrace, id)
+		c.discard(KindTrace, id)
 		c.mu.Lock()
 		c.c.TraceMisses++
 		c.mu.Unlock()

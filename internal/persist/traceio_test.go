@@ -24,7 +24,7 @@ func storedBytes(rec *trace.Recorder, id ID, checksum uint64) ([]byte, error) {
 	if err := c.StoreTrace(id, rec, checksum); err != nil {
 		return nil, err
 	}
-	return mb.Get(kindTrace, id.String())
+	return mb.Get(KindTrace, id.String())
 }
 
 // traceFile assembles a trace file straight from the version-2 layout in
@@ -75,7 +75,7 @@ func TestTraceWriterMatchesReference(t *testing.T) {
 					if err := c.StoreTrace(id, rec, 0xc0ffee); err != nil {
 						t.Fatal(err)
 					}
-					stored, err := mb.Get(kindTrace, id.String())
+					stored, err := mb.Get(KindTrace, id.String())
 					if err != nil {
 						t.Fatal(err)
 					}

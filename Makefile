@@ -13,11 +13,6 @@
 #   make bench       regenerate every figure/table as benchmarks
 #   make bench-smoke every benchmark in every package, one iteration each —
 #                    proves the bench suite still compiles and runs
-#   make chaos-short the storage-chaos differential wall: the sensitivity
-#                    sweep under seeded fault injection at 0/10/50/100%
-#                    per-op rates, cold -j1 and warm -j4, byte-identical to
-#                    cache-off (plus the torn-write and vanished-dir
-#                    recovery checks)
 #   make watch-demo  live-telemetry demo: a background restnet sweep with
 #                    -serve plus `restnet -watch` attached to it
 #   make results     regenerate every committed file under results/ (the
@@ -33,7 +28,7 @@ FUZZTIME   ?= 10s
 SEED       ?= 42
 CACHE_DIR  ?= .restcache
 
-.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke chaos-short watch-demo results results-check clean-cache verify
+.PHONY: build vet test bench-check race fuzz-short faults bench bench-smoke watch-demo results results-check clean-cache verify
 
 build:
 	$(GO) build ./...
@@ -79,12 +74,6 @@ bench:
 # keeps the bench suite from bit-rotting between real benchmarking sessions.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# The storage fault plane's CI gate: deterministic chaos injection (fixed
-# seeds) over the sweep grid must leave every report byte-identical to
-# cache-off, recover from torn writes, and survive a vanished cache dir.
-chaos-short:
-	$(GO) test -run 'TestDiskCacheChaos|TestDiskCacheTornWrite|TestDiskCacheVanishedDir' -v ./internal/harness
 
 # Live-telemetry demo: run a sensitivity sweep with the OTLP exporter served
 # on a local port, and attach the terminal dashboard to it (both need the

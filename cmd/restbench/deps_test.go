@@ -9,9 +9,9 @@ import (
 // TestNetFreeClosures is the gate on the network boundary: restbench and
 // every package an importer of the evaluation reaches (the harness, the
 // store, the OTLP encoders and the root rest package) link none of the
-// network stack, while restnet, which carries -serve, -watch, -cache-serve
-// and -cache-url, does. It reads the import closures `go list` computes for
-// the default build, so it is exact and costs no run.
+// network stack, while restnet, which carries -serve and -watch, does. It
+// reads the import closures `go list` computes for the default build, so it
+// is exact and costs no run.
 func TestNetFreeClosures(t *testing.T) {
 	t.Parallel()
 	netFree := []string{"rest/cmd/restbench", "rest/internal/harness", "rest/internal/persist", "rest/internal/obs/otlp", "rest"}
@@ -47,6 +47,6 @@ func TestNetFreeClosures(t *testing.T) {
 		}
 	}
 	if !deps["rest/cmd/restnet"]["net/http"] {
-		t.Errorf("rest/cmd/restnet does not link net/http: its four flags have lost their server and client")
+		t.Errorf("rest/cmd/restnet does not link net/http: its two flags have lost their server and client")
 	}
 }

@@ -54,39 +54,17 @@
 //	                 incremental; -stats cells need a live world, so they
 //	                 always recompute. Reports are byte-identical cold, warm
 //	                 or without a store; a corrupt or version-skewed file
-//	                 silently degrades to recompute-and-rewrite. Store
-//	                 activity prints to stderr after the sweeps. A traces/
+//	                 silently degrades to recompute-and-rewrite, and an
+//	                 unreadable one to a recompute. Store activity prints
+//	                 to stderr after the sweeps. A traces/ or locks/
 //	                 directory or manifest.json left by older builds is
 //	                 never read and is safe to delete
 //	-cache-ro        read-only mode: reuse what is stored, write nothing
 //	                 (the directory must already exist)
-//	-cache-chaos SPEC  inject seeded storage faults around the cache backend
-//	                 (drills and tests; reports stay byte-identical because
-//	                 every fault degrades to recompute). SPEC is comma-
-//	                 separated key=value: seed=N, rate=F (shorthand for
-//	                 err/torn/corrupt/nospace/lockstall all =F), err=F,
-//	                 torn=F, corrupt=F, nospace=F, latency=F, lockstall=F,
-//	                 delay=DUR. Example: seed=7,rate=0.5
 //
-// Every store op runs under one hardening layer: up to 2 retries of a
-// transient failure with exponential backoff and a circuit breaker;
-// whatever still fails degrades to recompute.
-//
-// Distributed sweeps (details in EXPERIMENTS.md): any number of -shard auto
-// workers drain every grid into one shared store, and any plain run over
-// the same store renders reports byte-identical to a single-process sweep —
-// every published cell is a result-store hit, anything missing just
-// recomputes.
-//
-//	-shard auto      join an elastic work-stealing pool: claim
-//	                 functional-identity units under renewed leases on the
-//	                 shared store, publish the artifacts, steal expired
-//	                 leases from killed or stalled workers, and exit when
-//	                 the grid drains; stdout stays empty. Any number of
-//	                 workers may join or die mid-sweep
-//	-cache-stale-age D  age past which an abandoned elastic claim or lease
-//	                 (a crashed worker's) is considered dead and stolen
-//	                 (default 10m; CI drills shrink it)
+// A result is keyed by its cell's full identity, which includes the
+// harness's ModelVersion, so a store filled by a build that simulated other
+// numbers recomputes them instead of serving them.
 //
 // Observability controls (all off by default; none of them perturbs stdout,
 // so reports stay byte-identical with or without them):
@@ -106,13 +84,12 @@
 //	                 or SSE framing) and exit; used by CI
 //	-version         print module version + VCS revision and exit
 //
-// restbench links no network code. The four flags that need it live in
-// restnet, which is restbench plus -serve (live OTLP telemetry), -watch
-// (a dashboard attached to another process's -serve), -cache-serve (serve
-// a store to other processes) and -cache-url (use one); given any of them,
-// restbench exits 2 with one line naming restnet. The command line itself
-// is internal/cli, which both commands run, so their reports are the same
-// bytes.
+// restbench links no network code. The two flags that need it live in
+// restnet, which is restbench plus -serve (live OTLP telemetry) and -watch
+// (a dashboard attached to another process's -serve); given either of
+// them, restbench exits 2 with one line naming restnet. The command line
+// itself is internal/cli, which both commands run, so their reports are
+// the same bytes.
 package main
 
 import (

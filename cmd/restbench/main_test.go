@@ -23,12 +23,10 @@ import (
 func TestValidateCacheFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, tt := range []struct {
-		name        string
-		s           cli.CacheFlags
-		mode        string
-		wantChaos   bool
-		wantElastic bool // -shard auto resolved to the work-stealing pool
-		wantErr     string
+		name    string
+		s       cli.CacheFlags
+		mode    string
+		wantErr string
 	}{
 		{name: "no cache flags", s: cli.CacheFlags{}, mode: "rw"},
 		{name: "dir alone defaults to rw", s: cli.CacheFlags{Dir: dir}, mode: "rw"},
@@ -42,103 +40,6 @@ func TestValidateCacheFlags(t *testing.T) {
 			name:    "read-only over a missing dir",
 			s:       cli.CacheFlags{Dir: dir + "/missing", RO: true},
 			wantErr: "does not exist",
-		},
-		{
-			name:      "chaos spec parses",
-			s:         cli.CacheFlags{Dir: dir, Chaos: "seed=7,rate=0.5"},
-			mode:      "rw",
-			wantChaos: true,
-		},
-		{
-			name:      "chaos with read-only mode",
-			s:         cli.CacheFlags{Dir: dir, RO: true, Chaos: "err=0.1"},
-			mode:      "ro",
-			wantChaos: true,
-		},
-		{
-			name:    "chaos without a dir",
-			s:       cli.CacheFlags{Chaos: "rate=1"},
-			wantErr: "pass -cache-dir DIR",
-		},
-		{
-			name:    "malformed chaos spec",
-			s:       cli.CacheFlags{Dir: dir, Chaos: "rate=2.0"},
-			wantErr: "probability in [0,1]",
-		},
-		{
-			name:    "unknown chaos key",
-			s:       cli.CacheFlags{Dir: dir, Chaos: "bogus=1"},
-			wantErr: "unknown",
-		},
-		{name: "url alone defaults to rw", s: cli.CacheFlags{URL: "http://localhost:9"}, mode: "rw"},
-		{
-			name: "url carries the hardening stack",
-			s: cli.CacheFlags{
-				URL: "http://localhost:9", Chaos: "seed=3,rate=0.2",
-			},
-			mode:      "rw",
-			wantChaos: true,
-		},
-		{
-			name: "url in read-only mode skips the dir check",
-			s:    cli.CacheFlags{URL: "http://localhost:9", RO: true},
-			mode: "ro",
-		},
-		{
-			name:    "dir and url together",
-			s:       cli.CacheFlags{Dir: dir, URL: "http://localhost:9"},
-			wantErr: "not both",
-		},
-		{
-			name:    "static shard slice",
-			s:       cli.CacheFlags{Dir: dir, Shard: "1/2"},
-			wantErr: "-shard auto",
-		},
-		{
-			name:    "malformed shard spec",
-			s:       cli.CacheFlags{Dir: dir, Shard: "Auto"},
-			wantErr: "-shard auto",
-		},
-		{
-			name:        "shard auto over a url store",
-			s:           cli.CacheFlags{URL: "http://localhost:9", Shard: "auto"},
-			mode:        "rw",
-			wantElastic: true,
-		},
-		{
-			name:        "shard auto over a dir store",
-			s:           cli.CacheFlags{Dir: dir, Shard: "auto"},
-			mode:        "rw",
-			wantElastic: true,
-		},
-		{
-			name:    "shard auto without a store",
-			s:       cli.CacheFlags{Shard: "auto"},
-			wantErr: "read-write mode",
-		},
-		{
-			name:    "shard auto over a read-only store",
-			s:       cli.CacheFlags{Dir: dir, RO: true, Shard: "auto"},
-			wantErr: "read-write mode",
-		},
-		{
-			name:    "stale age without a store",
-			s:       cli.CacheFlags{StaleAge: time.Second, StaleAgeSet: true},
-			wantErr: "pass -cache-dir DIR",
-		},
-		{
-			name:    "non-positive stale age",
-			s:       cli.CacheFlags{Dir: dir, StaleAge: -time.Second, StaleAgeSet: true},
-			wantErr: "must be positive",
-		},
-		{
-			name: "stale age with an elastic worker",
-			s: cli.CacheFlags{
-				URL: "http://localhost:9", Shard: "auto",
-				StaleAge: 5 * time.Second, StaleAgeSet: true,
-			},
-			mode:        "rw",
-			wantElastic: true,
 		},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
@@ -161,54 +62,7 @@ func TestValidateCacheFlags(t *testing.T) {
 			if setup.Mode != tt.mode {
 				t.Fatalf("mode: want %q got %q", tt.mode, setup.Mode)
 			}
-			if (setup.Chaos != nil) != tt.wantChaos {
-				t.Fatalf("chaos spec: want present=%t got %v", tt.wantChaos, setup.Chaos)
-			}
-			if setup.Elastic != tt.wantElastic {
-				t.Fatalf("elastic: want %t got %t", tt.wantElastic, setup.Elastic)
-			}
 		})
-	}
-}
-
-// TestValidateCacheServeFlags pins -cache-serve's contract: it turns the
-// process into a cache server, needs the directory to serve, and takes no
-// flag that would configure a local run.
-func TestValidateCacheServeFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		explicit map[string]bool
-		wantErr  string
-	}{
-		{name: "no cache-serve", explicit: map[string]bool{"fig3": true, "cache-dir": true}},
-		{name: "serve with its dir", explicit: map[string]bool{"cache-serve": true, "cache-dir": true}},
-		{
-			name:     "serve without a dir",
-			explicit: map[string]bool{"cache-serve": true},
-			wantErr:  "needs -cache-dir",
-		},
-		{
-			name:     "serve with an experiment",
-			explicit: map[string]bool{"cache-serve": true, "cache-dir": true, "fig8": true},
-			wantErr:  "-fig8",
-		},
-		{
-			name:     "serve with shard and jobs",
-			explicit: map[string]bool{"cache-serve": true, "cache-dir": true, "shard": true, "j": true},
-			wantErr:  "-j, -shard",
-		},
-	}
-	for _, tt := range cases {
-		err := cli.ValidateModeFlags(tt.explicit, "cache-serve", "serves", "cache-dir")
-		if tt.wantErr == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tt.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
-			t.Errorf("%s: got %v, want error containing %q", tt.name, err, tt.wantErr)
-		}
 	}
 }
 
@@ -248,7 +102,7 @@ func TestValidateWatchFlags(t *testing.T) {
 }
 
 // TestModeDispatch drives run's mode table. -version and -check-otlp, like
-// -watch and -cache-serve, take no report flag: given one, in either order,
+// -watch, take no report flag: given one, in either order,
 // they exit 2 with one stderr line naming the strays and print nothing to
 // stdout. Alone, each still does its job and exits 0.
 func TestModeDispatch(t *testing.T) {
@@ -349,13 +203,13 @@ func TestStatsKeepGoing(t *testing.T) {
 	}
 }
 
-// TestNetworkFlagsNameRestnet pins restbench's answer to the four flags that
+// TestNetworkFlagsNameRestnet pins restbench's answer to the two flags that
 // need the network stack: each exits 2 with one stderr line naming restnet,
 // before a store is opened (the read-write -cache-dir is never created) and
 // with nothing on stdout.
 func TestNetworkFlagsNameRestnet(t *testing.T) {
 	t.Parallel()
-	for _, flag := range []string{"-serve", "-watch", "-cache-serve", "-cache-url"} {
+	for _, flag := range []string{"-serve", "-watch"} {
 		dir := filepath.Join(t.TempDir(), "store")
 		var stdout, stderr bytes.Buffer
 		code := run([]string{"-fig3", "-scale", "1", "-cache-dir", dir, flag, "127.0.0.1:0"}, &stdout, &stderr)

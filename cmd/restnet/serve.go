@@ -18,7 +18,9 @@ import (
 )
 
 // startTelemetryServer serves the exporter's /otlp/* endpoints and
-// /debug/pprof/ on addr until the returned listener is closed.
+// /debug/pprof/ on addr until the returned listener is closed. The
+// listener's Addr is the resolved address, usable in a printed URL even for
+// ":0" specs.
 func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (net.Listener, error) {
 	mux := http.NewServeMux()
 	src := &otlphttp.Source{Service: tel.Service, Snapshot: tel.Snapshot, Bus: tel.Bus, Start: tel.Start}
@@ -28,20 +30,13 @@ func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return listen("serve", addr, mux, stderr)
-}
-
-// listen binds addr for the -name flag and serves mux on it until the
-// returned listener is closed. The listener's Addr is the resolved address,
-// usable in a printed URL even for ":0" specs.
-func listen(name, addr string, mux *http.ServeMux, stderr io.Writer) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("restnet: -%s %s: %w", name, addr, err)
+		return nil, fmt.Errorf("restnet: -serve %s: %w", addr, err)
 	}
 	go func() {
 		if err := http.Serve(ln, mux); !errors.Is(err, net.ErrClosed) {
-			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(stderr, "serve: %v\n", err)
 		}
 	}()
 	return ln, nil

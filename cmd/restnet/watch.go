@@ -243,14 +243,6 @@ func (w *watchState) render(now time.Time) string {
 		rate(v["rest.cache.disk.result_hits"], v["rest.cache.disk.result_misses"]),
 		rate(v["rest.sim.blockcache.hits"], v["rest.sim.blockcache.misses"]))
 
-	if n := v["rest.persist.retry.attempts"]; n > 0 {
-		fmt.Fprintf(&b, "  persist: %d attempts, %d retries, %d giveups | breaker: %d trips, %d rejects | chaos: %d faults\n",
-			n, v["rest.persist.retry.retries"], v["rest.persist.retry.giveups"],
-			v["rest.persist.breaker.trips"], v["rest.persist.breaker.rejects"],
-			v["rest.persist.chaos.errs"]+v["rest.persist.chaos.torn"]+
-				v["rest.persist.chaos.corrupt"]+v["rest.persist.chaos.nospace"])
-	}
-
 	fmt.Fprintf(&b, "  stream: %d spans seen (ok %d, hole %d, skipped %d); exporter published %d, dropped %d\n",
 		w.spans, w.verdicts["ok"], w.verdicts["hole"], w.verdicts["skipped"],
 		v["rest.sweep.live.stream_published"], v["rest.sweep.live.stream_dropped"])

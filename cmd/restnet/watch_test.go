@@ -41,10 +41,6 @@ func TestWatchStateIngestAndRender(t *testing.T) {
 		r.Counter("harness.trace_cache.misses").Add(1)
 		r.Counter("harness.diskcache.result_hits").Add(2)
 		r.Counter("harness.diskcache.result_misses").Add(2)
-		r.Counter("persist.retry.attempts").Add(10)
-		r.Counter("persist.retry.retries").Add(2)
-		r.Counter("persist.breaker.trips").Add(1)
-		r.Counter("persist.chaos.errs").Add(5)
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +61,6 @@ func TestWatchStateIngestAndRender(t *testing.T) {
 		"eta 20s",                    // 4 done in 20s -> 4 left in 20s
 		"trace 75% (3/4)",            // trace cache rate
 		"disk-result 50% (2/4)",      // disk result rate
-		"10 attempts, 2 retries",     // persist plane
-		"1 trips",                    // breaker
-		"5 faults",                   // chaos total
 		"2 spans seen (ok 1, hole 1", // verdict tally
 		"last hole: hole: cell timeout",
 		"w0", "lbm/baseline", "via capture",

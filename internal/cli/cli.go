@@ -2,9 +2,9 @@
 // flag table, the mode table, the report table and the sweep loop that
 // feeds every report's grid through the harness. Both commands call Run;
 // restbench passes no Net, so it links none of the network stack, and
-// restnet passes the code behind the four flags that need it (-serve,
-// -watch, -cache-serve, -cache-url). There is one sweep path: the two
-// binaries print the same reports byte for byte.
+// restnet passes the code behind the two flags that need it (-serve,
+// -watch). There is one sweep path: the two binaries print the same reports
+// byte for byte.
 package cli
 
 import (
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -30,9 +29,9 @@ import (
 )
 
 // Net is the network half of the command line, which only restnet links.
-// Run registers -serve, -watch, -cache-serve and -cache-url only when it is
-// given a Net; without one (restbench) each of them fails the spelling in
-// one line that names restnet.
+// Run registers -serve and -watch only when it is given a Net; without one
+// (restbench) each of them fails the spelling in one line that names
+// restnet.
 type Net struct {
 	// Serve serves tel's /otlp/* endpoints and /debug/pprof/ on addr
 	// (-serve) until the returned closer is closed.
@@ -40,99 +39,50 @@ type Net struct {
 	// Watch renders a live dashboard of the process serving addr (-watch)
 	// until its stream ends.
 	Watch func(addr string, stdout io.Writer) error
-	// CacheServe serves the store under dir on addr (-cache-serve) until
-	// SIGINT/SIGTERM.
-	CacheServe func(addr, dir string, stderr io.Writer) error
-	// Dial opens the -cache-serve server at url (-cache-url) as a raw
-	// store backend whose lock leases renew well inside staleAge (0 = the
-	// default age).
-	Dial func(url string, staleAge time.Duration) (persist.Backend, error)
 }
 
 // CacheFlags is the persistent-cache flag spelling under validation,
 // separated from the flag package so every combination can be checked
 // without a run.
 type CacheFlags struct {
-	Dir         string
-	URL         string // -cache-url (HTTP backend; mutually exclusive with Dir)
-	RO          bool   // -cache-ro
-	Chaos       string // -cache-chaos spec (empty = no chaos)
-	StaleAge    time.Duration
-	StaleAgeSet bool   // -cache-stale-age given explicitly
-	Shard       string // -shard spec: empty, or "auto" for the elastic pool
+	Dir string // -cache-dir
+	RO  bool   // -cache-ro
 }
 
-// CacheSetup is the validated, resolved persistent-cache configuration:
-// the effective store mode, the parsed chaos spec, and whether this process
-// is an elastic pool worker.
+// CacheSetup is the validated, resolved persistent-cache configuration.
 type CacheSetup struct {
-	Mode    string // "rw" or "ro"
-	Chaos   *persist.ChaosSpec
-	Elastic bool // -shard auto
+	Mode string // "rw" or "ro"
 }
 
 // ValidateCacheFlags rejects contradictory persistent-cache spellings with
-// one actionable line each, resolves the effective mode ("rw", the default,
-// or "ro"), and parses the chaos spec if given.
+// one actionable line each and resolves the effective mode ("rw", the
+// default, or "ro").
 func ValidateCacheFlags(s CacheFlags) (CacheSetup, error) {
 	var none CacheSetup
-	if s.Dir != "" && s.URL != "" {
-		return none, errors.New("-cache-dir and -cache-url are mutually exclusive; pass one store, not both")
+	if s.Dir == "" && s.RO {
+		return none, errors.New("-cache-ro configures the persistent cache; pass -cache-dir DIR to enable it")
 	}
-	store := s.Dir != "" || s.URL != ""
-	mode := "rw"
-	if s.RO {
-		mode = "ro"
+	if !s.RO {
+		return CacheSetup{Mode: "rw"}, nil
 	}
-	if !store && (s.RO || s.Chaos != "" || s.StaleAgeSet) {
-		return none, errors.New("-cache-ro/-cache-chaos/-cache-stale-age configure the persistent cache; pass -cache-dir DIR or -cache-url URL to enable it")
+	if fi, err := os.Stat(s.Dir); err != nil || !fi.IsDir() {
+		return none, fmt.Errorf("-cache-ro: cache directory %q does not exist", s.Dir)
 	}
-	if s.StaleAgeSet && s.StaleAge <= 0 {
-		return none, fmt.Errorf("-cache-stale-age must be positive, got %v", s.StaleAge)
-	}
-	setup := CacheSetup{Mode: mode}
-	if s.Chaos != "" {
-		var err error
-		if setup.Chaos, err = persist.ParseChaosSpec(s.Chaos); err != nil {
-			return none, fmt.Errorf("-cache-chaos: %v", err)
-		}
-	}
-	if mode == "ro" && s.Dir != "" {
-		fi, statErr := os.Stat(s.Dir)
-		if statErr != nil || !fi.IsDir() {
-			return none, fmt.Errorf("-cache-ro: cache directory %q does not exist", s.Dir)
-		}
-	}
-	if s.Shard != "" {
-		if s.Shard != "auto" {
-			return none, fmt.Errorf("-shard %q: the only spelling is -shard auto (join the elastic pool)", s.Shard)
-		}
-		if !store || mode != "rw" {
-			return none, errors.New("-shard auto publishes its artifacts to the shared store; pass -cache-dir DIR or -cache-url URL in read-write mode")
-		}
-		setup.Elastic = true
-	}
-	return setup, nil
+	return CacheSetup{Mode: "ro"}, nil
 }
 
 // ValidateModeFlags enforces the contract of a flag that turns the command
 // into something other than a local sweep (one row of Run's mode table):
-// with mode set, every flag in need must be set too and nothing else may
-// be, or the spelling fails with one actionable line. role says what the
-// mode does. explicit holds the flag names the user actually set
-// (flag.Visit).
-func ValidateModeFlags(explicit map[string]bool, mode, role string, need ...string) error {
+// with mode set, no other flag may be, or the spelling fails with one
+// actionable line. role says what the mode does. explicit holds the flag
+// names the user actually set (flag.Visit).
+func ValidateModeFlags(explicit map[string]bool, mode, role string) error {
 	if !explicit[mode] {
 		return nil
 	}
-	for _, name := range need {
-		if !explicit[name] {
-			return fmt.Errorf("-%s needs -%s", mode, name)
-		}
-	}
 	var bad []string
 	for name := range explicit {
-		if name != mode && !slices.Contains(need, name) {
+		if name != mode {
 			bad = append(bad, "-"+name)
 		}
 	}
@@ -167,14 +117,8 @@ type session struct {
 	degraded bool
 }
 
-// out writes one finished report to stdout, except on an elastic pool
-// worker: its view of every grid is partial by construction, so a plain run
-// over the shared store renders the real reports.
-func (s *session) out(text string) {
-	if !s.opt.Elastic {
-		fmt.Fprintln(s.stdout, text)
-	}
-}
+// out writes one finished report to stdout.
+func (s *session) out(text string) { fmt.Fprintln(s.stdout, text) }
 
 // elapsed reports a sweep's wall clock on stderr, so that stdout stays
 // byte-identical across -j values (the determinism guarantee).
@@ -198,15 +142,6 @@ func (s *session) sweep(name string, cells int, grid func(harness.ParallelOption
 	}
 	s.tel.AddSweep(cells)
 	o.OnCell = harness.ObserveCells(name, meter, s.tracer, s.stream)
-	// The elastic summary is a pool worker's only account of the pool
-	// dynamics: how many units it claimed (and how many of those were
-	// steals from dead peers), how many it published, and how many it
-	// abandoned to a livelier thief. CI greps the "elastic pool:" prefix.
-	o.OnElastic = func(st harness.ElasticStats) {
-		fmt.Fprintf(s.stderr,
-			"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
-			name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
-	}
 	m, err := grid(o)
 	if err != nil {
 		var merr *harness.MatrixError
@@ -227,24 +162,20 @@ func (s *session) sweep(name string, cells int, grid func(harness.ParallelOption
 	return m, nil
 }
 
-// report is one row of the report table: the flag that selects it, whether
-// it is a sweep grid an elastic worker drains into the shared store, and
-// how it runs. Every other row (tables, the §VI-B cells, which need live
-// worlds, and the §V campaign) claims no units, so it runs only in a plain
-// invocation.
+// report is one row of the report table: the flag that selects it and how
+// it runs.
 type report struct {
 	flag, usage string
-	grid        bool
 	run         func(*session) error
 }
 
 // reports lists every report in -all's print order.
 var reports = []report{
-	{"table2", "print Table II", false, func(s *session) error {
+	{"table2", "print Table II", func(s *session) error {
 		s.out(harness.RenderTableII())
 		return nil
 	}},
-	{"table1", "run the Table I conformance matrix", false, func(s *session) error {
+	{"table1", "run the Table I conformance matrix", func(s *session) error {
 		out, ok := harness.RunTableI()
 		s.out(out)
 		if !ok {
@@ -252,7 +183,7 @@ var reports = []report{
 		}
 		return nil
 	}},
-	{"fig3", "regenerate Figure 3", true, func(s *session) error {
+	{"fig3", "regenerate Figure 3", func(s *session) error {
 		var r *harness.Fig3Result
 		_, err := s.sweep("fig3", len(workload.All())*(len(harness.Fig3Components)+1),
 			func(o harness.ParallelOptions) (m *harness.Matrix, err error) {
@@ -267,7 +198,7 @@ var reports = []report{
 		s.out(r.Render())
 		return nil
 	}},
-	{"fig7", "regenerate Figure 7", true, func(s *session) error {
+	{"fig7", "regenerate Figure 7", func(s *session) error {
 		wls := workload.All()
 		if s.variants {
 			wls = workload.AllVariants()
@@ -291,7 +222,7 @@ var reports = []report{
 		}
 		return nil
 	}},
-	{"fig8", "regenerate Figure 8", true, func(s *session) error {
+	{"fig8", "regenerate Figure 8", func(s *session) error {
 		cfgs := append(harness.Fig8Configs(), harness.BinaryConfig{Name: "plain", Pass: prog.Plain()})
 		m, err := s.sweep("fig8", len(workload.All())*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
 			return harness.RunMatrixParallel(s.ctx, workload.All(), cfgs, s.scale, o)
@@ -306,7 +237,7 @@ var reports = []report{
 		}
 		return nil
 	}},
-	{"fig8sens", "run the Figure 8 timing-sensitivity sweep", true, func(s *session) error {
+	{"fig8sens", "run the Figure 8 timing-sensitivity sweep", func(s *session) error {
 		cfgs := harness.Fig8SensitivityConfigs()
 		m, err := s.sweep("fig8sens", len(workload.All())*len(cfgs), func(o harness.ParallelOptions) (*harness.Matrix, error) {
 			return harness.RunMatrixParallel(s.ctx, workload.All(), cfgs, s.scale, o)
@@ -321,7 +252,7 @@ var reports = []report{
 		}
 		return nil
 	}},
-	{"stats", "print §VI-B microarchitectural statistics", false, func(s *session) error {
+	{"stats", "print §VI-B microarchitectural statistics", func(s *session) error {
 		wl, err := workload.ByName(s.statsWL)
 		if err != nil {
 			return err
@@ -345,7 +276,7 @@ var reports = []report{
 		s.out(ms.Render())
 		return nil
 	}},
-	{"faults", "run the §V fault-injection campaign", false, func(s *session) error {
+	{"faults", "run the §V fault-injection campaign", func(s *session) error {
 		start := time.Now()
 		c, err := fault.RunCampaign(fault.Options{Seed: s.seed, Only: s.only, Engine: s.opt.Engine})
 		if err != nil {
@@ -366,7 +297,7 @@ var reports = []report{
 		}
 		return nil
 	}},
-	{"table3", "print Table III", false, func(s *session) error {
+	{"table3", "print Table III", func(s *session) error {
 		s.out(harness.RenderTableIII())
 		return nil
 	}},
@@ -396,10 +327,7 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	fs.BoolVar(&s.keepGoing, "keep-going", false, "report failed cells as holes and exit 0")
 	engineName := fs.String("engine", "auto", "functional simulator engine: blocks (default), ref, auto")
 	cacheDir := fs.String("cache-dir", "", "persistent result store directory (empty = no persistent cache)")
-	shardSpec := fs.String("shard", "", "\"auto\" joins an elastic work-stealing pool over the shared store; requires a read-write -cache-dir or -cache-url, suppresses stdout reports")
 	cacheRO := fs.Bool("cache-ro", false, "persistent cache in read-only mode (directory must exist)")
-	cacheChaos := fs.String("cache-chaos", "", "inject storage faults: comma-separated spec, e.g. seed=7,rate=0.5 or err=0.1,torn=0.05,delay=5ms (drill/testing)")
-	cacheStaleAge := fs.Duration("cache-stale-age", 0, "age past which an abandoned elastic claim or lease is considered dead and stolen (0 = default, 10m)")
 	fs.Int64Var(&s.seed, "seed", 42, "seed for the -faults campaign")
 	fs.StringVar(&s.only, "only", "", "substring filter for -faults scenarios")
 	metricsOut := fs.String("metrics", "", "write sweep metrics to this file as CSV")
@@ -408,13 +336,11 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	checkOTLP := fs.String("check-otlp", "", "validate an OTLP dump file (document, NDJSON or SSE) and exit")
 	version := fs.Bool("version", false, "print build/version information and exit")
 	// The network flags, registered only when a Net backs them.
-	var cacheURL, cacheServe, serveAddr, watchAddr string
+	var serveAddr, watchAddr string
 	netFlags := []struct {
 		p           *string
 		name, usage string
 	}{
-		{&cacheURL, "cache-url", "shared artifact cache server URL (see -cache-serve; mutually exclusive with -cache-dir)"},
-		{&cacheServe, "cache-serve", "serve the -cache-dir artifact store to other processes on this address and exit on SIGINT/SIGTERM"},
 		{&serveAddr, "serve", "serve OTLP telemetry (/otlp/metrics, /otlp/stream) and net/http/pprof (/debug/pprof/) on this address (e.g. localhost:7788)"},
 		{&watchAddr, "watch", "attach a live dashboard to another process's -serve address and exit with it"},
 	}
@@ -449,19 +375,18 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	// The mode table. A mode turns the command into something other than a
-	// local sweep and takes only the flags in need, so a stray flag fails
-	// the spelling here in one line instead of being silently dropped.
+	// local sweep and takes no other flag, so a stray one fails the
+	// spelling here in one line instead of being silently dropped.
 	for _, m := range []struct {
 		flag, role string
-		need       []string
 		on         bool
 		run        func() error
 	}{
-		{"version", "prints the build and takes no other flags", nil, *version, func() error {
+		{"version", "prints the build and takes no other flags", *version, func() error {
 			_, err := fmt.Fprintln(stdout, obs.ReadBuild())
 			return err
 		}},
-		{"check-otlp", "validates an OTLP dump and takes no other flags", nil, *checkOTLP != "", func() error {
+		{"check-otlp", "validates an OTLP dump and takes no other flags", *checkOTLP != "", func() error {
 			raw, err := os.ReadFile(*checkOTLP)
 			if err != nil {
 				return fmt.Errorf("%s: -check-otlp: %v", name, err)
@@ -473,13 +398,11 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 			_, err = fmt.Fprintf(stdout, "%s: %d valid OTLP document(s)\n", *checkOTLP, n)
 			return err
 		}},
-		{"watch", "attaches to another process's -serve address and takes no other flags", nil, watchAddr != "", func() error {
+		{"watch", "attaches to another process's -serve address and takes no other flags", watchAddr != "", func() error {
 			return nw.Watch(watchAddr, stdout)
 		}},
-		{"cache-serve", "runs a cache server for other processes and takes only -cache-dir", []string{"cache-dir"},
-			cacheServe != "", func() error { return nw.CacheServe(cacheServe, *cacheDir, stderr) }},
 	} {
-		if err := ValidateModeFlags(explicit, m.flag, m.role, m.need...); err != nil {
+		if err := ValidateModeFlags(explicit, m.flag, m.role); err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", name, err)
 			return 2
 		}
@@ -495,15 +418,7 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	// Validate every remaining spelling up front, before a store is opened
 	// or a server bound: a contradictory one fails in one line here, not
 	// minutes into a run.
-	setup, err := ValidateCacheFlags(CacheFlags{
-		Dir:         *cacheDir,
-		URL:         cacheURL,
-		RO:          *cacheRO,
-		Chaos:       *cacheChaos,
-		StaleAge:    *cacheStaleAge,
-		StaleAgeSet: explicit["cache-stale-age"],
-		Shard:       *shardSpec,
-	})
+	setup, err := ValidateCacheFlags(CacheFlags{Dir: *cacheDir, RO: *cacheRO})
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", name, err)
 		return 2
@@ -538,7 +453,6 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 		s.ctx, cancel = context.WithTimeout(s.ctx, *timeout)
 		defer cancel()
 	}
-	s.opt.Elastic = setup.Elastic
 	s.opt.Metrics = *metricsOut != ""
 	// One cache for the whole invocation: grids that share functional
 	// identities across sweeps (e.g. -fig8 and -fig8sens both time the
@@ -546,33 +460,13 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	tcache := harness.NewTraceCache()
 	s.opt.TraceCache = tcache
 	// The persistent tier extends the sweeps across invocations with
-	// memoized clean cell results (and, over -cache-url, across processes
-	// and machines sharing one -cache-serve store).
+	// memoized clean cell results.
 	var pcache *persist.Cache
-	if *cacheDir != "" || cacheURL != "" {
-		popt := persist.Options{
-			ReadOnly:     setup.Mode == "ro",
-			Chaos:        setup.Chaos,
-			StaleLockAge: *cacheStaleAge,
-		}
-		if cacheURL != "" {
-			// A remote store adds network stalls the local disk never
-			// sees: bound every attempt.
-			popt.OpTimeout = 30 * time.Second
-			var raw persist.Backend
-			if raw, err = nw.Dial(cacheURL, *cacheStaleAge); err == nil {
-				pcache, err = persist.OpenBackend(raw, popt)
-			}
-		} else {
-			pcache, err = persist.Open(*cacheDir, popt)
-		}
-		if err != nil {
+	if *cacheDir != "" {
+		if pcache, err = persist.Open(*cacheDir, persist.Options{ReadOnly: setup.Mode == "ro"}); err != nil {
 			return fail(err)
 		}
 		tcache.AttachDisk(pcache)
-		if setup.Chaos != nil {
-			fmt.Fprintf(stderr, "disk cache: chaos injection active (%s)\n", setup.Chaos)
-		}
 	}
 
 	// The observability plane. All of it writes to files, stderr or its
@@ -591,12 +485,6 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	}
 	if *traceOut != "" {
 		s.tracer = obs.NewTrace()
-	}
-	if s.opt.Elastic {
-		n := len(selected)
-		if selected = slices.DeleteFunc(selected, func(r report) bool { return !r.grid }); len(selected) < n {
-			fmt.Fprintln(stderr, "-shard auto computes sweep grids only; tables, -stats and -faults are left to a plain run over the store")
-		}
 	}
 	for _, r := range selected {
 		if err := r.run(s); err != nil {
@@ -623,22 +511,6 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 		dc = &c
 	}
 	fmt.Fprint(stderr, CacheSummary(hits, misses, bypass, dc))
-	if pcache != nil {
-		c := pcache.Counters()
-		if st := pcache.StackCounters(); c.Unavailable > 0 || st.Retries > 0 || st.BreakerTrips > 0 ||
-			st.Timeouts > 0 || st.ChaosErrs+st.ChaosTorn+st.ChaosCorrupt+st.ChaosNoSpace > 0 {
-			fmt.Fprintf(stderr,
-				"disk cache: %d ops degraded to recompute, %d retries (%d gave up), %d timeouts, breaker %d trips / %d fast-fails / %d recoveries, chaos injected %d errs / %d torn / %d corrupt / %d nospace\n",
-				c.Unavailable, st.Retries, st.RetryGiveups, st.Timeouts,
-				st.BreakerTrips, st.BreakerRejects, st.BreakerRecoveries,
-				st.ChaosErrs, st.ChaosTorn, st.ChaosCorrupt, st.ChaosNoSpace)
-		}
-		if hc, ok := pcache.HTTPCounters(); ok {
-			fmt.Fprintf(stderr,
-				"http cache: %d gets / %d puts / %d lists, %d lock ops (%d renews), %d transport errors, %d B in / %d B out\n",
-				hc.Gets, hc.Puts, hc.Lists, hc.LockOps, hc.Renews, hc.TransportErrs, hc.BytesIn, hc.BytesOut)
-		}
-	}
 	if s.degraded {
 		fmt.Fprintln(stderr, "some sweep cells failed; reports contain annotated holes (-keep-going)")
 	}

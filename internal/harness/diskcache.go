@@ -13,11 +13,11 @@ import (
 // The persistent tier of the trace cache. The in-memory cache dies with the
 // process: every restbench invocation would re-time the whole grid.
 // AttachDisk extends it across processes with the result store: a cell
-// whose full identity (functional identity × timing config, with the
-// format version in the file header) was ever completed cleanly returns its
-// memoized cpu.Stats without building a world at all, so a second run of an
-// unchanged sweep is almost pure I/O. Every clean cell computed here is
-// stored for the next process.
+// whose full identity (ModelVersion × functional identity × timing config,
+// with the format version in the file header) was ever completed cleanly
+// returns its memoized cpu.Stats without building a world at all, so a
+// second run of an unchanged sweep is almost pure I/O. Every clean cell
+// computed here is stored for the next process.
 //
 // Traces are not persisted. Replaying a stored trace lost to re-executing
 // the cell on the block engine in every measured pair, so an unshared cell
@@ -26,7 +26,7 @@ import (
 //
 // The determinism contract is unchanged: the result codec round-trips
 // cpu.Stats bit-exactly (IPC as IEEE-754 bits), and every disk failure —
-// miss, corruption, version skew, an unavailable backend — degrades to
+// miss, corruption, version skew, an unreadable file — degrades to
 // recompute (and, in read-write mode, rewrite), so cold-cache, warm-cache
 // and cache-off sweeps render byte-identical reports. Cells that need
 // surfaces a file cannot carry — a metric registry (CellLimits.Metrics) or a
@@ -73,12 +73,23 @@ func timingIdentity(cfg BinaryConfig) string {
 	return fmt.Sprintf("inorder=%t|cpu=%s|hier=%s", cfg.InOrder, cpuJSON, hierJSON)
 }
 
-// resultIdentity digests the full identity of one cell: its functional
-// identity × its normalized timing configuration.
+// ModelVersion names the simulator's behaviour in every result identity.
+// The identity spells a cell's workload and its configuration, but not the
+// code that simulates them or the defaults a "default" config resolves to,
+// so a change that moves any simulated number must bump this: every stored
+// result then misses once and is recomputed, where it would otherwise be
+// served stale. TestModelGolden digests a fixed grid's cpu.Stats and
+// outcome checksums and fails when they move while this constant does not.
+// A change that only makes the simulator faster leaves the digest, and so
+// this constant, alone.
+const ModelVersion = 1
+
+// resultIdentity digests the full identity of one cell: the model version ×
+// its functional identity × its normalized timing configuration.
 func resultIdentity(k traceKey, cfg BinaryConfig) persist.ID {
 	return persist.SumID(fmt.Sprintf(
-		"result|wl=%s|scale=%d|flavour=%s|stack=%t|checks=%t|tw=%d|rz=%d|mode=%d|intercept=%d|budget=%d|%s",
-		k.workload, k.scale, k.pass.Flavour, k.pass.StackProtection, k.pass.AccessChecks,
+		"result|model=%d|wl=%s|scale=%d|flavour=%s|stack=%t|checks=%t|tw=%d|rz=%d|mode=%d|intercept=%d|budget=%d|%s",
+		ModelVersion, k.workload, k.scale, k.pass.Flavour, k.pass.StackProtection, k.pass.AccessChecks,
 		k.pass.TokenWidth, k.pass.RedzoneBytes, k.mode, k.intercept, k.budget,
 		timingIdentity(cfg)))
 }
@@ -130,39 +141,4 @@ func (tc *TraceCache) recordDiskObs(r *obs.Registry) {
 	r.Counter("harness.diskcache.corruptions").Add(c.Corruptions)
 	r.Counter("harness.diskcache.unavailable").Add(c.Unavailable)
 	r.Counter("harness.diskcache.bytes").Add(c.Bytes)
-
-	// The cross-process lock plane: how often this process lost an elastic
-	// unit claim to a live holder.
-	r.Counter("persist.lock.contended").Add(c.LockContended)
-
-	// Wire traffic when the store is a remote cache server (absent for a
-	// local directory, so local metric dumps carry no dead rows).
-	if hc, ok := pc.HTTPCounters(); ok {
-		r.Counter("persist.httpbackend.gets").Add(hc.Gets)
-		r.Counter("persist.httpbackend.puts").Add(hc.Puts)
-		r.Counter("persist.httpbackend.deletes").Add(hc.Deletes)
-		r.Counter("persist.httpbackend.lists").Add(hc.Lists)
-		r.Counter("persist.httpbackend.lock_ops").Add(hc.LockOps)
-		r.Counter("persist.httpbackend.renews").Add(hc.Renews)
-		r.Counter("persist.httpbackend.transport_errs").Add(hc.TransportErrs)
-		r.Counter("persist.httpbackend.bytes_in").Add(hc.BytesIn)
-		r.Counter("persist.httpbackend.bytes_out").Add(hc.BytesOut)
-	}
-
-	// The hardening layer's own activity (same operational-state caveat).
-	s := pc.StackCounters()
-	r.Counter("persist.retry.attempts").Add(s.RetryAttempts)
-	r.Counter("persist.retry.retries").Add(s.Retries)
-	r.Counter("persist.retry.giveups").Add(s.RetryGiveups)
-	r.Counter("persist.timeout.hits").Add(s.Timeouts)
-	r.Counter("persist.breaker.trips").Add(s.BreakerTrips)
-	r.Counter("persist.breaker.rejects").Add(s.BreakerRejects)
-	r.Counter("persist.breaker.probes").Add(s.BreakerProbes)
-	r.Counter("persist.breaker.recoveries").Add(s.BreakerRecoveries)
-	r.Counter("persist.chaos.errs").Add(s.ChaosErrs)
-	r.Counter("persist.chaos.torn").Add(s.ChaosTorn)
-	r.Counter("persist.chaos.corrupt").Add(s.ChaosCorrupt)
-	r.Counter("persist.chaos.nospace").Add(s.ChaosNoSpace)
-	r.Counter("persist.chaos.latency").Add(s.ChaosLatency)
-	r.Counter("persist.chaos.lockstalls").Add(s.ChaosLockStalls)
 }

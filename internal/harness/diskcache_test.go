@@ -154,18 +154,13 @@ func TestDiskCacheSweepDifferential(t *testing.T) {
 	}
 
 	// (a) Results only: cold sensitivity and Figure 7 sweeps — shared and
-	// unshared identities — leave the backend holding one result per
-	// distinct cell, no trace object and no meta object.
-	mb := persist.NewMemBackend()
-	memPC, err := persist.OpenBackend(mb, persist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memTC := NewTraceCache()
-	memTC.AttachDisk(memPC)
+	// unshared identities — leave the store holding one result per distinct
+	// cell and nothing else.
+	freshDir := t.TempDir()
+	freshTC, _ := diskTC(t, freshDir, persist.Options{})
 	cells := map[persist.ID]bool{}
 	for _, grid := range [][]BinaryConfig{cfgs, Fig7Configs()} {
-		if _, err := RunMatrixParallel(ctx, wls, grid, 1, ParallelOptions{Workers: 2, TraceCache: memTC}); err != nil {
+		if _, err := RunMatrixParallel(ctx, wls, grid, 1, ParallelOptions{Workers: 2, TraceCache: freshTC}); err != nil {
 			t.Fatal(err)
 		}
 		for _, wl := range wls {
@@ -174,11 +169,11 @@ func TestDiskCacheSweepDifferential(t *testing.T) {
 			}
 		}
 	}
-	if got := mb.Len("result"); got != len(cells) {
+	if got := len(resultFiles(t, freshDir)); got != len(cells) {
 		t.Errorf("store holds %d results after %d distinct cold cells", got, len(cells))
 	}
-	if tr, meta := mb.Len("trace"), mb.Len("meta"); tr != 0 || meta != 0 {
-		t.Errorf("cold sweeps left %d trace and %d meta objects; want results only", tr, meta)
+	if ents, err := os.ReadDir(freshDir); err != nil || len(ents) != 1 || ents[0].Name() != "results" {
+		t.Errorf("cold sweeps left %v (%v) in the store; want results/ only", ents, err)
 	}
 
 	// (b) A store in the older layout: the cold results, a manifest.json
@@ -253,7 +248,7 @@ func legacyLayout(t *testing.T, dir string, wl workload.Workload, cfg BinaryConf
 	_, out := w.RunTimedCapture(rec)
 	defer rec.Release()
 	pc := openDisk(t, dir, persist.Options{})
-	fid := funcIdentity(cellTraceKey(wl.Name, cfg, 1, 0))
+	fid := persist.SumID(fmt.Sprintf("trace|%+v", cellTraceKey(wl.Name, cfg, 1, 0)))
 	if err := pc.StoreTrace(fid, rec, out.Checksum); err != nil {
 		t.Fatal(err)
 	}
@@ -339,56 +334,40 @@ func TestDiskCacheCorruptionRecovery(t *testing.T) {
 }
 
 // TestKilledLeaderRecovery pins crash consistency: a process killed
-// mid-sweep leaves partial artifacts; a rerun over the same store completes
-// from the partial artifacts (served cells are result hits) and recomputes
-// only what is missing — the store ends up with exactly the full artifact
-// set, no duplicates. The rerun's metric export carries the lock-plane
-// counter.
+// mid-sweep leaves the results of the cells it finished and none of the
+// cell it was running. A rerun over the same store serves every surviving
+// result, recomputes exactly the missing cell, and leaves the store with
+// the full result set and no duplicates.
 func TestKilledLeaderRecovery(t *testing.T) {
 	t.Parallel()
-	mb := persist.NewMemBackend()
-	opt := persist.Options{}
-
-	pc1, err := persist.OpenBackend(mb, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc1 := NewTraceCache()
-	tc1.AttachDisk(pc1)
+	dir := t.TempDir()
+	tc1, _ := diskTC(t, dir, persist.Options{})
 	first, _ := sensRender(t, tc1, 1)
-	full := mb.Len("result")
+	full := len(resultFiles(t, dir))
 
 	// The "kill": the dead process was mid-run on its first cell, so that
-	// cell's result never landed. Every other artifact survives.
+	// cell's result never landed. Every other result survives.
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
 	k0 := cellTraceKey(wls[0].Name, cfgs[0], 1, 0)
-	if err := mb.Delete("result", resultIdentity(k0, cfgs[0]).String()); err != nil {
+	if err := os.Remove(filepath.Join(dir, "results", resultIdentity(k0, cfgs[0]).String()+".res")); err != nil {
 		t.Fatal(err)
 	}
 
-	pc2, err := persist.OpenBackend(mb, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc2 := NewTraceCache()
-	tc2.AttachDisk(pc2)
+	tc2, pc2 := diskTC(t, dir, persist.Options{})
 	rerun, _ := sensRender(t, tc2, 1)
 	if rerun != first {
 		t.Fatalf("rerun after kill rendered differently")
 	}
-	c := pc2.Counters()
-	if c.ResultHits == 0 {
-		t.Fatalf("rerun ignored the surviving artifacts: %+v", c)
+	want := persist.Counters{ResultHits: uint64(full - 1), ResultMisses: 1, Stores: 1, Bytes: resultFileBytes}
+	if c := pc2.Counters(); c != want {
+		t.Fatalf("rerun counters %+v, want %+v", c, want)
 	}
-	if c.Stores == 0 {
-		t.Fatalf("rerun recomputed nothing despite missing artifacts: %+v", c)
+	if got := len(resultFiles(t, dir)); got != full {
+		t.Fatalf("store not restored to the full result set: %d vs %d", got, full)
 	}
-	if got := mb.Len("result"); got != full {
-		t.Fatalf("store not restored to the full artifact set: %d vs %d", got, full)
-	}
-	if _, ok := newTestRegistry(t, tc2)["persist.lock.contended"]; !ok {
-		t.Errorf("recordDiskObs missing persist.lock.contended")
+	if reg := newTestRegistry(t, tc2); reg["harness.diskcache.stores"] != 1 {
+		t.Errorf("harness.diskcache.stores = %d, want 1: %v", reg["harness.diskcache.stores"], reg)
 	}
 }
 

@@ -31,8 +31,7 @@ type TelemetryExporter struct {
 	Start time.Time
 	// TraceCache, when attached, contributes its own and its store's live
 	// counters to every snapshot (the same harness.trace_cache.* /
-	// harness.diskcache.* / persist.* names the end-of-sweep aggregate
-	// records).
+	// harness.diskcache.* names the end-of-sweep aggregate records).
 	TraceCache *TraceCache
 
 	// The live state, written from worker goroutines and read by HTTP
@@ -151,7 +150,7 @@ func (x *TelemetryExporter) Snapshot() []obs.Metric {
 	reg.Gauge("harness.live.cells_total").Set(uint64(x.total))
 	reg.Gauge("harness.live.cells_done").Set(uint64(x.done))
 	reg.Gauge("harness.live.cells_holes").Set(uint64(x.holes))
-	// Cell registries never carry harness.*/persist.* series, so this merge
+	// Cell registries never carry harness.* series, so this merge
 	// can never double-count the counters recorded around it.
 	_ = reg.Merge(x.agg)
 	x.mu.Unlock()

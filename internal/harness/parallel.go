@@ -74,18 +74,6 @@ type ParallelOptions struct {
 	// CellEvent timestamps are deterministic; the simulation itself never
 	// reads it.
 	Now func() time.Time
-	// Elastic makes this process one worker of a work-stealing pool
-	// (elastic.go) instead of running the whole grid: units are claimed via
-	// leases on the shared store's lock plane, completions are recorded as
-	// markers, and the sweep exits when the whole grid has drained — across
-	// every worker, not just this one. The returned Matrix holds only the
-	// cells this worker computed; the full report is any plain run over the
-	// same store, where every published cell is a result-store hit. Requires
-	// a TraceCache with an attached persistent store.
-	Elastic bool
-	// OnElastic, when non-nil, receives this worker's pool participation
-	// tally once the elastic sweep drains. Ignored unless Elastic is set.
-	OnElastic func(ElasticStats)
 }
 
 // CellEvent is one cell's lifecycle report for the observability stream:
@@ -219,8 +207,7 @@ func (e *MatrixError) Unwrap() []error {
 	return out
 }
 
-// cellOutcome is one worker's report for one grid cell. The zero value is a
-// cell this process never ran (an elastic pool dealt it to another worker).
+// cellOutcome is one worker's report for one grid cell.
 type cellOutcome struct {
 	res     *RunResult
 	err     error
@@ -233,8 +220,8 @@ type gridCell struct {
 	cfg BinaryConfig
 }
 
-// gridCells lays the grid out workload-major: the order of every report,
-// outcome slot and elastic unit number.
+// gridCells lays the grid out workload-major: the order of every report and
+// outcome slot.
 func gridCells(wls []workload.Workload, cfgs []BinaryConfig) []gridCell {
 	cells := make([]gridCell, 0, len(wls)*len(cfgs))
 	for _, wl := range wls {
@@ -246,9 +233,9 @@ func gridCells(wls []workload.Workload, cfgs []BinaryConfig) []gridCell {
 }
 
 // sweep is one RunMatrixParallel call: the grid, one outcome slot per cell,
-// and the per-cell runner that both schedulers — the full-grid worker pool
-// and the elastic pool — drive. Each slot is written by the one goroutine
-// running its cell and read only after every worker has finished.
+// and the per-cell runner the worker pool drives. Each slot is written by
+// the one goroutine running its cell and read only after every worker has
+// finished.
 type sweep struct {
 	opt      ParallelOptions
 	scale    int64
@@ -330,11 +317,9 @@ func (s *sweep) emit(worker, i int, start, end time.Time) {
 	s.opt.OnCell(ev)
 }
 
-// assemble builds the Matrix from the cells that ran, in grid order, so the
-// Matrix (and any aggregated error) is identical no matter which worker
-// finished first. record, when non-nil, adds the scheduler's own counters to
-// the metrics aggregate.
-func (s *sweep) assemble(record func(*obs.Registry)) (*Matrix, error) {
+// assemble builds the Matrix in grid order, so the Matrix (and any
+// aggregated error) is identical no matter which worker finished first.
+func (s *sweep) assemble() (*Matrix, error) {
 	m := &Matrix{
 		Cycles:  make(map[string]map[string]uint64),
 		Results: make(map[string]map[string]*RunResult),
@@ -345,9 +330,6 @@ func (s *sweep) assemble(record func(*obs.Registry)) (*Matrix, error) {
 	merr := &MatrixError{}
 	for i, c := range s.cells {
 		o := s.outcomes[i]
-		if o.res == nil && o.err == nil && !o.skipped {
-			continue
-		}
 		if _, ok := m.Cycles[c.wl.Name]; !ok {
 			m.Workloads = append(m.Workloads, c.wl.Name)
 			m.Cycles[c.wl.Name] = make(map[string]uint64)
@@ -376,9 +358,6 @@ func (s *sweep) assemble(record func(*obs.Registry)) (*Matrix, error) {
 		}
 		if s.opt.TraceCache != nil {
 			s.opt.TraceCache.recordObs(m.Obs)
-		}
-		if record != nil {
-			record(m.Obs)
 		}
 	}
 	if len(merr.Cells) > 0 || merr.Skipped > 0 {
@@ -412,9 +391,6 @@ func RunMatrixParallel(ctx context.Context, wls []workload.Workload, cfgs []Bina
 	s.outcomes = make([]cellOutcome, len(s.cells))
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	defer s.cancel()
-	if opt.Elastic {
-		return s.runElastic()
-	}
 	if opt.TraceCache != nil {
 		// Register the grid before any cell runs, so capture/replay/bypass
 		// roles are a function of the grid alone, not of scheduling.
@@ -441,5 +417,5 @@ func RunMatrixParallel(ctx context.Context, wls []workload.Workload, cfgs []Bina
 	}
 	close(jobs)
 	wg.Wait()
-	return s.assemble(nil)
+	return s.assemble()
 }

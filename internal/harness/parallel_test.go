@@ -188,7 +188,7 @@ func assertNoWorlds(t *testing.T, what string, m *Matrix) {
 // so a sweep's retained memory is its stats, not its grid of worlds. It
 // covers every way a cell can run — streamed, captured, replayed from memory
 // or disk, captured to the store, served from the result store — under the
-// full-grid pool, the elastic pool and sequential RunMatrix, and checks that
+// worker pool and sequential RunMatrix, and checks that
 // the §VI-B micro stats, which do set NeedWorld, still read live worlds.
 func TestSweepsReturnWorldsOnlyUnderNeedWorld(t *testing.T) {
 	t.Parallel()
@@ -208,12 +208,15 @@ func TestSweepsReturnWorldsOnlyUnderNeedWorld(t *testing.T) {
 	}
 	assertNoWorlds(t, "full-grid pool, in-memory capture and replay", m)
 
-	url := cacheServer(t)
-	tc, _ := httpTC(t, url, persist.Options{})
-	_, m = elasticRender(t, tc, 2)
-	assertNoWorlds(t, "elastic pool, store-bound capture", m)
+	dir := t.TempDir()
+	tc, _ := diskTC(t, dir, persist.Options{})
+	m, err = RunMatrixParallel(ctx, wls, Fig8SensitivityConfigs(), 1, ParallelOptions{Workers: 2, TraceCache: tc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNoWorlds(t, "full-grid pool, store-bound capture", m)
 
-	tc, pc := httpTC(t, url, persist.Options{})
+	tc, pc := diskTC(t, dir, persist.Options{})
 	m, err = RunMatrixParallel(ctx, wls, Fig8SensitivityConfigs(), 1, ParallelOptions{Workers: 2, TraceCache: tc})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +228,7 @@ func TestSweepsReturnWorldsOnlyUnderNeedWorld(t *testing.T) {
 
 	// The micro stats run both cells through a fresh store: each one is a
 	// disk-only capture, and each must still come back with its world.
-	tc, _ = httpTC(t, cacheServer(t), persist.Options{})
+	tc, _ = diskTC(t, t.TempDir(), persist.Options{})
 	wl := subset(t, "xalanc")[0]
 	s, err := RunMicroStatsParallel(ctx, wl, 1, ParallelOptions{Workers: 2, TraceCache: tc})
 	if err != nil {

@@ -163,17 +163,6 @@ func (tc *TraceCache) Plan(wls []workload.Workload, cfgs []BinaryConfig, scale i
 	}
 }
 
-// planUnit registers n upcoming uses of one functional identity. The
-// elastic scheduler plans per-unit at claim time — it cannot plan the grid
-// up front like Plan, because which units this process runs is decided by
-// the pool, one claim at a time. Cross-process deduplication does not need
-// the in-memory plan at all; the pool's unit claims carry it.
-func (tc *TraceCache) planUnit(k traceKey, n int) {
-	tc.mu.Lock()
-	tc.plan[k] += n
-	tc.mu.Unlock()
-}
-
 // diskStore returns the attached persistent tier (nil when none).
 func (tc *TraceCache) diskStore() *persist.Cache {
 	tc.mu.Lock()

@@ -54,14 +54,11 @@ const (
 // semanticPrefixes maps internal registry prefixes to exported semantic
 // namespaces, longest (most specific) prefix first. Everything the
 // simulator proper emits lives under rest.sim.*; the two artifact-cache
-// tiers under rest.cache.*; the storage fault plane under rest.persist.*;
-// sweep bookkeeping under rest.sweep.*.
+// tiers under rest.cache.*; sweep bookkeeping under rest.sweep.*.
 var semanticPrefixes = []struct{ from, to string }{
 	{"harness.trace_cache.", "rest.cache.trace."},
 	{"harness.diskcache.", "rest.cache.disk."},
 	{"harness.", "rest.sweep."},
-	{"persist.httpbackend.", "rest.persist.http."},
-	{"persist.", "rest.persist."},
 	{"sim.blockcache.", "rest.sim.blockcache."},
 	{"sim.", "rest.sim."},
 	{"cpu.", "rest.sim.cpu."},

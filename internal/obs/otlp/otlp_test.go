@@ -29,21 +29,17 @@ func sampleRegistry() *obs.Registry {
 
 func TestSemanticNames(t *testing.T) {
 	cases := map[string]string{
-		"cpu.cycles":                   "rest.sim.cpu.cycles",
-		"cache.l1d.misses":             "rest.sim.cache.l1d.misses",
-		"alloc.sizes":                  "rest.sim.alloc.sizes",
-		"sim.heap_peak":                "rest.sim.heap_peak",
-		"sim.blockcache.hits":          "rest.sim.blockcache.hits",
-		"harness.trace_cache.hits":     "rest.cache.trace.hits",
-		"harness.diskcache.trace_hits": "rest.cache.disk.trace_hits",
-		"harness.live.cells_done":      "rest.sweep.live.cells_done",
-		"harness.elastic.steals":       "rest.sweep.elastic.steals",
-		"harness.elastic.lease_lost":   "rest.sweep.elastic.lease_lost",
-		"persist.breaker.trips":        "rest.persist.breaker.trips",
-		"persist.lock.contended":       "rest.persist.lock.contended",
-		"persist.httpbackend.gets":     "rest.persist.http.gets",
-		"fault.detected":               "rest.fault.detected",
-		"unmapped.thing":               "rest.unmapped.thing",
+		"cpu.cycles":                    "rest.sim.cpu.cycles",
+		"cache.l1d.misses":              "rest.sim.cache.l1d.misses",
+		"alloc.sizes":                   "rest.sim.alloc.sizes",
+		"sim.heap_peak":                 "rest.sim.heap_peak",
+		"sim.blockcache.hits":           "rest.sim.blockcache.hits",
+		"harness.trace_cache.hits":      "rest.cache.trace.hits",
+		"harness.diskcache.trace_hits":  "rest.cache.disk.trace_hits",
+		"harness.live.cells_done":       "rest.sweep.live.cells_done",
+		"harness.diskcache.unavailable": "rest.cache.disk.unavailable",
+		"fault.detected":                "rest.fault.detected",
+		"unmapped.thing":                "rest.unmapped.thing",
 	}
 	for in, want := range cases {
 		if got := SemanticName(in); got != want {

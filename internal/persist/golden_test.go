@@ -81,7 +81,7 @@ func TestGoldenV1TraceFile(t *testing.T) {
 	}
 	defer c.Close()
 	// The older binary's store layout, traces/ included.
-	path := c.path(KindTrace, id)
+	path := c.path(traceKind, id)
 	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestTraceDecodeEveryByteFlip(t *testing.T) {
 			if err := c.StoreTrace(id, rec, 7); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(c.path(KindTrace, id))
+			raw, err := os.ReadFile(c.path(traceKind, id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestTraceDecodeTruncation(t *testing.T) {
 	if err := c.StoreTrace(id, rec, 1); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(c.path(KindTrace, id))
+	raw, err := os.ReadFile(c.path(traceKind, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestResultDecodeEveryByteFlip(t *testing.T) {
 	if err := c.StoreResult(id, &CellResult{Stats: testStats(), Checksum: 9}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(c.path(KindResult, id))
+	raw, err := os.ReadFile(c.path(resultKind, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestReadOnlySemantics(t *testing.T) {
 	rw.Close()
 
 	// Corrupt the stored file; read-only must report it but leave it alone.
-	path := rw.path(KindTrace, id)
+	path := rw.path(traceKind, id)
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)-1] ^= 0xff
 	os.WriteFile(path, raw, 0o644)
@@ -453,7 +453,7 @@ func TestVersionSkewRejected(t *testing.T) {
 	if err := c.StoreTrace(id, testTrace(20, 4), 5); err != nil {
 		t.Fatal(err)
 	}
-	path := c.path(KindTrace, id)
+	path := c.path(traceKind, id)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -491,12 +491,120 @@ func TestVersionSkewRejected(t *testing.T) {
 	if err := c.StoreResult(rid, &CellResult{Stats: testStats()}); err != nil {
 		t.Fatal(err)
 	}
-	rpath := c.path(KindResult, rid)
+	rpath := c.path(resultKind, rid)
 	rraw, _ := os.ReadFile(rpath)
 	mut := bytes.Clone(rraw)
 	binary.LittleEndian.PutUint32(mut[8:12], FormatVersion+3)
 	os.WriteFile(rpath, mut, 0o644)
 	if _, err := c.LoadResult(rid); !errors.As(err, &verr) {
 		t.Fatalf("result version skew: %v", err)
+	}
+}
+
+// TestStoreLayout pins the directory store's crash and layout behaviour: a
+// new store holds only results/ (traces/ appears on the first trace put), a
+// read-write open sweeps the temp files of writers that died mid-put (and
+// only those), and a store whose root vanished is never recreated — a put
+// into it fails and is counted as unavailable.
+func TestStoreLayout(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "results" {
+		t.Fatalf("a new store holds %v (%v), want only results/", ents, err)
+	}
+	kept := SumID("kept")
+	if err := c.StoreResult(kept, &CellResult{Stats: testStats()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreTrace(kept, testTrace(3, 0), 1); err != nil {
+		t.Fatalf("first trace put: %v", err)
+	}
+
+	strays := []string{
+		filepath.Join(dir, "traces", "deadbeef.trc.tmp.12345"),
+		filepath.Join(dir, "results", "deadbeef.res.tmp.12345"),
+	}
+	for _, stray := range strays {
+		if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(dir, Options{ReadOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range strays {
+		if _, err := os.Stat(stray); err != nil {
+			t.Fatalf("a read-only open removed %s: %v", stray, err)
+		}
+	}
+	if _, err := Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range strays {
+		if _, err := os.Stat(stray); !os.IsNotExist(err) {
+			t.Fatalf("stray temp %s survived a read-write open", stray)
+		}
+	}
+	if _, err := c.LoadResult(kept); err != nil {
+		t.Fatalf("the sweep removed a published result: %v", err)
+	}
+	if rec, _, err := c.LoadTrace(kept); err != nil {
+		t.Fatalf("the sweep removed a published trace: %v", err)
+	} else {
+		rec.Release()
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreResult(SumID("late"), &CellResult{Stats: testStats()}); err == nil {
+		t.Fatalf("a put into a vanished store succeeded")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a put recreated the vanished store root: %v", err)
+	}
+	if cc := c.Counters(); cc.Unavailable != 1 || cc.Stores != 2 {
+		t.Fatalf("counters after a put into a vanished store: %+v", cc)
+	}
+}
+
+// TestUnreadableEntry pins the fourth load shape: a result path the store
+// cannot read (here a directory, which stays unreadable even to root) is
+// neither a miss nor corruption. The load fails, the failed read and the
+// failed rewrite over it are counted as unavailable, nothing is deleted,
+// and every later load of the identity misses the same way.
+func TestUnreadableEntry(t *testing.T) {
+	t.Parallel()
+	c, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := SumID("unreadable")
+	if err := os.Mkdir(c.path(resultKind, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		_, err := c.LoadResult(id)
+		var cerr *CorruptError
+		if err == nil || errors.Is(err, ErrMiss) || errors.As(err, &cerr) {
+			t.Fatalf("round %d: load of a directory entry = %v, want an I/O error", round, err)
+		}
+		if err := c.StoreResult(id, &CellResult{Stats: testStats()}); err == nil {
+			t.Fatalf("round %d: a put replaced the directory entry", round)
+		}
+		want := Counters{ResultMisses: uint64(round), Unavailable: uint64(2 * round)}
+		if cc := c.Counters(); cc != want {
+			t.Fatalf("round %d: counters %+v, want %+v", round, cc, want)
+		}
+	}
+	if fi, err := os.Stat(c.path(resultKind, id)); err != nil || !fi.IsDir() {
+		t.Fatalf("the unreadable entry was touched: %v", err)
+	}
+	if tmps, _ := filepath.Glob(c.path(resultKind, id) + ".tmp.*"); len(tmps) != 0 {
+		t.Fatalf("failed puts left temp files: %v", tmps)
 	}
 }

@@ -31,10 +31,7 @@ import (
 	"rest/internal/cpu"
 )
 
-const (
-	resultExt   = ".res"
-	resultMagic = "RESTRES\n"
-)
+const resultMagic = "RESTRES\n"
 
 // CellResult is the memoized outcome of one clean sweep cell.
 type CellResult struct {
@@ -80,7 +77,7 @@ func unpackStats(b []byte) cpu.Stats {
 // StoreResult memoizes one clean cell outcome under its full identity
 // digest, atomically.
 func (c *Cache) StoreResult(id ID, r *CellResult) error {
-	if c.opt.ReadOnly {
+	if c.readOnly {
 		return ErrReadOnly
 	}
 	if r.Stats.Exception != nil || r.Stats.LSQViolation {
@@ -95,47 +92,21 @@ func (c *Cache) StoreResult(id ID, r *CellResult) error {
 	buf[off] = 0 // LSQViolation, always false for a clean cell
 	binary.LittleEndian.PutUint64(buf[off+1:off+9], r.Checksum)
 	binary.LittleEndian.PutUint32(buf[off+9:off+13], crc32.ChecksumIEEE(buf[:off+9]))
-	return c.put(KindResult, id, buf)
+	return c.put(resultKind, id, buf)
 }
 
 // LoadResult reads the memoized outcome stored under id. Misses return
 // ErrMiss; damaged files return *CorruptError (deleted in read-write mode);
-// files of another format generation return *VersionError; a backend that
-// could not answer returns *UnavailableError or ErrBreakerOpen. Every one
-// of them means "recompute" to the caller.
+// files of another format generation return *VersionError; a file that
+// could not be read returns the I/O error. Every one of them means
+// "recompute" to the caller.
 func (c *Cache) LoadResult(id ID) (*CellResult, error) {
-	path := c.path(KindResult, id)
-	raw, err := c.b.Get(KindResult, id.String())
-	if err != nil {
-		c.unavailableSeen(err)
-		c.mu.Lock()
-		c.c.ResultMisses++
-		c.mu.Unlock()
-		if errors.Is(err, ErrNotFound) {
-			return nil, ErrMiss
-		}
-		return nil, err
-	}
-	r, derr := decodeResult(raw, &id)
-	if derr != nil {
-		var verr *VersionError
-		if errors.As(derr, &verr) {
-			verr.Path = path
-		}
-		var cerr *CorruptError
-		if errors.As(derr, &cerr) {
-			cerr.Path = path
-		}
-		c.discard(KindResult, id)
-		c.mu.Lock()
-		c.c.ResultMisses++
-		c.mu.Unlock()
-		return nil, derr
-	}
-	c.mu.Lock()
-	c.c.ResultHits++
-	c.mu.Unlock()
-	return r, nil
+	var r *CellResult
+	err := c.load(c.path(resultKind, id), func(raw []byte) (err error) {
+		r, err = decodeResult(raw, &id)
+		return err
+	}, &c.c.ResultHits, &c.c.ResultMisses)
+	return r, err
 }
 
 // decodeResult parses and validates one result file.

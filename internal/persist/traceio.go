@@ -45,7 +45,6 @@ import (
 )
 
 const (
-	traceExt       = ".trc"
 	traceMagic     = "RESTTRC\n"
 	traceHeaderLen = 80
 )
@@ -55,7 +54,7 @@ const (
 // verbatim. The file is built in one buffer sized to it: the header, then
 // the Recorder's own serialized form.
 func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
-	if c.opt.ReadOnly {
+	if c.readOnly {
 		return ErrReadOnly
 	}
 	if rec.Overflowed() {
@@ -71,48 +70,23 @@ func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 	copy(hdr[40:72], id[:])
 	binary.LittleEndian.PutUint32(hdr[72:76], crc32.ChecksumIEEE(data[traceHeaderLen:]))
 	binary.LittleEndian.PutUint32(hdr[76:80], crc32.ChecksumIEEE(hdr[:76]))
-	return c.put(KindTrace, id, data)
+	return c.put(traceKind, id, data)
 }
 
 // LoadTrace reads the trace stored under id into a fresh Recorder, returning
 // it with the captured outcome checksum. A missing file is ErrMiss; a
 // damaged one is *CorruptError (and is deleted in read-write mode); a file
 // from another format generation is *VersionError (deleted likewise — it can
-// never be read again); a backend that could not answer is *UnavailableError
-// or ErrBreakerOpen. Every one of them means "recompute" to the caller.
+// never be read again); a file that could not be read returns the I/O
+// error. Every one of them means "recompute" to the caller.
 func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
-	path := c.path(KindTrace, id)
-	raw, err := c.b.Get(KindTrace, id.String())
-	if err != nil {
-		c.unavailableSeen(err)
-		c.mu.Lock()
-		c.c.TraceMisses++
-		c.mu.Unlock()
-		if errors.Is(err, ErrNotFound) {
-			return nil, 0, ErrMiss
-		}
-		return nil, 0, err
-	}
-	rec, checksum, derr := decodeTrace(raw, &id)
-	if derr != nil {
-		var verr *VersionError
-		if errors.As(derr, &verr) {
-			verr.Path = path
-		}
-		var cerr *CorruptError
-		if errors.As(derr, &cerr) {
-			cerr.Path = path
-		}
-		c.discard(KindTrace, id)
-		c.mu.Lock()
-		c.c.TraceMisses++
-		c.mu.Unlock()
-		return nil, 0, derr
-	}
-	c.mu.Lock()
-	c.c.TraceHits++
-	c.mu.Unlock()
-	return rec, checksum, nil
+	var rec *trace.Recorder
+	var checksum uint64
+	err := c.load(c.path(traceKind, id), func(raw []byte) (err error) {
+		rec, checksum, err = decodeTrace(raw, &id)
+		return err
+	}, &c.c.TraceHits, &c.c.TraceMisses)
+	return rec, checksum, err
 }
 
 // corrupt builds a *CorruptError with the path left for the caller to fill.

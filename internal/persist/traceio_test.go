@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -12,11 +13,15 @@ import (
 	"rest/internal/trace"
 )
 
-// storedBytes stores rec in an in-memory cache and returns the file
+// storedBytes stores rec in a temporary cache directory and returns the file
 // StoreTrace wrote.
 func storedBytes(rec *trace.Recorder, id ID, checksum uint64) ([]byte, error) {
-	mb := NewMemBackend()
-	c, err := OpenBackend(mb, Options{})
+	dir, err := os.MkdirTemp("", "persist-trace-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	c, err := Open(dir, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -24,7 +29,7 @@ func storedBytes(rec *trace.Recorder, id ID, checksum uint64) ([]byte, error) {
 	if err := c.StoreTrace(id, rec, checksum); err != nil {
 		return nil, err
 	}
-	return mb.Get(KindTrace, id.String())
+	return os.ReadFile(c.path(traceKind, id))
 }
 
 // traceFile assembles a trace file straight from the version-2 layout in
@@ -66,8 +71,7 @@ func TestTraceWriterMatchesReference(t *testing.T) {
 					id := SumID("writer/" + name)
 					want := traceFile(tokenWidth, uint64(n), 0xc0ffee, id, payload)
 
-					mb := NewMemBackend()
-					c, err := OpenBackend(mb, Options{})
+					c, err := Open(t.TempDir(), Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -75,7 +79,7 @@ func TestTraceWriterMatchesReference(t *testing.T) {
 					if err := c.StoreTrace(id, rec, 0xc0ffee); err != nil {
 						t.Fatal(err)
 					}
-					stored, err := mb.Get(KindTrace, id.String())
+					stored, err := os.ReadFile(c.path(traceKind, id))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,7 +111,7 @@ func TestTraceWriterMatchesReference(t *testing.T) {
 // TestTraceStoreAllocationBound is a deterministic memory gate on the store
 // path: with the GC off, storing a trace may allocate at most its file size
 // plus 64 KiB. StoreTrace builds the file in one buffer; the slack covers
-// the backend's write. The bound is in bytes
+// the file write. The bound is in bytes
 // allocated per store, not time, so host noise cannot move it.
 func TestTraceStoreAllocationBound(t *testing.T) {
 	if testing.Short() {

@@ -17,7 +17,8 @@ import (
 // with the format version in the file header) was ever completed cleanly
 // returns its memoized cpu.Stats without building a world at all, so a
 // second run of an unchanged sweep is almost pure I/O. Every clean cell
-// computed here is stored for the next process.
+// computed here is stored for the next process, unless the store already
+// holds it.
 //
 // Traces are not persisted. Replaying a stored trace lost to re-executing
 // the cell on the block engine in every measured pair, so an unshared cell
@@ -30,9 +31,11 @@ import (
 // recompute (and, in read-write mode, rewrite), so cold-cache, warm-cache
 // and cache-off sweeps render byte-identical reports. Cells that need
 // surfaces a file cannot carry — a metric registry (CellLimits.Metrics) or a
-// live world (CellLimits.NeedWorld, the micro-stats path) — never read the
-// store, since a served cell has neither and warm and cold reports would
-// diverge; they still store their clean results for the cells that can.
+// live world (CellLimits.NeedWorld, the micro-stats path) — are never
+// served from the store, since a served cell has neither and warm and cold
+// reports would diverge. They still read it, counting a hit or a miss, to
+// learn whether it holds their result, and store the result (for the cells
+// that can be served) only when it does not, so a warm rerun writes nothing.
 
 // AttachDisk backs the trace cache with a persistent store. Read-only or
 // read-write behaviour follows how the persist cache was opened. Call before

@@ -384,9 +384,10 @@ func newTestRegistry(t *testing.T, tc *TraceCache) map[string]uint64 {
 }
 
 // TestDiskCacheMicroStats runs the §VI-B micro-stats path — whose cells read
-// their live worlds and therefore must bypass the result store — cold and
-// warm, asserting identical renderings and that the warm run, over a store
-// the cold run filled, read nothing from it.
+// their live worlds and therefore are never served from the result store —
+// cold and warm, asserting identical renderings and that the warm run, over
+// a store the cold run filled, finds both results held and rewrites
+// neither.
 func TestDiskCacheMicroStats(t *testing.T) {
 	t.Parallel()
 	wl, err := workload.ByName("lbm")
@@ -396,10 +397,15 @@ func TestDiskCacheMicroStats(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	coldTC, _ := diskTC(t, dir, persist.Options{})
+	// Both cells run both times: the cold run misses and stores, the warm
+	// run finds both results held and stores nothing.
+	coldTC, coldPC := diskTC(t, dir, persist.Options{})
 	cold, err := RunMicroStatsParallel(ctx, wl, 1, ParallelOptions{TraceCache: coldTC})
 	if err != nil {
 		t.Fatalf("cold micro stats: %v", err)
+	}
+	if c := coldPC.Counters(); c.ResultMisses != 2 || c.Stores != 2 || c.ResultHits != 0 {
+		t.Errorf("cold micro stats: %+v, want 2 misses and 2 stores", c)
 	}
 	warmTC, warmPC := diskTC(t, dir, persist.Options{})
 	warm, err := RunMicroStatsParallel(ctx, wl, 1, ParallelOptions{TraceCache: warmTC})
@@ -409,15 +415,19 @@ func TestDiskCacheMicroStats(t *testing.T) {
 	if cold.Render() != warm.Render() {
 		t.Errorf("micro stats diverge:\ncold: %s\nwarm: %s", cold.Render(), warm.Render())
 	}
-	if c := warmPC.Counters(); c.ResultHits+c.ResultMisses+c.TraceHits+c.TraceMisses != 0 {
-		t.Errorf("NeedWorld cells read the store: %+v", c)
+	if c := warmPC.Counters(); c.ResultHits != 2 || c.ResultMisses != 0 || c.Stores != 0 {
+		t.Errorf("warm micro stats: %+v, want 2 hits and no store", c)
+	}
+	if warm.Matrix.Results[wl.Name]["secure-full"].World == nil {
+		t.Errorf("a NeedWorld cell was served from the store")
 	}
 }
 
 // TestDiskCacheMetricsBypass pins the metrics determinism story: cells with
-// metric registries never read the store (registries are not persisted), so
-// a metrics sweep renders identical metrics cold and warm, yet they store
-// their clean results for later plain runs.
+// metric registries are never served from the store (registries are not
+// persisted), so a metrics sweep renders identical metrics cold and warm,
+// yet they store the clean results the store lacks for later plain runs,
+// and a warm rerun stores nothing.
 func TestDiskCacheMetricsBypass(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm")
@@ -434,18 +444,18 @@ func TestDiskCacheMetricsBypass(t *testing.T) {
 		return m.Metrics("fig8sens").CSV()
 	}
 
-	// Metrics cells never read the store, so the warm run recomputes too;
-	// every clean cell still stores its result, on both runs.
+	// Metrics cells are never served, so the warm run recomputes too; each
+	// cell reads the store once, and stores its result only on a miss.
 	cells := uint64(len(wls) * len(cfgs))
 	coldTC, coldPC := diskTC(t, dir, persist.Options{})
 	cold := metricsCSV(coldTC)
-	if c := coldPC.Counters(); c.Stores != cells || c.ResultHits != 0 || c.ResultMisses != 0 {
-		t.Errorf("cold metrics run: %+v, want %d stores and no result lookup", c, cells)
+	if c := coldPC.Counters(); c.Stores != cells || c.ResultHits != 0 || c.ResultMisses != cells {
+		t.Errorf("cold metrics run: %+v, want %d misses and %[2]d stores", c, cells)
 	}
 	warmTC, warmPC := diskTC(t, dir, persist.Options{})
 	warm := metricsCSV(warmTC)
-	if c := warmPC.Counters(); c.Stores != cells || c.ResultHits != 0 || c.ResultMisses != 0 {
-		t.Errorf("warm metrics run: %+v, want %d stores and no result lookup", c, cells)
+	if c := warmPC.Counters(); c.Stores != 0 || c.ResultHits != cells || c.ResultMisses != 0 {
+		t.Errorf("warm metrics run: %+v, want %d hits and no store", c, cells)
 	}
 	if cold != warm {
 		t.Errorf("metrics diverge cold vs warm:\ncold: %s\nwarm: %s", cold, warm)
@@ -583,10 +593,10 @@ func TestDiskCacheDetectedCellsNotStored(t *testing.T) {
 	}
 }
 
-// TestTraceLimitSameOnBothCapturePaths pins the per-trace limit to one entry
+// TestTraceLimitSameOnBothCapturePaths pins the per-trace limit to one byte
 // count on the capture path that remains, the shared capture published for a
 // sibling cell: a limit the trace exactly fits lets the sibling replay, and
-// a limit one entry shorter rejects the capture, so the sibling streams.
+// a limit one byte shorter rejects the capture, so the sibling streams.
 func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -600,7 +610,7 @@ func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 	}
 	rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), 0)
 	w.RunTimedCapture(rec)
-	n := rec.Len()
+	n := int(rec.Bytes())
 	rec.Release()
 
 	for _, limit := range []int{n, n - 1} {
@@ -618,7 +628,7 @@ func TestTraceLimitSameOnBothCapturePaths(t *testing.T) {
 			want = "replay"
 		}
 		if got := m.Results[wls[0].Name][twin.Name].Source; got != want {
-			t.Errorf("limit %d entries for a %d-entry trace: the sibling ran as %q, want %q", limit, n, got, want)
+			t.Errorf("limit %d bytes for a %d-byte trace: the sibling ran as %q, want %q", limit, n, got, want)
 		}
 	}
 }

@@ -43,7 +43,7 @@ import (
 //
 // Captures are single-flight: one leader per identity runs while its waiters
 // block on the entry's done channel; a leader that fails (or whose trace
-// tripped the per-trace entry limit) releases its waiters into ordinary
+// tripped the per-trace byte limit) releases its waiters into ordinary
 // streamed runs. The plan counts each identity's remaining uses and the last
 // one drops the cache's entry, so a capture becomes garbage when its last
 // planned cell finishes and a sweep's peak trace memory is bounded by its
@@ -65,12 +65,14 @@ type TraceCache struct {
 	bytes                uint64
 }
 
-// DefaultTraceLimit bounds one captured trace, in entries; a capture that
-// would exceed it is rejected (its waiters stream instead, and the store
-// receives nothing), trading speed for bounded memory. At scale 5, lbm and
-// soplex capture just over it (2,203,651 and 2,110,389 entries), so the
-// value decides which of their cells replay there.
-const DefaultTraceLimit = 2_097_152
+// DefaultTraceLimit bounds one captured trace's storage (trace.Recorder's
+// Bytes), in bytes; a capture that would exceed it is rejected (its waiters
+// stream instead), trading speed for bounded memory. The bound is on bytes,
+// not entries, because entries cost what their predictability makes them:
+// at scale 5, lbm's and soplex's 2.2 M- and 2.1 M-entry captures take 20 KB
+// and 60 KB, and the largest capture there (hmmer secure-full, 282,307
+// bytes) stays 7x below the bound.
+const DefaultTraceLimit = 2 << 20
 
 // NewTraceCache returns an empty cache with the default per-trace limit.
 func NewTraceCache() *TraceCache {
@@ -81,11 +83,11 @@ func NewTraceCache() *TraceCache {
 	}
 }
 
-// SetTraceLimit overrides the per-trace entry limit (0 = unlimited).
-func (tc *TraceCache) SetTraceLimit(entries int) {
+// SetTraceLimit overrides the per-trace byte limit (0 = unlimited).
+func (tc *TraceCache) SetTraceLimit(bytes int) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	tc.perTraceLimit = entries
+	tc.perTraceLimit = bytes
 }
 
 // traceKey is a cell's functional identity. Timing knobs (CPU, Hier,
@@ -292,8 +294,8 @@ func (tc *TraceCache) Counters() (hits, misses, bypass uint64) {
 
 // run executes one cell through the cache (RunCached's non-nil path). The
 // result store, when attached, interposes around the in-memory plan: it can
-// satisfy the cell outright, and every clean outcome feeds it for future
-// processes.
+// satisfy the cell outright, and every clean outcome it lacks feeds it for
+// future processes.
 func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
 	k := cellTraceKey(wl.Name, cfg, scale, lim.MaxInstructions)
 	disk := tc.diskStore()
@@ -301,9 +303,15 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 	// A memoized clean outcome for this exact cell skips the run. The
 	// planned use is forfeited so the identity's planned use count stays
 	// exact. Cells that need a registry or a live world can't be served
-	// from a file.
-	if disk != nil && !lim.Metrics && !lim.NeedWorld {
-		if cr, err := disk.LoadResult(resultIdentity(k, cfg)); err == nil {
+	// from a file; for them the read only tells whether the store already
+	// holds their result, so a warm rerun rewrites nothing.
+	var rid persist.ID
+	held := false
+	if disk != nil {
+		rid = resultIdentity(k, cfg)
+		cr, err := disk.LoadResult(rid)
+		held = err == nil
+		if held && !lim.Metrics && !lim.NeedWorld {
 			tc.forfeit(k)
 			return resultFromStore(wl, cfg, cr), nil
 		}
@@ -329,8 +337,8 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 	default:
 		res, err = runStreamed(wl, cfg, scale, lim, nil)
 	}
-	if err == nil && disk != nil {
-		storeResult(disk, resultIdentity(k, cfg), res)
+	if err == nil && !held {
+		storeResult(disk, rid, res)
 	}
 	return res, err
 }

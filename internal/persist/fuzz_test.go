@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// framedTrace wraps a serialized trace, well-formed or not, in a version-2
+// framedTrace wraps a serialized trace, well-formed or not, in a current
 // header whose CRCs hold, so only the payload's own validation can object.
 func framedTrace(payload []byte, entries uint64) []byte {
 	return traceFile(8, entries, 42, ID{}, payload)
@@ -30,9 +30,12 @@ func oneSitePayload(blk ...byte) []byte {
 // fuzzSeeds builds the interesting starting shapes: valid files at token
 // widths 0 and 8, an empty trace, a truncated file, a flipped byte, files
 // whose CRCs hold around a hostile entry count, site count or site index or
-// a same-site entry with no recorded successor, and a file of the previous
-// format generation. The committed corpus under
-// testdata/fuzz/FuzzTraceDecode mirrors these (see TestWriteFuzzCorpus).
+// a same-site entry with no recorded successor, a file of the previous
+// format generation, a valid multi-block file the run code carries, and
+// files whose CRCs hold around a run with no recorded successor, a run
+// crossing the end of its block and a run header with stray bits. The
+// committed corpus under testdata/fuzz/FuzzTraceDecode mirrors these (see
+// TestWriteFuzzCorpus).
 func fuzzSeeds() [][]byte {
 	encode := func(n int, tokenWidth uint64) []byte {
 		rec := testTrace(n, tokenWidth)
@@ -46,7 +49,13 @@ func fuzzSeeds() [][]byte {
 	valid0, valid8 := encode(64, 0), encode(64, 8)
 	flip := bytes.Clone(valid8)
 	flip[len(flip)-3] ^= 0x10
-	v1, err := os.ReadFile(filepath.Join("testdata", "golden_v1.trc"))
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden_v2.trc"))
+	if err != nil {
+		panic(err)
+	}
+	loop := loopTrace(2*traceBlockEntries+7, 8)
+	defer loop.Release()
+	runs, err := storedBytes(loop, SumID("fuzz-seed"), 42)
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +69,11 @@ func fuzzSeeds() [][]byte {
 		framedTrace(binary.AppendUvarint(nil, 1<<40), 1), // site count far past the payload
 		framedTrace(oneSitePayload(0x00, 0x07), 1),       // site index 7 of a one-site table
 		framedTrace(oneSitePayload(0x00, 0x00, 0x04), 2), // same site (bit 2), no successor recorded
-		v1,
+		v2,
+		runs,
+		framedTrace(oneSitePayload(0x00, 0x00, 0x18, 0x01), 2),             // a run (Addr code 3), no successor recorded
+		framedTrace(oneSitePayload(0x00, 0x00, 0x00, 0x00, 0x18, 0x04), 5), // a run of 4 with 3 entries left in its block
+		framedTrace(oneSitePayload(0x00, 0x00, 0x00, 0x00, 0x19, 0x01), 3), // a run header with Taken set
 	}
 }
 

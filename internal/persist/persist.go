@@ -41,7 +41,7 @@ import (
 // rejected (recomputed and rewritten), never misread. A change to what the
 // simulator computes does not bump it: the harness names the model in each
 // result's identity instead (harness.ModelVersion).
-const FormatVersion = 2
+const FormatVersion = 3
 
 // ID is a content address: the SHA-256 digest of a canonical identity
 // string. Files are named by its hex form.

@@ -49,8 +49,8 @@ func testTrace(n int, tokenWidth uint64) *trace.Recorder {
 }
 
 // loopTrace is a capture-shaped trace: a short loop body re-executed with a
-// striding load, which encodes as compactly as real sweep traces do (about
-// a byte per entry).
+// striding load. After its first iterations every entry is fully predicted,
+// so the run code carries each block in a few bytes.
 func loopTrace(n int, tokenWidth uint64) *trace.Recorder {
 	ops := []isa.Op{isa.OpLoad, isa.OpAdd, isa.OpStore, isa.OpAdd, isa.OpBeq}
 	rec := trace.NewRecorder(tokenWidth, 0)
@@ -68,9 +68,9 @@ func loopTrace(n int, tokenWidth uint64) *trace.Recorder {
 	return rec
 }
 
-// shapedTrace builds a trace the encoding compresses (loopTrace: predicted
-// entries, about a byte each) or one it cannot (testTrace: every entry a
-// new site, carried by its own site-table row and explicit values).
+// shapedTrace builds a trace the encoding compresses (loopTrace: runs of
+// fully predicted entries) or one it cannot (testTrace: every entry a new
+// site, carried by its own site-table row and explicit values).
 func shapedTrace(compress bool, n int, tokenWidth uint64) *trace.Recorder {
 	if compress {
 		return loopTrace(n, tokenWidth)

@@ -1,4 +1,5 @@
-// The result store's binary format (version 1).
+// The result store's binary format (FormatVersion, shared with the trace
+// codec).
 //
 // A result file memoizes one sweep cell's timing outcome — the cpu.Stats a
 // replay (or stream) of that exact (functional identity × timing config)

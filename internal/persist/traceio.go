@@ -1,4 +1,4 @@
-// The trace store's binary format (version 2).
+// The trace store's binary format (version 3).
 //
 // Sweeps do not store traces: replaying one from disk costs more than
 // re-executing its cell on the block engine, so the harness persists
@@ -94,7 +94,7 @@ func corrupt(format string, args ...any) error {
 	return &CorruptError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// decodeTrace reads a version-2 trace file into a fresh Recorder. wantID
+// decodeTrace reads a version-3 trace file into a fresh Recorder. wantID
 // non-nil additionally binds the file to its content address (a renamed or
 // cross-copied file is corruption, not a silently wrong replay). On any
 // error it returns a nil Recorder. It reads arbitrary untrusted bytes without

@@ -59,10 +59,16 @@ func capture(tb testing.TB, wl workload.Workload, pass prog.PassConfig, mode cor
 	}
 }
 
+// steady are the workloads whose captures are almost all steady loops, so
+// the run code carries nearly every entry.
+var steady = map[string]bool{"lbm": true, "libquantum": true, "namd": true, "soplex": true}
+
 // TestRecorderCompactness is the encoding's deterministic size gate: every
-// workload's plain and secure-full capture at scale 1 occupies at most 2
-// bytes per entry, site table included, and replays bit-exactly to the
-// stream the machine produced.
+// workload's plain and secure-full capture at scale 1 occupies at most 0.75
+// bytes per entry, site table included, and at most 0.05 for the steady
+// workloads; each replays bit-exactly to the stream the machine produced.
+// The log gives each capture's share of entries inside runs, the workload
+// property the size rests on.
 func TestRecorderCompactness(t *testing.T) {
 	t.Parallel()
 	for _, wl := range workload.All() {
@@ -74,9 +80,14 @@ func TestRecorderCompactness(t *testing.T) {
 				live := &entries{width: b.width}
 				capture(t, wl, b.pass, b.mode, rec, live)
 				n := uint64(rec.Len())
-				t.Logf("%d entries, %d bytes: %.3f B/entry", n, rec.Bytes(), float64(rec.Bytes())/float64(n))
-				if n == 0 || rec.Bytes() > 2*n {
-					t.Errorf("%d bytes for %d entries, want at most 2 per entry", rec.Bytes(), n)
+				per := float64(rec.Bytes()) / float64(n)
+				t.Logf("%d entries, %d bytes: %.3f B/entry, %.1f%% of entries in runs", n, rec.Bytes(), per, 100*trace.RunShare(rec))
+				bound := 0.75
+				if steady[wl.Name] {
+					bound = 0.05
+				}
+				if n == 0 || per > bound {
+					t.Errorf("%d bytes for %d entries, want at most %.2f per entry", rec.Bytes(), n, bound)
 				}
 				if !slices.Equal(trace.Collect(rec.Replayer()), live.es) {
 					t.Errorf("replay diverges from the captured stream")

@@ -60,21 +60,28 @@ func (r *Recorder) AppendEncoding(dst []byte) []byte {
 // uvarintLen is the length of v's uvarint encoding.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
+// minBlockBytes is the least a serialized block of one or more entries
+// takes: its length, then its first entry's header and site index (a
+// block's first entry always names its site).
+const minBlockBytes = 3
+
 // DecodeRecorder rebuilds a Recorder from the serialized form of a trace of
 // the given token width and entry count. Unlike the replay path's decoding
 // it trusts nothing, and answers any input with a Recorder or an error,
 // never a panic. It rejects malformed varints, undefined header bits and
-// value codes, site indices outside the table, a same-site entry whose
-// previous site has no recorded successor, a block that does not decode to
+// value codes, run headers with stray bits, empty runs and runs that cross
+// the end of their block, site indices outside the table, a same-site or
+// run entry whose previous site has no recorded successor, a run entry
+// whose site was last coded with a delta, a block that does not decode to
 // exactly its share of the entries (blockEntries each, the last block what
 // remains) in exactly its bytes, bytes after the last block, a site table
-// longer than src, and an entry count larger than src, since every entry
-// takes at least one byte. The
-// entries are appended to a fresh Recorder one by one, so its effect index
-// is built by the capture path itself, and its storage is the canonical
-// encoding of what was decoded: for AppendEncoding's output, the same bytes.
+// longer than src, and an entry count needing more blocks than src could
+// hold at minBlockBytes each. The entries are appended to a fresh Recorder
+// one by one, so its effect index is built by the capture path itself, and
+// its storage is the canonical encoding of what was decoded: for
+// AppendEncoding's output, the same bytes.
 func DecodeRecorder(tokenWidth, entries uint64, src []byte) (*Recorder, error) {
-	if entries > uint64(len(src)) {
+	if blocks := entries>>blockShift + min(entries&blockMask, 1); blocks > uint64(len(src))/minBlockBytes {
 		return nil, fmt.Errorf("trace: %d entries cannot fit in %d bytes", entries, len(src))
 	}
 	d := untrusted{b: src}
@@ -104,7 +111,7 @@ func DecodeRecorder(tokenWidth, entries uint64, src []byte) (*Recorder, error) {
 		}
 		m.reset()
 		for end := min(pos+blockEntries, entries); pos < end; pos++ {
-			e, err := blk.entry(sites, &m)
+			e, err := blk.entry(sites, &m, end-pos)
 			if err != nil {
 				return nil, fmt.Errorf("trace: entry %d: %w", pos, err)
 			}
@@ -179,23 +186,53 @@ func (u *untrusted) varint() int64 {
 const hdrDefined = hdrTaken | hdrFaults | hdrSameSite | codeMask<<hdrAddrShift | codeMask<<hdrTargetShift
 
 // entry decodes the next entry of a block under the block's prediction
-// state m, exactly as Recorder.decode does, checking every step.
-func (u *untrusted) entry(sites []site, m *model) (Entry, error) {
-	if u.off >= len(u.b) {
-		return Entry{}, errShort
-	}
-	h := u.b[u.off]
-	u.off++
-	if h&^hdrDefined != 0 {
-		return Entry{}, fmt.Errorf("undefined header bits %#x", h)
+// state m, exactly as Recorder.decode does, checking every step. left is how
+// many entries the block holds from this one on.
+func (u *untrusted) entry(sites []site, m *model, left uint64) (Entry, error) {
+	var h byte
+	if m.run == 0 {
+		if u.off >= len(u.b) {
+			return Entry{}, errShort
+		}
+		h = u.b[u.off]
+		u.off++
+		if h&^hdrDefined != 0 {
+			return Entry{}, fmt.Errorf("undefined header bits %#x", h)
+		}
+		if h>>hdrAddrShift&codeMask == codeRun {
+			if h != hdrRun {
+				return Entry{}, fmt.Errorf("run header %#x has stray bits", h)
+			}
+			n := u.uvarint()
+			switch {
+			case u.err != nil:
+				return Entry{}, u.err
+			case n == 0:
+				return Entry{}, errors.New("empty run")
+			case n > left:
+				return Entry{}, fmt.Errorf("run of %d entries crosses the end of its block (%d entries left)", n, left)
+			}
+			m.run = n
+		}
 	}
 	var idx uint32
-	if h&hdrSameSite != 0 {
+	switch {
+	case m.run != 0:
+		if m.prev == 0 || m.pred[m.prev-1].next == 0 {
+			return Entry{}, errors.New("run entry with no recorded successor")
+		}
+		idx = m.pred[m.prev-1].next - 1
+		m.run--
+		h = m.pred[idx].last
+		if h>>hdrAddrShift&codeMask == codeDelta || h>>hdrTargetShift&codeMask == codeDelta {
+			return Entry{}, fmt.Errorf("run entry at site %d, whose last header %#x codes a delta", idx, h)
+		}
+	case h&hdrSameSite != 0:
 		if m.prev == 0 || m.pred[m.prev-1].next == 0 {
 			return Entry{}, errors.New("same-site entry with no recorded successor")
 		}
 		idx = m.pred[m.prev-1].next - 1
-	} else {
+	default:
 		v := u.uvarint()
 		if u.err != nil {
 			return Entry{}, u.err
@@ -217,6 +254,7 @@ func (u *untrusted) entry(sites []site, m *model) (Entry, error) {
 	p.stride = addr - p.addr
 	p.addr = addr
 	p.target = target
+	p.last = h &^ hdrSameSite
 	m.prev = idx + 1
 	s := &sites[idx]
 	return Entry{

@@ -34,7 +34,15 @@ func TestDecodeRecorderRejects(t *testing.T) {
 		}
 		return append([]byte{0x00, 0x00, 0x00, 0x00}, bytes.Repeat([]byte{0x04}, k-2)...)
 	}
+	// runCoded(k) is the same block with its same-site entries as one run,
+	// as the Recorder writes it.
+	runCoded := func(k int) []byte {
+		return binary.AppendUvarint([]byte{0x00, 0x00, 0x00, 0x00, hdrRun}, uint64(k-2))
+	}
 	control := run(3)
+	// Every block takes at least minBlockBytes, so a count needing one
+	// block more than the payload could hold is refused before decoding.
+	fits := uint64(len(oneSite(control))) / minBlockBytes * blockEntries
 	for _, tt := range []struct {
 		name    string
 		entries uint64
@@ -43,15 +51,26 @@ func TestDecodeRecorderRejects(t *testing.T) {
 	}{
 		{"control", 3, oneSite(control), ""},
 		{"control across blocks", blockEntries + 1, oneSite(run(blockEntries), run(1)), ""},
+		{"run control", 5, oneSite(runCoded(5)), ""},
+		{"run control across blocks", blockEntries + 3, oneSite(runCoded(blockEntries), runCoded(3)), ""},
 		{"first block one entry short", blockEntries + 1, oneSite(run(blockEntries-1), run(2)), "entry 16383: unexpected end"},
-		{"entry count past the payload", 100, oneSite(control), "cannot fit"},
+		{"entry count past the payload", fits + 1, oneSite(control), "cannot fit"},
+		{"entry count at the payload bound", fits, oneSite(control), "entry 3: unexpected end"},
 		{"malformed site count", 0, bytes.Repeat([]byte{0xff}, 11), "malformed uvarint"},
 		{"site count past the payload", 0, binary.AppendUvarint(nil, 1<<40), "sites cannot fit"},
 		{"site index outside the table", 1, oneSite([]byte{0x00, 0x01}), "site index 1 outside the 1-site table"},
 		{"same site at a block start", 1, oneSite([]byte{0x04}), "no recorded successor"},
 		{"same site with no successor", 2, oneSite([]byte{0x00, 0x00, 0x04}), "no recorded successor"},
+		{"run at a block start", 1, oneSite([]byte{hdrRun, 0x01}), "run entry with no recorded successor"},
+		{"run with no successor", 2, oneSite([]byte{0x00, 0x00, hdrRun, 0x01}), "run entry with no recorded successor"},
+		{"run crossing the end of its block", 5, oneSite(runCoded(6)), "run of 4 entries crosses the end of its block (3 entries left)"},
+		{"run crossing a block edge", blockEntries + 3, oneSite(runCoded(blockEntries + 3)), "run of 16385 entries crosses the end of its block (16382 entries left)"},
+		{"run header with stray bits", 3, oneSite([]byte{0x00, 0x00, 0x00, 0x00, hdrRun | hdrTaken, 0x01}), "run header 0x19 has stray bits"},
+		{"empty run", 3, oneSite([]byte{0x00, 0x00, 0x00, 0x00, hdrRun, 0x00}), "empty run"},
+		{"malformed run count", 3, oneSite([]byte{0x00, 0x00, 0x00, 0x00, hdrRun, 0x80}), "malformed uvarint"},
+		{"run through a delta", 3, oneSite([]byte{0x00, 0x00, codeDelta << hdrAddrShift, 0x00, 0x02, hdrRun, 0x01}), "last header 0x10 codes a delta"},
 		{"undefined header bit", 1, oneSite([]byte{0x80, 0x00}), "undefined header bits"},
-		{"undefined value code", 1, oneSite([]byte{3 << 3, 0x00}), "undefined value code 3"},
+		{"undefined value code", 1, oneSite([]byte{3 << hdrTargetShift, 0x00}), "undefined value code 3"},
 		{"malformed delta", 1, oneSite([]byte{2 << 3, 0x00, 0x80}), "malformed varint"},
 		{"block short of its entries", 4, oneSite(control), "entry 3: unexpected end"},
 		{"block with bytes to spare", 2, oneSite(control), "1 bytes left in the block"},

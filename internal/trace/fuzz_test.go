@@ -109,8 +109,10 @@ var synthProgram = []byte{
 // token shadow matches one driven entry at a time at every entry it hands
 // out; and the serialized form round-trips, DecodeRecorder giving back a
 // Recorder with the same entries and storage that serializes to the same
-// bytes. count reaches past blockEntries, so decoding crosses blocks. The
-// committed corpus under testdata/fuzz/FuzzRecorderRoundtrip seeds it.
+// bytes. count reaches past blockEntries, so decoding crosses blocks, and
+// the random batch sizes stop ReadBatch inside runs. The committed corpus
+// under testdata/fuzz/FuzzRecorderRoundtrip seeds it (steady-loop-runs is
+// almost all runs).
 func FuzzRecorderRoundtrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, program []byte, count uint16, width uint8) {
 		w := []uint64{0, 8, 64}[width%3]

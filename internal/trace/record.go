@@ -33,7 +33,8 @@ import (
 // (same 64-byte geometry as core.LineBytes/cache.LineBytes).
 const lineBytes = 64
 
-// Storage: a predictive byte encoding of about one byte per entry.
+// Storage: a predictive byte encoding in which a steady loop costs a few
+// bytes per block.
 //
 // Every entry belongs to a static site, its (PC, Op, Kind, Dst, Src1, Src2,
 // Size) tuple, which the Recorder keeps once in a per-trace site table. An
@@ -51,11 +52,23 @@ const lineBytes = 64
 // plus its last stride; Target: the site's last target), or as a delta from
 // that prediction. Seq is not stored: it is the entry's index.
 //
+// An entry is fully predicted when it is coded "same site", needs no delta,
+// and its header repeats its site's last header (bit 2 aside). A maximal
+// stretch of two or more fully predicted entries is one run header, Addr
+// code 3 and every other bit clear, followed by a uvarint count: each entry
+// of the run takes the recorded successor of the one before it, with that
+// site's last header. The encoder writes a stretch's first entry as its
+// plain header and turns it into a run header when a second one follows;
+// the open run is always the last thing in the block, so later entries
+// rewrite its count in place and the bytes decode to the whole trace after
+// every Append.
+//
 // The prediction state starts afresh every blockEntries entries, so each
-// block decodes on its own given the site table: reaching entry i costs at
-// most one block of decoding, and ReadBatch decodes runs clamped to block
-// edges straight into the caller's buffer. The same bytes are the trace's
-// serialized form (see encoding.go).
+// block decodes on its own given the site table (a run never crosses a
+// block edge): reaching entry i costs at most one block of decoding, and
+// ReadBatch decodes stretches clamped to block edges straight into the
+// caller's buffer. The same bytes are the trace's serialized form (see
+// encoding.go).
 const (
 	blockShift   = 14
 	blockEntries = 1 << blockShift
@@ -72,7 +85,11 @@ const (
 	codeZero       = 0 // the value is 0
 	codePredicted  = 1 // the value equals its site's prediction
 	codeDelta      = 2 // a zigzag varint of value - prediction follows
+	codeRun        = 3 // Addr only, and no value: a run header (hdrRun)
 	codeMask       = 3
+	// hdrRun is a run header: Addr code 3 with every other bit clear. A
+	// uvarint entry count follows.
+	hdrRun = codeRun << hdrAddrShift
 )
 
 // site is one static instruction: every field of an Entry that repeats each
@@ -91,6 +108,7 @@ const siteBytes = int(unsafe.Sizeof(site{}))
 type predictor struct {
 	addr, stride, target uint64
 	next                 uint32 // 1 + the site that last followed this one; 0 = none yet
+	last                 byte   // the header of the site's last entry, bit 2 clear
 }
 
 // model is the prediction state of one pass over a block: the encoder's
@@ -98,31 +116,36 @@ type predictor struct {
 type model struct {
 	pred []predictor // by site index
 	prev uint32      // 1 + the previous entry's site; 0 at a block start
+	run  uint64      // decoding: entries of the current run still to come
 }
 
 // reset starts a block: nothing is predicted yet.
 func (m *model) reset() {
 	clear(m.pred)
 	m.prev = 0
+	m.run = 0
 }
 
 // Recorder captures a dynamic trace in compact encoded form. Append it
 // entries directly, drain a Reader into it with AppendFrom, or splice it into
-// a streaming run with Tee. An entry limit turns runaway captures into an
+// a streaming run with Tee. A byte limit turns runaway captures into an
 // explicit Overflowed state instead of unbounded memory. The zero value
 // records with no token shadow and no limit; use NewRecorder to configure
 // both.
 type Recorder struct {
 	tokenWidth uint64
-	limit      int // most entries recorded (0 = unlimited)
+	limit      int // most bytes Bytes may report (0 = unlimited)
 	overflowed bool
 
 	n      int
 	blocks [][]byte // sealed blocks of blockEntries encoded entries each
+	sealed int      // their total length
 	tail   []byte   // the block being appended; its buffer is reused once sealed
 	sites  []site
 	siteOf map[site]uint32
 	enc    model
+	open   int // entries in the run that ends tail (0 = none)
+	openAt int // that run's header offset in tail
 
 	// Effect index, built during capture for REST traces (tokenWidth != 0):
 	// the positions of the batches whose non-faulting ARM/DISARM entries
@@ -154,9 +177,9 @@ type effOp struct {
 
 // NewRecorder returns a Recorder for a trace whose ARM/DISARM entries operate
 // on tokenWidth-byte chunks (0 for traces from non-REST worlds) and that
-// refuses to record more than maxEntries entries (0 = unlimited).
-func NewRecorder(tokenWidth uint64, maxEntries int) *Recorder {
-	return &Recorder{tokenWidth: tokenWidth, limit: maxEntries}
+// overflows once its storage (Bytes) would pass maxBytes (0 = unlimited).
+func NewRecorder(tokenWidth uint64, maxBytes int) *Recorder {
+	return &Recorder{tokenWidth: tokenWidth, limit: maxBytes}
 }
 
 // TokenWidth reports the token width the trace was recorded under (0 when
@@ -169,14 +192,10 @@ func (r *Recorder) Len() int { return r.n }
 // Bytes reports the storage the recorded entries occupy: their encoding plus
 // the site table it refers to.
 func (r *Recorder) Bytes() uint64 {
-	b := len(r.tail) + len(r.sites)*siteBytes
-	for _, blk := range r.blocks {
-		b += len(blk)
-	}
-	return uint64(b)
+	return uint64(r.sealed + len(r.tail) + len(r.sites)*siteBytes)
 }
 
-// Overflowed reports whether the entry limit stopped the capture; an
+// Overflowed reports whether the byte limit stopped the capture; an
 // overflowed Recorder has dropped its contents and ignores further Appends.
 func (r *Recorder) Overflowed() bool { return r.overflowed }
 
@@ -184,13 +203,6 @@ func (r *Recorder) Overflowed() bool { return r.overflowed }
 // stored (it is always the entry's index, which is how Machine assigns it).
 func (r *Recorder) Append(e Entry) {
 	if r.overflowed {
-		return
-	}
-	if r.limit != 0 && r.n >= r.limit {
-		// Drop everything: a partial trace must never be replayed, and
-		// keeping the storage would defeat the point of the limit.
-		r.Release()
-		r.overflowed = true
 		return
 	}
 	if e.Kind == KindUser {
@@ -206,13 +218,21 @@ func (r *Recorder) Append(e Entry) {
 	}
 	if r.n&blockMask == 0 {
 		r.enc.reset()
+		r.open = 0
 	}
 	r.encode(&e)
 	r.n++
 	if r.n&blockMask == 0 {
 		// Seal the full block into exact-size storage.
 		r.blocks = append(r.blocks, append([]byte(nil), r.tail...))
+		r.sealed += len(r.tail)
 		r.tail = r.tail[:0]
+	}
+	if r.limit != 0 && r.Bytes() > uint64(r.limit) {
+		// Drop everything: a partial trace must never be replayed, and
+		// keeping the storage would defeat the point of the limit.
+		r.Release()
+		r.overflowed = true
 	}
 }
 
@@ -244,6 +264,32 @@ func (r *Recorder) encode(e *Entry) {
 	ac, ad := codeOf(e.Addr, p.addr+p.stride)
 	tc, td := codeOf(e.Target, p.target)
 	h |= ac<<hdrAddrShift | tc<<hdrTargetShift
+	full := h == p.last|hdrSameSite && ac != codeDelta && tc != codeDelta
+	p.last = h &^ hdrSameSite
+	p.stride = e.Addr - p.addr
+	p.addr = e.Addr
+	p.target = e.Target
+	m.prev = idx + 1
+	if full {
+		// A run stays inside its block, so its count is below 2^14: a
+		// uvarint of one byte, or of two from 128 on, rewritten in place.
+		r.open++
+		switch n := r.open; {
+		case n == 1:
+			// A stretch's first entry keeps its plain header, one byte.
+			r.openAt = len(r.tail)
+			r.tail = append(r.tail, h)
+		case n == 2:
+			r.tail[r.openAt] = hdrRun
+			r.tail = append(r.tail, 2)
+		case n < 0x80:
+			r.tail[r.openAt+1] = byte(n)
+		default:
+			r.tail = append(r.tail[:r.openAt+1], byte(n)|0x80, byte(n>>7))
+		}
+		return
+	}
+	r.open = 0
 	b := append(r.tail, h)
 	if h&hdrSameSite == 0 {
 		b = binary.AppendUvarint(b, uint64(idx))
@@ -255,10 +301,6 @@ func (r *Recorder) encode(e *Entry) {
 		b = binary.AppendVarint(b, int64(td))
 	}
 	r.tail = b
-	p.stride = e.Addr - p.addr
-	p.addr = e.Addr
-	p.target = e.Target
-	m.prev = idx + 1
 }
 
 // codeOf picks how v is coded against its prediction, and the delta to
@@ -294,10 +336,12 @@ func (r *Recorder) siteIndex(s site) uint32 {
 func (r *Recorder) Release() {
 	r.n = 0
 	r.blocks = nil
+	r.sealed = 0
 	r.tail = nil
 	r.sites = nil
 	r.siteOf = nil
 	r.enc = model{}
+	r.open = 0
 	r.curBatch = 0
 	r.effBatches = nil
 	r.effOps = nil
@@ -330,7 +374,8 @@ func (r *Recorder) block(k int) []byte {
 }
 
 // cursor is a decoding position in a Recorder: the next entry's index, its
-// byte offset within its block, and the block's prediction state so far.
+// byte offset within its block, and the block's prediction state so far,
+// including what is left of a run the last decode stopped in.
 type cursor struct {
 	model
 	pos, off int
@@ -346,10 +391,42 @@ func (r *Recorder) decode(c *cursor, out []Entry) {
 	b := r.block(c.pos >> blockShift)
 	sites := r.sites
 	pred := c.pred
-	off, prev, seq := c.off, c.prev, uint64(c.pos)
-	for i := range out {
+	off, prev, run, seq := c.off, c.prev, c.run, uint64(c.pos)
+	for i := 0; i < len(out); {
+		if run != 0 {
+			// Inside a run every entry is its predecessor's recorded
+			// successor, coded by its site's last header, which never
+			// calls for a delta.
+			n := min(int(run), len(out)-i)
+			run -= uint64(n)
+			for end := i + n; i < end; i++ {
+				idx := pred[prev-1].next - 1
+				p := &pred[idx]
+				h := p.last
+				var addr, target uint64
+				if (h>>hdrAddrShift)&codeMask == codePredicted {
+					addr = p.addr + p.stride
+				}
+				if (h>>hdrTargetShift)&codeMask == codePredicted {
+					target = p.target
+				}
+				p.stride = addr - p.addr
+				p.addr = addr
+				p.target = target
+				prev = idx + 1
+				put(&out[i], seq, &sites[idx], addr, target, h)
+				seq++
+			}
+			continue
+		}
 		h := b[off]
 		off++
+		if h == hdrRun {
+			var k int
+			run, k = binary.Uvarint(b[off:])
+			off += k
+			continue
+		}
 		var idx uint32
 		if h&hdrSameSite != 0 {
 			idx = pred[prev-1].next - 1
@@ -372,7 +449,6 @@ func (r *Recorder) decode(c *cursor, out []Entry) {
 				pred[prev-1].next = idx + 1
 			}
 		}
-		s := &sites[idx]
 		p := &pred[idx]
 		var addr, target uint64
 		switch (h >> hdrAddrShift) & codeMask {
@@ -394,45 +470,52 @@ func (r *Recorder) decode(c *cursor, out []Entry) {
 		p.stride = addr - p.addr
 		p.addr = addr
 		p.target = target
+		p.last = h &^ hdrSameSite
 		prev = idx + 1
-		// Field by field: a composite literal is built on the stack with
-		// narrow stores and copied out with wide loads, which stalls on
-		// store forwarding.
-		e := &out[i]
-		e.Seq = seq
-		e.PC = s.pc
-		e.Op = s.op
-		e.Kind = s.kind
-		e.Dst = s.dst
-		e.Src1 = s.src1
-		e.Src2 = s.src2
-		e.Addr = addr
-		e.Size = s.size
-		e.Taken = h&hdrTaken != 0
-		e.Faults = h&hdrFaults != 0
-		e.Target = target
+		put(&out[i], seq, &sites[idx], addr, target, h)
 		seq++
+		i++
 	}
-	c.off, c.prev = off, prev
+	c.off, c.prev, c.run = off, prev, run
 	c.pos += len(out)
 }
 
-// atRun is how many entries At decodes at a time. It divides blockEntries,
-// so an aligned run never crosses a block edge.
-const atRun = 64
-
-// atCache is At's state between calls: a cursor, and the aligned run of
-// entries it decoded last, buf[:n] holding entries start to start+n-1.
-type atCache struct {
-	cur      cursor
-	buf      [atRun]Entry
-	start, n int
+// put writes one decoded entry. Field by field: a composite literal is
+// built on the stack with narrow stores and copied out with wide loads,
+// which stalls on store forwarding.
+func put(e *Entry, seq uint64, s *site, addr, target uint64, h byte) {
+	e.Seq = seq
+	e.PC = s.pc
+	e.Op = s.op
+	e.Kind = s.kind
+	e.Dst = s.dst
+	e.Src1 = s.src1
+	e.Src2 = s.src2
+	e.Addr = addr
+	e.Size = s.size
+	e.Taken = h&hdrTaken != 0
+	e.Faults = h&hdrFaults != 0
+	e.Target = target
 }
 
-// At reconstructs entry i. It serves entries from the aligned run of atRun
-// entries it decoded last, and decodes the next run from a cursor it keeps
-// between calls: a call costs a lock and a copy, plus one run of decoding
-// when i leaves the run, plus up to one block (blockEntries entries) of
+// atSpan is how many entries At decodes at a time. It divides blockEntries,
+// so an aligned span never crosses a block edge.
+const atSpan = 64
+
+// atCache is At's state between calls: a cursor, and the aligned span of
+// entries it decoded last, buf[:n] holding entries start to start+n-1. seen
+// is the Recorder's length when the cursor last moved: an Append since then
+// may have rewritten the run the cursor stands in.
+type atCache struct {
+	cur            cursor
+	buf            [atSpan]Entry
+	start, n, seen int
+}
+
+// At reconstructs entry i. It serves entries from the aligned span of atSpan
+// entries it decoded last, and decodes the next span from a cursor it keeps
+// between calls: a call costs a lock and a copy, plus one span of decoding
+// when i leaves the span, plus up to one block (blockEntries entries) of
 // decoding when it jumps back or to another block. Walking the trace in
 // ascending order is therefore O(1) per entry. Concurrent callers are safe;
 // they share the one cursor under the lock, so interleaved walks re-decode
@@ -445,24 +528,25 @@ func (r *Recorder) At(i int) Entry {
 	r.atMu.Lock()
 	a := &r.at
 	if i < a.start || i >= a.start+a.n {
-		r.fillRun(a, i)
+		r.fillSpan(a, i)
 	}
 	e := a.buf[i-a.start]
 	r.atMu.Unlock()
 	return e
 }
 
-// fillRun decodes the aligned run holding entry i into a.buf.
-func (r *Recorder) fillRun(a *atCache, i int) {
+// fillSpan decodes the aligned span holding entry i into a.buf.
+func (r *Recorder) fillSpan(a *atCache, i int) {
 	c := &a.cur
-	start := i &^ (atRun - 1)
-	if start < c.pos || start>>blockShift != c.pos>>blockShift {
+	start := i &^ (atSpan - 1)
+	if start < c.pos || start>>blockShift != c.pos>>blockShift || a.seen != r.n {
 		c.pos = start &^ blockMask
 	}
+	a.seen = r.n
 	for c.pos < start {
-		r.decode(c, a.buf[:min(start-c.pos, atRun)])
+		r.decode(c, a.buf[:min(start-c.pos, atSpan)])
 	}
-	a.start, a.n = start, min(atRun, r.n-start)
+	a.start, a.n = start, min(atSpan, r.n-start)
 	r.decode(c, a.buf[:a.n])
 }
 
@@ -580,7 +664,7 @@ func (rp *Replayer) Next() (Entry, bool) {
 // exactly at that batch's start), then advances rp.applied to the next
 // effect-carrying batch's start. Skipping effect-free batches is exact —
 // applying nothing is the same whenever it happens — and it is what lets
-// ReadBatch hand out long straight runs between ARM/DISARM points. The effect
+// ReadBatch hand out long stretches between ARM/DISARM points. The effect
 // index is built at capture time, so replay touches only the effects
 // themselves, never the trace in between.
 func (rp *Replayer) syncBatch() {
@@ -631,7 +715,7 @@ func (rp *Replayer) ReadBatch(buf []Entry) int {
 			}
 			rp.syncBatch()
 		}
-		// Decode the straight run bounded by the shadow sync point, the
+		// Decode the stretch bounded by the shadow sync point, the
 		// trace's end, the buffer and the block's edge.
 		end := min(rp.applied, r.n, pos+len(buf)-n, (pos|blockMask)+1)
 		r.decode(&rp.cur, buf[n:n+end-pos])

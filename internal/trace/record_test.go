@@ -107,6 +107,7 @@ func TestTeeModeFollowsSinkTokenWidth(t *testing.T) {
 }
 
 func TestRecorderOverflow(t *testing.T) {
+	// 3 bytes: the first entry alone takes a site-table row.
 	rec := NewRecorder(0, 3)
 	es := sampleEntries()
 	rec.AppendFrom(NewSliceReader(es))
@@ -130,15 +131,75 @@ func TestRecorderOverflow(t *testing.T) {
 }
 
 func TestRecorderLimitExact(t *testing.T) {
-	// A limit that exactly fits N entries must not trip on entry N.
-	rec := NewRecorder(0, 3)
+	// A limit of exactly the bytes N entries take must not trip on entry N;
+	// one byte less must.
 	es := sampleEntries()[:3]
+	full := NewRecorder(0, 0)
+	full.AppendFrom(NewSliceReader(es))
+	size := int(full.Bytes())
+	rec := NewRecorder(0, size)
 	rec.AppendFrom(NewSliceReader(es))
 	if rec.Overflowed() {
-		t.Fatal("limit tripped on a trace that exactly fits")
+		t.Fatalf("a %d-byte limit tripped on a trace of %d bytes", size, size)
 	}
-	if rec.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", rec.Len())
+	if rec.Len() != 3 || rec.Bytes() != full.Bytes() {
+		t.Fatalf("Len = %d, Bytes = %d; want 3 and %d", rec.Len(), rec.Bytes(), size)
+	}
+	short := NewRecorder(0, size-1)
+	short.AppendFrom(NewSliceReader(es))
+	if !short.Overflowed() {
+		t.Fatalf("a %d-byte limit held a trace of %d bytes", size-1, size)
+	}
+}
+
+// loopEntries is n entries of a two-site loop: an add, then a taken branch
+// back to it.
+func loopEntries(n int) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		es[i] = Entry{Seq: uint64(i), PC: 0x1000, Op: isa.OpAdd, Dst: 1, Src1: 1}
+		if i%2 == 1 {
+			es[i] = Entry{Seq: uint64(i), PC: 0x1004, Op: isa.OpBeq, Src1: 1, Taken: true, Target: 0x1000}
+		}
+	}
+	return es
+}
+
+// TestRecorderRunCode pins the run code byte for byte on a one-site loop,
+// and on a two-site loop checks that the bytes decode to the whole trace
+// after every Append: At and a fresh Replayer, interleaved with the
+// captures, read back every entry so far while the open run's count is
+// rewritten under them.
+func TestRecorderRunCode(t *testing.T) {
+	rec := NewRecorder(0, 0)
+	for i := 0; i < 200; i++ {
+		rec.Append(Entry{Seq: uint64(i), PC: 0x1000, Op: isa.OpAdd})
+	}
+	// Two entries name their site (the second records it as its own
+	// successor), the third is a plain same-site header, and the fourth
+	// turns it into a run header whose count the rest raise to 198.
+	want := []byte{0x00, 0x00, 0x00, 0x00, hdrRun, 0xc6, 0x01}
+	if got := rec.block(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("one-site loop encodes as % x, want % x", got, want)
+	}
+
+	es := loopEntries(2*blockEntries + 9)
+	rec = NewRecorder(0, 0)
+	for i, e := range es {
+		rec.Append(e)
+		if i < 64 || i%1021 == 0 || i>>blockShift != (i+1)>>blockShift {
+			for j := max(0, i-70); j <= i; j++ {
+				if got := rec.At(j); got != es[j] {
+					t.Fatalf("after %d appends: At(%d) = %+v, want %+v", i+1, j, got, es[j])
+				}
+			}
+			if got := Collect(rec.Replayer()); !reflect.DeepEqual(got, es[:i+1]) {
+				t.Fatalf("after %d appends: the replay diverges", i+1)
+			}
+		}
+	}
+	if per := float64(rec.Bytes()) / float64(len(es)); per > 0.01 {
+		t.Errorf("a steady loop takes %.4f B/entry, want at most 0.01", per)
 	}
 }
 

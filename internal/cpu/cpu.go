@@ -184,11 +184,14 @@ func (p *Pipeline) Run(r trace.Reader) *Stats {
 	cfg := p.cfg
 	st := &Stats{}
 
-	fetchSlots := newSlotTable(cfg.FetchWidth)
-	issueSlots := newSlotTable(cfg.IssueWidth)
-	commitSlots := newSlotTable(cfg.CommitWidth)
-	loadPorts := newSlotTable(cfg.LoadPorts)
-	storePorts := newSlotTable(cfg.StorePorts)
+	// The three direct-mapped tables take 192 KiB: allocated here, they
+	// would sit in Run's frame and grow every worker's stack to hold it.
+	slots := new([3][slotWindow]uint64)
+	fetchSlots := slotPair{width: uint64(cfg.FetchWidth)}
+	issueSlots := newSlotTable(cfg.IssueWidth, &slots[0])
+	commitSlots := slotPair{width: uint64(cfg.CommitWidth)}
+	loadPorts := newSlotTable(cfg.LoadPorts, &slots[1])
+	storePorts := newSlotTable(cfg.StorePorts, &slots[2])
 
 	rob := newRing(cfg.ROBSize)
 	lq := newRing(cfg.LQSize)

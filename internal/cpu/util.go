@@ -1,45 +1,81 @@
 package cpu
 
-// slotTable enforces per-cycle bandwidth limits (fetch/issue/commit widths,
-// cache ports) without a cycle-by-cycle loop. reserve(at) returns the first
-// cycle >= at with a free slot and consumes it. The table is a hash-free
-// direct-mapped window over recent cycles; a collision with a *future*
-// reservation (rare, and only possible across > window cycles of skew) is
-// treated as free, which can only under-count bandwidth pressure slightly.
+import "fmt"
+
+// slotWindow is the number of cycles a slotTable tracks. It must stay a
+// power of two (mask indexing), and it bounds the widths a table can count.
+const (
+	slotWindow = 8192
+	slotMask   = slotWindow - 1
+)
+
+// slotTable enforces a per-cycle bandwidth limit (issue width, cache ports)
+// without a cycle-by-cycle loop. reserve(at) returns the first cycle >= at
+// with a free slot and consumes it. The table is a hash-free direct-mapped
+// window over recent cycles; a collision with a *future* reservation (rare,
+// and only possible across > window cycles of skew) is treated as free,
+// which can only under-count bandwidth pressure slightly.
+//
+// Each slot packs the cycle it counts and the count into one word: the
+// cycle's low bits are the slot's index, so the word keeps the cycle with
+// those bits cleared and the count in their place.
 type slotTable struct {
-	width uint16
-	mask  uint64 // window-1; the window is a power of two so % becomes &
-	cyc   []uint64
-	cnt   []uint16
+	width uint64
+	slots *[slotWindow]uint64
 }
 
-func newSlotTable(width int) *slotTable {
-	const window = 8192 // must stay a power of two (mask indexing)
-	return &slotTable{
-		width: uint16(width), mask: window - 1,
-		cyc: make([]uint64, window), cnt: make([]uint16, window),
+// newSlotTable returns a table of the given width over slots, which must
+// be zero.
+func newSlotTable(width int, slots *[slotWindow]uint64) slotTable {
+	if width < 1 || width > slotMask {
+		panic(fmt.Sprintf("cpu: slot width %d outside [1, %d]", width, slotMask))
 	}
+	return slotTable{width: uint64(width), slots: slots}
 }
 
 func (s *slotTable) reserve(at uint64) uint64 {
 	for {
-		idx := at & s.mask
-		switch {
-		case s.cyc[idx] != at:
-			if s.cyc[idx] > at {
-				// Future reservation occupies this index; treat as free.
-				return at
-			}
-			s.cyc[idx] = at
-			s.cnt[idx] = 1
+		slot := &s.slots[at&slotMask]
+		tag := at &^ slotMask
+		switch cur := *slot; {
+		case cur&^slotMask > tag:
+			// Future reservation occupies this index; treat as free.
 			return at
-		case s.cnt[idx] < s.width:
-			s.cnt[idx]++
+		case cur&^slotMask < tag:
+			*slot = tag | 1
+			return at
+		case cur&slotMask < s.width:
+			*slot = cur + 1
 			return at
 		default:
 			at++
 		}
 	}
+}
+
+// slotPair is a slotTable for reservations that never go back in time:
+// each at is no earlier than the cycle the previous reserve returned, as
+// fetch and commit are (fetchReady and lastCommit only rise). Every cycle a
+// table would hold lies at or before the last one returned, so a reserve
+// can only count into that cycle or open a later one, and the whole table
+// is that one (cycle, count) pair. A reservation before it is a bug in the
+// caller, and panics.
+type slotPair struct {
+	width, cyc, cnt uint64
+}
+
+func (s *slotPair) reserve(at uint64) uint64 {
+	switch {
+	case at > s.cyc:
+		s.cyc, s.cnt = at, 1
+	case at < s.cyc:
+		panic(fmt.Sprintf("cpu: reservation at cycle %d after one returned cycle %d", at, s.cyc))
+	case s.cnt < s.width:
+		s.cnt++
+	default:
+		s.cyc, s.cnt = at+1, 1
+	}
+	return s.cyc
 }
 
 // ring tracks the completion cycles of the last N entries of a FIFO-freed

@@ -12,8 +12,52 @@ func opStore() isa.Op  { return isa.OpStore }
 func opArm() isa.Op    { return isa.OpArm }
 func opDisarm() isa.Op { return isa.OpDisarm }
 
+// refSlotTable is the slot table as the model first wrote it: a separate
+// cycle and count per slot. slotTable packs the two into one word, and
+// slotPair keeps a single (cycle, count); the differential tests below
+// hold both to it.
+type refSlotTable struct {
+	width uint16
+	mask  uint64 // window-1; the window is a power of two so % becomes &
+	cyc   []uint64
+	cnt   []uint16
+}
+
+func newRefSlotTable(width int) *refSlotTable {
+	const window = 8192 // must stay a power of two (mask indexing)
+	return &refSlotTable{
+		width: uint16(width), mask: window - 1,
+		cyc: make([]uint64, window), cnt: make([]uint16, window),
+	}
+}
+
+func (s *refSlotTable) reserve(at uint64) uint64 {
+	for {
+		idx := at & s.mask
+		switch {
+		case s.cyc[idx] != at:
+			if s.cyc[idx] > at {
+				// Future reservation occupies this index; treat as free.
+				return at
+			}
+			s.cyc[idx] = at
+			s.cnt[idx] = 1
+			return at
+		case s.cnt[idx] < s.width:
+			s.cnt[idx]++
+			return at
+		default:
+			at++
+		}
+	}
+}
+
+func testSlotTable(width int) slotTable {
+	return newSlotTable(width, new([slotWindow]uint64))
+}
+
 func TestSlotTableBandwidth(t *testing.T) {
-	s := newSlotTable(2)
+	s := testSlotTable(2)
 	// Three reservations at the same cycle: third spills to the next.
 	if got := s.reserve(10); got != 10 {
 		t.Errorf("first = %d, want 10", got)
@@ -31,7 +75,7 @@ func TestSlotTableBandwidth(t *testing.T) {
 }
 
 func TestSlotTableNeverBeforeRequest(t *testing.T) {
-	s := newSlotTable(1)
+	s := testSlotTable(1)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 10000; i++ {
 		at := uint64(r.Intn(100000))
@@ -40,6 +84,81 @@ func TestSlotTableNeverBeforeRequest(t *testing.T) {
 			t.Fatalf("reserve(%d) = %d (before request)", at, got)
 		}
 	}
+}
+
+// TestSlotTableMatchesReference drives random reservations through the
+// packed table and the reference, which must return the same cycle every
+// time. The requests cluster, so counts fill and spill into later cycles,
+// and jump by up to ten windows in both directions, so slots alias and
+// future reservations are met, including cycles far above 2^32.
+func TestSlotTableMatchesReference(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 8} {
+		for seed := int64(1); seed <= 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			packed, ref := testSlotTable(width), newRefSlotTable(width)
+			base := uint64(0)
+			if seed == 4 {
+				base = 1 << 40
+			}
+			at := base
+			for i := 0; i < 200000; i++ {
+				switch r.Intn(10) {
+				case 0:
+					at = base + uint64(r.Int63n(10*slotWindow))
+				case 1:
+					at += uint64(r.Intn(3 * slotWindow))
+				default:
+					at += uint64(r.Intn(3))
+				}
+				if got, want := packed.reserve(at), ref.reserve(at); got != want {
+					t.Fatalf("width %d, seed %d, reservation %d: reserve(%d) = %d, reference %d",
+						width, seed, i, at, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSlotPairMatchesReference drives reservation sequences that meet
+// slotPair's precondition, each request no earlier than the cycle the last
+// one returned, through the pair and the reference table: every returned
+// cycle must agree.
+func TestSlotPairMatchesReference(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 8} {
+		r := rand.New(rand.NewSource(int64(width)))
+		pair, ref := slotPair{width: uint64(width)}, newRefSlotTable(width)
+		var last uint64
+		for i := 0; i < 200000; i++ {
+			at := last
+			switch r.Intn(8) {
+			case 0:
+				at += uint64(r.Intn(3 * slotWindow))
+			case 1, 2:
+				at += uint64(r.Intn(4))
+			}
+			got, want := pair.reserve(at), ref.reserve(at)
+			if got != want {
+				t.Fatalf("width %d, reservation %d: reserve(%d) = %d, reference %d", width, i, at, got, want)
+			}
+			last = got
+		}
+	}
+}
+
+// TestSlotPairPanicsOnEarlierRequest pins slotPair's precondition: a
+// request before the cycle the last reservation returned is a caller bug.
+func TestSlotPairPanicsOnEarlierRequest(t *testing.T) {
+	s := slotPair{width: 1}
+	s.reserve(10)
+	if got := s.reserve(10); got != 11 {
+		t.Fatalf("second reservation at 10 = %d, want 11", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a reservation at 10 after one returned 11 did not panic")
+		}
+	}()
+	s.reserve(10)
 }
 
 func TestRingFIFOConstraint(t *testing.T) {

@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
+	"rest/internal/cache"
+	"rest/internal/cpu"
 	"rest/internal/obs"
 	"rest/internal/persist"
 	"rest/internal/workload"
@@ -76,6 +80,38 @@ func timingIdentity(cfg BinaryConfig) string {
 	return fmt.Sprintf("inorder=%t|cpu=%s|hier=%s", cfg.InOrder, cpuJSON, hierJSON)
 }
 
+// timingKey is what timingIdentity reads of a config, held by value: two
+// configs whose overrides are equal but distinct pointers share one key,
+// and a config edited after its first cell cannot reach a stale spelling.
+type timingKey struct {
+	inOrder         bool
+	hasCPU, hasHier bool
+	cpu             cpu.Config
+	hier            cache.HierConfig
+}
+
+// timingID returns timingIdentity(cfg), spelled once per distinct timing
+// config: a sweep has a handful of them and hundreds of cells, and the
+// JSON would otherwise be most of what a cell served from the store
+// allocates.
+func (tc *TraceCache) timingID(cfg BinaryConfig) string {
+	key := timingKey{inOrder: cfg.InOrder}
+	if cfg.CPU != nil {
+		key.hasCPU, key.cpu = true, *cfg.CPU
+	}
+	if cfg.Hier != nil {
+		key.hasHier, key.hier = true, *cfg.Hier
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	id, ok := tc.timingIDs[key]
+	if !ok {
+		id = timingIdentity(cfg)
+		tc.timingIDs[key] = id
+	}
+	return id
+}
+
 // ModelVersion names the simulator's behaviour in every result identity.
 // The identity spells a cell's workload and its configuration, but not the
 // code that simulates them or the defaults a "default" config resolves to,
@@ -88,25 +124,55 @@ func timingIdentity(cfg BinaryConfig) string {
 const ModelVersion = 1
 
 // resultIdentity digests the full identity of one cell: the model version ×
-// its functional identity × its normalized timing configuration.
-func resultIdentity(k traceKey, cfg BinaryConfig) persist.ID {
-	return persist.SumID(fmt.Sprintf(
-		"result|model=%d|wl=%s|scale=%d|flavour=%s|stack=%t|checks=%t|tw=%d|rz=%d|mode=%d|intercept=%d|budget=%d|%s",
-		ModelVersion, k.workload, k.scale, k.pass.Flavour, k.pass.StackProtection, k.pass.AccessChecks,
-		k.pass.TokenWidth, k.pass.RedzoneBytes, k.mode, k.intercept, k.budget,
-		timingIdentity(cfg)))
+// its functional identity × its timing identity (timingIdentity of its
+// config). The canonical bytes are
+//
+//	result|model=%d|wl=%s|scale=%d|flavour=%s|stack=%t|checks=%t|tw=%d|rz=%d|mode=%d|intercept=%d|budget=%d|<timing>
+//
+// in fmt's spelling of each value, as every earlier build wrote them, so
+// the stores those builds filled stay warm; TestResultIdentityGolden pins
+// the digests. They are assembled in a stack buffer, which fits every grid
+// this package defines, and hashed where they lie: the digest persist.SumID
+// takes of the same bytes as a string.
+func resultIdentity(k traceKey, timing string) persist.ID {
+	var buf [1024]byte
+	b := append(buf[:0], "result|model="...)
+	b = strconv.AppendInt(b, ModelVersion, 10)
+	b = append(b, "|wl="...)
+	b = append(b, k.workload...)
+	b = append(b, "|scale="...)
+	b = strconv.AppendInt(b, k.scale, 10)
+	b = append(b, "|flavour="...)
+	b = append(b, k.pass.Flavour...)
+	b = append(b, "|stack="...)
+	b = strconv.AppendBool(b, k.pass.StackProtection)
+	b = append(b, "|checks="...)
+	b = strconv.AppendBool(b, k.pass.AccessChecks)
+	b = append(b, "|tw="...)
+	b = strconv.AppendUint(b, k.pass.TokenWidth, 10)
+	b = append(b, "|rz="...)
+	b = strconv.AppendUint(b, k.pass.RedzoneBytes, 10)
+	b = append(b, "|mode="...)
+	b = strconv.AppendUint(b, uint64(k.mode), 10)
+	b = append(b, "|intercept="...)
+	b = strconv.AppendInt(b, int64(k.intercept), 10)
+	b = append(b, "|budget="...)
+	b = strconv.AppendUint(b, k.budget, 10)
+	b = append(b, '|')
+	b = append(b, timing...)
+	return sha256.Sum256(b)
 }
 
 // resultFromStore reconstructs a RunResult from a memoized cell outcome.
-// World and Obs are nil by design: cells that need either never read the
-// result store.
+// Its Stats are the decoded result's own, not a copy: nothing else holds
+// cr. World and Obs are nil by design: cells that need either never read
+// the result store.
 func resultFromStore(wl workload.Workload, cfg BinaryConfig, cr *persist.CellResult) *RunResult {
-	stats := cr.Stats
 	return &RunResult{
 		Workload: wl.Name,
 		Config:   cfg.Name,
-		Cycles:   stats.Cycles,
-		Stats:    &stats,
+		Cycles:   cr.Stats.Cycles,
+		Stats:    &cr.Stats,
 		Outcome:  world.Outcome{Checksum: cr.Checksum},
 		Source:   "result-store",
 	}

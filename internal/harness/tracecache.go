@@ -58,6 +58,9 @@ type TraceCache struct {
 	// cross-process store this in-memory cache consults before executing
 	// and feeds after each clean cell. Nil = process-local only.
 	disk *persist.Cache
+	// timingIDs memoizes each distinct timing config's timingIdentity for
+	// the result identities of the cells that read the store.
+	timingIDs map[timingKey]string
 
 	hits, misses, bypass uint64
 	failed, rejected     uint64
@@ -80,6 +83,7 @@ func NewTraceCache() *TraceCache {
 		perTraceLimit: DefaultTraceLimit,
 		plan:          make(map[traceKey]int),
 		entries:       make(map[traceKey]*traceEntry),
+		timingIDs:     make(map[timingKey]string),
 	}
 }
 
@@ -308,7 +312,7 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 	var rid persist.ID
 	held := false
 	if disk != nil {
-		rid = resultIdentity(k, cfg)
+		rid = resultIdentity(k, tc.timingID(cfg))
 		cr, err := disk.LoadResult(rid)
 		held = err == nil
 		if held && !lim.Metrics && !lim.NeedWorld {

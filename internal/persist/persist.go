@@ -4,7 +4,10 @@
 // sweep cell — results/<id>.res, the memoized cpu.Stats and outcome checksum
 // keyed by the cell's full identity (functional digest × timing config
 // digest × the harness's model version) — so a repeated cell skips its
-// simulation entirely. A result file is 161 bytes.
+// simulation entirely. A result file is 161 bytes, and reading one costs an
+// open, one read of at most 162 bytes into a buffer on the reader's stack,
+// and a close: its heap allocations are the file's path, what os.Open keeps
+// and the decoded CellResult.
 //
 // The trace codec (traceio.go: StoreTrace, LoadTrace) remains for the
 // benchmark module, which times it; the harness neither writes nor reads
@@ -28,6 +31,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,7 +134,7 @@ var (
 // read-only opens require the directory to exist and never write anything.
 // A new store holds only results/: traces/ is made on the first trace put.
 func Open(dir string, opt Options) (*Cache, error) {
-	c := &Cache{dir: dir, readOnly: opt.ReadOnly}
+	c := &Cache{dir: filepath.Clean(dir), readOnly: opt.ReadOnly}
 	if c.readOnly {
 		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 			return nil, fmt.Errorf("persist: read-only cache dir %s does not exist", dir)
@@ -165,25 +169,45 @@ func (c *Cache) count(update func(*Counters)) {
 	c.mu.Unlock()
 }
 
-// path returns the final file path of an entry.
+// path returns the final file path of an entry, <dir>/<kind dir>/<hex
+// id><ext>, built in one allocation.
 func (c *Cache) path(k kind, id ID) string {
-	return filepath.Join(c.dir, k.dir, id.String()+k.ext)
+	var name [2 * len(id)]byte
+	hex.Encode(name[:], id[:])
+	var b strings.Builder
+	b.Grow(len(c.dir) + 1 + len(k.dir) + 1 + len(name) + len(k.ext))
+	b.WriteString(c.dir)
+	b.WriteByte(filepath.Separator)
+	b.WriteString(k.dir)
+	b.WriteByte(filepath.Separator)
+	b.Write(name[:])
+	b.WriteString(k.ext)
+	return b.String()
 }
 
 // sweepTemps removes leftovers of writers that crashed mid-put: temp files
 // are always named <final>.tmp.<pid>.<seq>, and a rename that never
-// happened means the entry was never published.
+// happened means the entry was never published. Names are read in batches,
+// so a large store costs one short string per entry and no sort.
 func (c *Cache) sweepTemps() {
 	for _, k := range []kind{traceKind, resultKind} {
-		names, err := os.ReadDir(filepath.Join(c.dir, k.dir))
+		dir := filepath.Join(c.dir, k.dir)
+		f, err := os.Open(dir)
 		if err != nil {
 			continue
 		}
-		for _, de := range names {
-			if strings.Contains(de.Name(), ".tmp.") {
-				os.Remove(filepath.Join(c.dir, k.dir, de.Name()))
+		for {
+			names, err := f.Readdirnames(256)
+			for _, name := range names {
+				if strings.Contains(name, ".tmp.") {
+					os.Remove(filepath.Join(dir, name))
+				}
+			}
+			if err != nil {
+				break
 			}
 		}
+		f.Close()
 	}
 }
 
@@ -194,20 +218,22 @@ func (c *Cache) ioFailed(err error) error {
 	return fmt.Errorf("persist: %w", err)
 }
 
-// load reads the entry at path and hands it to decode, counting the outcome
-// into hit or miss (fields of c.c). An absent file is ErrMiss; an unreadable
-// one is counted as unavailable; a file decode rejects is counted as corrupt
-// and, in read-write mode, deleted, so the recompute that follows publishes
-// a clean replacement.
-func (c *Cache) load(path string, decode func([]byte) error, hit, miss *uint64) error {
-	raw, err := os.ReadFile(path)
+// load reads the entry at path into *raw and has decode judge it, counting
+// the outcome into hit or miss (fields of c.c). An absent file is ErrMiss;
+// an unreadable one is counted as unavailable; a file decode rejects is
+// counted as corrupt and, in read-write mode, deleted, so the recompute that
+// follows publishes a clean replacement. decode reads *raw through its own
+// reference to it, which is what lets a caller's fixed buffer stay on its
+// stack.
+func (c *Cache) load(path string, raw *[]byte, decode func() error, hit, miss *uint64) error {
+	err := readEntry(path, raw)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		err = ErrMiss
 	case err != nil:
 		err = c.ioFailed(err)
 	default:
-		if err = decode(raw); err != nil {
+		if err = decode(); err != nil {
 			c.discard(path, err)
 		}
 	}
@@ -219,6 +245,39 @@ func (c *Cache) load(path string, decode func([]byte) error, hit, miss *uint64) 
 	}
 	c.mu.Unlock()
 	return err
+}
+
+// readEntry reads the file at path into *raw and shortens *raw to the bytes
+// read. A caller that knows its entry's length passes a *raw one byte
+// longer: at most len(*raw) bytes are read, into it, so a longer file shows
+// as a full buffer and the read allocates nothing. A nil *raw is first made
+// the file's length, for an entry whose length only the file knows.
+func readEntry(path string, raw *[]byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if *raw == nil {
+		fi, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		*raw = make([]byte, fi.Size())
+	}
+	n := 0
+	for n < len(*raw) {
+		m, err := f.Read((*raw)[n:])
+		n += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+	}
+	*raw = (*raw)[:n]
+	return nil
 }
 
 // discard handles a file that failed validation: the error learns the

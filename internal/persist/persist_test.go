@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -237,6 +238,135 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	}
 	if math.Float64bits(in.Stats.IPC) != math.Float64bits(out.Stats.IPC) {
 		t.Fatal("IPC not bit-exact")
+	}
+}
+
+// TestResultReadBounds pins the edges of LoadResult's bounded read, which
+// stops one byte past a result file's length: a file with bytes appended,
+// one or a page of them, is corrupt, and so is one cut a byte short, while
+// an exact file decodes. A corrupt file is deleted in read-write mode; in
+// read-only mode it stays as it is and counts again on every read. A
+// directory in the file's place is neither: it is unavailable, and stays.
+func TestResultReadBounds(t *testing.T) {
+	t.Parallel()
+	id := SumID("bounds")
+	in := &CellResult{Stats: testStats(), Checksum: 7}
+	// fill stores in's result file in a fresh store, rewrites it with
+	// damage, and returns the store's directory and the file's path.
+	fill := func(t *testing.T, damage func([]byte) []byte) (dir, path string) {
+		t.Helper()
+		dir = t.TempDir()
+		c, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.StoreResult(id, in); err != nil {
+			t.Fatal(err)
+		}
+		path = c.path(resultKind, id)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir, path
+	}
+
+	t.Run("exact", func(t *testing.T) {
+		dir, _ := fill(t, func(raw []byte) []byte { return raw })
+		c, err := Open(dir, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.LoadResult(id)
+		if err != nil || !reflect.DeepEqual(in, out) {
+			t.Fatalf("a %d-byte result file loaded as %+v, %v", resultFileLen, out, err)
+		}
+	})
+
+	for _, tt := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"one byte appended", func(raw []byte) []byte { return append(raw, 0) }},
+		{"4096 bytes appended", func(raw []byte) []byte { return append(raw, make([]byte, 4096)...) }},
+		{"one byte short", func(raw []byte) []byte { return raw[:resultFileLen-1] }},
+	} {
+		for _, readOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/read-only=%t", tt.name, readOnly), func(t *testing.T) {
+				dir, path := fill(t, tt.damage)
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := Open(dir, Options{ReadOnly: readOnly})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 1; round <= 2; round++ {
+					_, err := c.LoadResult(id)
+					var cerr *CorruptError
+					corruptions := uint64(round)
+					if !readOnly && round == 2 {
+						// Deleted on the first read: a plain miss now.
+						corruptions = 1
+						if !errors.Is(err, ErrMiss) {
+							t.Fatalf("round %d: a load after the delete = %v, want ErrMiss", round, err)
+						}
+					} else if !errors.As(err, &cerr) {
+						t.Fatalf("round %d: a %d-byte file loaded with %v, want a *CorruptError", round, len(want), err)
+					}
+					got, err := os.ReadFile(path)
+					if readOnly && !bytes.Equal(got, want) {
+						t.Fatalf("round %d: the read-only store changed the file (%v)", round, err)
+					}
+					if !readOnly && !os.IsNotExist(err) {
+						t.Fatalf("round %d: the read-write store left the corrupt file (%v)", round, err)
+					}
+					if cc, w := c.Counters(), (Counters{ResultMisses: uint64(round), Corruptions: corruptions}); cc != w {
+						t.Fatalf("round %d: counters %+v, want %+v", round, cc, w)
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("directory/read-only=true", func(t *testing.T) {
+		dir, path := fill(t, func(raw []byte) []byte { return raw })
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(path, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir, Options{ReadOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cerr *CorruptError
+		if _, err := c.LoadResult(id); err == nil || errors.Is(err, ErrMiss) || errors.As(err, &cerr) {
+			t.Fatalf("load of a directory entry = %v, want an I/O error", err)
+		}
+		if cc, w := c.Counters(), (Counters{ResultMisses: 1, Unavailable: 1}); cc != w {
+			t.Fatalf("counters %+v, want %+v", cc, w)
+		}
+		if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+			t.Fatalf("the directory entry was touched: %v", err)
+		}
+	})
+}
+
+// TestChecksumIEEE holds decodeResult's in-place CRC to the library's.
+func TestChecksumIEEE(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n <= 2*resultFileLen; n++ {
+		p := make([]byte, n)
+		r.Read(p)
+		if got, want := checksumIEEE(p), crc32.ChecksumIEEE(p); got != want {
+			t.Fatalf("%d bytes: checksumIEEE %#x, crc32.ChecksumIEEE %#x", n, got, want)
+		}
 	}
 }
 

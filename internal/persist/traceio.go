@@ -82,7 +82,8 @@ func (c *Cache) StoreTrace(id ID, rec *trace.Recorder, checksum uint64) error {
 func (c *Cache) LoadTrace(id ID) (*trace.Recorder, uint64, error) {
 	var rec *trace.Recorder
 	var checksum uint64
-	err := c.load(c.path(traceKind, id), func(raw []byte) (err error) {
+	var raw []byte
+	err := c.load(c.path(traceKind, id), &raw, func() (err error) {
 		rec, checksum, err = decodeTrace(raw, &id)
 		return err
 	}, &c.c.TraceHits, &c.c.TraceMisses)

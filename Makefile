@@ -63,6 +63,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzRecorderRoundtrip -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode     -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzBlockInvalidate -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzPredictorMatchesReference -fuzztime=$(FUZZTIME) ./internal/bpred
 
 faults:
 	$(GO) run ./cmd/restbench -faults -seed $(SEED) -csv

@@ -1,7 +1,8 @@
 // Command restnet is restbench plus the two flags that need the network
 // stack. Every other flag, mode and report is restbench's own (both
 // commands run internal/cli), so for the same flags the two print the same
-// reports byte for byte; restbench alone links no network code.
+// reports byte for byte; restbench alone links no network code. Like
+// restbench, it collects garbage at GOGC=50 unless GOGC is set.
 //
 //	-serve ADDR        serve OTLP-compatible telemetry on ADDR:
 //	                   GET /otlp/metrics is a live snapshot document,
@@ -23,6 +24,7 @@ import (
 )
 
 func main() {
+	cli.TuneGC()
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 

@@ -7,6 +7,7 @@
 package bpred
 
 import (
+	"fmt"
 	"math"
 
 	"rest/internal/isa"
@@ -18,7 +19,7 @@ type Config struct {
 	BimodalBits  int // log2 entries in base predictor (default 14 -> 16k)
 	TaggedTables int // number of tagged components (default 12)
 	TaggedBits   int // log2 entries per tagged table (default 10)
-	TagWidth     int // tag bits per tagged entry (default 11)
+	TagWidth     int // tag bits per tagged entry (default 11, at most 16)
 	MinHistory   int // shortest tagged history length (default 4)
 	MaxHistory   int // longest tagged history length (default 640)
 	BTBBits      int // log2 BTB entries (default 12)
@@ -56,16 +57,20 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// taggedEntry is one tagged-table entry, 4 bytes: the tag fits 16 bits
+// because New rejects a wider TagWidth.
 type taggedEntry struct {
-	tag    uint32
+	tag    uint16
 	ctr    int8  // 3-bit signed saturating: -4..3, taken when >= 0
 	useful uint8 // 2-bit useful counter
 }
 
+// btbEntry is one BTB entry, 16 bytes: the valid flag is folded into the
+// tag, which holds the filling branch's pc+1, so the zero entry is empty.
+// Instruction addresses are isa.InstrBytes-aligned, so pc+1 never wraps.
 type btbEntry struct {
 	tag    uint64
 	target uint64
-	valid  bool
 }
 
 // Predictor is a TAGE branch direction predictor with BTB and RAS. It is
@@ -112,9 +117,13 @@ func (f *foldedHistory) update(newBit, oldBit uint32) {
 	f.comp &= (1 << uint(f.outLen)) - 1
 }
 
-// New builds a predictor.
+// New builds a predictor. It panics on a TagWidth above 16, which the
+// 16-bit tags of the tagged tables cannot hold.
 func New(cfg Config) *Predictor {
 	cfg.applyDefaults()
+	if cfg.TagWidth > 16 {
+		panic(fmt.Sprintf("bpred: tag width %d above 16 bits", cfg.TagWidth))
+	}
 	p := &Predictor{
 		cfg:     cfg,
 		bimodal: make([]int8, 1<<cfg.BimodalBits),
@@ -174,9 +183,9 @@ func (p *Predictor) tableIndex(pc uint64, t int) int {
 	return int(idx & uint32(len(p.tables[t])-1))
 }
 
-func (p *Predictor) tableTag(pc uint64, t int) uint32 {
+func (p *Predictor) tableTag(pc uint64, t int) uint16 {
 	tag := uint32(pc>>4) ^ p.foldedTag[0][t].comp ^ (p.foldedTag[1][t].comp << 1)
-	return tag & ((1 << uint(p.cfg.TagWidth)) - 1)
+	return uint16(tag & ((1 << uint(p.cfg.TagWidth)) - 1))
 }
 
 // PredictDirection predicts taken/not-taken for a conditional branch at pc.
@@ -302,7 +311,7 @@ func (p *Predictor) PredictTarget(pc uint64, op isa.Op) (uint64, bool) {
 		return 0, false
 	}
 	e := &p.btb[p.btbIndex(pc)]
-	if e.valid && e.tag == pc {
+	if e.tag == pc+1 {
 		return e.target, true
 	}
 	return 0, false
@@ -384,7 +393,7 @@ func (p *Predictor) trainBTB(pc uint64, taken bool, target uint64) {
 		return
 	}
 	e := &p.btb[p.btbIndex(pc)]
-	e.valid, e.tag, e.target = true, pc, target
+	e.tag, e.target = pc+1, target
 }
 
 // Accuracy reports the fraction of resolved control transfers predicted

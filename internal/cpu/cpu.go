@@ -28,6 +28,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"rest/internal/bpred"
 	"rest/internal/cache"
 	"rest/internal/core"
@@ -169,9 +171,17 @@ type Pipeline struct {
 	probes *Probes
 }
 
-// New builds a pipeline over a hierarchy and predictor.
+// New builds a pipeline over a hierarchy and predictor. It panics on an
+// SQSize of slotWindow (8,192) or more: the SQ keeps every store-port
+// reservation within SQSize-1 cycles of its request, so below that size
+// the store port's slotPair counts exactly what the direct-mapped
+// slotWindow-cycle table it replaced counted, and every reported cycle
+// stays the same.
 func New(cfg Config, hier *cache.Hierarchy, pred *bpred.Predictor) *Pipeline {
 	cfg.applyDefaults()
+	if cfg.SQSize >= slotWindow {
+		panic(fmt.Sprintf("cpu: SQ size %d not below the %d-cycle slot window", cfg.SQSize, slotWindow))
+	}
 	return &Pipeline{cfg: cfg, hier: hier, pred: pred}
 }
 
@@ -184,14 +194,14 @@ func (p *Pipeline) Run(r trace.Reader) *Stats {
 	cfg := p.cfg
 	st := &Stats{}
 
-	// The three direct-mapped tables take 192 KiB: allocated here, they
+	// The two direct-mapped tables take 128 KiB: allocated here, they
 	// would sit in Run's frame and grow every worker's stack to hold it.
-	slots := new([3][slotWindow]uint64)
+	slots := new([2][slotWindow]uint64)
 	fetchSlots := slotPair{width: uint64(cfg.FetchWidth)}
 	issueSlots := newSlotTable(cfg.IssueWidth, &slots[0])
 	commitSlots := slotPair{width: uint64(cfg.CommitWidth)}
 	loadPorts := newSlotTable(cfg.LoadPorts, &slots[1])
-	storePorts := newSlotTable(cfg.StorePorts, &slots[2])
+	storePorts := slotPair{width: uint64(cfg.StorePorts)}
 
 	rob := newRing(cfg.ROBSize)
 	lq := newRing(cfg.LQSize)

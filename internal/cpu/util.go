@@ -53,27 +53,31 @@ func (s *slotTable) reserve(at uint64) uint64 {
 	}
 }
 
-// slotPair is a slotTable for reservations that never go back in time:
-// each at is no earlier than the cycle the previous reserve returned, as
-// fetch and commit are (fetchReady and lastCommit only rise). Every cycle a
-// table would hold lies at or before the last one returned, so a reserve
-// can only count into that cycle or open a later one, and the whole table
-// is that one (cycle, count) pair. A reservation before it is a bug in the
-// caller, and panics.
+// slotPair is a slotTable for reservations whose requests never go back in
+// time: each at is no earlier than the previous request, as fetch and
+// commit are (fetchReady and lastCommit only rise) and as the L1-D store
+// port is (a store writes at its commit cycle). Every cycle from the
+// previous request up to the last one returned is then full but that last
+// one, so a reserve can only count into the last returned cycle or open a
+// later one, and the whole table is that one (cycle, count) pair. A
+// request earlier than the previous one is a bug in the caller, and
+// panics.
 type slotPair struct {
-	width, cyc, cnt uint64
+	width, req, cyc, cnt uint64
 }
 
 func (s *slotPair) reserve(at uint64) uint64 {
+	if at < s.req {
+		panic(fmt.Sprintf("cpu: reservation at cycle %d after a request at cycle %d", at, s.req))
+	}
+	s.req = at
 	switch {
 	case at > s.cyc:
 		s.cyc, s.cnt = at, 1
-	case at < s.cyc:
-		panic(fmt.Sprintf("cpu: reservation at cycle %d after one returned cycle %d", at, s.cyc))
 	case s.cnt < s.width:
 		s.cnt++
 	default:
-		s.cyc, s.cnt = at+1, 1
+		s.cyc, s.cnt = s.cyc+1, 1
 	}
 	return s.cyc
 }

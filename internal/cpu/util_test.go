@@ -120,9 +120,16 @@ func TestSlotTableMatchesReference(t *testing.T) {
 }
 
 // TestSlotPairMatchesReference drives reservation sequences that meet
-// slotPair's precondition, each request no earlier than the cycle the last
-// one returned, through the pair and the reference table: every returned
-// cycle must agree.
+// slotPair's precondition, each request no earlier than the previous one,
+// through the pair and the reference table: every returned cycle must
+// agree. The first sequences request no earlier than the cycle the last
+// reservation returned, as fetch and commit do. The second are the L1-D
+// store port's: a store requests its commit cycle, which never falls but
+// may lie below the port cycle its predecessors pushed out, so runs of up
+// to SQSize reservations land a cycle or two apart and the returned cycle
+// runs ahead of the requests. As in the core, a store requests only after
+// the one SQSize stores before it has written (the SQ ring), which keeps
+// every returned cycle within SQSize-1 cycles of its request.
 func TestSlotPairMatchesReference(t *testing.T) {
 	for _, width := range []int{1, 2, 3, 8} {
 		r := rand.New(rand.NewSource(int64(width)))
@@ -143,22 +150,56 @@ func TestSlotPairMatchesReference(t *testing.T) {
 			last = got
 		}
 	}
+	sqSize := DefaultConfig().SQSize
+	for _, width := range []int{1, 2, 8} {
+		r := rand.New(rand.NewSource(int64(100 + width)))
+		pair, ref := slotPair{width: uint64(width)}, newRefSlotTable(width)
+		sq := newRing(sqSize)
+		var at, last uint64
+		below := 0
+		for run := 0; run < 20000; run++ {
+			at += uint64(r.Intn(16))
+			for k := 1 + r.Intn(sqSize); k > 0; k-- {
+				if c := sq.peek(); c >= at {
+					at = c + 1
+				}
+				if at < last {
+					below++
+				}
+				got, want := pair.reserve(at), ref.reserve(at)
+				if got != want {
+					t.Fatalf("store port, width %d, run %d: reserve(%d) = %d, reference %d", width, run, at, got, want)
+				}
+				if got-at >= uint64(sqSize) {
+					t.Fatalf("store port, width %d, run %d: reserve(%d) = %d, %d or more cycles late", width, run, at, got, sqSize)
+				}
+				sq.next(got)
+				last = got
+				at += uint64(r.Intn(2))
+			}
+		}
+		if below == 0 {
+			t.Fatalf("store port, width %d: no request fell below the last returned cycle", width)
+		}
+	}
 }
 
 // TestSlotPairPanicsOnEarlierRequest pins slotPair's precondition: a
-// request before the cycle the last reservation returned is a caller bug.
+// request may fall below the cycle the last reservation returned, but one
+// earlier than the previous request is a caller bug.
 func TestSlotPairPanicsOnEarlierRequest(t *testing.T) {
 	s := slotPair{width: 1}
-	s.reserve(10)
-	if got := s.reserve(10); got != 11 {
-		t.Fatalf("second reservation at 10 = %d, want 11", got)
+	for i, want := range []uint64{10, 11, 12} {
+		if got := s.reserve(10); got != want {
+			t.Fatalf("reservation %d at 10 = %d, want %d", i, got, want)
+		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a reservation at 10 after one returned 11 did not panic")
+			t.Fatal("a reservation at 9 after a request at 10 did not panic")
 		}
 	}()
-	s.reserve(10)
+	s.reserve(9)
 }
 
 func TestRingFIFOConstraint(t *testing.T) {
@@ -245,4 +286,17 @@ func TestScanSQDisarm(t *testing.T) {
 	if scanSQDisarm(sq, 0x300, 200) {
 		t.Error("drained disarm matched")
 	}
+}
+
+// TestNewRejectsSQPastSlotWindow pins the bound that makes the store port a
+// slotPair: an SQ of slotWindow entries or more could push a store's write
+// a whole window past its request.
+func TestNewRejectsSQPastSlotWindow(t *testing.T) {
+	New(Config{SQSize: slotWindow - 1}, nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted an SQ of %d entries", slotWindow)
+		}
+	}()
+	New(Config{SQSize: slotWindow}, nil, nil)
 }

@@ -43,8 +43,12 @@ type Memory struct {
 	watchFn func(lo, hi uint64)
 }
 
-// slabPages is how many pages one arena slab carves into (128KiB per slab).
-const slabPages = 32
+// slabPages is how many pages one arena slab carves into (32 KiB per slab).
+// A world's build touches a page or two and its run from a few pages to a
+// few dozen, so a slab of 8 leaves at most 7 empty pages in a live cell
+// (a slab of 32 left up to 31) while still costing one host allocation
+// per 8 pages.
+const slabPages = 8
 
 // New returns an empty memory.
 func New() *Memory {

@@ -1,11 +1,13 @@
 package trace_test
 
 import (
+	"encoding/binary"
 	"runtime"
 	"slices"
 	"testing"
 
 	"rest/internal/core"
+	"rest/internal/isa"
 	"rest/internal/prog"
 	"rest/internal/trace"
 	"rest/internal/workload"
@@ -65,10 +67,10 @@ var steady = map[string]bool{"lbm": true, "libquantum": true, "namd": true, "sop
 
 // TestRecorderCompactness is the encoding's deterministic size gate: every
 // workload's plain and secure-full capture at scale 1 occupies at most 0.75
-// bytes per entry, site table included, and at most 0.05 for the steady
-// workloads; each replays bit-exactly to the stream the machine produced.
-// The log gives each capture's share of entries inside runs, the workload
-// property the size rests on.
+// bytes per entry, site table and effect index included, and at most 0.05
+// for the steady workloads; each replays bit-exactly to the stream the
+// machine produced. The log gives each capture's share of entries inside
+// runs, the workload property the size rests on.
 func TestRecorderCompactness(t *testing.T) {
 	t.Parallel()
 	for _, wl := range workload.All() {
@@ -93,6 +95,55 @@ func TestRecorderCompactness(t *testing.T) {
 					t.Errorf("replay diverges from the captured stream")
 				}
 			})
+		}
+	}
+}
+
+// TestRecorderBytesCountsEffectIndex pins what Bytes counts for a REST
+// capture, exactly: the encoded entries, 16 bytes a site-table row, and
+// the effect index, 8 bytes an effect (a non-faulting ARM or DISARM) and 8
+// an effect-carrying batch. The effects and batches are counted from the
+// machine's own stream and the encoded bytes from the serialized form, so
+// none of the three comes from the Recorder's bookkeeping.
+func TestRecorderBytesCountsEffectIndex(t *testing.T) {
+	for _, name := range []string{"gobmk", "xalanc"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(64, 0)
+		live := &entries{width: 64}
+		capture(t, wl, prog.RESTFull(64), core.Secure, rec, live)
+		effects, batches := 0, 0
+		batch, indexed := -1, -1
+		for i, e := range live.es {
+			if e.Kind == trace.KindUser {
+				batch = i
+			}
+			if !e.Faults && (e.Op == isa.OpArm || e.Op == isa.OpDisarm) {
+				effects++
+				if batch != indexed {
+					batches, indexed = batches+1, batch
+				}
+			}
+		}
+		if effects == 0 {
+			t.Fatalf("%s: the secure-full capture holds no ARM or DISARM", name)
+		}
+		// The serialized form frames the encoding: a uvarint site count,
+		// 14-byte site rows, and a uvarint length before each block.
+		enc := rec.AppendEncoding(nil)
+		sites, n := binary.Uvarint(enc)
+		off, encoded := n+int(sites)*14, 0
+		for off < len(enc) {
+			b, n := binary.Uvarint(enc[off:])
+			off += n + int(b)
+			encoded += int(b)
+		}
+		want := uint64(encoded + int(sites)*16 + effects*8 + batches*8)
+		t.Logf("%s: %d B encoded, %d sites, %d effects in %d batches: %d B", name, encoded, sites, effects, batches, want)
+		if rec.Bytes() != want {
+			t.Errorf("%s: Bytes = %d, want %d", name, rec.Bytes(), want)
 		}
 	}
 }

@@ -72,7 +72,10 @@ const minBlockBytes = 3
 // value codes, run headers with stray bits, empty runs and runs that cross
 // the end of their block, site indices outside the table, a same-site or
 // run entry whose previous site has no recorded successor, a run entry
-// whose site was last coded with a delta, a block that does not decode to
+// whose site was last coded with a delta, a non-faulting ARM or DISARM at
+// an odd address in a trace with a token width (the machine faults every
+// misaligned one, and the effect index keeps its arm flag in bit 0), a
+// trace too long for the effect index, a block that does not decode to
 // exactly its share of the entries (blockEntries each, the last block what
 // remains) in exactly its bytes, bytes after the last block, a site table
 // longer than src, and an entry count needing more blocks than src could
@@ -112,6 +115,9 @@ func DecodeRecorder(tokenWidth, entries uint64, src []byte) (*Recorder, error) {
 		m.reset()
 		for end := min(pos+blockEntries, entries); pos < end; pos++ {
 			e, err := blk.entry(sites, &m, end-pos)
+			if err == nil && changesShadow(tokenWidth, &e) && e.Addr&uint64(effArm) != 0 {
+				err = fmt.Errorf("non-faulting %v at odd address %#x", e.Op, e.Addr)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("trace: entry %d: %w", pos, err)
 			}
@@ -123,6 +129,9 @@ func DecodeRecorder(tokenWidth, entries uint64, src []byte) (*Recorder, error) {
 	}
 	if d.off != len(src) {
 		return nil, fmt.Errorf("trace: %d bytes after the last block", len(src)-d.off)
+	}
+	if rec.Overflowed() {
+		return nil, fmt.Errorf("trace: %d entries overflow the effect index", entries)
 	}
 	return rec, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"rest/internal/isa"
 )
 
 // oneSite is a serialized trace with a one-row site table (PC 0x1000, every
@@ -38,6 +40,16 @@ func TestDecodeRecorderRejects(t *testing.T) {
 	// as the Recorder writes it.
 	runCoded := func(k int) []byte {
 		return binary.AppendUvarint([]byte{0x00, 0x00, 0x00, 0x00, hdrRun}, uint64(k-2))
+	}
+	// armAt(addr) is a one-entry trace of a non-faulting ARM at addr, its
+	// address coded as a delta from the fresh site's zero prediction.
+	armAt := func(addr uint64) []byte {
+		p := binary.AppendUvarint(nil, 1)
+		p = binary.LittleEndian.AppendUint64(p, 0x1000)
+		p = append(p, byte(isa.OpArm), byte(KindRuntime), 0, 0, 0, 0)
+		b := binary.AppendVarint([]byte{codeDelta << hdrAddrShift, 0x00}, int64(addr))
+		p = binary.AppendUvarint(p, uint64(len(b)))
+		return append(p, b...)
 	}
 	control := run(3)
 	// Every block takes at least minBlockBytes, so a count needing one
@@ -76,6 +88,8 @@ func TestDecodeRecorderRejects(t *testing.T) {
 		{"block with bytes to spare", 2, oneSite(control), "1 bytes left in the block"},
 		{"block length past the payload", 3, oneSite(control)[:20], "block at entry 0: unexpected end"},
 		{"bytes after the last block", 3, append(oneSite(control), 0), "1 bytes after the last block"},
+		{"ARM control", 1, armAt(0x4000), ""},
+		{"ARM at an odd address", 1, armAt(0x4001), "entry 0: non-faulting arm at odd address 0x4001"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			rec, err := DecodeRecorder(8, tt.entries, tt.src)

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"unsafe"
 
@@ -163,16 +164,31 @@ type Recorder struct {
 
 // effBatch marks one effect-carrying batch: pos is the batch's start index in
 // the trace, end is the exclusive upper bound of its ops in effOps (its lower
-// bound is the previous effBatch's end).
+// bound is the previous effBatch's end). A capture whose index would need
+// either past 32 bits overflows.
 type effBatch struct {
-	pos, end int
+	pos, end uint32
 }
 
-// effOp is one shadow mutation: arm (set) or disarm (clear) of the chunk at
-// addr.
-type effOp struct {
-	addr uint64
-	arm  bool
+// effOp is one shadow mutation: the address of the chunk it arms (sets) or
+// disarms (clears), with effArm in bit 0 for an arm. A non-faulting ARM or
+// DISARM is token-aligned, because the tracker faults a misaligned one, so
+// bit 0 of its address is clear; Append panics on one where it is not.
+type effOp uint64
+
+const effArm effOp = 1
+
+// Storage of one effect-index element each, counted by Bytes.
+const (
+	effOpBytes    = int(unsafe.Sizeof(effOp(0)))
+	effBatchBytes = int(unsafe.Sizeof(effBatch{}))
+)
+
+// changesShadow reports whether e, in a trace of the given token width,
+// arms or disarms a chunk of the replay token shadow: a non-faulting ARM or
+// DISARM of a REST trace (tokenWidth != 0).
+func changesShadow(tokenWidth uint64, e *Entry) bool {
+	return tokenWidth != 0 && !e.Faults && (e.Op == isa.OpArm || e.Op == isa.OpDisarm)
 }
 
 // NewRecorder returns a Recorder for a trace whose ARM/DISARM entries operate
@@ -189,14 +205,16 @@ func (r *Recorder) TokenWidth() uint64 { return r.tokenWidth }
 // Len reports how many entries are recorded.
 func (r *Recorder) Len() int { return r.n }
 
-// Bytes reports the storage the recorded entries occupy: their encoding plus
-// the site table it refers to.
+// Bytes reports the storage the recorded entries occupy: their encoding, the
+// site table it refers to and, for a REST trace, the effect index.
 func (r *Recorder) Bytes() uint64 {
-	return uint64(r.sealed + len(r.tail) + len(r.sites)*siteBytes)
+	return uint64(r.sealed + len(r.tail) + len(r.sites)*siteBytes +
+		len(r.effOps)*effOpBytes + len(r.effBatches)*effBatchBytes)
 }
 
-// Overflowed reports whether the byte limit stopped the capture; an
-// overflowed Recorder has dropped its contents and ignores further Appends.
+// Overflowed reports whether the byte limit stopped the capture (or, past
+// 2^32 entries, the effect index's range); an overflowed Recorder has
+// dropped its contents and ignores further Appends.
 func (r *Recorder) Overflowed() bool { return r.overflowed }
 
 // Append records one entry. Entries must arrive in stream order; Seq is not
@@ -208,13 +226,25 @@ func (r *Recorder) Append(e Entry) {
 	if e.Kind == KindUser {
 		r.curBatch = r.n
 	}
-	if r.tokenWidth != 0 && !e.Faults && (e.Op == isa.OpArm || e.Op == isa.OpDisarm) {
-		if k := len(r.effBatches) - 1; k >= 0 && r.effBatches[k].pos == r.curBatch {
+	if changesShadow(r.tokenWidth, &e) {
+		if e.Addr&uint64(effArm) != 0 {
+			panic(fmt.Sprintf("trace: non-faulting %v at odd address %#x", e.Op, e.Addr))
+		}
+		if uint64(r.curBatch) > math.MaxUint32 || uint64(len(r.effOps)) >= math.MaxUint32 {
+			r.Release()
+			r.overflowed = true
+			return
+		}
+		if k := len(r.effBatches) - 1; k >= 0 && int(r.effBatches[k].pos) == r.curBatch {
 			r.effBatches[k].end++
 		} else {
-			r.effBatches = append(r.effBatches, effBatch{pos: r.curBatch, end: len(r.effOps) + 1})
+			r.effBatches = append(r.effBatches, effBatch{pos: uint32(r.curBatch), end: uint32(len(r.effOps) + 1)})
 		}
-		r.effOps = append(r.effOps, effOp{addr: e.Addr, arm: e.Op == isa.OpArm})
+		op := effOp(e.Addr)
+		if e.Op == isa.OpArm {
+			op |= effArm
+		}
+		r.effOps = append(r.effOps, op)
 	}
 	if r.n&blockMask == 0 {
 		r.enc.reset()
@@ -637,7 +667,7 @@ func (r *Recorder) Replayer() *Replayer {
 		rp.chunks = lineBytes / int(r.tokenWidth)
 		rp.armed = make(map[uint64]struct{})
 		if len(r.effBatches) > 0 {
-			rp.applied = r.effBatches[0].pos
+			rp.applied = int(r.effBatches[0].pos)
 		}
 	}
 	return rp
@@ -674,20 +704,20 @@ func (rp *Replayer) syncBatch() {
 		return
 	}
 	eb := r.effBatches[rp.effIdx]
-	start := 0
+	var start uint32
 	if rp.effIdx > 0 {
 		start = r.effBatches[rp.effIdx-1].end
 	}
 	for _, op := range r.effOps[start:eb.end] {
-		if op.arm {
-			rp.armed[op.addr] = struct{}{}
+		if addr := uint64(op &^ effArm); op&effArm != 0 {
+			rp.armed[addr] = struct{}{}
 		} else {
-			delete(rp.armed, op.addr)
+			delete(rp.armed, addr)
 		}
 	}
 	rp.effIdx++
 	if rp.effIdx < len(r.effBatches) {
-		rp.applied = r.effBatches[rp.effIdx].pos
+		rp.applied = int(r.effBatches[rp.effIdx].pos)
 	} else {
 		rp.applied = r.n
 	}

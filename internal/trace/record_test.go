@@ -259,6 +259,27 @@ func TestReplayerTokenShadow(t *testing.T) {
 	}
 }
 
+// TestRecorderRejectsOddEffect pins the effect index's packing: a
+// non-faulting ARM or DISARM in a REST trace is token-aligned, so bit 0 of
+// its address holds the arm flag, and an odd address is a caller bug. A
+// faulting one, or one in a trace without a token width, is not indexed
+// and may sit anywhere.
+func TestRecorderRejectsOddEffect(t *testing.T) {
+	rec := NewRecorder(8, 0)
+	rec.Append(Entry{Op: isa.OpArm, Kind: KindRuntime, Addr: 0x41, Faults: true})
+	NewRecorder(0, 0).Append(Entry{Op: isa.OpDisarm, Kind: KindRuntime, Addr: 0x41})
+	for _, op := range []isa.Op{isa.OpArm, isa.OpDisarm} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a non-faulting %v at 0x41 did not panic", op)
+				}
+			}()
+			rec.Append(Entry{Op: op, Kind: KindRuntime, Addr: 0x41})
+		}()
+	}
+}
+
 // TestReplayerNoShadow pins the non-REST fast path: width 0 means no armed
 // set and an always-zero mask.
 func TestReplayerNoShadow(t *testing.T) {

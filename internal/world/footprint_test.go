@@ -18,8 +18,10 @@ import (
 // so an unused Table II hierarchy is a per-set index, not 1 MiB of empty
 // L2 ways; the branch predictor's tables are now the largest part.
 //
-// Measured with Go 1.24: Build 418,952 B in 83 allocations, BuildReplay
-// 277,784 B in 38, NewHierarchy 12 allocations; preallocating every way
+// Measured with Go 1.24: Build 238,728 B in 83 allocations, BuildReplay
+// 195,864 B in 38, NewHierarchy 12 allocations. With 8-byte tagged
+// predictor entries, 24-byte BTB entries and 32-page memory slabs they
+// were 418,952 B and 277,784 B; preallocating every way on top of that
 // cost 1,533,064 B / 2,387, 1,391,896 B / 2,342 and 2,316. The bounds keep
 // ~20% headroom because CI builds with go.mod's older Go, whose runtime and
 // append growth may size things a little differently.
@@ -51,8 +53,8 @@ func TestWorldFootprint(t *testing.T) {
 		maxBytes  uint64
 		maxAllocs uint64
 	}{
-		{"Build", build, 512 << 10, 200},
-		{"BuildReplay", replay, 320 << 10, 64},
+		{"Build", build, 280 << 10, 200},
+		{"BuildReplay", replay, 230 << 10, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

@@ -64,6 +64,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode     -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzBlockInvalidate -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzPredictorMatchesReference -fuzztime=$(FUZZTIME) ./internal/bpred
+	$(GO) test -run='^$$' -fuzz=FuzzJSONString -fuzztime=$(FUZZTIME) ./internal/obs
 
 faults:
 	$(GO) run ./cmd/restbench -faults -seed $(SEED) -csv

@@ -227,18 +227,18 @@ func BenchmarkFig8DiskColdWarm(b *testing.B) {
 func runFig8SensitivityTelemetry(tb testing.TB, export bool) time.Duration {
 	tb.Helper()
 	opt := harness.ParallelOptions{Workers: runtime.GOMAXPROCS(0)}
-	var tel *harness.TelemetryExporter
+	var tel *otlp.Exporter
 	var sub *otlp.Subscriber
 	drained := make(chan struct{})
 	if export {
-		tel = harness.NewTelemetryExporter("restbench", nil)
+		tel = otlp.NewExporter("restbench", nil)
 		sub = tel.Bus.Subscribe(0)
 		go func() {
 			for range sub.C() {
 			}
 			close(drained)
 		}()
-		opt.OnCell = harness.ObserveCells("fig8sens", nil, nil, tel)
+		opt.OnCell = harness.ObserveCells("fig8sens", nil, nil, tel.Observe)
 	}
 	start := time.Now()
 	if _, err := harness.RunMatrixParallel(context.Background(), workload.All(), harness.Fig8SensitivityConfigs(), benchScale, opt); err != nil {

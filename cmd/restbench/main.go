@@ -77,11 +77,9 @@
 //	-progress        live cells-done/holes/ETA meter on stderr (with cache
 //	                 hit rate once any cache tier is consulted)
 //
-// Modes (each takes no other flag, and a stray one fails the spelling in
-// one line):
+// Mode (takes no other flag, and a stray one fails the spelling in one
+// line):
 //
-//	-check-otlp FILE validate a captured OTLP dump (single document, NDJSON
-//	                 or SSE framing) and exit; used by CI
 //	-version         print module version + VCS revision and exit
 //
 // Memory: restbench runs Go's garbage collector at a 50% target (GOGC=50)
@@ -90,12 +88,14 @@
 // for some more CPU time. GOGC set in the environment overrides the
 // target (GOGC=100 restores Go's default).
 //
-// restbench links no network code. The two flags that need it live in
-// restnet, which is restbench plus -serve (live OTLP telemetry) and -watch
-// (a dashboard attached to another process's -serve); given either of
-// them, restbench exits 2 with one line naming restnet. The command line
-// itself is internal/cli, which both commands run, so their reports are
-// the same bytes.
+// restbench links no network code and no OTLP code: a sweep maps the whole
+// binary, so every linked byte is a resident byte. The three flags that
+// need them live in restnet, which is restbench plus -serve (live OTLP
+// telemetry), -watch (a dashboard attached to another process's -serve)
+// and -check-otlp (validate a captured OTLP dump); given any of them,
+// restbench exits 2 with one line naming restnet. The command line itself
+// is internal/cli, which both commands run, so their reports are the same
+// bytes.
 package main
 
 import (

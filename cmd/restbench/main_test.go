@@ -8,11 +8,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"rest/internal/cli"
 	"rest/internal/obs"
-	"rest/internal/obs/otlp"
 	"rest/internal/persist"
 )
 
@@ -101,17 +99,14 @@ func TestValidateWatchFlags(t *testing.T) {
 	}
 }
 
-// TestModeDispatch drives run's mode table. -version and -check-otlp, like
-// -watch, take no report flag: given one, in either order,
-// they exit 2 with one stderr line naming the strays and print nothing to
-// stdout. Alone, each still does its job and exits 0.
+// TestModeDispatch drives run's mode table. -version, like restnet's
+// -watch and -check-otlp, takes no report flag: given one, in either order,
+// it exits 2 with one stderr line naming the strays and prints nothing to
+// stdout. Alone, it still does its job and exits 0. -check-otlp is
+// restnet's (its TestModeDispatch drives it): restbench answers it, as it
+// answers -serve, with one line naming restnet.
 func TestModeDispatch(t *testing.T) {
 	t.Parallel()
-	dump := filepath.Join(t.TempDir(), "metrics.json")
-	doc := otlp.Line(otlp.EncodeMetrics(nil, otlp.ServiceResource("restbench"), time.Unix(0, 0), time.Unix(1, 0)))
-	if err := os.WriteFile(dump, doc, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, tt := range []struct {
 		args   []string
 		code   int
@@ -122,14 +117,9 @@ func TestModeDispatch(t *testing.T) {
 			stderr: "restbench: -version prints the build and takes no other flags; drop -fig7"},
 		{args: []string{"-fig7", "-scale", "1", "-version"}, code: 2,
 			stderr: "restbench: -version prints the build and takes no other flags; drop -fig7, -scale"},
-		{args: []string{"-check-otlp", dump, "-fig7"}, code: 2,
-			stderr: "restbench: -check-otlp validates an OTLP dump and takes no other flags; drop -fig7"},
-		{args: []string{"-fig7", "-check-otlp", dump}, code: 2,
-			stderr: "restbench: -check-otlp validates an OTLP dump and takes no other flags; drop -fig7"},
-		{args: []string{"-version", "-check-otlp", dump}, code: 2,
-			stderr: "restbench: -version prints the build and takes no other flags; drop -check-otlp"},
 		{args: []string{"-version"}, stdout: obs.ReadBuild().String()},
-		{args: []string{"-check-otlp", dump}, stdout: ": 1 valid OTLP document(s)"},
+		{args: []string{"-check-otlp", "metrics.json"}, code: 2,
+			stderr: "restbench: -check-otlp needs the OTLP validator, which only restnet links; run restnet with the same flags"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tt.args, &stdout, &stderr)

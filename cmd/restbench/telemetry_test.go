@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rest/internal/harness"
+	"rest/internal/obs/otlp"
 	"rest/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func TestReportsByteIdenticalUnderTelemetry(t *testing.T) {
 			bt, bc, bmc := renderSweep(t, j, nil) // bare reference
 
 			// Active subscriber draining concurrently.
-			telA := harness.NewTelemetryExporter("restbench", nil)
+			telA := otlp.NewExporter("restbench", nil)
 			subA := telA.Bus.Subscribe(0)
 			done := make(chan int)
 			go func() {
@@ -63,7 +64,7 @@ func TestReportsByteIdenticalUnderTelemetry(t *testing.T) {
 				}
 				done <- n
 			}()
-			at, ac, amc := renderSweep(t, j, harness.ObserveCells("fig8sens", nil, nil, telA))
+			at, ac, amc := renderSweep(t, j, harness.ObserveCells("fig8sens", nil, nil, telA.Observe))
 			telA.Bus.Unsubscribe(subA)
 			if n := <-done; n == 0 {
 				t.Error("active subscriber saw no lines")
@@ -71,9 +72,9 @@ func TestReportsByteIdenticalUnderTelemetry(t *testing.T) {
 
 			// Stalled subscriber: buffer of 1, never read. The bus must drop
 			// lines rather than stall the sweep.
-			telS := harness.NewTelemetryExporter("restbench", nil)
+			telS := otlp.NewExporter("restbench", nil)
 			telS.Bus.Subscribe(1)
-			st, sc, smc := renderSweep(t, j, harness.ObserveCells("fig8sens", nil, nil, telS))
+			st, sc, smc := renderSweep(t, j, harness.ObserveCells("fig8sens", nil, nil, telS.Observe))
 			if _, dropped := telS.Bus.Counters(); dropped == 0 {
 				t.Error("stalled subscriber never forced a drop")
 			}

@@ -1,8 +1,9 @@
-// Command restnet is restbench plus the two flags that need the network
-// stack. Every other flag, mode and report is restbench's own (both
-// commands run internal/cli), so for the same flags the two print the same
-// reports byte for byte; restbench alone links no network code. Like
-// restbench, it collects garbage at GOGC=50 unless GOGC is set.
+// Command restnet is restbench plus the three flags that need the network
+// stack or the OTLP code. Every other flag, mode and report is restbench's
+// own (both commands run internal/cli), so for the same flags the two print
+// the same reports byte for byte; restbench alone links no network code and
+// no OTLP code. Like restbench, it collects garbage at GOGC=50 unless GOGC
+// is set.
 //
 //	-serve ADDR        serve OTLP-compatible telemetry on ADDR:
 //	                   GET /otlp/metrics is a live snapshot document,
@@ -14,6 +15,10 @@
 //	-watch ADDR        a mode: attach a live terminal dashboard to another
 //	                   restnet process's -serve address (takes no other
 //	                   flag)
+//	-check-otlp FILE   a mode: validate a captured OTLP dump (single
+//	                   document, NDJSON or SSE framing) and exit non-zero
+//	                   on a schema violation (takes no other flag); CI
+//	                   checks -serve's captures with it
 package main
 
 import (
@@ -21,6 +26,7 @@ import (
 	"os"
 
 	"rest/internal/cli"
+	"rest/internal/obs/otlp"
 )
 
 func main() {
@@ -29,7 +35,7 @@ func main() {
 }
 
 // run is restnet: the shared command line with the network half that
-// serve.go and watch.go implement.
+// serve.go and watch.go implement, and the OTLP validator.
 func run(args []string, stdout, stderr io.Writer) int {
-	return cli.Run("restnet", args, stdout, stderr, &cli.Net{Serve: serve, Watch: runWatch})
+	return cli.Run("restnet", args, stdout, stderr, &cli.Net{Serve: serve, Watch: runWatch, CheckOTLP: otlp.ValidateDump})
 }

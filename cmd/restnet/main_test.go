@@ -3,16 +3,20 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"rest/internal/cli"
+	"rest/internal/obs/otlp"
 )
 
-// TestFlagsAreRestbenchPlusTwo pins restnet's flag table: every flag of
-// restbench's, plus -serve and -watch, and nothing else.
-func TestFlagsAreRestbenchPlusTwo(t *testing.T) {
+// TestFlagsAreRestbenchPlusThree pins restnet's flag table: every flag of
+// restbench's, plus -serve, -watch and -check-otlp, and nothing else.
+func TestFlagsAreRestbenchPlusThree(t *testing.T) {
 	t.Parallel()
 	flags := func(run func(args []string, stdout, stderr io.Writer) int) []string {
 		var stderr bytes.Buffer
@@ -42,7 +46,46 @@ func TestFlagsAreRestbenchPlusTwo(t *testing.T) {
 			t.Errorf("restnet lacks restbench's -%s", name)
 		}
 	}
-	if want := []string{"serve", "watch"}; !slices.Equal(extra, want) {
+	if want := []string{"check-otlp", "serve", "watch"}; !slices.Equal(extra, want) {
 		t.Errorf("restnet adds %q to restbench's flags, want %q", extra, want)
+	}
+}
+
+// TestModeDispatch drives -check-otlp through the mode table: like -version
+// and -watch it takes no report flag, so given one, in either order, it
+// exits 2 with one stderr line naming the strays and prints nothing to
+// stdout. Alone, it validates the dump and exits 0.
+func TestModeDispatch(t *testing.T) {
+	t.Parallel()
+	dump := filepath.Join(t.TempDir(), "metrics.json")
+	doc := otlp.Line(otlp.EncodeMetrics(nil, otlp.ServiceResource("restnet"), time.Unix(0, 0), time.Unix(1, 0)))
+	if err := os.WriteFile(dump, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		args   []string
+		code   int
+		stdout string // substring of the expected stdout ("" = empty)
+		stderr string // the expected single stderr line ("" = empty)
+	}{
+		{args: []string{"-check-otlp", dump, "-fig7"}, code: 2,
+			stderr: "restnet: -check-otlp validates an OTLP dump and takes no other flags; drop -fig7"},
+		{args: []string{"-fig7", "-check-otlp", dump}, code: 2,
+			stderr: "restnet: -check-otlp validates an OTLP dump and takes no other flags; drop -fig7"},
+		{args: []string{"-version", "-check-otlp", dump}, code: 2,
+			stderr: "restnet: -version prints the build and takes no other flags; drop -check-otlp"},
+		{args: []string{"-check-otlp", dump}, stdout: dump + ": 1 valid OTLP document(s)"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tt.args, &stdout, &stderr)
+		if code != tt.code {
+			t.Errorf("%q: exit %d, want %d (stderr %q)", tt.args, code, tt.code, stderr.String())
+		}
+		if got := strings.TrimSuffix(stderr.String(), "\n"); got != tt.stderr {
+			t.Errorf("%q: stderr %q, want %q", tt.args, got, tt.stderr)
+		}
+		if tt.stdout == "" && stdout.Len() > 0 || !strings.Contains(stdout.String(), tt.stdout) {
+			t.Errorf("%q: stdout %q, want %q", tt.args, stdout.String(), tt.stdout)
+		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 
+	"rest/internal/cli"
 	"rest/internal/harness"
+	"rest/internal/obs/otlp"
 	"rest/internal/obs/otlp/otlphttp"
 )
 
@@ -21,7 +23,7 @@ import (
 // /debug/pprof/ on addr until the returned listener is closed. The
 // listener's Addr is the resolved address, usable in a printed URL even for
 // ":0" specs.
-func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (net.Listener, error) {
+func startTelemetryServer(addr string, tel *otlp.Exporter, stderr io.Writer) (net.Listener, error) {
 	mux := http.NewServeMux()
 	src := &otlphttp.Source{Service: tel.Service, Snapshot: tel.Snapshot, Bus: tel.Bus, Start: tel.Start}
 	src.Register(mux)
@@ -42,14 +44,16 @@ func startTelemetryServer(addr string, tel *harness.TelemetryExporter, stderr io
 	return ln, nil
 }
 
-// serve is -serve's half of cli.Net: the telemetry server plus a stderr
-// banner with the resolved address and the command that attaches to it.
-func serve(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (io.Closer, error) {
+// serve is -serve's half of cli.Net: an exporter over the invocation's
+// trace cache, its telemetry server, and a stderr banner with the resolved
+// address and the command that attaches to it.
+func serve(addr, service string, tc *harness.TraceCache, stderr io.Writer) (cli.Live, io.Closer, error) {
+	tel := otlp.NewExporter(service, tc.RecordCounters)
 	ln, err := startTelemetryServer(addr, tel, stderr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fmt.Fprintf(stderr, "serving http://%s/otlp/metrics, /otlp/stream and /debug/pprof/ (attach with: restnet -watch %s)\n",
 		ln.Addr(), ln.Addr())
-	return ln, nil
+	return tel, ln, nil
 }

@@ -35,7 +35,7 @@ func testWorkloads(t *testing.T) []workload.Workload {
 // same address.
 func TestServeEndToEnd(t *testing.T) {
 	t.Parallel()
-	tel := harness.NewTelemetryExporter("restbench", nil)
+	tel := otlp.NewExporter("restbench", nil)
 	ln, err := startTelemetryServer("127.0.0.1:0", tel, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestServeEndToEnd(t *testing.T) {
 	cfgs := harness.Fig8SensitivityConfigs()
 	tel.AddSweep(len(wls) * len(cfgs))
 	if _, err := harness.RunMatrixParallel(context.Background(), wls, cfgs, 1,
-		harness.ParallelOptions{Workers: 4, OnCell: harness.ObserveCells("fig8sens", nil, nil, tel)}); err != nil {
+		harness.ParallelOptions{Workers: 4, OnCell: harness.ObserveCells("fig8sens", nil, nil, tel.Observe)}); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 
@@ -139,7 +139,7 @@ collect:
 // counts and the merged registries of the cells observed so far.
 func TestServeMetricsCarryBuildAndProgress(t *testing.T) {
 	t.Parallel()
-	tel := harness.NewTelemetryExporter("restbench", nil)
+	tel := otlp.NewExporter("restbench", nil)
 	ln, err := startTelemetryServer("127.0.0.1:0", tel, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestServeMetricsCarryBuildAndProgress(t *testing.T) {
 	defer ln.Close()
 
 	tel.AddSweep(10)
-	observe := harness.ObserveCells("fig7", nil, nil, tel)
+	observe := harness.ObserveCells("fig7", nil, nil, tel.Observe)
 	reg := obs.NewRegistry()
 	reg.Counter("sim.user_instructions").Add(42)
 	observe(harness.CellEvent{Workload: "lbm", Config: "plain", Obs: reg})

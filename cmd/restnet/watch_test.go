@@ -21,7 +21,7 @@ func watchMetricsLine(t *testing.T, fill func(*obs.Registry)) []byte {
 	return otlp.Line(otlp.EncodeMetrics(r.Snapshot(), otlp.ServiceResource("restbench"), w0, w1))
 }
 
-func watchSpanLine(t *testing.T, cells ...otlp.CellSpan) []byte {
+func watchSpanLine(t *testing.T, cells ...obs.CellSpan) []byte {
 	t.Helper()
 	return otlp.Line(otlp.EncodeSpans(cells, otlp.ServiceResource("restbench")))
 }
@@ -45,9 +45,9 @@ func TestWatchStateIngestAndRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := st.ingest(watchSpanLine(t,
-		otlp.CellSpan{Sweep: "fig8sens", Worker: 0, Index: 0, Total: 8, Workload: "lbm",
+		obs.CellSpan{Sweep: "fig8sens", Worker: 0, Index: 0, Total: 8, Workload: "lbm",
 			Config: "baseline", Start: w0, End: w1, Verdict: "ok", Source: "capture", Cycles: 1000},
-		otlp.CellSpan{Sweep: "fig8sens", Worker: 1, Index: 1, Total: 8, Workload: "xalanc",
+		obs.CellSpan{Sweep: "fig8sens", Worker: 1, Index: 1, Total: 8, Workload: "xalanc",
 			Config: "l2slow", Start: w0, End: w1, Verdict: "hole", Reason: "cell timeout"},
 	)); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestWatchStateUpdatesAcrossSnapshots(t *testing.T) {
 	}
 	// Same worker across spans: the row accumulates rather than duplicates.
 	for i := 0; i < 3; i++ {
-		if err := st.ingest(watchSpanLine(t, otlp.CellSpan{
+		if err := st.ingest(watchSpanLine(t, obs.CellSpan{
 			Sweep: "fig7", Worker: 2, Index: i, Total: 3, Workload: "mcf", Config: "plain",
 			Start: w0, End: w1, Verdict: "ok", Source: "stream",
 		})); err != nil {

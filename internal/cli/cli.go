@@ -1,10 +1,10 @@
 // Package cli is the command line that restbench and restnet share: the
 // flag table, the mode table, the report table and the sweep loop that
 // feeds every report's grid through the harness. Both commands call Run;
-// restbench passes no Net, so it links none of the network stack, and
-// restnet passes the code behind the two flags that need it (-serve,
-// -watch). There is one sweep path: the two binaries print the same reports
-// byte for byte.
+// restbench passes no Net, so it links none of the network stack or the
+// OTLP code, and restnet passes the code behind the three flags that need
+// them (-serve, -watch, -check-otlp). There is one sweep path: the two
+// binaries print the same reports byte for byte.
 package cli
 
 import (
@@ -21,24 +21,39 @@ import (
 	"rest/internal/fault"
 	"rest/internal/harness"
 	"rest/internal/obs"
-	"rest/internal/obs/otlp"
 	"rest/internal/persist"
 	"rest/internal/prog"
 	"rest/internal/sim"
 	"rest/internal/workload"
 )
 
-// Net is the network half of the command line, which only restnet links.
-// Run registers -serve and -watch only when it is given a Net; without one
-// (restbench) each of them fails the spelling in one line that names
-// restnet.
+// Net is the network and OTLP half of the command line, which only restnet
+// links. Run registers -serve, -watch and -check-otlp only when it is given
+// a Net; without one (restbench) each of them fails the spelling in one
+// line that names restnet.
 type Net struct {
-	// Serve serves tel's /otlp/* endpoints and /debug/pprof/ on addr
-	// (-serve) until the returned closer is closed.
-	Serve func(addr string, tel *harness.TelemetryExporter, stderr io.Writer) (io.Closer, error)
+	// Serve builds the live telemetry around the invocation's trace cache,
+	// with service naming its OTLP resource, and serves its /otlp/*
+	// endpoints and /debug/pprof/ on addr (-serve) until the returned
+	// closer is closed. The sweeps feed it through the returned Live.
+	Serve func(addr, service string, tc *harness.TraceCache, stderr io.Writer) (Live, io.Closer, error)
 	// Watch renders a live dashboard of the process serving addr (-watch)
 	// until its stream ends.
 	Watch func(addr string, stdout io.Writer) error
+	// CheckOTLP validates an OTLP dump (-check-otlp: a single document,
+	// NDJSON or SSE) and returns how many documents it holds.
+	CheckOTLP func(raw []byte) (int, error)
+}
+
+// Live is -serve's telemetry as the sweeps feed it. It is an interface so
+// that this package, which restbench links, names none of the OTLP code
+// behind it.
+type Live interface {
+	// AddSweep announces a sweep's cell count before the sweep starts.
+	AddSweep(cells int)
+	// Observe takes each finished cell's span and registry; it must be safe
+	// for concurrent use.
+	Observe(obs.CellSpan, *obs.Registry)
 }
 
 // CacheFlags is the persistent-cache flag spelling under validation,
@@ -106,11 +121,10 @@ type session struct {
 	csv, chart, variants, keepGoing bool
 	progress                        bool
 
-	// tel backs the progress meter's cache field; stream is tel under
-	// -serve and nil otherwise, so no span is encoded without a server.
-	tel, stream *harness.TelemetryExporter
-	tracer      *obs.Trace
-	metrics     []*harness.MetricsReport
+	// live is -serve's telemetry, nil without a server.
+	live    Live
+	tracer  *obs.Trace
+	metrics []*harness.MetricsReport
 	// degraded flips when a sweep came back partial under -keep-going; the
 	// holes are already annotated in the printed reports, so the process
 	// still exits 0 — the campaign completed, just not every cell.
@@ -138,10 +152,14 @@ func (s *session) sweep(name string, cells int, grid func(harness.ParallelOption
 	var meter *obs.Progress
 	if s.progress {
 		meter = obs.NewProgress(s.stderr, name, cells)
-		meter.SetStats(s.tel.ProgressStats)
+		meter.SetStats(o.TraceCache.ProgressStats)
 	}
-	s.tel.AddSweep(cells)
-	o.OnCell = harness.ObserveCells(name, meter, s.tracer, s.stream)
+	var sink func(obs.CellSpan, *obs.Registry)
+	if s.live != nil {
+		s.live.AddSweep(cells)
+		sink = s.live.Observe
+	}
+	o.OnCell = harness.ObserveCells(name, meter, s.tracer, sink)
 	m, err := grid(o)
 	if err != nil {
 		var merr *harness.MatrixError
@@ -333,16 +351,17 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 	metricsOut := fs.String("metrics", "", "write sweep metrics to this file as CSV")
 	traceOut := fs.String("trace", "", "write a Chrome/Catapult JSON trace of the sweeps to this file")
 	fs.BoolVar(&s.progress, "progress", false, "live cells-done/holes/ETA meter on stderr")
-	checkOTLP := fs.String("check-otlp", "", "validate an OTLP dump file (document, NDJSON or SSE) and exit")
 	version := fs.Bool("version", false, "print build/version information and exit")
-	// The network flags, registered only when a Net backs them.
-	var serveAddr, watchAddr string
+	// The flags only a Net backs, each with what it needs that restbench
+	// does not link.
+	var serveAddr, watchAddr, checkOTLP string
 	netFlags := []struct {
-		p           *string
-		name, usage string
+		p                  *string
+		name, usage, needs string
 	}{
-		{&serveAddr, "serve", "serve OTLP telemetry (/otlp/metrics, /otlp/stream) and net/http/pprof (/debug/pprof/) on this address (e.g. localhost:7788)"},
-		{&watchAddr, "watch", "attach a live dashboard to another process's -serve address and exit with it"},
+		{&serveAddr, "serve", "serve OTLP telemetry (/otlp/metrics, /otlp/stream) and net/http/pprof (/debug/pprof/) on this address (e.g. localhost:7788)", "the network stack"},
+		{&watchAddr, "watch", "attach a live dashboard to another process's -serve address and exit with it", "the network stack"},
+		{&checkOTLP, "check-otlp", "validate an OTLP dump file (document, NDJSON or SSE) and exit", "the OTLP validator"},
 	}
 	if nw != nil {
 		for _, f := range netFlags {
@@ -350,8 +369,8 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 		}
 	}
 	// The flag package reports an unknown flag together with the whole
-	// usage; hold that back until it is known not to be a network flag,
-	// which gets one line instead.
+	// usage; hold that back until it is known not to be one of the Net's
+	// flags, which get one line instead.
 	var parseOut strings.Builder
 	fs.SetOutput(&parseOut)
 	err := fs.Parse(args)
@@ -360,7 +379,7 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 		if undefined, ok := strings.CutPrefix(err.Error(), "flag provided but not defined: -"); ok {
 			for _, f := range netFlags {
 				if f.name == undefined {
-					fmt.Fprintf(stderr, "%s: -%s needs the network stack, which only restnet links; run restnet with the same flags\n", name, undefined)
+					fmt.Fprintf(stderr, "%s: -%s needs %s, which only restnet links; run restnet with the same flags\n", name, undefined, f.needs)
 					return 2
 				}
 			}
@@ -386,16 +405,16 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 			_, err := fmt.Fprintln(stdout, obs.ReadBuild())
 			return err
 		}},
-		{"check-otlp", "validates an OTLP dump and takes no other flags", *checkOTLP != "", func() error {
-			raw, err := os.ReadFile(*checkOTLP)
+		{"check-otlp", "validates an OTLP dump and takes no other flags", checkOTLP != "", func() error {
+			raw, err := os.ReadFile(checkOTLP)
 			if err != nil {
 				return fmt.Errorf("%s: -check-otlp: %v", name, err)
 			}
-			n, err := otlp.ValidateDump(raw)
+			n, err := nw.CheckOTLP(raw)
 			if err != nil {
-				return fmt.Errorf("%s: -check-otlp %s: %v", name, *checkOTLP, err)
+				return fmt.Errorf("%s: -check-otlp %s: %v", name, checkOTLP, err)
 			}
-			_, err = fmt.Fprintf(stdout, "%s: %d valid OTLP document(s)\n", *checkOTLP, n)
+			_, err = fmt.Fprintf(stdout, "%s: %d valid OTLP document(s)\n", checkOTLP, n)
 			return err
 		}},
 		{"watch", "attaches to another process's -serve address and takes no other flags", watchAddr != "", func() error {
@@ -471,17 +490,16 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 
 	// The observability plane. All of it writes to files, stderr or its
 	// own HTTP connections, never stdout, so enabling any of these flags
-	// cannot perturb the reports. One TelemetryExporter backs every live
-	// surface (/otlp/metrics, /otlp/stream, the progress meter's cache
-	// field); its span stream is attached to sweeps only under -serve.
-	s.tel = harness.NewTelemetryExporter(name, tcache)
+	// cannot perturb the reports. The live telemetry behind /otlp/metrics
+	// and /otlp/stream exists only under -serve; the progress meter reads
+	// the trace cache's counters.
 	if serveAddr != "" {
-		srv, err := nw.Serve(serveAddr, s.tel, stderr)
+		live, srv, err := nw.Serve(serveAddr, name, tcache, stderr)
 		if err != nil {
 			return fail(err)
 		}
 		defer srv.Close()
-		s.stream = s.tel
+		s.live = live
 	}
 	if *traceOut != "" {
 		s.tracer = obs.NewTrace()

@@ -2,8 +2,8 @@ package harness
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 
 	"rest/internal/cache"
@@ -64,20 +64,67 @@ func (tc *TraceCache) DiskCounters() persist.Counters {
 }
 
 // timingIdentity digests a cell's timing-only knobs: the core choice and the
-// literal CPU/cache overrides (JSON keeps field order stable). Two spellings
-// that differ only in defaulted fields digest differently — that can only
-// cost a miss, never return a wrong result.
+// literal CPU/cache overrides, each spelled as encoding/json's Marshal spells
+// it (fields in declaration order), as every earlier build wrote them, so
+// the stores those builds filled stay warm. Two spellings that differ only
+// in defaulted fields digest differently — that can only cost a miss, never
+// return a wrong result.
 func timingIdentity(cfg BinaryConfig) string {
-	cpuJSON, hierJSON := "default", "default"
+	b := strconv.AppendBool([]byte("inorder="), cfg.InOrder)
+	b = append(b, "|cpu="...)
 	if cfg.CPU != nil {
-		raw, _ := json.Marshal(cfg.CPU)
-		cpuJSON = string(raw)
+		b = appendJSON(b, reflect.ValueOf(*cfg.CPU))
+	} else {
+		b = append(b, "default"...)
 	}
+	b = append(b, "|hier="...)
 	if cfg.Hier != nil {
-		raw, _ := json.Marshal(cfg.Hier)
-		hierJSON = string(raw)
+		b = appendJSON(b, reflect.ValueOf(*cfg.Hier))
+	} else {
+		b = append(b, "default"...)
 	}
-	return fmt.Sprintf("inorder=%t|cpu=%s|hier=%s", cfg.InOrder, cpuJSON, hierJSON)
+	return string(b)
+}
+
+// appendJSON appends v as encoding/json's Marshal spells it, for the kinds
+// a timing config is made of: structs of untagged fields, booleans, integers
+// and strings. Like Marshal it skips unexported fields. Any other kind, or
+// an embedded or tagged field, can only come with a new config field, and
+// panics here; TestTimingSpellingMatchesJSON, which perturbs every field,
+// then names it.
+func appendJSON(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Struct:
+		t := v.Type()
+		b = append(b, '{')
+		first := true
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if f.Anonymous || f.Tag != "" {
+				panic(fmt.Sprintf("harness: timing identity cannot spell %s.%s, an embedded or tagged field", t, f.Name))
+			}
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = obs.AppendJSONString(b, f.Name)
+			b = append(b, ':')
+			b = appendJSON(b, v.Field(i))
+		}
+		return append(b, '}')
+	case reflect.Bool:
+		return strconv.AppendBool(b, v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(b, v.Int(), 10)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return strconv.AppendUint(b, v.Uint(), 10)
+	case reflect.String:
+		return obs.AppendJSONString(b, v.String())
+	}
+	panic(fmt.Sprintf("harness: timing identity cannot spell a %s", v.Type()))
 }
 
 // timingKey is what timingIdentity reads of a config, held by value: two

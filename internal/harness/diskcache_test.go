@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -290,7 +291,7 @@ func TestDiskCacheCorruptionRecovery(t *testing.T) {
 	cold := sweep(coldTC)
 
 	// Flip one bit in every stored result.
-	files, err := filepath.Glob(filepath.Join(dir, "results", "*"))
+	files, err := filepath.Glob(filepath.Join(dir, "results", "*.res"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -687,6 +688,93 @@ func TestResultIdentityGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// jsonTimingIdentity is timingIdentity as encoding/json spelled it: the
+// reference appendJSON's reflect walk is held to.
+func jsonTimingIdentity(cfg BinaryConfig) string {
+	cpuJSON, hierJSON := "default", "default"
+	if cfg.CPU != nil {
+		raw, _ := json.Marshal(cfg.CPU)
+		cpuJSON = string(raw)
+	}
+	if cfg.Hier != nil {
+		raw, _ := json.Marshal(cfg.Hier)
+		hierJSON = string(raw)
+	}
+	return fmt.Sprintf("inorder=%t|cpu=%s|hier=%s", cfg.InOrder, cpuJSON, hierJSON)
+}
+
+// TestTimingSpellingMatchesJSON holds timingIdentity to encoding/json's
+// spelling on every config of the Fig 7, Fig 8 and fig8sens grids, and on
+// the default CPU and hierarchy with each of their fields perturbed in turn.
+// The walk over the fields is by reflection, so a field added to either
+// config is perturbed too: it must enter the identity, spelled as
+// encoding/json spells it, or this test fails.
+func TestTimingSpellingMatchesJSON(t *testing.T) {
+	t.Parallel()
+	check := func(what string, cfg BinaryConfig) string {
+		t.Helper()
+		got := timingIdentity(cfg)
+		if want := jsonTimingIdentity(cfg); got != want {
+			t.Errorf("%s: timingIdentity spells\n%s\nencoding/json spells\n%s", what, got, want)
+		}
+		return got
+	}
+	overrides := 0
+	for _, grid := range []struct {
+		name string
+		cfgs []BinaryConfig
+	}{{"fig7", Fig7Configs()}, {"fig8", Fig8Configs()}, {"fig8sens", Fig8SensitivityConfigs()}} {
+		for _, cfg := range grid.cfgs {
+			check(grid.name+"/"+cfg.Name, cfg)
+			if cfg.CPU != nil || cfg.Hier != nil {
+				overrides++
+			}
+		}
+	}
+	if overrides == 0 {
+		t.Error("the grids hold no CPU or hierarchy override to check")
+	}
+
+	c, h := cpu.DefaultConfig(), cache.DefaultHierConfig()
+	cfg := BinaryConfig{CPU: &c, Hier: &h}
+	base := check("defaults", cfg)
+	var perturb func(path string, v reflect.Value)
+	perturb = func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s is unexported: encoding/json leaves it out of the timing identity", path, f.Name)
+					continue
+				}
+				perturb(path+"."+f.Name, v.Field(i))
+			}
+			return
+		}
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			v.SetUint(v.Uint() + 1)
+		case reflect.String:
+			v.SetString(v.String() + "<&>\u2028")
+		default:
+			t.Errorf("%s is a %s: teach appendJSON and this test to spell it", path, v.Type())
+			return
+		}
+		if check(path, cfg) == base {
+			t.Errorf("%s: a changed value leaves the timing identity as it was", path)
+		}
+		v.Set(old)
+	}
+	perturb("cpu.Config", reflect.ValueOf(&c).Elem())
+	perturb("cache.HierConfig", reflect.ValueOf(&h).Elem())
 }
 
 // TestServedCellFootprint is a deterministic memory gate on the warm path:

@@ -136,13 +136,14 @@ func TestCellEventObsAttachment(t *testing.T) {
 	}
 }
 
-// The exporter glue end to end: events drive the live state, every published
-// line validates, and the snapshot carries progress gauges plus cache
-// counters.
+// The exporter glue end to end: events reach the exporter through the sink
+// ObserveCells is given and drive its live state, every published line
+// validates, and the snapshot carries progress gauges plus the trace
+// cache's counters.
 func TestTelemetryExporterOnSweep(t *testing.T) {
 	t.Parallel()
 	tc := NewTraceCache()
-	tel := NewTelemetryExporter("restbench-test", tc)
+	tel := otlp.NewExporter("restbench-test", tc.RecordCounters)
 	sub := tel.Bus.Subscribe(4096)
 
 	wls := subset(t, "lbm", "xalanc")
@@ -153,7 +154,7 @@ func TestTelemetryExporterOnSweep(t *testing.T) {
 		Workers:    2,
 		TraceCache: tc,
 		Metrics:    true,
-		OnCell:     ObserveCells("fig7", nil, nil, tel),
+		OnCell:     ObserveCells("fig7", nil, nil, tel.Observe),
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
@@ -195,7 +196,7 @@ func TestTelemetryExporterOnSweep(t *testing.T) {
 	}
 
 	// The meter stats roll up the cache tiers.
-	if st := tel.ProgressStats(); st.CacheLookups == 0 || st.CacheHits == 0 {
+	if st := tc.ProgressStats(); st.CacheLookups == 0 || st.CacheHits == 0 {
 		t.Errorf("progress stats empty after a cached sweep: %+v", st)
 	}
 }
@@ -216,18 +217,30 @@ func TestCellEventSpanVerdicts(t *testing.T) {
 		t.Errorf("hole span: %+v", hole)
 	}
 
-	// With no surface attached there is no callback to call, and a nil
-	// exporter disables the stream without branching at call sites.
-	var nx *TelemetryExporter
-	if ObserveCells("fig7", nil, nil, nx) != nil {
+	// With no surface attached (a nil sink: no live telemetry) there is no
+	// callback to call, and a cache that was never consulted reports no
+	// lookups to the meter.
+	if ObserveCells("fig7", nil, nil, nil) != nil {
 		t.Error("an observer with no surface returned a callback")
 	}
-	nx.AddSweep(3)
-	if s := nx.Snapshot(); s != nil {
-		t.Errorf("nil exporter snapshot: %v", s)
+	if st := NewTraceCache().ProgressStats(); st != (obs.ProgressStats{}) {
+		t.Errorf("unused cache stats: %+v", st)
 	}
-	if st := nx.ProgressStats(); st != (obs.ProgressStats{}) {
-		t.Errorf("nil exporter stats: %+v", st)
+
+	// A sink alone gets every cell's span, flattened as above, and its
+	// registry.
+	var got []obs.CellSpan
+	var regs []*obs.Registry
+	sink := ObserveCells("fig7", nil, nil, func(s obs.CellSpan, reg *obs.Registry) {
+		got = append(got, s)
+		regs = append(regs, reg)
+	})
+	reg := obs.NewRegistry()
+	sink(CellEvent{Workload: "lbm", Config: "plain", Cycles: 9, Obs: reg})
+	sink(CellEvent{Err: context.DeadlineExceeded})
+	if len(got) != 2 || got[0].Sweep != "fig7" || got[0].Cycles != 9 || got[1].Verdict != "hole" ||
+		regs[0] != reg || regs[1] != nil {
+		t.Errorf("sink saw spans %+v and registries %v", got, regs)
 	}
 }
 
@@ -237,9 +250,9 @@ func TestCellEventSpanVerdicts(t *testing.T) {
 // holes gauge.
 func TestTelemetryExporterMergesMidSweep(t *testing.T) {
 	t.Parallel()
-	tel := NewTelemetryExporter("restbench-test", nil)
+	tel := otlp.NewExporter("restbench-test", nil)
 	tel.AddSweep(4)
-	observe := ObserveCells("fig7", nil, nil, tel)
+	observe := ObserveCells("fig7", nil, nil, tel.Observe)
 	value := func(name string) uint64 { return findMetric(t, tel.Snapshot(), name).Value }
 	cell := func(cycles uint64) CellEvent {
 		reg := obs.NewRegistry()

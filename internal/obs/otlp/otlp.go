@@ -302,32 +302,6 @@ func EncodeMetrics(ms []obs.Metric, res Resource, start, now time.Time) *Metrics
 	}}}
 }
 
-// CellSpan is the exporter-facing shape of one sweep cell's lifecycle — the
-// sweep engine's CellEvent with the sweep name attached and the error
-// already flattened to a verdict. It deliberately avoids importing the
-// harness so the dependency points harness -> otlp, never back.
-type CellSpan struct {
-	// Sweep names the experiment ("fig7", "fig8", ...); it seeds the
-	// deterministic trace id, so every cell of one sweep shares a trace.
-	Sweep    string
-	Worker   int
-	Index    int
-	Total    int
-	Workload string
-	Config   string
-	Start    time.Time
-	End      time.Time
-	// Verdict is "ok", "hole" or "skipped".
-	Verdict string
-	// Reason carries a hole's one-line annotation (empty otherwise).
-	Reason string
-	// Source tags where the result came from ("stream", "capture",
-	// "replay", "result-store"; empty for failures).
-	Source string
-	Instrs uint64
-	Cycles uint64
-}
-
 // TraceID derives the deterministic 16-byte trace id shared by every cell
 // of one sweep.
 func TraceID(sweep string) string {
@@ -345,7 +319,7 @@ func SpanID(sweep string, index int) string {
 // functions of (sweep, grid index); timestamps and attributes are the
 // event's wall-clock facts, which are explicitly outside the determinism
 // contract.
-func EncodeSpans(cells []CellSpan, res Resource) *SpansDoc {
+func EncodeSpans(cells []obs.CellSpan, res Resource) *SpansDoc {
 	spans := make([]Span, 0, len(cells))
 	for _, c := range cells {
 		s := Span{

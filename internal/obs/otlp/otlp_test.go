@@ -81,7 +81,7 @@ func TestEncodeMetricsValidatesAndIsDeterministic(t *testing.T) {
 
 func TestEncodeSpansValidates(t *testing.T) {
 	res := ServiceResource("restbench-test")
-	cells := []CellSpan{
+	cells := []obs.CellSpan{
 		{Sweep: "fig7", Worker: 2, Index: 5, Total: 40, Workload: "lbm", Config: "secure-full",
 			Start: t0, End: t1, Verdict: "ok", Source: "replay", Instrs: 100, Cycles: 250},
 		{Sweep: "fig7", Worker: 0, Index: 6, Total: 40, Workload: "mcf", Config: "plain",
@@ -147,7 +147,7 @@ func TestValidatorsRejectMalformed(t *testing.T) {
 func TestValidateDumpFormats(t *testing.T) {
 	res := ServiceResource("restbench-test")
 	metrics := Line(EncodeMetrics(sampleRegistry().Snapshot(), res, t0, t1))
-	spans := Line(EncodeSpans([]CellSpan{{
+	spans := Line(EncodeSpans([]obs.CellSpan{{
 		Sweep: "fig8", Index: 0, Total: 1, Workload: "lbm", Config: "plain",
 		Start: t0, End: t1, Verdict: "ok", Source: "stream",
 	}}, res))

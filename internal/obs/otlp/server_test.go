@@ -124,7 +124,7 @@ func TestStreamNDJSON(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	span := otlp.Line(otlp.EncodeSpans([]otlp.CellSpan{{
+	span := otlp.Line(otlp.EncodeSpans([]obs.CellSpan{{
 		Sweep: "fig7", Index: 3, Total: 9, Workload: "lbm", Config: "plain",
 		Start: otlp.T0, End: otlp.T1, Verdict: "ok", Source: "stream",
 	}}, otlp.ServiceResource("restbench-test")))

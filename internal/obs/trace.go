@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -24,17 +25,18 @@ type Trace struct {
 	named  map[int]bool
 }
 
-// traceEvent is one Catapult event. Field names and the enclosing
-// {"traceEvents": [...]} wrapper follow the Trace Event Format spec.
+// traceEvent is one Catapult event. WriteTo spells its fields, and the
+// enclosing {"traceEvents": [...]} wrapper, as the Trace Event Format spec
+// names them.
 type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"` // microseconds since trace start
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string
+	Cat  string // omitted when empty
+	Ph   string
+	TS   int64 // microseconds since trace start
+	Dur  int64 // microseconds; omitted when zero
+	PID  int
+	TID  int
+	Args map[string]any // omitted when empty
 }
 
 // NewTrace starts an empty trace; slice timestamps are relative to now.
@@ -57,8 +59,8 @@ func (t *Trace) Slice(tid int, name, cat string, start, end time.Time, args map[
 			Args: map[string]any{"name": workerName(tid)},
 		})
 	}
-	ts := float64(start.Sub(t.base).Microseconds())
-	dur := float64(end.Sub(start).Microseconds())
+	ts := start.Sub(t.base).Microseconds()
+	dur := end.Sub(start).Microseconds()
 	if dur < 1 {
 		dur = 1 // chrome://tracing drops zero-duration X slices
 	}
@@ -68,26 +70,15 @@ func (t *Trace) Slice(tid int, name, cat string, start, end time.Time, args map[
 }
 
 func workerName(tid int) string {
-	return "worker " + itoa(tid)
-}
-
-// itoa avoids strconv for this one two-digit use.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "worker " + strconv.Itoa(tid)
 }
 
 // WriteTo emits the trace as a Catapult JSON object. Events are sorted by
-// (timestamp, tid) so repeated writes of the same trace are stable.
+// (timestamp, tid) so repeated writes of the same trace are stable. The
+// bytes are encoding/json's MarshalIndent with a one-space indent, written
+// by hand so a sweep links no JSON encoder (TestTraceWriteToMatchesMarshalIndent
+// pins them). An arg must be a string, an int or a uint64; any other type
+// fails the write before a byte is written.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	t.mu.Lock()
 	events := append([]traceEvent(nil), t.events...)
@@ -98,19 +89,63 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		}
 		return events[i].TID < events[j].TID
 	})
-	if events == nil {
-		events = []traceEvent{}
+	b := []byte("{\n \"traceEvents\": [")
+	for i, ev := range events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n  {\n   \"name\": "...)
+		b = AppendJSONString(b, ev.Name)
+		if ev.Cat != "" {
+			b = append(b, ",\n   \"cat\": "...)
+			b = AppendJSONString(b, ev.Cat)
+		}
+		b = append(b, ",\n   \"ph\": "...)
+		b = AppendJSONString(b, ev.Ph)
+		b = append(b, ",\n   \"ts\": "...)
+		b = strconv.AppendInt(b, ev.TS, 10)
+		if ev.Dur != 0 {
+			b = append(b, ",\n   \"dur\": "...)
+			b = strconv.AppendInt(b, ev.Dur, 10)
+		}
+		b = append(b, ",\n   \"pid\": "...)
+		b = strconv.AppendInt(b, int64(ev.PID), 10)
+		b = append(b, ",\n   \"tid\": "...)
+		b = strconv.AppendInt(b, int64(ev.TID), 10)
+		if len(ev.Args) > 0 {
+			keys := make([]string, 0, len(ev.Args))
+			for k := range ev.Args {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			b = append(b, ",\n   \"args\": {"...)
+			for j, k := range keys {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n    "...)
+				b = AppendJSONString(b, k)
+				b = append(b, ": "...)
+				switch v := ev.Args[k].(type) {
+				case string:
+					b = AppendJSONString(b, v)
+				case int:
+					b = strconv.AppendInt(b, int64(v), 10)
+				case uint64:
+					b = strconv.AppendUint(b, v, 10)
+				default:
+					return 0, fmt.Errorf("obs: trace slice %q: arg %q is a %T, want a string, int or uint64", ev.Name, k, v)
+				}
+			}
+			b = append(b, "\n   }"...)
+		}
+		b = append(b, "\n  }"...)
 	}
-	doc := struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{events, "ms"}
-	raw, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return 0, err
+	if len(events) > 0 {
+		b = append(b, "\n "...)
 	}
-	raw = append(raw, '\n')
-	n, err := w.Write(raw)
+	b = append(b, "],\n \"displayTimeUnit\": \"ms\"\n}\n"...)
+	n, err := w.Write(b)
 	return int64(n), err
 }
 

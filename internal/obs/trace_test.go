@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -52,6 +54,91 @@ func TestTraceCatapultSchema(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"verdict": "completed"`) {
 		t.Error("slice args not serialized")
+	}
+}
+
+// refEvent is a trace event as encoding/json spells it, with the tags and
+// the float timestamps the trace was once marshalled from: the reference
+// WriteTo's hand-written bytes are held to.
+type refEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// marshalIndentTrace renders tr through json.MarshalIndent.
+func marshalIndentTrace(t *testing.T, tr *Trace) []byte {
+	t.Helper()
+	events := make([]refEvent, 0, len(tr.events))
+	for _, ev := range tr.events {
+		events = append(events, refEvent{ev.Name, ev.Cat, ev.Ph, float64(ev.TS), float64(ev.Dur), ev.PID, ev.TID, ev.Args})
+	}
+	sort.SliceStable(events, func(i, j int) bool {
+		if events[i].TS != events[j].TS {
+			return events[i].TS < events[j].TS
+		}
+		return events[i].TID < events[j].TID
+	})
+	raw, err := json.MarshalIndent(struct {
+		TraceEvents     []refEvent `json:"traceEvents"`
+		DisplayTimeUnit string     `json:"displayTimeUnit"`
+	}{events, "ms"}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(raw, '\n')
+}
+
+// TestTraceWriteToMatchesMarshalIndent pins WriteTo's hand-written bytes to
+// json.MarshalIndent's: an empty trace, and slices whose names, categories
+// and args need every kind of escape, with args of each type the sweeps
+// write. An arg of any other type fails the write and writes nothing.
+func TestTraceWriteToMatchesMarshalIndent(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	empty := &Trace{base: base, named: make(map[int]bool)}
+	full := &Trace{base: base, named: make(map[int]bool)}
+	for i, name := range jsonStringSeeds {
+		start := base.Add(time.Duration(i/2) * time.Millisecond) // pairs share a timestamp
+		cat := "fig7"
+		if i%3 == 0 {
+			cat = "" // omitted
+		}
+		args := map[string]any{
+			"workload": name, "config": "<plain&asan>", "verdict": "ok",
+			"instrs": uint64(math.MaxUint64), "cycles": uint64(i), "worker": -i, "index": i,
+		}
+		switch i % 4 {
+		case 1:
+			args = nil // omitted
+		case 2:
+			args = map[string]any{} // omitted
+		}
+		full.Slice(i%3, name, cat, start, start.Add(time.Duration(i)*time.Microsecond), args)
+	}
+	for _, tt := range []struct {
+		name string
+		tr   *Trace
+	}{{"empty", empty}, {"escapes", full}} {
+		var buf bytes.Buffer
+		n, err := tt.tr.WriteTo(&buf)
+		if err != nil || n != int64(buf.Len()) {
+			t.Fatalf("%s: WriteTo = %d, %v; wrote %d bytes", tt.name, n, err, buf.Len())
+		}
+		if want := marshalIndentTrace(t, tt.tr); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: WriteTo wrote\n%s\njson.MarshalIndent writes\n%s", tt.name, buf.Bytes(), want)
+		}
+	}
+
+	bad := &Trace{base: base, named: make(map[int]bool)}
+	bad.Slice(0, "lbm/plain", "fig7", base, base.Add(time.Millisecond), map[string]any{"ipc": 1.5})
+	var buf bytes.Buffer
+	if n, err := bad.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Errorf("a float arg: WriteTo = %d, %v, wrote %q; want an error and nothing written", n, err, buf.Bytes())
 	}
 }
 

@@ -12,8 +12,9 @@
 // The trace codec (traceio.go: StoreTrace, LoadTrace) remains for the
 // benchmark module, which times it; the harness neither writes nor reads
 // traces. A store filled by an older build may still hold traces/*.trc, a
-// locks/ directory and a manifest.json: nothing reads any of them, and all
-// are safe to delete.
+// locks/ directory, a manifest.json and, in results/, the temp files of
+// puts that crashed, named <entry>.tmp.<pid>.<seq>: nothing reads any of
+// them, and all are safe to delete.
 //
 // Robustness contract: nothing in this package is ever allowed to turn a
 // sweep into a hard failure. Every load returns one of four shapes — ErrMiss
@@ -129,10 +130,18 @@ var (
 	resultKind = kind{"results", ".res"}
 )
 
+// tmpDir names the directory inside each kind's subdirectory where puts
+// write their temp files. Temps live apart from the entries so that an open
+// sweeps them by listing only this directory, however many entries the
+// store holds, and one rename within the kind's subdirectory still
+// publishes each entry atomically.
+const tmpDir = ".tmp"
+
 // Open attaches to (and in read-write mode creates) a store directory.
 // Read-write opens sweep the temp files of writers that crashed mid-put;
 // read-only opens require the directory to exist and never write anything.
-// A new store holds only results/: traces/ is made on the first trace put.
+// A new store holds only results/ (with its results/.tmp/): traces/ and
+// traces/.tmp/ are made on the first trace put.
 func Open(dir string, opt Options) (*Cache, error) {
 	c := &Cache{dir: filepath.Clean(dir), readOnly: opt.ReadOnly}
 	if c.readOnly {
@@ -141,7 +150,7 @@ func Open(dir string, opt Options) (*Cache, error) {
 		}
 		return c, nil
 	}
-	if err := os.MkdirAll(filepath.Join(dir, resultKind.dir), 0o755); err != nil {
+	if err := os.MkdirAll(c.tmpDir(resultKind), 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	c.sweepTemps()
@@ -185,29 +194,21 @@ func (c *Cache) path(k kind, id ID) string {
 	return b.String()
 }
 
-// sweepTemps removes leftovers of writers that crashed mid-put: temp files
-// are always named <final>.tmp.<pid>.<seq>, and a rename that never
-// happened means the entry was never published. Names are read in batches,
-// so a large store costs one short string per entry and no sort.
+// tmpDir returns the directory kind k's puts write their temp files in,
+// <dir>/<kind dir>/.tmp.
+func (c *Cache) tmpDir(k kind) string { return filepath.Join(c.dir, k.dir, tmpDir) }
+
+// sweepTemps removes leftovers of writers that crashed mid-put: everything
+// in a temp directory is a temp file whose rename never happened, so its
+// entry was never published. Only the temp directories are listed, so an
+// open costs the same over a full store as over an empty one.
 func (c *Cache) sweepTemps() {
 	for _, k := range []kind{traceKind, resultKind} {
-		dir := filepath.Join(c.dir, k.dir)
-		f, err := os.Open(dir)
-		if err != nil {
-			continue
+		dir := c.tmpDir(k)
+		ents, _ := os.ReadDir(dir) // a missing directory holds no temps
+		for _, e := range ents {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
-		for {
-			names, err := f.Readdirnames(256)
-			for _, name := range names {
-				if strings.Contains(name, ".tmp.") {
-					os.Remove(filepath.Join(dir, name))
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		f.Close()
 	}
 }
 
@@ -307,17 +308,20 @@ func (c *Cache) discard(path string, err error) {
 var putSeq atomic.Uint64
 
 // put atomically publishes one encoded entry and counts it: write a uniquely
-// named temp, fsync it, rename it over the final name, fsync the directory.
-// A failure at any step removes the temp, so nothing partial is ever visible
-// under the final name. A kind's missing subdirectory (traces/, which a new
-// store lacks) is made on its first put; a vanished store root is never
-// recreated. A failed put is returned for the caller to ignore: the run it
-// memoizes already succeeded.
+// named temp in the kind's temp directory, fsync it, rename it over the
+// final name, fsync the final name's directory. The temp directory sits
+// inside the kind's subdirectory, so the rename never crosses a
+// filesystem. A failure at any step removes the temp, so nothing partial
+// is ever visible under the final name. A kind's missing subdirectory and
+// its temp directory (traces/, which a new store lacks) are made on its
+// first put; a vanished store root is never recreated. A failed put is
+// returned for the caller to ignore: the run it memoizes already
+// succeeded.
 func (c *Cache) put(k kind, id ID, data []byte) error {
 	final := c.path(k, id)
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", final, os.Getpid(), putSeq.Add(1))
+	tmp := fmt.Sprintf("%s%c%s%s.%d.%d", c.tmpDir(k), filepath.Separator, id, k.ext, os.Getpid(), putSeq.Add(1))
 	err := writeFileSync(tmp, data)
-	if errors.Is(err, os.ErrNotExist) && os.Mkdir(filepath.Dir(final), 0o755) == nil {
+	if errors.Is(err, os.ErrNotExist) && c.makeKindDirs(k) == nil {
 		err = writeFileSync(tmp, data)
 	}
 	if err == nil {
@@ -333,6 +337,18 @@ func (c *Cache) put(k kind, id ID, data []byte) error {
 		cc.Stores++
 		cc.Bytes += uint64(len(data))
 	})
+	return nil
+}
+
+// makeKindDirs makes kind k's subdirectory and its temp directory, each if
+// it is missing. It never makes the store root: with the root gone, the
+// first Mkdir fails.
+func (c *Cache) makeKindDirs(k kind) error {
+	for _, dir := range []string{filepath.Join(c.dir, k.dir), c.tmpDir(k)} {
+		if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -655,13 +655,20 @@ func TestStoreLayout(t *testing.T) {
 	}
 
 	strays := []string{
-		filepath.Join(dir, "traces", "deadbeef.trc.tmp.12345"),
-		filepath.Join(dir, "results", "deadbeef.res.tmp.12345"),
+		filepath.Join(dir, "traces", ".tmp", "deadbeef.trc.12345.1"),
+		filepath.Join(dir, "results", ".tmp", "deadbeef.res.12345.2"),
 	}
 	for _, stray := range strays {
 		if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// An older build wrote its temps beside the entries. Nothing opens them
+	// by those names, and an open lists only the temp directories, so they
+	// stay until the store is cleared.
+	legacy := filepath.Join(dir, "results", kept.String()+".res.tmp.12345.3")
+	if err := os.WriteFile(legacy, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{ReadOnly: true}); err != nil {
 		t.Fatal(err)
@@ -678,6 +685,9 @@ func TestStoreLayout(t *testing.T) {
 		if _, err := os.Stat(stray); !os.IsNotExist(err) {
 			t.Fatalf("stray temp %s survived a read-write open", stray)
 		}
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Fatalf("a read-write open listed results/ and removed an old build's temp: %v", err)
 	}
 	if _, err := c.LoadResult(kept); err != nil {
 		t.Fatalf("the sweep removed a published result: %v", err)
@@ -734,7 +744,33 @@ func TestUnreadableEntry(t *testing.T) {
 	if fi, err := os.Stat(c.path(resultKind, id)); err != nil || !fi.IsDir() {
 		t.Fatalf("the unreadable entry was touched: %v", err)
 	}
-	if tmps, _ := filepath.Glob(c.path(resultKind, id) + ".tmp.*"); len(tmps) != 0 {
+	if tmps, _ := os.ReadDir(c.tmpDir(resultKind)); len(tmps) != 0 {
 		t.Fatalf("failed puts left temp files: %v", tmps)
+	}
+}
+
+// TestOpenCostIndependentOfStoreSize pins what a read-write open reads: the
+// temp directories only, never the entries beside them, so opening a store
+// that holds 500 results allocates no more than opening an empty one.
+func TestOpenCostIndependentOfStoreSize(t *testing.T) {
+	empty, full := t.TempDir(), t.TempDir()
+	c, err := Open(full, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := c.StoreResult(SumID(fmt.Sprint("cell ", i)), &CellResult{Stats: testStats()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(dir string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Open(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if e, f := open(empty), open(full); f > e {
+		t.Errorf("opening a store of 500 results allocates %.0f times, an empty store %.0f", f, e)
 	}
 }

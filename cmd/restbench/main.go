@@ -34,10 +34,11 @@
 //	                 when cells fail; without it any failed cell exits 1
 //	-seed N          seed for the -faults campaign (same seed, same report)
 //
-// Every invocation captures each unique dynamic trace once and replays it
-// for the sweep cells that differ only in timing knobs; reports are
-// byte-identical to re-executing every cell (the replay differential tests
-// pin that). Cache hit/miss counts print to stderr after the sweeps.
+// Every sweep captures each unique dynamic trace once, on one worker, and
+// replays it there for the sweep's cells that differ only in timing knobs;
+// reports are byte-identical to re-executing every cell (the replay
+// differential tests pin that). Cache hit/miss counts print to stderr after
+// the sweeps.
 //
 // Performance controls:
 //

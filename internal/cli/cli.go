@@ -473,9 +473,9 @@ func Run(name string, args []string, stdout, stderr io.Writer, nw *Net) int {
 		defer cancel()
 	}
 	s.opt.Metrics = *metricsOut != ""
-	// One cache for the whole invocation: grids that share functional
-	// identities across sweeps (e.g. -fig8 and -fig8sens both time the
-	// secure-full build) reuse each other's captures.
+	// One cache for the whole invocation. Captures are shared only within
+	// a sweep, among a workload's cells of one functional identity; the
+	// cache's counters and the result store span every sweep.
 	tcache := harness.NewTraceCache()
 	s.opt.TraceCache = tcache
 	// The persistent tier extends the sweeps across invocations with

@@ -64,18 +64,15 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 			t.Run(wl.Name+"/"+cfg.Name, func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
-				one := []workload.Workload{wl}
-				pair := []BinaryConfig{cfg}
 
 				streamed, err := RunLimited(wl, cfg, 1, CellLimits{})
 				if err != nil {
 					t.Fatalf("streamed run: %v", err)
 				}
 
-				// Cold: an unshared (bypass-role) cell streams and stores
-				// its result, and nothing else.
+				// Cold: a cell run on its own streams and stores its
+				// result, and nothing else.
 				tcCold, pcCold := diskTC(t, dir, persist.Options{})
-				tcCold.Plan(one, pair, 1, 0)
 				cold, err := RunCached(wl, cfg, 1, CellLimits{}, tcCold)
 				if err != nil {
 					t.Fatalf("cold run: %v", err)
@@ -90,7 +87,6 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 
 				// Warm, result tier: the cell's stats come straight off disk.
 				tcRes, pcRes := diskTC(t, dir, persist.Options{})
-				tcRes.Plan(one, pair, 1, 0)
 				viaResult, err := RunCached(wl, cfg, 1, CellLimits{}, tcRes)
 				if err != nil {
 					t.Fatalf("warm result-tier run: %v", err)
@@ -103,13 +99,6 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 					viaResult.Outcome.Checksum != streamed.Outcome.Checksum {
 					t.Errorf("result tier diverges:\nstreamed: %+v\nresult:   %+v",
 						streamed.Stats, viaResult.Stats)
-				}
-				// The result tier must also have drained the plan.
-				tcRes.mu.Lock()
-				planned, entries := len(tcRes.plan), len(tcRes.entries)
-				tcRes.mu.Unlock()
-				if planned != 0 || entries != 0 {
-					t.Errorf("result hit leaked plan state: %d keys, %d entries", planned, entries)
 				}
 			})
 		}
@@ -836,5 +825,54 @@ func TestServedCellFootprint(t *testing.T) {
 	}
 	if c := pc.Counters(); c.ResultHits != 2*(calls+1) || c.ResultMisses != 0 || c.Stores != 0 {
 		t.Errorf("warm counters %+v, want %d hits and nothing else", c, 2*(calls+1))
+	}
+}
+
+// TestWarmSweepFootprint is TestServedCellFootprint for a whole sweep: with
+// the GC off, it counts what the sensitivity sweep of all twelve workloads
+// allocates over a filled store, every cell served from it, through a
+// fresh cache, as a new process has one. Such a sweep never reaches the
+// collector's first goal either, so all of it stays resident. Beyond its
+// served cells, the bound covers the sweep's own machinery: the config
+// groups, the outcome slots, the timing identities and the assembled
+// matrix.
+//
+// Measured with Go 1.24 at two workers: 1,580-1,581 allocations and
+// 201,528-201,624 B, against 1,574 and 236,848 B when the sweep planned
+// its cells into the cache and copied the grid into a slice of cells; the
+// bounds are those 1% up.
+func TestWarmSweepFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("filling the store takes a full cold sweep")
+	}
+	const (
+		maxAllocs = 1589
+		maxBytes  = 239216
+	)
+	ctx := context.Background()
+	wls := workload.All()
+	cfgs := Fig8SensitivityConfigs()
+	dir := t.TempDir()
+	fillTC, _ := diskTC(t, dir, persist.Options{})
+	if _, err := RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{TraceCache: fillTC}); err != nil {
+		t.Fatal(err)
+	}
+	tc, pc := diskTC(t, dir, persist.Options{})
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{Workers: 2, TraceCache: tc})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("a warm sweep of %d cells: %d allocations, %d B (bounds %d, %d B)", len(wls)*len(cfgs), allocs, bytes, maxAllocs, maxBytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("a warm sweep allocated %d times, %d B, over the %d / %d B bound", allocs, bytes, maxAllocs, maxBytes)
+	}
+	if c, cells := pc.Counters(), uint64(len(wls)*len(cfgs)); c.ResultHits != cells || c.ResultMisses != 0 || c.Stores != 0 {
+		t.Errorf("warm counters %+v, want %d hits and nothing else", c, cells)
 	}
 }

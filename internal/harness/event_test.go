@@ -49,22 +49,25 @@ func collectEvents(t *testing.T, cfgs []BinaryConfig, opt ParallelOptions) []Cel
 	return evs
 }
 
+// tickClock returns an event clock that starts at base and moves one
+// millisecond at each reading, safe for concurrent use.
+func tickClock(base time.Time) func() time.Time {
+	var mu sync.Mutex
+	tick := 0
+	return func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		tick++
+		return base.Add(time.Duration(tick) * time.Millisecond)
+	}
+}
+
 // The event clock is injectable: every Start/End timestamp must come from
 // opt.Now, making span exports byte-stable under test.
 func TestCellEventInjectedClock(t *testing.T) {
 	t.Parallel()
 	base := time.Unix(1700000000, 0)
-	var mu sync.Mutex
-	tick := 0
-	evs := collectEvents(t, fig7Grid(), ParallelOptions{
-		Workers: 2,
-		Now: func() time.Time {
-			mu.Lock()
-			defer mu.Unlock()
-			tick++
-			return base.Add(time.Duration(tick) * time.Millisecond)
-		},
-	})
+	evs := collectEvents(t, fig7Grid(), ParallelOptions{Workers: 2, Now: tickClock(base)})
 	if len(evs) == 0 {
 		t.Fatal("no events")
 	}
@@ -117,6 +120,50 @@ func TestCellEventSourceTags(t *testing.T) {
 	}
 	if warm["stream"]+warm["capture"] > 0 {
 		t.Errorf("warm sweep re-executed cells: %v", warm)
+	}
+}
+
+// A capture's replays run on the worker that captured it, after it: the
+// grid's functional identities are groups run on one worker each, so no
+// worker waits on another's capture. Four workers for the four groups of
+// two workloads leave the pool every chance to spread a group's cells.
+func TestReplaysStayOnTheirCaptureWorker(t *testing.T) {
+	t.Parallel()
+	cfgs := sensGrid()
+	evs := collectEvents(t, cfgs, ParallelOptions{
+		Workers: 4, TraceCache: NewTraceCache(), Now: tickClock(time.Unix(1700000000, 0)),
+	})
+	byName := map[string]BinaryConfig{}
+	for _, cfg := range cfgs {
+		byName[cfg.Name] = cfg
+	}
+	identity := func(ev CellEvent) traceKey { return cellTraceKey(ev.Workload, byName[ev.Config], 1, 0) }
+	captures := map[traceKey]CellEvent{}
+	for _, ev := range evs {
+		if ev.Source == "capture" {
+			captures[identity(ev)] = ev
+		}
+	}
+	replays := 0
+	for _, ev := range evs {
+		if ev.Source != "replay" {
+			continue
+		}
+		replays++
+		c, ok := captures[identity(ev)]
+		switch {
+		case !ok:
+			t.Errorf("replay %s/%s: no capture of its identity", ev.Workload, ev.Config)
+		case ev.Worker != c.Worker:
+			t.Errorf("replay %s/%s ran on worker %d, its capture %s on worker %d",
+				ev.Workload, ev.Config, ev.Worker, c.Config, c.Worker)
+		case ev.Start.Before(c.End):
+			t.Errorf("replay %s/%s started at %v, before its capture %s ended at %v",
+				ev.Workload, ev.Config, ev.Start, c.Config, c.End)
+		}
+	}
+	if want := len(evs) - len(captures); replays != want {
+		t.Errorf("%d replays, want every cell but the %d captures (%d)", replays, len(captures), want)
 	}
 }
 

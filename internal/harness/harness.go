@@ -19,7 +19,6 @@ import (
 	"rest/internal/obs"
 	"rest/internal/prog"
 	"rest/internal/sim"
-	"rest/internal/trace"
 	"rest/internal/workload"
 	"rest/internal/world"
 )
@@ -133,31 +132,24 @@ func RunLimited(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLim
 }
 
 // RunCached is RunLimited through an optional trace cache: with a non-nil tc
-// the cell captures, replays or bypasses per its planned role (see
-// TraceCache); with nil it streams the functional simulator through the
-// timing model the ordinary way. Either path returns identical results —
-// the replay differential tests pin the equivalence.
+// the cell is served from tc's result store when the store holds it, and
+// otherwise streams and feeds the store; with nil it streams the functional
+// simulator through the timing model the ordinary way. Capture and replay
+// belong to a sweep, which runs the cells sharing a trace together (see
+// TraceCache); every path returns identical results, which the replay
+// differential tests pin.
 func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache) (*RunResult, error) {
 	if tc == nil {
 		return runStreamed(wl, cfg, scale, lim, nil)
 	}
-	return tc.run(wl, cfg, scale, lim)
-}
-
-// captureState is what a capturing cell owes once its trace is recorded:
-// the entry is published for the waiting siblings, and however the run ends
-// — publish, error or panic — it resolves exactly once, so waiters can
-// never block forever.
-type captureState struct {
-	tc  *TraceCache
-	ent *traceEntry
+	return tc.run(wl, cfg, scale, lim, nil)
 }
 
 // runStreamed executes one cell against the live functional simulator. A
-// non-nil cap additionally records the dynamic trace into a Recorder, under
-// the cache's per-trace limit, and publishes it (with the cell's outcome and
-// functional metrics) for sibling cells to replay.
-func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, cap *captureState) (*RunResult, error) {
+// non-nil c additionally records the dynamic trace into c.rec and, with
+// metrics on, keeps the functional plane's metrics in c.funcObs, for the
+// sibling cells that replay the capture.
+func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, c *capture) (*RunResult, error) {
 	var deadline time.Time
 	if lim.Timeout > 0 {
 		deadline = time.Now().Add(lim.Timeout)
@@ -165,17 +157,13 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	var reg, funcObs *obs.Registry
 	if lim.Metrics {
 		reg = obs.NewRegistry()
-		if cap != nil {
+		if c != nil {
 			// Split the planes so the functional half can be shared with
 			// replaying siblings; reg gets it merged back below, keeping
 			// this cell's registry identical to an unsplit one.
 			funcObs = obs.NewRegistry()
+			c.funcObs = funcObs
 		}
-	}
-	if cap != nil {
-		// Resolve the capture no matter how this function exits (including
-		// a panic unwinding to the sweep engine's containment).
-		defer cap.tc.fail(cap.ent)
 	}
 	w, err := world.Build(world.Spec{
 		Pass:            cfg.Pass,
@@ -196,16 +184,10 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	}
 	var stats *cpu.Stats
 	var out world.Outcome
-	if cap == nil {
+	if c == nil {
 		stats, out = w.RunTimed()
 	} else {
-		rec := trace.NewRecorder(captureTokenWidth(cfg.Pass), cap.tc.perTraceLimit)
-		stats, out = w.RunTimedCapture(rec)
-		// Only fully clean runs publish: the trace is then provably
-		// complete, which is what makes cross-timing replay exact.
-		if out.Err == nil && !out.Detected() {
-			cap.tc.publish(cap.ent, rec, out, funcObs)
-		}
+		stats, out = w.RunTimedCapture(c.rec)
 	}
 	if funcObs != nil {
 		if merr := reg.Merge(funcObs); merr != nil {
@@ -221,7 +203,7 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 		return nil, fmt.Errorf("harness: %s/%s: spurious detection: %s", wl.Name, cfg.Name, out)
 	}
 	source := "stream"
-	if cap != nil {
+	if c != nil {
 		source = "capture"
 	}
 	res := &RunResult{
@@ -240,14 +222,14 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 // the outcome comes from the capture, the functional metrics are merged
 // from the capture's registry, and the token shadow inside the Replayer
 // stands in for the tracker as the fill-time detector's TokenSource.
-func runReplay(wl workload.Workload, cfg BinaryConfig, lim CellLimits, ent *traceEntry) (*RunResult, error) {
+func runReplay(wl workload.Workload, cfg BinaryConfig, lim CellLimits, c *capture) (*RunResult, error) {
 	var reg *obs.Registry
 	if lim.Metrics {
 		reg = obs.NewRegistry()
 	}
-	rp := ent.rec.Replayer()
+	rp := c.rec.Replayer()
 	var tokens cache.TokenSource
-	if ent.rec.TokenWidth() != 0 {
+	if c.rec.TokenWidth() != 0 {
 		tokens = rp
 	}
 	w, err := world.BuildReplay(world.Spec{
@@ -263,9 +245,9 @@ func runReplay(wl workload.Workload, cfg BinaryConfig, lim CellLimits, ent *trac
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, err)
 	}
-	stats, out := w.ReplayTimed(rp, ent.outcome)
-	if reg != nil && ent.funcObs != nil {
-		if merr := reg.Merge(ent.funcObs); merr != nil {
+	stats, out := w.ReplayTimed(rp, c.outcome)
+	if reg != nil && c.funcObs != nil {
+		if merr := reg.Merge(c.funcObs); merr != nil {
 			return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, merr)
 		}
 	}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rest/internal/obs"
@@ -56,12 +58,12 @@ type ParallelOptions struct {
 	// assert byte-identical matrices.
 	Engine sim.Engine
 	// TraceCache, when non-nil, deduplicates functional execution across the
-	// grid: the sweep plans its cells into the cache up front, each shared
-	// functional identity is captured once, and its sibling cells replay the
-	// capture through their own timing models. Results stay byte-identical
-	// to an uncached sweep (harness.trace_cache.* counters aside); the
-	// replay differential tests pin that. One cache may be shared by
-	// several sweeps.
+	// grid: each workload's cells of one functional identity run as a group
+	// on one worker, the first of them to run captures its trace, and the
+	// rest replay the capture through their own timing models. Results stay
+	// byte-identical to an uncached sweep (harness.trace_cache.* counters
+	// aside); the replay differential tests pin that. One cache may serve
+	// several sweeps, and its counters add up across them.
 	TraceCache *TraceCache
 	// OnCell, when non-nil, receives one CellEvent per grid cell as it
 	// finishes (or is skipped). Events arrive in completion order and may be
@@ -145,16 +147,20 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
 }
 
-// runCell executes one cell with panic containment: a panic anywhere under
-// Run (workload builder, world assembly, simulation, timing model) comes
-// back as a *PanicError instead of unwinding the worker goroutine.
-func runCell(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache) (res *RunResult, err error) {
+// runCell executes one cell of group g with panic containment: a panic
+// anywhere under Run (workload builder, world assembly, simulation, timing
+// model) comes back as a *PanicError instead of unwinding the worker
+// goroutine.
+func runCell(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache, g *group) (res *RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return RunCached(wl, cfg, scale, lim, tc)
+	if tc == nil {
+		return runStreamed(wl, cfg, scale, lim, nil)
+	}
+	return tc.run(wl, cfg, scale, lim, g)
 }
 
 // holeReason compresses a cell error into the one-line annotation renderers
@@ -214,44 +220,66 @@ type cellOutcome struct {
 	skipped bool
 }
 
-// gridCell is one workload × config coordinate of a sweep grid.
-type gridCell struct {
-	wl  workload.Workload
-	cfg BinaryConfig
-}
-
-// gridCells lays the grid out workload-major: the order of every report and
-// outcome slot.
-func gridCells(wls []workload.Workload, cfgs []BinaryConfig) []gridCell {
-	cells := make([]gridCell, 0, len(wls)*len(cfgs))
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			cells = append(cells, gridCell{wl, cfg})
-		}
-	}
-	return cells
-}
-
-// sweep is one RunMatrixParallel call: the grid, one outcome slot per cell,
-// and the per-cell runner the worker pool drives. Each slot is written by
-// the one goroutine running its cell and read only after every worker has
-// finished.
+// sweep is one RunMatrixParallel call: the grid, laid out workload-major
+// (the order of every report and outcome slot), one outcome slot per cell,
+// and the runner the worker pool drives. Each slot is written by the one
+// goroutine running its cell and read only after every worker has finished.
 type sweep struct {
 	opt      ParallelOptions
 	scale    int64
+	wls      []workload.Workload
 	cfgs     []BinaryConfig
-	cells    []gridCell
+	groups   [][]int // config indices a worker runs together (configGroups)
 	outcomes []cellOutcome
 	ctx      context.Context
 	cancel   context.CancelFunc
 	now      func() time.Time
 }
 
-// run executes grid cell i on worker slot worker: the per-cell watchdog (the
-// explicit cell timeout, tightened by whatever remains of the caller
-// context's deadline), panic containment via runCell, the CellEvent, and
-// fail-fast cancellation.
-func (s *sweep) run(worker, i int) {
+// cell returns grid cell i's workload and config.
+func (s *sweep) cell(i int) (workload.Workload, BinaryConfig) {
+	return s.wls[i/len(s.cfgs)], s.cfgs[i%len(s.cfgs)]
+}
+
+// configGroups partitions the config indices into the groups one worker
+// runs together. With a trace cache a group is the configs of one
+// functional identity, in config order; cellTraceKey is taken without the
+// workload, so one grouping serves every workload. Without one every
+// config is a group of its own. Groups come in the order of their first
+// config.
+func configGroups(cfgs []BinaryConfig, scale int64, budget uint64, byIdentity bool) [][]int {
+	keys := make([]traceKey, 0, len(cfgs))
+	groups := make([][]int, 0, len(cfgs))
+	for c, cfg := range cfgs {
+		k := cellTraceKey("", cfg, scale, budget)
+		if g := slices.Index(keys, k); g >= 0 && byIdentity {
+			groups[g] = append(groups[g], c)
+			continue
+		}
+		keys = append(keys, k)
+		groups = append(groups, []int{c})
+	}
+	return groups
+}
+
+// runGroup runs unit u of the sweep, one workload's cells of one config
+// group, in grid order on one worker, keeping the group's capture in g
+// until its last cell is done.
+func (s *sweep) runGroup(worker, u int, g *group) {
+	base := u / len(s.groups) * len(s.cfgs)
+	cfgs := s.groups[u%len(s.groups)]
+	for n, c := range cfgs {
+		g.more = n < len(cfgs)-1
+		s.run(worker, base+c, g)
+	}
+	*g = group{}
+}
+
+// run executes grid cell i of group g on worker slot worker: the per-cell
+// watchdog (the explicit cell timeout, tightened by whatever remains of the
+// caller context's deadline), panic containment via runCell, the CellEvent,
+// and fail-fast cancellation.
+func (s *sweep) run(worker, i int, g *group) {
 	if s.ctx.Err() != nil {
 		s.skip(worker, i)
 		return
@@ -273,8 +301,9 @@ func (s *sweep) run(worker, i int) {
 			lim.Timeout = rem
 		}
 	}
+	wl, cfg := s.cell(i)
 	start := s.now()
-	r, err := runCell(s.cells[i].wl, s.cells[i].cfg, s.scale, lim, s.opt.TraceCache)
+	r, err := runCell(wl, cfg, s.scale, lim, s.opt.TraceCache, g)
 	s.outcomes[i] = cellOutcome{res: r, err: err}
 	s.emit(worker, i, start, s.now())
 	if err != nil && s.opt.FailFast {
@@ -282,14 +311,9 @@ func (s *sweep) run(worker, i int) {
 	}
 }
 
-// skip records cell i as never started because the sweep was cancelled, and
-// releases its planned trace-cache use so the cache's planned use counts
-// still drain to zero.
+// skip records cell i as never started because the sweep was cancelled.
 func (s *sweep) skip(worker, i int) {
 	s.outcomes[i].skipped = true
-	if tc := s.opt.TraceCache; tc != nil {
-		tc.forfeit(cellTraceKey(s.cells[i].wl.Name, s.cells[i].cfg, s.scale, s.opt.CellInstrBudget))
-	}
 	at := s.now()
 	s.emit(worker, i, at, at)
 }
@@ -300,9 +324,10 @@ func (s *sweep) emit(worker, i int, start, end time.Time) {
 		return
 	}
 	o := s.outcomes[i]
+	wl, cfg := s.cell(i)
 	ev := CellEvent{
-		Worker: worker, Index: i, Total: len(s.cells),
-		Workload: s.cells[i].wl.Name, Config: s.cells[i].cfg.Name,
+		Worker: worker, Index: i, Total: len(s.outcomes),
+		Workload: wl.Name, Config: cfg.Name,
 		Start: start, End: end,
 		Err: o.err, Skipped: o.skipped,
 	}
@@ -328,25 +353,25 @@ func (s *sweep) assemble() (*Matrix, error) {
 		m.Configs = append(m.Configs, c.Name)
 	}
 	merr := &MatrixError{}
-	for i, c := range s.cells {
-		o := s.outcomes[i]
-		if _, ok := m.Cycles[c.wl.Name]; !ok {
-			m.Workloads = append(m.Workloads, c.wl.Name)
-			m.Cycles[c.wl.Name] = make(map[string]uint64)
-			m.Results[c.wl.Name] = make(map[string]*RunResult)
+	for i, o := range s.outcomes {
+		wl, cfg := s.cell(i)
+		if _, ok := m.Cycles[wl.Name]; !ok {
+			m.Workloads = append(m.Workloads, wl.Name)
+			m.Cycles[wl.Name] = make(map[string]uint64)
+			m.Results[wl.Name] = make(map[string]*RunResult)
 		}
 		switch {
 		case o.skipped:
 			merr.Skipped++
-			m.AddHole(c.wl.Name, c.cfg.Name, "skipped (sweep cancelled)")
+			m.AddHole(wl.Name, cfg.Name, "skipped (sweep cancelled)")
 		case o.err != nil:
 			merr.Cells = append(merr.Cells, &CellError{
-				Workload: c.wl.Name, Config: c.cfg.Name, Err: o.err,
+				Workload: wl.Name, Config: cfg.Name, Err: o.err,
 			})
-			m.AddHole(c.wl.Name, c.cfg.Name, holeReason(o.err))
+			m.AddHole(wl.Name, cfg.Name, holeReason(o.err))
 		default:
-			m.Cycles[c.wl.Name][c.cfg.Name] = o.res.Cycles
-			m.Results[c.wl.Name][c.cfg.Name] = o.res
+			m.Cycles[wl.Name][cfg.Name] = o.res.Cycles
+			m.Results[wl.Name][cfg.Name] = o.res
 		}
 	}
 	if s.opt.Metrics {
@@ -384,38 +409,39 @@ func (s *sweep) assemble() (*Matrix, error) {
 // cell becomes an annotated hole in the partial Matrix (Matrix.Holes) and
 // one entry of the grid-ordered MatrixError.
 func RunMatrixParallel(ctx context.Context, wls []workload.Workload, cfgs []BinaryConfig, scale int64, opt ParallelOptions) (*Matrix, error) {
-	s := &sweep{opt: opt, scale: scale, cfgs: cfgs, cells: gridCells(wls, cfgs), now: opt.Now}
+	s := &sweep{opt: opt, scale: scale, wls: wls, cfgs: cfgs, now: opt.Now}
 	if s.now == nil {
 		s.now = time.Now
 	}
-	s.outcomes = make([]cellOutcome, len(s.cells))
+	s.outcomes = make([]cellOutcome, len(wls)*len(cfgs))
+	s.groups = configGroups(cfgs, scale, opt.CellInstrBudget, opt.TraceCache != nil)
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	defer s.cancel()
-	if opt.TraceCache != nil {
-		// Register the grid before any cell runs, so capture/replay/bypass
-		// roles are a function of the grid alone, not of scheduling.
-		opt.TraceCache.Plan(wls, cfgs, scale, opt.CellInstrBudget)
-	}
 
-	jobs := make(chan int)
+	// The pool's unit of work is one workload's config group, so a
+	// capture and its replays run on one worker, one after another. The
+	// workers take the units in grid order.
+	units := len(wls) * len(s.groups)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	workers := opt.EffectiveWorkers()
-	if workers > len(s.cells) && len(s.cells) > 0 {
-		workers = len(s.cells)
+	if workers > units && units > 0 {
+		workers = units
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for i := range jobs {
-				s.run(worker, i)
+			var g group
+			for {
+				u := int(next.Add(1)) - 1
+				if u >= units {
+					return
+				}
+				s.runGroup(worker, u, &g)
 			}
 		}(w)
 	}
-	for i := range s.cells {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
 	return s.assemble()
 }

@@ -18,7 +18,7 @@ import (
 // stream/replay gap (and the modest capture surcharge) set the end-to-end
 // saving that BenchmarkFig8CaptureReplay observes.
 
-func benchCaptureEntry(b *testing.B, wl workload.Workload, cfg BinaryConfig) *traceEntry {
+func benchCaptureEntry(b *testing.B, wl workload.Workload, cfg BinaryConfig) *capture {
 	b.Helper()
 	w, err := world.Build(world.Spec{
 		Pass: cfg.Pass, Mode: cfg.Mode, Width: core.Width(cfg.Pass.TokenWidth),
@@ -31,7 +31,7 @@ func benchCaptureEntry(b *testing.B, wl workload.Workload, cfg BinaryConfig) *tr
 	if out.Err != nil || out.Detected() {
 		b.Fatalf("capture failed: %s", out)
 	}
-	return &traceEntry{ok: true, rec: rec, outcome: out}
+	return &capture{rec: rec, outcome: out}
 }
 
 func benchStreamVsReplay(b *testing.B, cfg BinaryConfig) {
@@ -47,10 +47,10 @@ func benchStreamVsReplay(b *testing.B, cfg BinaryConfig) {
 		}
 	})
 	b.Run("replayed", func(b *testing.B) {
-		ent := benchCaptureEntry(b, wl, cfg)
+		c := benchCaptureEntry(b, wl, cfg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := runReplay(wl, cfg, CellLimits{}, ent); err != nil {
+			if _, err := runReplay(wl, cfg, CellLimits{}, c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,7 +86,6 @@ func BenchmarkCellCapture(b *testing.B) {
 	cfg := BinaryConfig{Name: "secure-full", Pass: prog.RESTFull(64), Mode: core.Secure}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ent := benchCaptureEntry(b, wl, cfg)
-		ent.rec.Release()
+		benchCaptureEntry(b, wl, cfg).rec.Release()
 	}
 }

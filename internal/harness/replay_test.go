@@ -56,9 +56,27 @@ func replayMatrixConfigs() []BinaryConfig {
 	return append(Fig7Configs(), Fig8Configs()...)
 }
 
+// runAsGroup runs cfgs through tc as one group of wl's cells, the way a
+// sweep's worker runs one functional identity's cells: the first captures
+// and the rest replay its capture.
+func runAsGroup(t *testing.T, tc *TraceCache, wl workload.Workload, cfgs []BinaryConfig, lim CellLimits) []*RunResult {
+	t.Helper()
+	var g group
+	out := make([]*RunResult, len(cfgs))
+	for i, cfg := range cfgs {
+		g.more = i < len(cfgs)-1
+		res, err := tc.run(wl, cfg, 1, lim, &g)
+		if err != nil {
+			t.Fatalf("%s run %d of the group: %v", cfg.Name, i, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
 // TestReplayDifferentialMatrix runs every (workload, config) cell of the full
-// matrix twice through a two-use trace cache — once as the capturing leader,
-// once as a replaying sibling — and compares both against an uncached
+// matrix twice as one group through a trace cache — once as the capturing
+// cell, once as a replaying sibling — and compares both against an uncached
 // streamed run, metrics included. Under -short or the race detector a
 // three-workload subset runs.
 func TestReplayDifferentialMatrix(t *testing.T) {
@@ -75,18 +93,8 @@ func TestReplayDifferentialMatrix(t *testing.T) {
 				t.Parallel()
 				lim := CellLimits{Metrics: true}
 				tc := NewTraceCache()
-				one := []workload.Workload{wl}
-				pair := []BinaryConfig{cfg}
-				tc.Plan(one, pair, 1, 0)
-				tc.Plan(one, pair, 1, 0)
-				captured, err := RunCached(wl, cfg, 1, lim, tc)
-				if err != nil {
-					t.Fatalf("capture run: %v", err)
-				}
-				replayed, err := RunCached(wl, cfg, 1, lim, tc)
-				if err != nil {
-					t.Fatalf("replay run: %v", err)
-				}
+				runs := runAsGroup(t, tc, wl, []BinaryConfig{cfg, cfg}, lim)
+				captured, replayed := runs[0], runs[1]
 				if hits, misses, _ := tc.Counters(); hits != 1 || misses != 1 {
 					t.Fatalf("cache roles wrong: hits=%d misses=%d (want 1 capture + 1 replay)", hits, misses)
 				}
@@ -103,9 +111,10 @@ func TestReplayDifferentialMatrix(t *testing.T) {
 
 // TestReplayCrossTimingDifferential is the sweep the cache exists for: the
 // Figure 8 sensitivity grid, where one captured stream is replayed under
-// different CPU configs, cache hierarchies and the in-order core. Every
-// replayed cell must equal its own streamed run bit-for-bit even though its
-// timing model differs from the capturing cell's.
+// different CPU configs, cache hierarchies and the in-order core. Its two
+// builds run as two groups, as a sweep forms them. Every replayed cell must
+// equal its own streamed run bit-for-bit even though its timing model
+// differs from the capturing cell's.
 func TestReplayCrossTimingDifferential(t *testing.T) {
 	t.Parallel()
 	wls := workload.All()
@@ -118,23 +127,23 @@ func TestReplayCrossTimingDifferential(t *testing.T) {
 		t.Run(wl.Name, func(t *testing.T) {
 			t.Parallel()
 			tc := NewTraceCache()
-			one := []workload.Workload{wl}
-			tc.Plan(one, cfgs, 1, 0)
-			for _, cfg := range cfgs {
-				cached, err := RunCached(wl, cfg, 1, CellLimits{}, tc)
-				if err != nil {
-					t.Fatalf("%s cached: %v", cfg.Name, err)
+			for _, idx := range configGroups(cfgs, 1, 0, true) {
+				members := make([]BinaryConfig, len(idx))
+				for i, c := range idx {
+					members[i] = cfgs[c]
 				}
-				streamed, err := RunLimited(wl, cfg, 1, CellLimits{})
-				if err != nil {
-					t.Fatalf("%s streamed: %v", cfg.Name, err)
+				for i, cached := range runAsGroup(t, tc, wl, members, CellLimits{}) {
+					streamed, err := RunLimited(wl, members[i], 1, CellLimits{})
+					if err != nil {
+						t.Fatalf("%s streamed: %v", members[i].Name, err)
+					}
+					assertCellEqual(t, streamed, cached)
 				}
-				assertCellEqual(t, streamed, cached)
 			}
 			hits, misses, bypass := tc.Counters()
 			wantHits := uint64(len(cfgs) - 2)
 			if misses != 2 || hits != wantHits || bypass != 0 {
-				t.Errorf("sharing plan wrong: hits=%d misses=%d bypass=%d (want 2 captures, %d replays)",
+				t.Errorf("sharing wrong: hits=%d misses=%d bypass=%d (want 2 captures, %d replays)",
 					hits, misses, bypass, wantHits)
 			}
 		})
@@ -249,26 +258,5 @@ func TestSweepDeterminismWithTraceCache(t *testing.T) {
 	}
 	if strip(cachedJ4.metrics) == cachedJ4.metrics {
 		t.Errorf("cached sweep exported no harness.trace_cache.* counters")
-	}
-}
-
-// TestTraceCacheSkippedCellsDrain pins the planned-use contract under
-// cancellation: a cancelled sweep forfeits its skipped cells, so the cache
-// drains back to empty instead of pinning captured traces forever.
-func TestTraceCacheSkippedCellsDrain(t *testing.T) {
-	t.Parallel()
-	wls := subset(t, "lbm", "sjeng", "xalanc")
-	cfgs := Fig8SensitivityConfigs()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // every cell is skipped before it starts
-	tc := NewTraceCache()
-	_, err := RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{Workers: 2, TraceCache: tc})
-	if err == nil {
-		t.Fatalf("cancelled sweep reported success")
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if len(tc.plan) != 0 || len(tc.entries) != 0 {
-		t.Errorf("cache did not drain: %d planned keys, %d entries", len(tc.plan), len(tc.entries))
 	}
 }

@@ -21,10 +21,14 @@ import (
 // sharing a functional identity produce byte-identical dynamic traces, so a
 // sensitivity sweep that varies only timing knobs re-executes the same
 // functional simulation N times for N timing points. The TraceCache removes
-// that: the first cell of each shared identity captures its trace (and, when
-// metrics are on, its functional-plane registry) while running normally; its
-// siblings replay the capture through their own timing model via
-// world.BuildReplay/ReplayTimed.
+// that. RunMatrixParallel hands each workload's cells of one functional
+// identity, a group, to one worker, which runs them in grid order: the
+// first of them to run captures its trace (and, when metrics are on, its
+// functional-plane registry) while running normally, and the rest replay
+// the capture through their own timing model via
+// world.BuildReplay/ReplayTimed. The capture is dropped with its group, so
+// a sweep holds at most one trace per worker and no worker waits on
+// another.
 //
 // Determinism contract: sweep reports stay byte-identical at any worker
 // count and with the cache on or off. Three design points carry that:
@@ -32,27 +36,19 @@ import (
 //   - Replay is bit-exact (the trace.Replayer token shadow; pinned by the
 //     replay differential tests), so a replayed cell's Stats/Outcome equal
 //     its streamed run's.
-//   - Sharing is planned, not discovered: Plan registers the whole grid
-//     before any cell runs, so which cells capture, replay or bypass is a
-//     function of the grid alone, never of scheduling order. Keys used only
-//     once bypass the cache entirely and pay nothing.
-//   - Only fully clean cells publish (no error, no detection): a cached
-//     trace is therefore always complete, which is what makes replaying it
-//     under a different timing configuration exact — the timing model is
-//     free to stop pulling early, but nothing can be missing.
-//
-// Captures are single-flight: one leader per identity runs while its waiters
-// block on the entry's done channel; a leader that fails (or whose trace
-// tripped the per-trace byte limit) releases its waiters into ordinary
-// streamed runs. The plan counts each identity's remaining uses and the last
-// one drops the cache's entry, so a capture becomes garbage when its last
-// planned cell finishes and a sweep's peak trace memory is bounded by its
-// live shared identities.
+//   - Roles follow the grid, not the schedule: the groups are formed from
+//     the config list before any cell runs, so which cells capture, replay
+//     or bypass depends on the grid and the result store alone. A cell
+//     alone in its group bypasses the cache entirely and pays nothing.
+//   - Only fully clean cells keep their capture (no error, no detection): a
+//     kept trace is therefore always complete, which is what makes
+//     replaying it under a different timing configuration exact — the
+//     timing model is free to stop pulling early, but nothing can be
+//     missing. The cells after a failed capture, or one that tripped the
+//     per-trace byte limit, stream instead.
 type TraceCache struct {
 	mu            sync.Mutex
 	perTraceLimit int
-	plan          map[traceKey]int
-	entries       map[traceKey]*traceEntry
 
 	// disk is the optional persistent result store (see diskcache.go): a
 	// cross-process store this in-memory cache consults before executing
@@ -69,20 +65,18 @@ type TraceCache struct {
 }
 
 // DefaultTraceLimit bounds one captured trace's storage (trace.Recorder's
-// Bytes), in bytes; a capture that would exceed it is rejected (its waiters
-// stream instead), trading speed for bounded memory. The bound is on bytes,
-// not entries, because entries cost what their predictability makes them:
-// at scale 5, lbm's and soplex's 2.2 M- and 2.1 M-entry captures take 20 KB
-// and 60 KB, and the largest capture there (hmmer secure-full, 282,307
-// bytes) stays 7x below the bound.
+// Bytes), in bytes; a capture that would exceed it is rejected (the rest of
+// its group streams instead), trading speed for bounded memory. The bound
+// is on bytes, not entries, because entries cost what their predictability
+// makes them: at scale 5, lbm's and soplex's secure-full captures, of 2.2 M
+// and 2.1 M entries, take 20,484 and 68,432 bytes, and the largest capture
+// there (hmmer secure-full, 287,475 bytes) stays 7x below the bound.
 const DefaultTraceLimit = 2 << 20
 
 // NewTraceCache returns an empty cache with the default per-trace limit.
 func NewTraceCache() *TraceCache {
 	return &TraceCache{
 		perTraceLimit: DefaultTraceLimit,
-		plan:          make(map[traceKey]int),
-		entries:       make(map[traceKey]*traceEntry),
 		timingIDs:     make(map[timingKey]string),
 	}
 }
@@ -135,38 +129,21 @@ func captureTokenWidth(p prog.PassConfig) uint64 {
 	return 0
 }
 
-// traceEntry is one shared functional identity's capture slot.
-type traceEntry struct {
-	done    chan struct{} // closed when the capture resolves either way
-	closed  bool          // guarded by TraceCache.mu
-	ok      bool          // immutable after done closes
-	rec     *trace.Recorder
-	outcome world.Outcome
-	funcObs *obs.Registry // nil when the capture ran without metrics
+// group is what a worker keeps while it runs one workload's cells of one
+// functional identity, in grid order (see RunMatrixParallel).
+type group struct {
+	more     bool    // a later cell of the group follows the running one
+	captured bool    // a cell of the group has captured, kept or not
+	cap      capture // the kept capture; cap.rec is nil when there is none
 }
 
-// cacheRole is a cell's relationship to the cache.
-type cacheRole int
-
-const (
-	roleBypass cacheRole = iota // unshared identity: stream, don't record
-	roleLead                    // first cell of a shared identity: capture
-	roleWait                    // sibling cell: wait for the capture, replay
-)
-
-// Plan registers an upcoming grid so the cache knows, before any cell runs,
-// which functional identities are shared. Identities planned only once (the
-// common case for Figure 7/8 grids, where every config differs functionally)
-// bypass the cache entirely. Additive: concurrent or successive sweeps may
-// plan onto one shared cache.
-func (tc *TraceCache) Plan(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			tc.plan[cellTraceKey(wl.Name, cfg, scale, budget)]++
-		}
-	}
+// capture is a recorded dynamic trace, with the outcome and the
+// functional-plane registry (nil without metrics) of the run that recorded
+// it: what its replays return in place of running the functional layers.
+type capture struct {
+	rec     *trace.Recorder
+	outcome world.Outcome
+	funcObs *obs.Registry
 }
 
 // diskStore returns the attached persistent tier (nil when none).
@@ -176,106 +153,12 @@ func (tc *TraceCache) diskStore() *persist.Cache {
 	return tc.disk
 }
 
-// acquire resolves one planned cell's role. It decrements the cell's planned
-// use count; the last user of an identity also drops its entry, bounding the
-// cache's memory to the live shared identities.
-func (tc *TraceCache) acquire(k traceKey) (*traceEntry, cacheRole) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	remaining := tc.plan[k]
-	ent := tc.entries[k]
-	if ent == nil {
-		if remaining > 0 {
-			tc.consumeLocked(k, remaining)
-		}
-		if remaining < 2 {
-			tc.bypass++
-			return nil, roleBypass
-		}
-		ent = &traceEntry{done: make(chan struct{})}
-		tc.entries[k] = ent
-		tc.misses++
-		return ent, roleLead
-	}
-	tc.consumeLocked(k, remaining)
-	return ent, roleWait
-}
-
-// consumeLocked decrements k's planned count and drops its entry at zero.
-// The last consumer holds its own reference to the entry, so dropping the
-// map slot only releases the cache's.
-func (tc *TraceCache) consumeLocked(k traceKey, remaining int) {
-	if remaining <= 1 {
-		delete(tc.plan, k)
-		delete(tc.entries, k)
-		return
-	}
-	tc.plan[k] = remaining - 1
-}
-
-// forfeit releases one planned use of k without running it (a skipped sweep
-// cell). Safe to call concurrently with the identity's leader publishing.
-func (tc *TraceCache) forfeit(k traceKey) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if remaining, ok := tc.plan[k]; ok {
-		tc.consumeLocked(k, remaining)
-	}
-}
-
-// publish resolves a leader's capture: a complete clean trace releases the
-// waiters into replays; an overflowed recorder rejects the capture and the
-// waiters stream. Idempotent with fail via the closed flag.
-func (tc *TraceCache) publish(ent *traceEntry, rec *trace.Recorder, out world.Outcome, funcObs *obs.Registry) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if ent.closed {
-		return
-	}
-	ent.closed = true
-	if rec.Overflowed() {
-		tc.rejected++
-	} else {
-		ent.ok = true
-		ent.rec = rec
-		ent.outcome = out
-		ent.funcObs = funcObs
-		tc.bytes += rec.Bytes()
-	}
-	close(ent.done)
-}
-
-// fail resolves a leader's capture as unusable (cell error, detection or
-// panic); the waiters fall back to streamed runs.
-func (tc *TraceCache) fail(ent *traceEntry) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if ent.closed {
-		return
-	}
-	ent.closed = true
-	tc.failed++
-	close(ent.done)
-}
-
-func (tc *TraceCache) noteHit() {
-	tc.mu.Lock()
-	tc.hits++
-	tc.mu.Unlock()
-}
-
-func (tc *TraceCache) noteFallback() {
-	tc.mu.Lock()
-	tc.fallbackStreams++
-	tc.mu.Unlock()
-}
-
 // recordObs publishes the cache counters into a sweep registry as
 // harness.trace_cache.* counters. Every counter is a deterministic function
-// of the planned grids and their cells' (deterministic) outcomes, never of
-// scheduling, so the export honours the sweep determinism contract. The
-// counters are the cache's lifetime totals: a cache shared across sweeps
-// reports cumulatively at each sweep's end.
+// of the swept grids, the result store and their cells' (deterministic)
+// outcomes, never of scheduling, so the export honours the sweep
+// determinism contract. The counters are the cache's lifetime totals: a
+// cache shared across sweeps reports cumulatively at each sweep's end.
 func (tc *TraceCache) recordObs(r *obs.Registry) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -296,53 +179,80 @@ func (tc *TraceCache) Counters() (hits, misses, bypass uint64) {
 	return tc.hits, tc.misses, tc.bypass
 }
 
+// count adds n to counter c, one of tc's.
+func (tc *TraceCache) count(c *uint64, n uint64) {
+	tc.mu.Lock()
+	*c += n
+	tc.mu.Unlock()
+}
+
 // run executes one cell through the cache (RunCached's non-nil path). The
-// result store, when attached, interposes around the in-memory plan: it can
-// satisfy the cell outright, and every clean outcome it lacks feeds it for
-// future processes.
-func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
-	k := cellTraceKey(wl.Name, cfg, scale, lim.MaxInstructions)
+// result store, when attached, can satisfy the cell outright, and every
+// clean outcome it lacks feeds it for future processes. Otherwise the cell
+// runs by its place in g, the group a sweep's worker is running it in (nil
+// for a cell run on its own): the first cell of a group to run captures
+// when a later one follows it, and the later ones replay the capture.
+func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, g *group) (*RunResult, error) {
 	disk := tc.diskStore()
 
-	// A memoized clean outcome for this exact cell skips the run. The
-	// planned use is forfeited so the identity's planned use count stays
-	// exact. Cells that need a registry or a live world can't be served
-	// from a file; for them the read only tells whether the store already
-	// holds their result, so a warm rerun rewrites nothing.
+	// A memoized clean outcome for this exact cell skips the run. Cells
+	// that need a registry or a live world can't be served from a file;
+	// for them the read only tells whether the store already holds their
+	// result, so a warm rerun rewrites nothing.
 	var rid persist.ID
 	held := false
 	if disk != nil {
-		rid = resultIdentity(k, tc.timingID(cfg))
+		rid = resultIdentity(cellTraceKey(wl.Name, cfg, scale, lim.MaxInstructions), tc.timingID(cfg))
 		cr, err := disk.LoadResult(rid)
 		held = err == nil
 		if held && !lim.Metrics && !lim.NeedWorld {
-			tc.forfeit(k)
 			return resultFromStore(wl, cfg, cr), nil
 		}
 	}
 
 	var res *RunResult
 	var err error
-	ent, role := tc.acquire(k)
-	switch role {
-	case roleLead:
-		res, err = runStreamed(wl, cfg, scale, lim, &captureState{tc: tc, ent: ent})
-	case roleWait:
-		<-ent.done
-		if !ent.ok || (lim.Metrics && ent.funcObs == nil) {
-			// Failed/rejected capture, or a metrics cell waiting on a
-			// metric-less capture: run it the ordinary way.
-			tc.noteFallback()
-			res, err = runStreamed(wl, cfg, scale, lim, nil)
-		} else {
-			tc.noteHit()
-			res, err = runReplay(wl, cfg, lim, ent)
-		}
+	switch {
+	case g == nil || !g.captured && !g.more:
+		// No later cell of this identity would replay a capture.
+		tc.count(&tc.bypass, 1)
+		res, err = runStreamed(wl, cfg, scale, lim, nil)
+	case !g.captured:
+		g.captured = true
+		res, err = tc.runCapture(wl, cfg, scale, lim, &g.cap)
+	case g.cap.rec != nil:
+		tc.count(&tc.hits, 1)
+		res, err = runReplay(wl, cfg, lim, &g.cap)
 	default:
+		// The capture failed or was rejected: run the cell the ordinary way.
+		tc.count(&tc.fallbackStreams, 1)
 		res, err = runStreamed(wl, cfg, scale, lim, nil)
 	}
 	if err == nil && !held {
 		storeResult(disk, rid, res)
 	}
 	return res, err
+}
+
+// runCapture runs a group's first cell, recording its trace into c for the
+// cells that follow, and counts how the capture ends, a panic included:
+// kept, rejected for passing the per-trace limit, or failed with its cell.
+// Only a kept capture leaves c.rec set.
+func (tc *TraceCache) runCapture(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, c *capture) (res *RunResult, err error) {
+	tc.count(&tc.misses, 1)
+	*c = capture{rec: trace.NewRecorder(captureTokenWidth(cfg.Pass), tc.perTraceLimit)}
+	defer func() {
+		switch {
+		case res == nil: // the cell failed, or panicked
+			tc.count(&tc.failed, 1)
+			*c = capture{}
+		case c.rec.Overflowed():
+			tc.count(&tc.rejected, 1)
+			*c = capture{}
+		default:
+			tc.count(&tc.bytes, c.rec.Bytes())
+			c.outcome = res.Outcome
+		}
+	}()
+	return runStreamed(wl, cfg, scale, lim, c)
 }

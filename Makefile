@@ -19,7 +19,8 @@
 #                    scale-5 run takes a few minutes)
 #   make results-check
 #                    rerun the scale-1 golden, results/restbench_all_scale1.txt,
-#                    and fail if a single byte differs (~10 s)
+#                    and the scale-5 §VI-B statistics, and fail if a single
+#                    byte differs from the committed results (~10 s)
 #   make clean-cache remove the default local persistent cache directory
 #   make verify      what CI runs: vet + test + bench-check + race
 
@@ -97,11 +98,16 @@ results:
 	$(GO) run ./cmd/restbench -fig7 -chart -scale 2 > results/fig7_chart.txt
 
 # The drift gate: a change that moves any reported number must regenerate
-# the results (make results) in the same commit.
+# the results (make results) in the same commit. It also reruns the §VI-B
+# statistics at scale 5, the scale the paper's numbers are quoted at, against
+# their block of the scale-5 file.
 results-check:
 	$(GO) run ./cmd/restbench -all -scale 1 -csv > results/.scale1.check
 	cmp results/.scale1.check results/restbench_all_scale1.txt
 	rm -f results/.scale1.check
+	$(GO) run ./cmd/restbench -stats -scale 5 -j 2 > results/.stats5.check
+	sed -n '/^§VI-B/,/^$$/p' results/restbench_all_scale5.txt | cmp - results/.stats5.check
+	rm -f results/.stats5.check
 
 # Remove the conventional local persistent cache directory (what you pass to
 # restbench -cache-dir when you want a project-local store).

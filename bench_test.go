@@ -88,7 +88,7 @@ func BenchmarkFigure7Overheads(b *testing.B) {
 	var m *harness.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = harness.RunMatrix(workload.All(), harness.Fig7Configs(), benchScale)
+		m, err = harness.RunMatrix(workload.All(), harness.Fig7Configs(), benchScale, harness.CellLimits{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFigure8TokenWidths(b *testing.B) {
 	var m *harness.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = harness.RunMatrix(workload.All(), cfgs, benchScale)
+		m, err = harness.RunMatrix(workload.All(), cfgs, benchScale, harness.CellLimits{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func BenchmarkMicroStats(b *testing.B) {
 	var s *harness.MicroStats
 	var err error
 	for i := 0; i < b.N; i++ {
-		s, err = harness.RunMicroStats(context.Background(), wl, benchScale)
+		s, err = harness.RunMicroStatsParallel(context.Background(), wl, benchScale, harness.ParallelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,14 +52,15 @@
 //	-cache-dir DIR   persistent result store: every clean sweep cell's
 //	                 stats are stored under DIR (161 bytes each) and reused
 //	                 by later invocations, making repeated sweeps
-//	                 incremental; -stats cells need a live world, so they
-//	                 always recompute. Reports are byte-identical cold, warm
-//	                 or without a store; a corrupt or version-skewed file
-//	                 silently degrades to recompute-and-rewrite, and an
-//	                 unreadable one to a recompute. Store activity prints
-//	                 to stderr after the sweeps. A traces/ or locks/
-//	                 directory or manifest.json left by older builds is
-//	                 never read and is safe to delete
+//	                 incremental; -stats cells need a metric registry, so
+//	                 they always recompute. Reports are byte-identical
+//	                 cold, warm or without a store; a corrupt or
+//	                 version-skewed file silently degrades to
+//	                 recompute-and-rewrite, and an unreadable one to a
+//	                 recompute. Store activity prints to stderr after the
+//	                 sweeps. A traces/ or locks/ directory or
+//	                 manifest.json left by older builds is never read and
+//	                 is safe to delete
 //	-cache-ro        read-only mode: reuse what is stored, write nothing
 //	                 (the directory must already exist)
 //

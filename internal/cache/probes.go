@@ -75,15 +75,3 @@ func RecordHierarchy(r *obs.Registry, h *Hierarchy) {
 	NewProbes(r, "l2").Record(&h.L2.Stats)
 	r.Counter("cache.token_l2mem_crossings").Add(h.TokenL2MemCrossings())
 }
-
-// RecordDMA flushes a DMA engine's counters: transfers, lines moved, and
-// the token-bearing lines that bypassed the L1-D detector — the §V-B blind
-// spot, now countable. Nil-safe on both sides.
-func RecordDMA(r *obs.Registry, d *DMAEngine) {
-	if r == nil || d == nil {
-		return
-	}
-	r.Counter("cache.dma.transfers").Add(d.Transfers)
-	r.Counter("cache.dma.lines_moved").Add(d.LinesMoved)
-	r.Counter("cache.dma.token_line_bypasses").Add(d.TokenLineHits)
-}

@@ -135,10 +135,12 @@ type session struct {
 func (s *session) out(text string) { fmt.Fprintln(s.stdout, text) }
 
 // elapsed reports a sweep's wall clock on stderr, so that stdout stays
-// byte-identical across -j values (the determinism guarantee).
+// byte-identical across -j values (the determinism guarantee). It keeps
+// microseconds: a sweep served from the result store can take well under a
+// millisecond.
 func (s *session) elapsed(name string, start time.Time) {
 	fmt.Fprintf(s.stderr, "%s: elapsed %s (j=%d)\n",
-		name, time.Since(start).Round(time.Millisecond), s.opt.EffectiveWorkers())
+		name, time.Since(start).Round(time.Microsecond), s.opt.EffectiveWorkers())
 }
 
 // sweep runs one named grid of cells through grid with every requested
@@ -171,7 +173,9 @@ func (s *session) sweep(name string, cells int, grid func(harness.ParallelOption
 			name, len(merr.Cells), merr.Skipped)
 	}
 	meter.Finish()
-	if m != nil {
+	// The §VI-B sweep collects metrics whatever the flags say, for its own
+	// counters; only -metrics files them.
+	if m != nil && s.opt.Metrics {
 		if rep := m.Metrics(name); rep != nil {
 			s.metrics = append(s.metrics, rep)
 		}

@@ -192,10 +192,6 @@ func (t *TokenRegister) Width() Width { return t.width }
 // Mode returns the configured exception mode.
 func (t *TokenRegister) Mode() Mode { return t.mode }
 
-// SetMode flips the mode bit (a privileged operation; exposed for the
-// harness, which plays the role of the higher privilege level).
-func (t *TokenRegister) SetMode(m Mode) { t.mode = m }
-
 // Value exposes the token bytes to the hardware-side detector. The software
 // side of the simulation must never read this; the compiler passes and
 // allocators only ever use Arm/Disarm.

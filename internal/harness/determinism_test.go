@@ -60,7 +60,7 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 			t.Parallel()
 			cfgs, names := g.grid()
 			wls := subset(t, names...)
-			seq, err := RunMatrix(wls, cfgs, 1)
+			seq, err := RunMatrix(wls, cfgs, 1, CellLimits{})
 			if err != nil {
 				t.Fatalf("sequential reference: %v", err)
 			}

@@ -33,13 +33,13 @@ import (
 // cpu.Stats bit-exactly (IPC as IEEE-754 bits), and every disk failure —
 // miss, corruption, version skew, an unreadable file — degrades to
 // recompute (and, in read-write mode, rewrite), so cold-cache, warm-cache
-// and cache-off sweeps render byte-identical reports. Cells that need
-// surfaces a file cannot carry — a metric registry (CellLimits.Metrics) or a
-// live world (CellLimits.NeedWorld, the micro-stats path) — are never
-// served from the store, since a served cell has neither and warm and cold
-// reports would diverge. They still read it, counting a hit or a miss, to
-// learn whether it holds their result, and store the result (for the cells
-// that can be served) only when it does not, so a warm rerun writes nothing.
+// and cache-off sweeps render byte-identical reports. A cell that needs a
+// metric registry (CellLimits.Metrics, which the micro-stats path sets) is
+// never served from the store: a file carries no registry, and warm and
+// cold reports would diverge. It still reads the store, counting a hit or a
+// miss, to learn whether it holds its result, and stores the result (for
+// the cells that can be served) only when it does not, so a warm rerun
+// writes nothing.
 
 // AttachDisk backs the trace cache with a persistent store. Read-only or
 // read-write behaviour follows how the persist cache was opened. Call before
@@ -212,8 +212,8 @@ func resultIdentity(k traceKey, timing string) persist.ID {
 
 // resultFromStore reconstructs a RunResult from a memoized cell outcome.
 // Its Stats are the decoded result's own, not a copy: nothing else holds
-// cr. World and Obs are nil by design: cells that need either never read
-// the result store.
+// cr. Obs is nil by design: a cell that needs a registry is never served
+// from the result store.
 func resultFromStore(wl workload.Workload, cfg BinaryConfig, cr *persist.CellResult) *RunResult {
 	return &RunResult{
 		Workload: wl.Name,

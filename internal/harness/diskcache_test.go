@@ -376,10 +376,10 @@ func newTestRegistry(t *testing.T, tc *TraceCache) map[string]uint64 {
 }
 
 // TestDiskCacheMicroStats runs the §VI-B micro-stats path — whose cells read
-// their live worlds and therefore are never served from the result store —
-// cold and warm, asserting identical renderings and that the warm run, over
-// a store the cold run filled, finds both results held and rewrites
-// neither.
+// their metric registries and therefore are never served from the result
+// store — cold and warm, asserting identical renderings and that the warm
+// run, over a store the cold run filled, finds both results held and
+// rewrites neither.
 func TestDiskCacheMicroStats(t *testing.T) {
 	t.Parallel()
 	wl, err := workload.ByName("lbm")
@@ -410,8 +410,8 @@ func TestDiskCacheMicroStats(t *testing.T) {
 	if c := warmPC.Counters(); c.ResultHits != 2 || c.ResultMisses != 0 || c.Stores != 0 {
 		t.Errorf("warm micro stats: %+v, want 2 hits and no store", c)
 	}
-	if warm.Matrix.Results[wl.Name]["secure-full"].World == nil {
-		t.Errorf("a NeedWorld cell was served from the store")
+	if src := warm.Matrix.Results[wl.Name]["secure-full"].Source; src == "result-store" {
+		t.Errorf("a micro-stats cell was served from the store")
 	}
 }
 

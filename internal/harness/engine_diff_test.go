@@ -9,6 +9,7 @@ import (
 
 	"rest/internal/attack"
 	"rest/internal/core"
+	"rest/internal/cpu"
 	"rest/internal/obs"
 	"rest/internal/prog"
 	"rest/internal/sim"
@@ -37,45 +38,63 @@ func stripBlockcache(ms []obs.Metric) []obs.Metric {
 	return out
 }
 
+// engineCell is one cell run to the end on one engine, through a world
+// built directly, so that its final memory stays readable.
+type engineCell struct {
+	stats *cpu.Stats
+	out   world.Outcome
+	w     *world.World
+}
+
+// runEngineCell builds the world of spec and build on engine e and runs it
+// through the full timing model.
+func runEngineCell(t *testing.T, spec world.Spec, build func(*prog.Builder), e sim.Engine) engineCell {
+	t.Helper()
+	spec.Engine = e
+	w, err := world.Build(spec, build)
+	if err != nil {
+		t.Fatalf("engine %s: %v", e, err)
+	}
+	stats, out := w.RunTimed()
+	return engineCell{stats: stats, out: out, w: w}
+}
+
 // assertEngineCellEqual compares a block-engine cell against its reference
 // twin: identical cycles, stats, outcome, final memory image and metrics.
-func assertEngineCellEqual(t *testing.T, ref, blk *RunResult) {
+func assertEngineCellEqual(t *testing.T, ref, blk engineCell) {
 	t.Helper()
-	if ref.Cycles != blk.Cycles {
-		t.Errorf("cycles diverge: ref=%d blk=%d", ref.Cycles, blk.Cycles)
+	if ref.stats.Cycles != blk.stats.Cycles {
+		t.Errorf("cycles diverge: ref=%d blk=%d", ref.stats.Cycles, blk.stats.Cycles)
 	}
-	if !reflect.DeepEqual(ref.Stats, blk.Stats) {
-		t.Errorf("stats diverge:\nref: %+v\nblk: %+v", ref.Stats, blk.Stats)
+	if !reflect.DeepEqual(ref.stats, blk.stats) {
+		t.Errorf("stats diverge:\nref: %+v\nblk: %+v", ref.stats, blk.stats)
 	}
-	if ref.Outcome.String() != blk.Outcome.String() {
-		t.Errorf("outcome diverges: ref=%s blk=%s", ref.Outcome, blk.Outcome)
+	if ref.out.String() != blk.out.String() {
+		t.Errorf("outcome diverges: ref=%s blk=%s", ref.out, blk.out)
 	}
-	if ref.Outcome.Checksum != blk.Outcome.Checksum {
-		t.Errorf("checksum diverges: ref=%#x blk=%#x", ref.Outcome.Checksum, blk.Outcome.Checksum)
+	if ref.out.Checksum != blk.out.Checksum {
+		t.Errorf("checksum diverges: ref=%#x blk=%#x", ref.out.Checksum, blk.out.Checksum)
 	}
-	if ref.World != nil && blk.World != nil {
-		rd := ref.World.Machine.Mem.Digest()
-		bd := blk.World.Machine.Mem.Digest()
-		if rd != bd {
-			t.Errorf("final memory digest diverges: ref=%#x blk=%#x", rd, bd)
-		}
+	if rd, bd := ref.w.Machine.Mem.Digest(), blk.w.Machine.Mem.Digest(); rd != bd {
+		t.Errorf("final memory digest diverges: ref=%#x blk=%#x", rd, bd)
 	}
+	refObs, blkObs := ref.w.Spec.Obs, blk.w.Spec.Obs
 	switch {
-	case ref.Obs == nil && blk.Obs == nil:
-	case ref.Obs == nil || blk.Obs == nil:
+	case refObs == nil && blkObs == nil:
+	case refObs == nil || blkObs == nil:
 		t.Errorf("metrics presence diverges")
 	default:
-		rs := stripBlockcache(ref.Obs.Snapshot())
-		bs := stripBlockcache(blk.Obs.Snapshot())
+		rs := stripBlockcache(refObs.Snapshot())
+		bs := stripBlockcache(blkObs.Snapshot())
 		if !reflect.DeepEqual(rs, bs) {
 			t.Errorf("metrics diverge beyond sim.blockcache.*:\nref: %+v\nblk: %+v", rs, bs)
 		}
 		// The reference cell must not have grown blockcache counters, and
 		// the block cell must actually export them.
-		if len(stripBlockcache(ref.Obs.Snapshot())) != len(ref.Obs.Snapshot()) {
+		if len(rs) != len(refObs.Snapshot()) {
 			t.Errorf("reference cell exported sim.blockcache.* counters")
 		}
-		if len(bs) == len(blk.Obs.Snapshot()) {
+		if len(bs) == len(blkObs.Snapshot()) {
 			t.Errorf("block-engine cell exported no sim.blockcache.* counters")
 		}
 	}
@@ -97,17 +116,14 @@ func TestEngineDifferentialMatrix(t *testing.T) {
 			wl, cfg := wl, cfg
 			t.Run(wl.Name+"/"+cfg.Name, func(t *testing.T) {
 				t.Parallel()
-				ref, err := RunLimited(wl, cfg, 1, CellLimits{
-					Metrics: true, NeedWorld: true, Engine: sim.EngineRef})
-				if err != nil {
-					t.Fatalf("ref run: %v", err)
+				run := func(e sim.Engine) engineCell {
+					c := runEngineCell(t, cellSpec(cfg, CellLimits{Metrics: true}), wl.Build(1), e)
+					if c.out.Err != nil || c.out.Detected() {
+						t.Fatalf("engine %s: %s", e, c.out)
+					}
+					return c
 				}
-				blk, err := RunLimited(wl, cfg, 1, CellLimits{
-					Metrics: true, NeedWorld: true, Engine: sim.EngineBlocks})
-				if err != nil {
-					t.Fatalf("blocks run: %v", err)
-				}
-				assertEngineCellEqual(t, ref, blk)
+				assertEngineCellEqual(t, run(sim.EngineRef), run(sim.EngineBlocks))
 			})
 		}
 	}
@@ -129,30 +145,15 @@ func TestEngineDifferentialAttackSuite(t *testing.T) {
 			a, cfg := a, cfg
 			t.Run(a.Name+"/"+cfg.Name, func(t *testing.T) {
 				t.Parallel()
-				run := func(e sim.Engine) (*RunResult, error) {
-					spec := world.Spec{
-						Pass:   cfg.Pass,
-						Mode:   cfg.Mode,
-						Width:  core.Width(cfg.Pass.TokenWidth),
-						Engine: e,
-					}
-					w, err := world.Build(spec, a.Build)
-					if err != nil {
-						return nil, err
-					}
-					stats, out := w.RunTimed()
-					return &RunResult{Cycles: stats.Cycles, Stats: stats, Outcome: out, World: w}, nil
+				spec := world.Spec{
+					Pass:  cfg.Pass,
+					Mode:  cfg.Mode,
+					Width: core.Width(cfg.Pass.TokenWidth),
 				}
-				ref, err := run(sim.EngineRef)
-				if err != nil {
-					t.Fatalf("ref: %v", err)
-				}
-				blk, err := run(sim.EngineBlocks)
-				if err != nil {
-					t.Fatalf("blocks: %v", err)
-				}
+				ref := runEngineCell(t, spec, a.Build, sim.EngineRef)
+				blk := runEngineCell(t, spec, a.Build, sim.EngineBlocks)
 				assertEngineCellEqual(t, ref, blk)
-				if ro, bo := ref.Outcome.Exception, blk.Outcome.Exception; (ro == nil) != (bo == nil) {
+				if ro, bo := ref.out.Exception, blk.out.Exception; (ro == nil) != (bo == nil) {
 					t.Fatalf("exception presence diverges: ref=%v blk=%v", ro, bo)
 				} else if ro != nil && *ro != *bo {
 					t.Errorf("exception diverges: ref=%+v blk=%+v", ro, bo)

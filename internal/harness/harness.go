@@ -9,7 +9,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -71,17 +70,14 @@ func Fig8Configs() []BinaryConfig {
 	return out
 }
 
-// RunResult is one cell of the experiment matrix.
+// RunResult is one cell of the experiment matrix: its stats, outcome and
+// metric registry. A finished cell holds no world.
 type RunResult struct {
 	Workload string
 	Config   string
 	Cycles   uint64
 	Stats    *cpu.Stats
 	Outcome  world.Outcome
-	// World is the cell's simulation world, set only when the cell ran with
-	// CellLimits.NeedWorld. Every other cell drops it on return, so a
-	// finished sweep holds stats, not worlds.
-	World *world.World
 	// Obs is the cell's private metric registry (nil unless the cell ran
 	// with CellLimits.Metrics). The sweep merges cell registries in grid
 	// order into Matrix.Obs.
@@ -105,14 +101,10 @@ type CellLimits struct {
 	Timeout time.Duration
 	// Metrics gives the cell a fresh obs.Registry, threaded through every
 	// layer of its world; the result carries it in RunResult.Obs. Off by
-	// default: a nil registry keeps every probe on its nil fast path.
+	// default: a nil registry keeps every probe on its nil fast path. A
+	// file carries no registry, so such a cell is never served from the
+	// persistent result store.
 	Metrics bool
-	// NeedWorld declares that the caller reads RunResult.World after the
-	// cell completes (the micro-stats tables do, for hierarchy counters);
-	// only such a cell returns its world. It can never be served from the
-	// persistent result store — a file carries stats, not a live world — so
-	// it always runs.
-	NeedWorld bool
 	// Engine selects the functional simulator's execution engine for the
 	// cell (sim.EngineAuto = the decoded-block default, sim.EngineRef = the
 	// single-step reference). Deliberately NOT part of any cache identity:
@@ -121,12 +113,8 @@ type CellLimits struct {
 	Engine sim.Engine
 }
 
-// Run executes one workload under one configuration at the given scale.
-func Run(wl workload.Workload, cfg BinaryConfig, scale int64) (*RunResult, error) {
-	return RunLimited(wl, cfg, scale, CellLimits{})
-}
-
-// RunLimited is Run under explicit watchdog budgets.
+// RunLimited executes one workload under one configuration at the given
+// scale, under explicit watchdog budgets.
 func RunLimited(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
 	return RunCached(wl, cfg, scale, lim, nil)
 }
@@ -145,27 +133,11 @@ func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimi
 	return tc.run(wl, cfg, scale, lim, nil)
 }
 
-// runStreamed executes one cell against the live functional simulator. A
-// non-nil c additionally records the dynamic trace into c.rec and, with
-// metrics on, keeps the functional plane's metrics in c.funcObs, for the
-// sibling cells that replay the capture.
-func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, c *capture) (*RunResult, error) {
-	var deadline time.Time
-	if lim.Timeout > 0 {
-		deadline = time.Now().Add(lim.Timeout)
-	}
-	var reg, funcObs *obs.Registry
-	if lim.Metrics {
-		reg = obs.NewRegistry()
-		if c != nil {
-			// Split the planes so the functional half can be shared with
-			// replaying siblings; reg gets it merged back below, keeping
-			// this cell's registry identical to an unsplit one.
-			funcObs = obs.NewRegistry()
-			c.funcObs = funcObs
-		}
-	}
-	w, err := world.Build(world.Spec{
+// cellSpec is the world.Spec of one cell: cfg's build and timing knobs,
+// lim's budgets and engine, and a fresh registry when lim asks for metrics.
+// A replay world reads only its timing knobs and registry.
+func cellSpec(cfg BinaryConfig, lim CellLimits) world.Spec {
+	spec := world.Spec{
 		Pass:            cfg.Pass,
 		Mode:            cfg.Mode,
 		Width:           core.Width(cfg.Pass.TokenWidth),
@@ -174,13 +146,44 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 		CPU:             cfg.CPU,
 		Hier:            cfg.Hier,
 		MaxInstructions: lim.MaxInstructions,
-		Deadline:        deadline,
 		Engine:          lim.Engine,
-		Obs:             reg,
-		FuncObs:         funcObs,
-	}, wl.Build(scale))
+	}
+	if lim.Timeout > 0 {
+		spec.Deadline = time.Now().Add(lim.Timeout)
+	}
+	if lim.Metrics {
+		spec.Obs = obs.NewRegistry()
+	}
+	return spec
+}
+
+// cellErr attributes err to cell wl/cfg. It wraps with %w, not %v: the sweep
+// engine classifies watchdog kills by unwrapping to
+// *sim.BudgetExceededError.
+func cellErr(wl workload.Workload, cfg BinaryConfig, err error) error {
+	return fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, err)
+}
+
+// runStreamed executes one cell against the live functional simulator. A
+// non-nil c additionally records the dynamic trace into c.rec and, with
+// metrics on, keeps the functional plane's metrics in c.funcObs, for the
+// sibling cells that replay the capture.
+func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, c *capture) (*RunResult, error) {
+	spec := cellSpec(cfg, lim)
+	source := "stream"
+	if c != nil {
+		source = "capture"
+		if spec.Obs != nil {
+			// Split the planes so the functional half can be shared with
+			// replaying siblings; finish merges it back, keeping this
+			// cell's registry identical to an unsplit one.
+			spec.FuncObs = obs.NewRegistry()
+			c.funcObs = spec.FuncObs
+		}
+	}
+	w, err := world.Build(spec, wl.Build(scale))
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, err)
+		return nil, cellErr(wl, cfg, err)
 	}
 	var stats *cpu.Stats
 	var out world.Outcome
@@ -189,32 +192,7 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 	} else {
 		stats, out = w.RunTimedCapture(c.rec)
 	}
-	if funcObs != nil {
-		if merr := reg.Merge(funcObs); merr != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, merr)
-		}
-	}
-	if out.Err != nil {
-		// %w, not %v: the sweep engine classifies watchdog kills by
-		// unwrapping to *sim.BudgetExceededError.
-		return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, out.Err)
-	}
-	if out.Detected() {
-		return nil, fmt.Errorf("harness: %s/%s: spurious detection: %s", wl.Name, cfg.Name, out)
-	}
-	source := "stream"
-	if c != nil {
-		source = "capture"
-	}
-	res := &RunResult{
-		Workload: wl.Name, Config: cfg.Name,
-		Cycles: stats.Cycles, Stats: stats, Outcome: out,
-		Obs: reg, Source: source,
-	}
-	if lim.NeedWorld {
-		res.World = w
-	}
-	return res, nil
+	return finish(wl, cfg, source, stats, out, spec.Obs, spec.FuncObs)
 }
 
 // runReplay executes one cell by replaying a sibling's captured trace
@@ -223,52 +201,39 @@ func runStreamed(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLi
 // from the capture's registry, and the token shadow inside the Replayer
 // stands in for the tracker as the fill-time detector's TokenSource.
 func runReplay(wl workload.Workload, cfg BinaryConfig, lim CellLimits, c *capture) (*RunResult, error) {
-	var reg *obs.Registry
-	if lim.Metrics {
-		reg = obs.NewRegistry()
-	}
+	spec := cellSpec(cfg, lim)
 	rp := c.rec.Replayer()
 	var tokens cache.TokenSource
 	if c.rec.TokenWidth() != 0 {
 		tokens = rp
 	}
-	w, err := world.BuildReplay(world.Spec{
-		Pass:          cfg.Pass,
-		Mode:          cfg.Mode,
-		Width:         core.Width(cfg.Pass.TokenWidth),
-		InterceptLibc: cfg.InterceptLibc,
-		InOrder:       cfg.InOrder,
-		CPU:           cfg.CPU,
-		Hier:          cfg.Hier,
-		Obs:           reg,
-	}, tokens)
+	w, err := world.BuildReplay(spec, tokens)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, err)
+		return nil, cellErr(wl, cfg, err)
 	}
 	stats, out := w.ReplayTimed(rp, c.outcome)
-	if reg != nil && c.funcObs != nil {
-		if merr := reg.Merge(c.funcObs); merr != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, merr)
-		}
+	return finish(wl, cfg, "replay", stats, out, spec.Obs, c.funcObs)
+}
+
+// finish ends every cell that ran: it merges funcObs, the functional
+// plane's registry when it was split off (nil otherwise, which Merge
+// ignores), into the cell's registry reg, fails the cell on a simulation
+// error or a detection, and returns its result.
+func finish(wl workload.Workload, cfg BinaryConfig, source string, stats *cpu.Stats, out world.Outcome, reg, funcObs *obs.Registry) (*RunResult, error) {
+	if err := reg.Merge(funcObs); err != nil {
+		return nil, cellErr(wl, cfg, err)
 	}
-	// Parity with runStreamed's validation (a cached outcome is clean by
-	// construction, so these are unreachable; kept so the two paths can
-	// never diverge in what they accept).
 	if out.Err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", wl.Name, cfg.Name, out.Err)
+		return nil, cellErr(wl, cfg, out.Err)
 	}
 	if out.Detected() {
-		return nil, fmt.Errorf("harness: %s/%s: spurious detection: %s", wl.Name, cfg.Name, out)
+		return nil, cellErr(wl, cfg, fmt.Errorf("spurious detection: %s", out))
 	}
-	res := &RunResult{
+	return &RunResult{
 		Workload: wl.Name, Config: cfg.Name,
 		Cycles: stats.Cycles, Stats: stats, Outcome: out,
-		Obs: reg, Source: "replay",
-	}
-	if lim.NeedWorld {
-		res.World = w
-	}
-	return res, nil
+		Obs: reg, Source: source,
+	}, nil
 }
 
 // Matrix holds a full sweep: cycles[workload][config].
@@ -352,36 +317,6 @@ func (m *Matrix) aggregateObs() error {
 	return nil
 }
 
-// RunMatrixObserved is RunMatrix with per-cell metric registries enabled and
-// aggregated: the strictly sequential reference implementation the metrics
-// determinism tests compare the parallel engine against.
-func RunMatrixObserved(wls []workload.Workload, cfgs []BinaryConfig, scale int64) (*Matrix, error) {
-	m := &Matrix{
-		Cycles:  make(map[string]map[string]uint64),
-		Results: make(map[string]map[string]*RunResult),
-	}
-	for _, c := range cfgs {
-		m.Configs = append(m.Configs, c.Name)
-	}
-	for _, wl := range wls {
-		m.Workloads = append(m.Workloads, wl.Name)
-		m.Cycles[wl.Name] = make(map[string]uint64)
-		m.Results[wl.Name] = make(map[string]*RunResult)
-		for _, cfg := range cfgs {
-			r, err := RunLimited(wl, cfg, scale, CellLimits{Metrics: true})
-			if err != nil {
-				return nil, err
-			}
-			m.Cycles[wl.Name][cfg.Name] = r.Cycles
-			m.Results[wl.Name][cfg.Name] = r
-		}
-	}
-	if err := m.aggregateObs(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // complete reports whether workload wl has a result for config (and for the
 // plain baseline, which every derived number needs).
 func (m *Matrix) complete(wl, config string) bool {
@@ -391,11 +326,12 @@ func (m *Matrix) complete(wl, config string) bool {
 }
 
 // RunMatrix sweeps the workloads × configs grid strictly sequentially,
-// stopping at the first failing cell. It is the reference implementation the
-// determinism differential tests compare RunMatrixParallel against; the
-// report paths use the parallel engine. Baseline ("plain") must be among the
-// configs for overhead computation.
-func RunMatrix(wls []workload.Workload, cfgs []BinaryConfig, scale int64) (*Matrix, error) {
+// every cell under lim, stopping at the first failing cell; with
+// lim.Metrics it aggregates the cell registries into Matrix.Obs. It is the
+// reference implementation the determinism differential tests compare
+// RunMatrixParallel against; the report paths use the parallel engine.
+// Baseline ("plain") must be among the configs for overhead computation.
+func RunMatrix(wls []workload.Workload, cfgs []BinaryConfig, scale int64, lim CellLimits) (*Matrix, error) {
 	m := &Matrix{
 		Cycles:  make(map[string]map[string]uint64),
 		Results: make(map[string]map[string]*RunResult),
@@ -408,12 +344,17 @@ func RunMatrix(wls []workload.Workload, cfgs []BinaryConfig, scale int64) (*Matr
 		m.Cycles[wl.Name] = make(map[string]uint64)
 		m.Results[wl.Name] = make(map[string]*RunResult)
 		for _, cfg := range cfgs {
-			r, err := Run(wl, cfg, scale)
+			r, err := RunLimited(wl, cfg, scale, lim)
 			if err != nil {
 				return nil, err
 			}
 			m.Cycles[wl.Name][cfg.Name] = r.Cycles
 			m.Results[wl.Name][cfg.Name] = r
+		}
+	}
+	if lim.Metrics {
+		if err := m.aggregateObs(); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil
@@ -552,11 +493,4 @@ func (m *Matrix) CSV() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// SortedConfigNames returns config names alphabetically (stable output).
-func (m *Matrix) SortedConfigNames() []string {
-	out := append([]string(nil), m.Configs...)
-	sort.Strings(out)
-	return out
 }

@@ -23,7 +23,7 @@ func subset(t *testing.T, names ...string) []workload.Workload {
 
 func TestRunSingle(t *testing.T) {
 	wl, _ := workload.ByName("lbm")
-	r, err := Run(wl, Fig7Configs()[0], 1)
+	r, err := RunLimited(wl, Fig7Configs()[0], 1, CellLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRunSingle(t *testing.T) {
 
 func TestMatrixOverheads(t *testing.T) {
 	wls := subset(t, "lbm", "xalanc")
-	m, err := RunMatrix(wls, Fig7Configs(), 1)
+	m, err := RunMatrix(wls, Fig7Configs(), 1, CellLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTableRenderers(t *testing.T) {
 
 func TestMicroStats(t *testing.T) {
 	wl, _ := workload.ByName("xalanc")
-	s, err := RunMicroStats(context.Background(), wl, 1)
+	s, err := RunMicroStatsParallel(context.Background(), wl, 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMicroStats(t *testing.T) {
 
 func TestFig8Widths(t *testing.T) {
 	wls := subset(t, "xalanc")
-	m, err := RunMatrix(wls, append(Fig8Configs(), BinaryConfig{Name: "plain"}), 1)
+	m, err := RunMatrix(wls, append(Fig8Configs(), BinaryConfig{Name: "plain"}), 1, CellLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestMetricsDeterminism(t *testing.T) {
 	t.Parallel()
 	cfgs := Fig7Configs()
 	wls := subset(t, "lbm", "xalanc")
-	seq, err := RunMatrixObserved(wls, cfgs, 1)
+	seq, err := RunMatrix(wls, cfgs, 1, CellLimits{Metrics: true})
 	if err != nil {
 		t.Fatalf("sequential observed reference: %v", err)
 	}

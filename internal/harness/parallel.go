@@ -47,11 +47,6 @@ type ParallelOptions struct {
 	// grid order into Matrix.Obs after assembly (with the harness.* sweep
 	// counters added). The aggregate is byte-identical at any worker count.
 	Metrics bool
-	// NeedWorld declares that the caller reads RunResult.World from the
-	// assembled matrix (the micro-stats tables do); without it every cell's
-	// World is nil. It keeps those cells off the persistent result store,
-	// which carries stats but no live world.
-	NeedWorld bool
 	// Engine selects every cell's functional-simulator engine (see
 	// CellLimits.Engine). The default sim.EngineAuto resolves to the
 	// decoded-block engine; the engine differential tests sweep both and
@@ -288,7 +283,6 @@ func (s *sweep) run(worker, i int, g *group) {
 		MaxInstructions: s.opt.CellInstrBudget,
 		Timeout:         s.opt.CellTimeout,
 		Metrics:         s.opt.Metrics,
-		NeedWorld:       s.opt.NeedWorld,
 		Engine:          s.opt.Engine,
 	}
 	if dl, ok := s.ctx.Deadline(); ok {

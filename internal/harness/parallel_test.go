@@ -166,89 +166,31 @@ func TestParallelCellErrorUnwrap(t *testing.T) {
 	}
 }
 
-// assertNoWorlds fails for any cell of m that kept its world.
-func assertNoWorlds(t *testing.T, what string, m *Matrix) {
-	t.Helper()
-	cells := 0
-	for wl, row := range m.Results {
-		for cfg, r := range row {
-			cells++
-			if r.World != nil {
-				t.Errorf("%s: %s/%s (source %q) kept its world without NeedWorld", what, wl, cfg, r.Source)
-			}
-		}
-	}
-	if cells == 0 {
-		t.Fatalf("%s: the sweep returned no cells", what)
-	}
-}
-
-// TestSweepsReturnWorldsOnlyUnderNeedWorld pins RunResult.World's contract:
-// a finished cell keeps its world only when the caller declared NeedWorld,
-// so a sweep's retained memory is its stats, not its grid of worlds. It
-// covers every way a cell can run — streamed, captured, replayed from memory
-// or disk, captured to the store, served from the result store — under the
-// worker pool and sequential RunMatrix, and checks that
-// the §VI-B micro stats, which do set NeedWorld, still read live worlds.
-func TestSweepsReturnWorldsOnlyUnderNeedWorld(t *testing.T) {
+// TestMicroStatsReadCellRegistries pins where the §VI-B token rates come
+// from: the secure cell's metric registry, which its hierarchy flushes at
+// the end of the run. It runs the micro stats over a fresh store at -j 2;
+// each cell must come back with a registry that saw L1-D accesses, and the
+// two rates must be the secure cell's counters per kilo-instruction.
+func TestMicroStatsReadCellRegistries(t *testing.T) {
 	t.Parallel()
-	ctx := context.Background()
-	wls := subset(t, "lbm")
-	cfgs := Fig8SensitivityConfigs()[:3]
-
-	m, err := RunMatrix(wls, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertNoWorlds(t, "RunMatrix", m)
-
-	m, err = RunMatrixParallel(ctx, wls, cfgs, 1, ParallelOptions{Workers: 2, TraceCache: NewTraceCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertNoWorlds(t, "full-grid pool, in-memory capture and replay", m)
-
-	dir := t.TempDir()
-	tc, _ := diskTC(t, dir, persist.Options{})
-	m, err = RunMatrixParallel(ctx, wls, Fig8SensitivityConfigs(), 1, ParallelOptions{Workers: 2, TraceCache: tc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertNoWorlds(t, "full-grid pool, store-bound capture", m)
-
-	tc, pc := diskTC(t, dir, persist.Options{})
-	m, err = RunMatrixParallel(ctx, wls, Fig8SensitivityConfigs(), 1, ParallelOptions{Workers: 2, TraceCache: tc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := pc.Counters(); c.ResultHits == 0 {
-		t.Fatalf("merge over the store hit no results: %+v", c)
-	}
-	assertNoWorlds(t, "full-grid pool, result store", m)
-
-	// The micro stats run both cells through a fresh store: each one is a
-	// disk-only capture, and each must still come back with its world.
-	tc, _ = diskTC(t, t.TempDir(), persist.Options{})
+	tc, _ := diskTC(t, t.TempDir(), persist.Options{})
 	wl := subset(t, "xalanc")[0]
-	s, err := RunMicroStatsParallel(ctx, wl, 1, ParallelOptions{Workers: 2, TraceCache: tc})
+	s, err := RunMicroStatsParallel(context.Background(), wl, 1, ParallelOptions{Workers: 2, TraceCache: tc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []string{"secure-full", "debug-full"} {
 		r := s.Matrix.Results[wl.Name][cfg]
-		if r.World == nil || r.World.Hier == nil {
-			t.Fatalf("micro stats cell %s (source %q) came back without a live world", cfg, r.Source)
-		}
-		if r.World.Hier.L1D.Stats.Accesses == 0 {
-			t.Errorf("micro stats cell %s: its world's L1-D saw no accesses", cfg)
+		if r.Obs.Counter("cache.l1d.accesses").Value() == 0 {
+			t.Fatalf("micro stats cell %s (source %q): its registry saw no L1-D accesses", cfg, r.Source)
 		}
 	}
 	sec := s.Matrix.Results[wl.Name]["secure-full"]
 	kinstr := float64(sec.Stats.Instructions) / 1000
-	if want := float64(sec.World.Hier.TokenL2MemCrossings()) / kinstr; s.TokenL2MemPerKInstr != want {
-		t.Errorf("token L2/memory crossings %v per kinstr, want %v from the live world", s.TokenL2MemPerKInstr, want)
+	if want := float64(sec.Obs.Counter("cache.token_l2mem_crossings").Value()) / kinstr; s.TokenL2MemPerKInstr != want {
+		t.Errorf("token L2/memory crossings %v per kinstr, want %v from the secure cell's registry", s.TokenL2MemPerKInstr, want)
 	}
-	if want := float64(sec.World.Hier.L1D.Stats.TokenEvicts) / kinstr; s.TokenL1EvPerKInstr != want || want == 0 {
-		t.Errorf("L1-D token evictions %v per kinstr, want %v from the live world (and above zero)", s.TokenL1EvPerKInstr, want)
+	if want := float64(sec.Obs.Counter("cache.l1d.token_evicts").Value()) / kinstr; s.TokenL1EvPerKInstr != want || want == 0 {
+		t.Errorf("L1-D token evictions %v per kinstr, want %v from the secure cell's registry (and above zero)", s.TokenL1EvPerKInstr, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func TestRenderBarChart(t *testing.T) {
 	wls := subset(t, "lbm")
-	m, err := RunMatrix(wls, Fig7Configs(), 1)
+	m, err := RunMatrix(wls, Fig7Configs(), 1, CellLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRenderBarChart(t *testing.T) {
 // headline built from them: the baseline has cycles, an instrumented
 // config has an overhead cell, and the headline quotes the weighted means.
 func TestMatrixSummary(t *testing.T) {
-	m, err := RunMatrix(subset(t, "lbm"), Fig7Configs(), 1)
+	m, err := RunMatrix(subset(t, "lbm"), Fig7Configs(), 1, CellLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,26 +280,22 @@ type MicroStats struct {
 	Matrix *Matrix
 }
 
-// RunMicroStats runs the secure and debug REST-full configurations for a
-// workload and extracts the §VI-B statistics. The context bounds both runs
-// (cmd/restbench -timeout reaches every report path through it).
-func RunMicroStats(ctx context.Context, wl workload.Workload, scale int64) (*MicroStats, error) {
-	return RunMicroStatsParallel(ctx, wl, scale, ParallelOptions{})
-}
-
-// RunMicroStatsParallel is RunMicroStats on the parallel sweep engine (the
-// secure and debug runs are independent cells and proceed concurrently).
-// A sweep with failed cells returns, alongside its *MatrixError as
-// RunMatrixParallel does, a MicroStats that carries only the partial Matrix
-// (its holes annotated in the metrics report) and no statistics.
+// RunMicroStatsParallel runs the secure and debug REST-full configurations
+// for a workload on the parallel sweep engine (they are independent cells
+// and proceed concurrently) and extracts the §VI-B statistics. The context
+// bounds both runs (cmd/restbench -timeout reaches every report path
+// through it). A sweep with failed cells returns, alongside its
+// *MatrixError as RunMatrixParallel does, a MicroStats that carries only
+// the partial Matrix (its holes annotated in the metrics report) and no
+// statistics.
 func RunMicroStatsParallel(ctx context.Context, wl workload.Workload, scale int64, opt ParallelOptions) (*MicroStats, error) {
 	cfgs := []BinaryConfig{
 		{Name: "secure-full", Pass: prog.RESTFull(64), Mode: core.Secure},
 		{Name: "debug-full", Pass: prog.RESTFull(64), Mode: core.Debug},
 	}
-	// The hierarchy counters below read the cells' live worlds, which the
-	// persistent result store cannot supply.
-	opt.NeedWorld = true
+	// The token rates below are hierarchy counters, which a cell reports
+	// in its registry.
+	opt.Metrics = true
 	m, err := RunMatrixParallel(ctx, []workload.Workload{wl}, cfgs, scale, opt)
 	var merr *MatrixError
 	if errors.As(err, &merr) {
@@ -322,8 +318,8 @@ func RunMicroStatsParallel(ctx context.Context, wl workload.Workload, scale int6
 		DebugIQFull:         dbg.Stats.IQFullCycles,
 		SecureROBFull:       sec.Stats.ROBFullCycles,
 		DebugROBFull:        dbg.Stats.ROBFullCycles,
-		TokenL2MemPerKInstr: float64(sec.World.Hier.TokenL2MemCrossings()) / kinstr,
-		TokenL1EvPerKInstr:  float64(sec.World.Hier.L1D.Stats.TokenEvicts) / kinstr,
+		TokenL2MemPerKInstr: float64(sec.Obs.Counter("cache.token_l2mem_crossings").Value()) / kinstr,
+		TokenL1EvPerKInstr:  float64(sec.Obs.Counter("cache.l1d.token_evicts").Value()) / kinstr,
 		Matrix:              m,
 	}, nil
 }

@@ -195,17 +195,17 @@ func (tc *TraceCache) count(c *uint64, n uint64) {
 func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, g *group) (*RunResult, error) {
 	disk := tc.diskStore()
 
-	// A memoized clean outcome for this exact cell skips the run. Cells
-	// that need a registry or a live world can't be served from a file;
-	// for them the read only tells whether the store already holds their
-	// result, so a warm rerun rewrites nothing.
+	// A memoized clean outcome for this exact cell skips the run. A cell
+	// that needs a registry can't be served from a file; for it the read
+	// only tells whether the store already holds its result, so a warm
+	// rerun rewrites nothing.
 	var rid persist.ID
 	held := false
 	if disk != nil {
 		rid = resultIdentity(cellTraceKey(wl.Name, cfg, scale, lim.MaxInstructions), tc.timingID(cfg))
 		cr, err := disk.LoadResult(rid)
 		held = err == nil
-		if held && !lim.Metrics && !lim.NeedWorld {
+		if held && !lim.Metrics {
 			return resultFromStore(wl, cfg, cr), nil
 		}
 	}

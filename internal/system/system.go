@@ -111,9 +111,6 @@ func (os *OS) Schedule(p *Process) error {
 	return nil
 }
 
-// Running returns the scheduled process.
-func (os *OS) Running() *Process { return os.running }
-
 // Clone forks parent into a new process: the address space (including any
 // token content) is copied, the child draws a fresh token, and — the §IV-B
 // obligation — every armed chunk inherited from the parent is re-armed with

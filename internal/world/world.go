@@ -219,44 +219,17 @@ func Build(spec Spec, build func(b *prog.Builder)) (*World, error) {
 		return nil, err
 	}
 
-	hcfg := cache.DefaultHierConfig()
-	if spec.Hier != nil {
-		hcfg = *spec.Hier
-	}
 	var tokens cache.TokenSource
 	if tracker != nil {
 		tokens = tracker
 	}
-	hier, err := cache.NewHierarchy(hcfg, tokens)
+	// The timing half is built as a replay world's is.
+	w, err := BuildReplay(spec, tokens)
 	if err != nil {
 		return nil, err
 	}
-
-	ccfg := cpu.DefaultConfig()
-	if spec.CPU != nil {
-		ccfg = *spec.CPU
-	}
-	ccfg.Mode = spec.Mode
-	pred := bpred.New(bpred.Config{})
-
-	w := &World{
-		Spec:    spec,
-		Program: program,
-		Machine: mach,
-		Runtime: runtime,
-		Tracker: tracker,
-		Shadow:  shadowMap,
-		Alloc:   engine,
-		Hier:    hier,
-		Pred:    pred,
-	}
-	if spec.InOrder {
-		w.InOrder = cpu.NewInOrder(ccfg, hier, pred)
-		w.InOrder.SetProbes(cpu.NewProbes(spec.Obs))
-	} else {
-		w.Pipeline = cpu.New(ccfg, hier, pred)
-		w.Pipeline.SetProbes(cpu.NewProbes(spec.Obs))
-	}
+	w.Program, w.Machine, w.Runtime = program, mach, runtime
+	w.Tracker, w.Shadow, w.Alloc = tracker, shadowMap, engine
 	return w, nil
 }
 
@@ -303,22 +276,24 @@ func (w *World) RunFunctional() Outcome {
 
 // RunTimed streams the program through the timing model (the functional
 // machine is pulled lazily as the trace source) and returns timing stats
-// plus the architectural outcome. The pipeline's exception carries mode-
-// resolved precision and detection lag, so it supersedes the architectural
-// exception's precision fields.
+// plus the architectural outcome, carrying the core's mode-resolved
+// precision (see resolve).
 func (w *World) RunTimed() (*cpu.Stats, Outcome) {
-	return w.runTimed(w.Machine)
+	stats := w.drive(w.Machine)
+	return stats, resolve(w.outcome(), stats)
 }
 
 // RunTimedCapture is RunTimed with the streamed trace teed into sink: a
-// trace.Recorder, so a later ReplayTimed on a world built by BuildReplay can
-// reproduce this run's timing without the functional machine, or the
-// persistent store's trace writer, which encodes the trace as it streams.
+// trace.Recorder, so that a later ReplayTimed on a world built by
+// BuildReplay can reproduce this run's timing without the functional
+// machine.
 func (w *World) RunTimedCapture(sink trace.Sink) (*cpu.Stats, Outcome) {
-	return w.runTimed(trace.Tee(w.Machine, sink))
+	stats := w.drive(trace.Tee(w.Machine, sink))
+	return stats, resolve(w.outcome(), stats)
 }
 
-func (w *World) runTimed(r trace.Reader) (*cpu.Stats, Outcome) {
+// drive runs the world's core over r and flushes the world's metrics.
+func (w *World) drive(r trace.Reader) *cpu.Stats {
 	var stats *cpu.Stats
 	if w.InOrder != nil {
 		stats = w.InOrder.Run(r)
@@ -326,12 +301,21 @@ func (w *World) runTimed(r trace.Reader) (*cpu.Stats, Outcome) {
 		stats = w.Pipeline.Run(r)
 	}
 	w.FlushObs()
-	out := w.outcome()
-	if stats.Exception != nil && out.Exception != nil {
-		out.Exception.Precise = stats.Exception.Precise
-		out.Exception.DetectLagCycles = stats.Exception.DetectLagCycles
+	return stats
+}
+
+// resolve returns out with the precision and detection lag of the core's
+// exception, which the mode decides and which supersede the architectural
+// exception's. It writes a copy: out's exception may be a captured
+// outcome's, shared by every replay of it.
+func resolve(out Outcome, stats *cpu.Stats) Outcome {
+	if out.Exception != nil && stats.Exception != nil {
+		exc := *out.Exception
+		exc.Precise = stats.Exception.Precise
+		exc.DetectLagCycles = stats.Exception.DetectLagCycles
+		out.Exception = &exc
 	}
-	return stats, out
+	return out
 }
 
 // BuildReplay assembles a timing-only world: the cache hierarchy, branch
@@ -340,7 +324,8 @@ func (w *World) runTimed(r trace.Reader) (*cpu.Stats, Outcome) {
 // L1-D fill-time detector's TokenSource (a trace.Replayer over a captured
 // REST trace; nil for non-REST replays). Only the timing fields of spec are
 // consulted: Pass/Seed/MaxInstructions/Deadline shape the functional run
-// that produced the trace, not its replay.
+// that produced the trace, not its replay. Build assembles every world's
+// timing half here.
 func BuildReplay(spec Spec, tokens cache.TokenSource) (*World, error) {
 	hcfg := cache.DefaultHierConfig()
 	if spec.Hier != nil {
@@ -377,27 +362,10 @@ func BuildReplay(spec Spec, tokens cache.TokenSource) (*World, error) {
 // configuration matches (and, for complete clean traces, under any timing
 // configuration — the replay differential tests pin both).
 func (w *World) ReplayTimed(r trace.Reader, captured Outcome) (*cpu.Stats, Outcome) {
-	var stats *cpu.Stats
-	if w.InOrder != nil {
-		stats = w.InOrder.Run(r)
-	} else {
-		stats = w.Pipeline.Run(r)
-	}
-	w.FlushObs()
+	stats := w.drive(r)
 	// The replay is over; drop the hierarchy's reference to the token source
 	// (the Replayer over the captured trace) so a retained replay result does
 	// not pin the multi-megabyte trace for the rest of a sweep.
 	w.Hier.ReleaseTokenSource()
-	out := captured
-	if out.Exception != nil {
-		// Deep-copy before overriding precision: the captured outcome is
-		// shared across replays and must stay immutable.
-		exc := *out.Exception
-		if stats.Exception != nil {
-			exc.Precise = stats.Exception.Precise
-			exc.DetectLagCycles = stats.Exception.DetectLagCycles
-		}
-		out.Exception = &exc
-	}
-	return stats, out
+	return stats, resolve(captured, stats)
 }

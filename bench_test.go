@@ -63,15 +63,15 @@ func BenchmarkFigure3ASanBreakdown(b *testing.B) {
 	var r *harness.Fig3Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = harness.RunFig3(context.Background(), workload.All(), benchScale)
+		r, err = harness.RunFig3Parallel(context.Background(), workload.All(), benchScale, harness.ParallelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	means := make([]float64, len(harness.Fig3Components))
-	for _, wl := range r.Workloads {
-		for i, v := range r.Breakdown[wl] {
-			means[i] += v / float64(len(r.Workloads))
+	for _, row := range r.Rows {
+		for i, v := range row.Parts {
+			means[i] += v / float64(len(r.Rows))
 		}
 	}
 	b.ReportMetric(means[0], "alloc-%")
@@ -88,7 +88,7 @@ func BenchmarkFigure7Overheads(b *testing.B) {
 	var m *harness.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = harness.RunMatrix(workload.All(), harness.Fig7Configs(), benchScale, harness.CellLimits{})
+		m, err = harness.RunMatrixParallel(context.Background(), workload.All(), harness.Fig7Configs(), benchScale, harness.ParallelOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFigure8TokenWidths(b *testing.B) {
 	var m *harness.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = harness.RunMatrix(workload.All(), cfgs, benchScale, harness.CellLimits{})
+		m, err = harness.RunMatrixParallel(context.Background(), workload.All(), cfgs, benchScale, harness.ParallelOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rest/internal/harness"
+	"rest/internal/obs"
 	"rest/internal/obs/otlp"
 	"rest/internal/workload"
 )
@@ -26,7 +27,7 @@ func testWorkloads(t *testing.T) []workload.Workload {
 // renderSweep runs the fig8sens grid once and returns every byte a report
 // consumer sees: the rendered table, the CSV matrix, and the metrics
 // report's CSV.
-func renderSweep(t *testing.T, j int, onCell func(harness.CellEvent)) (table, csv, mcsv string) {
+func renderSweep(t *testing.T, j int, onCell func(obs.CellSpan, *obs.Registry)) (table, csv, mcsv string) {
 	t.Helper()
 	wls := testWorkloads(t)
 	m, err := harness.RunMatrixParallel(context.Background(), wls, harness.Fig8SensitivityConfigs(), 1,

@@ -150,8 +150,8 @@ func TestServeMetricsCarryBuildAndProgress(t *testing.T) {
 	observe := harness.ObserveCells("fig7", nil, nil, tel.Observe)
 	reg := obs.NewRegistry()
 	reg.Counter("sim.user_instructions").Add(42)
-	observe(harness.CellEvent{Workload: "lbm", Config: "plain", Obs: reg})
-	observe(harness.CellEvent{Workload: "lbm", Config: "asan", Err: context.DeadlineExceeded})
+	observe(obs.CellSpan{Workload: "lbm", Config: "plain", Verdict: "ok"}, reg)
+	observe(obs.CellSpan{Workload: "lbm", Config: "asan", Verdict: "hole", Reason: "watchdog: wall-clock budget exceeded (1s)"}, nil)
 
 	resp, err := http.Get("http://" + ln.Addr().String() + "/otlp/metrics")
 	if err != nil {

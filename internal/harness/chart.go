@@ -14,21 +14,24 @@ func (m *Matrix) RenderBarChart(title string, clipPct float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "(bar = overhead over plain, full scale %.0f%%, '>' = clipped)\n\n", clipPct)
-	for _, wl := range m.Workloads {
+	base := m.plain()
+	for w, wl := range m.Workloads {
 		fmt.Fprintf(&b, "%s\n", wl)
-		for _, c := range m.Configs {
-			if c == "plain" {
+		row := m.row(w)
+		for c, name := range m.Configs {
+			if c == base {
 				continue
 			}
-			if !m.complete(wl, c) {
-				reason, _ := m.Hole(wl, c)
-				if reason == "" {
-					reason, _ = m.Hole(wl, "plain")
+			cycles, plain, ok := pair(row, c, base)
+			if !ok {
+				reason := row[c].reason
+				if reason == "" && base >= 0 {
+					reason = row[base].reason
 				}
-				fmt.Fprintf(&b, "  %-16s|%-*s|  hole: %s\n", c, width, "", reason)
+				fmt.Fprintf(&b, "  %-16s|%-*s|  hole: %s\n", name, width, "", reason)
 				continue
 			}
-			ov := m.Overhead(wl, c)
+			ov := overhead(cycles, plain)
 			clipped := ov > clipPct
 			frac := ov / clipPct
 			if frac < 0 {
@@ -43,7 +46,7 @@ func (m *Matrix) RenderBarChart(title string, clipPct float64) string {
 			if clipped {
 				mark = ">"
 			}
-			fmt.Fprintf(&b, "  %-16s|%-*s|%s %6.1f%%\n", c, width, bar, mark, ov)
+			fmt.Fprintf(&b, "  %-16s|%-*s|%s %6.1f%%\n", name, width, bar, mark, ov)
 		}
 	}
 	return b.String()

@@ -3,24 +3,25 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"rest/internal/cpu"
 )
 
+// ran is a cell with a result of n cycles.
+func ran(n uint64) cell { return cell{res: &RunResult{Stats: &cpu.Stats{Cycles: n}}} }
+
 // chartMatrix hand-builds a two-workload matrix exercising every bar-chart
-// path: a normal bar, a clipped bar (> clipPct), a zero-overhead bar, a cell
-// hole, and a workload whose plain baseline itself is a hole.
+// path: a normal bar, a clipped bar (> clipPct), a cell hole, and a
+// workload whose plain baseline itself is a hole.
 func chartMatrix() *Matrix {
-	m := &Matrix{
+	return &Matrix{
 		Workloads: []string{"alpha", "beta"},
 		Configs:   []string{"plain", "asan", "secure-full"},
-		Cycles: map[string]map[string]uint64{
-			"alpha": {"plain": 1000, "asan": 3000, "secure-full": 1250},
-			"beta":  {"asan": 4000},
+		cells: []cell{
+			ran(1000), ran(3000), ran(1250),
+			{reason: "watchdog: wall_clock budget exceeded (1s)"}, ran(4000), {reason: "panic: boom"},
 		},
 	}
-	m.AddHole("alpha", "secure-full-x", "unused")
-	m.AddHole("beta", "plain", "watchdog: wall_clock budget exceeded (1s)")
-	m.AddHole("beta", "secure-full", "panic: boom")
-	return m
 }
 
 // TestRenderBarChartGolden pins the chart byte-for-byte, including the holes
@@ -55,9 +56,7 @@ func TestRenderBarChartFullMatrix(t *testing.T) {
 	m := &Matrix{
 		Workloads: []string{"alpha"},
 		Configs:   []string{"plain", "asan"},
-		Cycles: map[string]map[string]uint64{
-			"alpha": {"plain": 100, "asan": 190},
-		},
+		cells:     []cell{ran(100), ran(190)},
 	}
 	got := m.RenderBarChart("t", 180)
 	if strings.Contains(got, "hole") {

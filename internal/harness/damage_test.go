@@ -132,7 +132,7 @@ func TestDiskCacheDamagedStore(t *testing.T) {
 		}
 		for _, wl := range baseM.Workloads {
 			for _, cfg := range baseM.Configs {
-				if !reflect.DeepEqual(m.Results[wl][cfg].Stats, baseM.Results[wl][cfg].Stats) {
+				if !reflect.DeepEqual(m.Result(wl, cfg).Stats, baseM.Result(wl, cfg).Stats) {
 					t.Errorf("-j %d %s/%s stats diverge over the damaged store", workers, wl, cfg)
 				}
 			}
@@ -178,7 +178,7 @@ func TestDiskCacheVanishedDirMidSweep(t *testing.T) {
 	}
 	for _, wl := range baseM.Workloads {
 		for _, cfg := range baseM.Configs {
-			got, want := goneM.Results[wl][cfg], baseM.Results[wl][cfg]
+			got, want := goneM.Result(wl, cfg), baseM.Result(wl, cfg)
 			if got == nil || want == nil {
 				t.Fatalf("%s/%s: cell missing after the dir vanished", wl, cfg)
 			}

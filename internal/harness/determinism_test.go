@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"rest/internal/prog"
+	"rest/internal/workload"
 )
 
 // The determinism differential layer: the parallel sweep engine must be
-// indistinguishable from the sequential reference at every worker count.
-// Every cell is a self-contained deterministic simulation, so the whole
-// grid — raw cycle matrices and every rendered report — has exactly one
-// correct value; these tests pin parallel ≡ sequential byte-for-byte.
+// indistinguishable from the sequential reference (sequentialMatrix) at
+// every worker count. Every cell is a self-contained deterministic
+// simulation, so the whole grid — every cell's stats and every rendered
+// report — has exactly one correct value; these tests pin parallel ≡
+// sequential byte-for-byte.
 
 // determinismGrids are the swept grids the differential runs over: the
 // Figure 7 configuration set and the Figure 8 token-width set, each over a
@@ -48,10 +50,57 @@ func determinismGrids(t *testing.T) []struct {
 	}
 }
 
+// sequentialMatrix is the determinism wall's reference sweep: every cell of
+// wls × cfgs at scale 1, streamed through runStreamed in grid order on the
+// test goroutine, with no pool, no cache and no panic containment. A failing
+// cell fails the test. With lim.Metrics it aggregates the cell registries
+// as a sweep does.
+func sequentialMatrix(t *testing.T, wls []workload.Workload, cfgs []BinaryConfig, lim CellLimits) *Matrix {
+	t.Helper()
+	m := newMatrix(wls, cfgs)
+	for i := range m.cells {
+		wl, cfg := wls[i/len(cfgs)], cfgs[i%len(cfgs)]
+		r, err := runStreamed(wl, cfg, 1, lim, nil)
+		if err != nil {
+			t.Fatalf("sequential reference: %v", err)
+		}
+		m.cells[i].res = r
+	}
+	if lim.Metrics {
+		if cerr := m.aggregateObs(); cerr != nil {
+			t.Fatalf("sequential reference: %v", cerr)
+		}
+	}
+	return m
+}
+
+// assertSameCells fails unless got has want's grid, in want's order, and
+// every cell of it a result with want's full cpu.Stats and outcome
+// checksum.
+func assertSameCells(t *testing.T, want, got *Matrix) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Workloads, want.Workloads) || !reflect.DeepEqual(got.Configs, want.Configs) {
+		t.Fatalf("grid order differs: %v × %v, want %v × %v", got.Workloads, got.Configs, want.Workloads, want.Configs)
+	}
+	n := len(want.Configs)
+	for i, w := range want.cells {
+		g, cell := got.cells[i], want.Workloads[i/n]+"/"+want.Configs[i%n]
+		switch {
+		case w.res == nil || g.res == nil:
+			t.Errorf("%s: a hole (want %q, got %q)", cell, w.reason, g.reason)
+		case !reflect.DeepEqual(g.res.Stats, w.res.Stats):
+			t.Errorf("%s: stats differ:\nwant %+v\ngot  %+v", cell, w.res.Stats, g.res.Stats)
+		case g.res.Outcome.Checksum != w.res.Outcome.Checksum:
+			t.Errorf("%s: outcome checksum %#x, want %#x", cell, g.res.Outcome.Checksum, w.res.Outcome.Checksum)
+		}
+	}
+}
+
 // TestRunMatrixParallelDeterminism proves the headline guarantee: for the
 // same seed and scale, RunMatrixParallel at j=1, j=4 and j=GOMAXPROCS
-// produces Cycles maps byte-identical to the sequential RunMatrix, and the
-// rendered Figure 7/8 reports (overhead table + CSV) are identical strings.
+// produces, cell for cell, the full cpu.Stats and outcome checksums of the
+// sequential reference, and the rendered Figure 7/8 reports (overhead table
+// + CSV) are identical strings.
 func TestRunMatrixParallelDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, g := range determinismGrids(t) {
@@ -60,10 +109,7 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 			t.Parallel()
 			cfgs, names := g.grid()
 			wls := subset(t, names...)
-			seq, err := RunMatrix(wls, cfgs, 1, CellLimits{})
-			if err != nil {
-				t.Fatalf("sequential reference: %v", err)
-			}
+			seq := sequentialMatrix(t, wls, cfgs, CellLimits{})
 			workers := []int{1, 4, runtime.GOMAXPROCS(0)}
 			for _, j := range workers {
 				j := j
@@ -74,15 +120,7 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatalf("parallel sweep: %v", err)
 					}
-					if !reflect.DeepEqual(par.Cycles, seq.Cycles) {
-						t.Errorf("cycle matrices differ:\nsequential: %v\nparallel:   %v",
-							seq.Cycles, par.Cycles)
-					}
-					if !reflect.DeepEqual(par.Workloads, seq.Workloads) ||
-						!reflect.DeepEqual(par.Configs, seq.Configs) {
-						t.Errorf("grid iteration order differs: %v/%v vs %v/%v",
-							par.Workloads, par.Configs, seq.Workloads, seq.Configs)
-					}
+					assertSameCells(t, seq, par)
 					if got, want := par.RenderOverheadTable(g.title), seq.RenderOverheadTable(g.title); got != want {
 						t.Errorf("rendered report differs:\n--- sequential ---\n%s--- parallel ---\n%s", want, got)
 					}
@@ -97,7 +135,7 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 
 // TestRunMatrixParallelRepeatable re-runs the same parallel sweep twice at
 // an oversubscribed worker count: completion order genuinely varies between
-// runs, the assembled matrices must not.
+// runs, the assembled matrices must not, in any cell's stats or checksum.
 func TestRunMatrixParallelRepeatable(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm", "gcc")
@@ -110,13 +148,11 @@ func TestRunMatrixParallelRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Cycles, b.Cycles) {
-		t.Errorf("two identical parallel sweeps disagree:\n%v\n%v", a.Cycles, b.Cycles)
-	}
+	assertSameCells(t, a, b)
 }
 
-// TestFig3ParallelDeterminism pins the Figure 3 report path (which now runs
-// on the parallel engine by default) against an explicit j=1 sweep.
+// TestFig3ParallelDeterminism pins the Figure 3 report path against an
+// explicit j=1 sweep.
 func TestFig3ParallelDeterminism(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "xalanc", "lbm")
@@ -128,10 +164,8 @@ func TestFig3ParallelDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(one.Breakdown, many.Breakdown) ||
-		!reflect.DeepEqual(one.Total, many.Total) {
-		t.Errorf("Figure 3 breakdown differs across worker counts:\n%v\n%v",
-			one.Breakdown, many.Breakdown)
+	if !reflect.DeepEqual(one.Rows, many.Rows) {
+		t.Errorf("Figure 3 breakdown differs across worker counts:\n%v\n%v", one.Rows, many.Rows)
 	}
 	if one.Render() != many.Render() {
 		t.Error("Figure 3 rendered report differs across worker counts")

@@ -218,7 +218,6 @@ func resultFromStore(wl workload.Workload, cfg BinaryConfig, cr *persist.CellRes
 	return &RunResult{
 		Workload: wl.Name,
 		Config:   cfg.Name,
-		Cycles:   cr.Stats.Cycles,
 		Stats:    &cr.Stats,
 		Outcome:  world.Outcome{Checksum: cr.Checksum},
 		Source:   "result-store",

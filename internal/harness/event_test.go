@@ -10,6 +10,8 @@ import (
 	"rest/internal/obs"
 	"rest/internal/obs/otlp"
 	"rest/internal/persist"
+	"rest/internal/prog"
+	"rest/internal/workload"
 )
 
 // fig7Grid and sensGrid subset their sweep grids under the race detector,
@@ -31,15 +33,21 @@ func sensGrid() []BinaryConfig {
 	return cfgs
 }
 
-// collectEvents runs one sweep and returns its CellEvent stream in arrival
+// observed is one OnCell call: a cell's span and its registry.
+type observed struct {
+	obs.CellSpan
+	reg *obs.Registry
+}
+
+// collectEvents runs one sweep and returns what OnCell saw, in arrival
 // order.
-func collectEvents(t *testing.T, cfgs []BinaryConfig, opt ParallelOptions) []CellEvent {
+func collectEvents(t *testing.T, cfgs []BinaryConfig, opt ParallelOptions) []observed {
 	t.Helper()
 	var mu sync.Mutex
-	var evs []CellEvent
-	opt.OnCell = func(ev CellEvent) {
+	var evs []observed
+	opt.OnCell = func(s obs.CellSpan, reg *obs.Registry) {
 		mu.Lock()
-		evs = append(evs, ev)
+		evs = append(evs, observed{s, reg})
 		mu.Unlock()
 	}
 	wls := subset(t, "lbm", "xalanc")
@@ -137,8 +145,8 @@ func TestReplaysStayOnTheirCaptureWorker(t *testing.T) {
 	for _, cfg := range cfgs {
 		byName[cfg.Name] = cfg
 	}
-	identity := func(ev CellEvent) traceKey { return cellTraceKey(ev.Workload, byName[ev.Config], 1, 0) }
-	captures := map[traceKey]CellEvent{}
+	identity := func(ev observed) traceKey { return cellTraceKey(ev.Workload, byName[ev.Config], 1, 0) }
+	captures := map[traceKey]observed{}
 	for _, ev := range evs {
 		if ev.Source == "capture" {
 			captures[identity(ev)] = ev
@@ -171,15 +179,15 @@ func TestReplaysStayOnTheirCaptureWorker(t *testing.T) {
 func TestCellEventObsAttachment(t *testing.T) {
 	t.Parallel()
 	for _, ev := range collectEvents(t, fig7Grid(), ParallelOptions{Workers: 2}) {
-		if ev.Obs != nil {
+		if ev.reg != nil {
 			t.Fatalf("cell %s/%s carries a registry without Metrics", ev.Workload, ev.Config)
 		}
 	}
 	for _, ev := range collectEvents(t, fig7Grid(), ParallelOptions{Workers: 2, Metrics: true}) {
-		if ev.Obs == nil {
+		if ev.reg == nil {
 			t.Fatalf("cell %s/%s missing registry with Metrics on", ev.Workload, ev.Config)
 		}
-		findMetric(t, ev.Obs.Snapshot(), "sim.user_instructions")
+		findMetric(t, ev.reg.Snapshot(), "sim.user_instructions")
 	}
 }
 
@@ -248,20 +256,35 @@ func TestTelemetryExporterOnSweep(t *testing.T) {
 	}
 }
 
-// CellEventSpan flattens verdicts the way the dashboard expects.
+// The sweep flattens each cell into its span the way the dashboard
+// expects: a result is "ok" with its source, instructions and cycles, a
+// failure a "hole" with the Matrix's reason, and a cell never started after
+// a fail-fast cancellation "skipped".
 func TestCellEventSpanVerdicts(t *testing.T) {
 	t.Parallel()
-	ok := CellEventSpan("fig7", CellEvent{Workload: "lbm", Config: "plain", Instrs: 5, Cycles: 9, Source: "stream"})
-	if ok.Verdict != "ok" || ok.Reason != "" || ok.Cycles != 9 {
-		t.Errorf("ok span: %+v", ok)
+	// One worker takes the cells in grid order: overflower/plain succeeds,
+	// overflower/secure-heap fails, and both lbm cells are skipped.
+	var spans []obs.CellSpan
+	m, err := RunMatrixParallel(context.Background(),
+		[]workload.Workload{overflowWorkload("overflower"), goodWorkload(t)},
+		[]BinaryConfig{{Name: "plain", Pass: prog.Plain()}, {Name: "secure-heap", Pass: prog.RESTHeap(64)}},
+		1, ParallelOptions{Workers: 1, FailFast: true, OnCell: func(s obs.CellSpan, _ *obs.Registry) { spans = append(spans, s) }})
+	if err == nil || len(spans) != 4 {
+		t.Fatalf("got %d spans and error %v; want 4 and a MatrixError", len(spans), err)
 	}
-	sk := CellEventSpan("fig7", CellEvent{Skipped: true})
-	if sk.Verdict != "skipped" {
-		t.Errorf("skipped span: %+v", sk)
+	ok := m.Result("overflower", "plain")
+	if s := spans[0]; s.Verdict != "ok" || s.Reason != "" || s.Source != "stream" ||
+		s.Instrs != ok.Stats.Instructions || s.Cycles != ok.Stats.Cycles {
+		t.Errorf("ok span: %+v", s)
 	}
-	hole := CellEventSpan("fig7", CellEvent{Err: context.DeadlineExceeded})
-	if hole.Verdict != "hole" || hole.Reason == "" {
-		t.Errorf("hole span: %+v", hole)
+	reason, _ := m.Hole("overflower", "secure-heap")
+	if s := spans[1]; s.Verdict != "hole" || s.Reason != reason || !strings.Contains(reason, "detect") || s.Source != "" {
+		t.Errorf("hole span: %+v, want reason %q", s, reason)
+	}
+	for _, s := range spans[2:] {
+		if s.Verdict != "skipped" || s.Reason != "sweep cancelled" || s.Start != s.End {
+			t.Errorf("skipped span: %+v", s)
+		}
 	}
 
 	// With no surface attached (a nil sink: no live telemetry) there is no
@@ -274,8 +297,8 @@ func TestCellEventSpanVerdicts(t *testing.T) {
 		t.Errorf("unused cache stats: %+v", st)
 	}
 
-	// A sink alone gets every cell's span, flattened as above, and its
-	// registry.
+	// A sink alone gets every cell's span, stamped with the sweep name, and
+	// its registry.
 	var got []obs.CellSpan
 	var regs []*obs.Registry
 	sink := ObserveCells("fig7", nil, nil, func(s obs.CellSpan, reg *obs.Registry) {
@@ -283,10 +306,10 @@ func TestCellEventSpanVerdicts(t *testing.T) {
 		regs = append(regs, reg)
 	})
 	reg := obs.NewRegistry()
-	sink(CellEvent{Workload: "lbm", Config: "plain", Cycles: 9, Obs: reg})
-	sink(CellEvent{Err: context.DeadlineExceeded})
-	if len(got) != 2 || got[0].Sweep != "fig7" || got[0].Cycles != 9 || got[1].Verdict != "hole" ||
-		regs[0] != reg || regs[1] != nil {
+	sink(obs.CellSpan{Workload: "lbm", Config: "plain", Verdict: "ok", Cycles: 9}, reg)
+	sink(obs.CellSpan{Verdict: "hole", Reason: "panic: boom"}, nil)
+	if len(got) != 2 || got[0].Sweep != "fig7" || got[0].Cycles != 9 || got[1].Sweep != "fig7" ||
+		got[1].Reason != "panic: boom" || regs[0] != reg || regs[1] != nil {
 		t.Errorf("sink saw spans %+v and registries %v", got, regs)
 	}
 }
@@ -301,21 +324,22 @@ func TestTelemetryExporterMergesMidSweep(t *testing.T) {
 	tel.AddSweep(4)
 	observe := ObserveCells("fig7", nil, nil, tel.Observe)
 	value := func(name string) uint64 { return findMetric(t, tel.Snapshot(), name).Value }
-	cell := func(cycles uint64) CellEvent {
+	span := obs.CellSpan{Workload: "lbm", Config: "plain", Verdict: "ok"}
+	cell := func(cycles uint64) *obs.Registry {
 		reg := obs.NewRegistry()
 		reg.Counter("cpu.cycles").Add(cycles)
-		return CellEvent{Workload: "lbm", Config: "plain", Obs: reg}
+		return reg
 	}
 
-	observe(cell(100))
+	observe(span, cell(100))
 	if got := value("cpu.cycles"); got != 100 {
 		t.Fatalf("after one cell, cpu.cycles = %d, want 100", got)
 	}
-	observe(cell(50))
+	observe(span, cell(50))
 	if got := value("cpu.cycles"); got != 150 {
 		t.Fatalf("after two cells, cpu.cycles = %d, want 150", got)
 	}
-	observe(CellEvent{Workload: "lbm", Config: "asan", Err: context.DeadlineExceeded})
+	observe(obs.CellSpan{Workload: "lbm", Config: "asan", Verdict: "hole", Reason: "watchdog: wall-clock budget exceeded (1s)"}, nil)
 	for name, want := range map[string]uint64{
 		"harness.live.cells_total": 4, "harness.live.cells_done": 3, "harness.live.cells_holes": 1, "cpu.cycles": 150,
 	} {

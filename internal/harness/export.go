@@ -2,56 +2,31 @@ package harness
 
 import "rest/internal/obs"
 
-// ObserveCells returns the CellEvent callback for one named sweep. It
-// flattens each event into its span once and feeds every attached surface
-// from it: the progress meter, the Catapult trace slice (category = sweep,
-// args workload/config/verdict/instrs/cycles, which bench/restperf reads)
-// and sink, the live telemetry (restnet's -serve exporter), which also gets
-// the cell's registry. Each surface is optional; with none attached it
-// returns nil, so an unobserved sweep pays nothing. The returned func is
-// safe for concurrent use when sink is.
-func ObserveCells(sweep string, meter *obs.Progress, tr *obs.Trace, sink func(obs.CellSpan, *obs.Registry)) func(CellEvent) {
+// ObserveCells returns the OnCell callback for one named sweep. It stamps
+// the sweep name on each cell's span and feeds every attached surface from
+// it: the progress meter, the Catapult trace slice (category = sweep, args
+// workload/config/verdict/instrs/cycles, which bench/restperf reads) and
+// sink, the live telemetry (restnet's -serve exporter), which also gets the
+// cell's registry. Each surface is optional; with none attached it returns
+// nil, so an unobserved sweep pays nothing. The returned func is safe for
+// concurrent use when sink is.
+func ObserveCells(sweep string, meter *obs.Progress, tr *obs.Trace, sink func(obs.CellSpan, *obs.Registry)) func(obs.CellSpan, *obs.Registry) {
 	if meter == nil && tr == nil && sink == nil {
 		return nil
 	}
-	return func(ev CellEvent) {
-		s := CellEventSpan(sweep, ev)
+	return func(s obs.CellSpan, reg *obs.Registry) {
+		s.Sweep = sweep
 		meter.Observe(s.Verdict == "ok")
 		if tr != nil {
-			tr.Slice(ev.Worker, ev.Workload+"/"+ev.Config, sweep, ev.Start, ev.End, map[string]any{
-				"workload": ev.Workload, "config": ev.Config,
-				"verdict": s.Verdict, "instrs": ev.Instrs, "cycles": ev.Cycles,
+			tr.Slice(s.Worker, s.Workload+"/"+s.Config, sweep, s.Start, s.End, map[string]any{
+				"workload": s.Workload, "config": s.Config,
+				"verdict": s.Verdict, "instrs": s.Instrs, "cycles": s.Cycles,
 			})
 		}
 		if sink != nil {
-			sink(s, ev.Obs)
+			sink(s, reg)
 		}
 	}
-}
-
-// CellEventSpan flattens one CellEvent into the span every surface reads.
-func CellEventSpan(sweep string, ev CellEvent) obs.CellSpan {
-	s := obs.CellSpan{
-		Sweep:    sweep,
-		Worker:   ev.Worker,
-		Index:    ev.Index,
-		Total:    ev.Total,
-		Workload: ev.Workload,
-		Config:   ev.Config,
-		Start:    ev.Start,
-		End:      ev.End,
-		Verdict:  "ok",
-		Source:   ev.Source,
-		Instrs:   ev.Instrs,
-		Cycles:   ev.Cycles,
-	}
-	switch {
-	case ev.Skipped:
-		s.Verdict, s.Reason = "skipped", "sweep cancelled"
-	case ev.Err != nil:
-		s.Verdict, s.Reason = "hole", holeReason(ev.Err)
-	}
-	return s
 }
 
 // RecordCounters records the cache's and its attached store's current

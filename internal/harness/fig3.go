@@ -34,78 +34,63 @@ func fig3Configs() []BinaryConfig {
 	}
 }
 
-// Fig3Result holds the component breakdown: Breakdown[workload][i] is the
-// marginal overhead (percentage points over plain) of Fig3Components[i].
-// Workloads with a failed/timed-out level have no breakdown; they appear in
-// Holes[workload] with the first failing level's reason instead.
+// Fig3Result holds the component breakdown, one row per workload in grid
+// order.
 type Fig3Result struct {
-	Workloads []string
-	Breakdown map[string][]float64
-	Total     map[string]float64
-	Holes     map[string]string
+	Rows []Fig3Row
 	// Matrix is the underlying sweep (metrics/holes export surface).
 	Matrix *Matrix
 }
 
-// RunFig3 regenerates Figure 3's ASan overhead breakdown on the parallel
-// sweep engine at its default worker count. The context bounds the whole
-// figure (cmd/restbench -timeout reaches every report path through it).
-func RunFig3(ctx context.Context, wls []workload.Workload, scale int64) (*Fig3Result, error) {
-	return RunFig3Parallel(ctx, wls, scale, ParallelOptions{})
+// Fig3Row is one workload's breakdown: Parts[i] is the marginal overhead
+// (percentage points over plain) of Fig3Components[i], and Total their sum.
+// A workload with a failed or timed-out level has no breakdown; Hole then
+// names the first failing level and its reason.
+type Fig3Row struct {
+	Workload string
+	Parts    []float64
+	Total    float64
+	Hole     string
 }
 
-// RunFig3Parallel is RunFig3 with explicit sweep options (cmd/restbench -j).
-// A sweep with failed cells still returns the partial breakdown: the
-// workloads whose five levels all completed are computed normally, the rest
-// become annotated holes, and the *MatrixError comes back alongside so the
-// caller chooses between strict and keep-going behaviour.
+// RunFig3Parallel regenerates Figure 3's ASan overhead breakdown on the
+// parallel sweep engine. The context bounds the whole figure (restbench
+// -timeout reaches every report path through it). A sweep with failed cells
+// still returns the partial breakdown: the workloads whose five levels all
+// completed are computed normally, the rest become annotated holes, and the
+// *MatrixError comes back alongside so the caller chooses between strict
+// and keep-going behaviour.
 func RunFig3Parallel(ctx context.Context, wls []workload.Workload, scale int64, opt ParallelOptions) (*Fig3Result, error) {
-	m, err := RunMatrixParallel(ctx, wls, fig3Configs(), scale, opt)
+	cfgs := fig3Configs()
+	m, err := RunMatrixParallel(ctx, wls, cfgs, scale, opt)
 	var merr *MatrixError
 	if err != nil && !errors.As(err, &merr) {
 		return nil, err
 	}
-	res := &Fig3Result{
-		Workloads: m.Workloads,
-		Breakdown: make(map[string][]float64),
-		Total:     make(map[string]float64),
-		Matrix:    m,
-	}
-	levels := []string{"alloc", "alloc+stack", "alloc+stack+checks", "asan-full"}
-	for _, wl := range m.Workloads {
-		if reason, holed := fig3RowHole(m, wl, levels); holed {
-			if res.Holes == nil {
-				res.Holes = make(map[string]string)
-			}
-			res.Holes[wl] = reason
-			continue
-		}
-		prev := 0.0
-		parts := make([]float64, len(levels))
-		for i, lv := range levels {
-			ov := m.Overhead(wl, lv)
-			parts[i] = ov - prev
-			prev = ov
-		}
-		res.Breakdown[wl] = parts
-		res.Total[wl] = prev
+	res := &Fig3Result{Matrix: m}
+	for w, wl := range m.Workloads {
+		res.Rows = append(res.Rows, fig3Row(wl, m.row(w), cfgs))
 	}
 	return res, err
 }
 
-// fig3RowHole reports whether a workload's breakdown is uncomputable (any of
-// its cumulative levels or its baseline missing) and with which reason.
-func fig3RowHole(m *Matrix, wl string, levels []string) (string, bool) {
-	for _, lv := range append([]string{"plain"}, levels...) {
-		if _, ok := m.Cycles[wl][lv]; ok {
-			continue
+// fig3Row computes one workload's breakdown from its row of cells, the
+// plain baseline first and then each cumulative level; the first hole in
+// the row makes the whole row a hole.
+func fig3Row(wl string, row []cell, cfgs []BinaryConfig) Fig3Row {
+	for c, cl := range row {
+		if cl.res == nil {
+			return Fig3Row{Workload: wl, Hole: fmt.Sprintf("%s: %s", cfgs[c].Name, cl.reason)}
 		}
-		if reason, ok := m.Hole(wl, lv); ok {
-			return fmt.Sprintf("%s: %s", lv, reason), true
-		}
-		return fmt.Sprintf("%s: missing", lv), true
 	}
-	return "", false
+	r := Fig3Row{Workload: wl, Parts: make([]float64, len(row)-1)}
+	plain := row[0].res.Stats.Cycles
+	for i, cl := range row[1:] {
+		ov := overhead(cl.res.Stats.Cycles, plain)
+		r.Parts[i] = ov - r.Total
+		r.Total = ov
+	}
+	return r
 }
 
 // Render prints the stacked breakdown; workloads without one are rendered as
@@ -118,16 +103,16 @@ func (r *Fig3Result) Render() string {
 		fmt.Fprintf(&b, "%26s", c)
 	}
 	fmt.Fprintf(&b, "%10s\n", "total")
-	for _, wl := range r.Workloads {
-		fmt.Fprintf(&b, "%-12s", wl)
-		if reason, ok := r.Holes[wl]; ok {
-			fmt.Fprintf(&b, "  hole (%s)\n", reason)
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-12s", row.Workload)
+		if row.Hole != "" {
+			fmt.Fprintf(&b, "  hole (%s)\n", row.Hole)
 			continue
 		}
-		for _, v := range r.Breakdown[wl] {
+		for _, v := range row.Parts {
 			fmt.Fprintf(&b, "%25.1f%%", v)
 		}
-		fmt.Fprintf(&b, "%9.1f%%\n", r.Total[wl])
+		fmt.Fprintf(&b, "%9.1f%%\n", row.Total)
 	}
 	return b.String()
 }

@@ -9,6 +9,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,7 +76,6 @@ func Fig8Configs() []BinaryConfig {
 type RunResult struct {
 	Workload string
 	Config   string
-	Cycles   uint64
 	Stats    *cpu.Stats
 	Outcome  world.Outcome
 	// Obs is the cell's private metric registry (nil unless the cell ran
@@ -83,9 +83,9 @@ type RunResult struct {
 	// order into Matrix.Obs.
 	Obs *obs.Registry
 	// Source tags which execution path produced the result: "stream",
-	// "capture", "replay" or "result-store" (see
-	// CellEvent.Source). Observability metadata only — every path returns
-	// identical Stats/Outcome by the differential tests' contract.
+	// "capture", "replay" or "result-store" (see obs.CellSpan.Source).
+	// Observability metadata only — every path returns identical
+	// Stats/Outcome by the differential tests' contract.
 	Source string
 }
 
@@ -111,26 +111,6 @@ type CellLimits struct {
 	// the engines produce byte-identical results, so a capture made under
 	// one engine serves cells running under the other.
 	Engine sim.Engine
-}
-
-// RunLimited executes one workload under one configuration at the given
-// scale, under explicit watchdog budgets.
-func RunLimited(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
-	return RunCached(wl, cfg, scale, lim, nil)
-}
-
-// RunCached is RunLimited through an optional trace cache: with a non-nil tc
-// the cell is served from tc's result store when the store holds it, and
-// otherwise streams and feeds the store; with nil it streams the functional
-// simulator through the timing model the ordinary way. Capture and replay
-// belong to a sweep, which runs the cells sharing a trace together (see
-// TraceCache); every path returns identical results, which the replay
-// differential tests pin.
-func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache) (*RunResult, error) {
-	if tc == nil {
-		return runStreamed(wl, cfg, scale, lim, nil)
-	}
-	return tc.run(wl, cfg, scale, lim, nil)
 }
 
 // cellSpec is the world.Spec of one cell: cfg's build and timing knobs,
@@ -231,22 +211,22 @@ func finish(wl workload.Workload, cfg BinaryConfig, source string, stats *cpu.St
 	}
 	return &RunResult{
 		Workload: wl.Name, Config: cfg.Name,
-		Cycles: stats.Cycles, Stats: stats, Outcome: out,
+		Stats: stats, Outcome: out,
 		Obs: reg, Source: source,
 	}, nil
 }
 
-// Matrix holds a full sweep: cycles[workload][config].
+// Matrix is one sweep's grid: a cell per (workload, config), in grid order
+// (workload-major), each holding its result or, as a hole, why it has none
+// — failed, timed out or skipped. A sweep that degrades gracefully returns
+// the partial matrix with its holes instead of aborting; every renderer
+// marks them explicitly so a gap can never pass for a zero.
 type Matrix struct {
 	Workloads []string
 	Configs   []string
-	Cycles    map[string]map[string]uint64
-	Results   map[string]map[string]*RunResult
-	// Holes annotates cells with no result — failed, timed out or skipped —
-	// as Holes[workload][config] = reason. A sweep that degrades gracefully
-	// returns the partial matrix with its holes instead of aborting; every
-	// renderer marks them explicitly so a gap can never pass for a zero.
-	Holes map[string]map[string]string
+	// cells is the grid: workload w's cell under config c is
+	// cells[w*len(Configs)+c]. The sweep's workers fill it in place.
+	cells []cell
 	// Obs is the sweep-level metric registry: every cell's private registry
 	// merged in grid order, plus harness.* sweep counters. Nil unless the
 	// sweep ran with metrics enabled. Because cell registries are merged in
@@ -255,59 +235,107 @@ type Matrix struct {
 	Obs *obs.Registry
 }
 
-// AddHole records why a cell has no result.
-func (m *Matrix) AddHole(wl, config, reason string) {
-	if m.Holes == nil {
-		m.Holes = make(map[string]map[string]string)
-	}
-	if m.Holes[wl] == nil {
-		m.Holes[wl] = make(map[string]string)
-	}
-	m.Holes[wl][config] = reason
+// cell is one grid cell: its result, or a hole with the error that made it
+// (nil for a cell skipped after cancellation) and its one-line reason.
+type cell struct {
+	res    *RunResult
+	err    error
+	reason string
 }
 
-// Hole reports the reason a cell has no result, if it is annotated.
-func (m *Matrix) Hole(wl, config string) (string, bool) {
-	r, ok := m.Holes[wl][config]
-	return r, ok
+// newMatrix returns the grid of wls × cfgs with no cell filled.
+func newMatrix(wls []workload.Workload, cfgs []BinaryConfig) *Matrix {
+	m := &Matrix{cells: make([]cell, len(wls)*len(cfgs))}
+	for _, wl := range wls {
+		m.Workloads = append(m.Workloads, wl.Name)
+	}
+	for _, c := range cfgs {
+		m.Configs = append(m.Configs, c.Name)
+	}
+	return m
 }
 
-// HoleCount reports how many cells of the sweep are annotated holes.
+// row returns workload w's cells, in config order.
+func (m *Matrix) row(w int) []cell {
+	n := len(m.Configs)
+	return m.cells[w*n : (w+1)*n]
+}
+
+// at returns workload wl's cell under config cfg (nil when the grid has no
+// such cell).
+func (m *Matrix) at(wl, cfg string) *cell {
+	w, c := slices.Index(m.Workloads, wl), slices.Index(m.Configs, cfg)
+	if w < 0 || c < 0 {
+		return nil
+	}
+	return &m.row(w)[c]
+}
+
+// Result returns workload wl's result under config cfg (nil for a hole).
+func (m *Matrix) Result(wl, cfg string) *RunResult {
+	if c := m.at(wl, cfg); c != nil {
+		return c.res
+	}
+	return nil
+}
+
+// Cycles returns workload wl's simulated cycles under config cfg, and
+// whether the cell has a result.
+func (m *Matrix) Cycles(wl, cfg string) (uint64, bool) {
+	if r := m.Result(wl, cfg); r != nil {
+		return r.Stats.Cycles, true
+	}
+	return 0, false
+}
+
+// Hole reports why workload wl has no result under config cfg; ok is false
+// when the cell has one.
+func (m *Matrix) Hole(wl, cfg string) (reason string, ok bool) {
+	c := m.at(wl, cfg)
+	if c == nil || c.res != nil {
+		return "", false
+	}
+	return c.reason, true
+}
+
+// HoleCount reports how many cells of the sweep are holes.
 func (m *Matrix) HoleCount() int {
 	n := 0
-	for _, row := range m.Holes {
-		n += len(row)
+	for _, c := range m.cells {
+		if c.res == nil {
+			n++
+		}
 	}
 	return n
 }
 
 // aggregateObs folds every cell's private registry into Matrix.Obs in grid
 // order (workload-major, then config), then adds the sweep-level harness.*
-// counters derived from the hole annotations. Grid-order merging plus
-// commutative merge operations make the aggregate independent of cell
-// completion order, so the sweep's metrics honour the same determinism
-// contract as its tables: byte-identical at any -j.
-func (m *Matrix) aggregateObs() error {
+// counters derived from the holes. Grid-order merging plus commutative
+// merge operations make the aggregate independent of cell completion
+// order, so the sweep's metrics honour the same determinism contract as
+// its tables: byte-identical at any -j. A registry that fails to merge
+// comes back as its cell's error.
+func (m *Matrix) aggregateObs() *CellError {
 	agg := obs.NewRegistry()
 	ok := agg.Counter("harness.cells_ok")
 	hole := agg.Counter("harness.cells_hole")
 	skipped := agg.Counter("harness.cells_skipped")
 	watchdog := agg.Counter("harness.watchdog_trips")
-	for _, wl := range m.Workloads {
-		for _, c := range m.Configs {
-			if r := m.Results[wl][c]; r != nil && r.Obs != nil {
-				if err := agg.Merge(r.Obs); err != nil {
-					return fmt.Errorf("harness: %s/%s: %w", wl, c, err)
+	for w, wl := range m.Workloads {
+		for c, cl := range m.row(w) {
+			switch {
+			case cl.res != nil && cl.res.Obs != nil:
+				if err := agg.Merge(cl.res.Obs); err != nil {
+					return &CellError{Workload: wl, Config: m.Configs[c], Err: err}
 				}
 				ok.Inc()
-				continue
-			}
-			if reason, isHole := m.Hole(wl, c); isHole {
+			case cl.res == nil:
 				hole.Inc()
-				if strings.HasPrefix(reason, "skipped") {
+				if strings.HasPrefix(cl.reason, "skipped") {
 					skipped.Inc()
 				}
-				if strings.HasPrefix(reason, "watchdog") {
+				if strings.HasPrefix(cl.reason, "watchdog") {
 					watchdog.Inc()
 				}
 			}
@@ -317,57 +345,37 @@ func (m *Matrix) aggregateObs() error {
 	return nil
 }
 
-// complete reports whether workload wl has a result for config (and for the
-// plain baseline, which every derived number needs).
-func (m *Matrix) complete(wl, config string) bool {
-	_, okCfg := m.Cycles[wl][config]
-	_, okBase := m.Cycles[wl]["plain"]
-	return okCfg && okBase
+// plain returns the column of the plain baseline, which every derived
+// number needs (-1 when the grid has none).
+func (m *Matrix) plain() int { return slices.Index(m.Configs, "plain") }
+
+// pair returns one row's cycles under config column c and under the plain
+// column base, and whether both cells have results.
+func pair(row []cell, c, base int) (cycles, plain uint64, ok bool) {
+	if c < 0 || base < 0 || row[c].res == nil || row[base].res == nil {
+		return 0, 0, false
+	}
+	return row[c].res.Stats.Cycles, row[base].res.Stats.Cycles, true
 }
 
-// RunMatrix sweeps the workloads × configs grid strictly sequentially,
-// every cell under lim, stopping at the first failing cell; with
-// lim.Metrics it aggregates the cell registries into Matrix.Obs. It is the
-// reference implementation the determinism differential tests compare
-// RunMatrixParallel against; the report paths use the parallel engine.
-// Baseline ("plain") must be among the configs for overhead computation.
-func RunMatrix(wls []workload.Workload, cfgs []BinaryConfig, scale int64, lim CellLimits) (*Matrix, error) {
-	m := &Matrix{
-		Cycles:  make(map[string]map[string]uint64),
-		Results: make(map[string]map[string]*RunResult),
+// overhead is the percent slowdown of cycles over the plain run's
+// (0 for a plain run of no cycles).
+func overhead(cycles, plain uint64) float64 {
+	if plain == 0 {
+		return 0
 	}
-	for _, c := range cfgs {
-		m.Configs = append(m.Configs, c.Name)
-	}
-	for _, wl := range wls {
-		m.Workloads = append(m.Workloads, wl.Name)
-		m.Cycles[wl.Name] = make(map[string]uint64)
-		m.Results[wl.Name] = make(map[string]*RunResult)
-		for _, cfg := range cfgs {
-			r, err := RunLimited(wl, cfg, scale, lim)
-			if err != nil {
-				return nil, err
-			}
-			m.Cycles[wl.Name][cfg.Name] = r.Cycles
-			m.Results[wl.Name][cfg.Name] = r
-		}
-	}
-	if lim.Metrics {
-		if err := m.aggregateObs(); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return (float64(cycles)/float64(plain) - 1) * 100
 }
 
 // Overhead returns the percent slowdown of config vs the plain baseline for
-// one workload.
+// one workload (0 when either cell is a hole).
 func (m *Matrix) Overhead(wl, config string) float64 {
-	base := m.Cycles[wl]["plain"]
-	if base == 0 {
+	w := slices.Index(m.Workloads, wl)
+	if w < 0 {
 		return 0
 	}
-	return (float64(m.Cycles[wl][config])/float64(base) - 1) * 100
+	cycles, plain, _ := pair(m.row(w), slices.Index(m.Configs, config), m.plain())
+	return overhead(cycles, plain)
 }
 
 // WtdAriMeanOverhead computes the paper's weighted arithmetic mean overhead
@@ -376,13 +384,15 @@ func (m *Matrix) Overhead(wl, config string) float64 {
 // hole in either the config or the plain baseline are excluded (the mean is
 // over the complete rows only; holes are annotated in the rendering).
 func (m *Matrix) WtdAriMeanOverhead(config string) float64 {
+	c, base := slices.Index(m.Configs, config), m.plain()
 	var sumPlain, sumCfg float64
-	for _, wl := range m.Workloads {
-		if !m.complete(wl, config) {
+	for w := range m.Workloads {
+		cycles, plain, ok := pair(m.row(w), c, base)
+		if !ok {
 			continue
 		}
-		sumPlain += float64(m.Cycles[wl]["plain"])
-		sumCfg += float64(m.Cycles[wl][config])
+		sumPlain += float64(plain)
+		sumCfg += float64(cycles)
 	}
 	if sumPlain == 0 {
 		return 0
@@ -393,17 +403,15 @@ func (m *Matrix) WtdAriMeanOverhead(config string) float64 {
 // GeoMeanOverhead computes the geometric mean overhead (footnote 6):
 // GeoMean(plain-normalized runtime) − 1.
 func (m *Matrix) GeoMeanOverhead(config string) float64 {
+	c, base := slices.Index(m.Configs, config), m.plain()
 	logSum := 0.0
 	n := 0
-	for _, wl := range m.Workloads {
-		if !m.complete(wl, config) {
+	for w := range m.Workloads {
+		cycles, plain, ok := pair(m.row(w), c, base)
+		if !ok || plain == 0 {
 			continue
 		}
-		base := float64(m.Cycles[wl]["plain"])
-		if base == 0 {
-			continue
-		}
-		logSum += math.Log(float64(m.Cycles[wl][config]) / base)
+		logSum += math.Log(float64(cycles) / float64(plain))
 		n++
 	}
 	if n == 0 {
@@ -417,55 +425,56 @@ func (m *Matrix) GeoMeanOverhead(config string) float64 {
 func (m *Matrix) RenderOverheadTable(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	cfgs := make([]string, 0, len(m.Configs))
-	for _, c := range m.Configs {
-		if c != "plain" {
-			cfgs = append(cfgs, c)
+	base := m.plain()
+	cols := make([]int, 0, len(m.Configs))
+	for c := range m.Configs {
+		if c != base {
+			cols = append(cols, c)
 		}
 	}
 	fmt.Fprintf(&b, "%-12s", "benchmark")
-	for _, c := range cfgs {
-		fmt.Fprintf(&b, "%16s", c)
+	for _, c := range cols {
+		fmt.Fprintf(&b, "%16s", m.Configs[c])
 	}
 	b.WriteString("\n")
-	for _, wl := range m.Workloads {
+	for w, wl := range m.Workloads {
 		fmt.Fprintf(&b, "%-12s", wl)
-		for _, c := range cfgs {
-			if !m.complete(wl, c) {
+		for _, c := range cols {
+			if cycles, plain, ok := pair(m.row(w), c, base); ok {
+				fmt.Fprintf(&b, "%15.1f%%", overhead(cycles, plain))
+			} else {
 				fmt.Fprintf(&b, "%16s", "hole")
-				continue
 			}
-			fmt.Fprintf(&b, "%15.1f%%", m.Overhead(wl, c))
 		}
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "%-12s", "WtdAriMean")
-	for _, c := range cfgs {
-		fmt.Fprintf(&b, "%15.1f%%", m.WtdAriMeanOverhead(c))
+	for _, c := range cols {
+		fmt.Fprintf(&b, "%15.1f%%", m.WtdAriMeanOverhead(m.Configs[c]))
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "%-12s", "GeoMean")
-	for _, c := range cfgs {
-		fmt.Fprintf(&b, "%15.1f%%", m.GeoMeanOverhead(c))
+	for _, c := range cols {
+		fmt.Fprintf(&b, "%15.1f%%", m.GeoMeanOverhead(m.Configs[c]))
 	}
 	b.WriteString("\n")
 	b.WriteString(m.renderHoles())
 	return b.String()
 }
 
-// renderHoles appends the hole annotations (empty string for a full matrix).
-// Rows follow grid order so the output is deterministic.
+// renderHoles appends the hole annotations (empty string for a full matrix)
+// in grid order, so the output is deterministic.
 func (m *Matrix) renderHoles() string {
-	if m.HoleCount() == 0 {
+	holes := m.HoleCount()
+	if holes == 0 {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "holes (%d of %d cells; means cover complete rows only):\n",
-		m.HoleCount(), len(m.Workloads)*len(m.Configs))
-	for _, wl := range m.Workloads {
-		for _, c := range m.Configs {
-			if reason, ok := m.Hole(wl, c); ok {
-				fmt.Fprintf(&b, "  %s/%s: %s\n", wl, c, reason)
+	fmt.Fprintf(&b, "holes (%d of %d cells; means cover complete rows only):\n", holes, len(m.cells))
+	for w, wl := range m.Workloads {
+		for c, cl := range m.row(w) {
+			if cl.res == nil {
+				fmt.Fprintf(&b, "  %s/%s: %s\n", wl, m.Configs[c], cl.reason)
 			}
 		}
 	}
@@ -480,13 +489,13 @@ func (m *Matrix) CSV() string {
 		fmt.Fprintf(&b, ",%s", c)
 	}
 	b.WriteString("\n")
-	for _, wl := range m.Workloads {
+	for w, wl := range m.Workloads {
 		b.WriteString(wl)
-		for _, c := range m.Configs {
-			if v, ok := m.Cycles[wl][c]; ok {
-				fmt.Fprintf(&b, ",%d", v)
+		for _, c := range m.row(w) {
+			if c.res != nil {
+				fmt.Fprintf(&b, ",%d", c.res.Stats.Cycles)
 			} else {
-				// Annotated hole: never render a missing cell as a number.
+				// A hole: never render a missing cell as a number.
 				b.WriteString(",NA")
 			}
 		}

@@ -23,18 +23,18 @@ func subset(t *testing.T, names ...string) []workload.Workload {
 
 func TestRunSingle(t *testing.T) {
 	wl, _ := workload.ByName("lbm")
-	r, err := RunLimited(wl, Fig7Configs()[0], 1, CellLimits{})
+	r, err := runStreamed(wl, Fig7Configs()[0], 1, CellLimits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cycles == 0 || r.Stats.Instructions == 0 {
+	if r.Stats.Cycles == 0 || r.Stats.Instructions == 0 {
 		t.Error("empty run result")
 	}
 }
 
 func TestMatrixOverheads(t *testing.T) {
 	wls := subset(t, "lbm", "xalanc")
-	m, err := RunMatrix(wls, Fig7Configs(), 1, CellLimits{})
+	m, err := RunMatrixParallel(context.Background(), wls, Fig7Configs(), 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,27 +94,24 @@ func TestMatrixOverheads(t *testing.T) {
 
 func TestFig3Breakdown(t *testing.T) {
 	wls := subset(t, "xalanc", "lbm")
-	r, err := RunFig3(context.Background(), wls, 1)
+	r, err := RunFig3Parallel(context.Background(), wls, 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Access validation must be the dominant component for both (the
-	// paper's "most persistent and grievous source of overhead").
-	for _, wl := range r.Workloads {
-		parts := r.Breakdown[wl]
-		if len(parts) != 4 {
-			t.Fatalf("%s: %d components", wl, len(parts))
+	for _, row := range r.Rows {
+		if len(row.Parts) != 4 {
+			t.Fatalf("%s: %d components", row.Workload, len(row.Parts))
 		}
 	}
-	checks := r.Breakdown["lbm"][2]
-	if checks <= r.Breakdown["lbm"][0] {
-		t.Errorf("lbm: access validation (%.1f) not above allocator (%.1f)",
-			checks, r.Breakdown["lbm"][0])
+	xalanc, lbm := r.Rows[0].Parts, r.Rows[1].Parts
+	// Access validation must be the dominant component (the paper's "most
+	// persistent and grievous source of overhead").
+	if lbm[2] <= lbm[0] {
+		t.Errorf("lbm: access validation (%.1f) not above allocator (%.1f)", lbm[2], lbm[0])
 	}
 	// Allocator component significant only for the alloc-heavy workload.
-	if r.Breakdown["xalanc"][0] <= r.Breakdown["lbm"][0] {
-		t.Errorf("xalanc allocator component (%.1f) not above lbm's (%.1f)",
-			r.Breakdown["xalanc"][0], r.Breakdown["lbm"][0])
+	if xalanc[0] <= lbm[0] {
+		t.Errorf("xalanc allocator component (%.1f) not above lbm's (%.1f)", xalanc[0], lbm[0])
 	}
 	out := r.Render()
 	if !strings.Contains(out, "Memory Access Validation") {
@@ -163,7 +160,7 @@ func TestMicroStats(t *testing.T) {
 
 func TestFig8Widths(t *testing.T) {
 	wls := subset(t, "xalanc")
-	m, err := RunMatrix(wls, append(Fig8Configs(), BinaryConfig{Name: "plain"}), 1, CellLimits{})
+	m, err := RunMatrixParallel(context.Background(), wls, append(Fig8Configs(), BinaryConfig{Name: "plain"}), 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

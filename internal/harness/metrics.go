@@ -47,19 +47,16 @@ func (m *Matrix) Metrics(sweep string) *MetricsReport {
 		return nil
 	}
 	r := &MetricsReport{Sweep: sweep, Aggregate: m.Obs.Snapshot()}
-	for _, wl := range m.Workloads {
-		for _, c := range m.Configs {
-			if res := m.Results[wl][c]; res != nil && res.Obs != nil {
-				r.Cells = append(r.Cells, CellMetrics{
-					Workload: wl, Config: c, Metrics: res.Obs.Snapshot(),
-				})
-				continue
+	for w, wl := range m.Workloads {
+		for c, cl := range m.row(w) {
+			switch cfg := m.Configs[c]; {
+			case cl.res == nil:
+				r.Holes = append(r.Holes, MetricsHole{Workload: wl, Config: cfg, Reason: cl.reason})
+			case cl.res.Obs == nil:
+				r.Holes = append(r.Holes, MetricsHole{Workload: wl, Config: cfg, Reason: "no metrics collected"})
+			default:
+				r.Cells = append(r.Cells, CellMetrics{Workload: wl, Config: cfg, Metrics: cl.res.Obs.Snapshot()})
 			}
-			reason := "no metrics collected"
-			if hr, ok := m.Hole(wl, c); ok {
-				reason = hr
-			}
-			r.Holes = append(r.Holes, MetricsHole{Workload: wl, Config: c, Reason: reason})
 		}
 	}
 	return r

@@ -98,7 +98,7 @@ func TestModelGolden(t *testing.T) {
 	h := sha256.New()
 	for _, wl := range m.Workloads {
 		for _, cfg := range m.Configs {
-			r := m.Results[wl][cfg]
+			r := m.Result(wl, cfg)
 			cell := wl + "/" + cfg
 			fmt.Fprintf(h, "%s", cell)
 			hashStats(t, h, cell, reflect.ValueOf(*r.Stats))

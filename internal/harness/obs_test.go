@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"rest/internal/cpu"
 	"rest/internal/obs"
 )
 
@@ -33,11 +34,7 @@ func TestMetricsDeterminism(t *testing.T) {
 	t.Parallel()
 	cfgs := Fig7Configs()
 	wls := subset(t, "lbm", "xalanc")
-	seq, err := RunMatrix(wls, cfgs, 1, CellLimits{Metrics: true})
-	if err != nil {
-		t.Fatalf("sequential observed reference: %v", err)
-	}
-	want := seq.Metrics("fig7").CSV()
+	want := sequentialMatrix(t, wls, cfgs, CellLimits{Metrics: true}).Metrics("fig7").CSV()
 	if !strings.Contains(want, "sim.user_instructions") ||
 		!strings.Contains(want, "cpu.rob_occupancy") ||
 		!strings.Contains(want, "cache.l1d.") ||
@@ -78,7 +75,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	if m.Metrics("fig7") != nil {
 		t.Error("Metrics() non-nil without opt.Metrics")
 	}
-	if m.Results["lbm"]["plain"].Obs != nil {
+	if m.Result("lbm", "plain").Obs != nil {
 		t.Error("cell registry allocated without opt.Metrics")
 	}
 }
@@ -135,17 +132,17 @@ func TestCellEventsDriveCatapultTrace(t *testing.T) {
 	seen := 0
 	_, err := RunMatrixParallel(context.Background(), wls, cfgs, 1, ParallelOptions{
 		Workers: 4,
-		OnCell: func(ev CellEvent) {
+		OnCell: func(s obs.CellSpan, reg *obs.Registry) {
 			mu.Lock()
 			seen++
 			mu.Unlock()
-			if ev.Worker < 0 || ev.Worker >= 4 {
-				t.Errorf("event worker %d out of pool range", ev.Worker)
+			if s.Worker < 0 || s.Worker >= 4 {
+				t.Errorf("span worker %d out of pool range", s.Worker)
 			}
-			if ev.Err == nil && !ev.Skipped && (ev.Instrs == 0 || ev.Cycles == 0) {
-				t.Errorf("successful cell %s/%s has empty summary", ev.Workload, ev.Config)
+			if s.Verdict == "ok" && (s.Instrs == 0 || s.Cycles == 0) {
+				t.Errorf("successful cell %s/%s has empty summary", s.Workload, s.Config)
 			}
-			observe(ev)
+			observe(s, reg)
 		},
 	})
 	if err != nil {
@@ -219,5 +216,27 @@ func TestFig3AndMicroMetricsPassThrough(t *testing.T) {
 	mrep := ms.Matrix.Metrics("micro")
 	if mrep == nil || mrep.Sweep != "micro" || len(mrep.Cells) != 2 {
 		t.Fatalf("micro metrics report: %+v", mrep)
+	}
+}
+
+// TestMergeFailureNamesItsCell: a cell registry that cannot merge into the
+// sweep aggregate (here a histogram whose bounds differ from an earlier
+// cell's) fails the sweep as that cell, so the MatrixError names its
+// coordinates.
+func TestMergeFailureNamesItsCell(t *testing.T) {
+	t.Parallel()
+	ran := func(bounds ...uint64) cell {
+		reg := obs.NewRegistry()
+		reg.Histogram("cpu.rob_occupancy", bounds...).Observe(1)
+		return cell{res: &RunResult{Stats: &cpu.Stats{}, Obs: reg}}
+	}
+	wls, cfgs := subset(t, "lbm"), Fig7Configs()[:2]
+	s := &sweep{opt: ParallelOptions{Metrics: true}, wls: wls, cfgs: cfgs, m: newMatrix(wls, cfgs)}
+	s.m.cells[0], s.m.cells[1] = ran(1, 2), ran(1, 2, 4)
+	_, err := s.assemble()
+	want := "harness: 1 of the sweep's cells failed\n" +
+		`  cell lbm/asan: obs: histogram "cpu.rob_occupancy" bound mismatch: [1 2] vs [1 2 4]`
+	if err == nil || err.Error() != want {
+		t.Errorf("merge failure reads\n%v\nwant\n%s", err, want)
 	}
 }

@@ -22,10 +22,10 @@ import (
 // (its own memory, allocator, token register with a per-world seeded RNG,
 // cache hierarchy, predictor and core), so cells can run concurrently with
 // no shared mutable state. The engine guarantees that the resulting Matrix
-// is byte-identical to a sequential RunMatrix at any worker count — cells
-// are deterministic functions of (workload, config, scale), and results are
-// assembled in grid order regardless of completion order. The determinism
-// differential tests pin this guarantee.
+// is byte-identical to streaming every cell in grid order on one goroutine,
+// at any worker count: cells are deterministic functions of (workload,
+// config, scale), and each lands in its own grid slot regardless of
+// completion order. The determinism differential tests pin this guarantee.
 
 // ParallelOptions configures RunMatrixParallel.
 type ParallelOptions struct {
@@ -60,49 +60,21 @@ type ParallelOptions struct {
 	// aside); the replay differential tests pin that. One cache may serve
 	// several sweeps, and its counters add up across them.
 	TraceCache *TraceCache
-	// OnCell, when non-nil, receives one CellEvent per grid cell as it
-	// finishes (or is skipped). Events arrive in completion order and may be
-	// delivered concurrently from multiple workers; the callback must be
-	// safe for concurrent use. The trace/progress/telemetry surfaces hang
-	// off this stream — it reports wall-clock facts, which are explicitly
-	// NOT part of the determinism contract.
-	OnCell func(CellEvent)
+	// OnCell, when non-nil, receives each grid cell once as it finishes
+	// (or is skipped): its span, with the sweep name left for the observer
+	// to stamp (see ObserveCells), and its private metric registry (nil
+	// unless the sweep ran with Metrics), which the cell no longer writes
+	// and receivers must treat as read-only. Cells arrive in completion
+	// order and may be delivered concurrently from multiple workers; the
+	// callback must be safe for concurrent use. The trace, progress and
+	// telemetry surfaces hang off this stream — it reports wall-clock facts
+	// and cache warmth, which are explicitly NOT part of the determinism
+	// contract.
+	OnCell func(obs.CellSpan, *obs.Registry)
 	// Now is the event-stream clock (nil = time.Now). Injected by tests so
-	// CellEvent timestamps are deterministic; the simulation itself never
-	// reads it.
+	// span timestamps are deterministic; the simulation itself never reads
+	// it.
 	Now func() time.Time
-}
-
-// CellEvent is one cell's lifecycle report for the observability stream:
-// which worker ran which grid cell, over which wall-clock window, and what
-// came of it.
-type CellEvent struct {
-	// Worker is the worker-pool slot (0-based) that processed the cell.
-	Worker int
-	// Index is the cell's grid-order position; Total is the grid size.
-	Index, Total int
-	Workload     string
-	Config       string
-	// Start and End bound the cell's execution wall-clock window. For a
-	// skipped cell they are the moment the skip was decided.
-	Start, End time.Time
-	// Err is the cell's failure (nil on success); Skipped marks a cell never
-	// started because the sweep was cancelled.
-	Err     error
-	Skipped bool
-	// Instrs and Cycles summarize a successful cell (zero otherwise).
-	Instrs, Cycles uint64
-	// Source tags where a successful cell's result came from: "stream"
-	// (live execution), "capture" (live execution recording a shared
-	// trace), "replay" (in-memory trace cache) or "result-store" (memoized
-	// cell outcome). Empty for
-	// failed or skipped cells. Like the timestamps, it reflects wall-clock
-	// scheduling and cache warmth, not the determinism contract.
-	Source string
-	// Obs is the cell's private metric registry (nil unless the sweep ran
-	// with Metrics). It is delivered after the cell has finished writing
-	// it; receivers must treat it as read-only.
-	Obs *obs.Registry
 }
 
 // EffectiveWorkers resolves the worker-pool size actually used.
@@ -208,27 +180,20 @@ func (e *MatrixError) Unwrap() []error {
 	return out
 }
 
-// cellOutcome is one worker's report for one grid cell.
-type cellOutcome struct {
-	res     *RunResult
-	err     error
-	skipped bool
-}
-
-// sweep is one RunMatrixParallel call: the grid, laid out workload-major
-// (the order of every report and outcome slot), one outcome slot per cell,
-// and the runner the worker pool drives. Each slot is written by the one
-// goroutine running its cell and read only after every worker has finished.
+// sweep is one RunMatrixParallel call: the grid, the Matrix its workers
+// fill, and the runner the worker pool drives. Each of the Matrix's cells is
+// written by the one goroutine running it and read by others only after
+// every worker has finished.
 type sweep struct {
-	opt      ParallelOptions
-	scale    int64
-	wls      []workload.Workload
-	cfgs     []BinaryConfig
-	groups   [][]int // config indices a worker runs together (configGroups)
-	outcomes []cellOutcome
-	ctx      context.Context
-	cancel   context.CancelFunc
-	now      func() time.Time
+	opt    ParallelOptions
+	scale  int64
+	wls    []workload.Workload
+	cfgs   []BinaryConfig
+	groups [][]int // config indices a worker runs together (configGroups)
+	m      *Matrix
+	ctx    context.Context
+	cancel context.CancelFunc
+	now    func() time.Time
 }
 
 // cell returns grid cell i's workload and config.
@@ -272,8 +237,8 @@ func (s *sweep) runGroup(worker, u int, g *group) {
 
 // run executes grid cell i of group g on worker slot worker: the per-cell
 // watchdog (the explicit cell timeout, tightened by whatever remains of the
-// caller context's deadline), panic containment via runCell, the CellEvent,
-// and fail-fast cancellation.
+// caller context's deadline), panic containment via runCell, the OnCell
+// report, and fail-fast cancellation.
 func (s *sweep) run(worker, i int, g *group) {
 	if s.ctx.Err() != nil {
 		s.skip(worker, i)
@@ -298,7 +263,11 @@ func (s *sweep) run(worker, i int, g *group) {
 	wl, cfg := s.cell(i)
 	start := s.now()
 	r, err := runCell(wl, cfg, s.scale, lim, s.opt.TraceCache, g)
-	s.outcomes[i] = cellOutcome{res: r, err: err}
+	c := cell{res: r, err: err}
+	if err != nil {
+		c.reason = holeReason(err)
+	}
+	s.m.cells[i] = c
 	s.emit(worker, i, start, s.now())
 	if err != nil && s.opt.FailFast {
 		s.cancel()
@@ -307,107 +276,91 @@ func (s *sweep) run(worker, i int, g *group) {
 
 // skip records cell i as never started because the sweep was cancelled.
 func (s *sweep) skip(worker, i int) {
-	s.outcomes[i].skipped = true
+	s.m.cells[i] = cell{reason: "skipped (sweep cancelled)"}
 	at := s.now()
 	s.emit(worker, i, at, at)
 }
 
-// emit reports cell i's outcome to opt.OnCell.
+// emit reports cell i to opt.OnCell as its span, the cell's error
+// flattened to a verdict and reason, and its registry.
 func (s *sweep) emit(worker, i int, start, end time.Time) {
 	if s.opt.OnCell == nil {
 		return
 	}
-	o := s.outcomes[i]
+	c := s.m.cells[i]
 	wl, cfg := s.cell(i)
-	ev := CellEvent{
-		Worker: worker, Index: i, Total: len(s.outcomes),
+	span := obs.CellSpan{
+		Worker: worker, Index: i, Total: len(s.m.cells),
 		Workload: wl.Name, Config: cfg.Name,
 		Start: start, End: end,
-		Err: o.err, Skipped: o.skipped,
+		Verdict: "ok",
 	}
-	if o.res != nil {
-		ev.Cycles = o.res.Cycles
-		ev.Source = o.res.Source
-		ev.Obs = o.res.Obs
-		if o.res.Stats != nil {
-			ev.Instrs = o.res.Stats.Instructions
-		}
+	var reg *obs.Registry
+	switch {
+	case c.res != nil:
+		span.Source = c.res.Source
+		span.Instrs, span.Cycles = c.res.Stats.Instructions, c.res.Stats.Cycles
+		reg = c.res.Obs
+	case c.err == nil:
+		span.Verdict, span.Reason = "skipped", "sweep cancelled"
+	default:
+		span.Verdict, span.Reason = "hole", c.reason
 	}
-	s.opt.OnCell(ev)
+	s.opt.OnCell(span, reg)
 }
 
-// assemble builds the Matrix in grid order, so the Matrix (and any
-// aggregated error) is identical no matter which worker finished first.
+// assemble gathers the filled grid's failures in grid order, so the
+// aggregated error is identical no matter which worker finished first, and
+// with metrics on aggregates the cell registries.
 func (s *sweep) assemble() (*Matrix, error) {
-	m := &Matrix{
-		Cycles:  make(map[string]map[string]uint64),
-		Results: make(map[string]map[string]*RunResult),
-	}
-	for _, c := range s.cfgs {
-		m.Configs = append(m.Configs, c.Name)
-	}
 	merr := &MatrixError{}
-	for i, o := range s.outcomes {
-		wl, cfg := s.cell(i)
-		if _, ok := m.Cycles[wl.Name]; !ok {
-			m.Workloads = append(m.Workloads, wl.Name)
-			m.Cycles[wl.Name] = make(map[string]uint64)
-			m.Results[wl.Name] = make(map[string]*RunResult)
-		}
+	for i, c := range s.m.cells {
 		switch {
-		case o.skipped:
+		case c.err != nil:
+			wl, cfg := s.cell(i)
+			merr.Cells = append(merr.Cells, &CellError{Workload: wl.Name, Config: cfg.Name, Err: c.err})
+		case c.res == nil:
 			merr.Skipped++
-			m.AddHole(wl.Name, cfg.Name, "skipped (sweep cancelled)")
-		case o.err != nil:
-			merr.Cells = append(merr.Cells, &CellError{
-				Workload: wl.Name, Config: cfg.Name, Err: o.err,
-			})
-			m.AddHole(wl.Name, cfg.Name, holeReason(o.err))
-		default:
-			m.Cycles[wl.Name][cfg.Name] = o.res.Cycles
-			m.Results[wl.Name][cfg.Name] = o.res
 		}
 	}
 	if s.opt.Metrics {
-		// Grid-order merge of the per-cell registries; merge errors are
-		// impossible by construction (every cell registers identical
-		// histogram bounds) but surfaced rather than swallowed.
-		if err := m.aggregateObs(); err != nil {
-			merr.Cells = append(merr.Cells, &CellError{Err: err})
+		// Merge errors are impossible by construction (every cell
+		// registers identical histogram bounds) but surfaced rather than
+		// swallowed.
+		if cerr := s.m.aggregateObs(); cerr != nil {
+			merr.Cells = append(merr.Cells, cerr)
 		}
 		if s.opt.TraceCache != nil {
-			s.opt.TraceCache.recordObs(m.Obs)
+			s.opt.TraceCache.recordObs(s.m.Obs)
 		}
 	}
 	if len(merr.Cells) > 0 || merr.Skipped > 0 {
-		return m, merr
+		return s.m, merr
 	}
-	return m, nil
+	return s.m, nil
 }
 
 // RunMatrixParallel sweeps the workloads × configs grid on a worker pool.
-// It is the parallel equivalent of RunMatrix and produces bit-identical
-// cycle matrices at any worker count (each cell is a deterministic,
-// self-contained simulation; collection order is fixed to grid order).
+// It produces bit-identical matrices at any worker count (each cell is a
+// deterministic, self-contained simulation and fills its own grid slot).
+// Baseline ("plain") must be among the configs for overhead computation.
 //
-// Unlike RunMatrix, it does not stop at the first failure: every cell runs
-// and all failures come back as one *MatrixError, alongside the partial
-// Matrix holding the cells that did complete. With opt.FailFast (or when
-// ctx is cancelled) the cells not yet started are skipped and counted in
-// MatrixError.Skipped.
+// It does not stop at the first failure: every cell runs and all failures
+// come back as one *MatrixError, alongside the partial Matrix holding the
+// cells that did complete. With opt.FailFast (or when ctx is cancelled) the
+// cells not yet started are skipped and counted in MatrixError.Skipped.
 //
 // The sweep is crash-contained and watchdogged: a cell that panics is
 // recovered into a *PanicError (stack trace attached) without disturbing
 // its sibling workers, and a cell that exceeds opt.CellTimeout or
 // opt.CellInstrBudget fails with a *sim.BudgetExceededError. Either way the
-// cell becomes an annotated hole in the partial Matrix (Matrix.Holes) and
+// cell becomes an annotated hole in the partial Matrix (Matrix.Hole) and
 // one entry of the grid-ordered MatrixError.
 func RunMatrixParallel(ctx context.Context, wls []workload.Workload, cfgs []BinaryConfig, scale int64, opt ParallelOptions) (*Matrix, error) {
-	s := &sweep{opt: opt, scale: scale, wls: wls, cfgs: cfgs, now: opt.Now}
+	s := &sweep{opt: opt, scale: scale, wls: wls, cfgs: cfgs, m: newMatrix(wls, cfgs), now: opt.Now}
 	if s.now == nil {
 		s.now = time.Now
 	}
-	s.outcomes = make([]cellOutcome, len(wls)*len(cfgs))
 	s.groups = configGroups(cfgs, scale, opt.CellInstrBudget, opt.TraceCache != nil)
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	defer s.cancel()

@@ -78,11 +78,11 @@ func TestParallelErrorAggregation(t *testing.T) {
 	for _, cell := range []struct{ wl, cfg string }{
 		{"lbm", "plain"}, {"lbm", "secure-heap"}, {"overflower", "plain"},
 	} {
-		if m.Cycles[cell.wl][cell.cfg] == 0 {
+		if _, ok := m.Cycles(cell.wl, cell.cfg); !ok {
 			t.Errorf("healthy cell %s/%s missing from partial matrix", cell.wl, cell.cfg)
 		}
 	}
-	if _, ok := m.Results["overflower"]["secure-heap"]; ok {
+	if m.Result("overflower", "secure-heap") != nil {
 		t.Error("failed cell has a result in the matrix")
 	}
 }
@@ -130,8 +130,8 @@ func TestParallelExternalCancellation(t *testing.T) {
 		t.Errorf("got %d skipped, %d errors; want all %d skipped",
 			merr.Skipped, len(merr.Cells), len(Fig7Configs()))
 	}
-	if len(m.Cycles["lbm"]) != 0 {
-		t.Error("cancelled sweep still produced results")
+	if m.HoleCount() != len(Fig7Configs()) {
+		t.Errorf("cancelled sweep has %d holes, want every cell", m.HoleCount())
 	}
 }
 
@@ -180,12 +180,12 @@ func TestMicroStatsReadCellRegistries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []string{"secure-full", "debug-full"} {
-		r := s.Matrix.Results[wl.Name][cfg]
+		r := s.Matrix.Result(wl.Name, cfg)
 		if r.Obs.Counter("cache.l1d.accesses").Value() == 0 {
 			t.Fatalf("micro stats cell %s (source %q): its registry saw no L1-D accesses", cfg, r.Source)
 		}
 	}
-	sec := s.Matrix.Results[wl.Name]["secure-full"]
+	sec := s.Matrix.Result(wl.Name, "secure-full")
 	kinstr := float64(sec.Stats.Instructions) / 1000
 	if want := float64(sec.Obs.Counter("cache.token_l2mem_crossings").Value()) / kinstr; s.TokenL2MemPerKInstr != want {
 		t.Errorf("token L2/memory crossings %v per kinstr, want %v from the secure cell's registry", s.TokenL2MemPerKInstr, want)

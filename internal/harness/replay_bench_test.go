@@ -41,7 +41,7 @@ func benchStreamVsReplay(b *testing.B, cfg BinaryConfig) {
 	}
 	b.Run("streamed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := RunLimited(wl, cfg, 2, CellLimits{}); err != nil {
+			if _, err := runStreamed(wl, cfg, 2, CellLimits{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestRenderBarChart(t *testing.T) {
 	wls := subset(t, "lbm")
-	m, err := RunMatrix(wls, Fig7Configs(), 1, CellLimits{})
+	m, err := RunMatrixParallel(context.Background(), wls, Fig7Configs(), 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +30,14 @@ func TestRenderBarChart(t *testing.T) {
 // headline built from them: the baseline has cycles, an instrumented
 // config has an overhead cell, and the headline quotes the weighted means.
 func TestMatrixSummary(t *testing.T) {
-	m, err := RunMatrix(subset(t, "lbm"), Fig7Configs(), 1, CellLimits{})
+	m, err := RunMatrixParallel(context.Background(), subset(t, "lbm"), Fig7Configs(), 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Cycles["lbm"]["plain"] == 0 {
+	if c, ok := m.Cycles("lbm", "plain"); !ok || c == 0 {
 		t.Error("missing baseline cycles")
 	}
-	if !m.complete("lbm", "secure-full") {
+	if _, ok := m.Cycles("lbm", "secure-full"); !ok {
 		t.Error("missing overhead cell")
 	}
 	if m.WtdAriMeanOverhead("asan") <= 0 {

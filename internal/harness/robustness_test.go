@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rest/internal/obs"
 	"rest/internal/prog"
 	"rest/internal/sim"
 	"rest/internal/workload"
@@ -80,7 +82,7 @@ func TestPanicBecomesCellError(t *testing.T) {
 	}
 	// Sibling survival: the healthy workload completed under both configs.
 	for _, cfg := range []string{"plain", "secure-heap"} {
-		if m.Cycles["lbm"][cfg] == 0 {
+		if _, ok := m.Cycles("lbm", cfg); !ok {
 			t.Errorf("healthy cell lbm/%s did not survive the sibling panic", cfg)
 		}
 	}
@@ -264,14 +266,85 @@ func TestFig3PartialBreakdown(t *testing.T) {
 	if r == nil {
 		t.Fatal("no partial Fig3Result alongside the MatrixError")
 	}
-	if _, ok := r.Breakdown["lbm"]; !ok {
-		t.Error("healthy workload missing from the partial breakdown")
+	if len(r.Rows) != 2 || r.Rows[0].Workload != "lbm" || r.Rows[1].Workload != "crasher" {
+		t.Fatalf("rows %+v, want lbm then crasher", r.Rows)
 	}
-	if _, ok := r.Holes["crasher"]; !ok {
-		t.Error("broken workload not annotated as a hole")
+	if lbm := r.Rows[0]; lbm.Hole != "" || len(lbm.Parts) != len(Fig3Components) {
+		t.Errorf("healthy workload's row %+v lacks its breakdown", lbm)
+	}
+	if crasher := r.Rows[1]; !strings.HasPrefix(crasher.Hole, "plain: panic:") || crasher.Parts != nil {
+		t.Errorf("broken workload's row %+v is not a hole naming its first level", crasher)
 	}
 	render := r.Render()
 	if !strings.Contains(render, "hole") {
 		t.Errorf("Fig3 render does not mark the hole:\n%s", render)
+	}
+}
+
+// TestSweepReturnsEveryCellOnce runs a sweep whose grid mixes healthy,
+// panicking and over-budget cells. Every grid cell must come back exactly
+// once, as a result or a hole, in grid order: in the Matrix, in the
+// MatrixError's cells and in the OnCell spans, whose verdicts and reasons
+// must be the Matrix's holes.
+func TestSweepReturnsEveryCellOnce(t *testing.T) {
+	t.Parallel()
+	wls := []workload.Workload{panickingWorkload("crasher"), goodWorkload(t), spinningWorkload("spinner")}
+	cfgs := []BinaryConfig{
+		{Name: "plain", Pass: prog.Plain()},
+		{Name: "secure-heap", Pass: prog.RESTHeap(64)},
+	}
+	var mu sync.Mutex
+	spans := map[int][]obs.CellSpan{}
+	m, err := RunMatrixParallel(context.Background(), wls, cfgs, 1, ParallelOptions{
+		Workers:         2,
+		CellInstrBudget: 1_000_000,
+		OnCell: func(s obs.CellSpan, _ *obs.Registry) {
+			mu.Lock()
+			spans[s.Index] = append(spans[s.Index], s)
+			mu.Unlock()
+		},
+	})
+	var merr *MatrixError
+	if !errors.As(err, &merr) {
+		t.Fatalf("error is %T, want *MatrixError", err)
+	}
+	var order strings.Builder
+	for _, c := range merr.Cells {
+		fmt.Fprintf(&order, "%s/%s ", c.Workload, c.Config)
+	}
+	if got, want := order.String(), "crasher/plain crasher/secure-heap spinner/plain spinner/secure-heap "; got != want || merr.Skipped != 0 {
+		t.Errorf("MatrixError cells %q, %d skipped; want %q, none", got, merr.Skipped, want)
+	}
+	if len(m.cells) != len(wls)*len(cfgs) || len(spans) != len(m.cells) {
+		t.Fatalf("%d cells and spans for %d indices, want %d of each", len(m.cells), len(spans), len(wls)*len(cfgs))
+	}
+	for i, c := range m.cells {
+		wl, cfg := wls[i/len(cfgs)].Name, cfgs[i%len(cfgs)].Name
+		reason, hole := m.Hole(wl, cfg)
+		res := m.Result(wl, cfg)
+		switch {
+		case hole == (res != nil):
+			t.Errorf("%s/%s: result %v, hole %v; want exactly one", wl, cfg, res != nil, hole)
+		case res != nil && (res != c.res || res.Workload != wl || res.Config != cfg):
+			t.Errorf("%s/%s: result for %s/%s at grid position %d", wl, cfg, res.Workload, res.Config, i)
+		case wl == "lbm" && hole:
+			t.Errorf("%s/%s: healthy cell is a hole: %s", wl, cfg, reason)
+		case wl == "crasher" && !strings.HasPrefix(reason, "panic: "),
+			wl == "spinner" && !strings.HasPrefix(reason, "watchdog: instructions budget exceeded"):
+			t.Errorf("%s/%s: hole reason %q", wl, cfg, reason)
+		}
+		if len(spans[i]) != 1 {
+			t.Errorf("%s/%s: %d spans, want 1", wl, cfg, len(spans[i]))
+			continue
+		}
+		s := spans[i][0]
+		want := obs.CellSpan{Verdict: "ok"}
+		if hole {
+			want = obs.CellSpan{Verdict: "hole", Reason: reason}
+		}
+		if s.Workload != wl || s.Config != cfg || s.Total != len(m.cells) || s.Verdict != want.Verdict || s.Reason != want.Reason {
+			t.Errorf("%s/%s: span %s/%s of %d, verdict %q, reason %q; want verdict %q, reason %q",
+				wl, cfg, s.Workload, s.Config, s.Total, s.Verdict, s.Reason, want.Verdict, want.Reason)
+		}
 	}
 }

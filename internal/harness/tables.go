@@ -304,11 +304,7 @@ func RunMicroStatsParallel(ctx context.Context, wl workload.Workload, scale int6
 	if err != nil {
 		return nil, err
 	}
-	sec := m.Results[wl.Name]["secure-full"]
-	dbg := m.Results[wl.Name]["debug-full"]
-	if sec == nil || dbg == nil {
-		return nil, fmt.Errorf("harness: micro stats for %s: incomplete sweep", wl.Name)
-	}
+	sec, dbg := m.cells[0].res, m.cells[1].res
 	kinstr := float64(sec.Stats.Instructions) / 1000
 	return &MicroStats{
 		Workload:            wl.Name,

@@ -186,12 +186,12 @@ func (tc *TraceCache) count(c *uint64, n uint64) {
 	tc.mu.Unlock()
 }
 
-// run executes one cell through the cache (RunCached's non-nil path). The
-// result store, when attached, can satisfy the cell outright, and every
-// clean outcome it lacks feeds it for future processes. Otherwise the cell
-// runs by its place in g, the group a sweep's worker is running it in (nil
-// for a cell run on its own): the first cell of a group to run captures
-// when a later one follows it, and the later ones replay the capture.
+// run executes one cell through the cache. The result store, when
+// attached, can satisfy the cell outright, and every clean outcome it lacks
+// feeds it for future processes. Otherwise the cell runs by its place in g,
+// the group a sweep's worker is running it in: the first cell of a group to
+// run captures when a later one follows it, and the later ones replay the
+// capture.
 func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, g *group) (*RunResult, error) {
 	disk := tc.diskStore()
 
@@ -213,7 +213,7 @@ func (tc *TraceCache) run(wl workload.Workload, cfg BinaryConfig, scale int64, l
 	var res *RunResult
 	var err error
 	switch {
-	case g == nil || !g.captured && !g.more:
+	case !g.captured && !g.more:
 		// No later cell of this identity would replay a capture.
 		tc.count(&tc.bypass, 1)
 		res, err = runStreamed(wl, cfg, scale, lim, nil)

@@ -17,7 +17,7 @@
 //     full registry snapshot (counters as monotonic cumulative sums, gauges
 //     as gauges, histograms with explicit bounds).
 //   - SpansDoc: one ExportTraceServiceRequest-shaped document holding
-//     per-cell spans derived from the sweep engine's CellEvent stream
+//     per-cell spans from the sweep engine's obs.CellSpan stream
 //     (start/end wall clock, worker, verdict, cache source, instruction and
 //     cycle counts as attributes).
 //   - The NDJSON/SSE stream (served by package otlphttp's Source): each

@@ -182,7 +182,7 @@ func RunFigure8(ctx context.Context, scale int64) (*harness.Matrix, error) {
 
 // RunFigure3 regenerates the ASan overhead component breakdown.
 func RunFigure3(ctx context.Context, scale int64) (*harness.Fig3Result, error) {
-	return harness.RunFig3(ctx, workload.All(), scale)
+	return harness.RunFig3Parallel(ctx, workload.All(), scale, harness.ParallelOptions{})
 }
 
 // RunFaultCampaign executes the deterministic fault-injection campaign
